@@ -27,7 +27,9 @@
 //! --json PATH           write the JSON report to PATH
 //! --trace PATH          export the first sweep size's engine leg as a
 //!                       Chrome trace_event timeline (adds recorder
-//!                       overhead to that leg's numbers)
+//!                       overhead to that leg's numbers); with --shards K
+//!                       the shards' recorders are merged and the timeline
+//!                       gains a work/ingest/wait counter track per shard
 //! --shards K            run the engine legs on the sharded engine with K
 //!                       worker shards (default 0 = sequential engine)
 //! --smoke [BASELINE]    n=1024 regression gate: read
@@ -37,11 +39,11 @@
 //!                       --shards K it instead gates the sharded path:
 //!                       re-runs the same leg at --shards 1, requires
 //!                       bit-identical delivered/topology/sim-end numbers
-//!                       (cross-shard determinism), and — when the runner
-//!                       has more than K cores — requires the K-shard rate
-//!                       to be >= single-shard's (on fewer cores the ratio
-//!                       is reported but not gated: the shards time-slice
-//!                       and every window barrier is a context switch)
+//!                       (cross-shard determinism), and requires the
+//!                       K-shard rate to be >= single-shard's whenever the
+//!                       runner has a core per shard (with fewer cores the
+//!                       throughput is reported as UNMEASURED: time-sliced
+//!                       shards say nothing about parallel speed)
 //! ```
 //!
 //! Run with: `cargo run --release -p disco-bench --bin exp_scale`
@@ -105,7 +107,6 @@ fn parse_args() -> Args {
             "--shards" => out.shards = value("--shards").parse().expect("--shards"),
             "--smoke" => {
                 out.sizes = vec![1024];
-                out.budget = out.budget.min(1_000_000);
                 out.smoke = Some("BENCH_exp_scale.json".to_string());
             }
             "--help" | "-h" => {
@@ -117,6 +118,14 @@ fn parse_args() -> Args {
             }
             other => panic!("unknown flag {other}; try --help"),
         }
+    }
+    // The single-shard smoke is a rate floor and can stop early. The
+    // sharded smoke compares two shard counts, and the first million
+    // deliveries of a boot are not representative of that ratio (they are
+    // nearly all synopsis gossip, the phase where two shards run slowest
+    // against one — README, "Sharding model"), so it keeps the full budget.
+    if out.smoke.is_some() && out.shards == 0 {
+        out.budget = out.budget.min(1_000_000);
     }
     out
 }
@@ -267,12 +276,11 @@ fn main() {
 /// `--shards 1` and require (a) bit-identical delivered announcements,
 /// topology events and simulation end time — the cross-shard determinism
 /// contract — and (b) the K-shard announcement rate to be at least
-/// single-shard's. The throughput bar only applies when the runner has
-/// more than `K` cores (real parallelism available: more shards must not
-/// be slower). On smaller runners the K shards time-slice one core and
-/// every lookahead-window barrier is a forced context switch, so the ratio
-/// is reported but not gated — there is no floor that separates a
-/// regression from scheduler noise without a second core.
+/// single-shard's. The throughput bar applies whenever the runner has a
+/// core per shard (the coordinator is parked while the shards run). With
+/// fewer cores the shards time-slice, which measures the scheduler and not
+/// the engine: the ratio is then reported as unmeasured, in so many words,
+/// so a one-core runner cannot be read as having passed it.
 fn smoke_sharded(args: &Args, multi: &ScaleResult) {
     let single = run_one(&ScaleConfig {
         n: multi.n,
@@ -302,7 +310,8 @@ fn smoke_sharded(args: &Args, multi: &ScaleResult) {
     }
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     let ratio = multi.announcements_per_sec / single.announcements_per_sec.max(1e-9);
-    if cores > args.shards && ratio < 1.0 {
+    let measured = cores >= args.shards;
+    if measured && ratio < 1.0 {
         failures.push(format!(
             "shards={} throughput is {ratio:.2}x single-shard on {cores} \
              cores (parallel shards must not be slower than one)",
@@ -315,14 +324,19 @@ fn smoke_sharded(args: &Args, multi: &ScaleResult) {
         }
         std::process::exit(1);
     }
-    let gated = if cores > args.shards {
-        "gated"
-    } else {
-        "informational: shards time-slice the cores"
-    };
     eprintln!(
-        "smoke OK: shards={} matches shards=1 bit-for-bit; throughput \
-         {ratio:.2}x single-shard ({cores} cores, {gated})",
+        "smoke OK: shards={} matches shards=1 bit-for-bit",
         args.shards
     );
+    if measured {
+        eprintln!(
+            "smoke OK: throughput {ratio:.2}x single-shard on {cores} cores (gated >= 1.00x)"
+        );
+    } else {
+        eprintln!(
+            "smoke: throughput UNMEASURED — {} shards on {cores} core(s) time-slice \
+             (ratio {ratio:.2}x is not a parallel measurement and gates nothing)",
+            args.shards
+        );
+    }
 }

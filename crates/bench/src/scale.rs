@@ -19,12 +19,13 @@ use disco_core::landmark::{landmark_set, select_landmarks};
 use disco_core::protocol::{DiscoProtocol, PhaseTimers};
 use disco_core::static_state::DiscoState;
 use disco_dynamics::models::PoissonChurn;
-use disco_graph::{generators, NodeId, PathArena};
+use disco_dynamics::Schedule;
+use disco_graph::{generators, Graph, NodeId, PathArena};
 use disco_sim::{
     BinaryHeapQueue, Engine, EventQueue, NoopRecorder, Phase, Protocol, Recorder, ShardedEngine,
     TimerWheel,
 };
-use disco_telemetry::FullRecorder;
+use disco_telemetry::{FullRecorder, MergeRecorder};
 use std::time::Instant;
 
 /// Parameters of one `exp_scale` leg.
@@ -103,15 +104,18 @@ pub struct ScaleResult {
 
 impl ScaleResult {
     /// One JSON object literal (hand-rolled; the serde stand-in does not
-    /// serialize).
+    /// serialize), stamped with the core count of the machine rendering it
+    /// — a sharded rate means nothing without it.
     pub fn to_json(&self) -> String {
+        let nproc = std::thread::available_parallelism().map_or(1, |p| p.get());
         format!(
             "{{ \"n\": {}, \"landmarks\": {}, \"build_secs\": {:.3}, \
              \"events\": {}, \"announcements\": {}, \"engine_secs\": {:.3}, \
              \"events_per_sec\": {:.0}, \"announcements_per_sec\": {:.0}, \
              \"peak_arena_cells\": {}, \"live_arena_cells\": {}, \
              \"arena_reclaimed_cells\": {}, \
-             \"topology_events\": {}, \"shards\": {}, \"sim_end\": {:.6} }}",
+             \"topology_events\": {}, \"shards\": {}, \"nproc\": {nproc}, \
+             \"sim_end\": {:.6} }}",
             self.n,
             self.landmarks,
             self.build_secs,
@@ -199,10 +203,7 @@ pub fn run_one(cfg: &ScaleConfig) -> ScaleResult {
     }
 
     if cfg.shards > 0 {
-        assert!(
-            cfg.trace.is_none() && !cfg.heap_queue,
-            "--shards runs the wheel queue untraced"
-        );
+        assert!(!cfg.heap_queue, "--shards runs the wheel queue");
         let n = cfg.n;
         let factory_cfg = dcfg.clone();
         let factory = move |v: NodeId| {
@@ -214,46 +215,18 @@ pub fn run_one(cfg: &ScaleConfig) -> ScaleResult {
                 PhaseTimers::default(),
             )
         };
-        let mut engine = ShardedEngine::new(&graph, cfg.shards, cfg.seed, factory);
-        schedule
-            .apply_to_sharded(&mut engine)
-            .expect("churn re-adds only links of the original graph");
-        let budget = cfg.announcement_budget;
-        let t1 = Instant::now();
-        engine.start();
-        engine.run_until(|e| e.messages_delivered() >= budget);
-        let engine_secs = t1.elapsed().as_secs_f64();
-        // Path arenas are thread-local: each worker gauges its own; the sum
-        // is the whole run's routing-state footprint.
-        let (mut peak, mut live) = (0usize, 0usize);
-        for shard in 0..engine.shards() {
-            let st = engine.visit(shard, |_| PathArena::stats());
-            peak += st.peak_live_cells;
-            live += st.live_cells;
-        }
-        let events = engine.events_processed();
-        let announcements = engine.messages_delivered();
-        let topology_events = engine.topology_events();
-        let sim_end = engine.now();
-        // Shut the workers down properly: each drops its engine and
-        // compacts its thread-local arena, so the run does not exit with
-        // `live ≈ peak` capacity pinned per worker.
-        let summary = engine.finish();
-        return ScaleResult {
-            n: cfg.n,
-            landmarks: landmarks_built,
-            build_secs,
-            events,
-            announcements,
-            engine_secs,
-            events_per_sec: events as f64 / engine_secs.max(1e-9),
-            announcements_per_sec: announcements as f64 / engine_secs.max(1e-9),
-            peak_arena_cells: peak,
-            live_arena_cells: live,
-            arena_reclaimed_cells: summary.arena_reclaimed_cells,
-            topology_events,
-            shards: cfg.shards,
-            sim_end,
+        let built = (landmarks_built, build_secs);
+        return match &cfg.trace {
+            // Traced leg: one full recorder per shard, merged at finish —
+            // the timeline gains a work/ingest/wait counter track per shard.
+            Some(path) => {
+                let (result, rec) = run_sharded(cfg, built, &graph, &schedule, factory, |_| {
+                    FullRecorder::new()
+                });
+                write_trace(path, &rec);
+                result
+            }
+            None => run_sharded(cfg, built, &graph, &schedule, factory, |_| NoopRecorder).0,
         };
     }
 
@@ -273,10 +246,7 @@ pub fn run_one(cfg: &ScaleConfig) -> ScaleResult {
         let end = engine.now();
         engine.recorder_mut().phase_end(Phase::Churn, end);
         engine.recorder_mut().finish(end);
-        let rec = engine.into_recorder();
-        let json = rec.chrome_trace_json();
-        std::fs::write(path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        eprintln!("trace written to {path} ({} bytes)", json.len());
+        write_trace(path, &engine.into_recorder());
         out
     } else if cfg.heap_queue {
         let mut engine = Engine::with_queue(&graph, factory, BinaryHeapQueue::new());
@@ -306,6 +276,67 @@ pub fn run_one(cfg: &ScaleConfig) -> ScaleResult {
         shards: 0,
         sim_end,
     }
+}
+
+fn write_trace(path: &str, rec: &FullRecorder) {
+    let json = rec.chrome_trace_json();
+    std::fs::write(path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+    eprintln!("trace written to {path} ({} bytes)", json.len());
+}
+
+/// The budgeted throughput leg on the sharded engine, after a static build
+/// that gave `(landmarks, build_secs)`; returns the merged recorder
+/// alongside.
+fn run_sharded<R: MergeRecorder + Send + 'static>(
+    cfg: &ScaleConfig,
+    (landmarks, build_secs): (usize, f64),
+    graph: &Graph,
+    schedule: &Schedule,
+    factory: impl Fn(NodeId) -> DiscoProtocol + Send + Clone + 'static,
+    recorders: impl FnMut(usize) -> R,
+) -> (ScaleResult, R) {
+    let mut engine = ShardedEngine::with_recorder(graph, cfg.shards, cfg.seed, factory, recorders);
+    schedule
+        .apply_to_sharded(&mut engine)
+        .expect("churn re-adds only links of the original graph");
+    let budget = cfg.announcement_budget;
+    let t1 = Instant::now();
+    engine.start();
+    engine.run_until(|e| e.messages_delivered() >= budget);
+    let engine_secs = t1.elapsed().as_secs_f64();
+    // Path arenas are thread-local: each worker gauges its own; the sum
+    // is the whole run's routing-state footprint.
+    let (mut peak, mut live) = (0usize, 0usize);
+    for shard in 0..engine.shards() {
+        let st = engine.visit(shard, |_| PathArena::stats());
+        peak += st.peak_live_cells;
+        live += st.live_cells;
+    }
+    let events = engine.events_processed();
+    let announcements = engine.messages_delivered();
+    let topology_events = engine.topology_events();
+    let sim_end = engine.now();
+    // Shut the workers down properly: each drops its engine and
+    // compacts its thread-local arena, so the run does not exit with
+    // `live ≈ peak` capacity pinned per worker.
+    let summary = engine.finish();
+    let result = ScaleResult {
+        n: cfg.n,
+        landmarks,
+        build_secs,
+        events,
+        announcements,
+        engine_secs,
+        events_per_sec: events as f64 / engine_secs.max(1e-9),
+        announcements_per_sec: announcements as f64 / engine_secs.max(1e-9),
+        peak_arena_cells: peak,
+        live_arena_cells: live,
+        arena_reclaimed_cells: summary.arena_reclaimed_cells,
+        topology_events,
+        shards: cfg.shards,
+        sim_end,
+    };
+    (result, summary.recorder)
 }
 
 #[cfg(test)]

@@ -8,7 +8,9 @@
 
 use crate::context::{Action, Context};
 use crate::event::{EventKind, EventQueue, SimTime, TimerWheel, TopologyEvent};
-use crate::sharded::{Outbound, OutboundKind, ShardBinding, ShardProtocol, WireBody, WireEvent};
+use crate::sharded::{
+    Outbound, OutboundKind, ShardBinding, ShardProtocol, WireBody, WireBuckets, WireEvent,
+};
 use crate::stats::MessageStats;
 use crate::Protocol;
 use disco_graph::{EdgeId, Graph, NodeId, Weight};
@@ -1046,40 +1048,41 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
 }
 
 impl<P: ShardProtocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'_, P, Q, R> {
-    /// Drain the outbox into wire form, resolving each event's destination
-    /// shard. Flood groups split per destination shard here (preserving
-    /// adjacency order within each), so one cross-shard flood stays one
-    /// wire event per receiving shard.
-    pub(crate) fn flush_outbox(&mut self) -> Vec<(usize, WireEvent<P::Wire>)> {
+    /// Drain the outbox into wire form, bucketed per destination shard.
+    /// Flood groups split per destination shard here (preserving adjacency
+    /// order within each), so one cross-shard flood stays one wire event
+    /// per receiving shard.
+    pub(crate) fn flush_outbox(&mut self) -> WireBuckets<P::Wire> {
+        let mut out = WireBuckets {
+            buckets: Vec::new(),
+            earliest: None,
+        };
         let Some(shard) = &mut self.shard else {
-            return Vec::new();
+            return out;
         };
         let partition = shard.partition;
-        let mut out = Vec::new();
+        out.buckets.resize_with(partition.shards(), Vec::new);
         for ob in shard.outbox.drain(..) {
+            out.earliest = Some(out.earliest.map_or(ob.time, |m| m.min(ob.time)));
             match ob.kind {
                 OutboundKind::Msg {
                     to,
                     edge,
                     msg,
                     size_bytes,
-                } => out.push((
-                    partition.shard_of(to),
-                    WireEvent {
-                        time: ob.time,
-                        key: ob.key,
-                        from: ob.from,
-                        body: WireBody::Msg {
-                            to,
-                            edge,
-                            wire: P::to_wire(msg),
-                            size_bytes,
-                        },
+                } => out.buckets[partition.shard_of(to)].push(WireEvent {
+                    time: ob.time,
+                    key: ob.key,
+                    from: ob.from,
+                    body: WireBody::Msg {
+                        to,
+                        edge,
+                        wire: P::to_wire(msg),
+                        size_bytes,
                     },
-                )),
-                OutboundKind::Batch { to, edge, msgs } => out.push((
-                    partition.shard_of(to),
-                    WireEvent {
+                }),
+                OutboundKind::Batch { to, edge, msgs } => {
+                    out.buckets[partition.shard_of(to)].push(WireEvent {
                         time: ob.time,
                         key: ob.key,
                         from: ob.from,
@@ -1092,8 +1095,8 @@ impl<P: ShardProtocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'_, P, Q, 
                                 .map(|(m, s)| (P::to_wire(m), s))
                                 .collect(),
                         },
-                    },
-                )),
+                    })
+                }
                 OutboundKind::Flood {
                     targets,
                     msg,
@@ -1108,19 +1111,16 @@ impl<P: ShardProtocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'_, P, Q, 
                         }
                     }
                     for (dest, targets) in by_shard {
-                        out.push((
-                            dest,
-                            WireEvent {
-                                time: ob.time,
-                                key: ob.key,
-                                from: ob.from,
-                                body: WireBody::Flood {
-                                    targets,
-                                    wire: P::to_wire(msg.clone()),
-                                    size_bytes,
-                                },
+                        out.buckets[dest].push(WireEvent {
+                            time: ob.time,
+                            key: ob.key,
+                            from: ob.from,
+                            body: WireBody::Flood {
+                                targets,
+                                wire: P::to_wire(msg.clone()),
+                                size_bytes,
                             },
-                        ));
+                        });
                     }
                 }
             }
@@ -1128,43 +1128,45 @@ impl<P: ShardProtocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'_, P, Q, 
         out
     }
 
-    /// File one cross-shard arrival into the local queue under the
-    /// `(time, key)` its sender assigned.
-    pub(crate) fn ingest_wire(&mut self, ev: WireEvent<P::Wire>) {
-        let kind = match ev.body {
-            WireBody::Msg {
-                to,
-                edge,
-                wire,
-                size_bytes,
-            } => EventKind::Deliver {
-                from: ev.from,
-                to,
-                edge,
-                msg: P::from_wire(wire),
-                size_bytes,
-            },
-            WireBody::Batch { to, edge, msgs } => EventKind::DeliverBatch {
-                from: ev.from,
-                to,
-                edge,
-                msgs: msgs
-                    .into_iter()
-                    .map(|(w, s)| (P::from_wire(w), s))
-                    .collect(),
-            },
-            WireBody::Flood {
-                targets,
-                wire,
-                size_bytes,
-            } => EventKind::DeliverFlood {
-                from: ev.from,
-                msg: P::from_wire(wire),
-                targets: targets.into_boxed_slice(),
-                size_bytes,
-            },
-        };
-        let _ = self.queue.push(ev.time, ev.key, kind);
+    /// File a barrier's cross-shard arrivals into the local queue, each
+    /// under the `(time, key)` its sender assigned, as one batch.
+    pub(crate) fn ingest(&mut self, arrivals: Vec<WireEvent<P::Wire>>) {
+        self.queue.extend(arrivals.into_iter().map(|ev| {
+            let kind = match ev.body {
+                WireBody::Msg {
+                    to,
+                    edge,
+                    wire,
+                    size_bytes,
+                } => EventKind::Deliver {
+                    from: ev.from,
+                    to,
+                    edge,
+                    msg: P::from_wire(wire),
+                    size_bytes,
+                },
+                WireBody::Batch { to, edge, msgs } => EventKind::DeliverBatch {
+                    from: ev.from,
+                    to,
+                    edge,
+                    msgs: msgs
+                        .into_iter()
+                        .map(|(w, s)| (P::from_wire(w), s))
+                        .collect(),
+                },
+                WireBody::Flood {
+                    targets,
+                    wire,
+                    size_bytes,
+                } => EventKind::DeliverFlood {
+                    from: ev.from,
+                    msg: P::from_wire(wire),
+                    targets: targets.into_boxed_slice(),
+                    size_bytes,
+                },
+            };
+            (ev.time, ev.key, kind)
+        }));
     }
 }
 

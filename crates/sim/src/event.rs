@@ -4,9 +4,11 @@
 //! implementations exist:
 //!
 //! * [`TimerWheel`] — the default: a calendar-queue / timer-wheel hybrid
-//!   with O(1) amortized push/pop independent of queue size, and O(1)
-//!   cancellation of pending events (used to reclaim the timers of departed
-//!   nodes eagerly instead of letting them sit in the queue until popped).
+//!   whose push/pop cost is independent of queue size (O(1) push for any
+//!   event later than the tick being drained, one sort per drained tick),
+//!   with O(1) cancellation of pending events (used to reclaim the timers
+//!   of departed nodes eagerly instead of letting them sit in the queue
+//!   until popped).
 //! * [`BinaryHeapQueue`] — the original `BinaryHeap` scheduler, kept as the
 //!   reference implementation: the wheel's pop order is defined as *exactly*
 //!   this queue's `(time, key, seq)` order, which the property tests in
@@ -182,8 +184,10 @@ impl<M> PartialOrd for Event<M> {
 /// Implementations must pop events in strict `(time, key, seq)` order,
 /// where `key` is the caller-supplied logical key and `seq` the push
 /// sequence number — i.e. key order for equal timestamps, FIFO only as the
-/// final tie-break. `peek_time` takes `&mut self` because the wheel
-/// advances lazily.
+/// final tie-break. `peek_time` takes `&mut self` so implementations can
+/// discard cancelled residue and cache the answer; it must not change what
+/// a later `push` costs (the sharded engine peeks at every window barrier
+/// and then ingests the other shards' arrivals).
 pub trait EventQueue<M> {
     /// Handle to a pending event, usable for O(1) cancellation. Handles are
     /// generation-checked: a handle to an event that already fired (or was
@@ -193,6 +197,15 @@ pub trait EventQueue<M> {
     /// Schedule `kind` to fire at absolute time `time` under the logical
     /// key `key`; returns the cancellation handle.
     fn push(&mut self, time: SimTime, key: u64, kind: EventKind<M>) -> Self::Id;
+
+    /// Schedule a batch of `(time, key, kind)` events, as if each had been
+    /// [`EventQueue::push`]ed in iteration order. The handles are dropped,
+    /// so this is for events nobody cancels (cross-shard arrivals).
+    fn extend(&mut self, events: impl Iterator<Item = (SimTime, u64, EventKind<M>)>) {
+        for (time, key, kind) in events {
+            let _ = self.push(time, key, kind);
+        }
+    }
 
     /// Cancel a pending event, dropping its payload immediately. Returns
     /// `true` if the event was still pending (and is now reclaimed), `false`
@@ -376,13 +389,22 @@ impl<M> Entry<M> {
 /// starting at `base_tick`, a sorted overflow map for events beyond the
 /// window, and the bucket currently being drained, sorted once on drain.
 ///
-/// * `push` is O(1): an append to the target bucket (or an overflow insert,
-///   rare — the window spans 128 simulated time units).
+/// * `push` is O(1) for every event later than the tick being drained: an
+///   append to the target bucket (or an overflow insert, rare — the window
+///   spans 128 simulated time units). An event landing *on* the tick being
+///   drained must be placed into the sorted `current` buffer: a single
+///   `push` pays a binary search plus an O(k) shift there (`k` = events
+///   left in that tick), [`EventQueue::extend`] pays one sort-merge for the
+///   whole batch.
 /// * `pop` is amortized O(log k) with `k` = events in the popped event's
 ///   tick (the once-per-bucket sort), plus an amortized-O(1) bitmap scan to
 ///   find the next occupied bucket. Unlike a binary heap, cost never grows
 ///   with *total* queue size — the property that makes million-node churn
 ///   runs feasible.
+/// * `peek_time` never drains: with `current` empty it scans the next
+///   occupied bucket for its earliest live event and caches the answer, so
+///   the buckets (and `active_tick`) stay where the last pop left them and
+///   pushes that follow a peek still take the O(1) append.
 /// * `cancel` is O(1): cancellable events (timers) park their payload in a
 ///   slab; cancelling drops the payload and bumps the slot generation, and
 ///   the residual 24-byte bucket entry is skipped (and counted down) when
@@ -416,6 +438,14 @@ pub struct TimerWheel<M> {
     current: Vec<Entry<M>>,
     /// Events beyond the window, keyed by tick.
     overflow: BTreeMap<u64, Vec<Entry<M>>>,
+    /// `(tick, time)` of the earliest live event outside `current`, when
+    /// known: filled by a `peek_time` that found `current` empty, kept
+    /// exact by pushes, forgotten when a bucket drains or a cancel may have
+    /// removed the event it names.
+    next_min: Option<(u64, SimTime)>,
+    /// Pushes that paid the O(k) sorted insert into `current`.
+    #[cfg(test)]
+    sorted_inserts: usize,
 }
 
 fn tick_of(time: SimTime) -> u64 {
@@ -445,6 +475,9 @@ impl<M> TimerWheel<M> {
             active_tick: u64::MAX,
             current: Vec::new(),
             overflow: BTreeMap::new(),
+            next_min: None,
+            #[cfg(test)]
+            sorted_inserts: 0,
         }
     }
 
@@ -531,26 +564,73 @@ impl<M> TimerWheel<M> {
         }
     }
 
-    /// File an entry under its tick: current buffer, window bucket, or
-    /// overflow.
-    fn file(&mut self, tick: u64, entry: Entry<M>) {
-        if (self.active_tick != u64::MAX && tick <= self.active_tick) || tick < self.base_tick {
-            // Same tick as the one being drained — or earlier than the
-            // window base (possible after a rebase performed by a peek that
-            // then didn't pop): merge into the sorted current buffer, which
-            // always pops before any bucket. Rare (most events land at
-            // least one tick ahead), so the O(k) insert is fine.
-            let pos = self
-                .current
-                .partition_point(|e| e.sort_key() > entry.sort_key());
-            self.current.insert(pos, entry);
-        } else if tick < self.base_tick + WHEEL_SLOTS as u64 {
+    /// Whether `tick` belongs in the sorted `current` buffer: it is the
+    /// tick being drained (or earlier), which always pops before any bucket.
+    fn in_current(&self, tick: u64) -> bool {
+        self.active_tick != u64::MAX && tick <= self.active_tick
+    }
+
+    /// Append an entry later than the tick being drained to its window
+    /// bucket or the overflow, keeping the cached peek exact.
+    fn file_ahead(&mut self, tick: u64, entry: Entry<M>) {
+        debug_assert!(!self.in_current(tick) && tick >= self.base_tick);
+        if let Some((peeked, min)) = &mut self.next_min {
+            if tick < *peeked || (tick == *peeked && entry.time < *min) {
+                (*peeked, *min) = (tick, entry.time);
+            }
+        }
+        if tick < self.base_tick + WHEEL_SLOTS as u64 {
             let idx = (tick - self.base_tick) as usize;
             self.buckets[idx].push(entry);
             self.set_occ(idx);
         } else {
             self.overflow.entry(tick).or_default().push(entry);
         }
+    }
+
+    /// Build the bucket entry of a new event, parking cancellable payloads.
+    fn make_entry(&mut self, time: SimTime, key: u64, kind: EventKind<M>) -> (WheelId, Entry<M>) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        // Only timers are cancellable (the engine reclaims them when their
+        // node departs); everything else keeps its payload inline.
+        let (id, payload) = if matches!(kind, EventKind::Timer { .. }) {
+            let id = self.park(kind);
+            (id, Payload::Parked(id))
+        } else {
+            (WheelId::NONE, Payload::Inline(kind))
+        };
+        self.live += 1;
+        let entry = Entry {
+            time,
+            key,
+            seq,
+            payload,
+        };
+        (id, entry)
+    }
+
+    /// `(tick, time)` of the earliest live event in the buckets or the
+    /// overflow. Reads only: a bucket holding nothing but cancelled residue
+    /// is skipped here and reclaimed when it drains.
+    fn scan_next_min(&self) -> Option<(u64, SimTime)> {
+        let earliest = |entries: &[Entry<M>]| {
+            entries
+                .iter()
+                .filter(|e| self.entry_live(e))
+                .map(|e| e.time)
+                .reduce(SimTime::min)
+        };
+        let mut from = self.cursor;
+        while let Some(idx) = self.next_occupied(from) {
+            if let Some(t) = earliest(&self.buckets[idx]) {
+                return Some((self.base_tick + idx as u64, t));
+            }
+            from = idx + 1;
+        }
+        self.overflow
+            .iter()
+            .find_map(|(&tick, entries)| earliest(entries).map(|t| (tick, t)))
     }
 
     /// Move the next occupied bucket's events into `current`, advancing the
@@ -584,6 +664,7 @@ impl<M> TimerWheel<M> {
     }
 
     fn drain_bucket(&mut self, idx: usize) {
+        self.next_min = None;
         self.clear_occ(idx);
         self.cursor = idx + 1;
         self.active_tick = self.base_tick + idx as u64;
@@ -600,28 +681,43 @@ impl<M> EventQueue<M> for TimerWheel<M> {
     type Id = WheelId;
 
     fn push(&mut self, time: SimTime, key: u64, kind: EventKind<M>) -> WheelId {
-        let seq = self.next_seq;
-        self.next_seq += 1;
         let tick = tick_of(time);
-        // Only timers are cancellable (the engine reclaims them when their
-        // node departs); everything else keeps its payload inline.
-        let (id, payload) = if matches!(kind, EventKind::Timer { .. }) {
-            let id = self.park(kind);
-            (id, Payload::Parked(id))
+        let (id, entry) = self.make_entry(time, key, kind);
+        if self.in_current(tick) {
+            // One event onto the tick being drained: binary search plus an
+            // O(k) shift. Batches of these go through `extend` instead.
+            #[cfg(test)]
+            {
+                self.sorted_inserts += 1;
+            }
+            let pos = self
+                .current
+                .partition_point(|e| e.sort_key() > entry.sort_key());
+            self.current.insert(pos, entry);
         } else {
-            (WheelId::NONE, Payload::Inline(kind))
-        };
-        self.live += 1;
-        self.file(
-            tick,
-            Entry {
-                time,
-                key,
-                seq,
-                payload,
-            },
-        );
+            self.file_ahead(tick, entry);
+        }
         id
+    }
+
+    fn extend(&mut self, events: impl Iterator<Item = (SimTime, u64, EventKind<M>)>) {
+        let sorted = self.current.len();
+        for (time, key, kind) in events {
+            let tick = tick_of(time);
+            let (_, entry) = self.make_entry(time, key, kind);
+            if self.in_current(tick) {
+                self.current.push(entry);
+            } else {
+                self.file_ahead(tick, entry);
+            }
+        }
+        if self.current.len() > sorted {
+            // The batch's share of the tick being drained: one stable sort,
+            // which finds the already-sorted prefix as a run and merges the
+            // newcomers into it — O(k + m log m), not m sorted inserts.
+            self.current
+                .sort_by(|a, b| b.sort_key().partial_cmp(&a.sort_key()).unwrap());
+        }
     }
 
     fn cancel(&mut self, id: WheelId) -> bool {
@@ -643,6 +739,8 @@ impl<M> EventQueue<M> for TimerWheel<M> {
         self.free.push(id.slot);
         self.live -= 1;
         self.dead += 1;
+        // The cancelled timer may be the one the cached peek names.
+        self.next_min = None;
         true
     }
 
@@ -660,18 +758,20 @@ impl<M> EventQueue<M> for TimerWheel<M> {
     }
 
     fn peek_time(&mut self) -> Option<SimTime> {
-        loop {
-            while let Some(e) = self.current.last() {
-                if self.entry_live(e) {
-                    return Some(e.time);
-                }
-                self.current.pop();
-                self.dead -= 1;
+        while let Some(e) = self.current.last() {
+            if self.entry_live(e) {
+                return Some(e.time);
             }
-            if !self.refill_current() {
-                return None;
-            }
+            self.current.pop();
+            self.dead -= 1;
         }
+        if self.live == 0 {
+            return None;
+        }
+        if self.next_min.is_none() {
+            self.next_min = self.scan_next_min();
+        }
+        self.next_min.map(|(_, time)| time)
     }
 
     fn len(&self) -> usize {
@@ -826,6 +926,103 @@ mod tests {
         }
         check::<BinaryHeapQueue<u32>>();
         check::<TimerWheel<u32>>();
+    }
+
+    /// Both queues' full pop order as `(time, key, token)`.
+    fn drain_keys<Q: EventQueue<u32>>(q: &mut Q) -> Vec<(SimTime, u64, u64)> {
+        std::iter::from_fn(|| q.pop())
+            .map(|(_, e)| match e.kind {
+                EventKind::Timer { token, .. } => (e.time, e.key, token),
+                _ => unreachable!(),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn peek_does_not_drain_and_pushes_at_the_peeked_tick_stay_appends() {
+        let mut wheel: TimerWheel<u32> = TimerWheel::new();
+        let mut heap: BinaryHeapQueue<u32> = BinaryHeapQueue::new();
+        for (time, key, token) in [(1.0, 0, 0), (2.0, 9, 1)] {
+            wheel.push(time, key, timer(token));
+            heap.push(time, key, timer(token));
+        }
+        wheel.pop();
+        heap.pop();
+        // `current` is empty and the next event sits in a bucket: the
+        // state every shard is in when it reports at a window barrier.
+        assert_eq!(wheel.peek_time(), Some(2.0));
+        assert!(wheel.current.is_empty(), "peek must not drain the bucket");
+        assert_eq!(wheel.active_tick, tick_of(1.0));
+        // The barrier's arrivals nearly all land on exactly that tick.
+        for i in 0..10_000u64 {
+            let (time, key) = (2.0 + (i % 3) as f64 / 256.0, i % 5);
+            wheel.push(time, key, timer(2 + i));
+            heap.push(time, key, timer(2 + i));
+        }
+        assert_eq!(wheel.sorted_inserts, 0);
+        assert!(wheel.current.is_empty());
+        // The cached peek follows pushes that undercut it, in the peeked
+        // bucket or an earlier one.
+        wheel.push(2.0 - 1.0 / 512.0, 0, timer(20_000));
+        heap.push(2.0 - 1.0 / 512.0, 0, timer(20_000));
+        assert_eq!(wheel.peek_time(), heap.peek_time());
+        wheel.push(1.5, 0, timer(20_001));
+        heap.push(1.5, 0, timer(20_001));
+        assert_eq!(wheel.peek_time(), Some(1.5));
+        assert_eq!(wheel.sorted_inserts, 0);
+        assert_eq!(drain_keys(&mut wheel), drain_keys(&mut heap));
+    }
+
+    #[test]
+    fn peek_skips_cancelled_residue_without_draining() {
+        let mut q: TimerWheel<u32> = TimerWheel::new();
+        let a = q.push(1.0, 0, timer(1));
+        q.push(1.0 + 1.0 / 256.0, 0, timer(2));
+        q.push(3.0, 0, timer(3));
+        assert_eq!(q.peek_time(), Some(1.0));
+        // Cancelling the peeked event must not leave its time cached…
+        assert!(q.cancel(a));
+        assert_eq!(q.peek_time(), Some(1.0 + 1.0 / 256.0));
+        // …and a bucket of nothing but residue is looked past.
+        let b = q.push(2.0, 0, timer(4));
+        assert!(q.cancel(b));
+        assert_eq!(drain_tokens(&mut q), vec![2, 3]);
+        assert_eq!(q.dead_refs(), 0);
+    }
+
+    #[test]
+    fn extend_onto_the_draining_tick_is_one_merge() {
+        let mut wheel: TimerWheel<u32> = TimerWheel::new();
+        let mut heap: BinaryHeapQueue<u32> = BinaryHeapQueue::new();
+        // One tick (1/64 wide) holding events either side of a window end
+        // that falls inside it.
+        let in_tick = |i: u64| 2.0 + (i % 4) as f64 / 512.0;
+        for i in 0..64u64 {
+            wheel.push(in_tick(i), i % 3, timer(i));
+            heap.push(in_tick(i), i % 3, timer(i));
+        }
+        for _ in 0..16 {
+            assert_eq!(
+                wheel.pop().map(|(_, e)| e.seq),
+                heap.pop().map(|(_, e)| e.seq)
+            );
+        }
+        assert_eq!(wheel.active_tick, tick_of(2.0));
+        // Arrivals on the tick being drained, plus some beyond it.
+        let batch: Vec<(SimTime, u64, u64)> = (0..1000u64)
+            .map(|i| {
+                (
+                    in_tick(i + 1).max(2.0 + 1.0 / 512.0) + (i % 2) as f64,
+                    i % 7,
+                    100 + i,
+                )
+            })
+            .collect();
+        wheel.extend(batch.iter().map(|&(t, k, tok)| (t, k, timer(tok))));
+        heap.extend(batch.iter().map(|&(t, k, tok)| (t, k, timer(tok))));
+        assert_eq!(wheel.sorted_inserts, 0);
+        assert_eq!(wheel.len(), heap.len());
+        assert_eq!(drain_keys(&mut wheel), drain_keys(&mut heap));
     }
 
     #[test]

@@ -22,6 +22,25 @@
 //! sends generated — which all carry timestamps `>= t_min + W`, i.e. never
 //! in any shard's past.
 //!
+//! ## The window protocol: one hop per window
+//!
+//! A window costs each worker one command and one reply. The
+//! `Cmd::Window` command carries the window's end *and* the arrivals other
+//! shards sent this worker at the previous barrier; the worker converts
+//! them back from wire form, files them into its wheel as one batch
+//! ([`crate::event::EventQueue::extend`]), runs the window, and replies
+//! with its clock, its next pending time and its outbox — already in wire
+//! form, bucketed per destination shard, with the earliest arrival time
+//! noted. The coordinator never looks inside a bucket: it moves each one
+//! to its destination's mailbox and hands the mailbox over with the next
+//! `Cmd::Window`. Filing is linear because the wheel's `peek_time` (which
+//! every worker answers at every barrier) does not drain the bucket it
+//! looks at: arrivals for the tick a shard is about to run take the
+//! ordinary O(1) bucket append and are sorted once, with the rest of that
+//! tick, when it drains. A worker with a [`Recorder`] attached times the
+//! three parts of each window — ingest, work, and the wait for the
+//! command — and reports them through [`Recorder::window_done`].
+//!
 //! ## Why any shard count produces byte-identical runs
 //!
 //! Events order by `(time, key, seq)` where `key` is the logical key from
@@ -38,7 +57,7 @@
 //!    and the *initial* graph's minimum weight, both `k`-independent, so
 //!    every shard count executes the same event set in the same windows.
 //!
-//! The barrier merge routes outboxes in shard-id order (then outbox push
+//! The barrier fills each mailbox in source-shard order (then outbox push
 //! order), which is deterministic too — though by fact 1 the ingestion
 //! order cannot matter. `k = 1` runs the exact same code path with an
 //! always-empty exchange; the `exp_churn` goldens lock in that single-shard
@@ -52,8 +71,10 @@ use crate::Protocol;
 use disco_graph::{EdgeId, Graph, NodeId, PathArena, Weight};
 use disco_telemetry::{MergeRecorder, NoopRecorder, Recorder};
 use scoped_threadpool::plumbing::WorkerHandle;
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::mpsc::{channel, Receiver, Sender};
+use std::time::Instant;
 
 /// Lookahead used when the initial graph has no edges at all: no message
 /// can ever cross shards (there are no links), so any positive window
@@ -176,6 +197,15 @@ pub(crate) enum WireBody<W> {
     },
 }
 
+/// One window's cross-shard sends in wire form, as a worker hands them to
+/// the coordinator: one bucket per destination shard (index = shard id,
+/// the sender's own slot stays empty), each in outbox push order.
+pub(crate) struct WireBuckets<W> {
+    pub(crate) buckets: Vec<Vec<WireEvent<W>>>,
+    /// Earliest arrival time in any bucket.
+    pub(crate) earliest: Option<SimTime>,
+}
+
 /// The engine type each worker thread owns (always on the default
 /// [`TimerWheel`] queue — each shard has its own wheel).
 pub type ShardEngine<P, R = NoopRecorder> =
@@ -195,10 +225,14 @@ enum Cmd<P: ShardProtocol + 'static, R: Recorder + Send + 'static> {
         key: u64,
         ev: TopologyEvent,
     },
-    /// File cross-shard arrivals from the last barrier.
-    Ingest(Vec<WireEvent<P::Wire>>),
-    /// Run one lookahead window, then flush the outbox and report.
-    Window { end: SimTime, inclusive: bool },
+    /// File `ingest` — the cross-shard arrivals other shards produced at
+    /// the previous barrier — then run one lookahead window, flush the
+    /// outbox and report.
+    Window {
+        end: SimTime,
+        inclusive: bool,
+        ingest: Vec<WireEvent<P::Wire>>,
+    },
     /// Run a closure against the shard's engine (probes, stats reads).
     Visit(VisitFn<P, R>),
     /// Finish the recorder at `now` and hand everything back.
@@ -223,9 +257,8 @@ struct WindowReport<W> {
     /// Timestamp of its earliest still-pending local event.
     next: Option<SimTime>,
     counters: ShardCounters,
-    /// Cross-shard sends generated this window, `(dest shard, event)`, in
-    /// outbox push order.
-    outbound: Vec<(usize, WireEvent<W>)>,
+    /// Cross-shard sends generated this window.
+    outbound: WireBuckets<W>,
 }
 
 struct FinishReport<R> {
@@ -309,7 +342,7 @@ pub struct ShardedEngine<P: ShardProtocol + 'static, R: Recorder + Send + 'stati
     active: Vec<bool>,
     /// Scheduled topology events not yet applied to the mirror, sorted by
     /// `(time, key)`; the same events are already queued on every worker.
-    pending_topo: Vec<(SimTime, u64, TopologyEvent)>,
+    pending_topo: VecDeque<(SimTime, u64, TopologyEvent)>,
     /// Topology events applied to the mirror (equals every shard's count
     /// at barriers — all shards replay all topology).
     applied_topology: u64,
@@ -319,9 +352,12 @@ pub struct ShardedEngine<P: ShardProtocol + 'static, R: Recorder + Send + 'stati
     counters: Vec<ShardCounters>,
     /// Latest per-shard earliest-pending-event times.
     nexts: Vec<Option<SimTime>>,
-    /// Earliest arrival routed at the last barrier (its receiving shard
-    /// reports it in `nexts` only from the next barrier on).
-    routed_min: Option<SimTime>,
+    /// Per-shard mailbox: arrivals other shards produced at the last
+    /// barrier, delivered with the shard's next `Cmd::Window`.
+    mail: Vec<Vec<WireEvent<P::Wire>>>,
+    /// Earliest arrival waiting in `mail` (its receiving shard reports it
+    /// in `nexts` only once it has ingested it).
+    mail_min: Option<SimTime>,
     now: SimTime,
     started: bool,
     /// Safety valve: stop at a barrier once the shards' summed event count
@@ -395,12 +431,13 @@ impl<P: ShardProtocol + 'static, R: Recorder + Send + 'static> ShardedEngine<P, 
             lookahead,
             graph: graph.clone(),
             active: vec![true; graph.node_count()],
-            pending_topo: Vec::new(),
+            pending_topo: VecDeque::new(),
             applied_topology: 0,
             world_ctr: 0,
             counters: vec![ShardCounters::default(); shards],
             nexts: vec![None; shards],
-            routed_min: None,
+            mail: (0..shards).map(|_| Vec::new()).collect(),
+            mail_min: None,
             now: 0.0,
             started: false,
             max_events: 200_000_000,
@@ -553,19 +590,21 @@ impl<P: ShardProtocol + 'static, R: Recorder + Send + 'static> ShardedEngine<P, 
         self.exchange_window(0.0, false);
     }
 
-    /// Run one lookahead window on every shard and merge the barrier:
-    /// refresh the per-shard counters/clocks, then route every cross-shard
-    /// send to its destination shard — walking the replies in shard-id
-    /// order and each outbox in push order, so the merge is deterministic.
+    /// Run one lookahead window on every shard — each worker's command
+    /// carrying its mailbox — and merge the barrier: refresh the per-shard
+    /// counters/clocks, then move every outbound bucket to its destination
+    /// shard's mailbox — walking the replies in shard-id order, so the
+    /// merge is deterministic.
     fn exchange_window(&mut self, end: SimTime, inclusive: bool) {
         self.apply_pending_topology(end, inclusive);
-        for w in &self.workers {
-            w.send(Cmd::Window { end, inclusive });
+        for (w, mail) in self.workers.iter().zip(&mut self.mail) {
+            w.send(Cmd::Window {
+                end,
+                inclusive,
+                ingest: std::mem::take(mail),
+            });
         }
-        let mut routed: Vec<Vec<WireEvent<P::Wire>>> =
-            (0..self.workers.len()).map(|_| Vec::new()).collect();
-        let mut routed_min: Option<SimTime> = None;
-        let mut max_now = self.now;
+        self.mail_min = None;
         for (i, rx) in self.replies.iter().enumerate() {
             let reply = rx.recv().expect("shard worker hung up");
             let Reply::Window(rep) = reply else {
@@ -573,17 +612,16 @@ impl<P: ShardProtocol + 'static, R: Recorder + Send + 'static> ShardedEngine<P, 
             };
             self.counters[i] = rep.counters;
             self.nexts[i] = rep.next;
-            max_now = max_now.max(rep.now);
-            for (dest, ev) in rep.outbound {
-                routed_min = Some(routed_min.map_or(ev.time, |m: SimTime| m.min(ev.time)));
-                routed[dest].push(ev);
+            self.now = self.now.max(rep.now);
+            if let Some(t) = rep.outbound.earliest {
+                self.mail_min = Some(self.mail_min.map_or(t, |m| m.min(t)));
             }
-        }
-        self.routed_min = routed_min;
-        self.now = max_now;
-        for (dest, evs) in routed.into_iter().enumerate() {
-            if !evs.is_empty() {
-                self.workers[dest].send(Cmd::Ingest(evs));
+            for (mail, mut bucket) in self.mail.iter_mut().zip(rep.outbound.buckets) {
+                if mail.is_empty() {
+                    *mail = bucket;
+                } else {
+                    mail.append(&mut bucket);
+                }
             }
         }
     }
@@ -592,12 +630,12 @@ impl<P: ShardProtocol + 'static, R: Recorder + Send + 'static> ShardedEngine<P, 
     /// the same prefix every shard applies within the window that is about
     /// to run, so mirror and replicas agree at every barrier.
     fn apply_pending_topology(&mut self, end: SimTime, inclusive: bool) {
-        while let Some(&(at, _, _)) = self.pending_topo.first() {
+        while let Some(&(at, _, _)) = self.pending_topo.front() {
             let within = if inclusive { at <= end } else { at < end };
             if !within {
                 break;
             }
-            let (_, _, ev) = self.pending_topo.remove(0);
+            let (_, _, ev) = self.pending_topo.pop_front().expect("peeked above");
             self.apply_topology_mirror(ev);
         }
     }
@@ -640,9 +678,8 @@ impl<P: ShardProtocol + 'static, R: Recorder + Send + 'static> ShardedEngine<P, 
     }
 
     /// Timestamp of the globally earliest pending event: the minimum over
-    /// every shard's reported next event, arrivals routed at the last
-    /// barrier (their receiver reports them only from the next barrier
-    /// on), and scheduled topology not yet inside any window.
+    /// every shard's reported next event, arrivals waiting in the
+    /// mailboxes, and scheduled topology not yet inside any window.
     fn global_next(&self) -> Option<SimTime> {
         let mut next: Option<SimTime> = None;
         let mut fold = |t: SimTime| {
@@ -654,10 +691,10 @@ impl<P: ShardProtocol + 'static, R: Recorder + Send + 'static> ShardedEngine<P, 
         for t in self.nexts.iter().flatten() {
             fold(*t);
         }
-        if let Some(t) = self.routed_min {
+        if let Some(t) = self.mail_min {
             fold(t);
         }
-        if let Some(&(t, _, _)) = self.pending_topo.first() {
+        if let Some(&(t, _, _)) = self.pending_topo.front() {
             fold(t);
         }
         next
@@ -773,7 +810,10 @@ impl<P: ShardProtocol + 'static, R: Recorder + Send + 'static> ShardedEngine<P, 
         }
         let mut stats = MessageStats::new(self.graph.node_count());
         let mut recorder: Option<R> = None;
-        let (mut queue_live, mut queue_dead) = (0, 0);
+        // Arrivals still in a mailbox are pending events too: one wire
+        // event is one queue entry.
+        let mut queue_live: usize = self.mail.iter().map(Vec::len).sum();
+        let mut queue_dead = 0;
         let mut arena_reclaimed_cells = 0;
         for rx in &self.replies {
             let Ok(Reply::Finished(fin)) = rx.recv() else {
@@ -822,22 +862,49 @@ fn worker_loop<P, R>(
     // per-shard valve would stall one shard silently and deadlock the
     // window protocol.
     engine.max_events = u64::MAX;
-    while let Ok(cmd) = cmds.recv() {
+    // Wall-clock spent blocked on the command channel since the last
+    // window's reply (only read with a recorder attached).
+    let mut wait_ns = 0u64;
+    loop {
+        let idle = R::ENABLED.then(Instant::now);
+        let Ok(cmd) = cmds.recv() else {
+            break;
+        };
+        if let Some(t0) = idle {
+            wait_ns += t0.elapsed().as_nanos() as u64;
+        }
         match cmd {
             Cmd::Start => engine.start(),
             Cmd::Topology { at, key, ev } => engine.schedule_topology_keyed(at, key, ev),
-            Cmd::Ingest(evs) => {
-                for ev in evs {
-                    engine.ingest_wire(ev);
-                }
-            }
-            Cmd::Window { end, inclusive } => {
+            Cmd::Window {
+                end,
+                inclusive,
+                ingest,
+            } => {
+                let t0 = R::ENABLED.then(Instant::now);
+                let (wire_in, events_before) = (ingest.len() as u64, engine.events_processed());
+                engine.ingest(ingest);
+                let t1 = R::ENABLED.then(Instant::now);
                 engine.run_window(end, inclusive);
                 let outbound = engine.flush_outbox();
+                let next = engine.peek_time();
+                if let (Some(t0), Some(t1)) = (t0, t1) {
+                    let wire_out = outbound.buckets.iter().map(Vec::len).sum::<usize>() as u64;
+                    let events = engine.events_processed() - events_before;
+                    engine.recorder_mut().window_done(
+                        me as u32,
+                        events,
+                        t1.elapsed().as_nanos() as u64,
+                        (t1 - t0).as_nanos() as u64,
+                        std::mem::take(&mut wait_ns),
+                        wire_in,
+                        wire_out,
+                    );
+                }
                 let (queue_live, queue_dead) = engine.queue_stats();
                 let report = WindowReport {
                     now: engine.now(),
-                    next: engine.peek_time(),
+                    next,
                     counters: ShardCounters {
                         events: engine.events_processed(),
                         delivered: engine.messages_delivered(),
@@ -959,6 +1026,67 @@ mod tests {
                 .sum();
             assert_eq!(total_pongs, g.degree(NodeId(0)) as u32);
         }
+    }
+
+    /// Records what each shard's windows reported.
+    #[derive(Default)]
+    struct WindowLog {
+        /// `(shard, events, wire_in, wire_out)` per window.
+        windows: Vec<(u32, u64, u64, u64)>,
+    }
+
+    impl Recorder for WindowLog {
+        fn window_done(
+            &mut self,
+            shard: u32,
+            events: u64,
+            _work_ns: u64,
+            _ingest_ns: u64,
+            _wait_ns: u64,
+            wire_in: u64,
+            wire_out: u64,
+        ) {
+            self.windows.push((shard, events, wire_in, wire_out));
+        }
+    }
+
+    impl MergeRecorder for WindowLog {
+        fn absorb(&mut self, other: Self) {
+            self.windows.extend(other.windows);
+        }
+    }
+
+    #[test]
+    fn every_window_is_reported_to_the_recorder() {
+        let g = generators::ring(8);
+        // A partition that separates the pinging node from a neighbor.
+        let seed = (0..)
+            .find(|&s| {
+                let p = Partition::new(s, 2);
+                p.shard_of(NodeId(0)) != p.shard_of(NodeId(1))
+            })
+            .expect("some seed splits two nodes");
+        let mut sh = ShardedEngine::with_recorder(
+            &g,
+            2,
+            seed,
+            |_| PingPong::default(),
+            |_| WindowLog::default(),
+        );
+        let report = sh.run();
+        assert!(report.converged);
+        let log = sh.finish().recorder.windows;
+        let per_shard = |s: u32| log.iter().filter(|w| w.0 == s).count();
+        assert!(per_shard(0) > 1);
+        assert_eq!(per_shard(0), per_shard(1), "shards run windows in lockstep");
+        let sum = |f: fn(&(u32, u64, u64, u64)) -> u64| log.iter().map(f).sum::<u64>();
+        assert_eq!(sum(|w| w.1), report.events_processed);
+        assert!(sum(|w| w.3) >= 2, "the ping and its pong cross the cut");
+        assert_eq!(
+            sum(|w| w.2),
+            sum(|w| w.3),
+            "quiescent: every send was ingested"
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! keys make worker interleaving unobservable; this test is the lock on
 //! that argument.
 
-use disco_graph::{generators, NodeId};
+use disco_graph::{generators, Graph, NodeId};
 use disco_sim::rng::rng_for;
 use disco_sim::{Context, Engine, Protocol, ShardProtocol, ShardedEngine, TopologyEvent};
 use proptest::prelude::*;
@@ -115,6 +115,146 @@ fn random_schedule(n: usize, events: usize, seed: u64) -> Vec<(f64, TopologyEven
     schedule
 }
 
+/// A flood-only protocol on unit weights: every node floods on start and
+/// re-floods what it hears for two more hops, with no timers — so the
+/// whole run marches in lockstep at multiples of one hop latency, and
+/// *every* cross-shard arrival lands on exactly the tick its receiver's
+/// barrier peek just looked at.
+#[derive(Default)]
+struct Lockstep {
+    log: Vec<LogEntry>,
+}
+
+impl Protocol for Lockstep {
+    type Message = Hello;
+
+    fn on_start(&mut self, ctx: &mut Context<'_, Hello>) {
+        ctx.broadcast(Hello(0));
+    }
+
+    fn on_message(&mut self, from: NodeId, msg: Hello, ctx: &mut Context<'_, Hello>) {
+        self.log.push((ctx.now().to_bits(), from.0, msg.0));
+        if msg.0 < 2 {
+            ctx.broadcast(Hello(msg.0 + 1));
+        }
+    }
+}
+
+impl ShardProtocol for Lockstep {
+    type Wire = Hello;
+    fn to_wire(msg: Hello) -> Hello {
+        msg
+    }
+    fn from_wire(wire: Hello) -> Hello {
+        wire
+    }
+}
+
+/// A protocol whose instances expose their upcall log.
+trait Logged: ShardProtocol + Default + 'static {
+    fn log(&self) -> &Vec<LogEntry>;
+}
+
+impl Logged for Chatter {
+    fn log(&self) -> &Vec<LogEntry> {
+        &self.log
+    }
+}
+
+impl Logged for Lockstep {
+    fn log(&self) -> &Vec<LogEntry> {
+        &self.log
+    }
+}
+
+/// Run `schedule` on the sequential engine and at every count in
+/// `shard_counts`, requiring byte-identical reports and per-node logs.
+fn assert_sharded_matches_sequential<P: Logged>(
+    g: &Graph,
+    schedule: &[(f64, TopologyEvent)],
+    shard_counts: &[usize],
+    seed: u64,
+) {
+    let n = g.node_count();
+    let mut seq = Engine::new(g, |_| P::default());
+    for (at, ev) in schedule {
+        seq.schedule_topology(*at, ev.clone());
+    }
+    let seq_report = seq.run();
+    let seq_logs: Vec<Vec<LogEntry>> = seq.nodes().iter().map(|c| c.log().clone()).collect();
+
+    for &shards in shard_counts {
+        let mut sh = ShardedEngine::new(g, shards, seed, |_| P::default());
+        for (at, ev) in schedule {
+            sh.schedule_topology(*at, ev.clone()).unwrap();
+        }
+        let report = sh.run();
+
+        prop_assert_eq!(
+            report.messages_delivered,
+            seq_report.messages_delivered,
+            "delivered diverged at shards={}",
+            shards
+        );
+        prop_assert_eq!(
+            report.messages_dropped,
+            seq_report.messages_dropped,
+            "drops diverged at shards={}",
+            shards
+        );
+        prop_assert_eq!(report.topology_events, seq_report.topology_events);
+        prop_assert_eq!(
+            &report.stats,
+            &seq_report.stats,
+            "MessageStats diverged at shards={}",
+            shards
+        );
+        prop_assert_eq!(
+            report.end_time.to_bits(),
+            seq_report.end_time.to_bits(),
+            "end time diverged at shards={}",
+            shards
+        );
+
+        // Per-node upcall logs, collected from each owner shard.
+        let mut sh_logs: Vec<Option<Vec<LogEntry>>> = vec![None; n];
+        for shard in 0..shards {
+            let owned: Vec<usize> = (0..n)
+                .filter(|&v| sh.owner_of(NodeId(v)) == shard)
+                .collect();
+            let rows: Vec<(usize, Vec<LogEntry>)> = sh.visit(shard, move |e| {
+                let nodes = e.nodes();
+                owned
+                    .into_iter()
+                    .map(|v| (v, nodes[v].log().clone()))
+                    .collect()
+            });
+            for (v, log) in rows {
+                sh_logs[v] = Some(log);
+            }
+        }
+        for (v, log) in sh_logs.into_iter().enumerate() {
+            let log = log.expect("every node has exactly one owner shard");
+            prop_assert_eq!(
+                &log,
+                &seq_logs[v],
+                "node {} upcall log diverged at shards={}",
+                v,
+                shards
+            );
+        }
+    }
+}
+
+/// The barrier's worst case for the queue: a lockstep flood, where each
+/// window's arrivals all share the tick the receiving shard runs next.
+#[test]
+fn lockstep_flood_is_byte_identical_to_sequential() {
+    let g = generators::gnm_connected(64, 256, 0x10c);
+    assert!(g.edges().all(|(_, e)| e.weight == 1.0));
+    assert_sharded_matches_sequential::<Lockstep>(&g, &[], &[1, 2, 3], 7);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 10, max_shrink_iters: 0 })]
 
@@ -127,50 +267,6 @@ proptest! {
         let n = 32;
         let g = generators::gnm_connected(n, 96, seed ^ 0xface);
         let schedule = random_schedule(n, events, seed);
-
-        let mut seq = Engine::new(&g, |_| Chatter::default());
-        for (at, ev) in &schedule {
-            seq.schedule_topology(*at, ev.clone());
-        }
-        let seq_report = seq.run();
-        let seq_logs: Vec<Vec<LogEntry>> =
-            seq.nodes().iter().map(|c| c.log.clone()).collect();
-
-        for shards in [1usize, 2, 3, 8] {
-            let mut sh = ShardedEngine::new(&g, shards, seed, |_| Chatter::default());
-            for (at, ev) in &schedule {
-                sh.schedule_topology(*at, ev.clone()).unwrap();
-            }
-            let report = sh.run();
-
-            prop_assert_eq!(report.messages_delivered, seq_report.messages_delivered,
-                "delivered diverged at shards={}", shards);
-            prop_assert_eq!(report.messages_dropped, seq_report.messages_dropped,
-                "drops diverged at shards={}", shards);
-            prop_assert_eq!(report.topology_events, seq_report.topology_events);
-            prop_assert_eq!(&report.stats, &seq_report.stats,
-                "MessageStats diverged at shards={}", shards);
-            prop_assert_eq!(report.end_time.to_bits(), seq_report.end_time.to_bits(),
-                "end time diverged at shards={}", shards);
-
-            // Per-node upcall logs, collected from each owner shard.
-            let mut sh_logs: Vec<Option<Vec<LogEntry>>> = vec![None; n];
-            for shard in 0..shards {
-                let owned: Vec<usize> =
-                    (0..n).filter(|&v| sh.owner_of(NodeId(v)) == shard).collect();
-                let rows: Vec<(usize, Vec<LogEntry>)> = sh.visit(shard, move |e| {
-                    let nodes = e.nodes();
-                    owned.into_iter().map(|v| (v, nodes[v].log.clone())).collect()
-                });
-                for (v, log) in rows {
-                    sh_logs[v] = Some(log);
-                }
-            }
-            for (v, log) in sh_logs.into_iter().enumerate() {
-                let log = log.expect("every node has exactly one owner shard");
-                prop_assert_eq!(&log, &seq_logs[v],
-                    "node {} upcall log diverged at shards={}", v, shards);
-            }
-        }
+        assert_sharded_matches_sequential::<Chatter>(&g, &schedule, &[1, 2, 3, 8], seed);
     }
 }

@@ -7,10 +7,14 @@ use crate::registry::ClassRegistry;
 use crate::repair::RepairProbe;
 use crate::spans::PhaseSpans;
 use crate::trace::{ChromeTrace, US_PER_SIM_UNIT};
+use crate::windows::ShardWindows;
 use std::fmt::Write as _;
 
 /// Default flight-ring capacity (last N engine events kept for dumps).
 const FLIGHT_CAPACITY: usize = 256;
+
+/// Most samples one shard's window counter track puts on the timeline.
+const WINDOW_TRACK_POINTS: usize = 512;
 
 /// The full recorder behind the bench binaries' `--telemetry` / `--trace`
 /// flags. Deterministic outputs ([`FullRecorder::summary_lines`], the
@@ -27,6 +31,12 @@ pub struct FullRecorder {
     pub flight: FlightRecorder,
     /// Phase spans (wall + RSS annotated).
     pub phases: PhaseSpans,
+    /// Lookahead-window accounting of a sharded run, indexed by shard id
+    /// (empty for sequential runs; wall-clock, so not in the summaries).
+    pub windows: Vec<ShardWindows>,
+    /// Simulation time of the latest delivery or topology event — the
+    /// timestamp window samples get, since a window reports wall-clock only.
+    clock: f64,
     /// Cumulative delivered-by-class samples taken at every topology event
     /// (the counter track of the timeline).
     samples: Vec<(f64, [u64; MessageClass::COUNT])>,
@@ -50,6 +60,8 @@ impl FullRecorder {
             repair: RepairProbe::default(),
             flight: FlightRecorder::new(FLIGHT_CAPACITY),
             phases: PhaseSpans::new(),
+            windows: Vec::new(),
+            clock: 0.0,
             samples: Vec::new(),
             topo_marks: Vec::new(),
             end_time: 0.0,
@@ -155,8 +167,20 @@ impl FullRecorder {
         }
         plot_lookups(self.end_time, self.registry.delivered_by_class()[lk]);
 
+        // Sharded runs: one counter track per shard of its cumulative
+        // wall-clock by window part — the slopes are the shard's busy,
+        // ingest and idle shares at that point of the run.
+        for (shard, w) in self.windows.iter().enumerate() {
+            let name = format!("shard {shard} wall ns");
+            for &(t, [work, ingest, wait]) in w.samples(WINDOW_TRACK_POINTS) {
+                let series = [("work", work), ("ingest", ingest), ("wait", wait)];
+                tr.counter(&name, us(t), &series);
+            }
+        }
+
         // Summary block next to traceEvents: per-class totals, the wall
-        // latency histogram buckets, and the repair distribution.
+        // latency histogram buckets, the repair distribution, and the
+        // per-shard window accounting.
         let mut summary = String::from("{\"classes\":{");
         let mut first = true;
         for c in MessageClass::ALL {
@@ -192,13 +216,37 @@ impl FullRecorder {
         }
         let _ = write!(
             summary,
-            "}},\"repair\":{{\"events\":{},\"p50\":{:.3},\"p90\":{:.3},\"p99\":{:.3},\"settle_gap\":{}}}}}",
+            "}},\"repair\":{{\"events\":{},\"p50\":{:.3},\"p90\":{:.3},\"p99\":{:.3},\"settle_gap\":{}}},\"shards\":[",
             self.repair.latencies().len(),
             self.repair.quantile(0.50),
             self.repair.quantile(0.90),
             self.repair.quantile(0.99),
             self.repair.settle_gap(),
         );
+        for (shard, w) in self.windows.iter().enumerate() {
+            if shard > 0 {
+                summary.push(',');
+            }
+            let _ = write!(
+                summary,
+                "{{\"shard\":{shard},\"windows\":{},\"events\":{},\"wire_in\":{},\"wire_out\":{}",
+                w.windows(),
+                w.events,
+                w.wire_in,
+                w.wire_out,
+            );
+            for (part, h) in [("work", &w.work), ("ingest", &w.ingest), ("wait", &w.wait)] {
+                let _ = write!(
+                    summary,
+                    ",\"{part}_ns\":{},\"{part}_ns_p50\":{},\"{part}_ns_p99\":{}",
+                    h.sum(),
+                    h.quantile_upper(0.50),
+                    h.quantile_upper(0.99),
+                );
+            }
+            summary.push('}');
+        }
+        summary.push_str("]}");
 
         tr.into_json(&[("disco_summary", summary)])
     }
@@ -210,6 +258,7 @@ impl Recorder for FullRecorder {
     }
 
     fn message_delivered(&mut self, now: f64, class: MessageClass, from: u32, to: u32) {
+        self.clock = now;
         self.registry.delivered(class);
         self.flight.push(FlightEvent {
             now,
@@ -227,7 +276,30 @@ impl Recorder for FullRecorder {
         self.registry.event_done(class, wall_nanos);
     }
 
+    fn window_done(
+        &mut self,
+        shard: u32,
+        events: u64,
+        work_ns: u64,
+        ingest_ns: u64,
+        wait_ns: u64,
+        wire_in: u64,
+        wire_out: u64,
+    ) {
+        let shard = shard as usize;
+        if self.windows.len() <= shard {
+            self.windows.resize_with(shard + 1, ShardWindows::default);
+        }
+        self.windows[shard].record(
+            self.clock,
+            events,
+            [work_ns, ingest_ns, wait_ns],
+            [wire_in, wire_out],
+        );
+    }
+
     fn topology_changed(&mut self, now: f64, kind: &'static str, node: u32) {
+        self.clock = now;
         self.registry.delivered(MessageClass::Topology);
         self.repair.on_topology(now);
         self.topo_marks.push((now, kind, node));
@@ -264,8 +336,9 @@ impl MergeRecorder for FullRecorder {
     /// topology events but records only its own nodes' traffic, so:
     /// counters and latency histograms add, repair windows take the
     /// slowest shard per event, flight rings interleave by time, phase
-    /// spans concatenate. The topology marks are identical on every shard
-    /// (one per replayed event) and are kept once; the delivered-by-class
+    /// spans concatenate, window accounting lines up by shard id. The
+    /// topology marks are identical on every shard (one per replayed
+    /// event) and are kept once; the delivered-by-class
     /// samples taken at those marks add elementwise into the global
     /// cumulative track. Topology deliveries are replayed per shard, so
     /// their registry row is rescaled back to one count per event.
@@ -279,6 +352,13 @@ impl MergeRecorder for FullRecorder {
         self.repair.absorb(&other.repair);
         self.flight.absorb(&other.flight);
         self.phases.absorb(&other.phases);
+        if self.windows.len() < other.windows.len() {
+            self.windows
+                .resize_with(other.windows.len(), ShardWindows::default);
+        }
+        for (mine, theirs) in self.windows.iter_mut().zip(other.windows) {
+            mine.absorb(theirs);
+        }
         let topo_idx = MessageClass::Topology.index();
         for (i, (t, sample)) in other.samples.into_iter().enumerate() {
             match self.samples.get_mut(i) {
@@ -345,6 +425,41 @@ mod tests {
             "\"repair\"",
             "delivered by class",
             "disco_summary",
+        ] {
+            assert!(json.contains(needle), "missing {needle}");
+        }
+    }
+
+    /// Two shards' recorders fold their own windows; the merge lines them
+    /// up by shard id and the trace grows one counter track per shard.
+    #[test]
+    fn window_accounting_merges_by_shard_and_exports() {
+        let shard = |id: u32| {
+            let mut r = FullRecorder::new();
+            for t in 0..4u32 {
+                r.message_delivered(t as f64, MessageClass::Flood, 0, 1);
+                r.window_done(id, 5, 1_000 * (id as u64 + 1), 100, 10, 2, 3);
+            }
+            r.finish(4.0);
+            r
+        };
+        let mut merged = shard(0);
+        merged.absorb(shard(1));
+        assert_eq!(merged.windows.len(), 2);
+        assert_eq!(merged.windows[0].totals_ns(), [4_000, 400, 40]);
+        assert_eq!(merged.windows[1].totals_ns(), [8_000, 400, 40]);
+        assert_eq!(merged.windows[1].windows(), 4);
+        assert_eq!(merged.windows[1].wire_out, 12);
+        assert!(
+            !merged.summary_lines().contains("shard"),
+            "wall-clock stays out of the deterministic summary"
+        );
+        let json = merged.chrome_trace_json();
+        validate_json(&json).expect("trace must be valid JSON");
+        for needle in [
+            "shard 0 wall ns",
+            "shard 1 wall ns",
+            "\"shards\":[{\"shard\":0",
         ] {
             assert!(json.contains(needle), "missing {needle}");
         }

@@ -21,8 +21,10 @@
 //!   event-latency histograms ([`ClassRegistry`]), a repair-latency probe
 //!   turning availability from a point probe into a sim-time latency
 //!   distribution ([`RepairProbe`]), a bounded flight recorder of the last
-//!   N engine events for postmortems ([`FlightRecorder`]), and phase spans
-//!   carrying wall-clock and RSS deltas ([`PhaseSpans`]).
+//!   N engine events for postmortems ([`FlightRecorder`]), phase spans
+//!   carrying wall-clock and RSS deltas ([`PhaseSpans`]), and — for sharded
+//!   runs — each worker's wall-clock split into work, cross-shard ingest
+//!   and barrier wait per lookahead window ([`ShardWindows`]).
 //!
 //! A [`FullRecorder`] run can be exported as a Chrome `trace_event` JSON
 //! timeline ([`FullRecorder::chrome_trace_json`]) and opened in
@@ -41,6 +43,7 @@ pub mod registry;
 pub mod repair;
 pub mod spans;
 pub mod trace;
+pub mod windows;
 
 mod full;
 
@@ -52,3 +55,4 @@ pub use registry::{ClassRegistry, ClassStats};
 pub use repair::RepairProbe;
 pub use spans::{current_rss_bytes, PhaseSpan, PhaseSpans};
 pub use trace::{validate_json, ChromeTrace};
+pub use windows::ShardWindows;

@@ -151,6 +151,27 @@ pub trait Recorder {
     /// `wall_nanos` nanoseconds of wall-clock to process.
     fn event_done(&mut self, _class: MessageClass, _wall_nanos: u64) {}
 
+    /// Shard `shard` of a sharded run finished one lookahead window: it
+    /// processed `events` events in `work_ns` wall-nanoseconds (the window
+    /// itself, detaching its outbox into `wire_out` cross-shard wire
+    /// events, and finding its next pending time), after spending
+    /// `ingest_ns` filing the `wire_in` wire events other shards sent it
+    /// and `wait_ns` blocked on the coordinator since its previous window.
+    /// The three add up to the shard's wall-clock bar its `visit` closures,
+    /// so an idle shard shows up as `wait`, a costly exchange as `ingest`.
+    #[allow(clippy::too_many_arguments)]
+    fn window_done(
+        &mut self,
+        _shard: u32,
+        _events: u64,
+        _work_ns: u64,
+        _ingest_ns: u64,
+        _wait_ns: u64,
+        _wire_in: u64,
+        _wire_out: u64,
+    ) {
+    }
+
     /// A topology mutation was applied. `kind` is one of `"join"`,
     /// `"leave"`, `"link_up"`, `"link_down"`; `node` is the (first)
     /// affected node.
