@@ -32,10 +32,11 @@
 //!                       gains a work/ingest/wait counter track per shard
 //! --shards K            run the engine legs on the sharded engine with K
 //!                       worker shards (default 0 = sequential engine)
-//! --smoke [BASELINE]    n=1024 regression gate: read
-//!                       `min_announcements_per_sec` from BASELINE
-//!                       (default BENCH_exp_scale.json) and exit non-zero
-//!                       if the measured rate falls below it. With
+//! --smoke               n=1024 regression gate: run the recorded leg
+//!                       (same budget), read `min_announcements_per_sec`
+//!                       — 0.7× the recorded n=1024 rate — from
+//!                       BENCH_exp_scale.json and exit non-zero if the
+//!                       measured rate falls below it. With
 //!                       --shards K it instead gates the sharded path:
 //!                       re-runs the same leg at --shards 1, requires
 //!                       bit-identical delivered/topology/sim-end numbers
@@ -118,14 +119,6 @@ fn parse_args() -> Args {
             }
             other => panic!("unknown flag {other}; try --help"),
         }
-    }
-    // The single-shard smoke is a rate floor and can stop early. The
-    // sharded smoke compares two shard counts, and the first million
-    // deliveries of a boot are not representative of that ratio (they are
-    // nearly all synopsis gossip, the phase where two shards run slowest
-    // against one — README, "Sharding model"), so it keeps the full budget.
-    if out.smoke.is_some() && out.shards == 0 {
-        out.budget = out.budget.min(1_000_000);
     }
     out
 }

@@ -24,7 +24,7 @@ use disco_dynamics::probe::{
     sample_live_pairs_sharded,
 };
 use disco_graph::{generators, PathArena};
-use disco_metrics::control::{legacy_intern_bytes, ControlAccounting, ControlBytes, ControlCounts};
+use disco_metrics::control::{ControlAccounting, ControlBytes, ControlCounts};
 use disco_sim::{Engine, NoopRecorder, Phase, Recorder, ShardedEngine, TimerWheel};
 use disco_telemetry::FullRecorder;
 use std::time::Instant;
@@ -107,16 +107,13 @@ pub struct MemoryResult {
     /// (group address store, overlay slots, forwarded dedup; the
     /// resolution shard is application state, excluded on both sides).
     pub dissem_bytes_mean: f64,
-    /// Path-arena intern table bytes (process-wide, measured at gauge
-    /// time).
-    pub intern_bytes: u64,
     /// Mean non-RIB control bytes per live node: Loc-RIB view +
-    /// dissemination + this node's share of the arena intern table.
+    /// dissemination.
     pub non_rib_bytes_mean: f64,
-    /// What the PR 3-era layouts (materialized Loc-RIB map, hash-map
-    /// intern table, std dissemination maps) would spend per node on the
-    /// same live contents — the "before" of the reduction ratio, priced
-    /// by `disco-metrics::control`'s SwissTable model.
+    /// What the PR 3-era layouts (materialized Loc-RIB map, std
+    /// dissemination maps) would spend per node on the same live contents
+    /// — the "before" of the reduction ratio, priced by
+    /// `disco-metrics::control`'s SwissTable model.
     pub legacy_non_rib_bytes_mean: f64,
     /// `legacy_non_rib_bytes_mean / non_rib_bytes_mean` — the headline
     /// non-RIB control-memory reduction of the Loc-RIB-as-a-view PR.
@@ -175,16 +172,15 @@ pub fn candidate_bound(n: usize, alternates: usize) -> f64 {
 
 /// The non-RIB-control-bytes-per-destination bound the smoke gate asserts
 /// (mean non-RIB control bytes per node over mean interned destinations
-/// per node). Measured 63 B/dest at the smoke point (n=512, heavy churn,
-/// forgetful): ~33 B of selection columns (25 B/dest plus vector growth
-/// slack), ~18 B of ordered-mirror keys, ~13 B of dissemination and
-/// intern-table share. The bound carries ~35% headroom; the PR 3 layout
-/// (materialized `FxHashMap<NodeId, RouteEntry>` Loc-RIB + hash-map
-/// intern table) prices at ~116 B/dest on the same contents, so a
-/// regression that re-materializes per-destination state fails CI with
-/// margin.
+/// per node). Measured 44.1 B/dest at the smoke point (n=512, heavy churn,
+/// forgetful, 427 dests/node): ~41 B of Loc-RIB view (selection columns at
+/// 25 B/dest plus vector growth slack, ordered-mirror keys) and ~3 B of
+/// dissemination. The bound carries 18% headroom and sits under what the
+/// PR 3 layout (materialized `FxHashMap<NodeId, RouteEntry>` Loc-RIB, std
+/// dissemination maps) prices on the same contents — 57 B/dest — so a
+/// regression that re-materializes per-destination state fails CI.
 pub fn control_bytes_per_dest_bound() -> f64 {
-    85.0
+    52.0
 }
 
 /// Reset the kernel's peak-RSS watermark (`VmHWM`) to the current RSS
@@ -352,14 +348,8 @@ fn run_leg_impl<R: Recorder>(p: &MemoryParams, mut recorder: R) -> (MemoryResult
     let live_f = live.max(1) as f64;
     let (rib_bytes_mean, loc_rib_bytes_mean, dissem_bytes_mean) = acct.mean();
     let (legacy_loc_rib_mean, legacy_dissem_mean) = acct.legacy_mean();
-    // The arena intern table is process-wide; charge each live node an
-    // equal share. Both sides are priced at the occupancy *peak* (neither
-    // table shrinks on its own): the measured side is the slot array's
-    // actual bytes, the legacy side the SwissTable model on peak cells.
-    let intern_share = arena.intern_bytes as f64 / live_f;
-    let legacy_intern_share = legacy_intern_bytes(arena.peak_live_cells) as f64 / live_f;
-    let non_rib_bytes_mean = loc_rib_bytes_mean + dissem_bytes_mean + intern_share;
-    let legacy_non_rib_bytes_mean = legacy_loc_rib_mean + legacy_dissem_mean + legacy_intern_share;
+    let non_rib_bytes_mean = loc_rib_bytes_mean + dissem_bytes_mean;
+    let legacy_non_rib_bytes_mean = legacy_loc_rib_mean + legacy_dissem_mean;
     let repair_msgs_per_node = (engine.stats().total_sent() - convergence_msgs) as f64 / p.n as f64;
     let topology_events = engine.topology_events();
     // Post-churn compaction: drop the run's state, then let the arena
@@ -378,7 +368,6 @@ fn run_leg_impl<R: Recorder>(p: &MemoryParams, mut recorder: R) -> (MemoryResult
         rib_bytes_mean,
         loc_rib_bytes_mean,
         dissem_bytes_mean,
-        intern_bytes: arena.intern_bytes as u64,
         non_rib_bytes_mean,
         legacy_non_rib_bytes_mean,
         non_rib_reduction: legacy_non_rib_bytes_mean / non_rib_bytes_mean.max(1.0),
@@ -536,13 +525,11 @@ fn run_leg_sharded(p: &MemoryParams) -> MemoryResult {
 
     // Sum the workers' thread-local arenas (the coordinator's arena stays
     // empty — probes detach paths to `Vec<NodeId>` before crossing).
-    let mut intern_bytes = 0usize;
     let mut peak_cells = 0usize;
     let mut live_cells = 0usize;
     let mut shrunk = 0usize;
     for shard in 0..engine.shards() {
         let arena = engine.visit(shard, |_| PathArena::stats());
-        intern_bytes += arena.intern_bytes;
         peak_cells += arena.peak_live_cells;
         live_cells += arena.live_cells;
         shrunk += engine.visit(shard, |_| PathArena::shrink());
@@ -551,10 +538,8 @@ fn run_leg_sharded(p: &MemoryParams) -> MemoryResult {
     let live_f = live.max(1) as f64;
     let (rib_bytes_mean, loc_rib_bytes_mean, dissem_bytes_mean) = acct.mean();
     let (legacy_loc_rib_mean, legacy_dissem_mean) = acct.legacy_mean();
-    let intern_share = intern_bytes as f64 / live_f;
-    let legacy_intern_share = legacy_intern_bytes(peak_cells) as f64 / live_f;
-    let non_rib_bytes_mean = loc_rib_bytes_mean + dissem_bytes_mean + intern_share;
-    let legacy_non_rib_bytes_mean = legacy_loc_rib_mean + legacy_dissem_mean + legacy_intern_share;
+    let non_rib_bytes_mean = loc_rib_bytes_mean + dissem_bytes_mean;
+    let legacy_non_rib_bytes_mean = legacy_loc_rib_mean + legacy_dissem_mean;
     let stats = engine.merged_stats();
 
     MemoryResult {
@@ -568,7 +553,6 @@ fn run_leg_sharded(p: &MemoryParams) -> MemoryResult {
         rib_bytes_mean,
         loc_rib_bytes_mean,
         dissem_bytes_mean,
-        intern_bytes: intern_bytes as u64,
         non_rib_bytes_mean,
         legacy_non_rib_bytes_mean,
         non_rib_reduction: legacy_non_rib_bytes_mean / non_rib_bytes_mean.max(1.0),
@@ -595,7 +579,7 @@ impl MemoryResult {
         format!(
             "MEMLEG n={} rate={} forgetful={} availability={:.4} final_availability={:.4} \
              cand_mean={:.1} cand_max={} rib_bytes_mean={:.0} loc_rib_bytes_mean={:.0} \
-             dissem_bytes_mean={:.0} intern_bytes={} non_rib_bytes_mean={:.0} \
+             dissem_bytes_mean={:.0} non_rib_bytes_mean={:.0} \
              legacy_non_rib_bytes_mean={:.0} non_rib_reduction={:.2} dests_mean={:.1} \
              path_nodes_mean={:.0} \
              arena_peak_cells={} arena_live_cells={} arena_shrunk_cells={} \
@@ -611,7 +595,6 @@ impl MemoryResult {
             self.rib_bytes_mean,
             self.loc_rib_bytes_mean,
             self.dissem_bytes_mean,
-            self.intern_bytes,
             self.non_rib_bytes_mean,
             self.legacy_non_rib_bytes_mean,
             self.non_rib_reduction,
@@ -648,7 +631,6 @@ impl MemoryResult {
                 "rib_bytes_mean" => r.rib_bytes_mean = v.parse().ok()?,
                 "loc_rib_bytes_mean" => r.loc_rib_bytes_mean = v.parse().ok()?,
                 "dissem_bytes_mean" => r.dissem_bytes_mean = v.parse().ok()?,
-                "intern_bytes" => r.intern_bytes = v.parse().ok()?,
                 "non_rib_bytes_mean" => r.non_rib_bytes_mean = v.parse().ok()?,
                 "legacy_non_rib_bytes_mean" => r.legacy_non_rib_bytes_mean = v.parse().ok()?,
                 "non_rib_reduction" => r.non_rib_reduction = v.parse().ok()?,
@@ -679,7 +661,7 @@ impl MemoryResult {
              \"availability\": {:.4}, \"final_availability\": {:.4}, \
              \"cand_mean\": {:.1}, \"cand_max\": {}, \"sqrt_n_log_n\": {:.1}, \
              \"rib_bytes_mean\": {:.0}, \"loc_rib_bytes_mean\": {:.0}, \
-             \"dissem_bytes_mean\": {:.0}, \"intern_bytes\": {}, \
+             \"dissem_bytes_mean\": {:.0}, \
              \"non_rib_bytes_mean\": {:.0}, \"legacy_non_rib_bytes_mean\": {:.0}, \
              \"non_rib_reduction\": {:.2}, \"dests_mean\": {:.1}, \
              \"path_nodes_mean\": {:.0}, \
@@ -699,7 +681,6 @@ impl MemoryResult {
             self.rib_bytes_mean,
             self.loc_rib_bytes_mean,
             self.dissem_bytes_mean,
-            self.intern_bytes,
             self.non_rib_bytes_mean,
             self.legacy_non_rib_bytes_mean,
             self.non_rib_reduction,
@@ -740,7 +721,6 @@ mod tests {
         // The per-component byte columns meter real state, and the legacy
         // model must price the same contents strictly higher.
         assert!(r.loc_rib_bytes_mean > 0.0 && r.dissem_bytes_mean > 0.0);
-        assert!(r.intern_bytes > 0);
         assert!(r.dests_mean > 0.0);
         // The legacy layout must cost meaningfully more on the same
         // contents even at this tiny scale; the >=1.5x acceptance gate is
@@ -755,7 +735,6 @@ mod tests {
         assert_eq!(parsed.n, r.n);
         assert_eq!(parsed.cand_max, r.cand_max);
         assert_eq!(parsed.forgetful, r.forgetful);
-        assert_eq!(parsed.intern_bytes, r.intern_bytes);
         assert!((parsed.availability - r.availability).abs() < 1e-3);
         assert!((parsed.non_rib_bytes_mean - r.non_rib_bytes_mean).abs() < 1.0);
         assert!((parsed.dests_mean - r.dests_mean).abs() < 0.1);
@@ -765,8 +744,8 @@ mod tests {
 
     /// The sharded leg is the same simulation: every protocol-visible
     /// gauge matches the sequential leg exactly (only arena cells and
-    /// wall-clock/RSS may differ — paths crossing shards are re-interned
-    /// per worker arena).
+    /// wall-clock/RSS may differ — paths crossing shards are rebuilt in
+    /// the receiving worker's arena).
     #[test]
     fn sharded_leg_matches_sequential_protocol_numbers() {
         let mut p = MemoryParams::grid_point(128, 3, 0.001, true);

@@ -745,9 +745,19 @@ impl PathVectorNode {
             // re-announced over its own selected candidate, the cache still
             // holds the pre-update values, exactly like the deleted `best`
             // map did.
+            //
+            // An attribute-only refresh — the selected neighbor re-announcing
+            // the very route it is selected for, with only the destination's
+            // landmark distance or flag moved (every node causes one while
+            // its own landmark distance settles) — leaves the candidate's
+            // rank where it was, so it is still the minimum: re-select it in
+            // place rather than rescanning every neighbor to find it again.
             let promote = match self.rib.selected_view_at(di) {
                 None => true,
-                Some(cur) => preferred_parts(cand.dist, &cand.path, cur.dist, cur.path),
+                Some(cur) => {
+                    (cur_hop == Some(from) && cand.dist == cur.dist && cand.path == *cur.path)
+                        || preferred_parts(cand.dist, &cand.path, cur.dist, cur.path)
+                }
             };
             if promote {
                 self.select_candidate(d, di, from, cand);
@@ -1783,6 +1793,57 @@ mod tests {
             "stale OR-merged landmark flag survived the withdrawal"
         );
         assert!(pv.own_landmark_distance().is_infinite());
+    }
+
+    /// The selected neighbor re-announcing its route with only the
+    /// destination's landmark distance moved is re-selected in place (no
+    /// rescan): same next hop, the new attribute reaches the table, and
+    /// the selection is still what a scan over all candidates would pick.
+    #[test]
+    fn attribute_only_refresh_from_selected_neighbor_keeps_the_selection() {
+        use disco_graph::GraphBuilder;
+        let mut b = GraphBuilder::new(4);
+        b.add_edge(NodeId(0), NodeId(1), 1.0);
+        b.add_edge(NodeId(0), NodeId(2), 1.0);
+        let g = b.build();
+        let mut pv = PathVectorNode::new(NodeId(0), false, TableLimit::Unlimited);
+        let mut ctx: disco_sim::Context<'_, Announcement> =
+            disco_sim::Context::new(NodeId(0), 0.0, &g, 64);
+        pv.on_start(&mut ctx);
+        let d = NodeId(3);
+        let ann = |via: usize, lm_dist: f64| Announcement {
+            dest: d,
+            dist: 1.0,
+            // Built afresh per message: equal content, separate cells.
+            path: InternedPath::from_slice(&[NodeId(via), d]),
+            dest_is_landmark: false,
+            dest_landmark_dist: lm_dist,
+            withdrawn: false,
+            refresh: false,
+        };
+        pv.on_message(NodeId(2), ann(2, f64::INFINITY), &mut ctx);
+        pv.on_message(NodeId(1), ann(1, f64::INFINITY), &mut ctx);
+        assert_eq!(pv.table[&d].next_hop, NodeId(1), "tie broken by path order");
+        let revision = pv.selection_revision();
+        let live = disco_graph::PathArena::stats().live_cells;
+
+        pv.on_message(NodeId(1), ann(1, 4.0), &mut ctx);
+
+        let e = &pv.table[&d];
+        assert_eq!(e.next_hop, NodeId(1));
+        assert_eq!(e.dest_landmark_dist, 4.0, "the refreshed attribute exports");
+        assert_eq!(e.path.to_vec(), vec![NodeId(0), NodeId(1), d]);
+        assert!(pv.pending.contains(&d));
+        assert_eq!(pv.selection_revision(), revision + 1);
+        let (best_nbr, best) = pv.rib.best_for(d).expect("candidates remain");
+        let sel = pv.rib.selected_view(d).expect("still selected");
+        assert_eq!(sel.next_hop, best_nbr);
+        assert_eq!(sel.dist, best.dist);
+        assert_eq!(*sel.path, best.path);
+        assert_eq!(sel.dest_landmark_dist, best.dest_landmark_dist);
+        // The replaced candidate's cells were released, not accumulated.
+        drop(best);
+        assert_eq!(disco_graph::PathArena::stats().live_cells, live);
     }
 
     #[test]

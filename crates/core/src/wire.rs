@@ -3,8 +3,10 @@
 //! [`InternedPath`] handles are pinned to the thread-local path arena that
 //! created them (they are `!Send`), so a message crossing a shard boundary
 //! must shed its interned paths first. The wire forms here detach every
-//! path into an owned `Vec<NodeId>`; the receiving shard re-interns the
-//! node sequence into *its own* arena on ingestion. The round trip is
+//! path into an owned `Vec<NodeId>`; the receiving shard rebuilds the
+//! node sequence in *its own* arena on ingestion (a fresh chain per
+//! crossing: nothing looks up whether an equal path already lives there,
+//! and path equality is structural, so nothing needs to). The round trip is
 //! semantically lossless — node sequences, and therefore routing decisions
 //! and accounted byte sizes, are identical on both sides — which is
 //! exactly the `from_wire(to_wire(m)) ≡ m` contract

@@ -1,4 +1,4 @@
-//! Interned, reference-counted routing paths.
+//! Reference-counted, structurally shared routing paths.
 //!
 //! Protocol simulations copy node paths constantly: every route
 //! announcement carries one, every routing-table entry stores one, every
@@ -6,16 +6,26 @@
 //! `Vec<NodeId>` copies dominate the allocation profile of churn runs long
 //! before the event queue does.
 //!
-//! [`PathArena`] fixes this with hash-consed cons cells: a path is a cell
+//! [`PathArena`] fixes this with a slab of cons cells: a path is a cell
 //! `(head, tail)` where `tail` is the id of the path holding the remaining
-//! nodes. Identical paths intern to the same cell id, so
+//! nodes, so
 //!
 //! * cloning a path is a reference-count bump,
 //! * prepending a hop (the path-vector operation: `my_id ; received_path`)
-//!   is O(1) and shares the entire received path,
+//!   is O(1) — one new cell — and shares the entire received path,
 //! * dropping the first node (the source-routing operation: forward to
-//!   `path[1]` carrying `path[1..]`) is O(1) and allocates nothing,
-//! * equality is an id comparison.
+//!   `path[1]` carrying `path[1..]`) is O(1) and allocates nothing.
+//!
+//! Sharing is by construction, not by lookup: a cell `(v, P)` comes into
+//! being when `v` absorbs `P` from one neighbor, and every other holder of
+//! that path (selection column, table entry, export, each copy of a flood)
+//! is a `clone()` of the one handle. A table keyed by `(head, tail)` would
+//! have nothing left to find — it de-duplicated under 2 % of cells on boot
+//! and churn runs and cost a random memory probe per prepend and per
+//! release — so there is none. Two paths built separately from the same
+//! nodes are therefore two chains, and equality is structural: equal ids
+//! are equal, otherwise equal lengths and a walk until the chains meet in
+//! a shared cell or two heads differ.
 //!
 //! Cells are reference-counted (handles and child cells both count) and
 //! freed into a free list, so the live-cell count tracks real routing
@@ -36,167 +46,6 @@ use std::fmt;
 
 const NIL: u32 = u32::MAX;
 
-/// Open-addressed intern table over the cell slab: `slots[i]` holds a cell
-/// id or `NIL`. The cell *is* the key — a probe hashes `(head, tail)` and
-/// compares against `cells[id]` in place — so the table stores 4 bytes per
-/// slot instead of the ~28 B/cell a separate `FxHashMap<(u32, u32), u32>`
-/// cost (12 B key+value, doubled capacity, control bytes). Linear probing
-/// with backward-shift deletion (no tombstones); occupancy stays ≤ 3/4.
-///
-/// Slots are mapped with the multiply-shift (Lemire) reduction instead of
-/// a power-of-two mask, so the table can grow ×1.5 to *exact* sizes: on a
-/// 10M-cell churn run, power-of-two doubling would round a needed 8.9M
-/// slots up to 16.8M — at table sizes in the tens of megabytes that
-/// rounding is a measurable slice of peak RSS.
-#[derive(Debug, Default)]
-struct InternTable {
-    /// Slot array of cell ids (`NIL` = empty); any size ≥ 16.
-    slots: Vec<u32>,
-    /// Occupied slots.
-    len: usize,
-}
-
-/// Mix `(head, tail)` into a uniform 64-bit hash (splitmix64 finalizer;
-/// the multiply-shift reduction uses the *high* bits, which this mixes
-/// well even for the sequential ids the arena hands out).
-#[inline]
-fn intern_hash(head: u32, tail: u32) -> u64 {
-    let mut z = ((head as u64) << 32) | (tail as u64);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Map a hash onto `0..size` without division or masking:
-/// `(h * size) >> 64` is uniform for uniform `h` and works for any size.
-#[inline]
-fn reduce(h: u64, size: usize) -> usize {
-    ((h as u128 * size as u128) >> 64) as usize
-}
-
-impl InternTable {
-    /// Slot holding the cell keyed `(head, tail)`, or the empty slot where
-    /// it would be inserted.
-    #[inline]
-    fn probe(&self, head: u32, tail: u32, cells: &[Cell]) -> Result<usize, usize> {
-        let size = self.slots.len();
-        debug_assert!(size > 0);
-        let mut i = reduce(intern_hash(head, tail), size);
-        loop {
-            let id = self.slots[i];
-            if id == NIL {
-                return Err(i);
-            }
-            let c = &cells[id as usize];
-            if c.head == head && c.tail == tail {
-                return Ok(i);
-            }
-            i += 1;
-            if i == size {
-                i = 0;
-            }
-        }
-    }
-
-    /// Cell id interned for `(head, tail)`, if any.
-    #[inline]
-    fn get(&self, head: u32, tail: u32, cells: &[Cell]) -> Option<u32> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        self.probe(head, tail, cells).ok().map(|i| self.slots[i])
-    }
-
-    /// Intern `id` (whose key is read from `cells[id]`). The key must not
-    /// already be present.
-    fn insert(&mut self, id: u32, cells: &[Cell]) {
-        // Keep occupancy ≤ 3/4 so probe chains stay short; grow ×1.5
-        // (geometric, so inserts stay amortized O(1), but with 25% less
-        // worst-case slack than doubling).
-        if self.slots.len() * 3 <= (self.len + 1) * 4 {
-            let cap = (self.slots.len() + self.slots.len() / 2).max(16);
-            self.rebuild(cap, cells);
-        }
-        let c = &cells[id as usize];
-        let slot = self
-            .probe(c.head, c.tail, cells)
-            .expect_err("interning a key that is already present");
-        self.slots[slot] = id;
-        self.len += 1;
-    }
-
-    /// Remove the entry keyed `(head, tail)`. Backward-shift deletion: the
-    /// displaced tail of the probe chain moves up so lookups never need
-    /// tombstones. Whether a later entry may fill the hole is decided from
-    /// its *ideal* slot, recomputed from the cell slab.
-    fn remove(&mut self, head: u32, tail: u32, cells: &[Cell]) {
-        let Ok(slot) = self.probe(head, tail, cells) else {
-            unreachable!("releasing a cell that was never interned");
-        };
-        let size = self.slots.len();
-        let cyc = |from: usize, to: usize| (to + size - from) % size;
-        let mut hole = slot;
-        let mut j = slot;
-        loop {
-            j += 1;
-            if j == size {
-                j = 0;
-            }
-            let id = self.slots[j];
-            if id == NIL {
-                break;
-            }
-            let c = &cells[id as usize];
-            let ideal = reduce(intern_hash(c.head, c.tail), size);
-            // `id` may move into the hole iff its ideal slot is cyclically
-            // at or before the hole (i.e. not within `(hole, j]`).
-            if cyc(ideal, j) >= cyc(hole, j) {
-                self.slots[hole] = id;
-                hole = j;
-            }
-        }
-        self.slots[hole] = NIL;
-        self.len -= 1;
-    }
-
-    /// Re-probe every entry into a fresh table of exactly `cap` slots
-    /// (which must keep occupancy ≤ 3/4).
-    fn rebuild(&mut self, cap: usize, cells: &[Cell]) {
-        assert!(self.len * 4 <= cap * 3, "intern table rebuild under-sized");
-        let old = std::mem::replace(&mut self.slots, vec![NIL; cap]);
-        for id in old {
-            if id == NIL {
-                continue;
-            }
-            let c = &cells[id as usize];
-            let mut i = reduce(intern_hash(c.head, c.tail), cap);
-            while self.slots[i] != NIL {
-                i += 1;
-                if i == cap {
-                    i = 0;
-                }
-            }
-            self.slots[i] = id;
-        }
-    }
-
-    /// Shrink the slot array close to the smallest size the occupancy
-    /// allows (post-churn compaction). Targets 3/2 of the occupancy, not
-    /// the exact 4/3 grow threshold: a threshold-exact table would pay a
-    /// full O(n) rebuild on the very next insert.
-    fn shrink_to_fit(&mut self, cells: &[Cell]) {
-        let want = (self.len * 3 / 2).max(16);
-        if want < self.slots.len() {
-            self.rebuild(want, cells);
-        }
-    }
-
-    /// Heap bytes held by the slot array.
-    fn bytes(&self) -> usize {
-        self.slots.capacity() * 4
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 struct Cell {
     /// First node of the path.
@@ -205,21 +54,17 @@ struct Cell {
     tail: u32,
     /// Number of nodes in the path.
     len: u32,
-    /// Last node of the path (destination), kept for O(1) access.
-    last: u32,
     /// Reference count: live [`InternedPath`] handles plus child cells
     /// whose `tail` points here.
     rc: u32,
 }
 
-/// The thread-local interning pool. Use [`PathArena::stats`] to observe it;
+/// The thread-local cell pool. Use [`PathArena::stats`] to observe it;
 /// paths are created through [`InternedPath`].
 #[derive(Debug, Default)]
 pub struct PathArena {
     cells: Vec<Cell>,
     free: Vec<u32>,
-    /// `(head, tail)` → cell id, open-addressed directly over `cells`.
-    intern: InternTable,
     live: usize,
     peak_live: usize,
     interned_total: u64,
@@ -233,7 +78,7 @@ pub struct PathArenaStats {
     pub live_cells: usize,
     /// High-water mark of `live_cells`.
     pub peak_live_cells: usize,
-    /// Cells ever created (interning hits do not count).
+    /// Cells ever created.
     pub interned_total: u64,
     /// Capacity currently held by the arena, in cells (live + free-listed).
     pub capacity_cells: usize,
@@ -241,13 +86,8 @@ pub struct PathArenaStats {
     /// per-thread "live path bytes" gauge `exp_memory` charts.
     pub live_bytes: usize,
     /// Heap bytes held by the arena's backing storage (cell vector +
-    /// free list + intern table).
+    /// free list).
     pub capacity_bytes: usize,
-    /// Heap bytes of the open-addressed intern table alone (the
-    /// "intern bytes" column of `exp_memory`'s per-component accounting;
-    /// the separate hash map this table replaced cost ~28 B per live
-    /// cell, ~5× this).
-    pub intern_bytes: usize,
 }
 
 thread_local! {
@@ -266,9 +106,7 @@ impl PathArena {
                 capacity_cells: p.cells.len(),
                 live_bytes: p.live * std::mem::size_of::<Cell>(),
                 capacity_bytes: p.cells.capacity() * std::mem::size_of::<Cell>()
-                    + p.free.capacity() * 4
-                    + p.intern.bytes(),
-                intern_bytes: p.intern.bytes(),
+                    + p.free.capacity() * 4,
             }
         })
     }
@@ -298,7 +136,6 @@ impl PathArena {
         self.free.retain(|&f| f < kept);
         self.cells.shrink_to_fit();
         self.free.shrink_to_fit();
-        self.intern.shrink_to_fit(&self.cells);
         before - self.cells.len()
     }
 
@@ -311,23 +148,20 @@ impl PathArena {
         });
     }
 
-    /// Cell id for `(head, tail)`, interning a new cell if necessary. The
-    /// returned id carries a fresh reference. `tail`'s count is bumped only
-    /// when a new cell is created (the cell itself then owns that
-    /// reference).
-    fn acquire(&mut self, head: u32, tail: u32, len: u32, last: u32) -> u32 {
-        if let Some(id) = self.intern.get(head, tail, &self.cells) {
-            self.cells[id as usize].rc += 1;
-            return id;
-        }
+    /// A new cell `(head, tail)` carrying one fresh reference: pop a free
+    /// id or push. The cell owns a reference to `tail`, whose count is
+    /// bumped here.
+    fn acquire(&mut self, head: u32, tail: u32) -> u32 {
+        let mut len = 1;
         if tail != NIL {
-            self.cells[tail as usize].rc += 1;
+            let t = &mut self.cells[tail as usize];
+            t.rc += 1;
+            len += t.len;
         }
         let cell = Cell {
             head,
             tail,
             len,
-            last,
             rc: 1,
         };
         let id = if let Some(id) = self.free.pop() {
@@ -339,7 +173,6 @@ impl PathArena {
             self.cells.push(cell);
             id
         };
-        self.intern.insert(id, &self.cells);
         self.live += 1;
         self.peak_live = self.peak_live.max(self.live);
         self.interned_total += 1;
@@ -357,8 +190,7 @@ impl PathArena {
             if cell.rc > 0 {
                 return;
             }
-            let Cell { head, tail, .. } = *cell;
-            self.intern.remove(head, tail, &self.cells);
+            let tail = cell.tail;
             self.free.push(id);
             self.live -= 1;
             id = tail; // drop the cell's reference to its tail
@@ -367,9 +199,10 @@ impl PathArena {
 }
 
 /// An interned path: a non-empty node sequence stored in the thread's
-/// [`PathArena`]. Clone is a reference-count bump; equality is O(1);
-/// prepending a node and dropping the first node are O(1) and share
-/// structure with the original.
+/// [`PathArena`]. Clone is a reference-count bump; prepending a node and
+/// dropping the first node are O(1) and share structure with the original;
+/// equality is structural (O(1) between clones and between unequal
+/// lengths, otherwise a walk to the first shared cell or differing node).
 ///
 /// `!Send`/`!Sync` (the marker suppresses the auto traits): the id only
 /// means something to the arena of the thread that created it, and
@@ -402,22 +235,18 @@ impl InternedPath {
 
     /// The single-node path `[node]`.
     pub fn single(node: NodeId) -> Self {
-        let h = node.0 as u32;
-        let id = POOL.with(|p| p.borrow_mut().acquire(h, NIL, 1, h));
+        let id = POOL.with(|p| p.borrow_mut().acquire(node.0 as u32, NIL));
         InternedPath::wrap(id)
     }
 
-    /// Intern the path with the given node sequence. Panics if empty.
+    /// Build the path with the given node sequence. Panics if empty.
     pub fn from_slice(nodes: &[NodeId]) -> Self {
         assert!(!nodes.is_empty(), "a path must contain at least one node");
         POOL.with(|p| {
             let mut p = p.borrow_mut();
-            let last = nodes[nodes.len() - 1].0 as u32;
             let mut id = NIL;
-            let mut len = 0u32;
             for node in nodes.iter().rev() {
-                len += 1;
-                let next = p.acquire(node.0 as u32, id, len, last);
+                let next = p.acquire(node.0 as u32, id);
                 if id != NIL {
                     // `acquire` gave the new cell its own reference to
                     // `id`; drop the building reference we held.
@@ -445,19 +274,14 @@ impl InternedPath {
                 }
                 id = cell.tail;
             }
-            let cell = p.cells[self.raw() as usize];
-            let id = p.acquire(needle, self.raw(), cell.len + 1, cell.last);
+            let id = p.acquire(needle, self.raw());
             Some(InternedPath::wrap(id))
         })
     }
 
     /// The path `[node] ; self` — the path-vector prepend. O(1).
     pub fn prepend(&self, node: NodeId) -> Self {
-        let id = POOL.with(|p| {
-            let mut p = p.borrow_mut();
-            let cell = p.cells[self.raw() as usize];
-            p.acquire(node.0 as u32, self.raw(), cell.len + 1, cell.last)
-        });
+        let id = POOL.with(|p| p.borrow_mut().acquire(node.0 as u32, self.raw()));
         InternedPath::wrap(id)
     }
 
@@ -494,9 +318,16 @@ impl InternedPath {
         })
     }
 
-    /// Last node (the destination). O(1).
+    /// Last node (the destination). O(len): walks the chain.
     pub fn last(&self) -> NodeId {
-        POOL.with(|p| NodeId(p.borrow().cells[self.raw() as usize].last as usize))
+        POOL.with(|p| {
+            let p = p.borrow();
+            let mut cell = &p.cells[self.raw() as usize];
+            while cell.tail != NIL {
+                cell = &p.cells[cell.tail as usize];
+            }
+            NodeId(cell.head as usize)
+        })
     }
 
     /// Number of nodes.
@@ -559,29 +390,27 @@ impl InternedPath {
     pub fn concat(&self, other: &InternedPath) -> Self {
         POOL.with(|p| {
             let mut p = p.borrow_mut();
-            assert_eq!(
-                p.cells[self.raw() as usize].last,
-                p.cells[other.raw() as usize].head,
-                "cannot concatenate paths that do not chain"
-            );
-            // Collect self's nodes except the last, then prepend them onto
-            // `other` back to front.
+            // Collect self's nodes except the last (which must be `other`'s
+            // first), then prepend them onto `other` back to front.
             let mut nodes = Vec::with_capacity(p.cells[self.raw() as usize].len as usize);
             let mut id = self.raw();
-            while id != NIL {
+            loop {
                 let cell = &p.cells[id as usize];
-                if cell.tail != NIL {
-                    nodes.push(cell.head);
+                if cell.tail == NIL {
+                    assert_eq!(
+                        cell.head,
+                        p.cells[other.raw() as usize].head,
+                        "cannot concatenate paths that do not chain"
+                    );
+                    break;
                 }
+                nodes.push(cell.head);
                 id = cell.tail;
             }
             let mut id = other.raw();
             p.retain(id);
-            let last = p.cells[other.raw() as usize].last;
-            let mut len = p.cells[other.raw() as usize].len;
             for &head in nodes.iter().rev() {
-                len += 1;
-                let next = p.acquire(head, id, len, last);
+                let next = p.acquire(head, id);
                 p.release(id);
                 id = next;
             }
@@ -643,8 +472,8 @@ impl Drop for InternedPath {
 
 impl PartialEq for InternedPath {
     fn eq(&self, other: &Self) -> bool {
-        // Hash-consing makes ids canonical per node sequence.
-        self.id == other.id
+        // Separately built paths are separate chains: compare structure.
+        self.cmp_route(other) == Ordering::Equal
     }
 }
 impl Eq for InternedPath {}
@@ -687,13 +516,31 @@ mod tests {
     }
 
     #[test]
-    fn interning_dedupes_and_equality_is_structural() {
+    fn equality_is_structural_across_separately_built_paths() {
         let a = InternedPath::from_slice(&ids(&[1, 2, 3]));
         let b = InternedPath::from_slice(&ids(&[1, 2, 3]));
         let c = InternedPath::from_slice(&ids(&[1, 2, 4]));
+        assert_ne!(a.id, b.id, "no lookup: separate builds are separate chains");
         assert_eq!(a, b);
+        assert_eq!(a.cmp_route(&b), Ordering::Equal);
         assert_ne!(a, c);
-        assert_eq!(a.id, b.id, "identical paths must share a cell");
+        assert_ne!(a.cmp_route(&c), Ordering::Equal);
+        assert_ne!(a, InternedPath::from_slice(&ids(&[1, 2])), "length differs");
+        // Pairs meeting in a shared suffix cell: equal heads in front of it
+        // are equal paths, a differing head is not.
+        let suffix = InternedPath::from_slice(&ids(&[2, 3]));
+        let (x, y, z) = (
+            suffix.prepend(NodeId(1)),
+            suffix.prepend(NodeId(1)),
+            suffix.prepend(NodeId(9)),
+        );
+        assert_ne!(x.id, y.id);
+        assert_eq!(x, y);
+        assert_eq!(x.cmp_route(&y), Ordering::Equal);
+        assert_eq!(x, a, "shared-suffix chain equals a fully separate one");
+        assert_ne!(x, z);
+        assert_eq!(x.cmp_route(&z), Ordering::Less);
+        assert_eq!(x.clone(), x);
     }
 
     #[test]
@@ -794,56 +641,89 @@ mod tests {
             after.live_bytes,
             after.live_cells * std::mem::size_of::<Cell>()
         );
-        // The arena still works after shrinking: interning, prepend, drop.
+        // The arena still works after shrinking: build, prepend, drop.
         let p = keep.prepend(NodeId(400));
         assert_eq!(p.to_vec(), ids(&[400, 401, 402]));
     }
 
-    /// Stress the open-addressed intern table against a map model through
-    /// interleaved interning and dropping: every lookup/insert/remove path
-    /// (including backward-shift deletion and grow/shrink rebuilds) must
-    /// agree with hash-consing semantics — identical sequences share a
-    /// cell, distinct sequences do not, dropped paths really free.
+    /// Every constructor and accessor against a `Vec<NodeId>` model through
+    /// interleaved building, sharing and dropping: contents, `len` and `==`
+    /// agree at every step, and every cell is released at the end.
     #[test]
-    fn intern_table_survives_random_churn() {
+    fn paths_agree_with_a_vec_model_under_random_ops() {
         let mut rng: u64 = 0x5eed;
         let mut next = || {
             rng = rng
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            rng >> 33
+            (rng >> 33) as usize
         };
+        // A small universe so equal contents, shared suffixes and loop
+        // hits all occur often.
+        let node = |r: usize| NodeId(800 + r % 12);
         let before = PathArena::stats().live_cells;
         let mut held: Vec<(Vec<NodeId>, InternedPath)> = Vec::new();
-        for _ in 0..4000 {
-            let r = next();
-            if r % 3 != 0 || held.is_empty() {
-                // Intern a path of 1..=6 nodes drawn from a small universe
-                // so suffix sharing and exact duplicates both occur often.
-                let len = 1 + (next() % 6) as usize;
-                let nodes: Vec<NodeId> = (0..len)
-                    .map(|_| NodeId(800 + (next() % 24) as usize))
-                    .collect();
-                let p = InternedPath::from_slice(&nodes);
+        for _ in 0..6000 {
+            let op = if held.is_empty() { 0 } else { next() % 8 };
+            let i = next() % held.len().max(1);
+            let made = match op {
+                0 => {
+                    let nodes: Vec<NodeId> = (0..1 + next() % 5).map(|_| node(next())).collect();
+                    Some((InternedPath::from_slice(&nodes), nodes))
+                }
+                1 => {
+                    let v = node(next());
+                    let mut nodes = vec![v];
+                    nodes.extend(&held[i].0);
+                    Some((held[i].1.prepend(v), nodes))
+                }
+                2 => {
+                    let v = node(next());
+                    let got = held[i].1.prepend_unless_contains(v);
+                    assert_eq!(got.is_none(), held[i].0.contains(&v));
+                    got.map(|p| {
+                        let mut nodes = vec![v];
+                        nodes.extend(&held[i].0);
+                        (p, nodes)
+                    })
+                }
+                3 => {
+                    let got = held[i].1.tail();
+                    assert_eq!(got.is_none(), held[i].0.len() == 1);
+                    got.map(|p| (p, held[i].0[1..].to_vec()))
+                }
+                4 => {
+                    // `[front.., joint] ; held[i]`, the joint appearing once.
+                    let mut front: Vec<NodeId> = (0..next() % 3).map(|_| node(next())).collect();
+                    front.push(held[i].0[0]);
+                    let p = InternedPath::from_slice(&front).concat(&held[i].1);
+                    front.extend(&held[i].0[1..]);
+                    Some((p, front))
+                }
+                5 => Some((held[i].1.clone(), held[i].0.clone())),
+                _ => {
+                    held.swap_remove(i);
+                    None
+                }
+            };
+            if let Some((p, nodes)) = made {
                 assert_eq!(p.to_vec(), nodes);
-                // Hash-consing: re-interning must hit the same cell.
-                let q = InternedPath::from_slice(&nodes);
-                assert_eq!(p.id, q.id);
+                assert_eq!(p.len(), nodes.len());
+                assert_eq!(p.last(), *nodes.last().unwrap());
+                // Against a random held path, or against itself.
+                let (other_nodes, other) = match held.get(next() % (held.len() + 1)) {
+                    Some((n, q)) => (n, q),
+                    None => (&nodes, &p),
+                };
+                assert_eq!(p == *other, nodes == *other_nodes);
+                assert_eq!(
+                    p.cmp_route(other),
+                    (nodes.len(), &nodes).cmp(&(other_nodes.len(), other_nodes))
+                );
                 held.push((nodes, p));
-            } else {
-                let i = (next() as usize) % held.len();
-                let (nodes, p) = held.swap_remove(i);
-                assert_eq!(p.to_vec(), nodes);
-                drop(p);
             }
         }
-        // Every held path still reads back; drop the rest and the arena
-        // returns to its pre-test live count (all cells released through
-        // the table's remove path).
-        for (nodes, p) in held.drain(..) {
-            assert_eq!(p.to_vec(), nodes);
-            drop(p);
-        }
+        drop(held);
         assert_eq!(PathArena::stats().live_cells, before);
     }
 
@@ -856,19 +736,12 @@ mod tests {
     }
 
     #[test]
-    fn stats_report_intern_table_bytes() {
-        let _keep: Vec<InternedPath> = (0..64)
-            .map(|i| InternedPath::from_slice(&ids(&[900 + i, 901 + i])))
-            .collect();
+    fn cells_are_sixteen_bytes() {
+        // Four to a cache line, none straddling one.
+        assert_eq!(std::mem::size_of::<Cell>(), 16);
+        let _keep = InternedPath::from_slice(&ids(&[900, 901]));
         let st = PathArena::stats();
-        assert!(st.intern_bytes >= 16 * 4, "table must be allocated");
-        assert!(
-            st.capacity_bytes >= st.intern_bytes,
-            "capacity bytes include the intern table"
-        );
-        // 4 bytes per slot at ≤ 3/4 occupancy: far below the ~28 B/cell of
-        // the map this replaced.
-        assert!(st.intern_bytes < st.capacity_cells * 16);
+        assert!(st.capacity_bytes >= st.capacity_cells * 16);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! A fast, deterministic hasher for simulation-internal maps.
 //!
 //! `std`'s default `SipHash` with per-process random keys costs real time in
-//! the simulator's hot paths (routing tables, Adj-RIB-In maps, the path
-//! arena's intern table) and randomizes iteration order between processes.
+//! the simulator's hot paths (routing tables, Adj-RIB-In maps) and
+//! randomizes iteration order between processes.
 //! This is the well-known `FxHash` multiply-mix scheme (rustc's internal
 //! hasher): not DoS-resistant — irrelevant for a simulator hashing its own
 //! dense ids — but several times faster on small keys and fully

@@ -49,9 +49,8 @@ pub struct ControlBytes {
 }
 
 impl ControlBytes {
-    /// Everything that is not the Adj-RIB-In — the quantity this PR's
-    /// acceptance gate cuts ≥1.5× (the arena intern table, the fourth
-    /// non-RIB component, is process-wide and accounted separately).
+    /// Everything that is not the Adj-RIB-In: the Loc-RIB view plus the
+    /// dissemination bookkeeping.
     pub fn non_rib(&self) -> usize {
         self.loc_rib + self.dissemination
     }
@@ -103,17 +102,6 @@ pub fn legacy_dissemination_bytes(counts: &ControlCounts) -> usize {
     swiss_table_bytes(counts.forwarded, 17)
         + swiss_table_bytes(counts.group_addresses, 8 + WIRE_ADDRESS)
         + swiss_table_bytes(counts.overlay_slots, 8 + 8 + WIRE_ADDRESS)
-}
-
-/// Bytes the pre-PR `FxHashMap<(u32, u32), u32>` arena intern map would
-/// spend given `peak_cells` interned cells at the occupancy peak (12 B
-/// payload per cell), for comparison against
-/// `PathArenaStats::intern_bytes`. Priced on the *peak*, like the
-/// measured side: neither a SwissTable nor the open-addressed slot array
-/// shrinks on its own, so resident size is a function of peak occupancy
-/// on both sides.
-pub fn legacy_intern_bytes(peak_cells: usize) -> usize {
-    swiss_table_bytes(peak_cells, 12)
 }
 
 /// Aggregates per-node [`ControlBytes`] (measured) and the legacy model's
@@ -179,11 +167,6 @@ mod tests {
 
     #[test]
     fn legacy_models_dominate_compact_layouts() {
-        // The open-addressed intern table costs ≤ ~5.4 B per live cell;
-        // the legacy map ≥ 13 B.
-        for cells in [100, 10_000, 1_000_000] {
-            assert!(legacy_intern_bytes(cells) > cells * 13);
-        }
         // A selection column costs ~25 B per dest; the legacy map ≥ 40 B
         // plus capacity slack.
         let counts = ControlCounts {

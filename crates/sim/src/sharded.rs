@@ -85,7 +85,7 @@ const EMPTY_GRAPH_LOOKAHEAD: Weight = 1.0;
 /// a thread-portable wire form. Protocols whose messages are `Send`
 /// already can use themselves as the wire form; protocols with
 /// thread-affine payloads (e.g. paths interned in a thread-local arena)
-/// detach them into owned data here and re-intern on the receiving shard.
+/// detach them into owned data here and rebuild them on the receiving shard.
 ///
 /// `from_wire(to_wire(m))` must be semantically identity: the receiving
 /// node must behave exactly as if `m` had been delivered locally.
