@@ -17,10 +17,10 @@
 //! of `n` (`DiscoConfig::dynamic_n_estimation` is on by default); the
 //! summary then carries a `static_n=on` marker.
 //!
-//! Pass `--shards K` to run on the sharded engine with `K` workers. The
-//! summary is byte-identical for every shard count (including the
-//! sequential engine) — that invariant is golden-locked; `--shards`
-//! exists to exercise and time the parallel path.
+//! Pass `--shards K` (default 1) to run on `K` engine shards. The summary
+//! is byte-identical for every shard count — that invariant is
+//! golden-locked; `--shards` exists to exercise and time the parallel
+//! path, and combines with every flag below.
 //!
 //! Telemetry flags (all optional; with none of them the engine runs the
 //! no-op recorder and the output is the golden-locked summary alone):
@@ -35,10 +35,10 @@
 //!   its phase spans, dumps the flight recorder and exits non-zero on
 //!   failure.
 
-use disco_bench::churn::{
-    churn_experiment, churn_experiment_sharded, churn_experiment_with, ChurnParams,
-};
+use disco_bench::churn::{churn_experiment, ChurnParams};
+use disco_bench::cli::{parse_shards, write_trace};
 use disco_bench::CommonArgs;
+use disco_sim::NoopRecorder;
 use disco_telemetry::{validate_json, FullRecorder};
 
 fn main() {
@@ -46,7 +46,7 @@ fn main() {
     let mut static_n = false;
     let mut telemetry = false;
     let mut smoke = false;
-    let mut shards: Option<usize> = None;
+    let mut shards = 1;
     let mut trace: Option<String> = None;
     let mut rest: Vec<String> = Vec::new();
     let mut it = std::env::args().skip(1);
@@ -56,14 +56,7 @@ fn main() {
             "--static-n" => static_n = true,
             "--telemetry" => telemetry = true,
             "--smoke" => smoke = true,
-            "--shards" => {
-                shards = Some(
-                    it.next()
-                        .expect("missing value for --shards")
-                        .parse()
-                        .expect("--shards"),
-                )
-            }
+            "--shards" => shards = parse_shards(&it.next().expect("missing value for --shards")),
             "--trace" => trace = Some(it.next().expect("missing value for --trace")),
             _ => rest.push(a),
         }
@@ -74,33 +67,20 @@ fn main() {
         .with_forgetful(forgetful)
         .with_static_n(static_n);
 
-    if let Some(shards) = shards {
-        assert!(
-            !(telemetry || smoke || trace.is_some()),
-            "--shards combines with the plain summary only (the telemetry \
-             drivers run the sequential engine)"
-        );
-        let outcome = churn_experiment_sharded(&params, shards);
-        print!("{}", outcome.summary(&params));
-        return;
-    }
-
     if !(telemetry || smoke || trace.is_some()) {
         // Telemetry off: the engine monomorphizes with the no-op recorder —
         // exactly the golden-locked code path.
-        let outcome = churn_experiment(&params);
+        let (outcome, NoopRecorder) = churn_experiment(&params, shards, |_| NoopRecorder);
         print!("{}", outcome.summary(&params));
         return;
     }
 
-    let (outcome, rec) = churn_experiment_with(&params, FullRecorder::new());
+    let (outcome, rec) = churn_experiment(&params, shards, |_| FullRecorder::new());
     print!("{}", outcome.summary(&params));
     print!("{}", rec.summary_lines());
 
     if let Some(path) = &trace {
-        let json = rec.chrome_trace_json();
-        std::fs::write(path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        eprintln!("trace written to {path} ({} bytes)", json.len());
+        write_trace(path, &rec);
     }
 
     if smoke {

@@ -17,19 +17,21 @@
 //! --in-process         run legs in-process (no RSS isolation; CI-friendly)
 //! --trace PATH         run one in-process leg (first size/rate, forgetful)
 //!                      with full telemetry and export a Chrome trace_event
-//!                      timeline of its build/boot/churn/drain phases
+//!                      timeline of its build/boot/churn/drain phases (at
+//!                      any --shards K, plus one window track per shard)
 //! --smoke              gate: one forgetful leg at n=512 under high churn,
 //!                      asserting candidates/node stays under the
 //!                      configured bound; exits non-zero on violation
-//! --shards K           run legs on the sharded engine with K workers
-//!                      (default 0 = sequential; protocol-visible numbers
-//!                      are shard-count invariant, arena gauges sum the
-//!                      workers' thread-local arenas)
+//! --shards K           run legs on K engine shards (default 1;
+//!                      protocol-visible numbers are shard-count
+//!                      invariant, arena gauges sum the shards'
+//!                      thread-local arenas)
 //! --leg k=v ...        (internal) run one leg and print its key=value line
 //! ```
 //!
 //! Run with: `cargo run --release -p disco-bench --bin exp_memory`
 
+use disco_bench::cli::parse_shards;
 use disco_bench::memory::{
     candidate_bound, control_bytes_per_dest_bound, run_leg, run_leg_traced, sqrt_n_log_n,
     MemoryParams, MemoryResult,
@@ -71,7 +73,7 @@ fn parse_args() -> Args {
         smoke: false,
         trace: None,
         leg: None,
-        shards: 0,
+        shards: 1,
     };
     let mut it = std::env::args().skip(1).peekable();
     while let Some(flag) = it.next() {
@@ -98,7 +100,7 @@ fn parse_args() -> Args {
             "--in-process" => out.in_process = true,
             "--smoke" => out.smoke = true,
             "--trace" => out.trace = Some(value("--trace")),
-            "--shards" => out.shards = value("--shards").parse().expect("--shards"),
+            "--shards" => out.shards = parse_shards(&value("--shards")),
             "--leg" => {
                 // Internal: --leg n=4096 rate=0.0002 forgetful=1 seed=1 horizon=500
                 let mut p = MemoryParams::grid_point(512, 1, 0.0002, false);
@@ -110,7 +112,7 @@ fn parse_args() -> Args {
                         "forgetful" => p.forgetful = v == "1",
                         "seed" => p.seed = v.parse().expect("leg seed"),
                         "horizon" => p.horizon = v.parse().expect("leg horizon"),
-                        "shards" => p.shards = v.parse().expect("leg shards"),
+                        "shards" => p.shards = parse_shards(v),
                         other => panic!("unknown leg key {other}"),
                     }
                 }
@@ -172,9 +174,7 @@ fn render_json(args: &Args, results: &[MemoryResult]) -> String {
         j,
         "  \"note\": \"control state under churn vs sqrt(n ln n); peak_rss_mb is per-leg \
          (child process) VmHWM with the watermark reset after the boot flood; \
-         non_rib_bytes_mean splits into loc-rib view + dissemination, and \
-         non_rib_reduction prices the same live contents under the PR 3 layouts \
-         (materialized Loc-RIB map, std dissemination maps)\","
+         non_rib_bytes_mean splits into loc-rib view + dissemination\","
     );
     // Headline acceptance numbers, if the grid contains the 4096 pair.
     let find = |n: usize, rate: f64, forgetful: bool| {
@@ -202,16 +202,6 @@ fn render_json(args: &Args, results: &[MemoryResult]) -> String {
             j,
             "  \"candidate_reduction_n4096\": {:.2},",
             full.cand_mean / slim.cand_mean.max(1.0)
-        );
-        let _ = writeln!(
-            j,
-            "  \"non_rib_reduction_n4096_full\": {:.2},",
-            full.non_rib_reduction
-        );
-        let _ = writeln!(
-            j,
-            "  \"non_rib_reduction_n4096_forgetful\": {:.2},",
-            slim.non_rib_reduction
         );
     }
     let _ = writeln!(j, "  \"results\": [");
@@ -251,8 +241,7 @@ fn main() {
         println!(
             "smoke: n=512 churn rate=0.001 candidates/node mean {:.1} (max {}) vs bound {:.1}; \
              availability {:.4} vs floor {:.4}; non-RIB control bytes/dest {:.1} vs bound {:.1} \
-             (loc-rib {:.0} + dissem {:.0} B/node over {:.1} dests, \
-             legacy layout {:.0} B/node = {:.2}x)",
+             (loc-rib {:.0} + dissem {:.0} B/node over {:.1} dests)",
             r.cand_mean,
             r.cand_max,
             bound,
@@ -263,8 +252,6 @@ fn main() {
             r.loc_rib_bytes_mean,
             r.dissem_bytes_mean,
             r.dests_mean,
-            r.legacy_non_rib_bytes_mean,
-            r.non_rib_reduction,
         );
         if r.cand_mean > bound {
             eprintln!(
@@ -297,6 +284,7 @@ fn main() {
     if let Some(path) = &args.trace {
         let mut p = MemoryParams::grid_point(args.sizes[0], args.seed, args.rates[0], true);
         p.horizon = args.horizon;
+        p.shards = args.shards;
         let r = run_leg_traced(&p, path);
         println!(
             "traced leg: n={} rate={} forgetful=true availability={:.4} quiesced={}",
@@ -306,7 +294,7 @@ fn main() {
     }
 
     println!(
-        "{:>6} {:>8} {:>10} {:>11} {:>9} {:>11} {:>10} {:>9} {:>9} {:>12} {:>10} {:>8}",
+        "{:>6} {:>8} {:>10} {:>11} {:>9} {:>11} {:>10} {:>9} {:>12} {:>10} {:>8}",
         "n",
         "rate",
         "forgetful",
@@ -314,7 +302,6 @@ fn main() {
         "√(nlnn)",
         "rib_kb/node",
         "nonrib_kb",
-        "x-legacy",
         "peak_mb",
         "avail",
         "repair/n",
@@ -333,7 +320,7 @@ fn main() {
                     run_child(n, rate, forgetful, args.seed, args.horizon, args.shards)
                 };
                 println!(
-                    "{:>6} {:>8} {:>10} {:>11.1} {:>9.1} {:>11.1} {:>10.1} {:>9.2} {:>9.1} {:>12.4} {:>10.1} {:>8.1}",
+                    "{:>6} {:>8} {:>10} {:>11.1} {:>9.1} {:>11.1} {:>10.1} {:>9.1} {:>12.4} {:>10.1} {:>8.1}",
                     r.n,
                     r.leave_rate,
                     r.forgetful,
@@ -341,7 +328,6 @@ fn main() {
                     sqrt_n_log_n(r.n),
                     r.rib_bytes_mean / 1024.0,
                     r.non_rib_bytes_mean / 1024.0,
-                    r.non_rib_reduction,
                     r.peak_rss_bytes as f64 / (1024.0 * 1024.0),
                     r.availability,
                     r.repair_msgs_per_node,

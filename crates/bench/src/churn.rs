@@ -12,12 +12,9 @@ use disco_core::config::DiscoConfig;
 use disco_core::landmark::{landmark_set, select_landmarks};
 use disco_core::protocol::{DiscoProtocol, PhaseTimers};
 use disco_dynamics::models::PoissonChurn;
-use disco_dynamics::probe::{
-    disco_first_packet_route, disco_probe_sharded, probe, sample_live_pairs,
-    sample_live_pairs_sharded,
-};
+use disco_dynamics::probe::{disco_probe, sample_live_pairs};
 use disco_graph::generators;
-use disco_sim::{Engine, NoopRecorder, Phase, Recorder, ShardedEngine, TimerWheel};
+use disco_sim::{MergeRecorder, Phase, ShardedEngine};
 use std::fmt::Write as _;
 
 /// Parameters of one churn run.
@@ -203,43 +200,45 @@ impl ChurnOutcome {
     }
 }
 
-/// Run the churn experiment (no telemetry: the engine monomorphizes with
-/// the no-op recorder, compiling to exactly the un-instrumented hot path).
-pub fn churn_experiment(params: &ChurnParams) -> ChurnOutcome {
-    churn_experiment_with(params, NoopRecorder).0
-}
-
-/// Run the churn experiment reporting into `recorder`, returning the
-/// outcome together with the recorder (carrying counters, phase spans,
-/// repair-latency windows and the flight ring).
+/// Run the churn experiment on `shards` shards, shard `i` reporting into
+/// `recorders(i)`; returns the outcome together with the merged recorder
+/// (counters, phase spans, repair-latency windows, the flight ring).
 ///
-/// The run is identical to [`churn_experiment`]'s whatever recorder is
-/// attached: recorders only observe. The observer-effect test compares
-/// this run's summary under a full recorder against the no-op golden.
-pub fn churn_experiment_with<R: Recorder>(
+/// The outcome — and so the summary — is the same whatever the shard
+/// count and whatever recorder is attached: every shard count executes
+/// the same logical event schedule, the probes read protocol state on the
+/// shards that own it in the same candidate order, and recorders only
+/// observe (with `|_| NoopRecorder` the engine monomorphizes to the
+/// uninstrumented hot path). The golden tests lock the first, the
+/// observer-effect tests the second.
+pub fn churn_experiment<R: MergeRecorder + Send + 'static>(
     params: &ChurnParams,
-    mut recorder: R,
+    shards: usize,
+    mut recorders: impl FnMut(usize) -> R,
 ) -> (ChurnOutcome, R) {
     let n = params.nodes;
-    recorder.phase_begin(Phase::Build, 0.0);
+    // Shard 0's recorder carries the run's phase spans; it exists before
+    // the engine so the build span has something to time.
+    let mut rec0 = recorders(0);
+    rec0.phase_begin(Phase::Build, 0.0);
     let graph = generators::gnm_average_degree(n, 8.0, params.seed);
     let cfg = params.config();
     let landmarks = select_landmarks(n, &cfg);
     let lm_set = landmark_set(&landmarks);
-    recorder.phase_end(Phase::Build, 0.0);
+    rec0.phase_end(Phase::Build, 0.0);
 
-    let mut engine = Engine::with_recorder(
+    let mut rec0 = Some(rec0);
+    let mut engine = ShardedEngine::with_recorder(
         &graph,
-        |v| DiscoProtocol::new(v, lm_set.contains(&v), n, &cfg, PhaseTimers::default()),
-        TimerWheel::new(),
-        recorder,
+        shards,
+        params.seed,
+        move |v| DiscoProtocol::new(v, lm_set.contains(&v), n, &cfg, PhaseTimers::default()),
+        |me| rec0.take().unwrap_or_else(|| recorders(me)),
     );
-    engine.recorder_mut().phase_begin(Phase::Boot, 0.0);
+    engine.mark(|r| r.phase_begin(Phase::Boot, 0.0));
     let report = engine.run();
     assert!(report.converged, "initial convergence failed");
-    let convergence_msgs = engine.stats().total_sent();
-    let boot_end = engine.now();
-    engine.recorder_mut().phase_end(Phase::Boot, boot_end);
+    let convergence_msgs = report.stats.total_sent();
 
     // Compile and inject the churn schedule relative to "now".
     let model = PoissonChurn {
@@ -250,8 +249,13 @@ pub fn churn_experiment_with<R: Recorder>(
     };
     let schedule = model.compile(&graph, params.seed);
     let start = engine.now();
-    schedule.apply_to(&mut engine);
-    engine.recorder_mut().phase_begin(Phase::Churn, start);
+    schedule
+        .apply_to(&mut engine)
+        .expect("churn schedule re-adds only links of the original graph");
+    engine.mark(move |r| {
+        r.phase_end(Phase::Boot, start);
+        r.phase_begin(Phase::Churn, start);
+    });
 
     // Probe at fixed times through the churn window.
     let mut timeline = Vec::with_capacity(params.probes + 1);
@@ -261,7 +265,7 @@ pub fn churn_experiment_with<R: Recorder>(
         let t = start + params.horizon * i as f64 / params.probes as f64;
         engine.run_to(t);
         let pairs = sample_live_pairs(&engine, params.pairs_per_probe, params.seed ^ i as u64);
-        let p = probe(&engine, &pairs, disco_first_packet_route);
+        let p = disco_probe(&mut engine, &pairs);
         routable_total += p.routable;
         delivered_total += p.delivered;
         timeline.push(ChurnProbe {
@@ -278,13 +282,15 @@ pub fn churn_experiment_with<R: Recorder>(
         delivered_total as f64 / routable_total as f64
     };
     let churn_end = engine.now();
-    engine.recorder_mut().phase_end(Phase::Churn, churn_end);
-    engine.recorder_mut().phase_begin(Phase::Drain, churn_end);
+    engine.mark(move |r| {
+        r.phase_end(Phase::Churn, churn_end);
+        r.phase_begin(Phase::Drain, churn_end);
+    });
 
     // Let the network fully quiesce, then probe once more.
     let quiesced = engine.run_until(|_| false);
     let pairs = sample_live_pairs(&engine, params.pairs_per_probe, params.seed ^ 0xf17a1);
-    let p = probe(&engine, &pairs, disco_first_packet_route);
+    let p = disco_probe(&mut engine, &pairs);
     let final_availability = p.availability();
     timeline.push(ChurnProbe {
         time: engine.now() - start,
@@ -294,111 +300,11 @@ pub fn churn_experiment_with<R: Recorder>(
         mean_stretch: p.mean_stretch(),
     });
     let end = engine.now();
-    engine.recorder_mut().phase_end(Phase::Drain, end);
-    engine.recorder_mut().finish(end);
-
-    let (queue_live, queue_dead) = engine.queue_stats();
-    let outcome = ChurnOutcome {
-        timeline,
-        availability,
-        final_availability,
-        topology_events: engine.topology_events(),
-        messages_dropped: engine.messages_dropped(),
-        convergence_msgs_per_node: convergence_msgs as f64 / n as f64,
-        repair_msgs_per_node: (engine.stats().total_sent() - convergence_msgs) as f64 / n as f64,
-        quiesced,
-        messages_delivered: engine.messages_delivered(),
-        stale_timer_pops: engine.stale_timer_pops(),
-        queue_live,
-        queue_dead,
-        bytes_sent: engine.stats().total_bytes(),
-        bytes_received: engine.stats().total_bytes_received(),
-    };
-    (outcome, engine.into_recorder())
-}
-
-/// [`churn_experiment`] on the sharded engine with `shards` workers.
-///
-/// Returns the same [`ChurnOutcome`] — byte-identical summary for every
-/// shard count, including 1 — because the sharded engine executes the
-/// same logical event schedule as the sequential one and the probes read
-/// protocol state through batched shard visits that reproduce the
-/// sequential oracle's candidate order (see
-/// `disco_dynamics::probe::disco_probe_sharded`). The golden test locks
-/// this equality in.
-pub fn churn_experiment_sharded(params: &ChurnParams, shards: usize) -> ChurnOutcome {
-    let n = params.nodes;
-    let graph = generators::gnm_average_degree(n, 8.0, params.seed);
-    let cfg = params.config();
-    let landmarks = select_landmarks(n, &cfg);
-    let lm_set = landmark_set(&landmarks);
-
-    let factory_cfg = cfg.clone();
-    let mut engine = ShardedEngine::new(&graph, shards, params.seed, move |v| {
-        DiscoProtocol::new(
-            v,
-            lm_set.contains(&v),
-            n,
-            &factory_cfg,
-            PhaseTimers::default(),
-        )
-    });
-    let report = engine.run();
-    assert!(report.converged, "initial convergence failed");
-    let convergence_msgs = report.stats.total_sent();
-
-    let model = PoissonChurn {
-        leave_rate_per_node: params.leave_rate_per_node,
-        mean_downtime: params.mean_downtime,
-        horizon: params.horizon,
-        ..PoissonChurn::default()
-    };
-    let schedule = model.compile(&graph, params.seed);
-    let start = engine.now();
-    schedule
-        .apply_to_sharded(&mut engine)
-        .expect("churn schedule re-adds only links of the original graph");
-
-    let mut timeline = Vec::with_capacity(params.probes + 1);
-    let mut routable_total = 0usize;
-    let mut delivered_total = 0usize;
-    for i in 1..=params.probes {
-        let t = start + params.horizon * i as f64 / params.probes as f64;
-        engine.run_to(t);
-        let pairs =
-            sample_live_pairs_sharded(&engine, params.pairs_per_probe, params.seed ^ i as u64);
-        let p = disco_probe_sharded(&mut engine, &pairs);
-        routable_total += p.routable;
-        delivered_total += p.delivered;
-        timeline.push(ChurnProbe {
-            time: p.time - start,
-            live: engine.active_count(),
-            routable: p.routable,
-            delivered: p.delivered,
-            mean_stretch: p.mean_stretch(),
-        });
-    }
-    let availability = if routable_total == 0 {
-        1.0
-    } else {
-        delivered_total as f64 / routable_total as f64
-    };
-
-    let quiesced = engine.run_until(|_| false);
-    let pairs = sample_live_pairs_sharded(&engine, params.pairs_per_probe, params.seed ^ 0xf17a1);
-    let p = disco_probe_sharded(&mut engine, &pairs);
-    let final_availability = p.availability();
-    timeline.push(ChurnProbe {
-        time: engine.now() - start,
-        live: engine.active_count(),
-        routable: p.routable,
-        delivered: p.delivered,
-        mean_stretch: p.mean_stretch(),
-    });
+    engine.mark(move |r| r.phase_end(Phase::Drain, end));
 
     let (queue_live, queue_dead) = engine.queue_stats();
     let stats = engine.merged_stats();
-    ChurnOutcome {
+    let outcome = ChurnOutcome {
         timeline,
         availability,
         final_availability,
@@ -413,12 +319,14 @@ pub fn churn_experiment_sharded(params: &ChurnParams, shards: usize) -> ChurnOut
         queue_dead,
         bytes_sent: stats.total_bytes(),
         bytes_received: stats.total_bytes_received(),
-    }
+    };
+    (outcome, engine.finish().recorder)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use disco_sim::NoopRecorder;
 
     /// The PR's acceptance run, at reduced scale so the suite stays fast:
     /// deterministic summary, ≥ 90% availability under churn, full
@@ -428,8 +336,8 @@ mod tests {
     #[test]
     fn churn_small_acceptance() {
         let params = ChurnParams::sized(192, 7);
-        let a = churn_experiment(&params);
-        let b = churn_experiment(&params);
+        let a = churn_experiment(&params, 1, |_| NoopRecorder).0;
+        let b = churn_experiment(&params, 1, |_| NoopRecorder).0;
         assert_eq!(
             a.summary(&params),
             b.summary(&params),
@@ -459,8 +367,8 @@ mod tests {
     #[ignore = "full-scale acceptance run (~release-mode minutes in debug); exp_churn runs the same thing"]
     fn churn_512_acceptance() {
         let params = ChurnParams::sized(512, 1);
-        let a = churn_experiment(&params);
-        let b = churn_experiment(&params);
+        let a = churn_experiment(&params, 1, |_| NoopRecorder).0;
+        let b = churn_experiment(&params, 1, |_| NoopRecorder).0;
         assert_eq!(a.summary(&params), b.summary(&params));
         assert!(a.quiesced);
         assert!(a.availability >= 0.90, "availability {:.4}", a.availability);

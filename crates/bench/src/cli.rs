@@ -1,5 +1,6 @@
 //! Minimal command-line argument handling shared by the `fig*` / `exp*`
-//! binaries.
+//! binaries, plus the two file chores the dynamic bins share: exporting a
+//! trace and reading a recorded floor.
 //!
 //! Every binary accepts the same flags so a full figure sweep can be
 //! scripted uniformly:
@@ -16,6 +17,7 @@
 //! is deliberately small); unknown flags abort with a usage message.
 
 use disco_metrics::experiment::ExperimentParams;
+use disco_telemetry::FullRecorder;
 
 /// Parsed common arguments.
 #[derive(Debug, Clone)]
@@ -30,6 +32,36 @@ pub struct CommonArgs {
     pub dests: usize,
     /// CDF points to print.
     pub points: usize,
+}
+
+/// Parse the value of a `--shards K` flag: the number of engine shards,
+/// K ≥ 1 (there is no second, shard-less engine for 0 to select).
+pub fn parse_shards(value: &str) -> usize {
+    let shards: usize = value.parse().expect("--shards");
+    assert!(shards >= 1, "--shards takes K >= 1");
+    shards
+}
+
+/// Export a finished run's recorder as a Chrome `trace_event` timeline at
+/// `path` (what every bin's `--trace PATH` does).
+pub fn write_trace(path: &str, rec: &FullRecorder) {
+    let json = rec.chrome_trace_json();
+    std::fs::write(path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+    eprintln!("trace written to {path} ({} bytes)", json.len());
+}
+
+/// A top-level numeric `key` of the recorded `BENCH_*.json` report at
+/// `path` (one `"key": value,` per line, as the bins write them) — where
+/// the `--smoke` gates read their floors.
+pub fn recorded(path: &str, key: &str) -> Option<f64> {
+    let report = std::fs::read_to_string(path).ok()?;
+    let line = report.lines().find(|l| l.contains(&format!("\"{key}\"")))?;
+    line.split(':')
+        .nth(1)?
+        .trim()
+        .trim_end_matches(',')
+        .parse()
+        .ok()
 }
 
 impl CommonArgs {

@@ -3,8 +3,8 @@
 //!
 //! Every prior experiment measures the *control* plane. This one forwards
 //! packets: each node's RIB selection column is compiled into a flat
-//! [`ForwardingTable`] behind an epoch-stamped [`TablePublisher`]
-//! double-buffer, and batched flat-name lookups (a Zipf mix and a uniform
+//! [`ForwardingTable`](disco_core::forward::ForwardingTable) behind an
+//! epoch-stamped [`TablePublisher`] double-buffer, and batched flat-name lookups (a Zipf mix and a uniform
 //! mix of destinations over the live nodes) are driven hop-by-hop through
 //! the *published* epochs while the protocol keeps repairing underneath.
 //! Reported per phase: lookups/sec (the headline — every table probe a
@@ -16,25 +16,24 @@
 //! republishes its final revision and the last batch must lose nothing:
 //! zero stale loss after drain is the gate.
 //!
-//! The sharded leg compiles tables on their owner shards (plain-array
-//! tables cross threads; interned paths do not), ships them to the
-//! coordinator and walks on its topology mirror. Publish decisions are
-//! made from the exact same `(published revision, debounce, control
-//! revision)` inputs as the sequential leg, so every deterministic column
-//! — walks, deliveries, stale losses, lookup counts, republishes — is
-//! identical across shard counts; only wall-clock differs.
+//! Tables compile on the shard that owns their node (plain-array tables
+//! cross threads; interned paths do not), ship to the coordinator and are
+//! walked on its topology mirror. Publish decisions are made from the
+//! `(published revision, debounce, control revision)` inputs alone, so
+//! every deterministic column — walks, deliveries, stale losses, lookup
+//! counts, republishes — is identical across shard counts; only
+//! wall-clock differs.
 
+use crate::cli::write_trace;
 use disco_core::config::DiscoConfig;
-use disco_core::forward::{ForwardingTable, TablePublisher};
+use disco_core::forward::TablePublisher;
 use disco_core::landmark::{landmark_set, select_landmarks};
 use disco_core::protocol::{DiscoProtocol, PhaseTimers};
 use disco_dynamics::forward::{hop_distances, FlowAddress, PacketWalker, WalkOutcome};
 use disco_dynamics::models::PoissonChurn;
-use disco_graph::{generators, FxHashMap, Graph, NodeId};
+use disco_graph::{generators, FxHashMap, NodeId};
 use disco_sim::rng::rng_for;
-use disco_sim::{
-    Engine, EventQueue, NoopRecorder, Phase, Protocol, Recorder, ShardedEngine, TimerWheel,
-};
+use disco_sim::{MergeRecorder, NoopRecorder, Phase, Protocol, Recorder, ShardedEngine};
 use disco_telemetry::{FullRecorder, Log2Histogram, MessageClass};
 use rand::Rng;
 use std::time::Instant;
@@ -63,11 +62,10 @@ pub struct ForwardConfig {
     /// Publisher debounce in simulation-time units: selection changes
     /// closer than this to the last publish coalesce into one republish.
     pub debounce: f64,
-    /// Worker shards (0 = the sequential engine).
+    /// Engine shards (one worker thread each).
     pub shards: usize,
-    /// Write the run as a Chrome `trace_event` timeline to this path
-    /// (sequential legs only): control-plane classes plus the
-    /// delivered-lookups data-plane track.
+    /// Write the run as a Chrome `trace_event` timeline to this path:
+    /// control-plane classes plus the delivered-lookups data-plane track.
     pub trace: Option<String>,
     /// Run the live synopsis-diffusion n-estimation gossip. Off by
     /// default: the gossip is `exp_churn`'s subject and dominates control
@@ -141,7 +139,7 @@ impl PhaseRow {
     }
 
     /// The deterministic columns (everything but wall clock), for the
-    /// sharded-vs-sequential equivalence check.
+    /// shard-count-invariance check.
     pub fn deterministic_key(&self) -> [u64; 10] {
         [
             self.walks,
@@ -191,7 +189,7 @@ impl PhaseRow {
 pub struct ForwardResult {
     /// Network size.
     pub n: usize,
-    /// Worker shards (0 = sequential).
+    /// Engine shards the leg ran on.
     pub shards: usize,
     /// Landmarks elected.
     pub landmarks: usize,
@@ -291,102 +289,82 @@ impl PhaseAcc {
     }
 }
 
-/// The engine surface the traffic generator drives — implemented by the
-/// sequential [`Engine`] and the [`ShardedEngine`], so boot/churn/drain
-/// checkpoints run the identical decision sequence on both.
-trait DataPlane {
-    fn run_to_t(&mut self, t: f64);
-    /// Run to quiescence; returns the simulation end time.
-    fn drain_to_quiescence(&mut self) -> f64;
-    fn topo(&self) -> &Graph;
-    fn is_live(&self, v: NodeId) -> bool;
-    fn live_nodes(&self) -> Vec<NodeId>;
-    /// Republish every live node whose control revision moved (modulo
-    /// debounce); returns the number of new epochs.
-    fn republish(&mut self, pubs: &mut [TablePublisher], now: f64) -> u64;
-    /// Resolve each flow's destination address (omniscient resolution:
-    /// the probe reads the destination's current `my_address`, detached
-    /// from the path arena).
-    fn addresses(&mut self, flows: &[(NodeId, NodeId)]) -> Vec<Option<FlowAddress>>;
-    /// Feed the run's recorder with one checkpoint's data-plane telemetry
-    /// (no-op on untraced/sharded legs).
-    fn record_lookups(
-        &mut self,
-        _now: f64,
-        _flows: &[(NodeId, NodeId)],
-        _outcomes: &[WalkOutcome],
-        _lookup_ns: &[u64],
-    ) {
+/// The engine the traffic generator drives.
+type Plane<R> = ShardedEngine<DiscoProtocol, R>;
+
+/// Republish every live node whose control revision moved (modulo
+/// debounce); returns the number of new epochs. Each node's
+/// publish-decision inputs ship to its owner together with the
+/// publisher's spare buffer; the owner evaluates exactly
+/// [`TablePublisher::needs_publish`] and compiles — into that buffer, so
+/// a steady-state republish allocates nothing — only the tables that need
+/// a new epoch.
+fn republish<R: Recorder + Send + 'static>(
+    plane: &mut Plane<R>,
+    pubs: &mut [TablePublisher],
+    now: f64,
+) -> u64 {
+    let live: Vec<NodeId> = (0..pubs.len())
+        .map(NodeId)
+        .filter(|&v| plane.is_active(v))
+        .collect();
+    let asks = live
+        .iter()
+        .map(|&v| {
+            let p = &mut pubs[v.0];
+            let ask = (p.published_revision(), p.may_publish_at(now));
+            (v, (ask, std::mem::take(p.spare_mut())))
+        })
+        .collect();
+    let tables = plane.gather(asks, |e, v, ((published, may_publish), mut spare)| {
+        let node = &e.nodes()[v.0];
+        let needs = match published {
+            None => true,
+            Some(rev) => rev != node.control_revision() && may_publish,
+        };
+        if needs {
+            node.compile_forwarding_into(&mut spare);
+        }
+        (needs, spare)
+    });
+    let mut count = 0;
+    for (v, (compiled, table)) in live.into_iter().zip(tables) {
+        if compiled {
+            pubs[v.0].publish_with(now, |slot| *slot = table);
+            count += 1;
+        } else {
+            *pubs[v.0].spare_mut() = table;
+        }
     }
-    /// Phase marks for the trace timeline (no-op when untraced).
-    fn mark_phase(&mut self, _phase: Phase, _begin: bool, _now: f64) {}
+    count
 }
 
-impl<Q, R> DataPlane for Engine<'_, DiscoProtocol, Q, R>
-where
-    Q: EventQueue<<DiscoProtocol as Protocol>::Message>,
-    R: Recorder,
-{
-    fn run_to_t(&mut self, t: f64) {
-        self.run_to(t);
-    }
+/// Resolve each flow's destination address (omniscient resolution: the
+/// probe reads the destination's current `my_address` on its owner,
+/// detached from the path arena).
+fn addresses<R: Recorder + Send + 'static>(
+    plane: &mut Plane<R>,
+    flows: &[(NodeId, NodeId)],
+) -> Vec<Option<FlowAddress>> {
+    let asks = flows.iter().map(|&(_, t)| (t, ())).collect();
+    plane.gather(asks, |e, t, ()| {
+        e.nodes()[t.0].my_address().map(|a| FlowAddress {
+            landmark: a.landmark,
+            path: a.path.to_vec(),
+        })
+    })
+}
 
-    fn drain_to_quiescence(&mut self) -> f64 {
-        self.run_until(|_| false);
-        self.now()
-    }
-
-    fn topo(&self) -> &Graph {
-        self.graph()
-    }
-
-    fn is_live(&self, v: NodeId) -> bool {
-        self.is_active(v)
-    }
-
-    fn live_nodes(&self) -> Vec<NodeId> {
-        self.active_nodes().collect()
-    }
-
-    fn republish(&mut self, pubs: &mut [TablePublisher], now: f64) -> u64 {
-        let mut count = 0;
-        for (v, publisher) in pubs.iter_mut().enumerate() {
-            if !self.is_active(NodeId(v)) {
-                continue;
-            }
-            let node = &self.nodes()[v];
-            if publisher.needs_publish(node.control_revision(), now) {
-                publisher.publish_with(now, |t| node.compile_forwarding_into(t));
-                count += 1;
-            }
-        }
-        count
-    }
-
-    fn addresses(&mut self, flows: &[(NodeId, NodeId)]) -> Vec<Option<FlowAddress>> {
-        let nodes = self.nodes();
-        flows
-            .iter()
-            .map(|&(_, t)| {
-                nodes[t.0].my_address().map(|a| FlowAddress {
-                    landmark: a.landmark,
-                    path: a.path.to_vec(),
-                })
-            })
-            .collect()
-    }
-
-    fn record_lookups(
-        &mut self,
-        now: f64,
-        flows: &[(NodeId, NodeId)],
-        outcomes: &[WalkOutcome],
-        lookup_ns: &[u64],
-    ) {
-        if !R::ENABLED {
-            return;
-        }
-        let rec = self.recorder_mut();
+/// Feed the run's recorder with one checkpoint's data-plane telemetry
+/// (skipped when untraced).
+fn record_lookups<R: Recorder + Send + 'static>(
+    plane: &mut Plane<R>,
+    now: f64,
+    flows: Vec<(NodeId, NodeId)>,
+    outcomes: Vec<WalkOutcome>,
+    lookup_ns: Vec<u64>,
+) {
+    plane.mark(move |rec| {
         // A lookup "message" is the probe key: 4 bytes on the wire model.
         rec.message_sent(
             now,
@@ -395,7 +373,7 @@ where
             4 * flows.len() as u64,
         );
         let mut dropped = 0;
-        for (&(s, t), out) in flows.iter().zip(outcomes) {
+        for (&(s, t), out) in flows.iter().zip(&outcomes) {
             if out.delivered() {
                 rec.message_delivered(now, MessageClass::Lookup, s.0 as u32, t.0 as u32);
             } else {
@@ -405,119 +383,10 @@ where
         if dropped > 0 {
             rec.message_dropped(now, MessageClass::Lookup, dropped);
         }
-        for &ns in lookup_ns {
+        for &ns in &lookup_ns {
             rec.event_done(MessageClass::Lookup, ns);
         }
-    }
-
-    fn mark_phase(&mut self, phase: Phase, begin: bool, now: f64) {
-        if !R::ENABLED {
-            return;
-        }
-        if begin {
-            self.recorder_mut().phase_begin(phase, now);
-        } else {
-            self.recorder_mut().phase_end(phase, now);
-        }
-    }
-}
-
-impl DataPlane for ShardedEngine<DiscoProtocol, NoopRecorder> {
-    fn run_to_t(&mut self, t: f64) {
-        self.run_to(t);
-    }
-
-    fn drain_to_quiescence(&mut self) -> f64 {
-        self.run_until(|_| false);
-        self.now()
-    }
-
-    fn topo(&self) -> &Graph {
-        self.graph()
-    }
-
-    fn is_live(&self, v: NodeId) -> bool {
-        self.is_active(v)
-    }
-
-    fn live_nodes(&self) -> Vec<NodeId> {
-        self.active_nodes().collect()
-    }
-
-    fn republish(&mut self, pubs: &mut [TablePublisher], now: f64) -> u64 {
-        let mut count = 0;
-        for shard in 0..self.shards() {
-            // Ship each owned node's publish-decision inputs to its shard;
-            // the worker evaluates exactly `TablePublisher::needs_publish`
-            // and compiles only the tables that need a new epoch.
-            let mine: Vec<(usize, Option<u64>, bool)> = (0..pubs.len())
-                .filter(|&v| self.owner_of(NodeId(v)) == shard && self.is_active(NodeId(v)))
-                .map(|v| (v, pubs[v].published_revision(), pubs[v].may_publish_at(now)))
-                .collect();
-            if mine.is_empty() {
-                continue;
-            }
-            let rows: Vec<(usize, Option<ForwardingTable>)> = self.visit(shard, move |e| {
-                let nodes = e.nodes();
-                mine.into_iter()
-                    .map(|(v, pub_rev, may)| {
-                        let node = &nodes[v];
-                        let rev = node.control_revision();
-                        let needs = match pub_rev {
-                            None => true,
-                            Some(pr) => pr != rev && may,
-                        };
-                        let table = needs.then(|| {
-                            let mut t = ForwardingTable::new(NodeId(v));
-                            node.compile_forwarding_into(&mut t);
-                            t
-                        });
-                        (v, table)
-                    })
-                    .collect()
-            });
-            for (v, table) in rows {
-                if let Some(table) = table {
-                    pubs[v].publish_with(now, |slot| *slot = table);
-                    count += 1;
-                }
-            }
-        }
-        count
-    }
-
-    fn addresses(&mut self, flows: &[(NodeId, NodeId)]) -> Vec<Option<FlowAddress>> {
-        let mut out: Vec<Option<FlowAddress>> = vec![None; flows.len()];
-        for shard in 0..self.shards() {
-            let mine: Vec<(usize, usize)> = flows
-                .iter()
-                .enumerate()
-                .filter(|&(_, &(_, t))| self.owner_of(t) == shard)
-                .map(|(i, &(_, t))| (i, t.0))
-                .collect();
-            if mine.is_empty() {
-                continue;
-            }
-            // Addresses come back with their label paths detached from
-            // the worker's thread-local arena.
-            type AddrRow = (usize, Option<(NodeId, Vec<NodeId>)>);
-            let rows: Vec<AddrRow> = self.visit(shard, move |e| {
-                let nodes = e.nodes();
-                mine.into_iter()
-                    .map(|(i, t)| {
-                        (
-                            i,
-                            nodes[t].my_address().map(|a| (a.landmark, a.path.to_vec())),
-                        )
-                    })
-                    .collect()
-            });
-            for (i, addr) in rows {
-                out[i] = addr.map(|(landmark, path)| FlowAddress { landmark, path });
-            }
-        }
-        out
-    }
+    });
 }
 
 /// Sample one checkpoint's flows: sources uniform over the live nodes;
@@ -562,8 +431,8 @@ fn sample_flows(
 /// Run one checkpoint: republish, sample flows, resolve addresses, walk
 /// every packet through the published epochs (the timed batch), then
 /// classify outcomes against BFS reachability.
-fn checkpoint<D: DataPlane>(
-    plane: &mut D,
+fn checkpoint<R: Recorder + Send + 'static>(
+    plane: &mut Plane<R>,
     pubs: &mut [TablePublisher],
     acc: &mut PhaseAcc,
     cfg: &ForwardConfig,
@@ -571,22 +440,22 @@ fn checkpoint<D: DataPlane>(
     now: f64,
 ) {
     acc.checkpoints += 1;
-    acc.republishes += plane.republish(pubs, now);
-    let live = plane.live_nodes();
+    acc.republishes += republish(plane, pubs, now);
+    let live: Vec<NodeId> = plane.active_nodes().collect();
     if live.len() < 2 {
         return;
     }
     let flows = sample_flows(&live, cfg.flows, cfg.seed, checkpoint_idx);
-    let addrs = plane.addresses(&flows);
+    let addrs = addresses(plane, &flows);
 
     // The timed batch: every table probe of every walk, individually
     // clocked into the latency histogram.
-    let graph = plane.topo();
+    let graph = plane.graph();
     let mut outcomes = Vec::with_capacity(flows.len());
     let mut lookup_ns: Vec<u64> = Vec::with_capacity(flows.len() * 3);
     let walker = PacketWalker {
         graph,
-        is_active: |v: NodeId| plane.is_live(v),
+        is_active: |v: NodeId| plane.is_active(v),
         table_of: |v: NodeId| {
             let p = &pubs[v.0];
             p.has_published().then(|| p.table())
@@ -606,10 +475,9 @@ fn checkpoint<D: DataPlane>(
     // Classification + stretch, outside the timed window. BFS runs once
     // per distinct source that needs it (stretch subsample + drops).
     let mut bfs: FxHashMap<NodeId, Vec<u32>> = FxHashMap::default();
-    let mut dist_to = |s: NodeId, t: NodeId, plane: &D| {
-        let graph = plane.topo();
+    let mut dist_to = |s: NodeId, t: NodeId| {
         bfs.entry(s)
-            .or_insert_with(|| hop_distances(graph, |v| plane.is_live(v), s))[t.0]
+            .or_insert_with(|| hop_distances(graph, |v| plane.is_active(v), s))[t.0]
     };
     for (i, (&(s, t), out)) in flows.iter().zip(&outcomes).enumerate() {
         acc.walks += 1;
@@ -618,7 +486,7 @@ fn checkpoint<D: DataPlane>(
                 acc.delivered += 1;
                 acc.hops += u64::from(*hops);
                 if i < STRETCH_SAMPLE {
-                    let d = dist_to(s, t, plane);
+                    let d = dist_to(s, t);
                     if d != u32::MAX && d > 0 {
                         acc.stretch_hops += u64::from(*hops);
                         acc.stretch_dist += u64::from(d);
@@ -626,14 +494,14 @@ fn checkpoint<D: DataPlane>(
                 }
             }
             WalkOutcome::StaleLoss { .. } | WalkOutcome::TtlExceeded => {
-                if dist_to(s, t, plane) == u32::MAX {
+                if dist_to(s, t) == u32::MAX {
                     acc.unreachable += 1;
                 } else {
                     acc.stale_loss += 1;
                 }
             }
             WalkOutcome::Miss { .. } => {
-                if dist_to(s, t, plane) == u32::MAX {
+                if dist_to(s, t) == u32::MAX {
                     acc.unreachable += 1;
                 } else {
                     acc.miss += 1;
@@ -641,57 +509,30 @@ fn checkpoint<D: DataPlane>(
             }
         }
     }
-    plane.record_lookups(now, &flows, &outcomes, &lookup_ns);
-}
-
-/// Drive the boot/churn/drain phase schedule over any [`DataPlane`].
-fn drive_phases<D: DataPlane>(
-    plane: &mut D,
-    pubs: &mut [TablePublisher],
-    cfg: &ForwardConfig,
-) -> (PhaseRow, PhaseRow, PhaseRow, f64) {
-    let mut ck = 0u64;
-    let mut boot = PhaseAcc::default();
-    plane.mark_phase(Phase::Boot, true, 0.0);
-    for &t in BOOT_CHECKPOINTS {
-        plane.run_to_t(t);
-        checkpoint(plane, pubs, &mut boot, cfg, ck, t);
-        ck += 1;
-    }
-    plane.mark_phase(Phase::Boot, false, *BOOT_CHECKPOINTS.last().unwrap());
-
-    let mut churn = PhaseAcc::default();
-    plane.mark_phase(Phase::Churn, true, *BOOT_CHECKPOINTS.last().unwrap());
-    for &t in CHURN_CHECKPOINTS {
-        plane.run_to_t(t);
-        checkpoint(plane, pubs, &mut churn, cfg, ck, t);
-        ck += 1;
-    }
-    let churn_end = *CHURN_CHECKPOINTS.last().unwrap();
-    plane.mark_phase(Phase::Churn, false, churn_end);
-
-    plane.mark_phase(Phase::Drain, true, churn_end);
-    let sim_end = plane.drain_to_quiescence();
-    let mut drain = PhaseAcc::default();
-    checkpoint(plane, pubs, &mut drain, cfg, ck, sim_end);
-    plane.mark_phase(Phase::Drain, false, sim_end);
-
-    (
-        boot.into_row("boot"),
-        churn.into_row("churn"),
-        drain.into_row("drain"),
-        sim_end,
-    )
+    record_lookups(plane, now, flows, outcomes, lookup_ns);
 }
 
 /// Run one `exp_forward` leg. Deterministic in `(n, seed, flows,
 /// debounce)` up to wall-clock columns, including across shard counts.
 pub fn run_one(cfg: &ForwardConfig) -> ForwardResult {
+    match &cfg.trace {
+        Some(path) => {
+            let (result, rec) = run_with(cfg, |_| FullRecorder::new());
+            write_trace(path, &rec);
+            result
+        }
+        None => run_with(cfg, |_| NoopRecorder).0,
+    }
+}
+
+fn run_with<R: MergeRecorder + Send + 'static>(
+    cfg: &ForwardConfig,
+    recorders: impl FnMut(usize) -> R,
+) -> (ForwardResult, R) {
     let graph = generators::gnm_average_degree(cfg.n, 8.0, cfg.seed);
     let dcfg = DiscoConfig::seeded(cfg.seed).with_dynamic_n_estimation(cfg.dynamic_n);
     let landmarks = select_landmarks(cfg.n, &dcfg);
     let lm_set = landmark_set(&landmarks);
-    let landmark_count = landmarks.len();
     let model = PoissonChurn {
         leave_rate_per_node: 0.0002,
         mean_downtime: 150.0,
@@ -704,46 +545,55 @@ pub fn run_one(cfg: &ForwardConfig) -> ForwardResult {
         .collect();
 
     let n = cfg.n;
-    let factory_cfg = dcfg.clone();
-    let factory = move |v: NodeId| {
-        DiscoProtocol::new(
-            v,
-            lm_set.contains(&v),
-            n,
-            &factory_cfg,
-            PhaseTimers::default(),
-        )
-    };
+    let mut plane = ShardedEngine::with_recorder(
+        &graph,
+        cfg.shards,
+        cfg.seed,
+        move |v| DiscoProtocol::new(v, lm_set.contains(&v), n, &dcfg, PhaseTimers::default()),
+        recorders,
+    );
+    schedule
+        .apply_to(&mut plane)
+        .expect("churn re-adds only links of the original graph");
 
-    let (boot, churn, drain, sim_end) = if cfg.shards > 0 {
-        assert!(cfg.trace.is_none(), "--shards runs untraced");
-        let mut engine = ShardedEngine::new(&graph, cfg.shards, cfg.seed, factory);
-        schedule
-            .apply_to_sharded(&mut engine)
-            .expect("churn re-adds only links of the original graph");
-        let out = drive_phases(&mut engine, &mut pubs, cfg);
-        // Clean worker shutdown (drops shard engines, compacts arenas).
-        engine.finish();
-        out
-    } else if let Some(path) = &cfg.trace {
-        let mut rec = FullRecorder::new();
-        rec.phase_begin(Phase::Build, 0.0);
-        rec.phase_end(Phase::Build, 0.0);
-        let mut engine = Engine::with_recorder(&graph, factory, TimerWheel::new(), rec);
-        schedule.apply_to(&mut engine);
-        let out = drive_phases(&mut engine, &mut pubs, cfg);
-        let end = engine.now();
-        engine.recorder_mut().finish(end);
-        let rec = engine.into_recorder();
-        let json = rec.chrome_trace_json();
-        std::fs::write(path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        eprintln!("trace written to {path} ({} bytes)", json.len());
-        out
-    } else {
-        let mut engine = Engine::with_recorder(&graph, factory, TimerWheel::new(), NoopRecorder);
-        schedule.apply_to(&mut engine);
-        drive_phases(&mut engine, &mut pubs, cfg)
-    };
+    // Boot, churn, drain: checkpoints at fixed times, then one last batch
+    // after quiescence.
+    let boot_end = *BOOT_CHECKPOINTS.last().expect("boot checkpoints");
+    let churn_end = *CHURN_CHECKPOINTS.last().expect("churn checkpoints");
+    let mut ck = 0u64;
+    let mut boot = PhaseAcc::default();
+    plane.mark(|r| {
+        r.phase_begin(Phase::Build, 0.0);
+        r.phase_end(Phase::Build, 0.0);
+        r.phase_begin(Phase::Boot, 0.0);
+    });
+    for &t in BOOT_CHECKPOINTS {
+        plane.run_to(t);
+        checkpoint(&mut plane, &mut pubs, &mut boot, cfg, ck, t);
+        ck += 1;
+    }
+    plane.mark(move |r| {
+        r.phase_end(Phase::Boot, boot_end);
+        r.phase_begin(Phase::Churn, boot_end);
+    });
+    let mut churn = PhaseAcc::default();
+    for &t in CHURN_CHECKPOINTS {
+        plane.run_to(t);
+        checkpoint(&mut plane, &mut pubs, &mut churn, cfg, ck, t);
+        ck += 1;
+    }
+    plane.mark(move |r| {
+        r.phase_end(Phase::Churn, churn_end);
+        r.phase_begin(Phase::Drain, churn_end);
+    });
+    plane.run_until(|_| false);
+    let sim_end = plane.now();
+    let mut drain = PhaseAcc::default();
+    checkpoint(&mut plane, &mut pubs, &mut drain, cfg, ck, sim_end);
+    plane.mark(move |r| r.phase_end(Phase::Drain, sim_end));
+    // Clean shutdown: drops the shard engines, compacts their arenas,
+    // merges the recorders.
+    let recorder = plane.finish().recorder;
 
     let (mut table_entries, mut table_bytes, mut hash_fib_bytes) = (0u64, 0u64, 0u64);
     for p in &pubs {
@@ -755,19 +605,20 @@ pub fn run_one(cfg: &ForwardConfig) -> ForwardResult {
         }
     }
 
-    ForwardResult {
+    let result = ForwardResult {
         n: cfg.n,
         shards: cfg.shards,
-        landmarks: landmark_count,
+        landmarks: landmarks.len(),
         flows: cfg.flows,
-        boot,
-        churn,
-        drain,
+        boot: boot.into_row("boot"),
+        churn: churn.into_row("churn"),
+        drain: drain.into_row("drain"),
         table_entries,
         table_bytes,
         hash_fib_bytes,
         sim_end,
-    }
+    };
+    (result, recorder)
 }
 
 #[cfg(test)]
@@ -789,7 +640,7 @@ mod tests {
     /// The leg runs, forwards traffic, and loses nothing after the drain.
     #[test]
     fn forward_leg_delivers_after_drain() {
-        let r = run_one(&cfg(0));
+        let r = run_one(&cfg(1));
         assert_eq!(r.n, 96);
         assert!(r.landmarks > 0);
         assert!(r.table_entries > 0 && r.table_bytes > 0);
@@ -807,13 +658,13 @@ mod tests {
         assert!(j.contains("\"lookups_per_sec\""));
     }
 
-    /// Sharded legs reproduce the sequential leg's deterministic columns
-    /// exactly — same walks, deliveries, stale losses, lookup counts and
-    /// republish decisions at shards {1, 2}.
+    /// The deterministic columns are shard-count invariant — same walks,
+    /// deliveries, stale losses, lookup counts and republish decisions
+    /// from one shard and from two and three.
     #[test]
-    fn sharded_legs_match_sequential() {
-        let seq = run_one(&cfg(0));
-        for shards in [1, 2] {
+    fn deterministic_columns_are_shard_count_invariant() {
+        let seq = run_one(&cfg(1));
+        for shards in [2, 3] {
             let sh = run_one(&cfg(shards));
             for (a, b) in [
                 (&seq.boot, &sh.boot),

@@ -15,17 +15,15 @@
 //! tests and the `--smoke` gate, where candidate counts — not RSS — are
 //! the gated quantity.
 
+use crate::cli::write_trace;
 use disco_core::config::DiscoConfig;
 use disco_core::landmark::{landmark_set, select_landmarks};
 use disco_core::protocol::{DiscoProtocol, PhaseTimers};
 use disco_dynamics::models::PoissonChurn;
-use disco_dynamics::probe::{
-    disco_first_packet_route, disco_probe_sharded, probe, sample_live_pairs,
-    sample_live_pairs_sharded,
-};
+use disco_dynamics::probe::{disco_probe, sample_live_pairs};
 use disco_graph::{generators, PathArena};
-use disco_metrics::control::{ControlAccounting, ControlBytes, ControlCounts};
-use disco_sim::{Engine, NoopRecorder, Phase, Recorder, ShardedEngine, TimerWheel};
+use disco_metrics::control::{ControlAccounting, ControlBytes};
+use disco_sim::{MergeRecorder, NoopRecorder, Phase, ShardedEngine};
 use disco_telemetry::FullRecorder;
 use std::time::Instant;
 
@@ -50,12 +48,9 @@ pub struct MemoryParams {
     pub forgetful: bool,
     /// Alternate budget when forgetful.
     pub alternates: usize,
-    /// Worker shards (0 = sequential engine). The sharded leg reports the
-    /// same protocol-visible numbers (the engine is shard-count
-    /// invariant); the arena gauges become sums over the workers'
-    /// thread-local arenas, and `arena_shrunk_cells` is the free-listed
-    /// capacity released *while the run's state is still live* (worker
-    /// state cannot be dropped before its thread).
+    /// Engine shards (one worker thread each). Every protocol-visible
+    /// number is shard-count invariant; the arena gauges are sums over the
+    /// shards' thread-local arenas.
     pub shards: usize,
 }
 
@@ -74,7 +69,7 @@ impl MemoryParams {
             pairs_per_probe: 64,
             forgetful,
             alternates: 2,
-            shards: 0,
+            shards: 1,
         }
     }
 }
@@ -110,14 +105,6 @@ pub struct MemoryResult {
     /// Mean non-RIB control bytes per live node: Loc-RIB view +
     /// dissemination.
     pub non_rib_bytes_mean: f64,
-    /// What the PR 3-era layouts (materialized Loc-RIB map, std
-    /// dissemination maps) would spend per node on the same live contents
-    /// — the "before" of the reduction ratio, priced by
-    /// `disco-metrics::control`'s SwissTable model.
-    pub legacy_non_rib_bytes_mean: f64,
-    /// `legacy_non_rib_bytes_mean / non_rib_bytes_mean` — the headline
-    /// non-RIB control-memory reduction of the Loc-RIB-as-a-view PR.
-    pub non_rib_reduction: f64,
     /// Mean interned destinations per live node (the denominator of the
     /// control-bytes-per-destination CI gate).
     pub dests_mean: f64,
@@ -127,8 +114,8 @@ pub struct MemoryResult {
     pub arena_peak_cells: usize,
     /// Live path-arena cells at the end.
     pub arena_live_cells: usize,
-    /// Arena capacity cells released by `PathArena::shrink` afterwards
-    /// (post-churn compaction yield).
+    /// Arena capacity cells released by `PathArena::shrink` once the run's
+    /// state is dropped (post-churn compaction yield, summed over shards).
     pub arena_shrunk_cells: usize,
     /// Control messages per node spent on repair during the window.
     pub repair_msgs_per_node: f64,
@@ -175,10 +162,11 @@ pub fn candidate_bound(n: usize, alternates: usize) -> f64 {
 /// per node). Measured 44.1 B/dest at the smoke point (n=512, heavy churn,
 /// forgetful, 427 dests/node): ~41 B of Loc-RIB view (selection columns at
 /// 25 B/dest plus vector growth slack, ordered-mirror keys) and ~3 B of
-/// dissemination. The bound carries 18% headroom and sits under what the
-/// PR 3 layout (materialized `FxHashMap<NodeId, RouteEntry>` Loc-RIB, std
-/// dissemination maps) prices on the same contents — 57 B/dest — so a
-/// regression that re-materializes per-destination state fails CI.
+/// dissemination. The bound carries 18% headroom and sits under the
+/// 57 B/dest the PR 3 layout (materialized `FxHashMap<NodeId, RouteEntry>`
+/// Loc-RIB, std dissemination maps) was last priced at on the same
+/// contents, so a regression that re-materializes per-destination state
+/// fails CI.
 pub fn control_bytes_per_dest_bound() -> f64 {
     52.0
 }
@@ -217,182 +205,25 @@ pub fn peak_rss_bytes() -> u64 {
 /// the parameters; `peak_rss_bytes` reflects everything this process did
 /// before, so sweep legs run in child processes.
 pub fn run_leg(p: &MemoryParams) -> MemoryResult {
-    if p.shards > 0 {
-        return run_leg_sharded(p);
-    }
     // The no-op recorder monomorphizes the leg to the uninstrumented
     // engine — this is the measured configuration.
-    run_leg_impl(p, NoopRecorder).0
+    run_leg_with(p, |_| NoopRecorder).0
 }
 
-/// [`run_leg`] with the full telemetry recorder, exporting a Chrome
-/// `trace_event` timeline of the leg to `trace_path`. The timeline carries
-/// the leg's phase spans (build/boot/churn/drain) with wall-clock and RSS
-/// deltas — the memory story of the leg, phase by phase.
+/// [`run_leg`] with the full telemetry recorder on every shard, exporting a
+/// Chrome `trace_event` timeline of the leg to `trace_path`. The timeline
+/// carries the leg's phase spans (build/boot/churn/drain) with wall-clock
+/// and RSS deltas — the memory story of the leg, phase by phase.
 pub fn run_leg_traced(p: &MemoryParams, trace_path: &str) -> MemoryResult {
-    assert!(
-        p.shards == 0,
-        "--trace runs the sequential engine (phase spans are engine-global)"
-    );
-    let (result, rec) = run_leg_impl(p, FullRecorder::new());
-    let json = rec.chrome_trace_json();
-    std::fs::write(trace_path, &json).unwrap_or_else(|e| panic!("writing {trace_path}: {e}"));
-    eprintln!("trace written to {trace_path} ({} bytes)", json.len());
+    let (result, rec) = run_leg_with(p, |_| FullRecorder::new());
+    write_trace(trace_path, &rec);
     result
 }
 
-fn run_leg_impl<R: Recorder>(p: &MemoryParams, mut recorder: R) -> (MemoryResult, R) {
-    let t0 = Instant::now();
-    recorder.phase_begin(Phase::Build, 0.0);
-    let graph = generators::gnm_average_degree(p.n, 8.0, p.seed);
-    let cfg = DiscoConfig::seeded(p.seed)
-        .with_forgetful_dynamic(p.forgetful)
-        .with_forgetful_alternates(p.alternates);
-    let landmarks = select_landmarks(p.n, &cfg);
-    let lm_set = landmark_set(&landmarks);
-
-    PathArena::reset_peak();
-    recorder.phase_end(Phase::Build, 0.0);
-    recorder.phase_begin(Phase::Boot, 0.0);
-    let mut engine = Engine::with_recorder(
-        &graph,
-        |v| DiscoProtocol::new(v, lm_set.contains(&v), p.n, &cfg, PhaseTimers::default()),
-        TimerWheel::new(),
-        recorder,
-    );
-    let report = engine.run();
-    assert!(report.converged, "initial convergence failed");
-    let boot_end = engine.now();
-    engine.recorder_mut().phase_end(Phase::Boot, boot_end);
-    let convergence_msgs = engine.stats().total_sent();
-    let boot_rss = peak_rss_bytes();
-    reset_peak_rss();
-
-    let model = PoissonChurn {
-        leave_rate_per_node: p.leave_rate_per_node,
-        mean_downtime: p.mean_downtime,
-        horizon: p.horizon,
-        ..PoissonChurn::default()
-    };
-    let schedule = model.compile(&graph, p.seed);
-    let start = engine.now();
-    engine.recorder_mut().phase_begin(Phase::Churn, start);
-    schedule.apply_to(&mut engine);
-
-    let mut routable_total = 0usize;
-    let mut delivered_total = 0usize;
-    for i in 1..=p.probes {
-        let t = start + p.horizon * i as f64 / p.probes as f64;
-        engine.run_to(t);
-        let pairs = sample_live_pairs(&engine, p.pairs_per_probe, p.seed ^ i as u64);
-        let pr = probe(&engine, &pairs, disco_first_packet_route);
-        routable_total += pr.routable;
-        delivered_total += pr.delivered;
-    }
-    let availability = if routable_total == 0 {
-        1.0
-    } else {
-        delivered_total as f64 / routable_total as f64
-    };
-
-    let churn_end = engine.now();
-    engine.recorder_mut().phase_end(Phase::Churn, churn_end);
-    engine.recorder_mut().phase_begin(Phase::Drain, churn_end);
-    let quiesced = engine.run_until(|_| false);
-    let drain_end = engine.now();
-    engine.recorder_mut().phase_end(Phase::Drain, drain_end);
-    engine.recorder_mut().finish(drain_end);
-    let pairs = sample_live_pairs(&engine, p.pairs_per_probe, p.seed ^ 0xf17a1);
-    let pr = probe(&engine, &pairs, disco_first_packet_route);
-    let final_availability = pr.availability();
-
-    // Control-state gauges over the live nodes, folded through the
-    // per-component accounting (Adj-RIB-In vs Loc-RIB view vs
-    // dissemination; the legacy side prices the same contents under the
-    // PR 3-era layouts).
-    let mut cand_total = 0usize;
-    let mut cand_max = 0usize;
-    let mut path_nodes = 0usize;
-    let mut dests_total = 0usize;
-    let mut refreshes = 0u64;
-    let mut evictions = 0u64;
-    let mut live = 0usize;
-    let mut acct = ControlAccounting::default();
-    for v in engine.active_nodes().collect::<Vec<_>>() {
-        let node = &engine.nodes()[v.0];
-        let st = node.pv.rib_stats();
-        cand_total += st.candidates;
-        cand_max = cand_max.max(st.candidates);
-        path_nodes += st.path_nodes;
-        dests_total += st.dests_interned;
-        refreshes += node.pv.refreshes_sent();
-        evictions += st.evictions;
-        live += 1;
-        let (groups, overlay, forwarded) = node.dissemination_counts();
-        acct.push(
-            ControlBytes {
-                rib: st.approx_bytes,
-                loc_rib: node.pv.loc_rib_bytes(),
-                dissemination: node.dissemination_bytes(),
-            },
-            &ControlCounts {
-                selected: st.selected,
-                mirror_entries: node.pv.mirror_entries(),
-                group_addresses: groups,
-                overlay_slots: overlay,
-                forwarded,
-            },
-        );
-    }
-    let arena = PathArena::stats();
-    let live_f = live.max(1) as f64;
-    let (rib_bytes_mean, loc_rib_bytes_mean, dissem_bytes_mean) = acct.mean();
-    let (legacy_loc_rib_mean, legacy_dissem_mean) = acct.legacy_mean();
-    let non_rib_bytes_mean = loc_rib_bytes_mean + dissem_bytes_mean;
-    let legacy_non_rib_bytes_mean = legacy_loc_rib_mean + legacy_dissem_mean;
-    let repair_msgs_per_node = (engine.stats().total_sent() - convergence_msgs) as f64 / p.n as f64;
-    let topology_events = engine.topology_events();
-    // Post-churn compaction: drop the run's state, then let the arena
-    // release the capacity the churn peak left free-listed.
-    let recorder = engine.into_recorder();
-    let arena_shrunk_cells = PathArena::shrink();
-
-    let result = MemoryResult {
-        n: p.n,
-        leave_rate: p.leave_rate_per_node,
-        forgetful: p.forgetful,
-        availability,
-        final_availability,
-        cand_mean: cand_total as f64 / live_f,
-        cand_max,
-        rib_bytes_mean,
-        loc_rib_bytes_mean,
-        dissem_bytes_mean,
-        non_rib_bytes_mean,
-        legacy_non_rib_bytes_mean,
-        non_rib_reduction: legacy_non_rib_bytes_mean / non_rib_bytes_mean.max(1.0),
-        dests_mean: dests_total as f64 / live_f,
-        path_nodes_mean: path_nodes as f64 / live_f,
-        arena_peak_cells: arena.peak_live_cells,
-        arena_live_cells: arena.live_cells,
-        arena_shrunk_cells,
-        repair_msgs_per_node,
-        refreshes_sent: refreshes,
-        evictions,
-        topology_events,
-        peak_rss_bytes: peak_rss_bytes(),
-        boot_rss_bytes: boot_rss,
-        wall_secs: t0.elapsed().as_secs_f64(),
-        quiesced,
-    };
-    (result, recorder)
-}
-
-/// Per-node control-state row shipped back from a worker shard's gauge
-/// visit (plain data — crosses the shard boundary by value).
+/// One live node's control-state gauges, read on the shard that owns it
+/// (plain data — crosses the shard boundary by value).
 struct NodeGauge {
     bytes: ControlBytes,
-    counts: ControlCounts,
     candidates: usize,
     path_nodes: usize,
     dests: usize,
@@ -400,31 +231,33 @@ struct NodeGauge {
     evictions: u64,
 }
 
-/// The sharded-engine leg (`exp_memory --shards K`). Protocol-visible
-/// numbers (availability, candidates, RIB/control bytes, repair traffic)
-/// are shard-count invariant and match the sequential leg; the arena
-/// gauges sum the workers' thread-local arenas, and peak RSS still meters
-/// the whole process (the workers are threads).
-fn run_leg_sharded(p: &MemoryParams) -> MemoryResult {
+fn run_leg_with<R: MergeRecorder + Send + 'static>(
+    p: &MemoryParams,
+    mut recorders: impl FnMut(usize) -> R,
+) -> (MemoryResult, R) {
     let t0 = Instant::now();
+    // Shard 0's recorder carries the leg's phase spans; it exists before
+    // the engine so the build span has something to time.
+    let mut rec0 = recorders(0);
+    rec0.phase_begin(Phase::Build, 0.0);
     let graph = generators::gnm_average_degree(p.n, 8.0, p.seed);
     let cfg = DiscoConfig::seeded(p.seed)
         .with_forgetful_dynamic(p.forgetful)
         .with_forgetful_alternates(p.alternates);
     let landmarks = select_landmarks(p.n, &cfg);
     let lm_set = landmark_set(&landmarks);
+    rec0.phase_end(Phase::Build, 0.0);
+    rec0.phase_begin(Phase::Boot, 0.0);
 
     let n = p.n;
-    let factory_cfg = cfg.clone();
-    let mut engine = ShardedEngine::new(&graph, p.shards, p.seed, move |v| {
-        DiscoProtocol::new(
-            v,
-            lm_set.contains(&v),
-            n,
-            &factory_cfg,
-            PhaseTimers::default(),
-        )
-    });
+    let mut rec0 = Some(rec0);
+    let mut engine = ShardedEngine::with_recorder(
+        &graph,
+        p.shards,
+        p.seed,
+        move |v| DiscoProtocol::new(v, lm_set.contains(&v), n, &cfg, PhaseTimers::default()),
+        |me| rec0.take().unwrap_or_else(|| recorders(me)),
+    );
     for shard in 0..engine.shards() {
         engine.visit(shard, |_| PathArena::reset_peak());
     }
@@ -442,8 +275,12 @@ fn run_leg_sharded(p: &MemoryParams) -> MemoryResult {
     };
     let schedule = model.compile(&graph, p.seed);
     let start = engine.now();
+    engine.mark(move |r| {
+        r.phase_end(Phase::Boot, start);
+        r.phase_begin(Phase::Churn, start);
+    });
     schedule
-        .apply_to_sharded(&mut engine)
+        .apply_to(&mut engine)
         .expect("churn schedule re-adds only links of the original graph");
 
     let mut routable_total = 0usize;
@@ -451,8 +288,8 @@ fn run_leg_sharded(p: &MemoryParams) -> MemoryResult {
     for i in 1..=p.probes {
         let t = start + p.horizon * i as f64 / p.probes as f64;
         engine.run_to(t);
-        let pairs = sample_live_pairs_sharded(&engine, p.pairs_per_probe, p.seed ^ i as u64);
-        let pr = disco_probe_sharded(&mut engine, &pairs);
+        let pairs = sample_live_pairs(&engine, p.pairs_per_probe, p.seed ^ i as u64);
+        let pr = disco_probe(&mut engine, &pairs);
         routable_total += pr.routable;
         delivered_total += pr.delivered;
     }
@@ -462,87 +299,74 @@ fn run_leg_sharded(p: &MemoryParams) -> MemoryResult {
         delivered_total as f64 / routable_total as f64
     };
 
+    let churn_end = engine.now();
+    engine.mark(move |r| {
+        r.phase_end(Phase::Churn, churn_end);
+        r.phase_begin(Phase::Drain, churn_end);
+    });
     let quiesced = engine.run_until(|_| false);
-    let pairs = sample_live_pairs_sharded(&engine, p.pairs_per_probe, p.seed ^ 0xf17a1);
-    let pr = disco_probe_sharded(&mut engine, &pairs);
+    let drain_end = engine.now();
+    engine.mark(move |r| r.phase_end(Phase::Drain, drain_end));
+    let pairs = sample_live_pairs(&engine, p.pairs_per_probe, p.seed ^ 0xf17a1);
+    let pr = disco_probe(&mut engine, &pairs);
     let final_availability = pr.availability();
 
-    // Gauge each shard's owned live nodes on its own thread; fold the
-    // rows through the same accounting the sequential leg uses.
+    // Control-state gauges over the live nodes, each read on its owner and
+    // folded through the per-component accounting (Adj-RIB-In vs Loc-RIB
+    // view vs dissemination).
+    let live_nodes = engine.active_nodes().map(|v| (v, ())).collect();
+    let gauges = engine.gather(live_nodes, |e, v, ()| {
+        let node = &e.nodes()[v.0];
+        let st = node.pv.rib_stats();
+        NodeGauge {
+            bytes: ControlBytes {
+                rib: st.approx_bytes,
+                loc_rib: node.pv.loc_rib_bytes(),
+                dissemination: node.dissemination_bytes(),
+            },
+            candidates: st.candidates,
+            path_nodes: st.path_nodes,
+            dests: st.dests_interned,
+            refreshes: node.pv.refreshes_sent(),
+            evictions: st.evictions,
+        }
+    });
     let mut cand_total = 0usize;
     let mut cand_max = 0usize;
     let mut path_nodes = 0usize;
     let mut dests_total = 0usize;
     let mut refreshes = 0u64;
     let mut evictions = 0u64;
-    let mut live = 0usize;
     let mut acct = ControlAccounting::default();
-    for shard in 0..engine.shards() {
-        let mine: Vec<_> = engine
-            .active_nodes()
-            .filter(|&v| engine.owner_of(v) == shard)
-            .collect();
-        let rows: Vec<NodeGauge> = engine.visit(shard, move |e| {
-            let nodes = e.nodes();
-            mine.into_iter()
-                .map(|v| {
-                    let node = &nodes[v.0];
-                    let st = node.pv.rib_stats();
-                    let (groups, overlay, forwarded) = node.dissemination_counts();
-                    NodeGauge {
-                        bytes: ControlBytes {
-                            rib: st.approx_bytes,
-                            loc_rib: node.pv.loc_rib_bytes(),
-                            dissemination: node.dissemination_bytes(),
-                        },
-                        counts: ControlCounts {
-                            selected: st.selected,
-                            mirror_entries: node.pv.mirror_entries(),
-                            group_addresses: groups,
-                            overlay_slots: overlay,
-                            forwarded,
-                        },
-                        candidates: st.candidates,
-                        path_nodes: st.path_nodes,
-                        dests: st.dests_interned,
-                        refreshes: node.pv.refreshes_sent(),
-                        evictions: st.evictions,
-                    }
-                })
-                .collect()
-        });
-        for g in rows {
-            cand_total += g.candidates;
-            cand_max = cand_max.max(g.candidates);
-            path_nodes += g.path_nodes;
-            dests_total += g.dests;
-            refreshes += g.refreshes;
-            evictions += g.evictions;
-            live += 1;
-            acct.push(g.bytes, &g.counts);
-        }
+    for g in &gauges {
+        cand_total += g.candidates;
+        cand_max = cand_max.max(g.candidates);
+        path_nodes += g.path_nodes;
+        dests_total += g.dests;
+        refreshes += g.refreshes;
+        evictions += g.evictions;
+        acct.push(g.bytes);
     }
 
-    // Sum the workers' thread-local arenas (the coordinator's arena stays
-    // empty — probes detach paths to `Vec<NodeId>` before crossing).
-    let mut peak_cells = 0usize;
-    let mut live_cells = 0usize;
-    let mut shrunk = 0usize;
+    // Path arenas are thread-local: each shard gauges its own (the
+    // coordinator's stays empty when the shards are threads — probes
+    // detach paths to `Vec<NodeId>` before crossing).
+    let (mut arena_peak_cells, mut arena_live_cells) = (0usize, 0usize);
     for shard in 0..engine.shards() {
         let arena = engine.visit(shard, |_| PathArena::stats());
-        peak_cells += arena.peak_live_cells;
-        live_cells += arena.live_cells;
-        shrunk += engine.visit(shard, |_| PathArena::shrink());
+        arena_peak_cells += arena.peak_live_cells;
+        arena_live_cells += arena.live_cells;
     }
 
-    let live_f = live.max(1) as f64;
+    let live_f = gauges.len().max(1) as f64;
     let (rib_bytes_mean, loc_rib_bytes_mean, dissem_bytes_mean) = acct.mean();
-    let (legacy_loc_rib_mean, legacy_dissem_mean) = acct.legacy_mean();
-    let non_rib_bytes_mean = loc_rib_bytes_mean + dissem_bytes_mean;
-    let legacy_non_rib_bytes_mean = legacy_loc_rib_mean + legacy_dissem_mean;
-    let stats = engine.merged_stats();
+    let repair_msgs = engine.merged_stats().total_sent() - convergence_msgs;
+    let topology_events = engine.topology_events();
+    // Post-churn compaction: each shard drops its state, then lets its
+    // arena release the capacity the churn peak left free-listed.
+    let summary = engine.finish();
 
-    MemoryResult {
+    let result = MemoryResult {
         n: p.n,
         leave_rate: p.leave_rate_per_node,
         forgetful: p.forgetful,
@@ -553,23 +377,22 @@ fn run_leg_sharded(p: &MemoryParams) -> MemoryResult {
         rib_bytes_mean,
         loc_rib_bytes_mean,
         dissem_bytes_mean,
-        non_rib_bytes_mean,
-        legacy_non_rib_bytes_mean,
-        non_rib_reduction: legacy_non_rib_bytes_mean / non_rib_bytes_mean.max(1.0),
+        non_rib_bytes_mean: loc_rib_bytes_mean + dissem_bytes_mean,
         dests_mean: dests_total as f64 / live_f,
         path_nodes_mean: path_nodes as f64 / live_f,
-        arena_peak_cells: peak_cells,
-        arena_live_cells: live_cells,
-        arena_shrunk_cells: shrunk,
-        repair_msgs_per_node: (stats.total_sent() - convergence_msgs) as f64 / p.n as f64,
+        arena_peak_cells,
+        arena_live_cells,
+        arena_shrunk_cells: summary.arena_reclaimed_cells,
+        repair_msgs_per_node: repair_msgs as f64 / p.n as f64,
         refreshes_sent: refreshes,
         evictions,
-        topology_events: engine.topology_events(),
+        topology_events,
         peak_rss_bytes: peak_rss_bytes(),
         boot_rss_bytes: boot_rss,
         wall_secs: t0.elapsed().as_secs_f64(),
         quiesced,
-    }
+    };
+    (result, summary.recorder)
 }
 
 impl MemoryResult {
@@ -579,8 +402,7 @@ impl MemoryResult {
         format!(
             "MEMLEG n={} rate={} forgetful={} availability={:.4} final_availability={:.4} \
              cand_mean={:.1} cand_max={} rib_bytes_mean={:.0} loc_rib_bytes_mean={:.0} \
-             dissem_bytes_mean={:.0} non_rib_bytes_mean={:.0} \
-             legacy_non_rib_bytes_mean={:.0} non_rib_reduction={:.2} dests_mean={:.1} \
+             dissem_bytes_mean={:.0} non_rib_bytes_mean={:.0} dests_mean={:.1} \
              path_nodes_mean={:.0} \
              arena_peak_cells={} arena_live_cells={} arena_shrunk_cells={} \
              repair_msgs_per_node={:.1} refreshes_sent={} evictions={} topology_events={} \
@@ -596,8 +418,6 @@ impl MemoryResult {
             self.loc_rib_bytes_mean,
             self.dissem_bytes_mean,
             self.non_rib_bytes_mean,
-            self.legacy_non_rib_bytes_mean,
-            self.non_rib_reduction,
             self.dests_mean,
             self.path_nodes_mean,
             self.arena_peak_cells,
@@ -632,8 +452,6 @@ impl MemoryResult {
                 "loc_rib_bytes_mean" => r.loc_rib_bytes_mean = v.parse().ok()?,
                 "dissem_bytes_mean" => r.dissem_bytes_mean = v.parse().ok()?,
                 "non_rib_bytes_mean" => r.non_rib_bytes_mean = v.parse().ok()?,
-                "legacy_non_rib_bytes_mean" => r.legacy_non_rib_bytes_mean = v.parse().ok()?,
-                "non_rib_reduction" => r.non_rib_reduction = v.parse().ok()?,
                 "dests_mean" => r.dests_mean = v.parse().ok()?,
                 "path_nodes_mean" => r.path_nodes_mean = v.parse().ok()?,
                 "arena_peak_cells" => r.arena_peak_cells = v.parse().ok()?,
@@ -662,8 +480,7 @@ impl MemoryResult {
              \"cand_mean\": {:.1}, \"cand_max\": {}, \"sqrt_n_log_n\": {:.1}, \
              \"rib_bytes_mean\": {:.0}, \"loc_rib_bytes_mean\": {:.0}, \
              \"dissem_bytes_mean\": {:.0}, \
-             \"non_rib_bytes_mean\": {:.0}, \"legacy_non_rib_bytes_mean\": {:.0}, \
-             \"non_rib_reduction\": {:.2}, \"dests_mean\": {:.1}, \
+             \"non_rib_bytes_mean\": {:.0}, \"dests_mean\": {:.1}, \
              \"path_nodes_mean\": {:.0}, \
              \"arena_peak_cells\": {}, \"arena_live_cells\": {}, \
              \"arena_shrunk_cells\": {}, \"repair_msgs_per_node\": {:.1}, \
@@ -682,8 +499,6 @@ impl MemoryResult {
             self.loc_rib_bytes_mean,
             self.dissem_bytes_mean,
             self.non_rib_bytes_mean,
-            self.legacy_non_rib_bytes_mean,
-            self.non_rib_reduction,
             self.dests_mean,
             self.path_nodes_mean,
             self.arena_peak_cells,
@@ -718,20 +533,13 @@ mod tests {
         assert!(r.cand_mean > 0.0 && r.cand_max > 0);
         assert!(r.evictions > 0, "forgetful leg must evict");
         assert!(r.availability > 0.8);
-        // The per-component byte columns meter real state, and the legacy
-        // model must price the same contents strictly higher.
+        // The per-component byte columns meter real state.
         assert!(r.loc_rib_bytes_mean > 0.0 && r.dissem_bytes_mean > 0.0);
         assert!(r.dests_mean > 0.0);
-        // The legacy layout must cost meaningfully more on the same
-        // contents even at this tiny scale; the >=1.5x acceptance gate is
-        // evaluated at n=4096 by the sweep (BENCH_exp_memory.json), where
-        // per-entry overhead dominates the fixed costs.
-        assert!(
-            r.non_rib_reduction > 1.3,
-            "legacy layout must cost >1.3x the view: {:.2}",
-            r.non_rib_reduction
-        );
-        let parsed = MemoryResult::from_kv_line(&r.to_kv_line()).expect("kv parse");
+        // Keys of columns since retired (checked-in rows still carry them)
+        // are skipped, not rejected.
+        let line = format!("{} non_rib_reduction=1.54 intern_bytes=7", r.to_kv_line());
+        let parsed = MemoryResult::from_kv_line(&line).expect("kv parse");
         assert_eq!(parsed.n, r.n);
         assert_eq!(parsed.cand_max, r.cand_max);
         assert_eq!(parsed.forgetful, r.forgetful);
@@ -739,15 +547,15 @@ mod tests {
         assert!((parsed.non_rib_bytes_mean - r.non_rib_bytes_mean).abs() < 1.0);
         assert!((parsed.dests_mean - r.dests_mean).abs() < 0.1);
         assert!(r.to_json().contains("\"sqrt_n_log_n\""));
-        assert!(r.to_json().contains("\"non_rib_reduction\""));
     }
 
-    /// The sharded leg is the same simulation: every protocol-visible
-    /// gauge matches the sequential leg exactly (only arena cells and
-    /// wall-clock/RSS may differ — paths crossing shards are rebuilt in
-    /// the receiving worker's arena).
+    /// The shard count does not change the simulation: every
+    /// protocol-visible gauge of the one-shard leg matches the
+    /// two-shard leg exactly (only arena cells and wall-clock/RSS may
+    /// differ — paths crossing shards are rebuilt in the receiving
+    /// shard's arena).
     #[test]
-    fn sharded_leg_matches_sequential_protocol_numbers() {
+    fn protocol_numbers_are_shard_count_invariant() {
         let mut p = MemoryParams::grid_point(128, 3, 0.001, true);
         p.horizon = 200.0;
         p.probes = 2;

@@ -14,17 +14,14 @@
 //! configuration. The static-build timing exercises
 //! `DiscoState::build_parallel` with the `threads` knob.
 
+use crate::cli::write_trace;
 use disco_core::config::DiscoConfig;
 use disco_core::landmark::{landmark_set, select_landmarks};
 use disco_core::protocol::{DiscoProtocol, PhaseTimers};
 use disco_core::static_state::DiscoState;
 use disco_dynamics::models::PoissonChurn;
-use disco_dynamics::Schedule;
-use disco_graph::{generators, Graph, NodeId, PathArena};
-use disco_sim::{
-    BinaryHeapQueue, Engine, EventQueue, NoopRecorder, Phase, Protocol, Recorder, ShardedEngine,
-    TimerWheel,
-};
+use disco_graph::{generators, PathArena};
+use disco_sim::{NoopRecorder, Phase, ShardedEngine};
 use disco_telemetry::{FullRecorder, MergeRecorder};
 use std::time::Instant;
 
@@ -40,19 +37,15 @@ pub struct ScaleConfig {
     pub announcement_budget: u64,
     /// Worker threads for the static build (0 = one per CPU).
     pub build_threads: usize,
-    /// Use the legacy `BinaryHeap` event queue instead of the timer wheel
-    /// (for queue-only comparisons).
-    pub heap_queue: bool,
     /// Export the throughput leg as a Chrome `trace_event` timeline to this
-    /// path (runs the full telemetry recorder; `None` = no-op recorder,
-    /// the measured configuration).
+    /// path (runs the full telemetry recorder on every shard, merged; the
+    /// timeline carries a work/ingest/wait counter track per shard).
+    /// `None` = no-op recorder, the measured configuration.
     pub trace: Option<String>,
-    /// Run the throughput leg on the sharded engine with this many worker
-    /// shards (0 = the sequential engine). Delivered announcements,
-    /// topology events and the simulation end time are identical for every
-    /// shard count; wall-clock scales with cores. Incompatible with
-    /// `heap_queue` and `trace` (the sharded engine runs the wheel queue
-    /// untraced).
+    /// Engine shards the throughput leg runs on (one worker thread each).
+    /// Delivered announcements, topology events and the simulation end
+    /// time are identical for every shard count; wall-clock scales with
+    /// cores.
     pub shards: usize,
 }
 
@@ -83,22 +76,21 @@ pub struct ScaleResult {
     /// Live path-arena cells at the end of the run (gauged while the
     /// engine still holds its routing state).
     pub live_arena_cells: usize,
-    /// Arena capacity cells released by the end-of-run compaction: on a
-    /// sharded leg, the sum of every worker's [`PathArena::shrink`] after
-    /// its engine is dropped in `ShardedEngine::finish` (without which the
-    /// workers would exit still pinning `live ≈ peak` capacity — the
-    /// shards-2/4 leak this column was added to witness); on a sequential
-    /// leg, the main thread's shrink after the engine drops.
+    /// Arena capacity cells released by the end-of-run compaction: the sum
+    /// of every shard's [`PathArena::shrink`] after its engine is dropped
+    /// in `ShardedEngine::finish` (without which worker threads would exit
+    /// still pinning `live ≈ peak` capacity — the shards-2/4 leak this
+    /// column was added to witness).
     pub arena_reclaimed_cells: usize,
     /// Topology events applied within the budget.
     pub topology_events: u64,
-    /// Worker shards the leg ran on (0 = sequential engine).
+    /// Engine shards the leg ran on.
     pub shards: usize,
     /// Simulation time when the run stopped — deterministic in
-    /// `(n, seed, budget)`. Identical across all sharded shard counts
-    /// (the budget check fires at K-invariant window barriers), which is
-    /// the smoke gate's cross-shard determinism check; the sequential
-    /// engine checks the budget per event and so stops slightly earlier.
+    /// `(n, seed, budget)` and identical across shard counts (the budget
+    /// check fires at K-invariant window barriers, so the run overshoots
+    /// the budget by up to one window's deliveries), which is the smoke
+    /// gate's cross-shard determinism check.
     pub sim_end: f64,
 }
 
@@ -134,33 +126,25 @@ impl ScaleResult {
     }
 }
 
-/// Pre-refactor measurements `(n, events_per_sec, build_secs)` of the exact
-/// same workload (seed 1, 3M-event budget) on the commit before the
-/// timer-wheel + interned-path + incremental-selection refactor: BinaryHeap
-/// event queue, `Vec<NodeId>` paths, O(table) cap scans. Every delivery was
-/// a single event there, so events/sec *is* its announcements/sec.
-pub const BASELINE_RESULTS: &[(usize, f64, f64)] =
-    &[(1024, 306_468.0, 0.140), (4096, 127_948.0, 1.285)];
-
-/// Provenance note stored next to [`BASELINE_RESULTS`] in the JSON report.
-pub const BASELINE_NOTE: &str =
-    "pre-refactor hot path (BinaryHeap queue, Vec<NodeId> paths, rescan selection) at seed 1, 3M-event budget";
-
-/// Per-size `(n, events_per_sec)` of the recording made just before the
-/// batched message plane landed (PR 4 sweep: per-message deliveries, so
-/// every delivered announcement was one event and events/sec bounds its
-/// announcements/sec from above). The batched plane's acceptance bar is
-/// ≥1.5× the n=4096 number in *delivered announcements* per second.
-pub const PRE_BATCH_RESULTS: &[(usize, f64)] =
-    &[(1024, 988_069.0), (4096, 548_582.0), (16384, 438_285.0)];
-
-/// Provenance note for [`PRE_BATCH_RESULTS`].
-pub const PRE_BATCH_NOTE: &str =
-    "pre-batching message plane (per-message wheel entries, O(degree) send resolution) at seed 1, 3M-event budget";
-
 /// Run one leg: static parallel build, then the budgeted churn throughput
 /// measurement. Deterministic in `(n, seed)` up to wall-clock numbers.
 pub fn run_one(cfg: &ScaleConfig) -> ScaleResult {
+    match &cfg.trace {
+        // Traced leg: the throughput numbers include the recorders'
+        // overhead — the gate always runs untraced.
+        Some(path) => {
+            let (result, rec) = run_with(cfg, |_| FullRecorder::new());
+            write_trace(path, &rec);
+            result
+        }
+        None => run_with(cfg, |_| NoopRecorder).0,
+    }
+}
+
+fn run_with<R: MergeRecorder + Send + 'static>(
+    cfg: &ScaleConfig,
+    recorders: impl FnMut(usize) -> R,
+) -> (ScaleResult, R) {
     let graph = generators::gnm_average_degree(cfg.n, 8.0, cfg.seed);
     let dcfg = DiscoConfig::seeded(cfg.seed);
 
@@ -180,131 +164,31 @@ pub fn run_one(cfg: &ScaleConfig) -> ScaleResult {
     };
     let schedule = model.compile(&graph, cfg.seed);
 
-    PathArena::reset_peak();
-    let factory = |v: NodeId| {
-        DiscoProtocol::new(v, lm_set.contains(&v), cfg.n, &dcfg, PhaseTimers::default())
-    };
-
-    fn drive<P: Protocol, Q: EventQueue<P::Message>, R: Recorder>(
-        engine: &mut Engine<'_, P, Q, R>,
-        budget: u64,
-    ) -> (u64, u64, f64, u64, f64) {
-        let t1 = Instant::now();
-        engine.start();
-        engine.run_until(|e| e.messages_delivered() >= budget);
-        let secs = t1.elapsed().as_secs_f64();
-        (
-            engine.events_processed(),
-            engine.messages_delivered(),
-            secs,
-            engine.topology_events(),
-            engine.now(),
-        )
+    let n = cfg.n;
+    let mut engine = ShardedEngine::with_recorder(
+        &graph,
+        cfg.shards,
+        cfg.seed,
+        move |v| DiscoProtocol::new(v, lm_set.contains(&v), n, &dcfg, PhaseTimers::default()),
+        recorders,
+    );
+    for shard in 0..engine.shards() {
+        engine.visit(shard, |_| PathArena::reset_peak());
     }
-
-    if cfg.shards > 0 {
-        assert!(!cfg.heap_queue, "--shards runs the wheel queue");
-        let n = cfg.n;
-        let factory_cfg = dcfg.clone();
-        let factory = move |v: NodeId| {
-            DiscoProtocol::new(
-                v,
-                lm_set.contains(&v),
-                n,
-                &factory_cfg,
-                PhaseTimers::default(),
-            )
-        };
-        let built = (landmarks_built, build_secs);
-        return match &cfg.trace {
-            // Traced leg: one full recorder per shard, merged at finish —
-            // the timeline gains a work/ingest/wait counter track per shard.
-            Some(path) => {
-                let (result, rec) = run_sharded(cfg, built, &graph, &schedule, factory, |_| {
-                    FullRecorder::new()
-                });
-                write_trace(path, &rec);
-                result
-            }
-            None => run_sharded(cfg, built, &graph, &schedule, factory, |_| NoopRecorder).0,
-        };
-    }
-
-    let (events, announcements, engine_secs, topology_events, sim_end) = if let Some(path) =
-        &cfg.trace
-    {
-        // Traced leg: full recorder, wheel queue. The throughput numbers of
-        // a traced run include the recorder's overhead — the gate always
-        // runs untraced (NoopRecorder, below).
-        let mut rec = FullRecorder::new();
-        rec.phase_begin(Phase::Build, 0.0);
-        rec.phase_end(Phase::Build, 0.0); // static build happened above
-        let mut engine = Engine::with_recorder(&graph, factory, TimerWheel::new(), rec);
-        schedule.apply_to(&mut engine);
-        engine.recorder_mut().phase_begin(Phase::Churn, 0.0);
-        let out = drive(&mut engine, cfg.announcement_budget);
-        let end = engine.now();
-        engine.recorder_mut().phase_end(Phase::Churn, end);
-        engine.recorder_mut().finish(end);
-        write_trace(path, &engine.into_recorder());
-        out
-    } else if cfg.heap_queue {
-        let mut engine = Engine::with_queue(&graph, factory, BinaryHeapQueue::new());
-        schedule.apply_to(&mut engine);
-        drive(&mut engine, cfg.announcement_budget)
-    } else {
-        let mut engine = Engine::with_recorder(&graph, factory, TimerWheel::new(), NoopRecorder);
-        schedule.apply_to(&mut engine);
-        drive(&mut engine, cfg.announcement_budget)
-    };
-    let arena = PathArena::stats();
-    let arena_reclaimed_cells = PathArena::shrink();
-
-    ScaleResult {
-        n: cfg.n,
-        landmarks: landmarks_built,
-        build_secs,
-        events,
-        announcements,
-        engine_secs,
-        events_per_sec: events as f64 / engine_secs.max(1e-9),
-        announcements_per_sec: announcements as f64 / engine_secs.max(1e-9),
-        peak_arena_cells: arena.peak_live_cells,
-        live_arena_cells: arena.live_cells,
-        arena_reclaimed_cells,
-        topology_events,
-        shards: 0,
-        sim_end,
-    }
-}
-
-fn write_trace(path: &str, rec: &FullRecorder) {
-    let json = rec.chrome_trace_json();
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    eprintln!("trace written to {path} ({} bytes)", json.len());
-}
-
-/// The budgeted throughput leg on the sharded engine, after a static build
-/// that gave `(landmarks, build_secs)`; returns the merged recorder
-/// alongside.
-fn run_sharded<R: MergeRecorder + Send + 'static>(
-    cfg: &ScaleConfig,
-    (landmarks, build_secs): (usize, f64),
-    graph: &Graph,
-    schedule: &Schedule,
-    factory: impl Fn(NodeId) -> DiscoProtocol + Send + Clone + 'static,
-    recorders: impl FnMut(usize) -> R,
-) -> (ScaleResult, R) {
-    let mut engine = ShardedEngine::with_recorder(graph, cfg.shards, cfg.seed, factory, recorders);
     schedule
-        .apply_to_sharded(&mut engine)
+        .apply_to(&mut engine)
         .expect("churn re-adds only links of the original graph");
+    engine.mark(|r| {
+        r.phase_begin(Phase::Build, 0.0);
+        r.phase_end(Phase::Build, 0.0); // static build happened above
+        r.phase_begin(Phase::Churn, 0.0);
+    });
     let budget = cfg.announcement_budget;
     let t1 = Instant::now();
     engine.start();
     engine.run_until(|e| e.messages_delivered() >= budget);
     let engine_secs = t1.elapsed().as_secs_f64();
-    // Path arenas are thread-local: each worker gauges its own; the sum
+    // Path arenas are thread-local: each shard gauges its own; the sum
     // is the whole run's routing-state footprint.
     let (mut peak, mut live) = (0usize, 0usize);
     for shard in 0..engine.shards() {
@@ -316,13 +200,12 @@ fn run_sharded<R: MergeRecorder + Send + 'static>(
     let announcements = engine.messages_delivered();
     let topology_events = engine.topology_events();
     let sim_end = engine.now();
-    // Shut the workers down properly: each drops its engine and
-    // compacts its thread-local arena, so the run does not exit with
-    // `live ≈ peak` capacity pinned per worker.
+    // Shut the shards down properly: each drops its engine and compacts
+    // its thread-local arena (`finish` also closes the open churn span).
     let summary = engine.finish();
     let result = ScaleResult {
         n: cfg.n,
-        landmarks,
+        landmarks: landmarks_built,
         build_secs,
         events,
         announcements,
@@ -352,9 +235,8 @@ mod tests {
             seed: 3,
             announcement_budget: 50_000,
             build_threads: 2,
-            heap_queue: false,
             trace: None,
-            shards: 0,
+            shards: 1,
         });
         assert_eq!(r.n, 128);
         assert!(r.landmarks > 0);
@@ -370,28 +252,7 @@ mod tests {
         assert!(j.contains("\"announcements_per_sec\""));
     }
 
-    /// The heap-queue leg must process the identical event stream (same
-    /// event and announcement counts for the same budget — determinism
-    /// across queues).
-    #[test]
-    fn heap_and_wheel_legs_agree_on_event_count() {
-        let mk = |heap| ScaleConfig {
-            n: 96,
-            seed: 5,
-            announcement_budget: 40_000,
-            build_threads: 1,
-            heap_queue: heap,
-            trace: None,
-            shards: 0,
-        };
-        let a = run_one(&mk(false));
-        let b = run_one(&mk(true));
-        assert_eq!(a.events, b.events);
-        assert_eq!(a.announcements, b.announcements);
-        assert_eq!(a.topology_events, b.topology_events);
-    }
-
-    /// The sharded leg's budget stop is shard-count-invariant: delivered
+    /// The leg's budget stop is shard-count-invariant: delivered
     /// announcements, topology events and the simulation end time agree
     /// across shard counts (the `--shards K --smoke` gate's contract).
     #[test]
@@ -401,7 +262,6 @@ mod tests {
             seed: 5,
             announcement_budget: 40_000,
             build_threads: 1,
-            heap_queue: false,
             trace: None,
             shards,
         };
@@ -411,12 +271,12 @@ mod tests {
         assert_eq!(a.topology_events, b.topology_events);
         assert_eq!(a.sim_end, b.sim_end);
         assert!(a.announcements >= 40_000);
-        // The workers' end-of-run compaction released the churn peak: the
+        // The shards' end-of-run compaction released the churn peak: the
         // run's live cells were freed by the engine drop, and shrink gave
         // the capacity back instead of leaving `live ≈ peak` pinned.
         assert!(
             a.arena_reclaimed_cells >= a.live_arena_cells / 2,
-            "worker arenas not compacted: reclaimed {} of {} live",
+            "shard arenas not compacted: reclaimed {} of {} live",
             a.arena_reclaimed_cells,
             a.live_arena_cells
         );

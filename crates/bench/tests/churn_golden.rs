@@ -9,7 +9,13 @@
 //! and replace `tests/golden/exp_churn_n192_s7.txt` — but byte-identity is
 //! the point, so think twice.
 
-use disco_bench::churn::{churn_experiment, churn_experiment_sharded, ChurnParams};
+use disco_bench::churn::{churn_experiment, ChurnOutcome, ChurnParams};
+use disco_sim::NoopRecorder;
+use disco_telemetry::{validate_json, FullRecorder};
+
+fn run(params: &ChurnParams, shards: usize) -> ChurnOutcome {
+    churn_experiment(params, shards, |_| NoopRecorder).0
+}
 
 const GOLDEN: &str = include_str!("golden/exp_churn_n192_s7.txt");
 const GOLDEN_FORGETFUL: &str = include_str!("golden/exp_churn_forgetful_n192_s7.txt");
@@ -17,7 +23,7 @@ const GOLDEN_FORGETFUL: &str = include_str!("golden/exp_churn_forgetful_n192_s7.
 #[test]
 fn exp_churn_summary_matches_pre_refactor_golden() {
     let params = ChurnParams::sized(192, 7);
-    let outcome = churn_experiment(&params);
+    let outcome = run(&params, 1);
     let summary = outcome.summary(&params);
     assert!(
         summary == GOLDEN,
@@ -34,7 +40,7 @@ fn exp_churn_summary_matches_pre_refactor_golden() {
 #[test]
 fn exp_churn_forgetful_summary_matches_golden() {
     let params = ChurnParams::sized(192, 7).with_forgetful(true);
-    let outcome = churn_experiment(&params);
+    let outcome = run(&params, 1);
     let summary = outcome.summary(&params);
     assert!(
         summary == GOLDEN_FORGETFUL,
@@ -43,21 +49,54 @@ fn exp_churn_forgetful_summary_matches_golden() {
     );
 }
 
-/// The sharded engine is an implementation detail, not a different
-/// simulation: `exp_churn --shards K` must reproduce the sequential golden
-/// byte-for-byte at every shard count. Conservative-lookahead windows,
-/// logical event keys and the batched probe visits together make the
-/// parallel schedule observationally identical to the sequential one.
+/// The shard count is an implementation detail, not a different
+/// simulation: `exp_churn --shards K` must reproduce the golden
+/// byte-for-byte at every shard count (1, 2, 4). Conservative-lookahead
+/// windows, logical event keys and the owner-side probe gathers together
+/// make every schedule observationally identical.
 #[test]
 fn exp_churn_sharded_summary_is_shard_count_invariant() {
     let params = ChurnParams::sized(192, 7);
-    for shards in [1usize, 2, 4] {
-        let summary = churn_experiment_sharded(&params, shards).summary(&params);
+    for shards in [2usize, 4] {
+        let summary = run(&params, shards).summary(&params);
         assert!(
             summary == GOLDEN,
             "exp_churn(n=192, seed=7, shards={shards}) diverged from the \
-             sequential golden.\n--- golden ---\n{GOLDEN}\n--- got ---\n{summary}"
+             golden.\n--- golden ---\n{GOLDEN}\n--- got ---\n{summary}"
         );
+    }
+}
+
+/// Shards and telemetry compose: two threaded shards, each under a full
+/// recorder, still reproduce the golden, and the merged recorder exports a
+/// valid timeline carrying the run's four phase spans (marked on shard 0)
+/// and both shards' window tracks.
+#[test]
+fn exp_churn_traced_at_two_shards_matches_golden_and_exports_phases() {
+    let params = ChurnParams::sized(192, 7);
+    let (outcome, rec) = churn_experiment(&params, 2, |_| FullRecorder::new());
+    let summary = outcome.summary(&params);
+    assert!(
+        summary == GOLDEN,
+        "exp_churn(n=192, seed=7, shards=2, full recorder) diverged from the \
+         golden.\n--- golden ---\n{GOLDEN}\n--- got ---\n{summary}"
+    );
+    assert_eq!(
+        rec.registry.messages_delivered(),
+        outcome.messages_delivered
+    );
+    assert!(!rec.repair.latencies().is_empty());
+    let json = rec.chrome_trace_json();
+    validate_json(&json).expect("trace must be valid JSON");
+    for needle in [
+        "\"build\"",
+        "\"boot\"",
+        "\"churn\"",
+        "\"drain\"",
+        "shard 0 wall ns",
+        "shard 1 wall ns",
+    ] {
+        assert!(json.contains(needle), "trace missing {needle}");
     }
 }
 
@@ -66,8 +105,8 @@ fn exp_churn_sharded_summary_is_shard_count_invariant() {
 #[test]
 fn exp_churn_forgetful_sharded_summary_is_shard_count_invariant() {
     let params = ChurnParams::sized(192, 7).with_forgetful(true);
-    for shards in [1usize, 2, 4] {
-        let summary = churn_experiment_sharded(&params, shards).summary(&params);
+    for shards in [2usize, 4] {
+        let summary = run(&params, shards).summary(&params);
         assert!(
             summary == GOLDEN_FORGETFUL,
             "exp_churn(n=192, seed=7, forgetful, shards={shards}) diverged \
@@ -87,7 +126,7 @@ fn static_n_preserves_forgetful_availability() {
     let params = ChurnParams::sized(192, 7)
         .with_forgetful(true)
         .with_static_n(true);
-    let outcome = churn_experiment(&params);
+    let outcome = run(&params, 1);
     let line = format!("availability under churn: {:.4}", outcome.availability);
     assert!(
         GOLDEN_FORGETFUL.contains(&line),

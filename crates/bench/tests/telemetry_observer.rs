@@ -6,19 +6,24 @@
 //! the telemetry itself (histograms, repair quantiles) must be a pure
 //! function of `(nodes, seed)`.
 
-use disco_bench::churn::{churn_experiment, churn_experiment_with, ChurnParams};
+use disco_bench::churn::{churn_experiment, ChurnOutcome, ChurnParams};
 use disco_sim::NoopRecorder;
 use disco_telemetry::{validate_json, FullRecorder};
+
+fn observed(params: &ChurnParams) -> (ChurnOutcome, FullRecorder) {
+    churn_experiment(params, 1, |_| FullRecorder::new())
+}
 
 /// The full recorder observes without perturbing: summary bytes match the
 /// no-op run (which is itself locked by `churn_golden.rs`).
 #[test]
 fn full_recorder_is_observer_effect_free() {
     let params = ChurnParams::sized(96, 11);
-    let baseline = churn_experiment(&params).summary(&params);
-    let (observed, rec) = churn_experiment_with(&params, FullRecorder::new());
+    let (baseline, NoopRecorder) = churn_experiment(&params, 1, |_| NoopRecorder);
+    let baseline = baseline.summary(&params);
+    let (outcome, rec) = observed(&params);
     assert_eq!(
-        observed.summary(&params),
+        outcome.summary(&params),
         baseline,
         "attaching the full recorder changed protocol-visible output"
     );
@@ -33,8 +38,8 @@ fn full_recorder_is_observer_effect_free() {
 #[test]
 fn telemetry_is_deterministic_across_same_seed_runs() {
     let params = ChurnParams::sized(96, 11);
-    let (_, a) = churn_experiment_with(&params, FullRecorder::new());
-    let (_, b) = churn_experiment_with(&params, FullRecorder::new());
+    let (_, a) = observed(&params);
+    let (_, b) = observed(&params);
     assert_eq!(a.repair.latencies(), b.repair.latencies());
     assert_eq!(a.summary_lines(), b.summary_lines());
     assert_eq!(
@@ -43,23 +48,12 @@ fn telemetry_is_deterministic_across_same_seed_runs() {
     );
 }
 
-/// The explicit-noop path and the default-generic path are the same
-/// monomorphization: `churn_experiment` delegates to
-/// `churn_experiment_with(.., NoopRecorder)`.
-#[test]
-fn noop_recorder_path_matches_default() {
-    let params = ChurnParams::sized(96, 11);
-    let a = churn_experiment(&params).summary(&params);
-    let (b, NoopRecorder) = churn_experiment_with(&params, NoopRecorder);
-    assert_eq!(a, b.summary(&params));
-}
-
 /// The exported Chrome trace is valid JSON and carries all four phase
 /// spans plus the deterministic summary object.
 #[test]
 fn chrome_trace_is_valid_and_carries_phases() {
     let params = ChurnParams::sized(96, 11);
-    let (_, rec) = churn_experiment_with(&params, FullRecorder::new());
+    let (_, rec) = observed(&params);
     let json = rec.chrome_trace_json();
     validate_json(&json).expect("trace must be valid JSON");
     for phase in ["\"build\"", "\"boot\"", "\"churn\"", "\"drain\""] {

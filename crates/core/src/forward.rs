@@ -346,6 +346,15 @@ impl TablePublisher {
         }
     }
 
+    /// The back buffer, for a compile that runs on another thread:
+    /// `std::mem::take` it, compile into it there (its capacity is the
+    /// last-but-one epoch's, so a steady-state republish allocates
+    /// nothing), then install it with `publish_with(now, |slot| *slot =
+    /// table)` — or put it back here if no publish was needed.
+    pub fn spare_mut(&mut self) -> &mut ForwardingTable {
+        &mut self.back
+    }
+
     /// Publish a new epoch: `compile` fills the back buffer (via
     /// `DiscoProtocol::compile_forwarding_into`, or by installing a table
     /// compiled on another shard), then the buffers swap. The caller

@@ -359,27 +359,13 @@ impl DiscoProtocol {
         const ADDR: usize = std::mem::size_of::<WireAddress>();
         // Hash structures are priced at their real SwissTable allocation —
         // `capacity()` is 7/8 of the bucket array, each bucket paying its
-        // payload plus one control byte — the same model the legacy-layout
-        // comparison uses, so the before/after ratio reflects layout, not
-        // accounting asymmetry.
+        // payload plus one control byte (`disco-metrics::control`'s
+        // `swiss_table_bytes` model).
         let group_buckets = self.group_addresses.capacity() * 8 / 7;
         let fwd_buckets = self.forwarded.capacity() * 8 / 7;
         group_buckets * (4 + ADDR + 1)
             + self.overlay_neighbors.capacity() * (8 + ADDR + 8)
             + fwd_buckets * (8 + 1)
-    }
-
-    /// Live entry counts behind [`Self::dissemination_bytes`], for the
-    /// byte-model accounting in `disco-metrics::control`:
-    /// `(group addresses, filled overlay slots, forwarded keys)`. The
-    /// overlay count is *filled* slots — the legacy `HashMap<usize, _>`
-    /// held only those.
-    pub fn dissemination_counts(&self) -> (usize, usize, usize) {
-        (
-            self.group_addresses.len(),
-            self.overlay_neighbor_count(),
-            self.forwarded.len(),
-        )
     }
 
     /// Send this node's synopsis union to one neighbor.

@@ -7,7 +7,9 @@
 //! This crate turns `disco-sim` into a dynamic-network simulator:
 //!
 //! * [`Schedule`] — a deterministic, seeded stream of
-//!   [`disco_sim::TopologyEvent`]s that can be applied to any engine;
+//!   [`disco_sim::TopologyEvent`]s applied to a
+//!   [`disco_sim::ShardedEngine`] — the one engine this crate drives, at
+//!   any shard count;
 //! * [`models`] — compilers from churn models to schedules: Poisson
 //!   join/leave churn ([`models::PoissonChurn`]), rolling link failures
 //!   ([`models::LinkFailures`]), flash-crowd arrival
@@ -16,7 +18,8 @@
 //!   `examples/flat_name_mobility.rs`);
 //! * [`probe`] — measurement of route availability and stretch-under-churn
 //!   against the *current* topology, extending the paper's Fig. 8
-//!   messaging methodology to steady-state churn.
+//!   messaging methodology to steady-state churn; protocol state is read
+//!   on the shard that owns it ([`disco_sim::ShardedEngine::gather`]).
 //!
 //! Everything is a pure function of `(graph, model parameters, seed)`, so
 //! churn experiments replay bit-for-bit, exactly like the static ones.
@@ -25,18 +28,18 @@
 //! use disco_dynamics::{models::PoissonChurn, probe};
 //! use disco_graph::{generators, NodeId};
 //! use disco_core::path_vector::{PathVectorNode, TableLimit};
-//! use disco_sim::Engine;
+//! use disco_sim::ShardedEngine;
 //!
 //! let g = generators::gnm_connected(64, 256, 7);
 //! let schedule = PoissonChurn::default().compile(&g, 7);
-//! let mut engine = Engine::new(&g, |v| {
+//! let mut engine = ShardedEngine::new(&g, 1, 7, |v| {
 //!     PathVectorNode::new(v, v == NodeId(0), TableLimit::Unlimited)
 //! });
 //! assert!(engine.run().converged);           // initial convergence
-//! schedule.apply_to(&mut engine);            // inject the churn
+//! schedule.apply_to(&mut engine).unwrap();   // inject the churn
 //! assert!(engine.run_until(|_| false));      // repair to quiescence
 //! let pairs = probe::sample_live_pairs(&engine, 64, 7);
-//! let report = probe::probe(&engine, &pairs, probe::path_vector_route);
+//! let report = probe::probe(&mut engine, &pairs, probe::path_vector_route);
 //! assert!(report.availability() > 0.9);
 //! ```
 

@@ -13,7 +13,7 @@ use disco_core::path_vector::PathVectorNode;
 use disco_core::protocol::{DiscoProtocol, WireAddress};
 use disco_graph::{dijkstra, Graph, InternedPath, NodeId};
 use disco_sim::rng::rng_for;
-use disco_sim::{Engine, EventQueue, Protocol, Recorder, ShardedEngine, SimTime};
+use disco_sim::{Recorder, ShardProtocol, ShardedEngine, SimTime};
 use rand::Rng;
 
 /// Outcome of one batch of route probes.
@@ -53,21 +53,24 @@ impl ProbeReport {
     }
 }
 
-/// Sample `count` ordered pairs of distinct live nodes from `live`,
-/// deterministically from `(seed, topology_events)`. The shared core of
-/// the sequential and sharded samplers: both draw from the same RNG
-/// stream keyed by the same topology-event count, so a sharded run probes
-/// exactly the pairs the sequential run would.
-fn sample_pairs_from(
-    live: &[NodeId],
-    topology_events: u64,
+/// Sample `count` ordered pairs of distinct currently-live nodes,
+/// deterministically from `(seed, topology events applied so far)` — read
+/// off the coordinator's mirror, so every shard count probes the same
+/// pairs at the same probe point.
+pub fn sample_live_pairs<P, R>(
+    engine: &ShardedEngine<P, R>,
     count: usize,
     seed: u64,
-) -> Vec<(NodeId, NodeId)> {
+) -> Vec<(NodeId, NodeId)>
+where
+    P: ShardProtocol + 'static,
+    R: Recorder + Send + 'static,
+{
+    let live: Vec<NodeId> = engine.active_nodes().collect();
     if live.len() < 2 {
         return Vec::new();
     }
-    let mut rng = rng_for(seed, 0xb0, topology_events);
+    let mut rng = rng_for(seed, 0xb0, engine.topology_events());
     let mut pairs = Vec::with_capacity(count);
     for _ in 0..count {
         let s = live[rng.gen_range(0..live.len())];
@@ -80,69 +83,47 @@ fn sample_pairs_from(
     pairs
 }
 
-/// Sample `count` ordered pairs of distinct currently-live nodes,
-/// deterministically from `seed`.
-pub fn sample_live_pairs<P: Protocol, Q: EventQueue<P::Message>, R: Recorder>(
-    engine: &Engine<'_, P, Q, R>,
-    count: usize,
-    seed: u64,
-) -> Vec<(NodeId, NodeId)> {
-    let live: Vec<NodeId> = engine.active_nodes().collect();
-    sample_pairs_from(&live, engine.topology_events(), count, seed)
-}
-
-/// [`sample_live_pairs`] against a sharded engine's coordinator mirror.
-/// Byte-identical pairs to the sequential sampler at the same probe point.
-pub fn sample_live_pairs_sharded<P, R>(
-    engine: &ShardedEngine<P, R>,
-    count: usize,
-    seed: u64,
-) -> Vec<(NodeId, NodeId)>
-where
-    P: disco_sim::ShardProtocol + 'static,
-    R: Recorder + Send + 'static,
-{
-    let live: Vec<NodeId> = engine.active_nodes().collect();
-    sample_pairs_from(&live, engine.topology_events(), count, seed)
-}
-
 /// Probe each pair: ask `route_of` for candidate routes in preference
-/// order (measurement-plane access to every protocol instance), validate
-/// each hop-by-hop against the engine's current graph, count the pair
-/// delivered if any candidate walks, and compare the first walking route's
-/// length to the true shortest path. `route_of(nodes, s, t)` returns node
-/// sequences `s..=t`.
-pub fn probe<P: Protocol, Q: EventQueue<P::Message>, R: Recorder>(
-    engine: &Engine<'_, P, Q, R>,
+/// order, validate each hop-by-hop against the engine's current graph,
+/// count the pair delivered if any candidate walks, and compare the first
+/// walking route's length to the true shortest path.
+///
+/// `route_of(nodes, s, t)` returns node sequences `s..=t`. It is a
+/// *source-local* oracle: it runs on the shard owning `s`, where only
+/// `nodes[s]` (and the shard's other owned nodes) carry live state — every
+/// other entry is the construction-time replica. An oracle that must read
+/// several nodes' live state is several gathers (see [`disco_probe`]).
+pub fn probe<P, R, F>(
+    engine: &mut ShardedEngine<P, R>,
     pairs: &[(NodeId, NodeId)],
-    route_of: impl Fn(&[P], NodeId, NodeId) -> Vec<Vec<NodeId>>,
-) -> ProbeReport {
-    let candidates: Vec<Vec<Vec<NodeId>>> = pairs
-        .iter()
-        .map(|&(s, t)| route_of(engine.nodes(), s, t))
-        .collect();
-    validate_candidates(
-        engine.graph(),
-        |v| engine.is_active(v),
-        engine.now(),
-        pairs,
-        &candidates,
-    )
+    route_of: F,
+) -> ProbeReport
+where
+    P: ShardProtocol + 'static,
+    R: Recorder + Send + 'static,
+    F: Fn(&[P], NodeId, NodeId) -> Vec<Vec<NodeId>> + Send + Clone + 'static,
+{
+    let candidates = engine.gather(pairs.to_vec(), move |e, s, t| route_of(e.nodes(), s, t));
+    validate_candidates(engine, pairs, &candidates)
 }
 
-/// The measurement half of a probe, shared by the sequential and sharded
-/// drivers: given each pair's candidate routes (in preference order),
-/// validate them hop-by-hop against `graph` + `is_active`, count delivered
-/// pairs and accumulate stretch against the true shortest paths.
-fn validate_candidates(
-    graph: &Graph,
-    is_active: impl Fn(NodeId) -> bool,
-    now: SimTime,
+/// The measurement half of a probe: given each pair's candidate routes (in
+/// preference order), validate them hop-by-hop against the coordinator's
+/// mirror of the current graph and active set, count delivered pairs and
+/// accumulate stretch against the true shortest paths.
+fn validate_candidates<P, R>(
+    engine: &ShardedEngine<P, R>,
     pairs: &[(NodeId, NodeId)],
     candidates: &[Vec<Vec<NodeId>>],
-) -> ProbeReport {
+) -> ProbeReport
+where
+    P: ShardProtocol + 'static,
+    R: Recorder + Send + 'static,
+{
+    let graph = engine.graph();
+    let is_active = |v| engine.is_active(v);
     let mut report = ProbeReport {
-        time: now,
+        time: engine.now(),
         pairs: pairs.len(),
         routable: 0,
         delivered: 0,
@@ -163,7 +144,7 @@ fn validate_candidates(
         report.routable += 1;
         let Some(len) = cands
             .iter()
-            .find_map(|route| walk_length(graph, &is_active, route, s, t))
+            .find_map(|route| walk_length(graph, is_active, route, s, t))
         else {
             continue; // no candidate, or all stale (broken link / dead hop)
         };
@@ -209,44 +190,15 @@ pub fn path_vector_route(nodes: &[PathVectorNode], s: NodeId, t: NodeId) -> Vec<
         .collect()
 }
 
-/// Route oracle emulating Disco's first packet (§4.3), in the protocol's
+/// [`probe`] emulating Disco's first packet (§4.3), in the protocol's
 /// preference order: a vicinity route if the source has one; the address
 /// known through the source's sloppy group; and name resolution — the
 /// destination's flat-name hash resolved at the owning landmark (which the
 /// source must be able to reach and which must hold an address for the
 /// hash), followed as `s ; ℓ_t ; t`.
-pub fn disco_first_packet_route(nodes: &[DiscoProtocol], s: NodeId, t: NodeId) -> Vec<Vec<NodeId>> {
-    let src = &nodes[s.0];
-    let mut candidates = Vec::new();
-    // Vicinity / landmark-table route.
-    if let Some(direct) = src.pv.table.get(&t) {
-        candidates.push(direct.path.to_vec());
-    }
-    // Sloppy-group proxy: the source may already know the address.
-    if let Some(addr) = src.group_address(t) {
-        candidates.extend(src.route_to(t, Some(addr)).map(|p| p.to_vec()));
-    }
-    // Name resolution: the owner landmark of H(t) must be reachable from s
-    // and must hold t's address.
-    let t_hash = nodes[t.0].my_hash();
-    if let Some(owner) = src.owner_landmark(t_hash) {
-        if src.route_to(owner, None).is_some() {
-            // The resolution request is routable; use the stored address.
-            if let Some(addr) = nodes[owner.0].resolution_store.get(&t_hash) {
-                if addr.node == t {
-                    candidates.extend(src.route_to(t, Some(addr)).map(|p| p.to_vec()));
-                }
-            }
-        }
-    }
-    candidates
-}
-
-/// [`probe`] with [`disco_first_packet_route`] semantics against a sharded
-/// engine. Node `v`'s live protocol state exists only on shard
-/// `owner_of(v)`, so the candidate collection runs as three batched visit
-/// phases (one sweep over the shards each) that reproduce the sequential
-/// oracle's candidate order exactly:
+///
+/// That reads the live state of two nodes — the source and the owning
+/// landmark — so the candidates are collected in three gathers:
 ///
 /// 1. on `owner(s)`: the vicinity route and the sloppy-group route, plus
 ///    whether the owner landmark of `H(t)` is reachable from `s` (the
@@ -256,133 +208,74 @@ pub fn disco_first_packet_route(nodes: &[DiscoProtocol], s: NodeId, t: NodeId) -
 ///    `H(t)`, detached from its shard-local path arena;
 /// 3. on `owner(s)` again: the resolution route `s ; ℓ_t ; t` built from
 ///    the re-interned address, appended after the phase-1 candidates.
-///
-/// Validation then runs against the coordinator's graph mirror, so the
-/// report is byte-identical to the sequential probe at the same time.
-pub fn disco_probe_sharded<R>(
+pub fn disco_probe<R>(
     engine: &mut ShardedEngine<DiscoProtocol, R>,
     pairs: &[(NodeId, NodeId)],
 ) -> ProbeReport
 where
     R: Recorder + Send + 'static,
 {
-    let shards = engine.shards();
-    let mut candidates: Vec<Vec<Vec<NodeId>>> = vec![Vec::new(); pairs.len()];
-    // Resolution follow-ups: pair index -> (owning landmark, H(t)).
-    let mut lookups: Vec<Option<(NodeId, NameHash)>> = vec![None; pairs.len()];
+    // Phase 1: source-local candidates + resolution reachability
+    // (owning landmark, H(t)).
+    type Phase1 = (Vec<Vec<NodeId>>, Option<(NodeId, NameHash)>);
+    let phase1: Vec<Phase1> = engine.gather(pairs.to_vec(), |e, s, t| {
+        let nodes = e.nodes();
+        let src = &nodes[s.0];
+        let mut cands = Vec::new();
+        if let Some(direct) = src.pv.table.get(&t) {
+            cands.push(direct.path.to_vec());
+        }
+        if let Some(addr) = src.group_address(t) {
+            cands.extend(src.route_to(t, Some(addr)).map(|p| p.to_vec()));
+        }
+        let t_hash = nodes[t.0].my_hash();
+        let lookup = src
+            .owner_landmark(t_hash)
+            .filter(|&owner| src.route_to(owner, None).is_some())
+            .map(|owner| (owner, t_hash));
+        (cands, lookup)
+    });
+    let (mut candidates, lookups): (Vec<_>, Vec<_>) = phase1.into_iter().unzip();
 
-    // Phase 1: source-local candidates + resolution reachability.
-    for shard in 0..shards {
-        let mine: Vec<(usize, NodeId, NodeId)> = pairs
-            .iter()
-            .enumerate()
-            .filter(|&(_, &(s, _))| engine.owner_of(s) == shard)
-            .map(|(i, &(s, t))| (i, s, t))
-            .collect();
-        if mine.is_empty() {
-            continue;
-        }
-        type Phase1Row = (usize, Vec<Vec<NodeId>>, Option<(NodeId, NameHash)>);
-        let rows: Vec<Phase1Row> = engine.visit(shard, move |e| {
-            let nodes = e.nodes();
-            mine.into_iter()
-                .map(|(i, s, t)| {
-                    let src = &nodes[s.0];
-                    let mut cands = Vec::new();
-                    if let Some(direct) = src.pv.table.get(&t) {
-                        cands.push(direct.path.to_vec());
-                    }
-                    if let Some(addr) = src.group_address(t) {
-                        cands.extend(src.route_to(t, Some(addr)).map(|p| p.to_vec()));
-                    }
-                    let t_hash = nodes[t.0].my_hash();
-                    let lookup = src
-                        .owner_landmark(t_hash)
-                        .filter(|&owner| src.route_to(owner, None).is_some())
-                        .map(|owner| (owner, t_hash));
-                    (i, cands, lookup)
-                })
-                .collect()
-        });
-        for (i, cands, lookup) in rows {
-            candidates[i] = cands;
-            lookups[i] = lookup;
-        }
+    // Phase 2: resolution-store reads on the owning landmarks. Addresses
+    // come back as (pair index, landmark, label path) with the path
+    // detached (interned paths are pinned to their shard's arena).
+    let asks = lookups
+        .iter()
+        .enumerate()
+        .filter_map(|(i, q)| q.map(|(owner, hash)| (owner, (i, hash, pairs[i].1))))
+        .collect();
+    let resolved = engine.gather(asks, |e, owner, (i, hash, t)| {
+        e.nodes()[owner.0]
+            .resolution_store
+            .get(&hash)
+            .filter(|addr| addr.node == t)
+            .map(|addr| (i, addr.landmark, addr.path.to_vec()))
+    });
+
+    // Phase 3: back on the sources, build the resolution route from the
+    // re-interned address; it lands after the phase-1 candidates.
+    let asks = resolved
+        .into_iter()
+        .flatten()
+        .map(|(i, landmark, path)| (pairs[i].0, (i, pairs[i].1, landmark, path)))
+        .collect();
+    let routes = engine.gather(asks, |e, s, (i, t, landmark, path)| {
+        let addr = WireAddress {
+            node: t,
+            landmark,
+            path: InternedPath::from_slice(&path),
+        };
+        (
+            i,
+            e.nodes()[s.0].route_to(t, Some(&addr)).map(|p| p.to_vec()),
+        )
+    });
+    for (i, route) in routes {
+        candidates[i].extend(route);
     }
 
-    // Phase 2: resolution-store reads on the owning landmarks' shards.
-    // Addresses come back with their paths detached (interned paths are
-    // pinned to the worker's arena).
-    let mut resolved: Vec<Option<(NodeId, NodeId, Vec<NodeId>)>> = vec![None; pairs.len()];
-    for shard in 0..shards {
-        let mine: Vec<(usize, NodeId, NameHash, NodeId)> = lookups
-            .iter()
-            .enumerate()
-            .filter_map(|(i, q)| q.map(|(owner, hash)| (i, owner, hash, pairs[i].1)))
-            .filter(|&(_, owner, _, _)| engine.owner_of(owner) == shard)
-            .collect();
-        if mine.is_empty() {
-            continue;
-        }
-        type Phase2Row = (usize, Option<(NodeId, NodeId, Vec<NodeId>)>);
-        let rows: Vec<Phase2Row> = engine.visit(shard, move |e| {
-            let nodes = e.nodes();
-            mine.into_iter()
-                .map(|(i, owner, hash, t)| {
-                    let addr = nodes[owner.0]
-                        .resolution_store
-                        .get(&hash)
-                        .filter(|addr| addr.node == t)
-                        .map(|addr| (addr.node, addr.landmark, addr.path.to_vec()));
-                    (i, addr)
-                })
-                .collect()
-        });
-        for (i, addr) in rows {
-            resolved[i] = addr;
-        }
-    }
-
-    // Phase 3: back on the source shards, build the resolution route from
-    // the re-interned address; it lands after the phase-1 candidates,
-    // matching the sequential preference order.
-    // (pair index, source, target, detached (node, landmark, path)).
-    type Phase3Row = (usize, NodeId, NodeId, (NodeId, NodeId, Vec<NodeId>));
-    for shard in 0..shards {
-        let mine: Vec<Phase3Row> = resolved
-            .iter()
-            .enumerate()
-            .filter_map(|(i, a)| a.clone().map(|a| (i, pairs[i].0, pairs[i].1, a)))
-            .filter(|&(_, s, _, _)| engine.owner_of(s) == shard)
-            .collect();
-        if mine.is_empty() {
-            continue;
-        }
-        let rows: Vec<(usize, Option<Vec<NodeId>>)> = engine.visit(shard, move |e| {
-            let nodes = e.nodes();
-            mine.into_iter()
-                .map(|(i, s, t, (node, landmark, path))| {
-                    let addr = WireAddress {
-                        node,
-                        landmark,
-                        path: InternedPath::from_slice(&path),
-                    };
-                    (i, nodes[s.0].route_to(t, Some(&addr)).map(|p| p.to_vec()))
-                })
-                .collect()
-        });
-        for (i, route) in rows {
-            candidates[i].extend(route);
-        }
-    }
-
-    validate_candidates(
-        engine.graph(),
-        |v| engine.is_active(v),
-        engine.now(),
-        pairs,
-        &candidates,
-    )
+    validate_candidates(engine, pairs, &candidates)
 }
 
 #[cfg(test)]
@@ -392,9 +285,9 @@ mod tests {
     use disco_graph::generators;
     use disco_sim::TopologyEvent;
 
-    fn pv_engine(n: usize, m: usize, seed: u64) -> Engine<'static, PathVectorNode> {
+    fn pv_engine(n: usize, m: usize, seed: u64, shards: usize) -> ShardedEngine<PathVectorNode> {
         let g = generators::gnm_connected(n, m, seed);
-        let mut engine = Engine::new(&g, |v| {
+        let mut engine = ShardedEngine::new(&g, shards, seed, |v| {
             PathVectorNode::new(v, v == NodeId(0), TableLimit::Unlimited)
         });
         assert!(engine.run().converged);
@@ -403,31 +296,38 @@ mod tests {
 
     #[test]
     fn converged_network_has_full_availability_and_unit_stretch() {
-        let engine = pv_engine(48, 192, 3);
-        let pairs = sample_live_pairs(&engine, 64, 3);
-        assert_eq!(pairs.len(), 64);
-        let report = probe(&engine, &pairs, path_vector_route);
-        assert_eq!(report.routable, 64);
-        assert_eq!(report.delivered, 64);
-        assert!((report.availability() - 1.0).abs() < 1e-12);
-        assert!((report.mean_stretch() - 1.0).abs() < 1e-9);
+        for shards in [1, 2] {
+            let mut engine = pv_engine(48, 192, 3, shards);
+            let pairs = sample_live_pairs(&engine, 64, 3);
+            assert_eq!(pairs.len(), 64);
+            let report = probe(&mut engine, &pairs, path_vector_route);
+            assert_eq!(report.routable, 64);
+            assert_eq!(report.delivered, 64);
+            assert!((report.availability() - 1.0).abs() < 1e-12);
+            assert!((report.mean_stretch() - 1.0).abs() < 1e-9);
+        }
     }
 
     #[test]
     fn availability_recovers_after_churn() {
-        let mut engine = pv_engine(48, 192, 5);
+        let mut engine = pv_engine(48, 192, 5, 1);
         let t0 = engine.now() + 1.0;
-        engine.schedule_topology(t0, TopologyEvent::NodeLeave { node: NodeId(7) });
-        engine.schedule_topology(
-            t0 + 1.0,
-            TopologyEvent::LinkDown {
-                u: NodeId(1),
-                v: engine.graph().neighbors(NodeId(1))[0].node,
-            },
-        );
+        let peer = engine.graph().neighbors(NodeId(1))[0].node;
+        engine
+            .schedule_topology(t0, TopologyEvent::NodeLeave { node: NodeId(7) })
+            .unwrap();
+        engine
+            .schedule_topology(
+                t0 + 1.0,
+                TopologyEvent::LinkDown {
+                    u: NodeId(1),
+                    v: peer,
+                },
+            )
+            .unwrap();
         assert!(engine.run_until(|_| false), "repair did not quiesce");
         let pairs = sample_live_pairs(&engine, 64, 5);
-        let report = probe(&engine, &pairs, path_vector_route);
+        let report = probe(&mut engine, &pairs, path_vector_route);
         assert_eq!(report.routable, report.pairs);
         assert_eq!(
             report.delivered, report.routable,
@@ -440,31 +340,37 @@ mod tests {
 
     #[test]
     fn stale_routes_fail_validation() {
-        let mut engine = pv_engine(16, 48, 9);
+        let mut engine = pv_engine(16, 48, 9, 1);
         // Freeze state, then break a link WITHOUT letting repair run: routes
         // through it must count as undelivered.
-        let (u, v) = {
-            let e = engine.nodes()[2]
+        let route_of = |e: &mut ShardedEngine<PathVectorNode>, s: NodeId, t: NodeId| {
+            e.visit(0, move |e| {
+                e.nodes()[s.0].table.get(&t).map(|r| r.path.to_vec())
+            })
+        };
+        let (u, v) = engine.visit(0, |e| {
+            let (_, entry) = e.nodes()[2]
                 .table
                 .iter()
-                .find(|(&d, _)| d != NodeId(2));
-            let entry = e.map(|(_, e)| e.path.to_vec()).unwrap();
-            (entry[0], entry[1])
-        };
-        let before = probe(&engine, &[(u, v)], path_vector_route);
+                .find(|(&d, _)| d != NodeId(2))
+                .unwrap();
+            let path = entry.path.to_vec();
+            (path[0], path[1])
+        });
+        let before = probe(&mut engine, &[(u, v)], path_vector_route);
         assert_eq!(before.delivered, 1);
         let t0 = engine.now() + 1.0;
-        engine.schedule_topology(t0, TopologyEvent::LinkDown { u, v });
+        engine
+            .schedule_topology(t0, TopologyEvent::LinkDown { u, v })
+            .unwrap();
         // Advance exactly past the event; the repair traffic it triggers is
         // still in flight, so u's direct route to v is stale.
         engine.run_to(t0 + 1e-6);
-        let report = probe(&engine, &[(u, v)], path_vector_route);
-        if let Some(e) = engine.nodes()[u.0].table.get(&v) {
+        let report = probe(&mut engine, &[(u, v)], path_vector_route);
+        if let Some(path) = route_of(&mut engine, u, v) {
             // If u still exports a (stale or alternate) route, the probe
             // must only count it when it walks on the current graph.
-            let walks = e
-                .path
-                .to_vec()
+            let walks = path
                 .windows(2)
                 .all(|w| engine.graph().edge_weight(w[0], w[1]).is_some());
             assert_eq!(report.delivered == 1, walks);

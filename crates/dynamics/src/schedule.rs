@@ -1,14 +1,13 @@
 //! Deterministic topology-event schedules.
 
 use disco_sim::{
-    Engine, EventQueue, LookaheadViolation, Protocol, Recorder, ShardProtocol, ShardedEngine,
-    SimTime, TopologyEvent,
+    LookaheadViolation, Recorder, ShardProtocol, ShardedEngine, SimTime, TopologyEvent,
 };
 
-/// A time-ordered stream of topology events, ready to be injected into an
-/// [`Engine`]. Events at equal timestamps keep their insertion order (the
-/// engine's event queue is FIFO for equal times), so a schedule applied to
-/// the same engine state always replays identically.
+/// A time-ordered stream of topology events, ready to be injected into a
+/// [`ShardedEngine`]. Events at equal timestamps keep their insertion order
+/// (they are keyed in injection order), so a schedule applied to the same
+/// engine state always replays identically.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Schedule {
     events: Vec<(SimTime, TopologyEvent)>,
@@ -91,28 +90,13 @@ impl Schedule {
         self
     }
 
-    /// Schedule every event into `engine` (whatever its event-queue
-    /// implementation), offset so the first event fires no earlier than
-    /// the engine's current time.
-    pub fn apply_to<P: Protocol, Q: EventQueue<P::Message>, R: Recorder>(
-        &self,
-        engine: &mut Engine<'_, P, Q, R>,
-    ) {
-        let now = engine.now();
-        for (t, ev) in &self.events {
-            engine.schedule_topology(now + t, ev.clone());
-        }
-    }
-
-    /// [`Schedule::apply_to`] for a sharded engine. Events are injected in
-    /// the same order, so a sharded run replays the schedule with the same
-    /// logical event keys as a sequential one. Fails on the first event
-    /// that would introduce a link faster than the conservative lookahead
-    /// window (the same check applies at every shard count, including 1).
-    pub fn apply_to_sharded<P, R>(
-        &self,
-        engine: &mut ShardedEngine<P, R>,
-    ) -> Result<(), LookaheadViolation>
+    /// Schedule every event into `engine`, offset so the first event fires
+    /// no earlier than the engine's current time. Events are injected in
+    /// schedule order, so every shard count replays them under the same
+    /// logical event keys. Fails on the first event that would introduce a
+    /// link faster than the conservative lookahead window (the same check
+    /// applies at every shard count, including 1).
+    pub fn apply_to<P, R>(&self, engine: &mut ShardedEngine<P, R>) -> Result<(), LookaheadViolation>
     where
         P: ShardProtocol + 'static,
         R: Recorder + Send + 'static,

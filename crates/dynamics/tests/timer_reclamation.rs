@@ -10,7 +10,7 @@ use disco_core::landmark::select_landmarks;
 use disco_core::protocol::{DiscoProtocol, PhaseTimers};
 use disco_dynamics::models::PoissonChurn;
 use disco_graph::{generators, NodeId};
-use disco_sim::Engine;
+use disco_sim::ShardedEngine;
 use std::collections::HashSet;
 
 #[test]
@@ -21,7 +21,7 @@ fn high_churn_never_pops_epoch_dead_timers() {
     let cfg = DiscoConfig::seeded(seed).with_forgetful_dynamic(true);
     let landmarks = select_landmarks(n, &cfg);
     let lm_set: HashSet<NodeId> = landmarks.iter().copied().collect();
-    let mut engine = Engine::new(&graph, |v| {
+    let mut engine = ShardedEngine::new(&graph, 1, seed, move |v| {
         DiscoProtocol::new(v, lm_set.contains(&v), n, &cfg, PhaseTimers::default())
     });
     assert!(engine.run().converged, "initial convergence");
@@ -37,7 +37,9 @@ fn high_churn_never_pops_epoch_dead_timers() {
         ..PoissonChurn::default()
     };
     let schedule = model.compile(&graph, seed);
-    schedule.apply_to(&mut engine);
+    schedule
+        .apply_to(&mut engine)
+        .expect("churn re-adds only links of the original graph");
 
     let mut max_dead = 0usize;
     while !engine.run_to(engine.now() + 50.0) {

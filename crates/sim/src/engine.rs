@@ -149,10 +149,10 @@ impl<'f, P: Protocol> Engine<'f, P> {
 
 impl<'f, P: Protocol, Q: EventQueue<P::Message>> Engine<'f, P, Q> {
     /// Like [`Engine::new`], but scheduling events on a caller-supplied
-    /// queue implementation (e.g. [`crate::event::BinaryHeapQueue`] for the
-    /// `exp_scale` heap-baseline comparison). Both queues pop in the same
-    /// deterministic `(time, key, seq)` order, so runs are byte-identical
-    /// across queue implementations.
+    /// queue implementation (e.g. the [`crate::event::BinaryHeapQueue`]
+    /// reference model). Both queues pop in the same deterministic
+    /// `(time, key, seq)` order, so runs are byte-identical across queue
+    /// implementations.
     pub fn with_queue(graph: &Graph, factory: impl FnMut(NodeId) -> P + 'f, queue: Q) -> Self {
         Engine::with_recorder(graph, factory, queue, NoopRecorder)
     }

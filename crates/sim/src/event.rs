@@ -242,8 +242,9 @@ pub trait EventQueue<M> {
 /// The original `BinaryHeap`-backed queue. O(log n) push/pop; cancellation
 /// is a tombstone (the payload stays queued until popped), which is exactly
 /// the lazy-reclamation behavior the timer wheel was introduced to fix.
-/// Kept as the ordering reference and as the `exp_scale --queue heap`
-/// baseline.
+/// No driver runs on it any more: it is kept as the reference model the
+/// wheel's pop order is defined against — `tests/queue_equivalence.rs`
+/// drives both through random event streams and requires identical pops.
 #[derive(Debug)]
 pub struct BinaryHeapQueue<M> {
     heap: BinaryHeap<Event<M>>,

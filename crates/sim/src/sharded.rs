@@ -59,9 +59,11 @@
 //!
 //! The barrier fills each mailbox in source-shard order (then outbox push
 //! order), which is deterministic too — though by fact 1 the ingestion
-//! order cannot matter. `k = 1` runs the exact same code path with an
-//! always-empty exchange; the `exp_churn` goldens lock in that single-shard
-//! and sequential runs agree byte-for-byte.
+//! order cannot matter. `k = 1` runs the exact same code path — one worker
+//! thread, an always-empty exchange — and is the engine every dynamic
+//! driver runs on by default; the `exp_churn` goldens lock one, two and
+//! four shards byte-for-byte equal, and `tests/sharded_equivalence.rs`
+//! locks them equal to a bare [`Engine`].
 
 use crate::engine::{Engine, RunReport};
 use crate::event::{SimTime, TimerWheel, TopologyEvent};
@@ -319,16 +321,17 @@ pub struct ShardedRunSummary<R> {
     pub arena_reclaimed_cells: usize,
 }
 
-/// Deterministic parallel simulation coordinator: the sharded counterpart
-/// of [`Engine`], driving `k` shard workers through conservative-lookahead
-/// windows. See the module docs for the synchronization model and the
-/// determinism argument.
+/// Deterministic parallel simulation coordinator, the engine every dynamic
+/// driver runs on: steps `k` shard workers — each an [`Engine`] — through
+/// conservative-lookahead windows. See the module docs for the
+/// synchronization model and the determinism argument.
 ///
 /// The coordinator mirrors the graph and the active set (applying the same
 /// topology events the shards apply, at the same barriers), so topology
 /// accessors ([`ShardedEngine::graph`], [`ShardedEngine::is_active`], …)
 /// answer without crossing threads. Protocol state lives only on the
-/// workers; reach it with [`ShardedEngine::visit`].
+/// workers; reach it with [`ShardedEngine::visit`] or
+/// [`ShardedEngine::gather`].
 pub struct ShardedEngine<P: ShardProtocol + 'static, R: Recorder + Send + 'static = NoopRecorder> {
     workers: Vec<WorkerHandle<Cmd<P, R>>>,
     replies: Vec<Receiver<Reply<P::Wire, R>>>,
@@ -778,8 +781,9 @@ impl<P: ShardProtocol + 'static, R: Recorder + Send + 'static> ShardedEngine<P, 
     }
 
     /// Run `f` against `shard`'s engine on its worker thread and return
-    /// the result. This is the one way to reach protocol instances (e.g.
-    /// for probes): node `v` lives on shard [`ShardedEngine::owner_of`]`(v)`.
+    /// the result. Node `v`'s state lives on shard
+    /// [`ShardedEngine::owner_of`]`(v)`; [`ShardedEngine::gather`] does
+    /// that routing for a batch.
     pub fn visit<T, F>(&mut self, shard: usize, f: F) -> T
     where
         T: Send + 'static,
@@ -794,6 +798,52 @@ impl<P: ShardProtocol + 'static, R: Recorder + Send + 'static> ShardedEngine<P, 
             _ => panic!("unexpected reply to visit"),
         }
         rx.recv().expect("visit closure dropped its result")
+    }
+
+    /// Evaluate `f(engine, v, item)` for every `(v, item)` on the shard
+    /// owning node `v` — the engine whose `nodes()[v]` is `v`'s live
+    /// protocol instance (other shards hold only its construction-time
+    /// replica) — and return the results in input order. Each owning shard
+    /// is visited once, with all of its items.
+    pub fn gather<I, T, F>(&mut self, items: Vec<(NodeId, I)>, f: F) -> Vec<T>
+    where
+        I: Send + 'static,
+        T: Send + 'static,
+        F: Fn(&ShardEngine<P, R>, NodeId, I) -> T + Send + Clone + 'static,
+    {
+        let mut rows: Vec<Option<T>> = items.iter().map(|_| None).collect();
+        let mut per_shard: Vec<Vec<(usize, NodeId, I)>> =
+            self.workers.iter().map(|_| Vec::new()).collect();
+        for (i, (v, item)) in items.into_iter().enumerate() {
+            per_shard[self.owner_of(v)].push((i, v, item));
+        }
+        for (shard, mine) in per_shard.into_iter().enumerate() {
+            if mine.is_empty() {
+                continue;
+            }
+            let f = f.clone();
+            let got: Vec<(usize, T)> = self.visit(shard, move |e| {
+                mine.into_iter()
+                    .map(|(i, v, item)| (i, f(e, v, item)))
+                    .collect()
+            });
+            for (i, row) in got {
+                rows[i] = Some(row);
+            }
+        }
+        rows.into_iter()
+            .map(|row| row.expect("every item was routed to its owner"))
+            .collect()
+    }
+
+    /// Run `f` on shard 0's recorder: the place for marks that belong to
+    /// the run rather than to a node — phase spans, a driver's own
+    /// counters. [`ShardedEngine::finish`] merges it with the other shards'
+    /// recorders. Skipped entirely when the recorder is disabled.
+    pub fn mark(&mut self, f: impl FnOnce(&mut R) + Send + 'static) {
+        if R::ENABLED {
+            self.visit(0, move |e| f(e.recorder_mut()));
+        }
     }
 
     /// Shut the shards down and merge their final state: summed message

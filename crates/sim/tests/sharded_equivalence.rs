@@ -270,3 +270,44 @@ proptest! {
         assert_sharded_matches_sequential::<Chatter>(&g, &schedule, &[1, 2, 3, 8], seed);
     }
 }
+
+/// `gather` evaluates each item on its node's owner (the only engine where
+/// the node has logged upcalls), returns rows in input order whatever the
+/// owner order, and visits each owning shard exactly once: the calls of
+/// one shard form one contiguous run.
+#[test]
+fn gather_routes_to_owners_and_keeps_input_order() {
+    use std::sync::{Arc, Mutex};
+    let g = generators::ring(24);
+    // Ids in an order that hops between owners at every shard count.
+    let ids: Vec<NodeId> = (0..24).map(|i| NodeId((i * 7) % 24)).collect();
+    for shards in [1, 2, 3] {
+        let mut sh = ShardedEngine::new(&g, shards, 5, |_| Lockstep::default());
+        assert!(sh.run().converged);
+        let calls = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&calls);
+        let items = ids.iter().map(|&v| (v, v.0 * 10)).collect();
+        let rows = sh.gather(items, move |e, v, tag| {
+            log.lock().unwrap().push(v);
+            (v, tag, !e.nodes()[v.0].log.is_empty())
+        });
+        let expect: Vec<_> = ids.iter().map(|&v| (v, v.0 * 10, true)).collect();
+        assert_eq!(rows, expect, "shards={shards}");
+        let mut runs: Vec<usize> = calls
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|&v| sh.owner_of(v))
+            .collect();
+        runs.dedup();
+        let mut owners = runs.clone();
+        owners.sort_unstable();
+        owners.dedup();
+        assert_eq!(
+            runs.len(),
+            owners.len(),
+            "a shard was visited twice: {runs:?}"
+        );
+        assert_eq!(owners.len(), shards, "every shard owns some of the ids");
+    }
+}

@@ -15,9 +15,9 @@ use disco::core::config::DiscoConfig;
 use disco::core::landmark::select_landmarks;
 use disco::core::protocol::{DiscoProtocol, PhaseTimers};
 use disco::dynamics::models::{FlashCrowd, LinkFailures, PoissonChurn, Waypoints};
-use disco::dynamics::probe::{disco_first_packet_route, probe, sample_live_pairs};
+use disco::dynamics::probe::{disco_probe, sample_live_pairs};
 use disco::graph::{generators, NodeId};
-use disco::sim::Engine;
+use disco::sim::ShardedEngine;
 use std::collections::HashSet;
 
 fn main() {
@@ -30,7 +30,7 @@ fn main() {
     let landmarks = select_landmarks(n, &cfg);
     let lm_set: HashSet<NodeId> = landmarks.iter().copied().collect();
 
-    let mut engine = Engine::new(&graph, |v| {
+    let mut engine = ShardedEngine::new(&graph, 1, seed, move |v| {
         DiscoProtocol::new(v, lm_set.contains(&v), n, &cfg, PhaseTimers::default())
     });
     let report = engine.run();
@@ -89,7 +89,9 @@ fn main() {
     );
 
     let start = engine.now();
-    storm.apply_to(&mut engine);
+    storm
+        .apply_to(&mut engine)
+        .expect("the storm adds only unit-weight links, like the graph's");
 
     println!(
         "\n{:>8} {:>6} {:>10} {:>10} {:>13}",
@@ -99,7 +101,7 @@ fn main() {
         let t = start + horizon * i as f64 / 6.0;
         engine.run_to(t);
         let pairs = sample_live_pairs(&engine, 96, seed ^ i as u64);
-        let p = probe(&engine, &pairs, disco_first_packet_route);
+        let p = disco_probe(&mut engine, &pairs);
         println!(
             "{:>8.0} {:>6} {:>10} {:>10} {:>13.3}",
             t - start,
@@ -112,7 +114,7 @@ fn main() {
 
     let quiesced = engine.run_until(|_| false);
     let pairs = sample_live_pairs(&engine, 96, seed ^ 0xdead);
-    let p = probe(&engine, &pairs, disco_first_packet_route);
+    let p = disco_probe(&mut engine, &pairs);
     println!(
         "\nafter the storm (quiesced: {quiesced}): {} live nodes, availability {:.4}, mean stretch {:.3}",
         engine.active_count(),
@@ -121,13 +123,12 @@ fn main() {
     );
 
     // The mobile node kept its identity through every re-attachment.
-    let mobile = &engine.nodes()[n + 24];
-    println!(
-        "mobile node {} still answers to hash {} at landmark {:?}",
-        NodeId(n + 24),
-        mobile.my_hash(),
-        mobile.my_address().map(|a| a.landmark)
-    );
+    let mobile = NodeId(n + 24);
+    let (hash, landmark) = engine.visit(engine.owner_of(mobile), move |e| {
+        let node = &e.nodes()[mobile.0];
+        (node.my_hash(), node.my_address().map(|a| a.landmark))
+    });
+    println!("mobile node {mobile} still answers to hash {hash} at landmark {landmark:?}");
     println!(
         "storm cost: {} in-flight messages lost, {} topology events applied",
         engine.messages_dropped(),
