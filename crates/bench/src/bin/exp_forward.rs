@@ -17,10 +17,6 @@
 //! --shards K            run on K engine shards (default 1; tables compile
 //!                       on their owner shards and ship to the
 //!                       coordinator)
-//! --dynamic-n           run the live synopsis-diffusion n-estimation
-//!                       gossip too (exp_churn's subject; dominates
-//!                       control cost ~70x at n=512 and does not change
-//!                       the data plane being measured — off by default)
 //! --json PATH           write the JSON report to PATH
 //! --trace PATH          export the run as a Chrome trace_event timeline
 //!                       with the delivered-lookups data-plane track (at
@@ -37,6 +33,10 @@
 //!                       column to match bit-for-bit.
 //! ```
 //!
+//! Every node keeps its construction-time estimate of `n`: the live
+//! n-estimation gossip is `exp_churn`'s subject, dominates control cost
+//! ~70x at n=512 and does not change the data plane being measured.
+//!
 //! Run with: `cargo run --release -p disco-bench --bin exp_forward`
 
 use disco_bench::cli::{parse_shards, recorded};
@@ -52,7 +52,6 @@ struct Args {
     json: Option<String>,
     trace: Option<String>,
     smoke: Option<String>,
-    dynamic_n: bool,
 }
 
 fn parse_args() -> Args {
@@ -65,7 +64,6 @@ fn parse_args() -> Args {
         json: None,
         trace: None,
         smoke: None,
-        dynamic_n: false,
     };
     let mut it = std::env::args().skip(1).peekable();
     while let Some(flag) = it.next() {
@@ -79,7 +77,6 @@ fn parse_args() -> Args {
             "--flows" => out.flows = value("--flows").parse().expect("--flows"),
             "--debounce" => out.debounce = value("--debounce").parse().expect("--debounce"),
             "--shards" => out.shards = parse_shards(&value("--shards")),
-            "--dynamic-n" => out.dynamic_n = true,
             "--json" => out.json = Some(value("--json")),
             "--trace" => out.trace = Some(value("--trace")),
             "--smoke" => {
@@ -90,7 +87,7 @@ fn parse_args() -> Args {
             "--help" | "-h" => {
                 eprintln!(
                     "flags: --nodes N --seed S --flows F --debounce T --shards K \
-                     --dynamic-n --json PATH --trace PATH --smoke"
+                     --json PATH --trace PATH --smoke"
                 );
                 std::process::exit(0);
             }
@@ -108,7 +105,6 @@ fn render_json(args: &Args, result: &ForwardResult) -> String {
     let _ = writeln!(j, "  \"seed\": {},", args.seed);
     let _ = writeln!(j, "  \"flows\": {},", args.flows);
     let _ = writeln!(j, "  \"debounce\": {},", args.debounce);
-    let _ = writeln!(j, "  \"dynamic_n\": {},", args.dynamic_n);
     let _ = writeln!(j, "  \"nproc\": {nproc},");
     // The smoke gate: 70% of the drain batch's measured lookup rate,
     // rounded down — CI fails an exp_forward --smoke run whose drain batch
@@ -178,9 +174,8 @@ fn print_table(r: &ForwardResult) {
 /// Smoke gates of any leg: the recorded (drain batch) and absolute (every
 /// phase) lookups/sec floors, zero stale loss after drain, and a
 /// validating trace export.
-fn smoke_failures(args: &Args, r: &ForwardResult, trace_path: &str) -> Vec<String> {
+fn smoke_failures(r: &ForwardResult, floor: f64, trace_path: &str) -> Vec<String> {
     let mut failures = Vec::new();
-    let baseline = args.smoke.as_deref().unwrap_or("BENCH_exp_forward.json");
     // Like for like: the recorded floor comes from a drain batch, so it
     // gates the drain batch (boot batches walk half-filled tables and
     // read 3.9-6.1 M/s from run to run here); every phase must still
@@ -192,10 +187,6 @@ fn smoke_failures(args: &Args, r: &ForwardResult, trace_path: &str) -> Vec<Strin
         ));
     }
     let got = r.drain.lookups_per_sec;
-    let floor = recorded(baseline, "min_lookups_per_sec").unwrap_or_else(|| {
-        eprintln!("smoke: no min_lookups_per_sec in {baseline}; gating on 1M/sec only");
-        0.0
-    });
     if got < floor {
         failures.push(format!(
             "{got:.0} lookups/sec (drain batch) is below the recorded floor {floor:.0}"
@@ -238,7 +229,6 @@ fn shard_invariance_failures(args: &Args, multi: &ForwardResult) -> Vec<String> 
         debounce: args.debounce,
         shards: 1,
         trace: None,
-        dynamic_n: args.dynamic_n,
     });
     let mut failures = Vec::new();
     for (a, b) in [
@@ -300,8 +290,13 @@ fn main() {
         debounce: args.debounce,
         shards: args.shards,
         trace: args.trace.clone(),
-        dynamic_n: args.dynamic_n,
     };
+    // Read before the leg runs: a smoke that cannot read its floor fails
+    // (`recorded` exits), it does not fall back to a weaker gate.
+    let floor = args
+        .smoke
+        .as_deref()
+        .map(|baseline| recorded(baseline, "min_lookups_per_sec"));
     let r = run_one(&cfg);
     print_table(&r);
 
@@ -310,9 +305,9 @@ fn main() {
         eprintln!("wrote {path}");
     }
 
-    if args.smoke.is_some() {
+    if let Some(floor) = floor {
         let trace_path = args.trace.as_deref().expect("smoke legs always trace");
-        let mut failures = smoke_failures(&args, &r, trace_path);
+        let mut failures = smoke_failures(&r, floor, trace_path);
         if args.shards > 1 {
             failures.extend(shard_invariance_failures(&args, &r));
         }

@@ -148,6 +148,15 @@ fn render_json(args: &Args, results: &[ScaleResult]) -> String {
 
 fn main() {
     let args = parse_args();
+    // Read before the legs run: a smoke that cannot read its floor fails
+    // (`recorded` exits), it does not run ungated.
+    let floor = args.smoke.as_deref().map(|baseline| {
+        if args.shards > 1 {
+            0.7 * recorded(baseline, "sharded_ratio")
+        } else {
+            recorded(baseline, "min_announcements_per_sec")
+        }
+    });
     let mut results = Vec::new();
     println!(
         "{:>7} {:>10} {:>12} {:>13} {:>13} {:>12}",
@@ -177,9 +186,9 @@ fn main() {
         results.push(r);
     }
 
-    match &args.smoke {
-        Some(baseline) if args.shards > 1 => smoke_shard_ratio(&args, &results[0], baseline),
-        Some(baseline) => smoke_rate(&results[0], baseline),
+    match floor {
+        Some(floor) if args.shards > 1 => smoke_shard_ratio(&args, &results[0], floor),
+        Some(floor) => smoke_rate(&results[0], floor),
         None => {}
     }
 
@@ -190,12 +199,8 @@ fn main() {
 }
 
 /// The throughput smoke gate: the recorded leg's announcement rate against
-/// the floor recorded in `baseline`.
-fn smoke_rate(leg: &ScaleResult, baseline: &str) {
-    let Some(floor) = recorded(baseline, "min_announcements_per_sec") else {
-        eprintln!("smoke: no min_announcements_per_sec in {baseline}; skipping gate");
-        return;
-    };
+/// the recorded `min_announcements_per_sec` floor.
+fn smoke_rate(leg: &ScaleResult, floor: f64) {
     let got = leg.announcements_per_sec;
     if got < floor {
         eprintln!(
@@ -216,8 +221,8 @@ const SHARDED_SMOKE_REPEATS: usize = 3;
 /// K-shard leg is the first) and require (a) bit-identical delivered
 /// announcements, topology events and simulation end time from every run —
 /// the cross-shard determinism contract, a hard failure — and (b) the
-/// median K-over-1 announcement-rate ratio to reach 0.7× the
-/// `sharded_ratio` recorded in `baseline`. One pair of runs reads
+/// median K-over-1 announcement-rate ratio to reach `floor`, 0.7× the
+/// recorded `sharded_ratio`. One pair of runs reads
 /// 1.0 ± the box's noise; the median of interleaved pairs against a
 /// recorded value with a stated tolerance still catches the 0.03–0.06×
 /// class of regression without flipping on that noise. The throughput bar
@@ -227,7 +232,7 @@ const SHARDED_SMOKE_REPEATS: usize = 3;
 /// reported as unmeasured, in so many words, so a one-core runner cannot be
 /// read as having passed it. The printed median is what gets recorded as
 /// `sharded_ratio`.
-fn smoke_shard_ratio(args: &Args, first: &ScaleResult, baseline: &str) {
+fn smoke_shard_ratio(args: &Args, first: &ScaleResult, floor: f64) {
     let leg = |shards| {
         run_one(&ScaleConfig {
             n: first.n,
@@ -278,16 +283,13 @@ fn smoke_shard_ratio(args: &Args, first: &ScaleResult, baseline: &str) {
 
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     let measured = cores >= args.shards;
-    let floor = recorded(baseline, "sharded_ratio").map(|r| 0.7 * r);
-    if let (true, Some(floor)) = (measured, floor) {
-        if ratio < floor {
-            failures.push(format!(
-                "shards={} throughput is {ratio:.2}x single-shard on {cores} cores \
-                 (median of {SHARDED_SMOKE_REPEATS}), below the floor {floor:.2}x \
-                 (0.7x the ratio recorded in {baseline})",
-                args.shards
-            ));
-        }
+    if measured && ratio < floor {
+        failures.push(format!(
+            "shards={} throughput is {ratio:.2}x single-shard on {cores} cores \
+             (median of {SHARDED_SMOKE_REPEATS}), below the floor {floor:.2}x \
+             (0.7x the recorded sharded_ratio)",
+            args.shards
+        ));
     }
     if !failures.is_empty() {
         for f in &failures {
@@ -299,18 +301,16 @@ fn smoke_shard_ratio(args: &Args, first: &ScaleResult, baseline: &str) {
         "smoke OK: shards={} matches shards=1 bit-for-bit in all {SHARDED_SMOKE_REPEATS} repeats",
         args.shards
     );
-    match (measured, floor) {
-        (false, _) => eprintln!(
+    if measured {
+        eprintln!(
+            "smoke OK: throughput {ratio:.3}x single-shard on {cores} cores \
+             (median of {SHARDED_SMOKE_REPEATS}, gated >= {floor:.2}x)"
+        );
+    } else {
+        eprintln!(
             "smoke: throughput UNMEASURED — {} shards on {cores} core(s) time-slice \
              (ratio {ratio:.2}x is not a parallel measurement and gates nothing)",
             args.shards
-        ),
-        (true, None) => eprintln!(
-            "smoke: no sharded_ratio in {baseline}; throughput {ratio:.2}x single-shard ungated"
-        ),
-        (true, Some(floor)) => eprintln!(
-            "smoke OK: throughput {ratio:.3}x single-shard on {cores} cores \
-             (median of {SHARDED_SMOKE_REPEATS}, gated >= {floor:.2}x)"
-        ),
+        );
     }
 }

@@ -52,16 +52,24 @@ pub fn write_trace(path: &str, rec: &FullRecorder) {
 
 /// A top-level numeric `key` of the recorded `BENCH_*.json` report at
 /// `path` (one `"key": value,` per line, as the bins write them) — where
-/// the `--smoke` gates read their floors.
-pub fn recorded(path: &str, key: &str) -> Option<f64> {
-    let report = std::fs::read_to_string(path).ok()?;
-    let line = report.lines().find(|l| l.contains(&format!("\"{key}\"")))?;
-    line.split(':')
-        .nth(1)?
-        .trim()
-        .trim_end_matches(',')
-        .parse()
-        .ok()
+/// the `--smoke` gates read their floors. Every such report is checked
+/// in, so a floor that cannot be read is a wrong working directory (the
+/// path is relative to it) or a renamed key, and the gate fails: exits
+/// non-zero naming both rather than passing ungated.
+pub fn recorded(path: &str, key: &str) -> f64 {
+    let parse = |report: String| -> Option<f64> {
+        let line = report.lines().find(|l| l.contains(&format!("\"{key}\"")))?;
+        let value = line.split(':').nth(1)?;
+        value.trim().trim_end_matches(',').parse().ok()
+    };
+    let floor = std::fs::read_to_string(path).ok().and_then(parse);
+    floor.unwrap_or_else(|| {
+        eprintln!(
+            "smoke FAIL: cannot read the floor \"{key}\" from {path} \
+             (looked up relative to the working directory)"
+        );
+        std::process::exit(1);
+    })
 }
 
 impl CommonArgs {

@@ -67,12 +67,6 @@ pub struct ForwardConfig {
     /// Write the run as a Chrome `trace_event` timeline to this path:
     /// control-plane classes plus the delivered-lookups data-plane track.
     pub trace: Option<String>,
-    /// Run the live synopsis-diffusion n-estimation gossip. Off by
-    /// default: the gossip is `exp_churn`'s subject and dominates control
-    /// cost super-linearly (~70x the messages at n=512), while the data
-    /// plane being measured here — table compile, epoch publish, lookup —
-    /// is identical either way.
-    pub dynamic_n: bool,
 }
 
 /// Per-phase traffic statistics of one leg. All integer columns are
@@ -530,7 +524,11 @@ fn run_with<R: MergeRecorder + Send + 'static>(
     recorders: impl FnMut(usize) -> R,
 ) -> (ForwardResult, R) {
     let graph = generators::gnm_average_degree(cfg.n, 8.0, cfg.seed);
-    let dcfg = DiscoConfig::seeded(cfg.seed).with_dynamic_n_estimation(cfg.dynamic_n);
+    // Static `n`: the estimation gossip is `exp_churn`'s subject and
+    // dominates control cost super-linearly (~70x the messages at n=512),
+    // while the data plane being measured here — table compile, epoch
+    // publish, lookup — is identical either way.
+    let dcfg = DiscoConfig::seeded(cfg.seed).with_dynamic_n_estimation(false);
     let landmarks = select_landmarks(cfg.n, &dcfg);
     let lm_set = landmark_set(&landmarks);
     let model = PoissonChurn {
@@ -633,7 +631,6 @@ mod tests {
             debounce: 5.0,
             shards,
             trace: None,
-            dynamic_n: false,
         }
     }
 

@@ -56,7 +56,7 @@
 //! withdrawals, so repair cascades stay polynomial.
 
 use crate::rib::{preferred_parts, Candidate, RibStats, RibStore, SelectedRoute};
-use disco_graph::{FxHashMap, InternedPath, NodeId, Weight};
+use disco_graph::{InternedPath, NodeId, Weight};
 use disco_sim::{Context, Protocol};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -126,47 +126,12 @@ pub struct Announcement {
     pub refresh: bool,
 }
 
-/// A converged routing-table entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RouteEntry {
-    /// Distance to the destination.
-    pub dist: Weight,
-    /// Next hop toward the destination.
-    pub next_hop: NodeId,
-    /// Full path (this node first, destination last), interned.
-    pub path: InternedPath,
-    /// Whether the destination is a landmark.
-    pub dest_is_landmark: bool,
-    /// Destination's distance to its own closest landmark (used by the
-    /// cluster rule; `∞` if unknown).
-    pub dest_landmark_dist: Weight,
-}
-
-/// Materialize a routing-table entry from the Loc-RIB view. This is the
-/// *only* place a `RouteEntry` is built from the selection — the table
-/// (the export/forwarding boundary) and nothing else; everywhere else the
-/// selection is read in place through [`RibStore::selected_view`].
-fn view_entry(v: &SelectedRoute<'_>) -> RouteEntry {
-    RouteEntry {
-        dist: v.dist,
-        next_hop: v.next_hop,
-        path: v.path.clone(),
-        dest_is_landmark: v.dest_is_landmark,
-        dest_landmark_dist: v.dest_landmark_dist,
-    }
-}
-
 /// A path-vector node with a configurable acceptance rule.
 #[derive(Debug, Clone)]
 pub struct PathVectorNode {
     id: NodeId,
     is_landmark: bool,
     limit: TableLimit,
-    /// Data-plane routing table: only destinations accepted by the table
-    /// limit (plus the self entry). This is exactly what the node exports.
-    /// Mutate only through [`Self::tbl_insert`] / [`Self::tbl_remove`],
-    /// which keep the ordered mirrors below consistent.
-    pub table: FxHashMap<NodeId, RouteEntry>,
     /// Per-neighbor candidate routes (Adj-RIB-In): the last usable route
     /// each neighbor announced for each destination, with `dist` already
     /// including the link weight and `path` starting at this node. Stored
@@ -185,34 +150,48 @@ pub struct PathVectorNode {
     /// Route-refresh requests sent / answered (repair-traffic gauges).
     refreshes_sent: u64,
     refreshes_answered: u64,
-    /// The Loc-RIB is *not* stored here: it is the [`RibStore`]'s
-    /// per-destination selection column (see [`RibStore::selected_view`]),
-    /// maintained incrementally through [`Self::select_candidate`] /
-    /// [`Self::rescan_best`] so a message costs O(degree), not O(all
-    /// candidates). The former `best: FxHashMap<NodeId, RouteEntry>`
-    /// duplicated ~56 B per known destination on top of the candidates.
+    /// This node's own zero-length path, installed by `on_start`; `None`
+    /// before, when the node exports nothing — not even itself. The self
+    /// route is otherwise derived ([`Self::route`]): distance 0, flag
+    /// `is_landmark`, landmark distance `own_landmark_dist`.
+    self_path: Option<InternedPath>,
+    /// Neither the Loc-RIB nor the routing table is stored here: both are
+    /// columns of the [`RibStore`]. The Loc-RIB is the per-destination
+    /// selection (see [`RibStore::selected_view`]), maintained
+    /// incrementally through [`Self::select_candidate`] and the rescan in
+    /// [`Self::update_dest`] so a message costs O(degree), not O(all
+    /// candidates); the routing table is the subset of selected routes
+    /// [`Self::apply_selection`] marks *resident* — §4.2's acceptance rule
+    /// is a filter over the selection, not a second copy of it.
     ///
     /// Ordered mirrors that turn the per-message O(table) / O(best) scans
     /// of cap admission into O(log) lookups — the difference between
-    /// per-event cost growing with √n and staying flat. Keyed on compact
-    /// 4-byte destination keys (`d.0 as u32`), *not* on interned RIB
-    /// indexes: the `(dist, key)` order must equal the `(dist, NodeId)`
-    /// order — distance ties are everywhere on unit-weight graphs and the
-    /// tie-break decides cap admission — and intern order is arrival
-    /// order, which would reorder ties and change converged tables.
+    /// per-event cost growing with √n and staying flat. Together they
+    /// partition the selected destinations, each filed as `(dist, key)`
+    /// under the selection's `(landmark flag, resident mark)`:
     ///
-    /// Non-landmark, non-self *table* entries by `(dist, key)`
-    /// (max = the cap's eviction candidate).
+    /// * flag set → `lm_best` (min = this node's own landmark distance;
+    ///   every limit admits landmarks, so outside a re-derivation these
+    ///   are all resident),
+    /// * flag clear, resident → `locals` (max = the cap's eviction
+    ///   candidate),
+    /// * flag clear, not resident → `waiting` (min = the cap's best
+    ///   waiting candidate).
+    ///
+    /// [`Self::unmirror_at`] / [`Self::mirror_at`] are the only writers:
+    /// take the key out *before* touching either field (clearing a
+    /// selection can compact the interner and the mark with it), file it
+    /// again after. Keys are compact 4-byte destination keys
+    /// (`d.0 as u32`), *not* interned RIB indexes: the `(dist, key)` order
+    /// must equal the `(dist, NodeId)` order — distance ties are
+    /// everywhere on unit-weight graphs and the tie-break decides cap
+    /// admission — and intern order is arrival order, which would reorder
+    /// ties and change converged tables.
     locals: BTreeSet<(OrdW, u32)>,
-    /// Non-landmark *selected* routes not currently in the table, by
-    /// `(dist, key)` (min = the cap's best waiting candidate).
+    /// See `locals`.
     waiting: BTreeSet<(OrdW, u32)>,
-    /// Landmark-flagged *selected* routes by `(dist, key)` (min = this
-    /// node's own landmark distance).
+    /// See `locals`.
     lm_best: BTreeSet<(OrdW, u32)>,
-    /// Per-destination count of landmark-flagged candidates across all
-    /// neighbors (incremental OR-merge of the landmark flag; absent = 0).
-    cand_lm: FxHashMap<NodeId, u32>,
     /// Distance to this node's own closest landmark (0 for landmarks, `∞`
     /// while none is reachable); re-announced whenever it changes since the
     /// cluster rule keys on it.
@@ -269,7 +248,6 @@ impl PathVectorNode {
             id,
             is_landmark,
             limit,
-            table: FxHashMap::default(),
             rib: RibStore::new(),
             forgetful: None,
             pending_refresh: BTreeSet::new(),
@@ -278,7 +256,7 @@ impl PathVectorNode {
             locals: BTreeSet::new(),
             waiting: BTreeSet::new(),
             lm_best: BTreeSet::new(),
-            cand_lm: FxHashMap::default(),
+            self_path: None,
             origin_landmark_flags: false,
             own_landmark_dist: if is_landmark { 0.0 } else { Weight::INFINITY },
             pending: disco_graph::FxHashSet::default(),
@@ -321,24 +299,55 @@ impl PathVectorNode {
 
     /// Number of entries in the routing table (excluding the self entry).
     pub fn table_size(&self) -> usize {
-        self.table.len().saturating_sub(1)
+        self.locals.len() + self.lm_best.len()
+    }
+
+    /// The routing-table entry for `dest` — exactly what this node exports
+    /// for it: the selected route if the table limit admitted it, this
+    /// node's own zero-length route for `dest == id` (once started).
+    pub fn route(&self, dest: NodeId) -> Option<SelectedRoute<'_>> {
+        if dest != self.id {
+            return self.rib.resident_view(dest);
+        }
+        Some(SelectedRoute {
+            next_hop: self.id,
+            dist: 0.0,
+            dest_landmark_dist: self.own_landmark_dist,
+            dest_is_landmark: self.is_landmark,
+            path: self.self_path.as_ref()?,
+        })
     }
 
     /// Converged distance to `dest`, if known.
     pub fn distance_to(&self, dest: NodeId) -> Option<Weight> {
-        self.table.get(&dest).map(|e| e.dist)
+        self.route(dest).map(|r| r.dist)
     }
 
-    /// Landmark entries currently in the table.
-    pub fn landmark_entries(&self) -> impl Iterator<Item = (&NodeId, &RouteEntry)> {
-        self.table.iter().filter(|(_, e)| e.dest_is_landmark)
-    }
-
-    /// Non-landmark entries currently in the table (the vicinity / cluster).
-    pub fn local_entries(&self) -> impl Iterator<Item = (&NodeId, &RouteEntry)> {
-        self.table
+    /// The destinations filed in one ordered mirror with their distances,
+    /// closest first, ties by smaller id.
+    fn mirrored(
+        mirror: &BTreeSet<(OrdW, u32)>,
+    ) -> impl DoubleEndedIterator<Item = (NodeId, Weight)> + '_ {
+        mirror
             .iter()
-            .filter(move |(&d, e)| !e.dest_is_landmark && d != self.id)
+            .map(|&(OrdW(dist), key)| (NodeId(key as usize), dist))
+    }
+
+    /// Landmarks currently in the table with their distances — this node
+    /// itself first if it is one, then closest first, ties by smaller id.
+    /// Walks the `lm_best` mirror without touching the store;
+    /// [`Self::route`] has the rest of an entry.
+    pub fn landmark_entries(&self) -> impl Iterator<Item = (NodeId, Weight)> + '_ {
+        let own = self.route(self.id).filter(|r| r.dest_is_landmark);
+        own.map(|r| (self.id, r.dist))
+            .into_iter()
+            .chain(Self::mirrored(&self.lm_best))
+    }
+
+    /// Non-landmark destinations currently in the table (the vicinity /
+    /// cluster) with their distances, closest first, ties by smaller id.
+    pub fn local_entries(&self) -> impl Iterator<Item = (NodeId, Weight)> + '_ {
+        Self::mirrored(&self.locals)
     }
 
     /// Number of candidate routes held across all neighbors (control-plane
@@ -373,22 +382,16 @@ impl PathVectorNode {
         self.rib.for_each_selected(f)
     }
 
-    /// Approximate heap bytes of this node's Loc-RIB *view*: the
-    /// selection columns in the [`RibStore`] plus the ordered
+    /// Approximate heap bytes of this node's Loc-RIB and routing table:
+    /// the per-destination view columns in the [`RibStore`] (selection,
+    /// landmark-candidate count, resident mark) plus the ordered
     /// `locals`/`waiting`/`lm_best` mirrors (≈12 B keys in B-tree nodes
     /// that amortize to about twice the payload). This is the "loc-rib
-    /// bytes" column of `exp_memory`'s per-component accounting — the
-    /// state that used to be a materialized `FxHashMap<NodeId,
-    /// RouteEntry>` per node.
+    /// bytes" column of `exp_memory`'s per-component accounting, and it is
+    /// all there is: the node keeps no other per-destination state.
     pub fn loc_rib_bytes(&self) -> usize {
-        self.rib.selection_bytes() + self.mirror_entries() * 24
-    }
-
-    /// Entries across the three ordered mirrors (`locals` + `waiting` +
-    /// `lm_best`), for the byte-model accounting: the pre-view layout kept
-    /// the same mirrors at 16-byte `(dist, NodeId)` keys.
-    pub fn mirror_entries(&self) -> usize {
-        self.locals.len() + self.waiting.len() + self.lm_best.len()
+        let mirrored = self.locals.len() + self.waiting.len() + self.lm_best.len();
+        self.rib.selection_bytes() + mirrored * 24
     }
 
     /// Route-refresh requests this node has flooded (forgetful routing's
@@ -410,100 +413,62 @@ impl PathVectorNode {
         d.0 as u32
     }
 
-    /// Insert a table entry, keeping the `locals` / `waiting` mirrors
-    /// consistent. Returns the replaced entry, like `HashMap::insert`.
-    fn tbl_insert(&mut self, d: NodeId, e: RouteEntry) -> Option<RouteEntry> {
-        let is_local = d != self.id && !e.dest_is_landmark;
-        let new_key = (OrdW(e.dist), Self::dkey(d));
-        let old = self.table.insert(d, e);
-        if let Some(o) = &old {
-            if d != self.id && !o.dest_is_landmark {
-                self.locals.remove(&(OrdW(o.dist), Self::dkey(d)));
-            }
-        }
-        if is_local {
-            self.locals.insert(new_key);
-        }
-        // A destination in the table is never waiting.
-        if let Some((dist, flag)) = self.rib.selected_parts(d) {
-            if !flag {
-                self.waiting.remove(&(OrdW(dist), Self::dkey(d)));
-            }
-        }
-        old
-    }
-
-    /// Remove a table entry, keeping the mirrors consistent.
-    fn tbl_remove(&mut self, d: NodeId) -> Option<RouteEntry> {
-        let old = self.table.remove(&d)?;
-        if d != self.id && !old.dest_is_landmark {
-            self.locals.remove(&(OrdW(old.dist), Self::dkey(d)));
-        }
-        // A non-landmark selected route no longer in the table waits for a
-        // cap slot again.
-        if let Some((dist, flag)) = self.rib.selected_parts(d) {
-            if !flag {
-                self.waiting.insert((OrdW(dist), Self::dkey(d)));
-            }
-        }
-        Some(old)
-    }
-
-    /// Drop the current selection's mirror key (call before any mutation
-    /// of the selection for `d`).
-    fn unmirror_best(&mut self, d: NodeId) {
-        if let Some(di) = self.rib.idx(d) {
-            self.unmirror_best_at(d, di);
+    /// The mirror a selection with this `(flag, resident)` pair is filed
+    /// in (the partition rule of the `locals` field docs).
+    fn mirror_of(&mut self, flag: bool, resident: bool) -> &mut BTreeSet<(OrdW, u32)> {
+        match (flag, resident) {
+            (true, _) => &mut self.lm_best,
+            (false, true) => &mut self.locals,
+            (false, false) => &mut self.waiting,
         }
     }
 
-    /// [`Self::unmirror_best`] with the destination index in hand.
-    fn unmirror_best_at(&mut self, d: NodeId, di: u32) {
-        if let Some((dist, flag)) = self.rib.selected_parts_at(di) {
-            let k = (OrdW(dist), Self::dkey(d));
-            if flag {
-                self.lm_best.remove(&k);
-            } else {
-                self.waiting.remove(&k);
-            }
+    /// Take `d`'s selection out of its mirror — call before any write to
+    /// the selection or the resident mark of `d`. Returns the `(distance,
+    /// flag, resident)` it was filed under, `None` if nothing is selected.
+    fn unmirror_at(&mut self, d: NodeId, di: u32) -> Option<(Weight, bool, bool)> {
+        let parts = self.rib.selected_parts_at(di)?;
+        let (dist, flag, resident) = parts;
+        self.mirror_of(flag, resident)
+            .remove(&(OrdW(dist), Self::dkey(d)));
+        Some(parts)
+    }
+
+    /// File `d`'s selection (if any) in the mirror its current `(flag,
+    /// resident)` names — call after the write [`Self::unmirror_at`]
+    /// preceded.
+    fn mirror_at(&mut self, d: NodeId, di: u32) {
+        if let Some((dist, flag, resident)) = self.rib.selected_parts_at(di) {
+            self.mirror_of(flag, resident)
+                .insert((OrdW(dist), Self::dkey(d)));
         }
     }
 
-    /// Mirror the current selection for `d` (call after the selection
-    /// mutation; a destination resident in the table is never `waiting`).
-    fn mirror_best(&mut self, d: NodeId) {
-        if let Some(di) = self.rib.idx(d) {
-            self.mirror_best_at(d, di);
-        }
-    }
-
-    /// [`Self::mirror_best`] with the destination index in hand.
-    fn mirror_best_at(&mut self, d: NodeId, di: u32) {
-        if let Some((dist, flag)) = self.rib.selected_parts_at(di) {
-            let k = (OrdW(dist), Self::dkey(d));
-            if flag {
-                self.lm_best.insert(k);
-            } else if !self.table.contains_key(&d) {
-                self.waiting.insert(k);
-            }
-        }
+    /// Move the selected destination `w` into or out of the routing table
+    /// (a cap admission or eviction) and queue the change for export.
+    fn set_resident(&mut self, w: NodeId, resident: bool) {
+        let wi = self.rib.idx(w).expect("a mirrored destination is interned");
+        self.unmirror_at(w, wi);
+        self.rib.set_resident_at(wi, resident);
+        self.mirror_at(w, wi);
+        self.pending.insert(w);
     }
 
     /// Point the Loc-RIB selection at `nbr`'s candidate `cand` for `d`
     /// (the flag policy decides between the candidate's own flag and the
-    /// OR-merge), keeping the mirrors consistent. `cand` is the candidate
-    /// just recorded in `nbr`'s slab, so the selection columns are written
-    /// straight from it — no slab re-probe.
+    /// OR-merge) and re-derive `d`'s table membership. `cand` is the
+    /// candidate just recorded in `nbr`'s slab, so the selection columns
+    /// are written straight from it — no slab re-probe.
     fn select_candidate(&mut self, d: NodeId, di: u32, nbr: NodeId, cand: Candidate) {
         self.selection_revision += 1;
         let flag = if self.origin_landmark_flags {
             cand.dest_is_landmark
         } else {
-            self.cand_is_lm(d)
+            self.rib.landmark_candidates_at(di) > 0
         };
-        self.unmirror_best_at(d, di);
-        self.rib.select_from_at(di, nbr, cand, flag);
-        self.mirror_best_at(d, di);
+        let prev = self.unmirror_at(d, di);
+        let moved = self.rib.select_from_at(di, nbr, cand, flag);
+        self.apply_selection(d, Some(di), prev, moved);
     }
 
     /// Promote this node to a landmark at runtime (emergency self-election
@@ -515,9 +480,8 @@ impl PathVectorNode {
         }
         self.is_landmark = true;
         self.own_landmark_dist = 0.0;
-        let entry = self.self_entry();
-        self.tbl_insert(self.id, entry);
-        vec![Self::export(self.id, &self.table[&self.id], false)]
+        let own = self.route(self.id).expect("promotion follows on_start");
+        vec![Self::export(self.id, &own)]
     }
 
     /// Make the landmark flag an attribute of the *selected* route: a
@@ -545,12 +509,7 @@ impl PathVectorNode {
         self.is_landmark = false;
         // As a regular node, the own-landmark distance comes from the best
         // landmark route again.
-        self.own_landmark_dist = self
-            .lm_best
-            .first()
-            .map_or(Weight::INFINITY, |&(OrdW(w), _)| w);
-        let e = self.self_entry();
-        self.tbl_insert(self.id, e);
+        self.refresh_own_landmark_dist();
         self.pending.insert(self.id);
         self.landmark_version += 1;
     }
@@ -573,64 +532,28 @@ impl PathVectorNode {
         }
         self.limit = TableLimit::VicinityCap { size };
         while self.locals.len() > size {
-            let w = self.worst_local().expect("locals non-empty");
-            self.tbl_remove(w);
-            self.pending.insert(w);
+            let (w, _) = self.worst_local().expect("locals non-empty");
+            self.set_resident(w, false);
         }
         while self.locals.len() < size {
-            let Some(w) = self.best_waiting() else {
+            let Some((w, _)) = self.best_waiting() else {
                 break;
             };
-            let e = self.waiting_entry(w);
-            self.tbl_insert(w, e);
-            self.pending.insert(w);
-        }
-    }
-
-    /// This node's own (zero-length) route entry.
-    fn self_entry(&self) -> RouteEntry {
-        RouteEntry {
-            dist: 0.0,
-            next_hop: self.id,
-            path: InternedPath::single(self.id),
-            dest_is_landmark: self.is_landmark,
-            dest_landmark_dist: self.own_landmark_dist,
+            self.set_resident(w, true);
         }
     }
 
     /// The announcement exporting table entry `e` for `dest`.
-    fn export(dest: NodeId, e: &RouteEntry, withdrawn: bool) -> Announcement {
+    fn export(dest: NodeId, e: &SelectedRoute<'_>) -> Announcement {
         Announcement {
             dest,
             dist: e.dist,
             path: e.path.clone(),
             dest_is_landmark: e.dest_is_landmark,
             dest_landmark_dist: e.dest_landmark_dist,
-            withdrawn,
+            withdrawn: false,
             refresh: false,
         }
-    }
-
-    /// Bump / drop the per-destination count of landmark-flagged
-    /// candidates (the OR-merge of the landmark flag, maintained
-    /// incrementally).
-    fn cand_lm_adjust(&mut self, d: NodeId, was: bool, now: bool) {
-        match (was, now) {
-            (false, true) => *self.cand_lm.entry(d).or_insert(0) += 1,
-            (true, false) => {
-                let c = self.cand_lm.get_mut(&d).expect("flag counter underflow");
-                *c -= 1;
-                if *c == 0 {
-                    self.cand_lm.remove(&d);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// Whether any candidate for `d` carries the landmark flag.
-    fn cand_is_lm(&self, d: NodeId) -> bool {
-        self.cand_lm.contains_key(&d)
     }
 
     /// Record one incoming announcement in the candidate set; returns the
@@ -656,52 +579,23 @@ impl PathVectorNode {
                     dest_landmark_dist: ann.dest_landmark_dist,
                 };
                 let di = self.rib.intern(d);
-                let was_lm = self.rib.insert_at(from, di, &cand) == Some(true);
-                self.cand_lm_adjust(d, was_lm, ann.dest_is_landmark);
+                self.rib.insert_at(from, di, &cand);
                 return (d, Some(cand), Some(di));
             }
         }
         // Withdrawals and routes through this node make the neighbor
         // unusable for that destination.
-        if self.rib.remove(from, d) == Some(true) {
-            self.cand_lm_adjust(d, true, false);
-        }
+        self.rib.remove(from, d);
         // A removal can compact the interner, so no index survives this
         // branch; the (cold) caller path re-resolves.
         (d, None, None)
     }
 
-    /// Recompute the Loc-RIB best route for `d` by scanning every
-    /// neighbor's candidate — the slow path, needed only when the current
-    /// best neighbor's own candidate worsened or disappeared. Selection is
-    /// a pure function of the candidate set (the preference order is
-    /// total), so equal-seed runs reselect identically.
-    fn rescan_best(&mut self, d: NodeId) {
-        self.selection_revision += 1;
-        // Best candidate over neighbors, written straight into the
-        // selection column (nothing materialized). The landmark flag is
-        // OR-merged (via the incremental counter): it is intrinsic to the
-        // destination, and candidates disagree only transiently while a
-        // promotion floods.
-        self.unmirror_best(d);
-        if self.rib.select_best(d) && !self.origin_landmark_flags {
-            let flag = self.cand_is_lm(d);
-            self.rib.set_selected_flag(d, flag);
-        }
-        self.mirror_best(d);
-    }
-
     /// Re-write the selection's landmark flag if the OR over candidates
-    /// changed (the route itself is untouched). Under origin-authoritative
-    /// flags this is a no-op: the flag belongs to the selected candidate,
-    /// and a non-selected neighbor's word cannot change it.
-    /// Returns whether the selection's flag actually changed.
-    fn refresh_best_flag(&mut self, d: NodeId) -> bool {
-        let di = self.rib.idx(d);
-        self.refresh_best_flag_at(d, di)
-    }
-
-    /// [`Self::refresh_best_flag`] with the destination index in hand.
+    /// changed (the route itself is untouched) and re-derive the table
+    /// entry from it. Under origin-authoritative flags this is a no-op:
+    /// the flag belongs to the selected candidate, and a non-selected
+    /// neighbor's word cannot change it. Returns whether the flag changed.
     fn refresh_best_flag_at(&mut self, d: NodeId, di: Option<u32>) -> bool {
         if self.origin_landmark_flags {
             return false;
@@ -709,16 +603,14 @@ impl PathVectorNode {
         let Some(di) = di else {
             return false;
         };
-        let is_lm = self.cand_is_lm(d);
-        if let Some((_, flag)) = self.rib.selected_parts_at(di) {
-            if flag != is_lm {
-                self.unmirror_best_at(d, di);
-                self.rib.set_selected_flag(d, is_lm);
-                self.mirror_best_at(d, di);
-                return true;
-            }
+        let is_lm = self.rib.landmark_candidates_at(di) > 0;
+        if !matches!(self.rib.selected_parts_at(di), Some((_, flag, _)) if flag != is_lm) {
+            return false;
         }
-        false
+        let prev = self.unmirror_at(d, di);
+        self.rib.set_selected_flag(d, is_lm);
+        self.apply_selection(d, Some(di), prev, false);
+        true
     }
 
     /// Update the Loc-RIB best route for `d` after the candidate from
@@ -743,8 +635,7 @@ impl PathVectorNode {
             let di = di.expect("insertions carry the destination index");
             // Compare against the selection's *cached* route: when `from`
             // re-announced over its own selected candidate, the cache still
-            // holds the pre-update values, exactly like the deleted `best`
-            // map did.
+            // holds the pre-update values.
             //
             // An attribute-only refresh — the selected neighbor re-announcing
             // the very route it is selected for, with only the destination's
@@ -761,14 +652,28 @@ impl PathVectorNode {
             };
             if promote {
                 self.select_candidate(d, di, from, cand);
-                self.apply_selection(d, Some(di));
                 return;
             }
         }
         if cur_hop == Some(from) {
-            // Re-selection can clear the last selection and compact the
-            // interner; `di` is dead past this point.
-            self.rescan_best(d);
+            // The slow path: the selected neighbor's own candidate worsened
+            // or disappeared, so scan every neighbor's candidate for the new
+            // best, written straight into the selection column (nothing
+            // materialized). Selection is a pure function of the candidate
+            // set (the preference order is total), so equal-seed runs
+            // reselect identically. Re-selection can clear the last
+            // selection and compact the interner; `di` is dead past this
+            // point.
+            self.selection_revision += 1;
+            let prev = self.rib.idx(d).and_then(|i| self.unmirror_at(d, i));
+            let moved = self.rib.select_best(d);
+            if moved.is_some() && !self.origin_landmark_flags {
+                // The landmark flag is OR-merged over candidates: it is
+                // intrinsic to the destination, and candidates disagree
+                // only transiently while a promotion floods.
+                let flag = self.rib.landmark_candidates(d) > 0;
+                self.rib.set_selected_flag(d, flag);
+            }
             // The selected route vanished with no retained alternate left.
             // If the forgetful policy discarded candidates for this
             // destination, a full RIB might still hold a route — re-solicit
@@ -778,12 +683,10 @@ impl PathVectorNode {
             // exports, and refreshing on every degradation feeds back (the
             // answers themselves get evicted, re-arming the trigger) into
             // a refresh storm that never quiesces.
-            if self.forgetful.is_some()
-                && self.rib.selected_hop(d).is_none()
-                && self.rib.take_evicted(d)
-            {
+            if self.forgetful.is_some() && moved.is_none() && self.rib.take_evicted(d) {
                 self.pending_refresh.insert(d);
             }
+            self.apply_selection(d, None, prev, moved.unwrap_or(true));
         } else {
             // The selected route is untouched; only the OR-merged landmark
             // flag can have changed. When it did not, the table derivation
@@ -798,18 +701,16 @@ impl PathVectorNode {
             // (and any pre-removal index would be compaction-stale) —
             // resolve it here so the flag refresh actually runs.
             let di = di.or_else(|| self.rib.idx(d));
-            if !self.refresh_best_flag_at(d, di) {
-                if self.table.get(&d).is_some_and(|e| e.dest_is_landmark)
-                    && self.pending.contains(&d)
-                {
-                    self.landmark_version += 1;
-                }
-                return;
+            if !self.refresh_best_flag_at(d, di)
+                && matches!(
+                    di.and_then(|i| self.rib.selected_parts_at(i)),
+                    Some((_, true, true))
+                )
+                && self.pending.contains(&d)
+            {
+                self.landmark_version += 1;
             }
-            self.apply_selection(d, di);
-            return;
         }
-        self.apply_selection(d, None);
     }
 
     /// Trim `d`'s candidate set to the forgetful budget (no-op unless
@@ -824,30 +725,21 @@ impl PathVectorNode {
         if d == self.id {
             return;
         }
-        let keep = if self.table.contains_key(&d) {
+        let keep = if self.rib.is_resident(d) {
             1 + alternates
         } else {
             1
         };
         // The selected route (read from the selection column) is never
-        // evicted, whatever its rank.
-        let removed = self.rib.enforce(d, keep);
-        if removed.is_empty() {
-            return;
-        }
-        let mut lm_removed = false;
-        for (_, was_lm) in removed {
-            if was_lm {
-                self.cand_lm_adjust(d, true, false);
-                lm_removed = true;
+        // evicted, whatever its rank. Evicting the last landmark-flagged
+        // candidate can clear the OR-merged flag; re-derive the entry so
+        // the table doesn't keep a stale flag alive.
+        if self.rib.enforce(d, keep) && !self.origin_landmark_flags {
+            let di = self.rib.idx(d);
+            if !self.refresh_best_flag_at(d, di) {
+                let prev = di.and_then(|i| self.unmirror_at(d, i));
+                self.apply_selection(d, di, prev, false);
             }
-        }
-        // Evicting the last landmark-flagged candidate can clear the
-        // OR-merged flag; re-derive the entry so the table doesn't keep a
-        // stale flag alive.
-        if lm_removed && !self.origin_landmark_flags {
-            self.refresh_best_flag(d);
-            self.apply_selection(d, None);
         }
     }
 
@@ -858,166 +750,128 @@ impl PathVectorNode {
         is_landmark || dist + 1e-12 < lm_dist
     }
 
-    /// Vicinity ordering for cap admission: smaller distance first, ties by
-    /// smaller id.
-    fn cap_key(d: NodeId, dist: Weight) -> (Weight, NodeId) {
-        (dist, d)
-    }
-
-    fn cap_less(a: (Weight, NodeId), b: (Weight, NodeId)) -> bool {
-        a.0.partial_cmp(&b.0).unwrap().then_with(|| a.1.cmp(&b.1)) == std::cmp::Ordering::Less
+    /// Vicinity ordering for cap admission over `(destination, distance)`:
+    /// smaller distance first, ties by smaller id.
+    fn cap_less(a: (NodeId, Weight), b: (NodeId, Weight)) -> bool {
+        a.1.partial_cmp(&b.1).unwrap().then_with(|| a.0.cmp(&b.0)) == std::cmp::Ordering::Less
     }
 
     /// The best selected route not currently in the table (the cap's
-    /// waiting list), if any. O(log) via the `waiting` mirror.
-    fn best_waiting(&self) -> Option<NodeId> {
-        self.waiting.first().map(|&(_, d)| NodeId(d as usize))
+    /// waiting list) with its distance, if any. O(log) via the `waiting`
+    /// mirror.
+    fn best_waiting(&self) -> Option<(NodeId, Weight)> {
+        Self::mirrored(&self.waiting).next()
     }
 
-    /// The worst non-landmark table entry (the cap's eviction candidate).
-    /// O(log) via the `locals` mirror.
-    fn worst_local(&self) -> Option<NodeId> {
-        self.locals.last().map(|&(_, d)| NodeId(d as usize))
+    /// The worst non-landmark table entry (the cap's eviction candidate)
+    /// with its distance. O(log) via the `locals` mirror.
+    fn worst_local(&self) -> Option<(NodeId, Weight)> {
+        Self::mirrored(&self.locals).next_back()
     }
 
-    /// Materialize the selected route of the cap's waiting candidate `w`
-    /// for table admission.
-    fn waiting_entry(&self, w: NodeId) -> RouteEntry {
-        view_entry(
-            &self
-                .rib
-                .selected_view(w)
-                .expect("a waiting destination has a selected route"),
-        )
-    }
-
-    /// Number of non-landmark, non-self table entries. O(1).
-    fn local_count(&self) -> usize {
-        self.locals.len()
-    }
-
-    /// Re-derive the table membership of `d` after its best route changed,
-    /// recording export changes in `pending`. Handles the single admission
-    /// / eviction the change can cause under [`TableLimit::VicinityCap`],
-    /// and keeps `own_landmark_dist` (exported on the self entry) current.
-    fn apply_selection(&mut self, d: NodeId, di: Option<u32>) {
-        let di = di.or_else(|| self.rib.idx(d));
-        // Cap-reject fast path: the overwhelmingly common apply during
-        // convergence at scale is "a non-landmark selected route for a
-        // destination outside the table that does not beat the cap's
-        // worst resident". That case is provably a no-op on the table,
-        // the ordered mirrors, the landmark version and the exported
-        // own-landmark distance (`desired` derives to `None`, the old
-        // entry is `None`, and no landmark flag is involved) — bail
-        // before the full re-derivation pays half a dozen hash probes
-        // and a materialized-entry compare.
-        let parts = di.and_then(|i| self.rib.selected_parts_at(i));
-        if let TableLimit::VicinityCap { size } = self.limit {
-            if let Some((dist, flag)) = parts {
-                if !flag && self.locals.len() >= size && !self.table.contains_key(&d) {
-                    if let Some(&(OrdW(wd), wkey)) = self.locals.last() {
-                        if !Self::cap_less(Self::cap_key(d, dist), (wd, NodeId(wkey as usize))) {
-                            return;
-                        }
-                    }
-                }
-            }
+    /// Admit the cap's best waiting candidate, if any, into a freed slot.
+    fn admit_best_waiting(&mut self) {
+        if let Some((w, _)) = self.best_waiting() {
+            self.set_resident(w, true);
         }
-        let was_landmark_entry = self.table.get(&d).is_some_and(|e| e.dest_is_landmark);
-        let best_is_landmark = parts.is_some_and(|(_, f)| f);
-        let view = di.and_then(|i| self.rib.selected_view_at(i));
-        let desired: Option<RouteEntry> = match (view, self.limit) {
-            (None, _) => None,
-            (Some(v), TableLimit::Unlimited) => Some(view_entry(&v)),
-            (Some(v), TableLimit::Cluster) => {
-                Self::cluster_accepts(v.dest_is_landmark, v.dist, v.dest_landmark_dist)
-                    .then(|| view_entry(&v))
+    }
+
+    /// Re-derive the table membership of `d` after a write to its
+    /// selection, recording export changes in `pending`. Handles the
+    /// single admission / eviction the change can cause under
+    /// [`TableLimit::VicinityCap`], and keeps `own_landmark_dist`
+    /// (exported on the self route) current.
+    ///
+    /// The second half of every selection write: the caller took `d` out
+    /// of its mirror ([`Self::unmirror_at`], whose result is `prev` — what
+    /// `d`'s selection and table entry were), then wrote the selection
+    /// (`moved` = the store saw the route proper change); this decides the
+    /// resident mark and files `d` again.
+    fn apply_selection(
+        &mut self,
+        d: NodeId,
+        di: Option<u32>,
+        prev: Option<(Weight, bool, bool)>,
+        moved: bool,
+    ) {
+        let di = di.or_else(|| self.rib.idx(d));
+        // The table entry `d` had: its previous selection, if resident.
+        let was_resident = prev.is_some_and(|(_, _, resident)| resident);
+        let was_landmark_entry = prev.is_some_and(|(_, flag, resident)| flag && resident);
+        // The `(distance, flag)` of the entry `d` gets: its selection, if
+        // the limit admits it.
+        let entry = di
+            .and_then(|i| self.rib.selected_view_at(i))
+            .filter(|v| match self.limit {
+                TableLimit::Unlimited => true,
+                TableLimit::Cluster => {
+                    Self::cluster_accepts(v.dest_is_landmark, v.dist, v.dest_landmark_dist)
+                }
+                // Landmarks always; a local stays (unless the update
+                // worsened it below the best waiting candidate, checked
+                // once it is filed again, below); anything else faces the
+                // cap: a free slot, or beating the worst resident.
+                TableLimit::VicinityCap { size } => {
+                    v.dest_is_landmark
+                        || (was_resident && !was_landmark_entry)
+                        || self.locals.len() < size
+                        || self
+                            .worst_local()
+                            .is_some_and(|worst| Self::cap_less((d, v.dist), worst))
+                }
+            })
+            .map(|v| (v.dist, v.dest_is_landmark));
+        let (Some(di), Some((dist, is_landmark_entry))) = (di, entry) else {
+            // Not (or no longer) in the table. The overwhelmingly common
+            // apply during convergence at scale ends here having changed
+            // nothing: a non-landmark selected route for a destination
+            // outside the table that does not beat the cap's worst
+            // resident goes back to `waiting`.
+            if let Some(i) = di {
+                self.rib.set_resident_at(i, false);
+                self.mirror_at(d, i);
             }
-            (Some(v), TableLimit::VicinityCap { size }) => {
-                if v.dest_is_landmark {
-                    Some(view_entry(&v))
-                } else if self.table.contains_key(&d) && !was_landmark_entry {
-                    // Already a local: keep unless the update worsened it
-                    // below the best waiting candidate (checked after the
-                    // entry is updated, below).
-                    Some(view_entry(&v))
-                } else {
-                    // Admission test against the cap.
-                    let fits = self.local_count() < size;
-                    let beats_worst = self.worst_local().is_some_and(|w| {
-                        Self::cap_less(
-                            Self::cap_key(d, v.dist),
-                            Self::cap_key(w, self.table[&w].dist),
-                        )
-                    });
-                    (fits || beats_worst).then(|| view_entry(&v))
+            if was_resident {
+                self.pending.insert(d);
+                // A freed cap slot admits the best waiting candidate.
+                if matches!(self.limit, TableLimit::VicinityCap { .. }) && !was_landmark_entry {
+                    self.admit_best_waiting();
                 }
             }
+            if was_landmark_entry {
+                self.landmark_version += 1;
+                self.refresh_own_landmark_dist();
+            }
+            return;
         };
-
-        let landmark_involved = was_landmark_entry
-            || desired.as_ref().is_some_and(|e| e.dest_is_landmark)
-            || best_is_landmark;
-
-        match desired {
-            None => {
-                if let Some(old) = self.tbl_remove(d) {
-                    self.pending.insert(d);
-                    // A freed cap slot admits the best waiting candidate.
-                    if matches!(self.limit, TableLimit::VicinityCap { .. }) && !old.dest_is_landmark
-                    {
-                        if let Some(w) = self.best_waiting() {
-                            let e = self.waiting_entry(w);
-                            self.pending.insert(w);
-                            self.tbl_insert(w, e);
+        self.rib.set_resident_at(di, true);
+        self.mirror_at(d, di);
+        // `d`'s export changed iff it had no entry, or the entry it had —
+        // its previous selection — differs from the new one.
+        if !was_resident || moved || prev.is_some_and(|(_, flag, _)| flag != is_landmark_entry) {
+            self.pending.insert(d);
+            if let TableLimit::VicinityCap { size } = self.limit {
+                if !is_landmark_entry {
+                    if self.locals.len() > size {
+                        // Admission pushed the cap over: evict the worst
+                        // local (possibly d itself on a tie).
+                        if let Some((w, _)) = self.worst_local() {
+                            self.set_resident(w, false);
                         }
-                    }
-                }
-            }
-            Some(entry) => {
-                let changed = self.table.get(&d) != Some(&entry);
-                if changed {
-                    self.pending.insert(d);
-                    let is_landmark_entry = entry.dest_is_landmark;
-                    let evicted_slot = self.tbl_insert(d, entry);
-                    if let TableLimit::VicinityCap { size } = self.limit {
-                        if !is_landmark_entry {
-                            if self.local_count() > size {
-                                // Admission pushed the cap over: evict the
-                                // worst local (possibly d itself on a tie).
-                                if let Some(w) = self.worst_local() {
-                                    self.tbl_remove(w);
-                                    self.pending.insert(w);
-                                }
-                            } else if evicted_slot.is_some() {
-                                // d's route worsened in place: the best
-                                // waiting candidate may now beat it.
-                                if let Some(w) = self.best_waiting() {
-                                    let wd = self
-                                        .rib
-                                        .selected_parts(w)
-                                        .expect("waiting dest has a selection")
-                                        .0;
-                                    let wk = Self::cap_key(w, wd);
-                                    let dk = Self::cap_key(d, self.table[&d].dist);
-                                    if Self::cap_less(wk, dk) {
-                                        self.tbl_remove(d);
-                                        let e = self.waiting_entry(w);
-                                        self.pending.insert(w);
-                                        self.tbl_insert(w, e);
-                                    }
-                                }
-                            }
-                        } else if evicted_slot.is_some_and(|p| !p.dest_is_landmark) {
-                            // A local was re-classified as a landmark,
-                            // freeing a cap slot.
-                            if let Some(w) = self.best_waiting() {
-                                let e = self.waiting_entry(w);
-                                self.pending.insert(w);
-                                self.tbl_insert(w, e);
+                    } else if was_resident {
+                        // d's route worsened in place: the best waiting
+                        // candidate may now beat it.
+                        if let Some(best) = self.best_waiting() {
+                            if Self::cap_less(best, (d, dist)) {
+                                self.set_resident(d, false);
+                                self.set_resident(best.0, true);
                             }
                         }
                     }
+                } else if was_resident && !was_landmark_entry {
+                    // A local was re-classified as a landmark, freeing a
+                    // cap slot.
+                    self.admit_best_waiting();
                 }
             }
         }
@@ -1028,29 +882,32 @@ impl PathVectorNode {
         // "d's export changed" (it can linger from an earlier un-flushed
         // change; the occasional spurious bump only costs a debounced
         // repair pass).
-        let is_landmark_entry = self.table.get(&d).is_some_and(|e| e.dest_is_landmark);
         if is_landmark_entry != was_landmark_entry
             || (is_landmark_entry && self.pending.contains(&d))
         {
             self.landmark_version += 1;
         }
+        if is_landmark_entry || was_landmark_entry {
+            self.refresh_own_landmark_dist();
+        }
+    }
 
-        // Keep the exported own-landmark distance current; the cluster rule
-        // at *other* nodes keys on it. O(log) via the `lm_best` mirror
-        // instead of a scan over every best candidate.
-        if landmark_involved && !self.is_landmark {
-            let new_old = self
-                .lm_best
-                .first()
-                .map_or(Weight::INFINITY, |&(OrdW(w), _)| w);
-            if new_old != self.own_landmark_dist {
-                self.own_landmark_dist = new_old;
-                if self.table.contains_key(&self.id) {
-                    // (Absent only before on_start: nothing exported yet.)
-                    let e = self.self_entry();
-                    self.tbl_insert(self.id, e);
-                    self.pending.insert(self.id);
-                }
+    /// Keep the exported own-landmark distance current after a landmark
+    /// route changed; the cluster rule at *other* nodes keys on it. O(log)
+    /// via the `lm_best` mirror instead of a scan over every selection.
+    fn refresh_own_landmark_dist(&mut self) {
+        if self.is_landmark {
+            return;
+        }
+        let nearest = self
+            .lm_best
+            .first()
+            .map_or(Weight::INFINITY, |&(OrdW(w), _)| w);
+        if nearest != self.own_landmark_dist {
+            self.own_landmark_dist = nearest;
+            if self.self_path.is_some() {
+                // (Absent only before on_start: nothing exported yet.)
+                self.pending.insert(self.id);
             }
         }
     }
@@ -1086,8 +943,8 @@ impl PathVectorNode {
         self.dump_scratch.sort_unstable();
         let pending = std::mem::take(&mut self.dump_scratch);
         for &d in &pending {
-            let ann = match self.table.get(&d) {
-                Some(e) => Self::export(d, e, false),
+            let ann = match self.route(d) {
+                Some(e) => Self::export(d, &e),
                 None => Announcement {
                     dest: d,
                     dist: Weight::INFINITY,
@@ -1127,11 +984,15 @@ impl PathVectorNode {
     /// scratch vector.
     fn send_table_to(&mut self, peer: NodeId, ctx: &mut Context<'_, Announcement>) {
         self.dump_scratch.clear();
-        self.dump_scratch.extend(self.table.keys().copied());
+        self.dump_scratch
+            .extend(self.self_path.is_some().then_some(self.id));
+        let resident = self.locals.iter().chain(&self.lm_best);
+        self.dump_scratch
+            .extend(resident.map(|&(_, key)| NodeId(key as usize)));
         self.dump_scratch.sort_unstable();
         let mut batch = Vec::with_capacity(self.dump_scratch.len());
         for &d in &self.dump_scratch {
-            let ann = Self::export(d, &self.table[&d], false);
+            let ann = Self::export(d, &self.route(d).expect("a resident destination"));
             let size = announcement_bytes(&ann);
             batch.push((ann, size));
         }
@@ -1165,8 +1026,7 @@ impl Protocol for PathVectorNode {
 
     fn on_start(&mut self, ctx: &mut Context<'_, Announcement>) {
         // Install the self route.
-        let e = self.self_entry();
-        self.tbl_insert(self.id, e);
+        self.self_path = Some(InternedPath::single(self.id));
         // Announce ourselves. Under the S4 cluster rule a non-landmark node
         // waits until it knows its own landmark distance (the reselection
         // re-announces the self entry as soon as the first landmark route
@@ -1174,7 +1034,7 @@ impl Protocol for PathVectorNode {
         // landmark distance and would flood the whole network like plain
         // path vector, which is not how S4 behaves after its landmark phase.
         if self.is_landmark || !matches!(self.limit, TableLimit::Cluster) {
-            let ann = Self::export(self.id, &self.table[&self.id], false);
+            let ann = Self::export(self.id, &self.route(self.id).expect("just installed"));
             Self::flood(&ann, ctx);
         }
     }
@@ -1188,9 +1048,9 @@ impl Protocol for PathVectorNode {
             // for that destination, unicast to the requester (over the
             // already-resolved arrival link). Nothing to say if we hold no
             // route (the requester's slot for us is already empty).
-            if let Some(e) = self.table.get(&msg.dest) {
+            if let Some(e) = self.route(msg.dest) {
+                let ann = Self::export(msg.dest, &e);
                 self.refreshes_answered += 1;
-                let ann = Self::export(msg.dest, e, false);
                 let size = announcement_bytes(&ann);
                 match ctx.via() {
                     Some(via) if via.node == from => ctx.send_resolved(via, ann, size),
@@ -1228,10 +1088,7 @@ impl Protocol for PathVectorNode {
         if lost.is_empty() {
             return;
         }
-        for (d, was_lm) in lost {
-            if was_lm {
-                self.cand_lm_adjust(d, true, false);
-            }
+        for d in lost {
             self.update_dest(d, peer, None, None);
         }
         self.arm_batch(ctx);
@@ -1263,7 +1120,57 @@ mod tests {
         });
         let report = engine.run();
         assert!(report.converged, "path vector did not converge");
+        assert_consistent(engine.nodes());
         (engine.nodes().to_vec(), report.stats)
+    }
+
+    /// The routing-table view's invariants, checked at quiescence: every
+    /// selected destination is filed in exactly the mirror its `(flag,
+    /// resident)` names (and the mirrors hold nothing else), landmarks are
+    /// always resident, `locals` respects the cap, and no destination is
+    /// resident without a selection.
+    fn assert_consistent(nodes: &[PathVectorNode]) {
+        for node in nodes {
+            let v = node.id;
+            let mut selected = 0;
+            for d in (0..nodes.len()).map(NodeId) {
+                let Some((dist, flag, resident)) = node.rib.selected_parts(d) else {
+                    assert!(!node.rib.is_resident(d), "{v}: {d} resident, not selected");
+                    continue;
+                };
+                selected += 1;
+                let key = (OrdW(dist), PathVectorNode::dkey(d));
+                let filed = [&node.lm_best, &node.locals, &node.waiting].map(|m| m.contains(&key));
+                let named = [flag, !flag && resident, !flag && !resident];
+                assert_eq!(filed, named, "{v}: {d} misfiled (lm_best, locals, waiting)");
+                assert!(resident || !flag, "{v}: landmark {d} outside the table");
+            }
+            let mirrored = node.lm_best.len() + node.locals.len() + node.waiting.len();
+            assert_eq!(mirrored, selected, "{v}: mirrors hold stale keys");
+            if let TableLimit::VicinityCap { size } = node.limit {
+                assert!(node.locals.len() <= size, "{v}: locals over the cap");
+            }
+        }
+    }
+
+    /// The routing-table entries behind an id iterator of `node`.
+    fn routes<'a>(
+        node: &'a PathVectorNode,
+        ids: impl Iterator<Item = (NodeId, Weight)> + 'a,
+    ) -> impl Iterator<Item = (NodeId, SelectedRoute<'a>)> {
+        ids.map(|(d, dist)| {
+            let route = node.route(d).expect("a listed destination is in the table");
+            assert_eq!(route.dist, dist, "{d} listed at a stale distance");
+            (d, route)
+        })
+    }
+
+    /// Every routing-table entry of `node`, its own included.
+    fn entries(node: &PathVectorNode) -> impl Iterator<Item = (NodeId, SelectedRoute<'_>)> {
+        let own = node.route(node.id).map(|r| (node.id, r));
+        let landmarks = node.landmark_entries().filter(|&(d, _)| d != node.id);
+        let listed = routes(node, landmarks.chain(node.local_entries()));
+        own.into_iter().chain(listed)
     }
 
     #[test]
@@ -1313,10 +1220,10 @@ mod tests {
         // Node 40's non-landmark entries: exactly `cap` of them, and every
         // entry's distance is correct.
         let node = &nodes[40];
-        let locals: Vec<_> = node.local_entries().collect();
+        let locals: Vec<_> = routes(node, node.local_entries()).collect();
         assert_eq!(locals.len(), cap);
-        for (&d, e) in &locals {
-            let want = truth.distance(d).unwrap();
+        for (d, e) in &locals {
+            let want = truth.distance(*d).unwrap();
             assert!((e.dist - want).abs() < 1e-9, "dest {d}");
         }
         // The farthest kept entry is not (much) farther than the true k-th
@@ -1357,7 +1264,7 @@ mod tests {
                     continue;
                 }
                 let should_have = tree.distance(w).unwrap() < closest_lm_dist(w) - 1e-12;
-                let has = nodes[v.0].table.contains_key(&w);
+                let has = nodes[v.0].route(w).is_some();
                 assert_eq!(
                     has, should_have,
                     "cluster membership mismatch v={v} w={w} (have {has}, want {should_have})"
@@ -1421,6 +1328,7 @@ mod tests {
         }
         let converged = engine.run_until(|_| false);
         assert!(converged, "repair did not quiesce");
+        assert_consistent(engine.nodes());
         engine
     }
 
@@ -1437,20 +1345,14 @@ mod tests {
                 v: NodeId(1),
             }],
         );
-        let e = engine.nodes()[0]
-            .table
-            .get(&NodeId(1))
-            .expect("repaired route");
+        let e = engine.nodes()[0].route(NodeId(1)).expect("repaired route");
         assert_eq!(
             e.path.to_vec(),
             vec![NodeId(0), NodeId(3), NodeId(2), NodeId(1)]
         );
         assert!((e.dist - 3.0).abs() < 1e-9);
         // And the reverse direction healed too.
-        let r = engine.nodes()[1]
-            .table
-            .get(&NodeId(0))
-            .expect("reverse route");
+        let r = engine.nodes()[1].route(NodeId(0)).expect("reverse route");
         assert!((r.dist - 3.0).abs() < 1e-9);
     }
 
@@ -1472,10 +1374,10 @@ mod tests {
             }
             let node = &engine.nodes()[v.0];
             assert!(
-                !node.table.contains_key(&victim),
+                node.route(victim).is_none(),
                 "{v} still has a table entry for departed {victim}"
             );
-            for (d, e) in &node.table {
+            for (d, e) in entries(node) {
                 assert!(
                     !e.path.contains(victim),
                     "{v}'s route to {d} still goes through departed {victim}"
@@ -1513,8 +1415,8 @@ mod tests {
         for v in [NodeId(0), NodeId(5), NodeId(30), NodeId(39)] {
             let truth = dijkstra(current, v);
             let node = &engine.nodes()[v.0];
-            for (d, e) in &node.table {
-                let want = truth.distance(*d).expect("reachable");
+            for (d, e) in entries(node) {
+                let want = truth.distance(d).expect("reachable");
                 assert!(
                     (e.dist - want).abs() < 1e-9,
                     "{v}→{d}: table {} vs dijkstra {want}",
@@ -1526,7 +1428,7 @@ mod tests {
                 .nodes()
                 .filter(|&w| engine.is_active(w) && truth.distance(w).is_some())
                 .count();
-            assert_eq!(node.table.len(), reachable, "{v} table incomplete");
+            assert_eq!(entries(node).count(), reachable, "{v} table incomplete");
         }
     }
 
@@ -1554,15 +1456,15 @@ mod tests {
         }
         // …and filled its vicinity cap with correct distances.
         let truth = dijkstra(engine.graph(), joiner);
-        let locals: Vec<_> = node.local_entries().collect();
+        let locals: Vec<_> = routes(node, node.local_entries()).collect();
         assert_eq!(locals.len(), 12);
-        for (&d, e) in locals {
+        for (d, e) in locals {
             assert!((e.dist - truth.distance(d).unwrap()).abs() < 1e-9);
         }
         // Existing nodes adopted the joiner into nearby vicinities.
         let have_joiner = g
             .nodes()
-            .filter(|v| engine.nodes()[v.0].table.contains_key(&joiner))
+            .filter(|v| engine.nodes()[v.0].route(joiner).is_some())
             .count();
         assert!(have_joiner > 0, "no vicinity adopted the joiner");
     }
@@ -1574,13 +1476,13 @@ mod tests {
         let node = &mut nodes[10];
         assert_eq!(node.local_entries().count(), 20);
         let mut before: Vec<(f64, NodeId)> =
-            node.local_entries().map(|(&d, e)| (e.dist, d)).collect();
+            node.local_entries().map(|(d, dist)| (dist, d)).collect();
         before.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
 
         node.set_vicinity_cap(8);
         assert_eq!(node.table_limit(), TableLimit::VicinityCap { size: 8 });
         let mut kept: Vec<(f64, NodeId)> =
-            node.local_entries().map(|(&d, e)| (e.dist, d)).collect();
+            node.local_entries().map(|(d, dist)| (dist, d)).collect();
         kept.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
         assert_eq!(kept, before[..8], "shrink must keep the closest locals");
 
@@ -1588,7 +1490,7 @@ mod tests {
         node.set_vicinity_cap(20);
         assert_eq!(node.local_entries().count(), 20);
         let mut back: Vec<(f64, NodeId)> =
-            node.local_entries().map(|(&d, e)| (e.dist, d)).collect();
+            node.local_entries().map(|(d, dist)| (dist, d)).collect();
         back.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
         assert_eq!(back, before);
     }
@@ -1603,7 +1505,7 @@ mod tests {
         assert!(!nodes[2].is_landmark());
         // The self entry is queued for re-export without the flag, and the
         // own-landmark distance is no longer 0 (no other landmark exists).
-        assert!(!nodes[2].table[&lm].dest_is_landmark);
+        assert!(!nodes[2].route(lm).unwrap().dest_is_landmark);
         assert!(nodes[2].own_landmark_distance().is_infinite());
     }
 
@@ -1628,6 +1530,7 @@ mod tests {
                 pv
             });
             assert!(engine.run().converged);
+            assert_consistent(engine.nodes());
             engine.nodes().to_vec()
         };
         let full = run(None);
@@ -1635,10 +1538,9 @@ mod tests {
         let (mut full_cands, mut slim_cands) = (0usize, 0usize);
         for v in g.nodes() {
             let (a, b) = (&full[v.0], &forgetful[v.0]);
-            assert_eq!(a.table.len(), b.table.len(), "table size differs at {v}");
-            for (d, e) in &a.table {
-                let f = b.table.get(d).expect("same destinations");
-                assert_eq!(e, f, "{v}→{d} entry differs");
+            assert_eq!(a.table_size(), b.table_size(), "table size differs at {v}");
+            for (d, e) in entries(a) {
+                assert_eq!(Some(e), b.route(d), "{v}→{d} entry differs");
             }
             full_cands += a.knowledge_size();
             slim_cands += b.knowledge_size();
@@ -1653,7 +1555,7 @@ mod tests {
         for v in g.nodes() {
             let node = &forgetful[v.0];
             assert!(
-                node.rib_stats().candidates <= node.table.len() * 2 + 96,
+                node.rib_stats().candidates <= entries(node).count() * 2 + 96,
                 "{v} over budget"
             );
         }
@@ -1682,8 +1584,9 @@ mod tests {
             },
         );
         assert!(engine.run_until(|_| false), "repair must quiesce");
+        assert_consistent(engine.nodes());
         let node = &engine.nodes()[0];
-        let e = node.table.get(&NodeId(1)).expect("route re-solicited");
+        let e = node.route(NodeId(1)).expect("route re-solicited");
         assert_eq!(
             e.path.to_vec(),
             vec![NodeId(0), NodeId(3), NodeId(2), NodeId(1)]
@@ -1727,11 +1630,12 @@ mod tests {
             engine.schedule_topology(t0 + i as f64 * 3.0, ev);
         }
         assert!(engine.run_until(|_| false), "repair must quiesce");
+        assert_consistent(engine.nodes());
         let current = engine.graph();
         for v in [NodeId(0), NodeId(5), NodeId(9), NodeId(30), NodeId(47)] {
             let truth = dijkstra(current, v);
-            for (d, e) in &engine.nodes()[v.0].table {
-                let want = truth.distance(*d).expect("reachable");
+            for (d, e) in entries(&engine.nodes()[v.0]) {
+                let want = truth.distance(d).expect("reachable");
                 assert!(
                     (e.dist - want).abs() < 1e-9,
                     "{v}→{d}: forgetful table {} vs dijkstra {want}",
@@ -1779,7 +1683,8 @@ mod tests {
             ann(2.0, &[NodeId(2), NodeId(3)], true, false),
             &mut ctx,
         );
-        assert!(pv.table[&NodeId(3)].dest_is_landmark, "OR-merge must flag");
+        let flagged = |pv: &PathVectorNode| pv.route(NodeId(3)).unwrap().dest_is_landmark;
+        assert!(flagged(&pv), "OR-merge must flag");
         assert_eq!(pv.own_landmark_distance(), 2.0);
         // Neighbor 2 withdraws: the only landmark-flagged candidate is
         // gone; the selection (still via neighbor 1) must lose the flag.
@@ -1789,7 +1694,7 @@ mod tests {
             &mut ctx,
         );
         assert!(
-            !pv.table[&NodeId(3)].dest_is_landmark,
+            !flagged(&pv),
             "stale OR-merged landmark flag survived the withdrawal"
         );
         assert!(pv.own_landmark_distance().is_infinite());
@@ -1823,13 +1728,14 @@ mod tests {
         };
         pv.on_message(NodeId(2), ann(2, f64::INFINITY), &mut ctx);
         pv.on_message(NodeId(1), ann(1, f64::INFINITY), &mut ctx);
-        assert_eq!(pv.table[&d].next_hop, NodeId(1), "tie broken by path order");
+        let hop = pv.route(d).unwrap().next_hop;
+        assert_eq!(hop, NodeId(1), "tie broken by path order");
         let revision = pv.selection_revision();
         let live = disco_graph::PathArena::stats().live_cells;
 
         pv.on_message(NodeId(1), ann(1, 4.0), &mut ctx);
 
-        let e = &pv.table[&d];
+        let e = pv.route(d).unwrap();
         assert_eq!(e.next_hop, NodeId(1));
         assert_eq!(e.dest_landmark_dist, 4.0, "the refreshed attribute exports");
         assert_eq!(e.path.to_vec(), vec![NodeId(0), NodeId(1), d]);
@@ -1867,7 +1773,7 @@ mod tests {
             assert!(
                 engine.nodes()[v.0]
                     .landmark_entries()
-                    .any(|(&lm, _)| lm == NodeId(4)),
+                    .any(|(lm, _)| lm == NodeId(4)),
                 "{v} did not learn the promoted landmark"
             );
         }

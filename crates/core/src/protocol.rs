@@ -41,7 +41,7 @@ use crate::hash::{NameHash, NameHasher};
 use crate::landmark::LandmarkStatus;
 use crate::name::FlatName;
 use crate::path_vector::{Announcement, PathVectorNode, TableLimit};
-use disco_graph::{FxHashMap, FxHashSet, InternedPath, NodeId, Weight};
+use disco_graph::{FxHashMap, FxHashSet, InternedPath, NodeId};
 use disco_sim::context::Action;
 use disco_sim::rng::rng_for;
 use disco_sim::{Context, Protocol};
@@ -448,15 +448,12 @@ impl DiscoProtocol {
                 path: InternedPath::single(id),
             });
         }
-        let (lm, entry) = self.pv.landmark_entries().min_by(|a, b| {
-            a.1.dist
-                .partial_cmp(&b.1.dist)
-                .unwrap()
-                .then_with(|| a.0.cmp(b.0))
-        })?;
+        // Landmark entries come closest first, ties by smaller id.
+        let (lm, _) = self.pv.landmark_entries().next()?;
+        let entry = self.pv.route(lm)?;
         Some(WireAddress {
             node: id,
-            landmark: *lm,
+            landmark: lm,
             path: entry.path.reversed(), // entry.path runs node → landmark
         })
     }
@@ -467,7 +464,7 @@ impl DiscoProtocol {
     /// [`DiscoProtocol::route_to`].
     pub fn owner_landmark(&self, hash: NameHash) -> Option<NodeId> {
         let mut best: Option<(u64, NodeId)> = None;
-        for (&lm, _) in self.pv.landmark_entries() {
+        for (lm, _) in self.pv.landmark_entries() {
             let pos = self.hasher.hash_u64(lm.0 as u64);
             let d = hash.clockwise_distance(pos);
             match best {
@@ -494,19 +491,13 @@ impl DiscoProtocol {
             // resolves to (path nodes minus the node itself).
             out.push_route(dest, sel.next_hop, sel.path.len().saturating_sub(1));
         });
-        let mut fallback: Option<(Weight, NodeId, NodeId)> = None;
-        for (&lm, entry) in self.pv.landmark_entries() {
+        for (lm, _) in self.pv.landmark_entries() {
             out.push_landmark(self.hasher.hash_u64(lm.0 as u64).value(), lm);
-            let better = match fallback {
-                Some((bd, blm, _)) => (entry.dist, lm) < (bd, blm),
-                None => true,
-            };
-            if better {
-                fallback = Some((entry.dist, lm, entry.next_hop));
-            }
         }
         if !self.pv.is_landmark() {
-            if let Some((_, lm, hop)) = fallback {
+            // Closest first: the first entry is `my_address`'s landmark.
+            if let Some((lm, _)) = self.pv.landmark_entries().next() {
+                let hop = self.pv.route(lm).expect("a listed landmark").next_hop;
                 out.set_fallback(lm, hop);
             }
         }
@@ -525,11 +516,11 @@ impl DiscoProtocol {
         if target == self.pv.id() {
             return Some(InternedPath::single(self.pv.id()));
         }
-        if let Some(entry) = self.pv.table.get(&target) {
+        if let Some(entry) = self.pv.route(target) {
             return Some(entry.path.clone());
         }
         let addr = target_addr?;
-        let lm_entry = self.pv.table.get(&addr.landmark)?;
+        let lm_entry = self.pv.route(addr.landmark)?;
         // `lm_entry.path` ends at the landmark, where the address route
         // starts; the concatenation shares the address suffix.
         Some(lm_entry.path.concat(&addr.path))
@@ -1244,7 +1235,7 @@ mod tests {
                 if x == v {
                     continue;
                 }
-                if let Some(e) = engine.nodes()[x.0].pv.table.get(&v) {
+                if let Some(e) = engine.nodes()[x.0].pv.route(v) {
                     assert!(
                         !e.dest_is_landmark,
                         "{x} still flags demoted {v} as a landmark"

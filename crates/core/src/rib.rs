@@ -15,15 +15,23 @@
 //!   bounded alternate set, remembering (per destination) that information
 //!   was discarded so the protocol can re-solicit it when needed
 //!   (paper §4.2, forgetful routing),
-//! * a per-destination **selection column** — the Loc-RIB as a *view* over
-//!   the store: `dest index → (neighbor, cost, landmark flag, landmark
-//!   distance, interned path id)` in dense parallel columns. The
-//!   path-vector node used to mirror every best route into a
-//!   `FxHashMap<NodeId, RouteEntry>` (~56 B payload per known destination
-//!   plus map overhead, duplicated on top of the slab candidates); the
-//!   column costs ~25 B per interned destination and `RouteEntry` is
-//!   materialized only at export/forwarding boundaries
-//!   ([`RibStore::selected_view`]).
+//! * per-destination **columns** — the Loc-RIB *and the routing table* as
+//!   a view over the store, dense and parallel, created when a destination
+//!   is interned and remapped together by compaction:
+//!   * the **selection** (`neighbor, cost, landmark flag, landmark
+//!     distance, interned path id`, ~25 B), written by the owner through
+//!     [`RibStore::select_from_at`] / [`RibStore::select_best`] and read in
+//!     place through [`RibStore::selected_view`];
+//!   * the **landmark-candidate count** (4 B): how many of the
+//!     destination's candidates carry the landmark flag. The store keeps
+//!     it itself, on the insert / remove / evict paths where it already
+//!     reads each candidate's flag; the owner reads it to OR-merge the
+//!     flag over candidates;
+//!   * the **resident** mark (1 B): the owner's "this selected route is in
+//!     the routing table" (§4.2's acceptance rule is a *filter* over the
+//!     selection, so the table is the marked subset — nothing is copied).
+//!     Only the owner sets it ([`RibStore::set_resident_at`]); the store
+//!     clears it with the selection it marks and makes no decision on it.
 //!
 //! The selection columns are a *cache* of the selected candidate's fields,
 //! not a pointer into the slabs: after the backing candidate is withdrawn
@@ -33,8 +41,8 @@
 //! export a not-yet-reprocessed destination's old route, behavior the churn
 //! goldens bake in).
 //!
-//! The store is policy-free: which destinations are exempt from
-//! forgetting (landmarks, vicinity members), when to send a
+//! The store is policy-free: which destinations are resident or exempt
+//! from forgetting (landmarks, vicinity members), when to send a
 //! route-refresh, and what landmark flag the selection carries (origin
 //! vs OR-merge) is decided by [`crate::path_vector::PathVectorNode`].
 //! Selection order is a pure function of the candidate *set* (the
@@ -43,9 +51,9 @@
 
 use disco_graph::{FxHashMap, InternedPath, NodeId, Weight};
 
-/// A candidate route as held in the per-neighbor Adj-RIB-In. Identical to
-/// [`crate::path_vector::RouteEntry`] minus the next hop (implied by which
-/// neighbor's slab the candidate sits in).
+/// A candidate route as held in the per-neighbor Adj-RIB-In: a
+/// [`SelectedRoute`] minus the next hop (implied by which neighbor's slab
+/// the candidate sits in).
 #[derive(Debug, Clone)]
 pub struct Candidate {
     /// Distance from this node to the destination via the neighbor.
@@ -182,19 +190,20 @@ pub struct RibStats {
     /// Total path nodes across all candidates (each retains arena cells).
     pub path_nodes: usize,
     /// Approximate heap bytes of the Adj-RIB-In proper (slabs + interner;
-    /// the selection columns are accounted separately).
+    /// the view columns are accounted separately).
     pub approx_bytes: usize,
-    /// Approximate heap bytes of the per-destination selection columns —
-    /// the Loc-RIB-as-a-view component of `exp_memory`'s byte accounting.
+    /// Approximate heap bytes of the per-destination view columns
+    /// (selection, landmark-candidate count, resident mark) — the Loc-RIB
+    /// and routing-table component of `exp_memory`'s byte accounting.
     pub selection_bytes: usize,
     /// Candidates evicted by the forgetful policy since construction.
     pub evictions: u64,
 }
 
 /// Borrowed view of the selected route for one destination — everything
-/// the forwarding / export path needs, materialized into a
-/// [`crate::path_vector::RouteEntry`] only at those boundaries.
-#[derive(Debug)]
+/// the forwarding / export path needs, read in place. A routing-table
+/// entry is one of these whose destination the owner marked resident.
+#[derive(Debug, PartialEq)]
 pub struct SelectedRoute<'a> {
     /// Neighbor the selected route goes through.
     pub next_hop: NodeId,
@@ -230,6 +239,11 @@ pub struct RibStore {
     /// Per destination index: the forgetful policy discarded candidates
     /// for this destination since the flag was last taken.
     evicted: Vec<bool>,
+    /// Per destination index: candidates carrying the landmark flag.
+    lm_cands: Vec<u32>,
+    /// Per destination index: the owner's routing-table mark. Only ever
+    /// set on a destination with a selection, and cleared with it.
+    resident: Vec<bool>,
     /// Selection column (the Loc-RIB view), indexed by destination index:
     /// the selected route's neighbor (`ABSENT` = none selected) and the
     /// cached fields of its candidate. Cached, not dereferenced through
@@ -275,6 +289,8 @@ impl RibStore {
         self.dests.push(key);
         self.cand_count.push(0);
         self.evicted.push(false);
+        self.lm_cands.push(0);
+        self.resident.push(false);
         self.sel_nbr.push(ABSENT);
         self.sel_dist.push(0.0);
         self.sel_lm_dist.push(0.0);
@@ -359,60 +375,69 @@ impl RibStore {
         self.slab_of(nbr)?.get(di as u32)
     }
 
-    /// Insert or replace the candidate `nbr` announced for `d`. Returns the
-    /// replaced candidate's landmark flag, like `HashMap::insert`.
-    pub fn insert(&mut self, nbr: NodeId, d: NodeId, cand: &Candidate) -> Option<bool> {
+    /// Insert or replace the candidate `nbr` announced for `d`.
+    pub fn insert(&mut self, nbr: NodeId, d: NodeId, cand: &Candidate) {
         let di = self.dest_id(d);
         self.insert_at(nbr, di, cand)
     }
 
     /// [`RibStore::insert`] for an already-interned destination index.
-    pub fn insert_at(&mut self, nbr: NodeId, di: u32, cand: &Candidate) -> Option<bool> {
-        let old = self.slab_entry(nbr).insert(di, cand);
-        if old.is_none() {
-            self.total += 1;
-            let was_live = self.is_live_idx(di as usize);
-            self.cand_count[di as usize] += 1;
-            if !was_live {
-                self.live_dests += 1;
+    pub fn insert_at(&mut self, nbr: NodeId, di: u32, cand: &Candidate) {
+        let i = di as usize;
+        match self.slab_entry(nbr).insert(di, cand) {
+            Some(was_lm) => self.lm_cands[i] -= u32::from(was_lm),
+            None => {
+                self.total += 1;
+                let was_live = self.is_live_idx(i);
+                self.cand_count[i] += 1;
+                if !was_live {
+                    self.live_dests += 1;
+                }
             }
         }
-        old
+        self.lm_cands[i] += u32::from(cand.dest_is_landmark);
     }
 
-    /// Remove the candidate `nbr` holds for `d`; returns its landmark flag.
-    pub fn remove(&mut self, nbr: NodeId, d: NodeId) -> Option<bool> {
-        let di = self.idx_of(d)? as u32;
-        let old = self.slab_mut(nbr)?.remove(di)?;
-        self.total -= 1;
-        self.drop_count(di);
+    /// Remove the candidate `nbr` holds for `d`; returns whether it held
+    /// one.
+    pub fn remove(&mut self, nbr: NodeId, d: NodeId) -> bool {
+        let Some(di) = self.idx_of(d) else {
+            return false;
+        };
+        let Some(was_lm) = self.slab_mut(nbr).and_then(|s| s.remove(di as u32)) else {
+            return false;
+        };
+        self.drop_count(di as u32, was_lm);
         self.maybe_compact();
-        Some(old)
+        true
     }
 
-    /// Decrement a destination's candidate count, tracking liveness.
-    fn drop_count(&mut self, di: u32) {
-        self.cand_count[di as usize] -= 1;
-        if !self.is_live_idx(di as usize) {
+    /// Account for one removed candidate of `di` (flagged `was_lm`),
+    /// tracking liveness.
+    fn drop_count(&mut self, di: u32, was_lm: bool) {
+        let i = di as usize;
+        self.total -= 1;
+        self.cand_count[i] -= 1;
+        self.lm_cands[i] -= u32::from(was_lm);
+        if !self.is_live_idx(i) {
             self.live_dests -= 1;
         }
     }
 
     /// Drop every candidate learned from `nbr`; returns the affected
-    /// `(destination, landmark flag)` pairs sorted by destination id
-    /// (deterministic re-selection order for the caller).
-    pub fn remove_neighbor(&mut self, nbr: NodeId) -> Vec<(NodeId, bool)> {
+    /// destinations sorted by id (deterministic re-selection order for the
+    /// caller).
+    pub fn remove_neighbor(&mut self, nbr: NodeId) -> Vec<NodeId> {
         let Some(i) = self.slabs.iter().position(|(n, _)| *n == nbr) else {
             return Vec::new();
         };
         let (_, slab) = self.slabs.swap_remove(i);
-        let mut out: Vec<(NodeId, bool)> = Vec::with_capacity(slab.dest.len());
+        let mut out: Vec<NodeId> = Vec::with_capacity(slab.dest.len());
         for (&di, &lm) in slab.dest.iter().zip(&slab.lm_flag) {
-            self.drop_count(di);
-            out.push((NodeId(self.dests[di as usize] as usize), lm));
+            self.drop_count(di, lm);
+            out.push(NodeId(self.dests[di as usize] as usize));
         }
-        self.total -= out.len();
-        out.sort_unstable_by_key(|&(d, _)| d);
+        out.sort_unstable();
         self.maybe_compact();
         out
     }
@@ -459,35 +484,55 @@ impl RibStore {
 
     // ---- the Loc-RIB view (per-destination selection column) ----
 
-    /// Write the selection column for `di` from `nbr`'s slab slot `s`,
-    /// with the effective landmark flag `flag`.
-    fn write_selection(&mut self, di: usize, nbr: NodeId, s: usize, flag: bool) {
-        let slab = self.slab_of(nbr).expect("selected neighbor has a slab");
-        let (dist, lm_dist) = (slab.dist[s], slab.lm_dist[s]);
-        let path = slab.path[s].clone();
+    /// Overwrite the selection column for `di`; returns whether the route
+    /// proper moved (see [`RibStore::select_from_at`]) — the one place
+    /// that is decided, before the old values are gone.
+    fn write_selection(
+        &mut self,
+        di: usize,
+        nbr: NodeId,
+        dist: Weight,
+        lm_dist: Weight,
+        flag: bool,
+        path: InternedPath,
+    ) -> bool {
+        // A selected dest always has a candidate, so it was already live.
+        debug_assert!(self.cand_count[di] > 0);
+        let nbr = nbr.0 as u32;
+        let moved = self.sel_nbr[di] != nbr
+            || self.sel_dist[di] != dist
+            || self.sel_lm_dist[di] != lm_dist
+            || self.sel_path[di].as_ref() != Some(&path);
         if self.sel_nbr[di] == ABSENT {
             self.sel_count += 1;
         }
-        // A selected dest always has a candidate, so it was already live.
-        debug_assert!(self.cand_count[di] > 0);
-        self.sel_nbr[di] = nbr.0 as u32;
+        self.sel_nbr[di] = nbr;
         self.sel_dist[di] = dist;
         self.sel_lm_dist[di] = lm_dist;
         self.sel_flag[di] = flag;
         self.sel_path[di] = Some(path);
+        moved
+    }
+
+    /// [`RibStore::write_selection`] from `nbr`'s slab slot `s`.
+    fn select_slot(&mut self, di: usize, nbr: NodeId, s: usize, flag: bool) -> bool {
+        let slab = self.slab_of(nbr).expect("selected neighbor has a slab");
+        let (dist, lm_dist, path) = (slab.dist[s], slab.lm_dist[s], slab.path[s].clone());
+        self.write_selection(di, nbr, dist, lm_dist, flag, path)
     }
 
     /// Point the selection at `nbr`'s current candidate for `d` (which
     /// must exist), caching its fields; `flag` is the effective landmark
-    /// flag under the owner's flag policy.
-    pub fn select(&mut self, d: NodeId, nbr: NodeId, flag: bool) {
+    /// flag under the owner's flag policy. Returns whether the route
+    /// proper moved (see [`RibStore::select_from_at`]).
+    pub fn select(&mut self, d: NodeId, nbr: NodeId, flag: bool) -> bool {
         let di = self.idx_of(d).expect("selecting an unknown destination");
         let s = self
             .slab_of(nbr)
             .expect("selected neighbor has a slab")
             .slot_of(di as u32)
             .expect("selected neighbor must hold a candidate");
-        self.write_selection(di, nbr, s, flag);
+        self.select_slot(di, nbr, s, flag)
     }
 
     /// Like [`RibStore::select`], but taking the selected candidate's
@@ -497,46 +542,41 @@ impl RibStore {
     /// fresh announcement). Takes the candidate by value: its path handle
     /// moves into the selection column instead of paying a
     /// reference-count round trip.
-    pub fn select_from_at(&mut self, di: u32, nbr: NodeId, cand: Candidate, flag: bool) {
-        let di = di as usize;
+    ///
+    /// Returns whether the selected route proper — neighbor, distance,
+    /// landmark distance or path — differs from the one the column held
+    /// (always, when it held none). The flag is left out: the owner wrote
+    /// the old one and passes the new one, so it compares them itself.
+    pub fn select_from_at(&mut self, di: u32, nbr: NodeId, cand: Candidate, flag: bool) -> bool {
         debug_assert!(
-            self.slab_of(nbr)
-                .is_some_and(|s| s.slot_of(di as u32).is_some()),
+            self.slab_of(nbr).is_some_and(|s| s.slot_of(di).is_some()),
             "selected neighbor must hold a candidate"
         );
-        if self.sel_nbr[di] == ABSENT {
-            self.sel_count += 1;
-        }
-        debug_assert!(self.cand_count[di] > 0);
-        self.sel_nbr[di] = nbr.0 as u32;
-        self.sel_dist[di] = cand.dist;
-        self.sel_lm_dist[di] = cand.dest_landmark_dist;
-        self.sel_flag[di] = flag;
-        self.sel_path[di] = Some(cand.path);
+        let (dist, lm_dist) = (cand.dist, cand.dest_landmark_dist);
+        self.write_selection(di as usize, nbr, dist, lm_dist, flag, cand.path)
     }
 
     /// Recompute the selection for `d` as the most-preferred candidate
-    /// over all neighbors (cleared if none is left). The flag is the
-    /// winning candidate's own; the owner overrides it afterwards when it
-    /// runs the OR-merge policy. Returns whether a route is now selected.
-    pub fn select_best(&mut self, d: NodeId) -> bool {
-        let Some(di) = self.idx_of(d) else {
-            return false;
-        };
+    /// over all neighbors. The flag is the winning candidate's own; the
+    /// owner overrides it afterwards when it runs the OR-merge policy.
+    /// Returns `None` when no candidate is left (the selection is
+    /// cleared), otherwise whether the route proper moved, like
+    /// [`RibStore::select_from_at`].
+    pub fn select_best(&mut self, d: NodeId) -> Option<bool> {
+        let di = self.idx_of(d)?;
         match self.best_slot(di as u32) {
             Some((nbr, s)) => {
                 let flag = self.slab_of(nbr).expect("best slab exists").lm_flag[s];
-                self.write_selection(di, nbr, s, flag);
-                true
+                Some(self.select_slot(di, nbr, s, flag))
             }
             None => {
                 self.clear_selected(d);
-                false
+                None
             }
         }
     }
 
-    /// Drop the selection for `d`, if any.
+    /// Drop the selection for `d`, if any, and the resident mark with it.
     pub fn clear_selected(&mut self, d: NodeId) {
         let Some(di) = self.idx_of(d) else {
             return;
@@ -546,6 +586,7 @@ impl RibStore {
         }
         self.sel_nbr[di] = ABSENT;
         self.sel_path[di] = None;
+        self.resident[di] = false;
         self.sel_count -= 1;
         if !self.is_live_idx(di) {
             self.live_dests -= 1;
@@ -614,32 +655,71 @@ impl RibStore {
         }
     }
 
-    /// The selected route's `(distance, landmark flag)` for `d` — the two
-    /// fields the owner's ordered mirrors key on.
+    /// The selected route's `(distance, landmark flag, resident mark)`
+    /// for `d` — the three fields the owner's ordered mirrors key on.
     #[inline]
-    pub fn selected_parts(&self, d: NodeId) -> Option<(Weight, bool)> {
+    pub fn selected_parts(&self, d: NodeId) -> Option<(Weight, bool, bool)> {
         self.selected_parts_at(self.idx_of(d)? as u32)
     }
 
     /// [`RibStore::selected_parts`] by destination index.
     #[inline]
-    pub fn selected_parts_at(&self, di: u32) -> Option<(Weight, bool)> {
+    pub fn selected_parts_at(&self, di: u32) -> Option<(Weight, bool, bool)> {
         let di = di as usize;
-        (self.sel_nbr[di] != ABSENT).then(|| (self.sel_dist[di], self.sel_flag[di]))
+        (self.sel_nbr[di] != ABSENT)
+            .then(|| (self.sel_dist[di], self.sel_flag[di], self.resident[di]))
     }
 
-    /// Approximate heap bytes of the selection columns alone — the
-    /// Loc-RIB view: ~25 B per interned destination (4 nbr + 8 dist +
-    /// 8 lm-dist + 1 flag + 4 `Option<path id>`; the path handle's
-    /// `NonZeroU32` niche keeps the `Option` at 4 bytes), vs the ~56 B
-    /// payload plus hash-map overhead per *known* destination of the
-    /// deleted `best: FxHashMap<NodeId, RouteEntry>`.
+    /// Set or clear the owner's routing-table mark on the selected route
+    /// of destination index `di`.
+    #[inline]
+    pub fn set_resident_at(&mut self, di: u32, resident: bool) {
+        debug_assert!(!resident || self.sel_nbr[di as usize] != ABSENT);
+        self.resident[di as usize] = resident;
+    }
+
+    /// Whether the owner marked `d` resident.
+    #[inline]
+    pub fn is_resident(&self, d: NodeId) -> bool {
+        self.idx_of(d).is_some_and(|di| self.resident[di])
+    }
+
+    /// The selected route for `d` if the owner marked it resident — the
+    /// routing table, read in place.
+    #[inline]
+    pub fn resident_view(&self, d: NodeId) -> Option<SelectedRoute<'_>> {
+        let di = self.idx_of(d)?;
+        self.resident[di]
+            .then(|| self.selected_view_at(di as u32))
+            .flatten()
+    }
+
+    /// Number of `d`'s candidates that carry the landmark flag.
+    #[inline]
+    pub fn landmark_candidates(&self, d: NodeId) -> usize {
+        self.idx_of(d)
+            .map_or(0, |di| self.landmark_candidates_at(di as u32))
+    }
+
+    /// [`RibStore::landmark_candidates`] by destination index.
+    #[inline]
+    pub fn landmark_candidates_at(&self, di: u32) -> usize {
+        self.lm_cands[di as usize] as usize
+    }
+
+    /// Approximate heap bytes of the per-destination view columns — the
+    /// Loc-RIB and routing table: ~30 B per interned destination (4 nbr +
+    /// 8 dist + 8 lm-dist + 1 flag + 4 `Option<path id>` — the path
+    /// handle's `NonZeroU32` niche keeps the `Option` at 4 bytes — plus
+    /// 4 landmark-candidate count + 1 resident mark).
     pub fn selection_bytes(&self) -> usize {
         self.sel_nbr.capacity() * 4
             + self.sel_dist.capacity() * 8
             + self.sel_lm_dist.capacity() * 8
             + self.sel_flag.capacity()
             + self.sel_path.capacity() * std::mem::size_of::<Option<InternedPath>>()
+            + self.lm_cands.capacity() * 4
+            + self.resident.capacity()
     }
 
     /// Re-write the selection's effective landmark flag (the route itself
@@ -683,16 +763,16 @@ impl RibStore {
     /// Forgetful eviction (§4.2): keep at most `keep` candidates for `d` —
     /// always including the *selected* candidate (read from the selection
     /// column), whatever its rank — evicting the least-preferred rest.
-    /// Marks `d` as having forgotten information and returns the evicted
-    /// `(neighbor, landmark flag)` pairs so the caller can fix up its flag
-    /// counters.
-    pub fn enforce(&mut self, d: NodeId, keep: usize) -> Vec<(NodeId, bool)> {
+    /// Marks `d` as having forgotten information. Returns whether a
+    /// landmark-flagged candidate was among the evicted — the one outcome
+    /// the owner's OR-merged flag has to react to.
+    pub fn enforce(&mut self, d: NodeId, keep: usize) -> bool {
         let Some(di) = self.idx_of(d) else {
-            return Vec::new();
+            return false;
         };
         let di = di as u32;
         if (self.cand_count[di as usize] as usize) <= keep {
-            return Vec::new();
+            return false;
         }
         let mut ranked = self.candidates_for(d);
         // The selected route is never evicted, whatever its rank.
@@ -702,22 +782,19 @@ impl RibStore {
                 ranked.insert(0, sel);
             }
         }
-        let mut removed = Vec::with_capacity(ranked.len().saturating_sub(keep));
+        let mut lm_evicted = false;
         for (nbr, _) in ranked.drain(keep.max(1)..) {
             let was_lm = self
                 .slab_mut(nbr)
                 .and_then(|s| s.remove(di))
                 .expect("ranked candidate must exist");
-            self.total -= 1;
-            self.drop_count(di);
+            self.drop_count(di, was_lm);
             self.evictions += 1;
-            removed.push((nbr, was_lm));
-        }
-        if !removed.is_empty() {
             self.evicted[di as usize] = true;
+            lm_evicted |= was_lm;
         }
         self.maybe_compact();
-        removed
+        lm_evicted
     }
 
     /// Whether the forgetful policy has discarded candidates for `d` since
@@ -752,7 +829,7 @@ impl RibStore {
             + self.dests.capacity() * 4
             + self.cand_count.capacity() * 4
             + self.evicted.capacity()
-            + self.dest_idx.len() * 12;
+            + self.dest_idx.capacity() * 10;
         let selection_bytes = self.selection_bytes();
         RibStats {
             candidates: self.total,
@@ -785,13 +862,15 @@ impl RibStore {
         let mut dests = Vec::with_capacity(live);
         let mut cand_count = Vec::with_capacity(live);
         let mut evicted = Vec::with_capacity(live);
+        let mut lm_cands = Vec::with_capacity(live);
+        let mut resident = Vec::with_capacity(live);
         let mut sel_nbr = Vec::with_capacity(live);
         let mut sel_dist = Vec::with_capacity(live);
         let mut sel_lm_dist = Vec::with_capacity(live);
         let mut sel_flag = Vec::with_capacity(live);
         let mut sel_path = Vec::with_capacity(live);
         let mut dest_idx = FxHashMap::default();
-        // (Indexing, not iterators: the loop reads five parallel columns
+        // (Indexing, not iterators: the loop reads the parallel columns
         // and writes `remap` by the same index.)
         #[allow(clippy::needless_range_loop)]
         for i in 0..self.dests.len() {
@@ -803,6 +882,8 @@ impl RibStore {
             dests.push(self.dests[i]);
             cand_count.push(self.cand_count[i]);
             evicted.push(self.evicted[i]);
+            lm_cands.push(self.lm_cands[i]);
+            resident.push(self.resident[i]);
             sel_nbr.push(self.sel_nbr[i]);
             sel_dist.push(self.sel_dist[i]);
             sel_lm_dist.push(self.sel_lm_dist[i]);
@@ -824,6 +905,8 @@ impl RibStore {
         self.dests = dests;
         self.cand_count = cand_count;
         self.evicted = evicted;
+        self.lm_cands = lm_cands;
+        self.resident = resident;
         self.sel_nbr = sel_nbr;
         self.sel_dist = sel_dist;
         self.sel_lm_dist = sel_lm_dist;
@@ -852,20 +935,26 @@ mod tests {
         let mut rib = RibStore::new();
         let (n1, n2, d) = (NodeId(1), NodeId(2), NodeId(9));
         assert!(rib.is_empty());
-        assert_eq!(rib.insert(n1, d, &cand(&[0, 1, 9], 2.0, false)), None);
-        assert_eq!(rib.insert(n2, d, &cand(&[0, 2, 9], 3.0, true)), None);
+        rib.insert(n1, d, &cand(&[0, 1, 9], 2.0, false));
+        rib.insert(n2, d, &cand(&[0, 2, 9], 3.0, true));
         assert_eq!(rib.len(), 2);
         assert_eq!(rib.count_for(d), 2);
-        // Replacement returns the old flag.
-        assert_eq!(rib.insert(n2, d, &cand(&[0, 2, 9], 1.0, false)), Some(true));
+        assert_eq!(rib.landmark_candidates(d), 1);
+        // Replacement takes the old candidate's flag out of the count.
+        rib.insert(n2, d, &cand(&[0, 2, 9], 1.0, false));
         assert_eq!(rib.len(), 2);
+        assert_eq!(rib.landmark_candidates(d), 0);
         let got = rib.get(n2, d).unwrap();
         assert_eq!(got.dist, 1.0);
         assert!(!got.dest_is_landmark);
-        assert_eq!(rib.remove(n2, d), Some(false));
-        assert_eq!(rib.remove(n2, d), None);
+        rib.insert(n1, d, &cand(&[0, 1, 9], 2.0, true));
+        assert!(rib.remove(n2, d));
+        assert!(!rib.remove(n2, d));
         assert_eq!(rib.len(), 1);
         assert_eq!(rib.count_for(d), 1);
+        assert_eq!(rib.landmark_candidates(d), 1);
+        assert!(rib.remove(n1, d));
+        assert_eq!(rib.landmark_candidates(d), 0);
     }
 
     #[test]
@@ -892,8 +981,10 @@ mod tests {
         rib.insert(NodeId(1), NodeId(7), &cand(&[0, 1, 7], 2.0, true));
         rib.insert(NodeId(1), NodeId(3), &cand(&[0, 1, 3], 2.0, false));
         rib.insert(NodeId(2), NodeId(3), &cand(&[0, 2, 3], 2.0, false));
+        assert_eq!(rib.landmark_candidates(NodeId(7)), 1);
         let lost = rib.remove_neighbor(NodeId(1));
-        assert_eq!(lost, vec![(NodeId(3), false), (NodeId(7), true)]);
+        assert_eq!(lost, vec![NodeId(3), NodeId(7)]);
+        assert_eq!(rib.landmark_candidates(NodeId(7)), 0);
         assert_eq!(rib.len(), 1);
         assert!(rib.remove_neighbor(NodeId(1)).is_empty());
     }
@@ -903,23 +994,26 @@ mod tests {
         let mut rib = RibStore::new();
         let d = NodeId(9);
         for (i, dist) in [(1, 4.0), (2, 1.0), (3, 2.0), (4, 3.0)] {
-            rib.insert(NodeId(i), d, &cand(&[0, i, 9], dist, false));
+            rib.insert(NodeId(i), d, &cand(&[0, i, 9], dist, i == 4));
         }
         // Keep 2 (selected + 1 alternate); the selected hop is the worst
         // candidate (forced survivor, read from the selection column).
         rib.select(d, NodeId(1), false);
-        let removed = rib.enforce(d, 2);
-        let removed_nbrs: Vec<NodeId> = removed.iter().map(|&(n, _)| n).collect();
-        assert_eq!(removed_nbrs, vec![NodeId(3), NodeId(4)]);
+        assert!(rib.enforce(d, 2), "the flagged candidate was evicted");
+        assert_eq!(rib.landmark_candidates(d), 0);
         assert!(rib.get(NodeId(1), d).is_some(), "selected survives");
         assert!(rib.get(NodeId(2), d).is_some(), "best alternate survives");
         assert_eq!(rib.count_for(d), 2);
         assert!(rib.take_evicted(d));
         assert!(!rib.take_evicted(d), "flag is taken once");
         // Under budget: no-op, flag untouched.
-        assert!(rib.enforce(d, 2).is_empty());
+        assert!(!rib.enforce(d, 2));
         assert!(!rib.take_evicted(d));
         assert_eq!(rib.stats().evictions, 2);
+        // Evicting unflagged candidates only reports nothing to react to.
+        rib.insert(NodeId(3), d, &cand(&[0, 3, 9], 2.0, false));
+        assert!(!rib.enforce(d, 2));
+        assert!(rib.get(NodeId(3), d).is_none());
     }
 
     #[test]
@@ -929,23 +1023,36 @@ mod tests {
         rib.insert(NodeId(1), d, &cand(&[0, 1, 9], 2.0, false));
         rib.insert(NodeId(2), d, &cand(&[0, 2, 9], 1.0, true));
         assert!(rib.selected_hop(d).is_none());
-        assert!(rib.select_best(d));
+        assert_eq!(rib.select_best(d), Some(true));
         assert_eq!(rib.selected_hop(d), Some(NodeId(2)));
         let v = rib.selected_view(d).unwrap();
         assert_eq!(v.dist, 1.0);
         assert!(v.dest_is_landmark);
         assert_eq!(v.path.to_vec(), vec![NodeId(0), NodeId(2), NodeId(9)]);
-        assert_eq!(rib.selected_parts(d), Some((1.0, true)));
-        // The owner's flag policy can override the cached flag.
+        assert_eq!(rib.selected_parts(d), Some((1.0, true, false)));
+        // The owner's flag policy can override the cached flag, and its
+        // table mark rides on the selection.
         rib.set_selected_flag(d, false);
-        assert_eq!(rib.selected_parts(d), Some((1.0, false)));
+        assert!(rib.resident_view(d).is_none());
+        rib.set_resident_at(rib.idx(d).unwrap(), true);
+        assert_eq!(rib.selected_parts(d), Some((1.0, false, true)));
+        assert_eq!(rib.resident_view(d), rib.selected_view(d));
+        // Re-selecting the same candidate moves nothing (the flag is the
+        // owner's to compare); a re-announcement over it does.
+        assert_eq!(rib.select_best(d), Some(false));
+        rib.insert(NodeId(2), d, &cand(&[0, 2, 9], 0.5, true));
+        assert_eq!(rib.select_best(d), Some(true));
         // Explicit selection of a non-best candidate is allowed (the owner
-        // decides); stats count the occupancy.
-        rib.select(d, NodeId(1), false);
+        // decides); stats count the occupancy, the mark stays.
+        assert!(rib.select(d, NodeId(1), false));
+        assert!(!rib.select(d, NodeId(1), true));
         assert_eq!(rib.selected_hop(d), Some(NodeId(1)));
+        assert!(rib.is_resident(d));
         assert_eq!(rib.stats().selected, 1);
+        // Clearing the selection clears the mark with it.
         rib.clear_selected(d);
         assert!(rib.selected_view(d).is_none());
+        assert!(!rib.is_resident(d));
         assert_eq!(rib.stats().selected, 0);
         assert!(rib.stats().selection_bytes > 0);
     }
@@ -959,31 +1066,39 @@ mod tests {
         let d = NodeId(9);
         rib.insert(NodeId(1), d, &cand(&[0, 1, 9], 2.0, false));
         rib.insert(NodeId(2), d, &cand(&[0, 2, 9], 3.0, false));
-        assert!(rib.select_best(d));
+        assert!(rib.select_best(d).is_some());
         assert_eq!(rib.selected_hop(d), Some(NodeId(1)));
         rib.remove(NodeId(1), d);
         let v = rib.selected_view(d).expect("stale view still readable");
         assert_eq!(v.next_hop, NodeId(1));
         assert_eq!(v.dist, 2.0);
-        assert!(rib.select_best(d), "reselect falls back to the alternate");
+        assert_eq!(
+            rib.select_best(d),
+            Some(true),
+            "falls back to the alternate"
+        );
         assert_eq!(rib.selected_hop(d), Some(NodeId(2)));
         // Total loss clears the selection.
         rib.remove_neighbor(NodeId(2));
-        assert!(!rib.select_best(d));
+        assert_eq!(rib.select_best(d), None);
         assert!(rib.selected_hop(d).is_none());
     }
 
     /// Compaction must keep destinations whose only liveness is a (stale)
-    /// selection, and carry the selection columns across the remap.
+    /// selection, and carry every per-destination column — selection,
+    /// resident mark, landmark-candidate count — across the remap.
     #[test]
     fn compaction_preserves_selections() {
         let mut rib = RibStore::new();
-        let nbr = NodeId(1);
+        let (nbr, other) = (NodeId(1), NodeId(2));
         for i in 0..200 {
             rib.insert(nbr, NodeId(1000 + i), &cand(&[0, 1, 1000 + i], 2.0, false));
         }
+        // One destination keeps a flagged candidate from another neighbor.
+        rib.insert(other, NodeId(1100), &cand(&[0, 2, 1100], 3.0, true));
         rib.select_best(NodeId(1000));
         rib.select_best(NodeId(1199));
+        rib.set_resident_at(rib.idx(NodeId(1199)).unwrap(), true);
         // Removing the neighbor wholesale leaves the two selections as the
         // only liveness of their destinations; the sweep's removals push
         // occupancy below the compaction threshold.
@@ -995,10 +1110,18 @@ mod tests {
             assert_eq!(v.path.last(), d);
         }
         assert_eq!(rib.stats().selected, 2);
+        assert!(!rib.is_resident(NodeId(1000)));
+        assert!(rib.is_resident(NodeId(1199)), "mark survives compaction");
+        assert!(!rib.is_resident(NodeId(1100)));
+        for i in 0..200 {
+            let flagged = usize::from(i == 100);
+            assert_eq!(rib.landmark_candidates(NodeId(1000 + i)), flagged);
+        }
         // Reselecting after total loss clears them and frees the dests.
-        assert!(!rib.select_best(NodeId(1000)));
-        assert!(!rib.select_best(NodeId(1199)));
+        assert_eq!(rib.select_best(NodeId(1000)), None);
+        assert_eq!(rib.select_best(NodeId(1199)), None);
         assert_eq!(rib.stats().selected, 0);
+        assert!(!rib.is_resident(NodeId(1199)));
     }
 
     #[test]

@@ -59,10 +59,8 @@ fn check_faithful(proto: &DiscoProtocol, table: &ForwardingTable) {
             .fallback()
             .expect("non-landmark with landmark entries must compile a fallback");
         assert!(
-            proto
-                .pv
-                .landmark_entries()
-                .any(|(&l, e)| l == lm && e.next_hop == hop),
+            proto.pv.landmark_entries().any(|(l, _)| l == lm)
+                && proto.pv.route(lm).is_some_and(|e| e.next_hop == hop),
             "fallback must be a known landmark route"
         );
     }

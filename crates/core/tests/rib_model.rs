@@ -18,12 +18,21 @@
 //! 4. the derived Loc-RIB view equals the model's best selection — after
 //!    *every* op in full mode, and after a settle round (every neighbor
 //!    re-announces, as their periodic table-change exports would) in
-//!    forgetful mode.
+//!    forgetful mode,
+//! 5. the two table columns agree with their models: the
+//!    landmark-candidate count with a naive recount over the model's
+//!    candidates the store still holds, the resident mark with the set
+//!    the harness's residency stand-in marked and un-marked (and that the
+//!    store cleared with a selection).
+//!
+//! Halfway through, a burst of filler destinations comes and goes with a
+//! neighbor of its own, so the interner compacts and every column is
+//! remapped under the checks.
 
 use disco_core::rib::{Candidate, RibStore};
 use disco_graph::{InternedPath, NodeId, Weight};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 const ME: usize = 0;
 const ALTERNATES: usize = 1;
@@ -43,6 +52,9 @@ fn better(a: &Candidate, b: &Candidate) -> bool {
 #[derive(Default)]
 struct FullRib {
     cands: BTreeMap<(NodeId, NodeId), Candidate>, // (nbr, dest) → candidate
+    /// Destinations the harness marked resident and neither it nor a
+    /// cleared selection un-marked since.
+    resident: BTreeSet<NodeId>,
 }
 
 impl FullRib {
@@ -76,19 +88,39 @@ struct Driven {
 }
 
 impl Driven {
-    fn keep(d: NodeId) -> usize {
-        // Stand-in for table residency (landmarks + vicinity): even
-        // destinations are "resident" and keep alternates, odd ones keep
-        // the selected route alone.
-        if d.0.is_multiple_of(2) {
+    /// Resident destinations keep alternates, the rest keep the selected
+    /// route alone — `PathVectorNode::enforce_forgetful`'s rule.
+    fn keep(&self, d: NodeId) -> usize {
+        if self.rib.is_resident(d) {
             1 + ALTERNATES
         } else {
             1
         }
     }
 
-    fn reselect(&mut self, d: NodeId, model: &FullRib) {
-        if !self.rib.select_best(d) {
+    /// Stand-in for table admission / eviction: mark or un-mark `d`'s
+    /// selected route (no-op without one), then re-trim to the budget the
+    /// mark now grants.
+    fn set_resident(&mut self, d: NodeId, resident: bool, model: &mut FullRib) {
+        if self.rib.selected_hop(d).is_none() {
+            return;
+        }
+        self.rib
+            .set_resident_at(self.rib.idx(d).expect("selected"), resident);
+        if resident {
+            model.resident.insert(d);
+        } else {
+            model.resident.remove(&d);
+        }
+        if self.forgetful {
+            self.rib.enforce(d, self.keep(d));
+        }
+    }
+
+    fn reselect(&mut self, d: NodeId, model: &mut FullRib) {
+        if self.rib.select_best(d).is_none() {
+            // The store cleared the mark with the selection.
+            model.resident.remove(&d);
             // Total loss: re-solicit if the policy forgot candidates.
             if self.rib.take_evicted(d) {
                 self.refreshes += 1;
@@ -99,7 +131,7 @@ impl Driven {
         }
     }
 
-    fn insert(&mut self, nbr: NodeId, d: NodeId, c: Candidate, model: &FullRib) {
+    fn insert(&mut self, nbr: NodeId, d: NodeId, c: Candidate, model: &mut FullRib) {
         let cur_hop = self.rib.selected_hop(d);
         let promote = match self.rib.selected_view(d) {
             None => true,
@@ -117,22 +149,26 @@ impl Driven {
         self.rib.insert(nbr, d, &c);
         if promote {
             self.rib.select(d, nbr, flag);
+            if cur_hop.is_none() {
+                // A fresh selection: even destinations are admitted.
+                self.set_resident(d, d.0.is_multiple_of(2), model);
+            }
         } else if cur_hop == Some(nbr) {
             self.reselect(d, model);
         }
         if self.forgetful {
-            self.rib.enforce(d, Self::keep(d));
+            self.rib.enforce(d, self.keep(d));
         }
     }
 
-    fn remove(&mut self, nbr: NodeId, d: NodeId, model: &FullRib) {
-        if self.rib.remove(nbr, d).is_some() && self.rib.selected_hop(d) == Some(nbr) {
+    fn remove(&mut self, nbr: NodeId, d: NodeId, model: &mut FullRib) {
+        if self.rib.remove(nbr, d) && self.rib.selected_hop(d) == Some(nbr) {
             self.reselect(d, model);
         }
     }
 
-    fn neighbor_down(&mut self, nbr: NodeId, model: &FullRib) {
-        for (d, _) in self.rib.remove_neighbor(nbr) {
+    fn neighbor_down(&mut self, nbr: NodeId, model: &mut FullRib) {
+        for d in self.rib.remove_neighbor(nbr) {
             if self.rib.selected_hop(d) == Some(nbr) {
                 self.reselect(d, model);
             }
@@ -183,11 +219,25 @@ fn check_invariants(dr: &Driven, model: &FullRib, dests: &[NodeId], settled: boo
         // (3) budget respected.
         if dr.forgetful {
             assert!(
-                dr.rib.count_for(d) <= Driven::keep(d),
+                dr.rib.count_for(d) <= dr.keep(d),
                 "budget exceeded for {d}: {}",
                 dr.rib.count_for(d)
             );
+        } else {
+            assert_eq!(dr.rib.count_for(d), model.for_dest(d).len());
         }
+        // (5) the table columns: flagged candidates recounted naively
+        // over what the store still holds, and the resident mark.
+        let flagged = model
+            .for_dest(d)
+            .iter()
+            .filter(|(nbr, c)| c.dest_is_landmark && dr.rib.get(*nbr, d).is_some())
+            .count();
+        assert_eq!(dr.rib.landmark_candidates(d), flagged, "flag count for {d}");
+        let resident = model.resident.contains(&d);
+        assert_eq!(dr.rib.is_resident(d), resident, "resident mark for {d}");
+        assert!(!resident || view.is_some(), "{d} resident, not selected");
+        assert_eq!(dr.rib.resident_view(d).is_some(), resident);
         // (4) the derived Loc-RIB view equals the model's best selection.
         if view_exact {
             if let (Some((mn, mc)), Some(v)) = (model_best, &view) {
@@ -216,7 +266,7 @@ fn run_model(seed: u64, forgetful: bool) -> u64 {
         let r = splitmix(&mut rng);
         let nbr = neighbors[(r % neighbors.len() as u64) as usize];
         let d = dests[((r >> 8) % dests.len() as u64) as usize];
-        match (r >> 16) % 10 {
+        match (r >> 16) % 11 {
             // Announce: route me → nbr → (salt) → d, salted so
             // re-announcements change the path, not just the distance.
             0..=5 => {
@@ -226,22 +276,47 @@ fn run_model(seed: u64, forgetful: bool) -> u64 {
                 let c = Candidate {
                     dist,
                     path,
-                    dest_is_landmark: false,
+                    dest_is_landmark: (r >> 40).is_multiple_of(4),
                     dest_landmark_dist: Weight::INFINITY,
                 };
                 model.cands.insert((nbr, d), c.clone());
-                dr.insert(nbr, d, c, &model);
+                dr.insert(nbr, d, c, &mut model);
             }
             // Withdraw one candidate.
             6..=8 => {
                 model.cands.remove(&(nbr, d));
-                dr.remove(nbr, d, &model);
+                dr.remove(nbr, d, &mut model);
             }
             // Link loss: the neighbor's whole slab goes.
-            _ => {
+            9 => {
                 model.cands.retain(|&(n, _), _| n != nbr);
-                dr.neighbor_down(nbr, &model);
+                dr.neighbor_down(nbr, &mut model);
             }
+            // A cap admission or eviction flips the resident mark.
+            _ => {
+                let resident = dr.rib.is_resident(d);
+                dr.set_resident(d, !resident, &mut model);
+            }
+        }
+        // The filler burst: enough never-selected destinations from a
+        // neighbor of their own that losing it compacts the interner.
+        let filler = NodeId(7);
+        if step == 150 {
+            for i in 1000..1100 {
+                let path = InternedPath::from_slice(&[NodeId(ME), filler, NodeId(i)]);
+                let c = Candidate {
+                    dist: 2.0,
+                    path,
+                    dest_is_landmark: i % 3 == 0,
+                    dest_landmark_dist: Weight::INFINITY,
+                };
+                dr.rib.insert(filler, NodeId(i), &c);
+            }
+        }
+        if step == 250 {
+            dr.rib.remove_neighbor(filler);
+            let interned = dr.rib.stats().dests_interned;
+            assert!(interned < 64, "no compaction: {interned} dests interned");
         }
         let settle = step % 25 == 24;
         if settle {
@@ -253,7 +328,7 @@ fn run_model(seed: u64, forgetful: bool) -> u64 {
                 .map(|(&(n, dd), c)| (n, dd, c.clone()))
                 .collect();
             for (n, dd, c) in all {
-                dr.insert(n, dd, c, &model);
+                dr.insert(n, dd, c, &mut model);
             }
         }
         check_invariants(&dr, &model, &dests, settle);

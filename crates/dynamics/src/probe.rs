@@ -183,8 +183,7 @@ fn walk_length(
 /// Route oracle for plain path-vector nodes: the table route, if any.
 pub fn path_vector_route(nodes: &[PathVectorNode], s: NodeId, t: NodeId) -> Vec<Vec<NodeId>> {
     nodes[s.0]
-        .table
-        .get(&t)
+        .route(t)
         .map(|e| e.path.to_vec())
         .into_iter()
         .collect()
@@ -222,7 +221,7 @@ where
         let nodes = e.nodes();
         let src = &nodes[s.0];
         let mut cands = Vec::new();
-        if let Some(direct) = src.pv.table.get(&t) {
+        if let Some(direct) = src.pv.route(t) {
             cands.push(direct.path.to_vec());
         }
         if let Some(addr) = src.group_address(t) {
@@ -344,17 +343,12 @@ mod tests {
         // Freeze state, then break a link WITHOUT letting repair run: routes
         // through it must count as undelivered.
         let route_of = |e: &mut ShardedEngine<PathVectorNode>, s: NodeId, t: NodeId| {
-            e.visit(0, move |e| {
-                e.nodes()[s.0].table.get(&t).map(|r| r.path.to_vec())
-            })
+            e.visit(0, move |e| e.nodes()[s.0].route(t).map(|r| r.path.to_vec()))
         };
         let (u, v) = engine.visit(0, |e| {
-            let (_, entry) = e.nodes()[2]
-                .table
-                .iter()
-                .find(|(&d, _)| d != NodeId(2))
-                .unwrap();
-            let path = entry.path.to_vec();
+            let node = &e.nodes()[2];
+            let (d, _) = node.local_entries().next().unwrap();
+            let path = node.route(d).unwrap().path.to_vec();
             (path[0], path[1])
         });
         let before = probe(&mut engine, &[(u, v)], path_vector_route);

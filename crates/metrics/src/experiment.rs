@@ -603,22 +603,22 @@ fn event_later_packet_length(graph: &Graph, nodes: &[PathVectorNode], s: NodeId,
         return 0.0;
     }
     // Direct: t in s's table (vicinity member or landmark).
-    if let Some(e) = nodes[s.0].table.get(&t) {
+    if let Some(e) = nodes[s.0].route(t) {
         return e.dist;
     }
     // Handshake: s in t's table.
-    if let Some(e) = nodes[t.0].table.get(&s) {
+    if let Some(e) = nodes[t.0].route(s) {
         return e.dist;
     }
     // Landmark route: s → ℓ_t → t, where ℓ_t is t's closest landmark and
     // the last leg is the reverse of t's route to ℓ_t.
-    let (lm, lm_entry) = nodes[t.0]
+    let (lm, _) = nodes[t.0]
         .landmark_entries()
-        .min_by(|a, b| a.1.dist.partial_cmp(&b.1.dist).unwrap().then(a.0.cmp(b.0)))
+        .next()
         .expect("every node learns the landmarks");
+    let lm_entry = nodes[t.0].route(lm).expect("a listed landmark");
     let s_to_lm = nodes[s.0]
-        .table
-        .get(lm)
+        .route(lm)
         .expect("every node learns routes to all landmarks");
     // Apply To-Destination shortcutting along the concatenated path, exactly
     // as the protocol would.
@@ -631,7 +631,7 @@ fn event_later_packet_length(graph: &Graph, nodes: &[PathVectorNode], s: NodeId,
         if u == t {
             return path_len(&full[..=i]);
         }
-        if let Some(e) = nodes[u.0].table.get(&t) {
+        if let Some(e) = nodes[u.0].route(t) {
             return path_len(&full[..=i]) + e.dist;
         }
     }
