@@ -1,0 +1,66 @@
+//! Criterion benches: the data-plane layer on a booted n=512 network —
+//! compiling a node's forwarding table from its RIB (what a republish
+//! costs, per table) and probing the compiled tables, resident keys and
+//! absent ones apart (per lookup).
+
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use disco_core::config::DiscoConfig;
+use disco_core::forward::ForwardingTable;
+use disco_core::landmark::{landmark_set, select_landmarks};
+use disco_core::protocol::{DiscoProtocol, PhaseTimers};
+use disco_graph::{generators, NodeId};
+use disco_sim::Engine;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
+
+fn forward(c: &mut Criterion) {
+    let (n, seed) = (512, 3);
+    let graph = generators::gnm_average_degree(n, 8.0, seed);
+    // Static `n`, as `exp_forward`: the estimation gossip multiplies the
+    // boot and leaves the data plane measured here as it is.
+    let dcfg = DiscoConfig::seeded(seed).with_dynamic_n_estimation(false);
+    let lm_set = landmark_set(&select_landmarks(n, &dcfg));
+    let mut engine = Engine::new(&graph, |v| {
+        DiscoProtocol::new(v, lm_set.contains(&v), n, &dcfg, PhaseTimers::default())
+    });
+    assert!(engine.run().converged, "the boot must quiesce");
+    let nodes = engine.nodes();
+    let mut tables: Vec<ForwardingTable> =
+        (0..n).map(|v| ForwardingTable::new(NodeId(v))).collect();
+
+    let mut group = c.benchmark_group("forward_512");
+    // One iteration recompiles every node's table into the buffer that
+    // holds its last epoch, as a republish does.
+    group.throughput(Throughput::Elements(n as u64));
+    group.bench_function("compile", |b| {
+        b.iter(|| {
+            for (node, table) in nodes.iter().zip(&mut tables) {
+                node.compile_forwarding_into(table);
+            }
+        })
+    });
+
+    // Every (table, destination) pair, split by residency and shuffled so
+    // consecutive probes land in different tables.
+    let (mut hits, mut misses): (Vec<_>, Vec<_>) = (0..n)
+        .flat_map(|v| (0..n).map(move |d| (v, NodeId(d))))
+        .partition(|&(v, d)| tables[v].lookup(d).is_some());
+    let mut rng = StdRng::seed_from_u64(seed);
+    hits.shuffle(&mut rng);
+    misses.shuffle(&mut rng);
+    for (name, probes) in [("lookup_hit", &hits), ("lookup_miss", &misses)] {
+        group.throughput(Throughput::Elements(probes.len() as u64));
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                for &(v, d) in probes {
+                    black_box(tables[v].lookup(d));
+                }
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, forward);
+criterion_main!(benches);

@@ -291,8 +291,8 @@ type Plane<R> = ShardedEngine<DiscoProtocol, R>;
 /// publish-decision inputs ship to its owner together with the
 /// publisher's spare buffer; the owner evaluates exactly
 /// [`TablePublisher::needs_publish`] and compiles — into that buffer, so
-/// a steady-state republish allocates nothing — only the tables that need
-/// a new epoch.
+/// a republish no larger than the epoch it last held allocates nothing —
+/// only the tables that need a new epoch.
 fn republish<R: Recorder + Send + 'static>(
     plane: &mut Plane<R>,
     pubs: &mut [TablePublisher],

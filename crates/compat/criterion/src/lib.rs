@@ -19,19 +19,30 @@ impl Criterion {
     /// Start a named group of benchmarks.
     pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
         println!("group: {name}");
-        BenchmarkGroup { _c: self }
+        BenchmarkGroup {
+            _c: self,
+            elements: None,
+        }
     }
 
     /// Run a single named benchmark outside a group.
     pub fn bench_function(&mut self, name: &str, f: impl FnMut(&mut Bencher)) -> &mut Self {
-        run_one(name, f);
+        run_one(name, None, f);
         self
     }
+}
+
+/// How much work one iteration of a benchmark body does.
+#[derive(Debug, Clone, Copy)]
+pub enum Throughput {
+    /// The body processes this many elements per iteration.
+    Elements(u64),
 }
 
 /// A named group of benchmarks.
 pub struct BenchmarkGroup<'a> {
     _c: &'a mut Criterion,
+    elements: Option<u64>,
 }
 
 impl BenchmarkGroup<'_> {
@@ -41,9 +52,17 @@ impl BenchmarkGroup<'_> {
         self
     }
 
+    /// Work per iteration of the benchmarks that follow in this group;
+    /// they also report time per element.
+    pub fn throughput(&mut self, throughput: Throughput) -> &mut Self {
+        let Throughput::Elements(n) = throughput;
+        self.elements = Some(n);
+        self
+    }
+
     /// Run a benchmark body.
     pub fn bench_function(&mut self, name: &str, f: impl FnMut(&mut Bencher)) -> &mut Self {
-        run_one(name, f);
+        run_one(name, self.elements, f);
         self
     }
 
@@ -54,7 +73,7 @@ impl BenchmarkGroup<'_> {
         input: &I,
         mut f: impl FnMut(&mut Bencher, &I),
     ) -> &mut Self {
-        run_one(&id.0, |b| f(b, input));
+        run_one(&id.0, self.elements, |b| f(b, input));
         self
     }
 
@@ -91,14 +110,21 @@ impl Bencher {
     }
 }
 
-fn run_one(name: &str, mut f: impl FnMut(&mut Bencher)) {
+fn run_one(name: &str, elements: Option<u64>, mut f: impl FnMut(&mut Bencher)) {
     let mut b = Bencher {
         elapsed_ns: 0,
         iters: 1,
     };
     f(&mut b);
-    let mean_ns = b.elapsed_ns / u128::from(b.iters.max(1));
-    println!("  {name}: {:.3} ms/iter", mean_ns as f64 / 1e6);
+    let mean_ns = (b.elapsed_ns / u128::from(b.iters.max(1))) as f64;
+    match elements {
+        Some(n) => println!(
+            "  {name}: {:.3} ms/iter, {:.1} ns/elem",
+            mean_ns / 1e6,
+            mean_ns / n as f64
+        ),
+        None => println!("  {name}: {:.3} ms/iter", mean_ns / 1e6),
+    }
 }
 
 /// Collect benchmark functions into one runner, mirroring criterion's macro.

@@ -49,7 +49,7 @@ pub struct FlatRoute {
 /// publishes. Plain `u32`/`u64` vectors, so the table is `Send` and a
 /// sharded run can compile on the owner shard and ship it to the
 /// coordinator (unlike the RIB, whose interned paths are thread-local).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ForwardingTable {
     /// Node this table was compiled on.
     node: u32,
@@ -72,9 +72,6 @@ pub struct ForwardingTable {
     /// hop toward it (`NO_HOP` = none learned / node is the landmark).
     fallback_lm: u32,
     fallback_hop: u32,
-    /// Compile staging `(key, hop, path_hops)`, reused across epochs so a
-    /// republish allocates nothing in steady state.
-    scratch: Vec<(u32, u32, u16)>,
 }
 
 impl ForwardingTable {
@@ -127,7 +124,8 @@ impl ForwardingTable {
 
     /// Heap bytes of the published arrays (10 B per destination plus 12 B
     /// per ring landmark — the deployment-question number next to the
-    /// RIB's ~25 B/dest selection column).
+    /// RIB's ~25 B/dest selection column). They are all the heap a table
+    /// holds: a compile writes them in place, with no staging copy.
     pub fn approx_bytes(&self) -> usize {
         self.keys.len() * (4 + 4 + 2) + self.lm_pos.len() * (8 + 4)
     }
@@ -201,73 +199,58 @@ impl ForwardingTable {
         &self.keys
     }
 
-    // ---- compile-side builder: `begin` → `push_*`/`set_fallback` →
-    // `seal`, driven by `DiscoProtocol::compile_forwarding_into` (any
-    // protocol with a selection column can compile its own) ----
+    // ---- compile-side builder: `begin` → `push_*`/`set_fallback`,
+    // driven by `DiscoProtocol::compile_forwarding_into` (any protocol with
+    // a selection column can compile its own). Every push leaves the
+    // arrays sorted, so there is no closing step. ----
 
-    /// Reset for a fresh compile at `revision`, keeping allocations.
-    pub fn begin(&mut self, node: NodeId, revision: u64) {
+    /// Reset for a fresh compile of `routes` rows at `revision`, keeping
+    /// allocations: a buffer that has held `routes` rows before allocates
+    /// nothing, one that has not grows once, to exactly that size.
+    pub fn begin(&mut self, node: NodeId, revision: u64, routes: usize) {
         self.node = node.0 as u32;
         self.revision = revision;
-        self.scratch.clear();
+        self.keys.clear();
+        self.hops.clear();
+        self.path_hops.clear();
+        self.keys.reserve_exact(routes);
+        self.hops.reserve_exact(routes);
+        self.path_hops.reserve_exact(routes);
         self.lm_pos.clear();
         self.lm_id.clear();
         self.fallback_lm = NO_HOP;
         self.fallback_hop = NO_HOP;
     }
 
-    /// Stage one selection-column row.
-    pub fn push_route(&mut self, dest: NodeId, next_hop: NodeId, path_hops: usize) {
-        self.scratch.push((
-            dest.0 as u32,
-            next_hop.0 as u32,
-            path_hops.min(u16::MAX as usize) as u16,
-        ));
+    /// Append one selection-column row. Rows must arrive in strictly
+    /// ascending `dest` order (`RibStore::for_each_route_by_id`'s): the
+    /// key array is published as pushed, and the lookup probe relies on
+    /// it being sorted.
+    pub fn push_route(&mut self, dest: NodeId, next_hop: NodeId, path_hops: u16) {
+        let key = dest.0 as u32;
+        debug_assert!(
+            self.keys.last().is_none_or(|&last| last < key),
+            "selection rows must arrive in strictly ascending id order"
+        );
+        self.keys.push(key);
+        self.hops.push(next_hop.0 as u32);
+        self.path_hops.push(path_hops);
     }
 
-    /// Stage one landmark-ring slot.
+    /// Add one landmark-ring slot, in any order: it is inserted at its
+    /// sorted place, so the ring needs no sort and no temporary. (Distinct
+    /// landmarks never share a position — `mix64` is a bijection — so
+    /// there are no ties to order.)
     pub fn push_landmark(&mut self, pos: u64, lm: NodeId) {
-        self.lm_pos.push(pos);
-        self.lm_id.push(lm.0 as u32);
+        let i = self.lm_pos.partition_point(|&p| p < pos);
+        self.lm_pos.insert(i, pos);
+        self.lm_id.insert(i, lm.0 as u32);
     }
 
     /// Record the landmark-fallback entry.
     pub fn set_fallback(&mut self, lm: NodeId, hop: NodeId) {
         self.fallback_lm = lm.0 as u32;
         self.fallback_hop = hop.0 as u32;
-    }
-
-    /// Sort the staging rows into the published arrays.
-    pub fn seal(&mut self) {
-        self.scratch.sort_unstable();
-        self.keys.clear();
-        self.hops.clear();
-        self.path_hops.clear();
-        self.keys.reserve(self.scratch.len());
-        self.hops.reserve(self.scratch.len());
-        self.path_hops.reserve(self.scratch.len());
-        for &(k, h, p) in &self.scratch {
-            debug_assert!(self.keys.last() != Some(&k), "duplicate selection row");
-            self.keys.push(k);
-            self.hops.push(h);
-            self.path_hops.push(p);
-        }
-        // Ring slots arrive in landmark-table iteration order; sort by
-        // position (ids are distinct, mix64 collisions are not a practical
-        // concern — ties would differ from the scan rule only there).
-        let mut ring: Vec<(u64, u32)> = self
-            .lm_pos
-            .iter()
-            .copied()
-            .zip(self.lm_id.iter().copied())
-            .collect();
-        ring.sort_unstable();
-        self.lm_pos.clear();
-        self.lm_id.clear();
-        for (p, id) in ring {
-            self.lm_pos.push(p);
-            self.lm_id.push(id);
-        }
     }
 }
 
@@ -348,9 +331,9 @@ impl TablePublisher {
 
     /// The back buffer, for a compile that runs on another thread:
     /// `std::mem::take` it, compile into it there (its capacity is the
-    /// last-but-one epoch's, so a steady-state republish allocates
-    /// nothing), then install it with `publish_with(now, |slot| *slot =
-    /// table)` — or put it back here if no publish was needed.
+    /// last-but-one epoch's, so a republish no larger than that one
+    /// allocates nothing), then install it with `publish_with(now, |slot|
+    /// *slot = table)` — or put it back here if no publish was needed.
     pub fn spare_mut(&mut self) -> &mut ForwardingTable {
         &mut self.back
     }
@@ -373,16 +356,19 @@ impl TablePublisher {
 mod tests {
     use super::*;
 
-    fn table_of(rows: &[(u32, u32, u16)], ring: &[(u64, u32)]) -> ForwardingTable {
-        let mut t = ForwardingTable::new(NodeId(0));
-        t.begin(NodeId(0), 1);
+    fn compile(t: &mut ForwardingTable, rows: &[(u32, u32, u16)], ring: &[(u64, u32)]) {
+        t.begin(NodeId(0), 1, rows.len());
         for &(k, h, p) in rows {
-            t.push_route(NodeId(k as usize), NodeId(h as usize), p as usize);
+            t.push_route(NodeId(k as usize), NodeId(h as usize), p);
         }
         for &(pos, lm) in ring {
             t.push_landmark(pos, NodeId(lm as usize));
         }
-        t.seal();
+    }
+
+    fn table_of(rows: &[(u32, u32, u16)], ring: &[(u64, u32)]) -> ForwardingTable {
+        let mut t = ForwardingTable::new(NodeId(0));
+        compile(&mut t, rows, ring);
         t
     }
 
@@ -403,10 +389,11 @@ mod tests {
         }
     }
 
-    /// Ring resolution is first-position-clockwise with wraparound.
+    /// Ring resolution is first-position-clockwise with wraparound,
+    /// whatever order the slots were pushed in.
     #[test]
     fn owner_is_first_clockwise() {
-        let t = table_of(&[], &[(100, 1), (500, 2), (900, 3)]);
+        let t = table_of(&[], &[(900, 3), (100, 1), (500, 2)]);
         assert_eq!(t.owner_landmark(NameHash(50)), Some(NodeId(1)));
         assert_eq!(t.owner_landmark(NameHash(100)), Some(NodeId(1)));
         assert_eq!(t.owner_landmark(NameHash(101)), Some(NodeId(2)));
@@ -415,25 +402,51 @@ mod tests {
         assert!(table_of(&[], &[]).owner_landmark(NameHash(0)).is_none());
     }
 
+    /// A recompile into a buffer that already held a table of that size
+    /// allocates nothing: no array's storage moves or grows.
+    #[test]
+    fn recompile_at_the_same_size_reuses_every_array() {
+        fn storage(t: &ForwardingTable) -> [(usize, usize); 5] {
+            [
+                (t.keys.as_ptr() as usize, t.keys.capacity()),
+                (t.hops.as_ptr() as usize, t.hops.capacity()),
+                (t.path_hops.as_ptr() as usize, t.path_hops.capacity()),
+                (t.lm_pos.as_ptr() as usize, t.lm_pos.capacity()),
+                (t.lm_id.as_ptr() as usize, t.lm_id.capacity()),
+            ]
+        }
+        let rows: Vec<(u32, u32, u16)> = (0..97u32).map(|i| (i * 3 + 1, i + 1000, 2)).collect();
+        let ring: Vec<(u64, u32)> = (0..23u64)
+            .map(|i| (crate::hash::mix64(i), i as u32))
+            .collect();
+        let mut t = ForwardingTable::new(NodeId(0));
+        compile(&mut t, &rows, &ring);
+        assert_eq!(t.keys.capacity(), rows.len(), "sized once, exactly");
+        let before = storage(&t);
+        // Other routes, another ring order: same sizes.
+        let rows2: Vec<(u32, u32, u16)> = rows.iter().map(|r| (r.0 + 1, r.1 + 7, 3)).collect();
+        let ring2: Vec<(u64, u32)> = ring.iter().rev().map(|r| (!r.0, r.1)).collect();
+        compile(&mut t, &rows2, &ring2);
+        assert_eq!(storage(&t), before);
+        assert_eq!(t.lookup(NodeId(2)), Some(NodeId(1007)));
+        assert!(t.lm_pos.is_sorted() && t.ring_len() == ring.len());
+    }
+
     /// Publishes swap epochs atomically, are revision-driven and debounced.
     #[test]
     fn publisher_debounces_and_stamps_epochs() {
         let mut p = TablePublisher::new(NodeId(7), 10.0);
         assert!(p.needs_publish(0, 0.0), "first publish is never debounced");
         p.publish_with(0.0, |t| {
-            t.begin(NodeId(7), 3);
+            t.begin(NodeId(7), 3, 1);
             t.push_route(NodeId(1), NodeId(2), 1);
-            t.seal();
         });
         assert_eq!(p.table().epoch(), 1);
         assert_eq!(p.table().revision(), 3);
         assert!(!p.needs_publish(3, 100.0), "same revision: no republish");
         assert!(!p.needs_publish(4, 5.0), "inside the debounce window");
         assert!(p.needs_publish(4, 10.0));
-        p.publish_with(10.0, |t| {
-            t.begin(NodeId(7), 4);
-            t.seal();
-        });
+        p.publish_with(10.0, |t| t.begin(NodeId(7), 4, 0));
         assert_eq!(p.table().epoch(), 2);
         assert!(p.table().is_empty(), "swap published the fresh compile");
         assert!(p.table().is_stale(9) && !p.table().is_stale(4));

@@ -375,16 +375,31 @@ impl PathVectorNode {
         self.rib.stats()
     }
 
+    /// Destinations this node serves a selected route for — the row count
+    /// of [`Self::for_each_route_by_id`].
+    pub fn selected_count(&self) -> usize {
+        self.rib.selected_count()
+    }
+
     /// Visit every destination this node currently serves a selected route
-    /// for (the RIB's selection column, in interning order) — the
-    /// forwarding-table compile sweep of [`crate::forward`].
+    /// for as `(destination, next hop, path hop count)`, in ascending
+    /// destination id — the forwarding-table compile sweep of
+    /// [`crate::forward`] ([`RibStore::for_each_route_by_id`]).
+    pub fn for_each_route_by_id(&self, f: impl FnMut(NodeId, NodeId, u16)) {
+        self.rib.for_each_route_by_id(f)
+    }
+
+    /// Visit every destination this node currently serves a selected route
+    /// for with the full selected-route view (the RIB's selection column,
+    /// in interning order) — what tests check a compiled table against.
     pub fn for_each_selected(&self, f: impl FnMut(NodeId, SelectedRoute<'_>)) {
         self.rib.for_each_selected(f)
     }
 
     /// Approximate heap bytes of this node's Loc-RIB and routing table:
     /// the per-destination view columns in the [`RibStore`] (selection,
-    /// landmark-candidate count, resident mark) plus the ordered
+    /// hop count, landmark-candidate count, resident mark, and the id
+    /// order once a forwarding compile built it) plus the ordered
     /// `locals`/`waiting`/`lm_best` mirrors (≈12 B keys in B-tree nodes
     /// that amortize to about twice the payload). This is the "loc-rib
     /// bytes" column of `exp_memory`'s per-component accounting, and it is

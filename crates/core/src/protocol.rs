@@ -476,8 +476,10 @@ impl DiscoProtocol {
     }
 
     /// Compile this node's data plane into `out` (see [`crate::forward`]):
-    /// the RIB's selection column flattened into the sorted key/next-hop
-    /// arrays, the landmark ring at this node's hash positions, and the
+    /// the RIB's selection column written in one pass, already in key
+    /// order, into the sorted key/next-hop/hop-count arrays (sized once
+    /// from the selection count; nothing per entry reads the path arena),
+    /// the landmark ring at this node's hash positions, and the
     /// landmark-fallback entry (next hop toward the closest landmark,
     /// [`DiscoProtocol::my_address`]'s tie rule). Read-only over the RIB —
     /// the control plane cannot observe that a compile happened — and
@@ -485,12 +487,15 @@ impl DiscoProtocol {
     /// [`crate::forward::TablePublisher`] republishes exactly when
     /// selections actually moved.
     pub fn compile_forwarding_into(&self, out: &mut ForwardingTable) {
-        out.begin(self.pv.id(), self.pv.selection_revision());
-        self.pv.for_each_selected(|dest, sel| {
-            // Hop count of the selected path = the label this entry
-            // resolves to (path nodes minus the node itself).
-            out.push_route(dest, sel.next_hop, sel.path.len().saturating_sub(1));
-        });
+        out.begin(
+            self.pv.id(),
+            self.pv.selection_revision(),
+            self.pv.selected_count(),
+        );
+        // The hop count is the label this entry resolves to (path nodes
+        // minus the node itself).
+        self.pv
+            .for_each_route_by_id(|dest, hop, path_hops| out.push_route(dest, hop, path_hops));
         for (lm, _) in self.pv.landmark_entries() {
             out.push_landmark(self.hasher.hash_u64(lm.0 as u64).value(), lm);
         }
@@ -501,7 +506,6 @@ impl DiscoProtocol {
                 out.set_fallback(lm, hop);
             }
         }
-        out.seal();
     }
 
     /// Full path from this node to `target` using learned routes: a table

@@ -22,6 +22,11 @@
 //!     distance, interned path id`, ~25 B), written by the owner through
 //!     [`RibStore::select_from_at`] / [`RibStore::select_best`] and read in
 //!     place through [`RibStore::selected_view`];
+//!   * the selected path's **hop count** (2 B), written by the store with
+//!     the path, and only when the selected route actually moved — the
+//!     comparison that decides that has just read the path's arena cell,
+//!     so the hot message path gains one store and no cold read. It is
+//!     what lets a forwarding-table compile leave the path arena alone;
 //!   * the **landmark-candidate count** (4 B): how many of the
 //!     destination's candidates carry the landmark flag. The store keeps
 //!     it itself, on the insert / remove / evict paths where it already
@@ -32,6 +37,17 @@
 //!     selection, so the table is the marked subset — nothing is copied).
 //!     Only the owner sets it ([`RibStore::set_resident_at`]); the store
 //!     clears it with the selection it marks and makes no decision on it.
+//!
+//!   Beside the columns sits the **id order** (4 B per interned
+//!   destination once built): the interned indexes sorted by destination
+//!   id, which [`RibStore::for_each_route_by_id`] walks to hand the
+//!   forwarding compile its rows already in published order. It is built
+//!   lazily, by the first ordered visit after it was dropped, and dropped
+//!   in exactly the two places an interned index appears or moves —
+//!   interning a new destination and the compaction remap. It orders all
+//!   interned indexes, selected or not, so selections coming and going
+//!   never touch it: a repair that reselects among destinations the node
+//!   already knows reuses the order in every compile.
 //!
 //! The selection columns are a *cache* of the selected candidate's fields,
 //! not a pointer into the slabs: after the backing candidate is withdrawn
@@ -50,6 +66,7 @@
 //! protocol behavior — the churn golden test locks this.
 
 use disco_graph::{FxHashMap, InternedPath, NodeId, Weight};
+use std::cell::OnceCell;
 
 /// A candidate route as held in the per-neighbor Adj-RIB-In: a
 /// [`SelectedRoute`] minus the next hop (implied by which neighbor's slab
@@ -193,8 +210,9 @@ pub struct RibStats {
     /// the view columns are accounted separately).
     pub approx_bytes: usize,
     /// Approximate heap bytes of the per-destination view columns
-    /// (selection, landmark-candidate count, resident mark) — the Loc-RIB
-    /// and routing-table component of `exp_memory`'s byte accounting.
+    /// (selection, hop count, landmark-candidate count, resident mark, and
+    /// the id order once built) — the Loc-RIB and routing-table component
+    /// of `exp_memory`'s byte accounting.
     pub selection_bytes: usize,
     /// Candidates evicted by the forgetful policy since construction.
     pub evictions: u64,
@@ -257,6 +275,17 @@ pub struct RibStore {
     sel_flag: Vec<bool>,
     /// Selected route's path (a reference-count bump on the slab's path).
     sel_path: Vec<Option<InternedPath>>,
+    /// Selected route's hop count (`path.len() - 1`, saturated): the one
+    /// fact about the path a forwarding-table compile needs, kept beside
+    /// the selection so the compile never reads the path arena. Written
+    /// where the path is ([`RibStore::write_selection`]), stale with it.
+    sel_hops: Vec<u16>,
+    /// The interned indexes sorted by destination id — the order
+    /// [`RibStore::for_each_route_by_id`] visits in. It covers every
+    /// interned index, selected or not, so only interning a destination
+    /// or compacting the interner can change it: those two drop it, the
+    /// next ordered visit rebuilds it (under `&self`, hence the cell).
+    id_order: OnceCell<Vec<u32>>,
     /// Destinations with a selection (`sel_nbr[i] != ABSENT`).
     sel_count: usize,
     /// Destinations with candidates, a pending evicted flag or a selection
@@ -296,6 +325,8 @@ impl RibStore {
         self.sel_lm_dist.push(0.0);
         self.sel_flag.push(false);
         self.sel_path.push(None);
+        self.sel_hops.push(0);
+        self.id_order.take();
         self.dest_idx.insert(key, i);
         i
     }
@@ -506,6 +537,12 @@ impl RibStore {
         if self.sel_nbr[di] == ABSENT {
             self.sel_count += 1;
         }
+        if moved {
+            // An unmoved route kept its path, so its hop count. A moved
+            // one just had this cell read by the comparison above (or
+            // built by the caller's prepend): no cold arena access.
+            self.sel_hops[di] = path.len().saturating_sub(1).min(usize::from(u16::MAX)) as u16;
+        }
         self.sel_nbr[di] = nbr;
         self.sel_dist[di] = dist;
         self.sel_lm_dist[di] = lm_dist;
@@ -630,12 +667,44 @@ impl RibStore {
         })
     }
 
-    /// Visit every destination with a selected route, in interning order —
-    /// the forwarding-table compile sweep. The visited view is the cached
-    /// selection column (see the module docs on load-bearing staleness),
-    /// which is exactly the contract a compiled data plane wants: the
-    /// routes this node is currently *serving*, not the candidates a
-    /// repair in flight may be about to select.
+    /// Destinations with a selected route — how many rows
+    /// [`RibStore::for_each_route_by_id`] yields.
+    #[inline]
+    pub fn selected_count(&self) -> usize {
+        self.sel_count
+    }
+
+    /// Visit every destination with a selected route as `(destination,
+    /// next hop, path hop count)`, in ascending destination id — the
+    /// forwarding-table compile sweep, already in the order the table
+    /// publishes. The rows are the cached selection column (see the module
+    /// docs on load-bearing staleness), which is exactly the contract a
+    /// compiled data plane wants: the routes this node is currently
+    /// *serving*, not the candidates a repair in flight may be about to
+    /// select. Reads three dense columns and the id order; never the path
+    /// arena.
+    pub fn for_each_route_by_id(&self, mut f: impl FnMut(NodeId, NodeId, u16)) {
+        let order = self.id_order.get_or_init(|| {
+            let mut order: Vec<u32> = (0..self.dests.len() as u32).collect();
+            order.sort_unstable_by_key(|&i| self.dests[i as usize]);
+            order
+        });
+        for &i in order {
+            let i = i as usize;
+            let nbr = self.sel_nbr[i];
+            if nbr != ABSENT {
+                f(
+                    NodeId(self.dests[i] as usize),
+                    NodeId(nbr as usize),
+                    self.sel_hops[i],
+                );
+            }
+        }
+    }
+
+    /// Visit every destination with a selected route, in interning order,
+    /// with the full view (path included) — the reference
+    /// [`RibStore::for_each_route_by_id`] is checked against.
     pub fn for_each_selected(&self, mut f: impl FnMut(NodeId, SelectedRoute<'_>)) {
         for i in 0..self.dests.len() {
             let nbr = self.sel_nbr[i];
@@ -708,16 +777,19 @@ impl RibStore {
     }
 
     /// Approximate heap bytes of the per-destination view columns — the
-    /// Loc-RIB and routing table: ~30 B per interned destination (4 nbr +
+    /// Loc-RIB and routing table: ~32 B per interned destination (4 nbr +
     /// 8 dist + 8 lm-dist + 1 flag + 4 `Option<path id>` — the path
     /// handle's `NonZeroU32` niche keeps the `Option` at 4 bytes — plus
-    /// 4 landmark-candidate count + 1 resident mark).
+    /// 2 hop count, 4 landmark-candidate count and 1 resident mark), and
+    /// 4 B more for the id order once an ordered visit has built it.
     pub fn selection_bytes(&self) -> usize {
         self.sel_nbr.capacity() * 4
             + self.sel_dist.capacity() * 8
             + self.sel_lm_dist.capacity() * 8
             + self.sel_flag.capacity()
             + self.sel_path.capacity() * std::mem::size_of::<Option<InternedPath>>()
+            + self.sel_hops.capacity() * 2
+            + self.id_order.get().map_or(0, |o| o.capacity() * 4)
             + self.lm_cands.capacity() * 4
             + self.resident.capacity()
     }
@@ -869,6 +941,7 @@ impl RibStore {
         let mut sel_lm_dist = Vec::with_capacity(live);
         let mut sel_flag = Vec::with_capacity(live);
         let mut sel_path = Vec::with_capacity(live);
+        let mut sel_hops = Vec::with_capacity(live);
         let mut dest_idx = FxHashMap::default();
         // (Indexing, not iterators: the loop reads the parallel columns
         // and writes `remap` by the same index.)
@@ -889,6 +962,7 @@ impl RibStore {
             sel_lm_dist.push(self.sel_lm_dist[i]);
             sel_flag.push(self.sel_flag[i]);
             sel_path.push(self.sel_path[i].take());
+            sel_hops.push(self.sel_hops[i]);
             dest_idx.insert(self.dests[i], ni);
         }
         for (_, slab) in self.slabs.iter_mut() {
@@ -912,6 +986,8 @@ impl RibStore {
         self.sel_lm_dist = sel_lm_dist;
         self.sel_flag = sel_flag;
         self.sel_path = sel_path;
+        self.sel_hops = sel_hops;
+        self.id_order.take();
         self.dest_idx = dest_idx;
     }
 }
@@ -1085,20 +1161,29 @@ mod tests {
     }
 
     /// Compaction must keep destinations whose only liveness is a (stale)
-    /// selection, and carry every per-destination column — selection,
-    /// resident mark, landmark-candidate count — across the remap.
+    /// selection, and carry every per-destination column — selection, hop
+    /// count, resident mark, landmark-candidate count — across the remap.
     #[test]
     fn compaction_preserves_selections() {
         let mut rib = RibStore::new();
         let (nbr, other) = (NodeId(1), NodeId(2));
-        for i in 0..200 {
+        for i in 0..199 {
             rib.insert(nbr, NodeId(1000 + i), &cand(&[0, 1, 1000 + i], 2.0, false));
         }
+        // The last destination sits one hop further out than the rest.
+        rib.insert(nbr, NodeId(1199), &cand(&[0, 1, 5, 1199], 2.0, false));
         // One destination keeps a flagged candidate from another neighbor.
         rib.insert(other, NodeId(1100), &cand(&[0, 2, 1100], 3.0, true));
-        rib.select_best(NodeId(1000));
         rib.select_best(NodeId(1199));
+        rib.select_best(NodeId(1000));
         rib.set_resident_at(rib.idx(NodeId(1199)).unwrap(), true);
+        let routes = |rib: &RibStore| {
+            let mut rows = Vec::new();
+            rib.for_each_route_by_id(|d, hop, hops| rows.push((d, hop, hops)));
+            rows
+        };
+        let want = vec![(NodeId(1000), nbr, 2), (NodeId(1199), nbr, 3)];
+        assert_eq!(routes(&rib), want, "by id, not by selection order");
         // Removing the neighbor wholesale leaves the two selections as the
         // only liveness of their destinations; the sweep's removals push
         // occupancy below the compaction threshold.
@@ -1109,6 +1194,7 @@ mod tests {
             assert_eq!(v.next_hop, nbr);
             assert_eq!(v.path.last(), d);
         }
+        assert_eq!(routes(&rib), want, "hop counts and id order survive");
         assert_eq!(rib.stats().selected, 2);
         assert!(!rib.is_resident(NodeId(1000)));
         assert!(rib.is_resident(NodeId(1199)), "mark survives compaction");
@@ -1121,6 +1207,7 @@ mod tests {
         assert_eq!(rib.select_best(NodeId(1000)), None);
         assert_eq!(rib.select_best(NodeId(1199)), None);
         assert_eq!(rib.stats().selected, 0);
+        assert!(routes(&rib).is_empty());
         assert!(!rib.is_resident(NodeId(1199)));
     }
 

@@ -8,13 +8,17 @@
 //!
 //! 1. **Faithful**: for every destination the selection column holds, the
 //!    compiled table returns exactly the selected next hop, and the table
-//!    holds nothing else (`len` == selection count).
+//!    holds nothing else (`len` == selection count); its keys are strictly
+//!    ascending (the compile publishes them as the store's ordered visit
+//!    yields them, unsorted).
 //! 2. **Epoch semantics**: a table retained from an earlier probe either
 //!    carries the node's *current* `control_revision` — in which case it
 //!    is bit-identical to a fresh compile (same keys, hops, fallback) —
 //!    or `is_stale` reports the revision moved. Unchanged revision ⇒
 //!    unchanged data plane, which is what lets `TablePublisher` debounce
-//!    republishing on the revision stamp alone.
+//!    republishing on the revision stamp alone. A compile into a reused
+//!    buffer that last held another node's larger table equals the fresh
+//!    one in every array: nothing of the old epoch survives `begin`.
 //! 3. **Landmark fallback**: a non-landmark node with any landmark entry
 //!    compiles a usable fallback hop; the fallback landmark is one the
 //!    node actually knows.
@@ -32,6 +36,11 @@ use rand::Rng;
 /// Compile a fresh table for node `v` and check it against the live
 /// selection column, entry by entry.
 fn check_faithful(proto: &DiscoProtocol, table: &ForwardingTable) {
+    assert!(
+        table.keys().windows(2).all(|w| w[0] < w[1]),
+        "node {:?}: keys not strictly ascending",
+        table.node()
+    );
     let mut selected = 0usize;
     proto.pv.for_each_selected(|dest, sel| {
         selected += 1;
@@ -117,6 +126,13 @@ proptest! {
             } else {
                 engine.run_until(|_| false);
             }
+            // The live node serving the most routes: what the reused
+            // buffer holds before every recompile into it.
+            let largest = (0..n)
+                .filter(|&v| engine.is_active(NodeId(v)))
+                .max_by_key(|&v| engine.nodes()[v].pv.selected_count())
+                .expect("a live node");
+            let mut reused = ForwardingTable::new(NodeId(largest));
             for (v, slot) in retained.iter_mut().enumerate() {
                 if !engine.is_active(NodeId(v)) {
                     *slot = None;
@@ -126,6 +142,9 @@ proptest! {
                 let mut fresh = ForwardingTable::new(NodeId(v));
                 proto.compile_forwarding_into(&mut fresh);
                 check_faithful(proto, &fresh);
+                engine.nodes()[largest].compile_forwarding_into(&mut reused);
+                proto.compile_forwarding_into(&mut reused);
+                prop_assert_eq!(&reused, &fresh, "reused buffer, node {}", v);
                 let rev = proto.pv.selection_revision();
                 if let Some(old) = slot {
                     if old.is_stale(rev) {

@@ -23,11 +23,16 @@
 //!    landmark-candidate count with a naive recount over the model's
 //!    candidates the store still holds, the resident mark with the set
 //!    the harness's residency stand-in marked and un-marked (and that the
-//!    store cleared with a selection).
+//!    store cleared with a selection),
+//! 6. the ordered visitor (`for_each_route_by_id`, the forwarding-table
+//!    compile sweep) yields strictly ascending destination ids and exactly
+//!    `for_each_selected`'s rows, each with the hop count of the model's
+//!    candidate (`path.len() - 1`; announced paths vary in length).
 //!
-//! Halfway through, a burst of filler destinations comes and goes with a
-//! neighbor of its own, so the interner compacts and every column is
-//! remapped under the checks.
+//! A neighbor of its own announces filler destinations — a handful before
+//! anything else is interned, a burst halfway through — and then goes, so
+//! the interner compacts, every tracked destination's index moves and
+//! every column is remapped under the checks.
 
 use disco_core::rib::{Candidate, RibStore};
 use disco_graph::{InternedPath, NodeId, Weight};
@@ -249,6 +254,23 @@ fn check_invariants(dr: &Driven, model: &FullRib, dests: &[NodeId], settled: boo
             }
         }
     }
+    // (6) the ordered visitor: ascending ids, `for_each_selected`'s rows,
+    // the model's hop counts.
+    let mut ordered = Vec::new();
+    dr.rib
+        .for_each_route_by_id(|d, hop, hops| ordered.push((d, hop, hops)));
+    assert!(
+        ordered.windows(2).all(|w| w[0].0 < w[1].0),
+        "ordered visit not strictly ascending: {ordered:?}"
+    );
+    let mut selected = Vec::new();
+    dr.rib.for_each_selected(|d, sel| {
+        let hops = model.cands[&(sel.next_hop, d)].path.len() - 1;
+        selected.push((d, sel.next_hop, hops.min(usize::from(u16::MAX)) as u16));
+    });
+    selected.sort_unstable();
+    assert_eq!(ordered, selected, "ordered visit diverged from the column");
+    assert_eq!(ordered.len(), dr.rib.selected_count());
 }
 
 fn run_model(seed: u64, forgetful: bool) -> u64 {
@@ -262,17 +284,40 @@ fn run_model(seed: u64, forgetful: bool) -> u64 {
         refreshes: 0,
     };
 
+    // The fillers: never-selected destinations from a neighbor of their
+    // own. A few are interned ahead of every tracked destination, so the
+    // compaction that drops them moves every tracked index down; the
+    // burst at step 150 is what makes losing the neighbor compact at all.
+    let filler = NodeId(7);
+    let fill = |dr: &mut Driven, ids: std::ops::Range<usize>| {
+        for i in ids {
+            let path = InternedPath::from_slice(&[NodeId(ME), filler, NodeId(i)]);
+            let c = Candidate {
+                dist: 2.0,
+                path,
+                dest_is_landmark: i % 3 == 0,
+                dest_landmark_dist: Weight::INFINITY,
+            };
+            dr.rib.insert(filler, NodeId(i), &c);
+        }
+    };
+    fill(&mut dr, 990..1000);
+
     for step in 0..400 {
         let r = splitmix(&mut rng);
         let nbr = neighbors[(r % neighbors.len() as u64) as usize];
         let d = dests[((r >> 8) % dests.len() as u64) as usize];
         match (r >> 16) % 11 {
-            // Announce: route me → nbr → (salt) → d, salted so
-            // re-announcements change the path, not just the distance.
+            // Announce: route me → nbr → (one to three salts) → d, salted
+            // so re-announcements change the path and its length, not
+            // just the distance.
             0..=5 => {
                 let dist = 1.0 + ((r >> 24) % 32) as Weight;
                 let salt = 200 + ((r >> 32) % 8) as usize;
-                let path = InternedPath::from_slice(&[NodeId(ME), nbr, NodeId(salt), d]);
+                let mut nodes = vec![NodeId(ME), nbr];
+                nodes.extend((0..=(r >> 36) % 3).map(|k| NodeId(salt + 10 * k as usize)));
+                nodes.push(d);
+                let path = InternedPath::from_slice(&nodes);
                 let c = Candidate {
                     dist,
                     path,
@@ -298,20 +343,8 @@ fn run_model(seed: u64, forgetful: bool) -> u64 {
                 dr.set_resident(d, !resident, &mut model);
             }
         }
-        // The filler burst: enough never-selected destinations from a
-        // neighbor of their own that losing it compacts the interner.
-        let filler = NodeId(7);
         if step == 150 {
-            for i in 1000..1100 {
-                let path = InternedPath::from_slice(&[NodeId(ME), filler, NodeId(i)]);
-                let c = Candidate {
-                    dist: 2.0,
-                    path,
-                    dest_is_landmark: i % 3 == 0,
-                    dest_landmark_dist: Weight::INFINITY,
-                };
-                dr.rib.insert(filler, NodeId(i), &c);
-            }
+            fill(&mut dr, 1000..1100);
         }
         if step == 250 {
             dr.rib.remove_neighbor(filler);

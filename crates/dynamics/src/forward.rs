@@ -200,11 +200,10 @@ mod tests {
 
     fn table(node: usize, rows: &[(usize, usize)]) -> ForwardingTable {
         let mut t = ForwardingTable::new(NodeId(node));
-        t.begin(NodeId(node), 1);
+        t.begin(NodeId(node), 1, rows.len());
         for &(dest, hop) in rows {
             t.push_route(NodeId(dest), NodeId(hop), 1);
         }
-        t.seal();
         t
     }
 
