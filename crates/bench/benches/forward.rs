@@ -1,13 +1,18 @@
 //! Criterion benches: the data-plane layer on a booted n=512 network —
 //! compiling a node's forwarding table from its RIB (what a republish
-//! costs, per table) and probing the compiled tables, resident keys and
-//! absent ones apart (per lookup).
+//! costs, per table), probing the compiled tables, resident keys and
+//! absent ones apart (per lookup), and the serving loop itself:
+//! `PacketWalker::walk` over `exp_forward`'s flow mix, per walk and per
+//! probe — a probe inside a walk waits for the previous hop's answer, so
+//! it costs more than the isolated probes beside it.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use disco_bench::forward::sample_flows;
 use disco_core::config::DiscoConfig;
 use disco_core::forward::ForwardingTable;
 use disco_core::landmark::{landmark_set, select_landmarks};
 use disco_core::protocol::{DiscoProtocol, PhaseTimers};
+use disco_dynamics::forward::{FlowAddress, PacketWalker};
 use disco_graph::{generators, NodeId};
 use disco_sim::Engine;
 use rand::rngs::StdRng;
@@ -58,6 +63,38 @@ fn forward(c: &mut Criterion) {
                 }
             })
         });
+    }
+
+    // The serving loop: 64 Ki flows drawn as `exp_forward` draws them
+    // (every node live), addresses resolved once. One loop reported
+    // twice — per walk, and per probe in the walk's dependent chain.
+    let live: Vec<NodeId> = (0..n).map(NodeId).collect();
+    let flows = sample_flows(&live, 1 << 16, seed, 0);
+    let addrs: Vec<Option<FlowAddress>> = nodes
+        .iter()
+        .map(|node| {
+            node.my_address().map(|a| FlowAddress {
+                landmark: a.landmark,
+                path: a.path.to_vec(),
+            })
+        })
+        .collect();
+    let walker = PacketWalker {
+        graph: engine.graph(),
+        is_active: |v: NodeId| engine.is_active(v),
+        table_of: |v: NodeId| Some(&tables[v.0]),
+        ttl: 128,
+    };
+    let walk_all = || {
+        let mut probes = 0u64;
+        for &(s, t) in &flows {
+            black_box(walker.walk(s, t, addrs[t.0].as_ref(), |_| probes += 1));
+        }
+        probes
+    };
+    for (name, elements) in [("walk", flows.len() as u64), ("walk_probes", walk_all())] {
+        group.throughput(Throughput::Elements(elements));
+        group.bench_function(name, |b| b.iter(walk_all));
     }
     group.finish();
 }

@@ -13,13 +13,22 @@
 //! and active set; a hop onto a dead link or node is a packet **lost to a
 //! stale epoch** — the served-traffic cost `exp_forward` turns into an SLO.
 //!
+//! **The serving loop reads no clock.** [`PacketWalker::walk`] tells its
+//! `on_lookup` observer *which node's table* each probe hit and nothing
+//! about time: a probe is 17 ns cache-hot and 115–140 ns cold, a clock
+//! read ≈ 60 ns on the VMs this runs on, so two reads around one probe
+//! measure the clock — and cost 42 % of a walk on the repository
+//! benchmark's `forward` workload. Latency is therefore a per-slice quantity, taken by whoever wants it:
+//! time a run of walks with one clock pair and divide by the probes the
+//! callback counted, as `exp_forward`'s checkpoint and the repository
+//! benchmark do.
+//!
 //! Tables and addresses are plain arrays/`Vec<NodeId>` (no interned paths),
 //! so a sharded run can compile them on owner shards, ship them to the
 //! coordinator and walk there.
 
 use disco_core::forward::ForwardingTable;
 use disco_graph::{Graph, NodeId};
-use std::time::Instant;
 
 /// A destination's address detached from the path arena: its closest
 /// landmark and the label path `landmark → … → destination`.
@@ -96,9 +105,12 @@ where
     /// Forward one packet from `src` to `dst` hop-by-hop through the
     /// published tables. `addr` is the destination's resolved address
     /// (`None` models an unresolved name: only direct table hits can
-    /// deliver). `on_lookup` observes every table probe's wall-clock
-    /// nanoseconds — the per-lookup latency stream for
-    /// [`disco_telemetry`]'s histograms.
+    /// deliver). `on_lookup` is called once per table probe with **the
+    /// node whose table was probed** — a closure that only counts
+    /// compiles to an increment, one that indexes by node gets the
+    /// per-node probe load. It is told nothing about time: the loop reads
+    /// no clock (see the module doc), and a caller that wants latency
+    /// times a slice of walks and divides by the probes it counted.
     ///
     /// At each node the forwarding decision is, in order: direct table
     /// hit on `dst`; explicit label step if the node sits on the address
@@ -109,7 +121,7 @@ where
         src: NodeId,
         dst: NodeId,
         addr: Option<&FlowAddress>,
-        mut on_lookup: impl FnMut(u64),
+        mut on_lookup: impl FnMut(NodeId),
     ) -> WalkOutcome {
         if src == dst {
             return WalkOutcome::Delivered { hops: 0 };
@@ -119,19 +131,16 @@ where
             let Some(tab) = (self.table_of)(cur) else {
                 return WalkOutcome::Miss { hops };
             };
-            let t0 = Instant::now();
-            let direct = tab.lookup(dst);
-            on_lookup(t0.elapsed().as_nanos() as u64);
-            let next = if let Some(h) = direct {
+            on_lookup(cur);
+            let next = if let Some(h) = tab.lookup(dst) {
                 h
             } else if let Some(addr) = addr {
                 match addr.path.iter().position(|&p| p == cur) {
                     // On the label: follow the explicit source route.
                     Some(i) if i + 1 < addr.path.len() => addr.path[i + 1],
                     _ => {
-                        let t0 = Instant::now();
+                        on_lookup(cur);
                         let lm_hop = tab.lookup(addr.landmark);
-                        on_lookup(t0.elapsed().as_nanos() as u64);
                         match lm_hop.or_else(|| tab.fallback().map(|(_, hop)| hop)) {
                             Some(h) => h,
                             None => return WalkOutcome::Miss { hops },
@@ -222,6 +231,9 @@ mod tests {
         let out = walker.walk(NodeId(0), NodeId(3), None, |_| lookups += 1);
         assert_eq!(out, WalkOutcome::Delivered { hops: 3 });
         assert_eq!(lookups, 3);
+        let mut probed = Vec::new();
+        walker.walk(NodeId(0), NodeId(3), None, |v| probed.push(v.0));
+        assert_eq!(probed, [0, 1, 2], "one direct probe per hop, at that hop");
     }
 
     /// A hop onto an inactive node is a stale loss, not a miss.
@@ -265,8 +277,33 @@ mod tests {
         };
         let out = walker.walk(NodeId(0), NodeId(3), Some(&addr), |_| {});
         assert_eq!(out, WalkOutcome::Delivered { hops: 3 });
+        // Node 0: direct miss, then the landmark probe; nodes 1 and 2:
+        // one direct miss each before the label step (which probes nothing).
+        let mut probed = Vec::new();
+        walker.walk(NodeId(0), NodeId(3), Some(&addr), |v| probed.push(v.0));
+        assert_eq!(probed, [0, 0, 1, 2]);
         let out = walker.walk(NodeId(0), NodeId(3), None, |_| {});
         assert_eq!(out, WalkOutcome::Miss { hops: 0 });
+    }
+
+    /// Two tables pointing at each other (mixed epochs): the walk spends
+    /// its whole hop budget, one probe per hop, and counts as a stale loss.
+    #[test]
+    fn ttl_exceeded_on_a_two_node_loop() {
+        let g = line();
+        let tabs = [table(0, &[(3, 1)]), table(1, &[(3, 0)])];
+        let ttl = 16;
+        let walker = PacketWalker {
+            graph: &g,
+            is_active: |_| true,
+            table_of: |v: NodeId| tabs.get(v.0),
+            ttl,
+        };
+        let mut lookups = 0;
+        let out = walker.walk(NodeId(0), NodeId(3), None, |_| lookups += 1);
+        assert_eq!(out, WalkOutcome::TtlExceeded);
+        assert_eq!(lookups, ttl);
+        assert!(out.stale_loss() && !out.delivered());
     }
 
     /// BFS hop distances respect the active set.
