@@ -7,7 +7,7 @@
 //! it costs more than the isolated probes beside it.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use disco_bench::forward::sample_flows;
+use disco_bench::forward::{sample_flows, TTL};
 use disco_core::config::DiscoConfig;
 use disco_core::forward::ForwardingTable;
 use disco_core::landmark::{landmark_set, select_landmarks};
@@ -83,7 +83,7 @@ fn forward(c: &mut Criterion) {
         graph: engine.graph(),
         is_active: |v: NodeId| engine.is_active(v),
         table_of: |v: NodeId| Some(&tables[v.0]),
-        ttl: 128,
+        ttl: TTL,
     };
     let walk_all = || {
         let mut probes = 0u64;

@@ -51,7 +51,7 @@ const BOOT_CHECKPOINTS: &[f64] = &[30.0, 60.0, 90.0, 120.0];
 /// Churn-phase probe times, inside the Poisson schedule's horizon.
 const CHURN_CHECKPOINTS: &[f64] = &[140.0, 160.0, 180.0, 200.0, 220.0, 240.0, 260.0, 280.0];
 /// Walk TTL: transient loops across mixed epochs count as stale losses.
-const TTL: u32 = 128;
+pub const TTL: u32 = 128;
 /// Flows per checkpoint whose walks feed the hop-stretch estimate (each
 /// needs a BFS from its source; the full flow batch would be quadratic).
 const STRETCH_SAMPLE: usize = 64;

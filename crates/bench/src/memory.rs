@@ -160,28 +160,20 @@ pub fn candidate_bound(n: usize, alternates: usize) -> f64 {
 
 /// The non-RIB-control-bytes-per-destination bound the smoke gate asserts
 /// (mean non-RIB control bytes per node over mean interned destinations
-/// per node). Measured 51.9 B/dest at the smoke point (n=512, heavy churn,
-/// forgetful, 427 dests/node): ~48.8 B of Loc-RIB and routing table (view
-/// columns at 32 B/dest plus vector growth slack, ordered-mirror keys) and
-/// ~3 B of dissemination. The bound was set with 18% headroom over the
-/// 49.6 this read before PR 19 added the 2 B hop-count column (2.3 B with
-/// its vector's slack) that the forwarding compile reads instead of the
-/// path arena; 11% is left, so a regression that re-materializes
-/// per-destination state still fails CI. The store's id order (4 B per
-/// interned destination) is priced as well once built — which only a
-/// forwarding compile does, so not in this experiment; with it the point
-/// would read ≈ 55.9, also under the bound.
+/// per node). Measured 47.4 B/dest at the smoke point (n=512, heavy churn,
+/// forgetful, 427 dests/node): ~44.4 B of Loc-RIB and routing table (view
+/// columns at 28 B/dest plus vector growth slack, ordered-mirror keys) and
+/// ~3 B of dissemination. The bound leaves 11 % over that reading, so a
+/// regression that re-materializes per-destination state still fails CI.
+/// The store's id order (4 B per interned destination) is priced as well
+/// once built — which only a forwarding compile does, so not in this
+/// experiment; with it the point would read ≈ 51.4, also under the bound.
 ///
-/// The meter is complete since PR 17, which it was not while this read
-/// 44.1 against a bound of 52: `PathVectorNode` then also kept every table
-/// entry as a materialized copy in a `table` hash map, beside a
-/// per-destination `cand_lm` counter map, and `loc_rib_bytes` priced
-/// neither — with both priced the same point read 108.3 B/dest. Those
-/// 64 B/dest of real state are gone, not hidden: the table is the store's
-/// 1 B resident mark, the counter its 4 B landmark-candidate column, and
-/// both are in the reading.
+/// The meter is complete: `loc_rib_bytes` prices every per-destination
+/// byte a node keeps outside the Adj-RIB-In (the routing table is the
+/// store's 1 B resident mark, not a second map).
 pub fn control_bytes_per_dest_bound() -> f64 {
-    58.5
+    53.0
 }
 
 /// Reset the kernel's peak-RSS watermark (`VmHWM`) to the current RSS

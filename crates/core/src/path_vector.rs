@@ -214,12 +214,6 @@ pub struct PathVectorNode {
     /// The engine samples it around upcalls to feed the repair-latency
     /// telemetry probe; it never influences protocol behavior.
     selection_revision: u64,
-    /// Whether the landmark flag of a table entry follows the *selected*
-    /// route (origin-authoritative, see
-    /// [`Self::set_origin_landmark_flags`]) instead of the legacy OR-merge
-    /// over all candidates. Off by default: only needed once landmarks can
-    /// step down (dynamic `n`-estimation).
-    origin_landmark_flags: bool,
     /// Whether a batch flush timer is armed.
     batch_armed: bool,
     /// Reusable scratch for [`Self::send_table_to`]: the sorted export
@@ -257,7 +251,6 @@ impl PathVectorNode {
             waiting: BTreeSet::new(),
             lm_best: BTreeSet::new(),
             self_path: None,
-            origin_landmark_flags: false,
             own_landmark_dist: if is_landmark { 0.0 } else { Weight::INFINITY },
             pending: disco_graph::FxHashSet::default(),
             landmark_version: 0,
@@ -398,12 +391,12 @@ impl PathVectorNode {
 
     /// Approximate heap bytes of this node's Loc-RIB and routing table:
     /// the per-destination view columns in the [`RibStore`] (selection,
-    /// hop count, landmark-candidate count, resident mark, and the id
-    /// order once a forwarding compile built it) plus the ordered
-    /// `locals`/`waiting`/`lm_best` mirrors (≈12 B keys in B-tree nodes
-    /// that amortize to about twice the payload). This is the "loc-rib
-    /// bytes" column of `exp_memory`'s per-component accounting, and it is
-    /// all there is: the node keeps no other per-destination state.
+    /// hop count, resident mark, and the id order once a forwarding
+    /// compile built it) plus the ordered `locals`/`waiting`/`lm_best`
+    /// mirrors (≈12 B keys in B-tree nodes that amortize to about twice
+    /// the payload). This is the "loc-rib bytes" column of `exp_memory`'s
+    /// per-component accounting, and it is all there is: the node keeps no
+    /// other per-destination state.
     pub fn loc_rib_bytes(&self) -> usize {
         let mirrored = self.locals.len() + self.waiting.len() + self.lm_best.len();
         self.rib.selection_bytes() + mirrored * 24
@@ -470,19 +463,14 @@ impl PathVectorNode {
     }
 
     /// Point the Loc-RIB selection at `nbr`'s candidate `cand` for `d`
-    /// (the flag policy decides between the candidate's own flag and the
-    /// OR-merge) and re-derive `d`'s table membership. `cand` is the
-    /// candidate just recorded in `nbr`'s slab, so the selection columns
-    /// are written straight from it — no slab re-probe.
+    /// and re-derive `d`'s table membership. `cand` is the candidate just
+    /// recorded in `nbr`'s slab, so the selection columns — the landmark
+    /// flag like the distance — are written straight from it, no slab
+    /// re-probe.
     fn select_candidate(&mut self, d: NodeId, di: u32, nbr: NodeId, cand: Candidate) {
         self.selection_revision += 1;
-        let flag = if self.origin_landmark_flags {
-            cand.dest_is_landmark
-        } else {
-            self.rib.landmark_candidates_at(di) > 0
-        };
         let prev = self.unmirror_at(d, di);
-        let moved = self.rib.select_from_at(di, nbr, cand, flag);
+        let moved = self.rib.select_from_at(di, nbr, cand);
         self.apply_selection(d, Some(di), prev, moved);
     }
 
@@ -499,24 +487,14 @@ impl PathVectorNode {
         vec![Self::export(self.id, &own)]
     }
 
-    /// Make the landmark flag an attribute of the *selected* route: a
-    /// table entry carries the flag its best candidate carries, exactly
-    /// like the distance. Since every route to `d` is rooted at `d`'s own
-    /// self-announcement, the origin's word — including a revocation —
-    /// propagates along the export tree and converges like any other
-    /// attribute. The legacy default instead OR-merges the flag over all
-    /// candidates, which spreads a promotion faster but is *monotone*: a
-    /// demotion could never propagate past one hop, because each node
-    /// keeps its neighbors' stale flags alive. Enabled by the dynamic
-    /// `n`-estimation mode, the only mode in which landmarks step down.
-    pub fn set_origin_landmark_flags(&mut self, enabled: bool) {
-        self.origin_landmark_flags = enabled;
-    }
-
     /// Step down from landmark duty (the ×2 hysteresis re-election of §4.2
     /// decided against this node under a fresh estimate of `n`). The self
     /// entry is re-exported without the landmark flag on the next batch
-    /// flush, which is what tells the rest of the network.
+    /// flush, which is what tells the rest of the network: a table entry
+    /// carries the flag its selected candidate carries, every route to a
+    /// node is rooted at that node's own self-announcement, so the
+    /// origin's word — a revocation included — travels the export tree
+    /// and converges like the distance does.
     pub fn demote_from_landmark(&mut self) {
         if !self.is_landmark {
             return;
@@ -606,28 +584,6 @@ impl PathVectorNode {
         (d, None, None)
     }
 
-    /// Re-write the selection's landmark flag if the OR over candidates
-    /// changed (the route itself is untouched) and re-derive the table
-    /// entry from it. Under origin-authoritative flags this is a no-op:
-    /// the flag belongs to the selected candidate, and a non-selected
-    /// neighbor's word cannot change it. Returns whether the flag changed.
-    fn refresh_best_flag_at(&mut self, d: NodeId, di: Option<u32>) -> bool {
-        if self.origin_landmark_flags {
-            return false;
-        }
-        let Some(di) = di else {
-            return false;
-        };
-        let is_lm = self.rib.landmark_candidates_at(di) > 0;
-        if !matches!(self.rib.selected_parts_at(di), Some((_, flag, _)) if flag != is_lm) {
-            return false;
-        }
-        let prev = self.unmirror_at(d, di);
-        self.rib.set_selected_flag(d, is_lm);
-        self.apply_selection(d, Some(di), prev, false);
-        true
-    }
-
     /// Update the Loc-RIB best route for `d` after the candidate from
     /// neighbor `from` changed (`removed` = the candidate disappeared),
     /// then re-derive table membership. Incremental: the full O(degree)
@@ -682,13 +638,6 @@ impl PathVectorNode {
             self.selection_revision += 1;
             let prev = self.rib.idx(d).and_then(|i| self.unmirror_at(d, i));
             let moved = self.rib.select_best(d);
-            if moved.is_some() && !self.origin_landmark_flags {
-                // The landmark flag is OR-merged over candidates: it is
-                // intrinsic to the destination, and candidates disagree
-                // only transiently while a promotion floods.
-                let flag = self.rib.landmark_candidates(d) > 0;
-                self.rib.set_selected_flag(d, flag);
-            }
             // The selected route vanished with no retained alternate left.
             // If the forgetful policy discarded candidates for this
             // destination, a full RIB might still hold a route — re-solicit
@@ -703,25 +652,23 @@ impl PathVectorNode {
             }
             self.apply_selection(d, None, prev, moved.unwrap_or(true));
         } else {
-            // The selected route is untouched; only the OR-merged landmark
-            // flag can have changed. When it did not, the table derivation
-            // is already at a fixed point — the selection, the limit and
-            // the table are all exactly as the last `apply_selection` left
-            // them — so re-deriving is pure overhead on the most common
-            // message (a non-improving announcement from a non-selected
-            // neighbor). Only the landmark-version bump `apply_selection`
-            // makes for a still-pending landmark entry is replicated, so
-            // the composite protocol's repair triggers fire identically.
-            // On the withdrawal / neighbor-down path no index is in hand
-            // (and any pre-removal index would be compaction-stale) —
-            // resolve it here so the flag refresh actually runs.
+            // The selected route is untouched — a non-selected neighbor's
+            // word changes nothing about it, the landmark flag included —
+            // so the table derivation is already at a fixed point: the
+            // selection, the limit and the table are all exactly as the
+            // last `apply_selection` left them, and re-deriving is pure
+            // overhead on the most common message (a non-improving
+            // announcement from a non-selected neighbor). Only the
+            // landmark-version bump `apply_selection` makes for a
+            // still-pending landmark entry is replicated, so the composite
+            // protocol's repair triggers fire identically. On the
+            // withdrawal / neighbor-down path no index is in hand (and any
+            // pre-removal index would be compaction-stale): resolve it.
             let di = di.or_else(|| self.rib.idx(d));
-            if !self.refresh_best_flag_at(d, di)
-                && matches!(
-                    di.and_then(|i| self.rib.selected_parts_at(i)),
-                    Some((_, true, true))
-                )
-                && self.pending.contains(&d)
+            if matches!(
+                di.and_then(|i| self.rib.selected_parts_at(i)),
+                Some((_, true, true))
+            ) && self.pending.contains(&d)
             {
                 self.landmark_version += 1;
             }
@@ -745,17 +692,7 @@ impl PathVectorNode {
         } else {
             1
         };
-        // The selected route (read from the selection column) is never
-        // evicted, whatever its rank. Evicting the last landmark-flagged
-        // candidate can clear the OR-merged flag; re-derive the entry so
-        // the table doesn't keep a stale flag alive.
-        if self.rib.enforce(d, keep) && !self.origin_landmark_flags {
-            let di = self.rib.idx(d);
-            if !self.refresh_best_flag_at(d, di) {
-                let prev = di.and_then(|i| self.unmirror_at(d, i));
-                self.apply_selection(d, di, prev, false);
-            }
-        }
+        self.rib.enforce(d, keep);
     }
 
     /// Whether a route with the given flag / distances qualifies for the
@@ -800,8 +737,8 @@ impl PathVectorNode {
     /// The second half of every selection write: the caller took `d` out
     /// of its mirror ([`Self::unmirror_at`], whose result is `prev` — what
     /// `d`'s selection and table entry were), then wrote the selection
-    /// (`moved` = the store saw the route proper change); this decides the
-    /// resident mark and files `d` again.
+    /// (`moved` = the store saw the selected route change); this decides
+    /// the resident mark and files `d` again.
     fn apply_selection(
         &mut self,
         d: NodeId,
@@ -863,7 +800,7 @@ impl PathVectorNode {
         self.mirror_at(d, di);
         // `d`'s export changed iff it had no entry, or the entry it had —
         // its previous selection — differs from the new one.
-        if !was_resident || moved || prev.is_some_and(|(_, flag, _)| flag != is_landmark_entry) {
+        if !was_resident || moved {
             self.pending.insert(d);
             if let TableLimit::VicinityCap { size } = self.limit {
                 if !is_landmark_entry {
@@ -1149,7 +1086,8 @@ mod tests {
             let v = node.id;
             let mut selected = 0;
             for d in (0..nodes.len()).map(NodeId) {
-                let Some((dist, flag, resident)) = node.rib.selected_parts(d) else {
+                let parts = node.rib.idx(d).and_then(|i| node.rib.selected_parts_at(i));
+                let Some((dist, flag, resident)) = parts else {
                     assert!(!node.rib.is_resident(d), "{v}: {d} resident, not selected");
                     continue;
                 };
@@ -1510,18 +1448,56 @@ mod tests {
         assert_eq!(back, before);
     }
 
+    /// A demotion is the origin's word and travels like any attribute of
+    /// its route: after the demoted node re-exports its self entry, every
+    /// node's entry for it loses the flag — not just its neighbors'.
     #[test]
     fn demotion_clears_landmark_flag_and_reexports() {
         let g = generators::ring(6);
-        let lm = NodeId(2);
-        let (mut nodes, _) = run(&g, &[lm], |_| TableLimit::Unlimited);
-        assert!(nodes[2].is_landmark());
-        nodes[2].demote_from_landmark();
-        assert!(!nodes[2].is_landmark());
+        let (lm, other) = (NodeId(2), NodeId(5));
+        let lm_set = crate::landmark::landmark_set(&[lm, other]);
+        let mut engine = Engine::new(&g, |v| {
+            PathVectorNode::new(v, lm_set.contains(&v), TableLimit::Unlimited)
+        });
+        assert!(engine.run().converged);
+        for node in engine.nodes() {
+            assert!(node.landmark_entries().any(|(l, _)| l == lm));
+        }
+        let now = engine.now();
+        let node = &mut engine.nodes_mut()[lm.0];
+        node.demote_from_landmark();
+        assert!(!node.is_landmark());
         // The self entry is queued for re-export without the flag, and the
-        // own-landmark distance is no longer 0 (no other landmark exists).
-        assert!(!nodes[2].route(lm).unwrap().dest_is_landmark);
-        assert!(nodes[2].own_landmark_distance().is_infinite());
+        // own-landmark distance comes from the remaining landmark again.
+        assert!(!node.route(lm).unwrap().dest_is_landmark);
+        assert_eq!(node.own_landmark_distance(), 3.0);
+        // Arm and fire the export by hand (nothing else delivers a timer to
+        // a node mutated out of band) and put its flood on the wire.
+        let mut ctx = Context::new(lm, now, &g, 64);
+        node.export_pending(&mut ctx);
+        node.on_timer(BATCH_TIMER, &mut ctx);
+        let mut flooded = 0;
+        for action in ctx.into_buffer() {
+            if let disco_sim::context::Action::Flood { msg, .. } = action {
+                assert!(msg.dest == lm && !msg.dest_is_landmark);
+                for nb in [NodeId(1), NodeId(3)] {
+                    engine.inject_message(lm, nb, msg.clone(), 0.1);
+                }
+                flooded += 1;
+            }
+        }
+        assert_eq!(flooded, 1, "the self entry, once");
+        assert!(engine.run_until(|_| false));
+        assert_consistent(engine.nodes());
+        for node in engine.nodes() {
+            let v = node.id();
+            assert!(
+                !node.route(lm).expect("still routed").dest_is_landmark,
+                "{v} still flags the demoted node"
+            );
+            let landmarks: Vec<NodeId> = node.landmark_entries().map(|(l, _)| l).collect();
+            assert_eq!(landmarks, vec![other], "{v}'s landmark set");
+        }
     }
 
     // ---- forgetful routing (§4.2) ----
@@ -1658,61 +1634,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// Regression: withdrawing the *non-selected* neighbor's candidate —
-    /// the only landmark-flagged one — must clear the OR-merged landmark
-    /// flag on the selection and the table entry (the index-threaded
-    /// refresh once bailed out on the withdrawal path, where no
-    /// destination index is in hand, leaving the stale flag alive).
-    #[test]
-    fn withdrawing_nonselected_landmark_candidate_clears_or_merged_flag() {
-        use disco_graph::GraphBuilder;
-        let mut b = GraphBuilder::new(4);
-        b.add_edge(NodeId(0), NodeId(1), 1.0);
-        b.add_edge(NodeId(0), NodeId(2), 1.0);
-        let g = b.build();
-        let mut pv = PathVectorNode::new(NodeId(0), false, TableLimit::Unlimited);
-        let mut ctx: disco_sim::Context<'_, Announcement> =
-            disco_sim::Context::new(NodeId(0), 0.0, &g, 64);
-        pv.on_start(&mut ctx);
-        let ann = |dist: f64, path: &[NodeId], lm: bool, withdrawn: bool| Announcement {
-            dest: NodeId(3),
-            dist,
-            path: InternedPath::from_slice(path),
-            dest_is_landmark: lm,
-            dest_landmark_dist: if lm { 0.0 } else { f64::INFINITY },
-            withdrawn,
-            refresh: false,
-        };
-        // Neighbor 1: the better route, not landmark-flagged.
-        pv.on_message(
-            NodeId(1),
-            ann(1.0, &[NodeId(1), NodeId(3)], false, false),
-            &mut ctx,
-        );
-        // Neighbor 2: worse route, landmark-flagged (transient disagreement
-        // while a promotion floods). The OR-merge flags the selection.
-        pv.on_message(
-            NodeId(2),
-            ann(2.0, &[NodeId(2), NodeId(3)], true, false),
-            &mut ctx,
-        );
-        let flagged = |pv: &PathVectorNode| pv.route(NodeId(3)).unwrap().dest_is_landmark;
-        assert!(flagged(&pv), "OR-merge must flag");
-        assert_eq!(pv.own_landmark_distance(), 2.0);
-        // Neighbor 2 withdraws: the only landmark-flagged candidate is
-        // gone; the selection (still via neighbor 1) must lose the flag.
-        pv.on_message(
-            NodeId(2),
-            ann(2.0, &[NodeId(2), NodeId(3)], true, true),
-            &mut ctx,
-        );
-        assert!(
-            !flagged(&pv),
-            "stale OR-merged landmark flag survived the withdrawal"
-        );
-        assert!(pv.own_landmark_distance().is_infinite());
     }
 
     /// The selected neighbor re-announcing its route with only the

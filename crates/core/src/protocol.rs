@@ -258,10 +258,6 @@ impl DiscoProtocol {
         let lm_status = LandmarkStatus::assumed(id, is_landmark, n_estimate);
         let mut pv =
             PathVectorNode::new(id, is_landmark, TableLimit::VicinityCap { size: vicinity });
-        // Live estimation is the only mode in which landmarks step down,
-        // and a demotion can only propagate when the flag follows the
-        // selected route instead of the monotone OR-merge.
-        pv.set_origin_landmark_flags(cfg.dynamic_n_estimation);
         // Forgetful routing (§4.2): bound the per-destination candidate
         // sets, re-soliciting evicted alternates on demand.
         if cfg.forgetful_dynamic {
@@ -1355,6 +1351,74 @@ mod tests {
             "estimate stuck above one halving: {before} -> mean {mean:.1}"
         );
         assert!(mean >= 2.0);
+    }
+
+    /// The emergency self-election of `do_repair`, end to end: two cliques
+    /// joined by a bridge, static `n`, the only landmark on one side. Cut
+    /// the bridge and the far side must notice it lost every landmark,
+    /// elect among itself, and have every one of its nodes learn whoever
+    /// was elected — flagged by the elected node's own announcement — and
+    /// re-derive an address under it. (Seed 3 elects one node, seed 0
+    /// three at once.)
+    #[test]
+    fn partitioned_island_elects_a_landmark_and_readdresses() {
+        use disco_graph::GraphBuilder;
+        use disco_sim::TopologyEvent;
+        let k = 6;
+        let mut b = GraphBuilder::new(2 * k);
+        for side in [0, k] {
+            for u in side..side + k {
+                for v in u + 1..side + k {
+                    b.add_edge(NodeId(u), NodeId(v), 1.0);
+                }
+            }
+        }
+        b.add_edge(NodeId(k - 1), NodeId(k), 1.0);
+        let g = b.build();
+        let landmarks = |p: &DiscoProtocol| -> Vec<NodeId> {
+            let mut lms: Vec<NodeId> = p.pv.landmark_entries().map(|(lm, _)| lm).collect();
+            lms.sort_unstable();
+            lms
+        };
+        for (seed, elects) in [(3, 1), (0, 3)] {
+            let cfg = DiscoConfig::seeded(seed).with_dynamic_n_estimation(false);
+            let mut engine = Engine::new(&g, |v| {
+                DiscoProtocol::new(v, v == NodeId(0), 2 * k, &cfg, PhaseTimers::default())
+            });
+            assert!(engine.run().converged);
+            for node in engine.nodes() {
+                assert_eq!(landmarks(node), vec![NodeId(0)]);
+            }
+
+            engine.schedule_topology(
+                engine.now() + 5.0,
+                TopologyEvent::LinkDown {
+                    u: NodeId(k - 1),
+                    v: NodeId(k),
+                },
+            );
+            assert!(engine.run_until(|_| false), "the partition must quiesce");
+
+            let (mainland, island) = engine.nodes().split_at(k);
+            let elected: Vec<NodeId> = island
+                .iter()
+                .filter(|p| p.pv.is_landmark())
+                .map(|p| p.pv.id())
+                .collect();
+            assert_eq!(elected.len(), elects, "seed {seed} elected {elected:?}");
+            for node in island {
+                let v = node.pv.id();
+                assert_eq!(landmarks(node), elected, "{v}'s landmark set");
+                let addr = node.my_address().expect("an address under the elected");
+                assert!(elected.contains(&addr.landmark));
+                assert_eq!(addr.path.first(), addr.landmark);
+                assert_eq!(addr.path.last(), v);
+            }
+            // The landmark's own side keeps it and learns nobody new.
+            for node in mainland {
+                assert_eq!(landmarks(node), vec![NodeId(0)]);
+            }
+        }
     }
 
     #[test]

@@ -27,11 +27,6 @@
 //!     comparison that decides that has just read the path's arena cell,
 //!     so the hot message path gains one store and no cold read. It is
 //!     what lets a forwarding-table compile leave the path arena alone;
-//!   * the **landmark-candidate count** (4 B): how many of the
-//!     destination's candidates carry the landmark flag. The store keeps
-//!     it itself, on the insert / remove / evict paths where it already
-//!     reads each candidate's flag; the owner reads it to OR-merge the
-//!     flag over candidates;
 //!   * the **resident** mark (1 B): the owner's "this selected route is in
 //!     the routing table" (§4.2's acceptance rule is a *filter* over the
 //!     selection, so the table is the marked subset — nothing is copied).
@@ -58,9 +53,8 @@
 //! goldens bake in).
 //!
 //! The store is policy-free: which destinations are resident or exempt
-//! from forgetting (landmarks, vicinity members), when to send a
-//! route-refresh, and what landmark flag the selection carries (origin
-//! vs OR-merge) is decided by [`crate::path_vector::PathVectorNode`].
+//! from forgetting (landmarks, vicinity members) and when to send a
+//! route-refresh is decided by [`crate::path_vector::PathVectorNode`].
 //! Selection order is a pure function of the candidate *set* (the
 //! preference order is total), so replacing the nested maps cannot change
 //! protocol behavior — the churn golden test locks this.
@@ -132,26 +126,29 @@ impl NeighborSlab {
         self.pos.get(&di).map(|&s| s as usize)
     }
 
-    fn get(&self, di: u32) -> Option<Candidate> {
-        let s = self.slot_of(di)?;
-        Some(Candidate {
+    /// The candidate in slot `s`, materialized (the path copy is a
+    /// reference-count bump).
+    fn at(&self, s: usize) -> Candidate {
+        Candidate {
             dist: self.dist[s],
             path: self.path[s].clone(),
             dest_is_landmark: self.lm_flag[s],
             dest_landmark_dist: self.lm_dist[s],
-        })
+        }
     }
 
-    /// Insert or replace; returns the previous landmark flag if a candidate
-    /// was replaced.
-    fn insert(&mut self, di: u32, cand: &Candidate) -> Option<bool> {
+    fn get(&self, di: u32) -> Option<Candidate> {
+        self.slot_of(di).map(|s| self.at(s))
+    }
+
+    /// Insert or replace; returns whether a candidate was replaced.
+    fn insert(&mut self, di: u32, cand: &Candidate) -> bool {
         if let Some(s) = self.slot_of(di) {
-            let was_lm = self.lm_flag[s];
             self.dist[s] = cand.dist;
             self.lm_dist[s] = cand.dest_landmark_dist;
             self.path[s] = cand.path.clone();
             self.lm_flag[s] = cand.dest_is_landmark;
-            return Some(was_lm);
+            return true;
         }
         let s = self.dest.len() as u32;
         self.pos.insert(di, s);
@@ -160,14 +157,15 @@ impl NeighborSlab {
         self.lm_dist.push(cand.dest_landmark_dist);
         self.path.push(cand.path.clone());
         self.lm_flag.push(cand.dest_is_landmark);
-        None
+        false
     }
 
     /// Remove the candidate for `di`, keeping slots dense (swap-remove).
-    /// Returns its landmark flag.
-    fn remove(&mut self, di: u32) -> Option<bool> {
-        let s = self.slot_of(di)?;
-        let was_lm = self.lm_flag[s];
+    /// Returns whether there was one.
+    fn remove(&mut self, di: u32) -> bool {
+        let Some(s) = self.slot_of(di) else {
+            return false;
+        };
         let last = self.dest.len() - 1;
         self.pos.remove(&di);
         self.dest.swap_remove(s);
@@ -179,7 +177,7 @@ impl NeighborSlab {
             // The former last slot moved into `s`; update its position.
             self.pos.insert(self.dest[s], s as u32);
         }
-        Some(was_lm)
+        true
     }
 
     /// Approximate heap bytes held by this slab (positions + SoA columns;
@@ -210,9 +208,9 @@ pub struct RibStats {
     /// the view columns are accounted separately).
     pub approx_bytes: usize,
     /// Approximate heap bytes of the per-destination view columns
-    /// (selection, hop count, landmark-candidate count, resident mark, and
-    /// the id order once built) — the Loc-RIB and routing-table component
-    /// of `exp_memory`'s byte accounting.
+    /// (selection, hop count, resident mark, and the id order once
+    /// built) — the Loc-RIB and routing-table component of `exp_memory`'s
+    /// byte accounting.
     pub selection_bytes: usize,
     /// Candidates evicted by the forgetful policy since construction.
     pub evictions: u64,
@@ -229,7 +227,7 @@ pub struct SelectedRoute<'a> {
     pub dist: Weight,
     /// Destination's distance to its own closest landmark.
     pub dest_landmark_dist: Weight,
-    /// Effective landmark flag (set by the owner's flag policy).
+    /// Whether the destination is a landmark, by the selected candidate.
     pub dest_is_landmark: bool,
     /// Path from this node to the destination (this node first).
     pub path: &'a InternedPath,
@@ -257,8 +255,6 @@ pub struct RibStore {
     /// Per destination index: the forgetful policy discarded candidates
     /// for this destination since the flag was last taken.
     evicted: Vec<bool>,
-    /// Per destination index: candidates carrying the landmark flag.
-    lm_cands: Vec<u32>,
     /// Per destination index: the owner's routing-table mark. Only ever
     /// set on a destination with a selection, and cleared with it.
     resident: Vec<bool>,
@@ -271,14 +267,14 @@ pub struct RibStore {
     sel_dist: Vec<Weight>,
     /// Selected route's destination-landmark distance.
     sel_lm_dist: Vec<Weight>,
-    /// Selected route's effective landmark flag (owner's flag policy).
+    /// Selected route's landmark flag.
     sel_flag: Vec<bool>,
     /// Selected route's path (a reference-count bump on the slab's path).
     sel_path: Vec<Option<InternedPath>>,
     /// Selected route's hop count (`path.len() - 1`, saturated): the one
     /// fact about the path a forwarding-table compile needs, kept beside
     /// the selection so the compile never reads the path arena. Written
-    /// where the path is ([`RibStore::write_selection`]), stale with it.
+    /// where the path is ([`RibStore::select_from_at`]), stale with it.
     sel_hops: Vec<u16>,
     /// The interned indexes sorted by destination id — the order
     /// [`RibStore::for_each_route_by_id`] visits in. It covers every
@@ -318,7 +314,6 @@ impl RibStore {
         self.dests.push(key);
         self.cand_count.push(0);
         self.evicted.push(false);
-        self.lm_cands.push(0);
         self.resident.push(false);
         self.sel_nbr.push(ABSENT);
         self.sel_dist.push(0.0);
@@ -345,9 +340,8 @@ impl RibStore {
     /// Validity: indexes are stable under insertions and selections but
     /// remapped by the occupancy-triggered compaction, which only the
     /// *removal* paths ([`RibStore::remove`], [`RibStore::remove_neighbor`],
-    /// [`RibStore::enforce`], [`RibStore::clear_selected`] via
-    /// [`RibStore::select_best`]) can trigger — so a handle must not be
-    /// held across those.
+    /// [`RibStore::enforce`], a [`RibStore::select_best`] that clears the
+    /// selection) can trigger — so a handle must not be held across those.
     #[inline]
     pub fn intern(&mut self, d: NodeId) -> u32 {
         self.dest_id(d)
@@ -414,19 +408,16 @@ impl RibStore {
 
     /// [`RibStore::insert`] for an already-interned destination index.
     pub fn insert_at(&mut self, nbr: NodeId, di: u32, cand: &Candidate) {
-        let i = di as usize;
-        match self.slab_entry(nbr).insert(di, cand) {
-            Some(was_lm) => self.lm_cands[i] -= u32::from(was_lm),
-            None => {
-                self.total += 1;
-                let was_live = self.is_live_idx(i);
-                self.cand_count[i] += 1;
-                if !was_live {
-                    self.live_dests += 1;
-                }
-            }
+        if self.slab_entry(nbr).insert(di, cand) {
+            return;
         }
-        self.lm_cands[i] += u32::from(cand.dest_is_landmark);
+        let i = di as usize;
+        self.total += 1;
+        let was_live = self.is_live_idx(i);
+        self.cand_count[i] += 1;
+        if !was_live {
+            self.live_dests += 1;
+        }
     }
 
     /// Remove the candidate `nbr` holds for `d`; returns whether it held
@@ -435,21 +426,19 @@ impl RibStore {
         let Some(di) = self.idx_of(d) else {
             return false;
         };
-        let Some(was_lm) = self.slab_mut(nbr).and_then(|s| s.remove(di as u32)) else {
+        if !self.slab_mut(nbr).is_some_and(|s| s.remove(di as u32)) {
             return false;
-        };
-        self.drop_count(di as u32, was_lm);
+        }
+        self.drop_count(di as u32);
         self.maybe_compact();
         true
     }
 
-    /// Account for one removed candidate of `di` (flagged `was_lm`),
-    /// tracking liveness.
-    fn drop_count(&mut self, di: u32, was_lm: bool) {
+    /// Account for one removed candidate of `di`, tracking liveness.
+    fn drop_count(&mut self, di: u32) {
         let i = di as usize;
         self.total -= 1;
         self.cand_count[i] -= 1;
-        self.lm_cands[i] -= u32::from(was_lm);
         if !self.is_live_idx(i) {
             self.live_dests -= 1;
         }
@@ -464,8 +453,8 @@ impl RibStore {
         };
         let (_, slab) = self.slabs.swap_remove(i);
         let mut out: Vec<NodeId> = Vec::with_capacity(slab.dest.len());
-        for (&di, &lm) in slab.dest.iter().zip(&slab.lm_flag) {
-            self.drop_count(di, lm);
+        for &di in &slab.dest {
+            self.drop_count(di);
             out.push(NodeId(self.dests[di as usize] as usize));
         }
         out.sort_unstable();
@@ -501,123 +490,76 @@ impl RibStore {
     pub fn best_for(&self, d: NodeId) -> Option<(NodeId, Candidate)> {
         let di = self.idx_of(d)? as u32;
         let (nbr, s) = self.best_slot(di)?;
-        let slab = self.slab_of(nbr).expect("selected neighbor has a slab");
-        Some((
-            nbr,
-            Candidate {
-                dist: slab.dist[s],
-                path: slab.path[s].clone(),
-                dest_is_landmark: slab.lm_flag[s],
-                dest_landmark_dist: slab.lm_dist[s],
-            },
-        ))
+        let slab = self.slab_of(nbr).expect("best neighbor has a slab");
+        Some((nbr, slab.at(s)))
     }
 
     // ---- the Loc-RIB view (per-destination selection column) ----
 
-    /// Overwrite the selection column for `di`; returns whether the route
-    /// proper moved (see [`RibStore::select_from_at`]) — the one place
-    /// that is decided, before the old values are gone.
-    fn write_selection(
-        &mut self,
-        di: usize,
-        nbr: NodeId,
-        dist: Weight,
-        lm_dist: Weight,
-        flag: bool,
-        path: InternedPath,
-    ) -> bool {
-        // A selected dest always has a candidate, so it was already live.
-        debug_assert!(self.cand_count[di] > 0);
+    /// Point the selection for the destination indexed `di` at `cand`, a
+    /// candidate `nbr`'s slab holds for it, caching every field — the
+    /// landmark flag like the distance — without re-reading the slab (two
+    /// probes on the hottest protocol path, promotion of a fresh
+    /// announcement). Takes the candidate by value: its path handle moves
+    /// into the selection column instead of paying a reference-count
+    /// round trip.
+    ///
+    /// Returns whether the selected route — neighbor, distance, landmark
+    /// distance, landmark flag or path — differs from the one the column
+    /// held (always, when it held none): the one place that is decided,
+    /// before the old values are gone.
+    pub fn select_from_at(&mut self, di: u32, nbr: NodeId, cand: Candidate) -> bool {
+        debug_assert!(
+            self.slab_of(nbr).is_some_and(|s| s.slot_of(di).is_some()),
+            "selected neighbor must hold a candidate"
+        );
+        let di = di as usize;
         let nbr = nbr.0 as u32;
         let moved = self.sel_nbr[di] != nbr
-            || self.sel_dist[di] != dist
-            || self.sel_lm_dist[di] != lm_dist
-            || self.sel_path[di].as_ref() != Some(&path);
+            || self.sel_dist[di] != cand.dist
+            || self.sel_lm_dist[di] != cand.dest_landmark_dist
+            || self.sel_path[di].as_ref() != Some(&cand.path)
+            || self.sel_flag[di] != cand.dest_is_landmark;
         if self.sel_nbr[di] == ABSENT {
+            // It holds a candidate, so it was already live.
             self.sel_count += 1;
         }
         if moved {
             // An unmoved route kept its path, so its hop count. A moved
             // one just had this cell read by the comparison above (or
             // built by the caller's prepend): no cold arena access.
-            self.sel_hops[di] = path.len().saturating_sub(1).min(usize::from(u16::MAX)) as u16;
+            let hops = cand.path.len().saturating_sub(1);
+            self.sel_hops[di] = hops.min(usize::from(u16::MAX)) as u16;
         }
         self.sel_nbr[di] = nbr;
-        self.sel_dist[di] = dist;
-        self.sel_lm_dist[di] = lm_dist;
-        self.sel_flag[di] = flag;
-        self.sel_path[di] = Some(path);
+        self.sel_dist[di] = cand.dist;
+        self.sel_lm_dist[di] = cand.dest_landmark_dist;
+        self.sel_flag[di] = cand.dest_is_landmark;
+        self.sel_path[di] = Some(cand.path);
         moved
     }
 
-    /// [`RibStore::write_selection`] from `nbr`'s slab slot `s`.
-    fn select_slot(&mut self, di: usize, nbr: NodeId, s: usize, flag: bool) -> bool {
-        let slab = self.slab_of(nbr).expect("selected neighbor has a slab");
-        let (dist, lm_dist, path) = (slab.dist[s], slab.lm_dist[s], slab.path[s].clone());
-        self.write_selection(di, nbr, dist, lm_dist, flag, path)
-    }
-
-    /// Point the selection at `nbr`'s current candidate for `d` (which
-    /// must exist), caching its fields; `flag` is the effective landmark
-    /// flag under the owner's flag policy. Returns whether the route
-    /// proper moved (see [`RibStore::select_from_at`]).
-    pub fn select(&mut self, d: NodeId, nbr: NodeId, flag: bool) -> bool {
-        let di = self.idx_of(d).expect("selecting an unknown destination");
-        let s = self
-            .slab_of(nbr)
-            .expect("selected neighbor has a slab")
-            .slot_of(di as u32)
-            .expect("selected neighbor must hold a candidate");
-        self.select_slot(di, nbr, s, flag)
-    }
-
-    /// Like [`RibStore::select`], but taking the selected candidate's
-    /// fields from `cand` — which the caller just inserted into `nbr`'s
-    /// slab for the destination indexed `di` — instead of re-reading the
-    /// slab (two probes on the hottest protocol path, promotion of a
-    /// fresh announcement). Takes the candidate by value: its path handle
-    /// moves into the selection column instead of paying a
-    /// reference-count round trip.
-    ///
-    /// Returns whether the selected route proper — neighbor, distance,
-    /// landmark distance or path — differs from the one the column held
-    /// (always, when it held none). The flag is left out: the owner wrote
-    /// the old one and passes the new one, so it compares them itself.
-    pub fn select_from_at(&mut self, di: u32, nbr: NodeId, cand: Candidate, flag: bool) -> bool {
-        debug_assert!(
-            self.slab_of(nbr).is_some_and(|s| s.slot_of(di).is_some()),
-            "selected neighbor must hold a candidate"
-        );
-        let (dist, lm_dist) = (cand.dist, cand.dest_landmark_dist);
-        self.write_selection(di as usize, nbr, dist, lm_dist, flag, cand.path)
-    }
-
     /// Recompute the selection for `d` as the most-preferred candidate
-    /// over all neighbors. The flag is the winning candidate's own; the
-    /// owner overrides it afterwards when it runs the OR-merge policy.
-    /// Returns `None` when no candidate is left (the selection is
-    /// cleared), otherwise whether the route proper moved, like
-    /// [`RibStore::select_from_at`].
+    /// over all neighbors. Returns `None` when no candidate is left (the
+    /// selection is cleared), otherwise whether the selected route moved,
+    /// like [`RibStore::select_from_at`].
     pub fn select_best(&mut self, d: NodeId) -> Option<bool> {
         let di = self.idx_of(d)?;
         match self.best_slot(di as u32) {
             Some((nbr, s)) => {
-                let flag = self.slab_of(nbr).expect("best slab exists").lm_flag[s];
-                Some(self.select_slot(di, nbr, s, flag))
+                let cand = self.slab_of(nbr).expect("best neighbor has a slab").at(s);
+                Some(self.select_from_at(di as u32, nbr, cand))
             }
             None => {
-                self.clear_selected(d);
+                self.clear_selected(di);
                 None
             }
         }
     }
 
-    /// Drop the selection for `d`, if any, and the resident mark with it.
-    pub fn clear_selected(&mut self, d: NodeId) {
-        let Some(di) = self.idx_of(d) else {
-            return;
-        };
+    /// Drop the selection for destination index `di`, if any, and the
+    /// resident mark with it.
+    fn clear_selected(&mut self, di: usize) {
         if self.sel_nbr[di] == ABSENT {
             return;
         }
@@ -725,13 +667,8 @@ impl RibStore {
     }
 
     /// The selected route's `(distance, landmark flag, resident mark)`
-    /// for `d` — the three fields the owner's ordered mirrors key on.
-    #[inline]
-    pub fn selected_parts(&self, d: NodeId) -> Option<(Weight, bool, bool)> {
-        self.selected_parts_at(self.idx_of(d)? as u32)
-    }
-
-    /// [`RibStore::selected_parts`] by destination index.
+    /// for destination index `di` — the three fields the owner's ordered
+    /// mirrors key on.
     #[inline]
     pub fn selected_parts_at(&self, di: u32) -> Option<(Weight, bool, bool)> {
         let di = di as usize;
@@ -763,25 +700,12 @@ impl RibStore {
             .flatten()
     }
 
-    /// Number of `d`'s candidates that carry the landmark flag.
-    #[inline]
-    pub fn landmark_candidates(&self, d: NodeId) -> usize {
-        self.idx_of(d)
-            .map_or(0, |di| self.landmark_candidates_at(di as u32))
-    }
-
-    /// [`RibStore::landmark_candidates`] by destination index.
-    #[inline]
-    pub fn landmark_candidates_at(&self, di: u32) -> usize {
-        self.lm_cands[di as usize] as usize
-    }
-
     /// Approximate heap bytes of the per-destination view columns — the
-    /// Loc-RIB and routing table: ~32 B per interned destination (4 nbr +
+    /// Loc-RIB and routing table: ~28 B per interned destination (4 nbr +
     /// 8 dist + 8 lm-dist + 1 flag + 4 `Option<path id>` — the path
     /// handle's `NonZeroU32` niche keeps the `Option` at 4 bytes — plus
-    /// 2 hop count, 4 landmark-candidate count and 1 resident mark), and
-    /// 4 B more for the id order once an ordered visit has built it.
+    /// 2 hop count and 1 resident mark), and 4 B more for the id order
+    /// once an ordered visit has built it.
     pub fn selection_bytes(&self) -> usize {
         self.sel_nbr.capacity() * 4
             + self.sel_dist.capacity() * 8
@@ -790,18 +714,7 @@ impl RibStore {
             + self.sel_path.capacity() * std::mem::size_of::<Option<InternedPath>>()
             + self.sel_hops.capacity() * 2
             + self.id_order.get().map_or(0, |o| o.capacity() * 4)
-            + self.lm_cands.capacity() * 4
             + self.resident.capacity()
-    }
-
-    /// Re-write the selection's effective landmark flag (the route itself
-    /// is untouched). No-op if nothing is selected.
-    pub fn set_selected_flag(&mut self, d: NodeId, flag: bool) {
-        if let Some(di) = self.idx_of(d) {
-            if self.sel_nbr[di] != ABSENT {
-                self.sel_flag[di] = flag;
-            }
-        }
     }
 
     /// All candidates for `d` as `(neighbor, candidate)`, sorted by
@@ -835,16 +748,14 @@ impl RibStore {
     /// Forgetful eviction (§4.2): keep at most `keep` candidates for `d` —
     /// always including the *selected* candidate (read from the selection
     /// column), whatever its rank — evicting the least-preferred rest.
-    /// Marks `d` as having forgotten information. Returns whether a
-    /// landmark-flagged candidate was among the evicted — the one outcome
-    /// the owner's OR-merged flag has to react to.
-    pub fn enforce(&mut self, d: NodeId, keep: usize) -> bool {
+    /// Marks `d` as having forgotten information.
+    pub fn enforce(&mut self, d: NodeId, keep: usize) {
         let Some(di) = self.idx_of(d) else {
-            return false;
+            return;
         };
         let di = di as u32;
         if (self.cand_count[di as usize] as usize) <= keep {
-            return false;
+            return;
         }
         let mut ranked = self.candidates_for(d);
         // The selected route is never evicted, whatever its rank.
@@ -854,19 +765,14 @@ impl RibStore {
                 ranked.insert(0, sel);
             }
         }
-        let mut lm_evicted = false;
         for (nbr, _) in ranked.drain(keep.max(1)..) {
-            let was_lm = self
-                .slab_mut(nbr)
-                .and_then(|s| s.remove(di))
-                .expect("ranked candidate must exist");
-            self.drop_count(di, was_lm);
+            let held = self.slab_mut(nbr).is_some_and(|s| s.remove(di));
+            debug_assert!(held, "ranked candidate must exist");
+            self.drop_count(di);
             self.evictions += 1;
             self.evicted[di as usize] = true;
-            lm_evicted |= was_lm;
         }
         self.maybe_compact();
-        lm_evicted
     }
 
     /// Whether the forgetful policy has discarded candidates for `d` since
@@ -934,7 +840,6 @@ impl RibStore {
         let mut dests = Vec::with_capacity(live);
         let mut cand_count = Vec::with_capacity(live);
         let mut evicted = Vec::with_capacity(live);
-        let mut lm_cands = Vec::with_capacity(live);
         let mut resident = Vec::with_capacity(live);
         let mut sel_nbr = Vec::with_capacity(live);
         let mut sel_dist = Vec::with_capacity(live);
@@ -955,7 +860,6 @@ impl RibStore {
             dests.push(self.dests[i]);
             cand_count.push(self.cand_count[i]);
             evicted.push(self.evicted[i]);
-            lm_cands.push(self.lm_cands[i]);
             resident.push(self.resident[i]);
             sel_nbr.push(self.sel_nbr[i]);
             sel_dist.push(self.sel_dist[i]);
@@ -979,7 +883,6 @@ impl RibStore {
         self.dests = dests;
         self.cand_count = cand_count;
         self.evicted = evicted;
-        self.lm_cands = lm_cands;
         self.resident = resident;
         self.sel_nbr = sel_nbr;
         self.sel_dist = sel_dist;
@@ -1006,6 +909,12 @@ mod tests {
         }
     }
 
+    /// Select the candidate `nbr` holds for `d`, the way the owner does.
+    fn select(rib: &mut RibStore, d: NodeId, nbr: NodeId) -> bool {
+        let cand = rib.get(nbr, d).expect("selecting a held candidate");
+        rib.select_from_at(rib.idx(d).unwrap(), nbr, cand)
+    }
+
     #[test]
     fn insert_get_remove_roundtrip() {
         let mut rib = RibStore::new();
@@ -1015,22 +924,18 @@ mod tests {
         rib.insert(n2, d, &cand(&[0, 2, 9], 3.0, true));
         assert_eq!(rib.len(), 2);
         assert_eq!(rib.count_for(d), 2);
-        assert_eq!(rib.landmark_candidates(d), 1);
-        // Replacement takes the old candidate's flag out of the count.
+        // Replacement overwrites in place.
         rib.insert(n2, d, &cand(&[0, 2, 9], 1.0, false));
         assert_eq!(rib.len(), 2);
-        assert_eq!(rib.landmark_candidates(d), 0);
         let got = rib.get(n2, d).unwrap();
         assert_eq!(got.dist, 1.0);
         assert!(!got.dest_is_landmark);
-        rib.insert(n1, d, &cand(&[0, 1, 9], 2.0, true));
         assert!(rib.remove(n2, d));
         assert!(!rib.remove(n2, d));
         assert_eq!(rib.len(), 1);
         assert_eq!(rib.count_for(d), 1);
-        assert_eq!(rib.landmark_candidates(d), 1);
         assert!(rib.remove(n1, d));
-        assert_eq!(rib.landmark_candidates(d), 0);
+        assert!(rib.is_empty());
     }
 
     #[test]
@@ -1057,10 +962,8 @@ mod tests {
         rib.insert(NodeId(1), NodeId(7), &cand(&[0, 1, 7], 2.0, true));
         rib.insert(NodeId(1), NodeId(3), &cand(&[0, 1, 3], 2.0, false));
         rib.insert(NodeId(2), NodeId(3), &cand(&[0, 2, 3], 2.0, false));
-        assert_eq!(rib.landmark_candidates(NodeId(7)), 1);
         let lost = rib.remove_neighbor(NodeId(1));
         assert_eq!(lost, vec![NodeId(3), NodeId(7)]);
-        assert_eq!(rib.landmark_candidates(NodeId(7)), 0);
         assert_eq!(rib.len(), 1);
         assert!(rib.remove_neighbor(NodeId(1)).is_empty());
     }
@@ -1070,26 +973,21 @@ mod tests {
         let mut rib = RibStore::new();
         let d = NodeId(9);
         for (i, dist) in [(1, 4.0), (2, 1.0), (3, 2.0), (4, 3.0)] {
-            rib.insert(NodeId(i), d, &cand(&[0, i, 9], dist, i == 4));
+            rib.insert(NodeId(i), d, &cand(&[0, i, 9], dist, false));
         }
         // Keep 2 (selected + 1 alternate); the selected hop is the worst
         // candidate (forced survivor, read from the selection column).
-        rib.select(d, NodeId(1), false);
-        assert!(rib.enforce(d, 2), "the flagged candidate was evicted");
-        assert_eq!(rib.landmark_candidates(d), 0);
+        select(&mut rib, d, NodeId(1));
+        rib.enforce(d, 2);
         assert!(rib.get(NodeId(1), d).is_some(), "selected survives");
         assert!(rib.get(NodeId(2), d).is_some(), "best alternate survives");
         assert_eq!(rib.count_for(d), 2);
         assert!(rib.take_evicted(d));
         assert!(!rib.take_evicted(d), "flag is taken once");
         // Under budget: no-op, flag untouched.
-        assert!(!rib.enforce(d, 2));
+        rib.enforce(d, 2);
         assert!(!rib.take_evicted(d));
         assert_eq!(rib.stats().evictions, 2);
-        // Evicting unflagged candidates only reports nothing to react to.
-        rib.insert(NodeId(3), d, &cand(&[0, 3, 9], 2.0, false));
-        assert!(!rib.enforce(d, 2));
-        assert!(rib.get(NodeId(3), d).is_none());
     }
 
     #[test]
@@ -1105,28 +1003,30 @@ mod tests {
         assert_eq!(v.dist, 1.0);
         assert!(v.dest_is_landmark);
         assert_eq!(v.path.to_vec(), vec![NodeId(0), NodeId(2), NodeId(9)]);
-        assert_eq!(rib.selected_parts(d), Some((1.0, true, false)));
-        // The owner's flag policy can override the cached flag, and its
-        // table mark rides on the selection.
-        rib.set_selected_flag(d, false);
+        let di = rib.idx(d).unwrap();
+        assert_eq!(rib.selected_parts_at(di), Some((1.0, true, false)));
+        // The owner's table mark rides on the selection.
         assert!(rib.resident_view(d).is_none());
-        rib.set_resident_at(rib.idx(d).unwrap(), true);
-        assert_eq!(rib.selected_parts(d), Some((1.0, false, true)));
+        rib.set_resident_at(di, true);
+        assert_eq!(rib.selected_parts_at(di), Some((1.0, true, true)));
         assert_eq!(rib.resident_view(d), rib.selected_view(d));
-        // Re-selecting the same candidate moves nothing (the flag is the
-        // owner's to compare); a re-announcement over it does.
+        // Re-selecting the same candidate moves nothing; a re-announcement
+        // over it does, whichever field it changed — the flag included.
         assert_eq!(rib.select_best(d), Some(false));
         rib.insert(NodeId(2), d, &cand(&[0, 2, 9], 0.5, true));
         assert_eq!(rib.select_best(d), Some(true));
+        rib.insert(NodeId(2), d, &cand(&[0, 2, 9], 0.5, false));
+        assert_eq!(rib.select_best(d), Some(true));
+        assert!(!rib.selected_view(d).unwrap().dest_is_landmark);
         // Explicit selection of a non-best candidate is allowed (the owner
         // decides); stats count the occupancy, the mark stays.
-        assert!(rib.select(d, NodeId(1), false));
-        assert!(!rib.select(d, NodeId(1), true));
+        assert!(select(&mut rib, d, NodeId(1)));
+        assert!(!select(&mut rib, d, NodeId(1)));
         assert_eq!(rib.selected_hop(d), Some(NodeId(1)));
         assert!(rib.is_resident(d));
         assert_eq!(rib.stats().selected, 1);
         // Clearing the selection clears the mark with it.
-        rib.clear_selected(d);
+        rib.clear_selected(di as usize);
         assert!(rib.selected_view(d).is_none());
         assert!(!rib.is_resident(d));
         assert_eq!(rib.stats().selected, 0);
@@ -1162,7 +1062,7 @@ mod tests {
 
     /// Compaction must keep destinations whose only liveness is a (stale)
     /// selection, and carry every per-destination column — selection, hop
-    /// count, resident mark, landmark-candidate count — across the remap.
+    /// count, resident mark — across the remap.
     #[test]
     fn compaction_preserves_selections() {
         let mut rib = RibStore::new();
@@ -1172,7 +1072,7 @@ mod tests {
         }
         // The last destination sits one hop further out than the rest.
         rib.insert(nbr, NodeId(1199), &cand(&[0, 1, 5, 1199], 2.0, false));
-        // One destination keeps a flagged candidate from another neighbor.
+        // One destination keeps a candidate from another neighbor.
         rib.insert(other, NodeId(1100), &cand(&[0, 2, 1100], 3.0, true));
         rib.select_best(NodeId(1199));
         rib.select_best(NodeId(1000));
@@ -1199,10 +1099,7 @@ mod tests {
         assert!(!rib.is_resident(NodeId(1000)));
         assert!(rib.is_resident(NodeId(1199)), "mark survives compaction");
         assert!(!rib.is_resident(NodeId(1100)));
-        for i in 0..200 {
-            let flagged = usize::from(i == 100);
-            assert_eq!(rib.landmark_candidates(NodeId(1000 + i)), flagged);
-        }
+        assert!(rib.get(other, NodeId(1100)).unwrap().dest_is_landmark);
         // Reselecting after total loss clears them and frees the dests.
         assert_eq!(rib.select_best(NodeId(1000)), None);
         assert_eq!(rib.select_best(NodeId(1199)), None);

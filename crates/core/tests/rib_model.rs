@@ -5,10 +5,11 @@
 //!
 //! The harness mirrors how `PathVectorNode` drives the store since the
 //! Loc-RIB became a view: the selection lives *in* the store (written via
-//! `select` / `select_best`, read via `selected_view`), budget enforcement
-//! runs after inserts, and a refresh is answered from the reference model
-//! the way neighbors answer from their tables. The naive model tracks its
-//! own best-route selection; invariants checked after every operation:
+//! `select_from_at` / `select_best`, read via `selected_view`), budget
+//! enforcement runs after inserts, and a refresh is answered from the
+//! reference model the way neighbors answer from their tables. The naive
+//! model tracks its own best-route selection; invariants checked after
+//! every operation:
 //!
 //! 1. the store never *loses* a destination the full RIB can still reach
 //!    (in forgetful mode, refresh recovers it within the same step),
@@ -19,11 +20,12 @@
 //!    *every* op in full mode, and after a settle round (every neighbor
 //!    re-announces, as their periodic table-change exports would) in
 //!    forgetful mode,
-//! 5. the two table columns agree with their models: the
-//!    landmark-candidate count with a naive recount over the model's
-//!    candidates the store still holds, the resident mark with the set
-//!    the harness's residency stand-in marked and un-marked (and that the
-//!    store cleared with a selection),
+//! 5. the resident mark agrees with the set the harness's residency
+//!    stand-in marked and un-marked (and that the store cleared with a
+//!    selection), and every selection's landmark flag is the one its
+//!    source candidate carried when it was selected — also while the
+//!    selection is stale, its candidate withdrawn or announced over and
+//!    the reselect not yet run,
 //! 6. the ordered visitor (`for_each_route_by_id`, the forwarding-table
 //!    compile sweep) yields strictly ascending destination ids and exactly
 //!    `for_each_selected`'s rows, each with the hop count of the model's
@@ -60,6 +62,9 @@ struct FullRib {
     /// Destinations the harness marked resident and neither it nor a
     /// cleared selection un-marked since.
     resident: BTreeSet<NodeId>,
+    /// Per selected destination: the landmark flag of the candidate the
+    /// selection was last written from, as it was at that write.
+    sel_flag: BTreeMap<NodeId, bool>,
 }
 
 impl FullRib {
@@ -122,8 +127,24 @@ impl Driven {
         }
     }
 
+    /// The flag invariant (5), for one destination: the selection's flag
+    /// is the one recorded when it was written.
+    fn check_flag(&self, d: NodeId, model: &FullRib) {
+        let flag = self.rib.selected_view(d).map(|v| v.dest_is_landmark);
+        assert_eq!(flag, model.sel_flag.get(&d).copied(), "flag for {d}");
+    }
+
     fn reselect(&mut self, d: NodeId, model: &mut FullRib) {
-        if self.rib.select_best(d).is_none() {
+        // Stale: the selection still caches what it was written from.
+        self.check_flag(d, model);
+        if self.rib.select_best(d).is_some() {
+            // Whatever the store picked, the model holds it verbatim.
+            let hop = self.rib.selected_hop(d).expect("just selected");
+            model
+                .sel_flag
+                .insert(d, model.cands[&(hop, d)].dest_is_landmark);
+        } else {
+            model.sel_flag.remove(&d);
             // The store cleared the mark with the selection.
             model.resident.remove(&d);
             // Total loss: re-solicit if the policy forgot candidates.
@@ -150,10 +171,11 @@ impl Driven {
                 better(&c, &held)
             }
         };
-        let flag = c.dest_is_landmark;
-        self.rib.insert(nbr, d, &c);
+        let di = self.rib.intern(d);
+        self.rib.insert_at(nbr, di, &c);
         if promote {
-            self.rib.select(d, nbr, flag);
+            model.sel_flag.insert(d, c.dest_is_landmark);
+            self.rib.select_from_at(di, nbr, c);
             if cur_hop.is_none() {
                 // A fresh selection: even destinations are admitted.
                 self.set_resident(d, d.0.is_multiple_of(2), model);
@@ -231,14 +253,8 @@ fn check_invariants(dr: &Driven, model: &FullRib, dests: &[NodeId], settled: boo
         } else {
             assert_eq!(dr.rib.count_for(d), model.for_dest(d).len());
         }
-        // (5) the table columns: flagged candidates recounted naively
-        // over what the store still holds, and the resident mark.
-        let flagged = model
-            .for_dest(d)
-            .iter()
-            .filter(|(nbr, c)| c.dest_is_landmark && dr.rib.get(*nbr, d).is_some())
-            .count();
-        assert_eq!(dr.rib.landmark_candidates(d), flagged, "flag count for {d}");
+        // (5) the selection's flag and the resident mark.
+        dr.check_flag(d, model);
         let resident = model.resident.contains(&d);
         assert_eq!(dr.rib.is_resident(d), resident, "resident mark for {d}");
         assert!(!resident || view.is_some(), "{d} resident, not selected");
