@@ -1,6 +1,8 @@
 //! Criterion benches: the data-plane layer on a booted n=512 network —
-//! compiling a node's forwarding table from its RIB (what a republish
-//! costs, per table), probing the compiled tables, resident keys and
+//! compiling a node's forwarding table from its RIB, from scratch (what a
+//! first publish costs, per table) and as a republish with nothing to
+//! patch (the floor under every republish: revision check, ring check,
+//! fallback), probing the compiled tables, resident keys and
 //! absent ones apart (per lookup), and the serving loop itself:
 //! `PacketWalker::walk` over `exp_forward`'s flow mix, per walk and per
 //! probe — a probe inside a walk waits for the previous hop's answer, so
@@ -33,12 +35,30 @@ fn forward(c: &mut Criterion) {
     let nodes = engine.nodes();
     let mut tables: Vec<ForwardingTable> =
         (0..n).map(|v| ForwardingTable::new(NodeId(v))).collect();
+    // Every buffer starts at the largest table's size, so no compile
+    // below pays for growing one.
+    let largest = nodes.iter().max_by_key(|node| node.pv.selected_count());
+    let largest = largest.expect("n > 0");
+    for table in &mut tables {
+        largest.compile_forwarding_into(table);
+    }
 
     let mut group = c.benchmark_group("forward_512");
-    // One iteration recompiles every node's table into the buffer that
-    // holds its last epoch, as a republish does.
     group.throughput(Throughput::Elements(n as u64));
-    group.bench_function("compile", |b| {
+    // One iteration compiles every node's table into the buffer its
+    // neighbor in id order filled last: another node's epoch, which a
+    // compile cannot patch.
+    group.bench_function("compile_cold", |b| {
+        b.iter(|| {
+            tables.rotate_left(1);
+            for (node, table) in nodes.iter().zip(&mut tables) {
+                node.compile_forwarding_into(table);
+            }
+        })
+    });
+    // ... and into the buffer that holds its own epoch, at a revision that
+    // has not moved: a replay of no rows.
+    group.bench_function("republish_unchanged", |b| {
         b.iter(|| {
             for (node, table) in nodes.iter().zip(&mut tables) {
                 node.compile_forwarding_into(table);

@@ -28,12 +28,30 @@
 //! epoch and any hop that churn has since removed shows up as a packet
 //! *lost to a stale epoch* — the served-traffic cost of convergence lag
 //! that `exp_forward` measures.
+//!
+//! A republish compiles what moved. The buffer a compile is handed is
+//! usually this node's own earlier epoch (the publisher's back buffer is
+//! two publishes old), and its `revision` stamp says how many selection
+//! writes ago that was: when the path vector's write journal still reaches
+//! that far back, the compile sets only the journaled destinations' rows
+//! to their current selection and leaves the rest — and the landmark ring,
+//! while the landmark *set* it was built from stands — as they are.
+//! Otherwise (a first publish, a fresh or foreign buffer, a rejoined node,
+//! more writes than the journal holds) the same row writer,
+//! [`ForwardingTable::set_route`], is fed every selected row into a
+//! cleared table. Which of the two happened is not observable in the
+//! result: debug builds check every patched table against a from-scratch
+//! compile.
 
 use crate::hash::NameHash;
 use disco_graph::NodeId;
 
 /// `sel_nbr`-style sentinel for "no fallback hop".
 const NO_HOP: u32 = u32::MAX;
+
+/// Ring stamp of a table whose ring is yet to be built: no landmark-set
+/// version counts this far.
+const NO_RING: u64 = u64::MAX;
 
 /// One resolved forwarding entry: the dense payload behind a key hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,7 +67,12 @@ pub struct FlatRoute {
 /// publishes. Plain `u32`/`u64` vectors, so the table is `Send` and a
 /// sharded run can compile on the owner shard and ship it to the
 /// coordinator (unlike the RIB, whose interned paths are thread-local).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Equality is over what a table serves and what a later compile may
+/// patch — node, revision, routes, ring and its stamp, fallback — not over
+/// the publisher's `epoch` or [`ForwardingTable::rows_written`], which
+/// record how the table got here.
+#[derive(Debug, Clone, Default)]
 pub struct ForwardingTable {
     /// Node this table was compiled on.
     node: u32,
@@ -68,11 +91,31 @@ pub struct ForwardingTable {
     lm_pos: Vec<u64>,
     /// Landmark id per ring position (parallel to `lm_pos`).
     lm_id: Vec<u32>,
+    /// The compiling node's landmark-set version the ring was built at
+    /// (`PathVectorNode::landmark_set_version`; `NO_RING` after `begin`).
+    ring_version: u64,
+    /// Rows the last compile set ([`ForwardingTable::rows_written`]).
+    rows_written: usize,
     /// Landmark-fallback entry: this node's closest landmark and the next
     /// hop toward it (`NO_HOP` = none learned / node is the landmark).
     fallback_lm: u32,
     fallback_hop: u32,
 }
+
+impl PartialEq for ForwardingTable {
+    fn eq(&self, other: &Self) -> bool {
+        (self.node, self.revision, self.ring_version)
+            == (other.node, other.revision, other.ring_version)
+            && (self.fallback_lm, self.fallback_hop) == (other.fallback_lm, other.fallback_hop)
+            && self.keys == other.keys
+            && self.hops == other.hops
+            && self.path_hops == other.path_hops
+            && self.lm_pos == other.lm_pos
+            && self.lm_id == other.lm_id
+    }
+}
+
+impl Eq for ForwardingTable {}
 
 impl ForwardingTable {
     /// An empty, never-published table for `node`.
@@ -125,7 +168,9 @@ impl ForwardingTable {
     /// Heap bytes of the published arrays (10 B per destination plus 12 B
     /// per ring landmark — the deployment-question number next to the
     /// RIB's ~25 B/dest selection column). They are all the heap a table
-    /// holds: a compile writes them in place, with no staging copy.
+    /// holds: a compile writes them in place — from scratch or as a patch,
+    /// which grows them by exactly the rows it inserts — with no staging
+    /// copy.
     pub fn approx_bytes(&self) -> usize {
         self.keys.len() * (4 + 4 + 2) + self.lm_pos.len() * (8 + 4)
     }
@@ -199,42 +244,97 @@ impl ForwardingTable {
         &self.keys
     }
 
-    // ---- compile-side builder: `begin` → `push_*`/`set_fallback`,
-    // driven by `DiscoProtocol::compile_forwarding_into` (any protocol with
-    // a selection column can compile its own). Every push leaves the
-    // arrays sorted, so there is no closing step. ----
+    /// Rows the last compile set: every served row after a from-scratch
+    /// compile, one per journaled selection write after a patch — the
+    /// "compile what moved" claim as a number.
+    pub fn rows_written(&self) -> usize {
+        self.rows_written
+    }
 
-    /// Reset for a fresh compile of `routes` rows at `revision`, keeping
-    /// allocations: a buffer that has held `routes` rows before allocates
-    /// nothing, one that has not grows once, to exactly that size.
+    /// The landmark-set version the ring was built at (the compiling
+    /// node's `PathVectorNode::landmark_set_version`), or a value no
+    /// version takes when the ring is yet to be built.
+    pub fn ring_version(&self) -> u64 {
+        self.ring_version
+    }
+
+    // ---- compile-side builder: `begin` or `resume`, then `set_route`
+    // per row, `begin_ring` + `push_landmark` when the ring is out of
+    // date, `set_fallback` — driven by
+    // `DiscoProtocol::compile_forwarding_into` (any protocol with a
+    // selection column can compile its own). Every write leaves the arrays
+    // sorted, so there is no closing step. ----
+
+    /// Reset for a from-scratch compile of `routes` rows at `revision`,
+    /// keeping allocations: a buffer that has held `routes` rows before
+    /// allocates nothing, one that has not grows once, to exactly that
+    /// size. Nothing of the epoch the buffer held survives.
     pub fn begin(&mut self, node: NodeId, revision: u64, routes: usize) {
         self.node = node.0 as u32;
         self.revision = revision;
+        self.rows_written = 0;
         self.keys.clear();
         self.hops.clear();
         self.path_hops.clear();
         self.keys.reserve_exact(routes);
         self.hops.reserve_exact(routes);
         self.path_hops.reserve_exact(routes);
-        self.lm_pos.clear();
-        self.lm_id.clear();
+        self.begin_ring(NO_RING);
         self.fallback_lm = NO_HOP;
         self.fallback_hop = NO_HOP;
     }
 
-    /// Append one selection-column row. Rows must arrive in strictly
-    /// ascending `dest` order (`RibStore::for_each_route_by_id`'s): the
-    /// key array is published as pushed, and the lookup probe relies on
-    /// it being sorted.
-    pub fn push_route(&mut self, dest: NodeId, next_hop: NodeId, path_hops: u16) {
+    /// Re-stamp this node's own earlier epoch for a patch up to
+    /// `revision`: everything it holds stays, to be corrected row by row.
+    pub fn resume(&mut self, revision: u64) {
+        self.revision = revision;
+        self.rows_written = 0;
+    }
+
+    /// The one row writer: make `dest`'s row `route` (`(next hop, selected
+    /// path's hop count)`; `None` = not served). Overwrites, inserts or
+    /// removes at the key's `lower_bound`, so the arrays stay sorted
+    /// whatever order rows arrive in; a key above every held one — every
+    /// row of `RibStore::for_each_route_by_id` into a table `begin`
+    /// cleared — is an append. An insert grows the arrays by exactly the
+    /// row (they are sized to the table, and amortized doubling would
+    /// double the footprint of every table a patch ever grew).
+    pub fn set_route(&mut self, dest: NodeId, route: Option<(NodeId, u16)>) {
+        self.rows_written += 1;
         let key = dest.0 as u32;
-        debug_assert!(
-            self.keys.last().is_none_or(|&last| last < key),
-            "selection rows must arrive in strictly ascending id order"
-        );
-        self.keys.push(key);
-        self.hops.push(next_hop.0 as u32);
-        self.path_hops.push(path_hops);
+        let i = if self.keys.last().is_none_or(|&last| last < key) {
+            self.keys.len()
+        } else {
+            self.keys.partition_point(|&k| k < key)
+        };
+        let held = self.keys.get(i) == Some(&key);
+        match route {
+            Some((hop, path_hops)) if held => {
+                self.hops[i] = hop.0 as u32;
+                self.path_hops[i] = path_hops;
+            }
+            Some((hop, path_hops)) => {
+                self.keys.reserve_exact(1);
+                self.hops.reserve_exact(1);
+                self.path_hops.reserve_exact(1);
+                self.keys.insert(i, key);
+                self.hops.insert(i, hop.0 as u32);
+                self.path_hops.insert(i, path_hops);
+            }
+            None if held => {
+                self.keys.remove(i);
+                self.hops.remove(i);
+                self.path_hops.remove(i);
+            }
+            None => {}
+        }
+    }
+
+    /// Empty the landmark ring for a rebuild at landmark-set `version`.
+    pub fn begin_ring(&mut self, version: u64) {
+        self.lm_pos.clear();
+        self.lm_id.clear();
+        self.ring_version = version;
     }
 
     /// Add one landmark-ring slot, in any order: it is inserted at its
@@ -247,19 +347,23 @@ impl ForwardingTable {
         self.lm_id.insert(i, lm.0 as u32);
     }
 
-    /// Record the landmark-fallback entry.
-    pub fn set_fallback(&mut self, lm: NodeId, hop: NodeId) {
-        self.fallback_lm = lm.0 as u32;
-        self.fallback_hop = hop.0 as u32;
+    /// Record the landmark-fallback entry `(landmark, next hop)`, or that
+    /// there is none.
+    pub fn set_fallback(&mut self, fallback: Option<(NodeId, NodeId)>) {
+        let (lm, hop) = fallback.map_or((NO_HOP, NO_HOP), |(lm, hop)| (lm.0 as u32, hop.0 as u32));
+        self.fallback_lm = lm;
+        self.fallback_hop = hop;
     }
 }
 
 /// Epoch-based double buffer between the control plane and the data plane.
 ///
 /// The publisher owns a *front* table (the published epoch lookups run
-/// against) and a *back* scratch buffer. A publish compiles into the back
-/// buffer and swaps — one pointer-sized exchange, so readers never observe
-/// a half-built table — then stamps the next epoch. Publishes are driven by
+/// against) and a *back* buffer: the epoch before it. A publish compiles
+/// into the back buffer — patching it, when the compiling node's journal
+/// reaches back to its revision (see the module docs) — and swaps — one
+/// pointer-sized exchange, so readers never observe a half-built table —
+/// then stamps the next epoch. Publishes are driven by
 /// the control revision ([`TablePublisher::needs_publish`]): no selection
 /// change means no recompile, and changes within `debounce` simulation-time
 /// units of the last publish are coalesced (churn bursts repair many routes;
@@ -330,15 +434,18 @@ impl TablePublisher {
     }
 
     /// The back buffer, for a compile that runs on another thread:
-    /// `std::mem::take` it, compile into it there (its capacity is the
-    /// last-but-one epoch's, so a republish no larger than that one
-    /// allocates nothing), then install it with `publish_with(now, |slot|
-    /// *slot = table)` — or put it back here if no publish was needed.
+    /// `std::mem::take` it, compile into it there, then install it with
+    /// `publish_with(now, |slot| *slot = table)` — or put it back here if
+    /// no publish was needed. Its *content* is load-bearing, not only its
+    /// capacity: it is the last-but-one epoch, which the compile patches
+    /// rather than rewrites, so hand the compile this buffer and not a
+    /// fresh one (a fresh one is correct, and costs the full compile).
     pub fn spare_mut(&mut self) -> &mut ForwardingTable {
         &mut self.back
     }
 
-    /// Publish a new epoch: `compile` fills the back buffer (via
+    /// Publish a new epoch: `compile` brings the back buffer — the
+    /// last-but-one epoch, stamps and rows intact — up to date (via
     /// `DiscoProtocol::compile_forwarding_into`, or by installing a table
     /// compiled on another shard), then the buffers swap. The caller
     /// gates on [`TablePublisher::needs_publish`].
@@ -356,11 +463,16 @@ impl TablePublisher {
 mod tests {
     use super::*;
 
+    fn set(t: &mut ForwardingTable, rows: &[(u32, u32, u16)]) {
+        for &(k, h, p) in rows {
+            t.set_route(NodeId(k as usize), Some((NodeId(h as usize), p)));
+        }
+    }
+
     fn compile(t: &mut ForwardingTable, rows: &[(u32, u32, u16)], ring: &[(u64, u32)]) {
         t.begin(NodeId(0), 1, rows.len());
-        for &(k, h, p) in rows {
-            t.push_route(NodeId(k as usize), NodeId(h as usize), p);
-        }
+        set(t, rows);
+        t.begin_ring(1);
         for &(pos, lm) in ring {
             t.push_landmark(pos, NodeId(lm as usize));
         }
@@ -402,6 +514,27 @@ mod tests {
         assert!(table_of(&[], &[]).owner_landmark(NameHash(0)).is_none());
     }
 
+    /// The row writer keeps the arrays sorted and parallel whatever order
+    /// rows arrive in, and a patched table equals the from-scratch compile
+    /// of the same rows.
+    #[test]
+    fn rows_in_any_order_equal_rows_in_key_order() {
+        let rows: Vec<(u32, u32, u16)> = (0..40u32).map(|i| (i * 3 + 1, i + 1000, 2)).collect();
+        let want = table_of(&rows, &[(5, 9)]);
+        let mut t = table_of(&[(7, 1, 1), (4, 2, 2), (500, 3, 3)], &[(5, 9)]);
+        t.resume(1);
+        // Overwrite 7 and 4 (both keys of `rows`), remove 500, miss 501.
+        t.set_route(NodeId(500), None);
+        t.set_route(NodeId(501), None);
+        let (evens, odds): (Vec<_>, Vec<_>) = rows.iter().partition(|r| r.0 % 2 == 0);
+        set(&mut t, &odds);
+        set(&mut t, &evens.into_iter().rev().collect::<Vec<_>>());
+        assert_eq!(t, want);
+        assert_eq!(t.rows_written(), 2 + rows.len());
+        assert_eq!(want.rows_written(), rows.len());
+        assert_eq!(t.entry(NodeId(7)).map(|e| e.path_hops), Some(2));
+    }
+
     /// A recompile into a buffer that already held a table of that size
     /// allocates nothing: no array's storage moves or grows.
     #[test]
@@ -430,6 +563,25 @@ mod tests {
         assert_eq!(storage(&t), before);
         assert_eq!(t.lookup(NodeId(2)), Some(NodeId(1007)));
         assert!(t.lm_pos.is_sorted() && t.ring_len() == ring.len());
+        // A patched republish at the same size: rows overwritten, one
+        // removed and another inserted, the ring left alone.
+        let before = storage(&t);
+        t.resume(2);
+        set(&mut t, &rows2[..5]);
+        t.set_route(NodeId(rows2[9].0 as usize), None);
+        t.set_route(NodeId(1), Some((NodeId(8), 1)));
+        assert_eq!(storage(&t), before);
+        // One key more than the buffer ever held: grown by exactly a row.
+        t.set_route(NodeId(0), Some((NodeId(8), 1)));
+        assert_eq!(t.len(), rows.len() + 1);
+        for (len, cap) in [
+            (t.keys.len(), t.keys.capacity()),
+            (t.hops.len(), t.hops.capacity()),
+            (t.path_hops.len(), t.path_hops.capacity()),
+        ] {
+            assert_eq!(cap, len, "patch growth is exact");
+        }
+        assert!(t.keys.is_sorted() && t.lookup(NodeId(0)) == Some(NodeId(8)));
     }
 
     /// Publishes swap epochs atomically, are revision-driven and debounced.
@@ -439,7 +591,7 @@ mod tests {
         assert!(p.needs_publish(0, 0.0), "first publish is never debounced");
         p.publish_with(0.0, |t| {
             t.begin(NodeId(7), 3, 1);
-            t.push_route(NodeId(1), NodeId(2), 1);
+            t.set_route(NodeId(1), Some((NodeId(2), 1)));
         });
         assert_eq!(p.table().epoch(), 1);
         assert_eq!(p.table().revision(), 3);

@@ -60,6 +60,21 @@ use disco_graph::{InternedPath, NodeId, Weight};
 use disco_sim::{Context, Protocol};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Selection writes a node's journal remembers
+/// ([`PathVectorNode::writes_since`]): 64 `u32` destination keys, 256 B a
+/// node. On `repair` a republish is a median 5 writes behind the buffer it
+/// patches and 94 % are within 31; 128 entries compiled no faster.
+const JOURNAL_LEN: u64 = 64;
+
+/// Next node incarnation: the high half of a new node's
+/// `selection_revision`, so no two nodes this process ever builds — a
+/// rejoined node and the dead one whose id (and published tables) it takes
+/// over included — count through the same revisions. Starts at 1: revision
+/// 0 is a never-compiled table's. `Relaxed`: the counter hands out
+/// distinct numbers and publishes nothing else.
+static NEXT_INCARNATION: AtomicU64 = AtomicU64::new(1);
 
 /// Finite weight with a total order, usable as a BTreeSet key.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -204,16 +219,31 @@ pub struct PathVectorNode {
     /// sorting into the reusable dump scratch.
     pending: disco_graph::FxHashSet<NodeId>,
     /// Bumped whenever a landmark-flagged table entry is added, removed or
-    /// updated. Composite protocols watch this to notice that the landmark
-    /// set (consistent-hashing ownership of resolution shards) or this
-    /// node's own address (closest landmark + path) may have changed,
+    /// updated — membership changes *and* route updates to a landmark that
+    /// stays one. Composite protocols watch this to notice that the
+    /// landmark set (consistent-hashing ownership of resolution shards) or
+    /// this node's own address (closest landmark + path) may have changed,
     /// without recomputing either per message.
     landmark_version: u64,
+    /// Bumped only when the landmark *set* this node knows changes: a
+    /// destination enters or leaves `lm_best`, or this node's own status
+    /// flips. A compiled landmark ring is a function of that set alone, so
+    /// a table stamped with this version keeps its ring until it moves.
+    landmark_set_version: u64,
     /// Bumped whenever a selection column is (re)written — i.e. whenever
-    /// this node's selected next hop for some destination may have moved.
-    /// The engine samples it around upcalls to feed the repair-latency
-    /// telemetry probe; it never influences protocol behavior.
+    /// this node's selected next hop for some destination may have moved —
+    /// by [`Self::bump_revision`] alone. The engine samples it around
+    /// upcalls to feed the repair-latency telemetry probe and the data
+    /// plane republishes on it; it never influences protocol behavior.
+    /// Only ever compared for equality and distance: the high half is this
+    /// node's incarnation (`NEXT_INCARNATION`), the low half counts.
     selection_revision: u64,
+    /// The destination key written at each of the last `JOURNAL_LEN`
+    /// revision bumps, `journal[r % JOURNAL_LEN]` for the bump from `r`:
+    /// what lets a forwarding compile patch a table stamped with a recent
+    /// revision instead of rewriting it ([`Self::writes_since`]). One
+    /// store per selection write, no stamps, no allocation.
+    journal: [u32; JOURNAL_LEN as usize],
     /// Whether a batch flush timer is armed.
     batch_armed: bool,
     /// Reusable scratch for [`Self::send_table_to`]: the sorted export
@@ -254,24 +284,57 @@ impl PathVectorNode {
             own_landmark_dist: if is_landmark { 0.0 } else { Weight::INFINITY },
             pending: disco_graph::FxHashSet::default(),
             landmark_version: 0,
-            selection_revision: 0,
+            landmark_set_version: 0,
+            selection_revision: NEXT_INCARNATION.fetch_add(1, Ordering::Relaxed) << 32,
+            journal: [0; JOURNAL_LEN as usize],
             batch_armed: false,
             dump_scratch: Vec::new(),
             batch_delay: 2.0,
         }
     }
 
-    /// Version counter of this node's view of the landmark set (bumped when
-    /// a landmark appears in or disappears from the table).
+    /// Version counter of this node's landmark *routes*: bumped when a
+    /// landmark appears in or disappears from the table and when the route
+    /// to one that stays is updated — either can move this node's address.
     pub fn landmark_version(&self) -> u64 {
         self.landmark_version
     }
 
+    /// Version counter of this node's landmark *set*: bumped only when a
+    /// landmark appears in or disappears from [`Self::landmark_entries`].
+    pub fn landmark_set_version(&self) -> u64 {
+        self.landmark_set_version
+    }
+
     /// Monotone counter of selection-column writes (route selection
     /// changes); the engine's telemetry layer reads this through
-    /// [`Protocol::control_revision`].
+    /// [`Protocol::control_revision`]. Distinct from every revision of
+    /// every other node this process built, an earlier incarnation of this
+    /// node id included.
     pub fn selection_revision(&self) -> u64 {
         self.selection_revision
+    }
+
+    /// Count one selection write — of `d`'s row, or for `d` = this node
+    /// (which never has one) of what a compile emits beside the rows — and
+    /// journal it.
+    #[inline]
+    fn bump_revision(&mut self, d: NodeId) {
+        self.journal[(self.selection_revision % JOURNAL_LEN) as usize] = Self::dkey(d);
+        self.selection_revision += 1;
+    }
+
+    /// The destinations written since this node was at `revision`, oldest
+    /// first (one per write, so a destination can repeat): every row of
+    /// [`Self::for_each_route_by_id`] that differs from what it was then
+    /// is among them. `None` when the journal does not reach that far
+    /// back, or `revision` is not one this node was ever at.
+    pub fn writes_since(&self, revision: u64) -> Option<impl Iterator<Item = NodeId> + '_> {
+        let behind = self.selection_revision.wrapping_sub(revision);
+        (behind <= JOURNAL_LEN).then(|| {
+            (revision..self.selection_revision)
+                .map(|r| NodeId(self.journal[(r % JOURNAL_LEN) as usize] as usize))
+        })
     }
 
     /// This node's id.
@@ -382,6 +445,12 @@ impl PathVectorNode {
         self.rib.for_each_route_by_id(f)
     }
 
+    /// `dest`'s row of [`Self::for_each_route_by_id`] — `(next hop, path
+    /// hop count)` — or `None` when no route to it is selected.
+    pub fn route_by_id(&self, dest: NodeId) -> Option<(NodeId, u16)> {
+        self.rib.route_by_id(dest)
+    }
+
     /// Visit every destination this node currently serves a selected route
     /// for with the full selected-route view (the RIB's selection column,
     /// in interning order) — what tests check a compiled table against.
@@ -468,7 +537,7 @@ impl PathVectorNode {
     /// flag like the distance — are written straight from it, no slab
     /// re-probe.
     fn select_candidate(&mut self, d: NodeId, di: u32, nbr: NodeId, cand: Candidate) {
-        self.selection_revision += 1;
+        self.bump_revision(d);
         let prev = self.unmirror_at(d, di);
         let moved = self.rib.select_from_at(di, nbr, cand);
         self.apply_selection(d, Some(di), prev, moved);
@@ -483,6 +552,7 @@ impl PathVectorNode {
         }
         self.is_landmark = true;
         self.own_landmark_dist = 0.0;
+        self.own_status_flipped();
         let own = self.route(self.id).expect("promotion follows on_start");
         vec![Self::export(self.id, &own)]
     }
@@ -505,6 +575,17 @@ impl PathVectorNode {
         self.refresh_own_landmark_dist();
         self.pending.insert(self.id);
         self.landmark_version += 1;
+        self.own_status_flipped();
+    }
+
+    /// This node's own landmark status flipped: the ring a compile emits
+    /// gained or lost this node and its fallback vanished or appeared, so
+    /// the data plane must republish although no row moved. The journal
+    /// entry is this node's own id, whose row is always absent — a replay
+    /// of it changes nothing.
+    fn own_status_flipped(&mut self) {
+        self.landmark_set_version += 1;
+        self.bump_revision(self.id);
     }
 
     /// Current table limit (vicinity capacity for Disco nodes).
@@ -635,7 +716,7 @@ impl PathVectorNode {
             // reselect identically. Re-selection can clear the last
             // selection and compact the interner; `di` is dead past this
             // point.
-            self.selection_revision += 1;
+            self.bump_revision(d);
             let prev = self.rib.idx(d).and_then(|i| self.unmirror_at(d, i));
             let moved = self.rib.select_best(d);
             // The selected route vanished with no retained alternate left.
@@ -747,13 +828,18 @@ impl PathVectorNode {
         moved: bool,
     ) {
         let di = di.or_else(|| self.rib.idx(d));
+        let view = di.and_then(|i| self.rib.selected_view_at(i));
+        // `d` entered or left `lm_best`: the landmark set changed.
+        let was_flagged = prev.is_some_and(|(_, flag, _)| flag);
+        if was_flagged != view.as_ref().is_some_and(|v| v.dest_is_landmark) {
+            self.landmark_set_version += 1;
+        }
         // The table entry `d` had: its previous selection, if resident.
         let was_resident = prev.is_some_and(|(_, _, resident)| resident);
         let was_landmark_entry = prev.is_some_and(|(_, flag, resident)| flag && resident);
         // The `(distance, flag)` of the entry `d` gets: its selection, if
         // the limit admits it.
-        let entry = di
-            .and_then(|i| self.rib.selected_view_at(i))
+        let entry = view
             .filter(|v| match self.limit {
                 TableLimit::Unlimited => true,
                 TableLimit::Cluster => {
@@ -1498,6 +1584,79 @@ mod tests {
             let landmarks: Vec<NodeId> = node.landmark_entries().map(|(l, _)| l).collect();
             assert_eq!(landmarks, vec![other], "{v}'s landmark set");
         }
+    }
+
+    /// The split the forwarding compile's ring cache rests on: a repair
+    /// that reroutes landmark paths moves `landmark_version` at many
+    /// nodes and `landmark_set_version` only where a landmark actually
+    /// left or entered the known set; a status flip moves both, and the
+    /// revision with them.
+    #[test]
+    fn landmark_set_version_ignores_landmark_route_updates() {
+        let g = generators::gnm_connected(64, 192, 23);
+        let lm_set = crate::landmark::landmark_set(&[NodeId(3), NodeId(17), NodeId(40)]);
+        let mut engine = Engine::new(&g, |v| {
+            PathVectorNode::new(v, lm_set.contains(&v), TableLimit::VicinityCap { size: 16 })
+        });
+        assert!(engine.run().converged);
+        let versions = |e: &Engine<'_, PathVectorNode>| -> Vec<(u64, u64)> {
+            let of = |n: &PathVectorNode| (n.landmark_version, n.landmark_set_version);
+            e.nodes().iter().map(of).collect()
+        };
+        let before = versions(&engine);
+        // Cut the first hop of node 0's route to a landmark.
+        let hop = engine.nodes()[0].route(NodeId(17)).unwrap().next_hop;
+        let t = engine.now() + 1.0;
+        engine.schedule_topology(
+            t,
+            TopologyEvent::LinkDown {
+                u: NodeId(0),
+                v: hop,
+            },
+        );
+        assert!(engine.run_until(|_| false));
+        assert_consistent(engine.nodes());
+        let after = versions(&engine);
+        let moved = |i: usize| (after[i].0 != before[i].0, after[i].1 != before[i].1);
+        assert!(
+            (0..64).all(|i| moved(i).0 || !moved(i).1),
+            "a set change is a route change"
+        );
+        let routes_only = (0..64).filter(|&i| moved(i) == (true, false)).count();
+        assert!(
+            routes_only > 0,
+            "no node saw a landmark route move under a standing set"
+        );
+        for node in engine.nodes() {
+            assert_eq!(
+                node.landmark_entries().count(),
+                3,
+                "{}: every landmark",
+                node.id
+            );
+        }
+
+        let node = &mut engine.nodes_mut()[0];
+        let (rev, set) = (node.selection_revision, node.landmark_set_version);
+        assert!(!node.promote_to_landmark().is_empty());
+        assert_eq!(
+            (node.selection_revision, node.landmark_set_version),
+            (rev + 1, set + 1)
+        );
+        assert_eq!(
+            node.writes_since(rev).unwrap().collect::<Vec<_>>(),
+            [NodeId(0)]
+        );
+        node.demote_from_landmark();
+        assert_eq!(
+            (node.selection_revision, node.landmark_set_version),
+            (rev + 2, set + 2)
+        );
+        assert_eq!(
+            node.route_by_id(NodeId(0)),
+            None,
+            "the journaled id has no row"
+        );
     }
 
     // ---- forgetful routing (§4.2) ----

@@ -472,35 +472,62 @@ impl DiscoProtocol {
     }
 
     /// Compile this node's data plane into `out` (see [`crate::forward`]):
-    /// the RIB's selection column written in one pass, already in key
-    /// order, into the sorted key/next-hop/hop-count arrays (sized once
-    /// from the selection count; nothing per entry reads the path arena),
-    /// the landmark ring at this node's hash positions, and the
-    /// landmark-fallback entry (next hop toward the closest landmark,
-    /// [`DiscoProtocol::my_address`]'s tie rule). Read-only over the RIB —
-    /// the control plane cannot observe that a compile happened — and
-    /// stamped with [`PathVectorNode::selection_revision`] so
+    /// the RIB's selection column in the sorted key/next-hop/hop-count
+    /// arrays (nothing per entry reads the path arena), the landmark ring
+    /// at this node's hash positions, and the landmark-fallback entry
+    /// (next hop toward the closest landmark,
+    /// [`DiscoProtocol::my_address`]'s tie rule).
+    ///
+    /// What `out` held decides how much work that is, never the result.
+    /// If it is this node's own earlier epoch and the path vector's write
+    /// journal reaches back to its revision stamp
+    /// ([`PathVectorNode::writes_since`]), only the journaled
+    /// destinations' rows are set — to their current selection, whatever
+    /// happened in between; otherwise every selected row is, in key order,
+    /// into a cleared table sized once from the selection count. One row
+    /// writer, two row sources. The ring is rebuilt only when the landmark
+    /// set moved past the version it was built at.
+    ///
+    /// Read-only over the RIB — the control plane cannot observe that a
+    /// compile happened — and stamped with
+    /// [`PathVectorNode::selection_revision`] so
     /// [`crate::forward::TablePublisher`] republishes exactly when
     /// selections actually moved.
     pub fn compile_forwarding_into(&self, out: &mut ForwardingTable) {
-        out.begin(
-            self.pv.id(),
-            self.pv.selection_revision(),
-            self.pv.selected_count(),
-        );
-        // The hop count is the label this entry resolves to (path nodes
-        // minus the node itself).
-        self.pv
-            .for_each_route_by_id(|dest, hop, path_hops| out.push_route(dest, hop, path_hops));
-        for (lm, _) in self.pv.landmark_entries() {
-            out.push_landmark(self.hasher.hash_u64(lm.0 as u64).value(), lm);
-        }
-        if !self.pv.is_landmark() {
-            // Closest first: the first entry is `my_address`'s landmark.
-            if let Some((lm, _)) = self.pv.landmark_entries().next() {
-                let hop = self.pv.route(lm).expect("a listed landmark").next_hop;
-                out.set_fallback(lm, hop);
+        let pv = &self.pv;
+        let patched = match pv.writes_since(out.revision()) {
+            Some(written) => {
+                out.resume(pv.selection_revision());
+                for dest in written {
+                    out.set_route(dest, pv.route_by_id(dest));
+                }
+                true
             }
+            None => {
+                out.begin(pv.id(), pv.selection_revision(), pv.selected_count());
+                // The hop count is the label this entry resolves to (path
+                // nodes minus the node itself).
+                pv.for_each_route_by_id(|dest, hop, hops| out.set_route(dest, Some((hop, hops))));
+                false
+            }
+        };
+        if out.ring_version() != pv.landmark_set_version() {
+            out.begin_ring(pv.landmark_set_version());
+            for (lm, _) in pv.landmark_entries() {
+                out.push_landmark(self.hasher.hash_u64(lm.0 as u64).value(), lm);
+            }
+        }
+        // Closest first: the first entry is `my_address`'s landmark. (A
+        // landmark's own first entry is itself: nothing to fall back to.)
+        let closest = pv.landmark_entries().next().filter(|_| !pv.is_landmark());
+        out.set_fallback(closest.map(|(lm, _)| {
+            let hop = pv.route(lm).expect("a listed landmark").next_hop;
+            (lm, hop)
+        }));
+        if cfg!(debug_assertions) && patched {
+            let mut scratch = ForwardingTable::new(pv.id());
+            self.compile_forwarding_into(&mut scratch);
+            assert!(*out == scratch, "{}: a patched table diverged", pv.id());
         }
     }
 

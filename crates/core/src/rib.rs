@@ -35,14 +35,17 @@
 //!
 //!   Beside the columns sits the **id order** (4 B per interned
 //!   destination once built): the interned indexes sorted by destination
-//!   id, which [`RibStore::for_each_route_by_id`] walks to hand the
-//!   forwarding compile its rows already in published order. It is built
-//!   lazily, by the first ordered visit after it was dropped, and dropped
-//!   in exactly the two places an interned index appears or moves —
-//!   interning a new destination and the compaction remap. It orders all
-//!   interned indexes, selected or not, so selections coming and going
-//!   never touch it: a repair that reselects among destinations the node
-//!   already knows reuses the order in every compile.
+//!   id, which [`RibStore::for_each_route_by_id`] walks to hand a
+//!   from-scratch forwarding compile its rows already in published order.
+//!   It is built lazily, by the first ordered visit after it was dropped,
+//!   and dropped in exactly the two places an interned index appears or
+//!   moves — interning a new destination and the compaction remap. It
+//!   orders all interned indexes, selected or not, so selections coming
+//!   and going never touch it. A republish rarely needs it: the owner
+//!   journals which destination each selection write touched
+//!   (`PathVectorNode::writes_since`), and a compile that patches an
+//!   earlier epoch reads just those rows, one
+//!   [`RibStore::route_by_id`] probe each.
 //!
 //! The selection columns are a *cache* of the selected candidate's fields,
 //! not a pointer into the slabs: after the backing candidate is withdrawn
@@ -642,6 +645,15 @@ impl RibStore {
                 );
             }
         }
+    }
+
+    /// `d`'s row of [`RibStore::for_each_route_by_id`] — `(next hop, path
+    /// hop count)` — or `None` when no route to it is selected: what a
+    /// forwarding compile that patches reads, one interner probe a row.
+    pub fn route_by_id(&self, d: NodeId) -> Option<(NodeId, u16)> {
+        let i = self.idx_of(d)?;
+        let nbr = self.sel_nbr[i];
+        (nbr != ABSENT).then(|| (NodeId(nbr as usize), self.sel_hops[i]))
     }
 
     /// Visit every destination with a selected route, in interning order,

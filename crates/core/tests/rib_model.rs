@@ -31,13 +31,21 @@
 //!    `for_each_selected`'s rows, each with the hop count of the model's
 //!    candidate (`path.len() - 1`; announced paths vary in length).
 //!
+//! 7. one level up, where the owner counts the writes: between any two
+//!    revisions of a `PathVectorNode` its journal (`writes_since`) names
+//!    every destination whose `for_each_route_by_id` row differs — or
+//!    says it does not reach that far back
+//!    (`journal_names_every_row_that_moved`).
+//!
 //! A neighbor of its own announces filler destinations — a handful before
 //! anything else is interned, a burst halfway through — and then goes, so
 //! the interner compacts, every tracked destination's index moves and
 //! every column is remapped under the checks.
 
+use disco_core::path_vector::{PathVectorNode, TableLimit};
 use disco_core::rib::{Candidate, RibStore};
-use disco_graph::{InternedPath, NodeId, Weight};
+use disco_graph::{generators, InternedPath, NodeId, Weight};
+use disco_sim::{Engine, TopologyEvent};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -413,4 +421,80 @@ proptest! {
         let refreshes = run_model(seed, false);
         prop_assert_eq!(refreshes, 0, "full mode must never re-solicit");
     }
+}
+
+/// Invariant (7): sample every node's served rows through a boot and a
+/// run of link flaps — even nodes at short intervals, odd ones at long
+/// ones; between consecutive samples the journal either names every destination whose row changed — one entry
+/// per revision in between — or reports that it does not reach back.
+#[test]
+fn journal_names_every_row_that_moved() {
+    type Rows = BTreeMap<NodeId, (NodeId, u16)>;
+    let n = 48;
+    let graph = generators::gnm_average_degree(n, 5.0, 9);
+    let mut engine = Engine::new(&graph, |v| {
+        PathVectorNode::new(v, v.0 % 8 == 0, TableLimit::VicinityCap { size: 12 })
+    });
+    engine.start();
+    let mut rng = 9u64;
+    for k in 0..12 {
+        let u = NodeId((splitmix(&mut rng) % n as u64) as usize);
+        let Some(nb) = graph.neighbors(u).first() else {
+            continue;
+        };
+        let (v, weight, t) = (nb.node, nb.weight, 40.0 + 7.0 * k as f64);
+        engine.schedule_topology(t, TopologyEvent::LinkDown { u, v });
+        engine.schedule_topology(t + 3.0, TopologyEvent::LinkUp { u, v, weight });
+    }
+
+    let sample = |node: &PathVectorNode| {
+        let mut rows = Rows::new();
+        node.for_each_route_by_id(|d, hop, hops| {
+            rows.insert(d, (hop, hops));
+        });
+        (node.selection_revision(), rows)
+    };
+    let mut last: Vec<(u64, Rows)> = engine.nodes().iter().map(sample).collect();
+    let (mut reached, mut lost) = (0, 0);
+    for step in 1..=600 {
+        engine.run_to(0.25 * step as f64);
+        for (node, (rev, rows)) in engine.nodes().iter().zip(&mut last) {
+            if node.id().0 % 2 == 1 && step % 120 != 0 {
+                continue;
+            }
+            let (now_rev, now_rows) = sample(node);
+            let moved: BTreeSet<NodeId> = rows
+                .keys()
+                .chain(now_rows.keys())
+                .filter(|d| rows.get(d) != now_rows.get(d))
+                .copied()
+                .collect();
+            match node.writes_since(*rev) {
+                Some(written) => {
+                    let written: Vec<NodeId> = written.collect();
+                    assert_eq!(written.len() as u64, now_rev - *rev);
+                    let named: BTreeSet<NodeId> = written.into_iter().collect();
+                    assert!(moved.is_subset(&named), "{moved:?} moved, {named:?} named");
+                    reached += 1;
+                }
+                None => {
+                    assert!(
+                        now_rev - *rev > 64,
+                        "{} writes are within reach",
+                        now_rev - *rev
+                    );
+                    lost += 1;
+                }
+            }
+            (*rev, *rows) = (now_rev, now_rows);
+        }
+    }
+    assert!(
+        reached > 0 && lost > 0,
+        "{reached} in reach, {lost} out of it"
+    );
+    assert!(
+        engine.nodes()[0].writes_since(0).is_none(),
+        "a stamp this node never had"
+    );
 }

@@ -211,7 +211,7 @@ mod tests {
         let mut t = ForwardingTable::new(NodeId(node));
         t.begin(NodeId(node), 1, rows.len());
         for &(dest, hop) in rows {
-            t.push_route(NodeId(dest), NodeId(hop), 1);
+            t.set_route(NodeId(dest), Some((NodeId(hop), 1)));
         }
         t
     }
