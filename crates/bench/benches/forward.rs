@@ -92,12 +92,7 @@ fn forward(c: &mut Criterion) {
     let flows = sample_flows(&live, 1 << 16, seed, 0);
     let addrs: Vec<Option<FlowAddress>> = nodes
         .iter()
-        .map(|node| {
-            node.my_address().map(|a| FlowAddress {
-                landmark: a.landmark,
-                path: a.path.to_vec(),
-            })
-        })
+        .map(|node| node.my_address().map(|a| a.detach()))
         .collect();
     let walker = PacketWalker {
         graph: engine.graph(),

@@ -17,7 +17,7 @@
 //!
 //! The walk loop itself reads no clock ([`PacketWalker::walk`] only tells
 //! its callback which table was probed). Latency is taken here, per
-//! **slice of [`SLICE_WALKS`] walks**: one clock pair around the slice,
+//! **slice of `SLICE_WALKS` walks**: one clock pair around the slice,
 //! and the slice's mean ns per probe is one reading in the phase's
 //! [`Log2Histogram`] (`p50_ns` / `p90_ns`) and in the recorder's
 //! `lookup` class. A probe is 17–140 ns and a clock read ≈ 60 ns here, so
@@ -345,10 +345,7 @@ fn addresses<R: Recorder + Send + 'static>(
 ) -> Vec<Option<FlowAddress>> {
     let asks = flows.iter().map(|&(_, t)| (t, ())).collect();
     plane.gather(asks, |e, t, ()| {
-        e.nodes()[t.0].my_address().map(|a| FlowAddress {
-            landmark: a.landmark,
-            path: a.path.to_vec(),
-        })
+        e.nodes()[t.0].my_address().map(|a| a.detach())
     })
 }
 
@@ -562,9 +559,7 @@ fn run_with<R: MergeRecorder + Send + 'static>(
         move |v| DiscoProtocol::new(v, lm_set.contains(&v), n, &dcfg, PhaseTimers::default()),
         recorders,
     );
-    schedule
-        .apply_to(&mut plane)
-        .expect("churn re-adds only links of the original graph");
+    schedule.apply_to(&mut plane);
 
     // Boot, churn, drain: checkpoints at fixed times, then one last batch
     // after quiescence.

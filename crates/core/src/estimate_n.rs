@@ -2,7 +2,7 @@
 //!
 //! Several of Disco's parameters — the landmark probability, the vicinity
 //! size, the sloppy-group prefix length — are functions of `n`. The paper
-//! proposes estimating `n` with *synopsis diffusion* [36]: each node draws a
+//! proposes estimating `n` with *synopsis diffusion* \[36\]: each node draws a
 //! small Flajolet–Martin-style synopsis and nodes gossip the bitwise OR of
 //! the synopses they have seen; the union's lowest unset bit estimates the
 //! count. The estimate is robust (order-and-duplicate-insensitive) and

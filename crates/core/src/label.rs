@@ -3,7 +3,7 @@
 //! A node's address carries "the necessary information to forward along
 //! `ℓ_v ; v`": an explicit route given as a list of per-hop labels, one for
 //! each hop along the path. Following the pathlet-routing format the paper
-//! cites ([19]), the hop taken at a node of degree `d` is encoded in
+//! cites (\[19\]), the hop taken at a node of degree `d` is encoded in
 //! `⌈log2 d⌉` bits — the index of the outgoing interface (the position of
 //! the next hop in the forwarding node's sorted adjacency list).
 //!

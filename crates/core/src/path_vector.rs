@@ -1559,7 +1559,7 @@ mod tests {
         assert_eq!(node.own_landmark_distance(), 3.0);
         // Arm and fire the export by hand (nothing else delivers a timer to
         // a node mutated out of band) and put its flood on the wire.
-        let mut ctx = Context::new(lm, now, &g, 64);
+        let mut ctx = Context::new(lm, now, &g);
         node.export_pending(&mut ctx);
         node.on_timer(BATCH_TIMER, &mut ctx);
         let mut flooded = 0;
@@ -1808,7 +1808,7 @@ mod tests {
         let g = b.build();
         let mut pv = PathVectorNode::new(NodeId(0), false, TableLimit::Unlimited);
         let mut ctx: disco_sim::Context<'_, Announcement> =
-            disco_sim::Context::new(NodeId(0), 0.0, &g, 64);
+            disco_sim::Context::new(NodeId(0), 0.0, &g);
         pv.on_start(&mut ctx);
         let d = NodeId(3);
         let ann = |via: usize, lm_dist: f64| Announcement {

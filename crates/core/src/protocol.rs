@@ -53,39 +53,39 @@ const TIMER_LOOKUP: u64 = 2;
 const TIMER_DISSEMINATE: u64 = 3;
 const TIMER_REPAIR: u64 = 4;
 
-/// When (in simulation time units) each phase starts. Defaults are far
-/// beyond path-vector convergence on the evaluation topologies (unweighted
-/// G(n,m) graphs of the sizes used have diameter ≤ ~6).
-#[derive(Debug, Clone, Copy)]
-pub struct PhaseTimers {
-    /// Start of the resolution-database insert.
-    pub insert_at: f64,
-    /// Start of the overlay successor/predecessor/finger lookups.
-    pub lookup_at: f64,
-    /// Start of address dissemination.
-    pub disseminate_at: f64,
-    /// Debounce delay between observing a neighbor change and re-running
-    /// the insert / lookup / dissemination phases to repair higher-layer
-    /// state. Long enough for the path-vector layer to re-converge first
-    /// on the evaluation topologies.
-    pub repair_delay: f64,
-}
+// Phase start times, in simulation time units: far beyond path-vector
+// convergence on the evaluation topologies (unweighted G(n,m) graphs of
+// the sizes used have diameter ≤ ~6).
+/// Start of the resolution-database insert.
+const INSERT_AT: f64 = 50.0;
+/// Start of the overlay successor/predecessor/finger lookups.
+const LOOKUP_AT: f64 = 80.0;
+/// Start of address dissemination.
+const DISSEMINATE_AT: f64 = 110.0;
+/// Debounce delay between observing a neighbor change and re-running the
+/// insert / lookup / dissemination phases to repair higher-layer state.
+/// Long enough for the path-vector layer to re-converge first on the
+/// evaluation topologies.
+const REPAIR_DELAY: f64 = 60.0;
 
-impl Default for PhaseTimers {
-    fn default() -> Self {
-        PhaseTimers {
-            insert_at: 50.0,
-            lookup_at: 80.0,
-            disseminate_at: 110.0,
-            repair_delay: 60.0,
-        }
-    }
-}
+/// Carries nothing: the phase timers are the constants above. The type
+/// remains only as the last argument of [`DiscoProtocol::new`], because the
+/// standalone `benchmark/` harness constructs it with
+/// `PhaseTimers::default()` and keeps its source fixed so that runs of
+/// different commits stay comparable.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PhaseTimers {}
 
 /// A node's address as carried in protocol messages: the landmark plus the
 /// node path `landmark ; node` (the compact label form is an encoding
 /// detail; the simulator carries the node list and accounts bytes
 /// accordingly).
+///
+/// The path is interned in the thread-local path arena, so copying an
+/// address is a reference-count bump but the type is `!Send`: it cannot
+/// leave the thread (the shard) that built it. [`FlowAddress`] is the same
+/// address detached into an owned `Vec`, for crossing shards and for the
+/// data plane; [`WireAddress::detach`] and [`FlowAddress::attach`] convert.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireAddress {
     /// The owning node.
@@ -96,6 +96,40 @@ pub struct WireAddress {
     /// address into a resolution store or a group announcement is a
     /// reference-count bump).
     pub path: InternedPath,
+}
+
+impl WireAddress {
+    /// This address with its path detached from the arena.
+    pub fn detach(&self) -> FlowAddress {
+        FlowAddress {
+            landmark: self.landmark,
+            path: self.path.to_vec(),
+        }
+    }
+}
+
+/// A node's address detached from the path arena: its closest landmark
+/// and the label path `landmark → … → node`. Plain owned data, so it
+/// crosses shards and is what the data plane's packet walks read.
+#[derive(Debug, Clone)]
+pub struct FlowAddress {
+    /// The node's addressing landmark.
+    pub landmark: NodeId,
+    /// Node path from the landmark to the node (landmark first, the node
+    /// last).
+    pub path: Vec<NodeId>,
+}
+
+impl FlowAddress {
+    /// Re-intern the path in this thread's arena. The node is the path's
+    /// last hop.
+    pub fn attach(&self) -> WireAddress {
+        WireAddress {
+            node: *self.path.last().expect("an address path ends at its node"),
+            landmark: self.landmark,
+            path: InternedPath::from_slice(&self.path),
+        }
+    }
 }
 
 /// What an overlay lookup is asking for.
@@ -166,7 +200,6 @@ pub struct DiscoProtocol {
     /// The embedded path-vector machinery (landmarks + vicinity).
     pub pv: PathVectorNode,
     cfg: DiscoConfig,
-    timers: PhaseTimers,
     name: FlatName,
     hasher: NameHasher,
     my_hash: NameHash,
@@ -242,13 +275,14 @@ pub struct DiscoProtocol {
 impl DiscoProtocol {
     /// Create the protocol instance for `id`. `is_landmark` is the node's
     /// locally drawn landmark status and `n_estimate` its estimate of the
-    /// network size.
+    /// network size. The last argument carries nothing (see
+    /// [`PhaseTimers`]).
     pub fn new(
         id: NodeId,
         is_landmark: bool,
         n_estimate: usize,
         cfg: &DiscoConfig,
-        timers: PhaseTimers,
+        _timers: PhaseTimers,
     ) -> Self {
         let name = FlatName::synthetic(id.0);
         let hasher = NameHasher::new(cfg.seed ^ 0x510f);
@@ -272,7 +306,6 @@ impl DiscoProtocol {
             epoch_started: 0.0,
             lm_status,
             cfg: cfg.clone(),
-            timers,
             name,
             hasher,
             my_hash,
@@ -786,7 +819,7 @@ impl DiscoProtocol {
     ) {
         let buffer = std::mem::take(&mut self.pv_scratch);
         let mut inner: Context<'_, Announcement> =
-            Context::with_buffer(ctx.node_id(), ctx.now(), ctx.graph(), 64, buffer);
+            Context::with_buffer(ctx.node_id(), ctx.now(), ctx.graph(), buffer);
         inner.set_via(ctx.via());
         upcall(&mut self.pv, &mut inner);
         let mut actions = inner.into_buffer();
@@ -824,7 +857,7 @@ impl DiscoProtocol {
     fn schedule_repair(&mut self, ctx: &mut Context<'_, DiscoMsg>) {
         if !self.repair_pending {
             self.repair_pending = true;
-            ctx.set_timer(self.timers.repair_delay, TIMER_REPAIR);
+            ctx.set_timer(REPAIR_DELAY, TIMER_REPAIR);
         }
     }
 
@@ -859,7 +892,7 @@ impl DiscoProtocol {
                 .is_some_and(|seen| self.synopsis.epoch() == seen);
             // Only judge an epoch once it has had a repair-delay to flood
             // (see `epoch_started`); a mid-flood union always looks small.
-            let epoch_settled = ctx.now() - self.epoch_started >= self.timers.repair_delay;
+            let epoch_settled = ctx.now() - self.epoch_started >= REPAIR_DELAY;
             let floor_binding = self.estimate_floor > 2 && raw < self.estimate_floor;
             if departure_reset || (floor_binding && epoch_settled) {
                 self.estimate_floor = (self.n_estimate / 2).max(2);
@@ -952,9 +985,9 @@ impl Protocol for DiscoProtocol {
         if self.cfg.dynamic_n_estimation {
             self.gossip_flood(ctx);
         }
-        ctx.set_timer(self.timers.insert_at, TIMER_INSERT);
-        ctx.set_timer(self.timers.lookup_at, TIMER_LOOKUP);
-        ctx.set_timer(self.timers.disseminate_at, TIMER_DISSEMINATE);
+        ctx.set_timer(INSERT_AT, TIMER_INSERT);
+        ctx.set_timer(LOOKUP_AT, TIMER_LOOKUP);
+        ctx.set_timer(DISSEMINATE_AT, TIMER_DISSEMINATE);
     }
 
     fn on_message(&mut self, from: NodeId, msg: DiscoMsg, ctx: &mut Context<'_, DiscoMsg>) {
@@ -1386,7 +1419,9 @@ mod tests {
     /// elect among itself, and have every one of its nodes learn whoever
     /// was elected — flagged by the elected node's own announcement — and
     /// re-derive an address under it. (Seed 3 elects one node, seed 0
-    /// three at once.)
+    /// three at once.) Restore the bridge and the two sides must merge:
+    /// one landmark set, one owner per name, and every name's current
+    /// address at its owner.
     #[test]
     fn partitioned_island_elects_a_landmark_and_readdresses() {
         use disco_graph::GraphBuilder;
@@ -1444,6 +1479,39 @@ mod tests {
             // The landmark's own side keeps it and learns nobody new.
             for node in mainland {
                 assert_eq!(landmarks(node), vec![NodeId(0)]);
+            }
+
+            // Heal the bridge: both sides learn every landmark, agree on
+            // which one owns each name, and that owner stores the name's
+            // current address.
+            engine.schedule_topology(
+                engine.now() + 5.0,
+                TopologyEvent::LinkUp {
+                    u: NodeId(k - 1),
+                    v: NodeId(k),
+                    weight: 1.0,
+                },
+            );
+            assert!(engine.run_until(|_| false), "the heal must quiesce");
+            let mut all = elected;
+            all.insert(0, NodeId(0));
+            let nodes = engine.nodes();
+            for node in nodes {
+                assert_eq!(landmarks(node), all, "{}'s landmark set", node.pv.id());
+            }
+            for target in nodes {
+                let v = target.pv.id();
+                let hash = target.my_hash();
+                let owner = nodes[0].owner_landmark(hash).expect("an owner");
+                for node in nodes {
+                    assert_eq!(node.owner_landmark(hash), Some(owner), "owner of {v}");
+                }
+                let addr = target.my_address().expect("an address");
+                assert_eq!(
+                    nodes[owner.0].resolution_store.get(&hash),
+                    Some(&addr),
+                    "{owner} stores {v}'s current address"
+                );
             }
         }
     }

@@ -733,7 +733,7 @@ impl RibStore {
     /// preference (best first). Used by the eviction policy and tests.
     ///
     /// The sort key is `(total_cmp(dist), path order)` — a genuine total
-    /// order, unlike [`preferred_parts`], whose `1e-12` tolerance band is
+    /// order, unlike `preferred_parts`, whose `1e-12` tolerance band is
     /// not transitive and would hand `sort_unstable_by` a comparison
     /// cycle on float-accumulated near-ties (a panic since Rust 1.81).
     /// The two orders agree everywhere outside that band — in particular

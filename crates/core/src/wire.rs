@@ -20,7 +20,7 @@
 use crate::estimate_n::{GossipEstimator, GossipMsg};
 use crate::hash::NameHash;
 use crate::path_vector::{Announcement, PathVectorNode};
-use crate::protocol::{DiscoMsg, DiscoProtocol, LookupKind, Payload, WireAddress};
+use crate::protocol::{DiscoMsg, DiscoProtocol, FlowAddress, LookupKind, Payload};
 use disco_graph::{InternedPath, NodeId, Weight};
 use disco_sim::ShardProtocol;
 
@@ -62,39 +62,13 @@ impl WireAnnouncement {
     }
 }
 
-/// [`WireAddress`] with its landmark-to-node path detached.
-#[derive(Debug, Clone)]
-pub struct DetachedAddress {
-    node: NodeId,
-    landmark: NodeId,
-    path: Vec<NodeId>,
-}
-
-impl DetachedAddress {
-    fn detach(addr: WireAddress) -> Self {
-        DetachedAddress {
-            node: addr.node,
-            landmark: addr.landmark,
-            path: addr.path.to_vec(),
-        }
-    }
-
-    fn attach(self) -> WireAddress {
-        WireAddress {
-            node: self.node,
-            landmark: self.landmark,
-            path: InternedPath::from_slice(&self.path),
-        }
-    }
-}
-
 /// [`Payload`] with every embedded path detached.
 #[derive(Debug, Clone)]
 pub enum WirePayload {
     /// Detached [`Payload::ResolutionInsert`].
     ResolutionInsert {
         hash: NameHash,
-        address: DetachedAddress,
+        address: FlowAddress,
     },
     /// Detached [`Payload::OverlayLookup`].
     OverlayLookup {
@@ -108,12 +82,12 @@ pub enum WirePayload {
     OverlayReply {
         slot: usize,
         hash: NameHash,
-        address: DetachedAddress,
+        address: FlowAddress,
     },
     /// Detached [`Payload::GroupAnnouncement`].
     GroupAnnouncement {
         origin_hash: NameHash,
-        address: DetachedAddress,
+        address: FlowAddress,
         up: Option<bool>,
     },
 }
@@ -123,7 +97,7 @@ impl WirePayload {
         match p {
             Payload::ResolutionInsert { hash, address } => WirePayload::ResolutionInsert {
                 hash,
-                address: DetachedAddress::detach(address),
+                address: address.detach(),
             },
             Payload::OverlayLookup {
                 target,
@@ -145,7 +119,7 @@ impl WirePayload {
             } => WirePayload::OverlayReply {
                 slot,
                 hash,
-                address: DetachedAddress::detach(address),
+                address: address.detach(),
             },
             Payload::GroupAnnouncement {
                 origin_hash,
@@ -153,7 +127,7 @@ impl WirePayload {
                 up,
             } => WirePayload::GroupAnnouncement {
                 origin_hash,
-                address: DetachedAddress::detach(address),
+                address: address.detach(),
                 up,
             },
         }
@@ -268,6 +242,7 @@ impl ShardProtocol for GossipEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::WireAddress;
 
     fn ids(raw: &[usize]) -> Vec<NodeId> {
         raw.iter().copied().map(NodeId).collect()

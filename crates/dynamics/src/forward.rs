@@ -28,17 +28,8 @@
 //! coordinator and walk there.
 
 use disco_core::forward::ForwardingTable;
+pub use disco_core::protocol::FlowAddress;
 use disco_graph::{Graph, NodeId};
-
-/// A destination's address detached from the path arena: its closest
-/// landmark and the label path `landmark → … → destination`.
-#[derive(Debug, Clone)]
-pub struct FlowAddress {
-    /// The destination's addressing landmark.
-    pub landmark: NodeId,
-    /// Node path from the landmark to the destination (landmark first).
-    pub path: Vec<NodeId>,
-}
 
 /// How one packet walk ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

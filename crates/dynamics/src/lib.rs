@@ -36,7 +36,7 @@
 //!     PathVectorNode::new(v, v == NodeId(0), TableLimit::Unlimited)
 //! });
 //! assert!(engine.run().converged);           // initial convergence
-//! schedule.apply_to(&mut engine).unwrap();   // inject the churn
+//! schedule.apply_to(&mut engine);            // inject the churn
 //! assert!(engine.run_until(|_| false));      // repair to quiescence
 //! let pairs = probe::sample_live_pairs(&engine, 64, 7);
 //! let report = probe::probe(&mut engine, &pairs, probe::path_vector_route);

@@ -10,8 +10,8 @@
 
 use disco_core::hash::NameHash;
 use disco_core::path_vector::PathVectorNode;
-use disco_core::protocol::{DiscoProtocol, WireAddress};
-use disco_graph::{dijkstra, Graph, InternedPath, NodeId};
+use disco_core::protocol::DiscoProtocol;
+use disco_graph::{dijkstra, Graph, NodeId};
 use disco_sim::rng::rng_for;
 use disco_sim::{Recorder, ShardProtocol, ShardedEngine, SimTime};
 use rand::Rng;
@@ -237,8 +237,8 @@ where
     let (mut candidates, lookups): (Vec<_>, Vec<_>) = phase1.into_iter().unzip();
 
     // Phase 2: resolution-store reads on the owning landmarks. Addresses
-    // come back as (pair index, landmark, label path) with the path
-    // detached (interned paths are pinned to their shard's arena).
+    // come back detached (interned paths are pinned to their shard's
+    // arena).
     let asks = lookups
         .iter()
         .enumerate()
@@ -249,7 +249,7 @@ where
             .resolution_store
             .get(&hash)
             .filter(|addr| addr.node == t)
-            .map(|addr| (i, addr.landmark, addr.path.to_vec()))
+            .map(|addr| (i, addr.detach()))
     });
 
     // Phase 3: back on the sources, build the resolution route from the
@@ -257,14 +257,10 @@ where
     let asks = resolved
         .into_iter()
         .flatten()
-        .map(|(i, landmark, path)| (pairs[i].0, (i, pairs[i].1, landmark, path)))
+        .map(|(i, addr)| (pairs[i].0, (i, pairs[i].1, addr)))
         .collect();
-    let routes = engine.gather(asks, |e, s, (i, t, landmark, path)| {
-        let addr = WireAddress {
-            node: t,
-            landmark,
-            path: InternedPath::from_slice(&path),
-        };
+    let routes = engine.gather(asks, |e, s, (i, t, addr)| {
+        let addr = addr.attach();
         (
             i,
             e.nodes()[s.0].route_to(t, Some(&addr)).map(|p| p.to_vec()),
@@ -312,18 +308,14 @@ mod tests {
         let mut engine = pv_engine(48, 192, 5, 1);
         let t0 = engine.now() + 1.0;
         let peer = engine.graph().neighbors(NodeId(1))[0].node;
-        engine
-            .schedule_topology(t0, TopologyEvent::NodeLeave { node: NodeId(7) })
-            .unwrap();
-        engine
-            .schedule_topology(
-                t0 + 1.0,
-                TopologyEvent::LinkDown {
-                    u: NodeId(1),
-                    v: peer,
-                },
-            )
-            .unwrap();
+        engine.schedule_topology(t0, TopologyEvent::NodeLeave { node: NodeId(7) });
+        engine.schedule_topology(
+            t0 + 1.0,
+            TopologyEvent::LinkDown {
+                u: NodeId(1),
+                v: peer,
+            },
+        );
         assert!(engine.run_until(|_| false), "repair did not quiesce");
         let pairs = sample_live_pairs(&engine, 64, 5);
         let report = probe(&mut engine, &pairs, path_vector_route);
@@ -354,9 +346,7 @@ mod tests {
         let before = probe(&mut engine, &[(u, v)], path_vector_route);
         assert_eq!(before.delivered, 1);
         let t0 = engine.now() + 1.0;
-        engine
-            .schedule_topology(t0, TopologyEvent::LinkDown { u, v })
-            .unwrap();
+        engine.schedule_topology(t0, TopologyEvent::LinkDown { u, v });
         // Advance exactly past the event; the repair traffic it triggers is
         // still in flight, so u's direct route to v is stale.
         engine.run_to(t0 + 1e-6);

@@ -1,8 +1,6 @@
 //! Deterministic topology-event schedules.
 
-use disco_sim::{
-    LookaheadViolation, Recorder, ShardProtocol, ShardedEngine, SimTime, TopologyEvent,
-};
+use disco_sim::{Recorder, ShardProtocol, ShardedEngine, SimTime, TopologyEvent};
 
 /// A time-ordered stream of topology events, ready to be injected into a
 /// [`ShardedEngine`]. Events at equal timestamps keep their insertion order
@@ -93,19 +91,18 @@ impl Schedule {
     /// Schedule every event into `engine`, offset so the first event fires
     /// no earlier than the engine's current time. Events are injected in
     /// schedule order, so every shard count replays them under the same
-    /// logical event keys. Fails on the first event that would introduce a
-    /// link faster than the conservative lookahead window (the same check
-    /// applies at every shard count, including 1).
-    pub fn apply_to<P, R>(&self, engine: &mut ShardedEngine<P, R>) -> Result<(), LookaheadViolation>
+    /// logical event keys. Links of any positive weight are accepted: one
+    /// lighter than the engine's lookahead window lowers the window (see
+    /// [`ShardedEngine::schedule_topology`]).
+    pub fn apply_to<P, R>(&self, engine: &mut ShardedEngine<P, R>)
     where
         P: ShardProtocol + 'static,
         R: Recorder + Send + 'static,
     {
         let now = engine.now();
         for (t, ev) in &self.events {
-            engine.schedule_topology(now + t, ev.clone())?;
+            engine.schedule_topology(now + t, ev.clone());
         }
-        Ok(())
     }
 }
 

@@ -17,7 +17,7 @@
 //! vicinities stay bounded (see DESIGN.md §3).
 //!
 //! In addition, several deterministic pathological topologies used by tests
-//! and the theory-oriented benchmarks are provided: [`ring`], [`line`],
+//! and the theory-oriented benchmarks are provided: [`ring`], [`line()`],
 //! [`star`], [`grid`], [`complete`], and [`s4_adversarial_tree`] — the
 //! two-level tree from the paper's footnote 6 on which S4 provably needs
 //! `Θ(n)` state at the root.

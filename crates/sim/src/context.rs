@@ -4,6 +4,11 @@
 use crate::event::SimTime;
 use disco_graph::{Graph, Neighbor, NodeId, Weight};
 
+/// Byte size accounted for a message sent without one
+/// ([`Context::send`], [`Context::broadcast`]); protocols that care about
+/// byte accounting use [`Context::send_sized`].
+pub(crate) const DEFAULT_MSG_SIZE: usize = 64;
+
 /// An outgoing action recorded by a [`Context`] during one upcall; the
 /// engine turns these into events after the upcall returns.
 ///
@@ -77,9 +82,6 @@ pub struct Context<'a, M> {
     now: SimTime,
     graph: &'a Graph,
     pub(crate) actions: Vec<Action<M>>,
-    /// Default per-message size used by [`Context::send`]; protocols that
-    /// care about byte accounting use [`Context::send_sized`].
-    pub(crate) default_msg_size: usize,
     /// For `on_message` upcalls: the link the message arrived over,
     /// already resolved by the engine (it validated liveness at pop time).
     /// Lets `link_weight(sender)` and replies skip the adjacency scan.
@@ -90,8 +92,8 @@ impl<'a, M> Context<'a, M> {
     /// Create a context for `node` at time `now` over `graph`. Mostly used
     /// by the engine, but public so protocols can run embedded
     /// sub-protocols (see [`Action`]).
-    pub fn new(node: NodeId, now: SimTime, graph: &'a Graph, default_msg_size: usize) -> Self {
-        Context::with_buffer(node, now, graph, default_msg_size, Vec::new())
+    pub fn new(node: NodeId, now: SimTime, graph: &'a Graph) -> Self {
+        Context::with_buffer(node, now, graph, Vec::new())
     }
 
     /// Like [`Context::new`], but recording actions into a caller-supplied
@@ -104,7 +106,6 @@ impl<'a, M> Context<'a, M> {
         node: NodeId,
         now: SimTime,
         graph: &'a Graph,
-        default_msg_size: usize,
         buffer: Vec<Action<M>>,
     ) -> Self {
         debug_assert!(buffer.is_empty(), "scratch buffer must start drained");
@@ -113,7 +114,6 @@ impl<'a, M> Context<'a, M> {
             now,
             graph,
             actions: buffer,
-            default_msg_size,
             via: None,
         }
     }
@@ -220,7 +220,7 @@ impl<'a, M> Context<'a, M> {
     /// Send `msg` to the direct neighbor `to`, with the default message
     /// size. Panics if `to` is not a neighbor.
     pub fn send(&mut self, to: NodeId, msg: M) {
-        let size = self.default_msg_size;
+        let size = DEFAULT_MSG_SIZE;
         self.send_sized(to, msg, size);
     }
 
@@ -290,7 +290,7 @@ impl<'a, M> Context<'a, M> {
     where
         M: Clone,
     {
-        let size = self.default_msg_size;
+        let size = DEFAULT_MSG_SIZE;
         self.flood_sized(msg, size);
     }
 
@@ -310,7 +310,7 @@ mod tests {
     #[test]
     fn context_exposes_neighborhood() {
         let g = generators::ring(5);
-        let ctx: Context<'_, ()> = Context::new(NodeId(0), 1.5, &g, 64);
+        let ctx: Context<'_, ()> = Context::new(NodeId(0), 1.5, &g);
         assert_eq!(ctx.node_id(), NodeId(0));
         assert_eq!(ctx.now(), 1.5);
         assert_eq!(ctx.degree(), 2);
@@ -325,7 +325,7 @@ mod tests {
     #[test]
     fn neighbor_resolves_adjacency_entries() {
         let g = generators::ring(5);
-        let ctx: Context<'_, ()> = Context::new(NodeId(0), 0.0, &g, 64);
+        let ctx: Context<'_, ()> = Context::new(NodeId(0), 0.0, &g);
         let nb = ctx.neighbor(NodeId(1)).expect("direct neighbor");
         assert_eq!(nb.node, NodeId(1));
         assert_eq!(nb.weight, 1.0);
@@ -337,14 +337,14 @@ mod tests {
     #[should_panic]
     fn send_to_non_neighbor_panics() {
         let g = generators::ring(5);
-        let mut ctx: Context<'_, u8> = Context::new(NodeId(0), 0.0, &g, 64);
+        let mut ctx: Context<'_, u8> = Context::new(NodeId(0), 0.0, &g);
         ctx.send(NodeId(2), 7);
     }
 
     #[test]
     fn sends_are_edge_resolved_at_record_time() {
         let g = generators::star(4);
-        let mut ctx: Context<'_, u8> = Context::new(NodeId(0), 0.0, &g, 64);
+        let mut ctx: Context<'_, u8> = Context::new(NodeId(0), 0.0, &g);
         ctx.send(NodeId(2), 9);
         match &ctx.actions[0] {
             Action::Send { to, msg, .. } => {
@@ -359,7 +359,7 @@ mod tests {
     #[test]
     fn broadcast_records_one_flood_action() {
         let g = generators::star(6);
-        let mut ctx: Context<'_, u8> = Context::new(NodeId(0), 0.0, &g, 64);
+        let mut ctx: Context<'_, u8> = Context::new(NodeId(0), 0.0, &g);
         ctx.broadcast(9);
         assert_eq!(ctx.actions.len(), 1);
         assert!(matches!(
@@ -374,7 +374,7 @@ mod tests {
     #[test]
     fn send_batch_keeps_order_and_drops_empty() {
         let g = generators::star(3);
-        let mut ctx: Context<'_, u8> = Context::new(NodeId(0), 0.0, &g, 64);
+        let mut ctx: Context<'_, u8> = Context::new(NodeId(0), 0.0, &g);
         ctx.send_batch(NodeId(1), Vec::new());
         assert!(ctx.actions.is_empty(), "empty batch must record nothing");
         ctx.send_batch(NodeId(1), vec![(1, 10), (2, 20), (3, 30)]);
@@ -392,7 +392,7 @@ mod tests {
         let g = generators::star(3);
         let mut buf: Vec<Action<u8>> = Vec::with_capacity(16);
         let cap = buf.capacity();
-        let mut ctx = Context::with_buffer(NodeId(0), 0.0, &g, 64, std::mem::take(&mut buf));
+        let mut ctx = Context::with_buffer(NodeId(0), 0.0, &g, std::mem::take(&mut buf));
         ctx.send(NodeId(1), 5);
         let mut back = ctx.into_buffer();
         assert_eq!(back.len(), 1);

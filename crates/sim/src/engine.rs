@@ -6,7 +6,7 @@
 //! mobility re-attachment. Protocols observe adjacency changes through the
 //! [`Protocol::on_neighbor_up`] / [`Protocol::on_neighbor_down`] upcalls.
 
-use crate::context::{Action, Context};
+use crate::context::{Action, Context, DEFAULT_MSG_SIZE};
 use crate::event::{EventKind, EventQueue, SimTime, TimerWheel, TopologyEvent};
 use crate::sharded::{
     Outbound, OutboundKind, ShardBinding, ShardProtocol, WireBody, WireBuckets, WireEvent,
@@ -15,6 +15,14 @@ use crate::stats::MessageStats;
 use crate::Protocol;
 use disco_graph::{EdgeId, Graph, NodeId, Weight};
 use disco_telemetry::{MessageClass, NoopRecorder, Recorder};
+
+/// Default event valve of a run (the sequential engine's
+/// [`Engine::max_events`], and the sharded engine's summed over shards).
+pub(crate) const MAX_EVENTS: u64 = 200_000_000;
+
+/// Fixed per-hop processing delay added to every message in addition to
+/// the link weight; keeps zero-weight pathologies out of the queue.
+const PROCESSING_DELAY: SimTime = 0.01;
 
 /// Logical event key of the `ctr`-th action taken by `node`: orders events
 /// with equal timestamps by `(source node, per-source action counter)`
@@ -31,7 +39,7 @@ pub(crate) fn node_event_key(node: NodeId, ctr: u32) -> u64 {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Whether the simulation reached quiescence (no events left) before
-    /// hitting the event or time limit.
+    /// hitting the event limit.
     pub converged: bool,
     /// Simulation time of the last processed event.
     pub end_time: SimTime,
@@ -126,13 +134,6 @@ pub struct Engine<
     stale_timer_pops: u64,
     /// Safety valve: stop after this many events (default 200 million).
     pub max_events: u64,
-    /// Safety valve: stop once simulation time exceeds this (default ∞).
-    pub max_time: SimTime,
-    /// Default byte size accounted for messages sent via `Context::send`.
-    pub default_msg_size: usize,
-    /// Fixed per-hop processing delay added to every message in addition to
-    /// the link weight; keeps zero-weight pathologies out of the queue.
-    pub processing_delay: SimTime,
     /// Telemetry recorder (a zero-sized no-op by default).
     recorder: R,
 }
@@ -192,10 +193,7 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
             messages_dropped: 0,
             messages_delivered: 0,
             stale_timer_pops: 0,
-            max_events: 200_000_000,
-            max_time: f64::INFINITY,
-            default_msg_size: 64,
-            processing_delay: 0.01,
+            max_events: MAX_EVENTS,
             recorder,
         }
     }
@@ -406,7 +404,7 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
                             size_bytes as u64,
                         );
                     }
-                    let time = self.now + to.weight + self.processing_delay;
+                    let time = self.now + to.weight + PROCESSING_DELAY;
                     let key = self.node_key(node);
                     if self.owns(to.node) {
                         let _ = self.queue.push(
@@ -443,7 +441,7 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
                                 .message_sent(self.now, class, 1, *size_bytes as u64);
                         }
                     }
-                    let time = self.now + to.weight + self.processing_delay;
+                    let time = self.now + to.weight + PROCESSING_DELAY;
                     let key = self.node_key(node);
                     if self.owns(to.node) {
                         let _ = self.queue.push(
@@ -472,7 +470,7 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
                 Action::Flood { msg, size_bytes } => {
                     // Split borrows: walk the graph's adjacency while
                     // pushing to the queue and counting into the stats.
-                    let (now, delay) = (self.now, self.processing_delay);
+                    let now = self.now;
                     let key = self.node_key(node);
                     let Engine {
                         graph,
@@ -535,7 +533,7 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
                         .sum();
                     let mut msg = Some(msg);
                     for (w, local_t, remote_t) in groups {
-                        let time = now + w + delay;
+                        let time = now + w + PROCESSING_DELAY;
                         if !local_t.is_empty() {
                             left -= 1;
                             let m = match left {
@@ -629,7 +627,7 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
             0
         };
         let buffer = std::mem::take(&mut self.action_scratch);
-        let mut ctx = Context::with_buffer(v, self.now, &self.graph, self.default_msg_size, buffer);
+        let mut ctx = Context::with_buffer(v, self.now, &self.graph, buffer);
         ctx.set_via(via);
         upcall(&mut self.nodes[v.0], &mut ctx);
         let mut actions = ctx.into_buffer();
@@ -989,7 +987,7 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
             self.recorder
                 .event_done(ev_class, t0.elapsed().as_nanos() as u64);
         }
-        self.events_processed < self.max_events && self.now <= self.max_time
+        self.events_processed < self.max_events
     }
 
     /// Process events until quiescence, a safety limit, or `stop` returns
@@ -1023,7 +1021,7 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
                 to,
                 edge,
                 msg,
-                size_bytes: self.default_msg_size,
+                size_bytes: DEFAULT_MSG_SIZE,
             },
         );
     }

@@ -71,9 +71,7 @@ pub use context::Context;
 pub use engine::{Engine, RunReport};
 pub use event::{BinaryHeapQueue, EventQueue, SimTime, TimerWheel, TopologyEvent};
 pub use rng::seed_for;
-pub use sharded::{
-    LookaheadViolation, Partition, ShardEngine, ShardProtocol, ShardedEngine, ShardedRunSummary,
-};
+pub use sharded::{Partition, ShardEngine, ShardProtocol, ShardedEngine, ShardedRunSummary};
 pub use stats::MessageStats;
 
 // Re-exported so protocol crates and bench harnesses can implement

@@ -12,9 +12,11 @@
 //!
 //! ## The lookahead invariant
 //!
-//! Every message occupies its link for at least the link weight, and link
-//! weights never go below the *minimum weight of the initial graph* `W`
-//! ([`ShardedEngine::schedule_topology`] rejects lighter late links). So an
+//! Every message occupies its link for at least the link weight, and no
+//! link is lighter than the lookahead `W`: the lightest link of the
+//! initial graph or of any link scheduled since
+//! ([`ShardedEngine::schedule_topology`] lowers `W` to a lighter link when
+//! the link is scheduled, before the link exists in any window). So an
 //! event executing at time `s` can only cause another shard's state at
 //! `s + W` or later: `W` is a conservative lookahead. The coordinator
 //! repeatedly finds the globally earliest pending event `t_min`, lets every
@@ -43,8 +45,8 @@
 //!
 //! ## Why any shard count produces byte-identical runs
 //!
-//! Events order by `(time, key, seq)` where `key` is the logical key from
-//! [`crate::engine::node_event_key`] — `(source node, per-source counter)`
+//! Events order by `(time, key, seq)` where `key` is the logical key of
+//! the engine's `node_event_key` — `(source node, per-source counter)`
 //! for node actions, a centrally assigned world counter for scheduled
 //! topology. Two facts make the run independent of `k`:
 //!
@@ -54,8 +56,10 @@
 //!    arrival `seq` — the only push-order-dependent tiebreak — therefore
 //!    never decides between two cross-shard arrivals.
 //! 2. The window boundary `t_min + W` is derived from the global minimum
-//!    and the *initial* graph's minimum weight, both `k`-independent, so
-//!    every shard count executes the same event set in the same windows.
+//!    and `W`, the lightest link of the initial graph or of any link
+//!    scheduled since. Both are `k`-independent (`W` moves only in
+//!    schedule calls, which do not depend on `k`), so every shard count
+//!    executes the same event set in the same windows.
 //!
 //! The barrier fills each mailbox in source-shard order (then outbox push
 //! order), which is deterministic too — though by fact 1 the ingestion
@@ -65,7 +69,7 @@
 //! four shards byte-for-byte equal, and `tests/sharded_equivalence.rs`
 //! locks them equal to a bare [`Engine`].
 
-use crate::engine::{Engine, RunReport};
+use crate::engine::{Engine, RunReport, MAX_EVENTS};
 use crate::event::{SimTime, TimerWheel, TopologyEvent};
 use crate::rng::splitmix64;
 use crate::stats::MessageStats;
@@ -74,7 +78,6 @@ use disco_graph::{EdgeId, Graph, NodeId, PathArena, Weight};
 use disco_telemetry::{MergeRecorder, NoopRecorder, Recorder};
 use scoped_threadpool::plumbing::WorkerHandle;
 use std::collections::VecDeque;
-use std::fmt;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::Instant;
 
@@ -277,31 +280,6 @@ enum Reply<W, R> {
     Finished(Box<FinishReport<R>>),
 }
 
-/// Error returned by [`ShardedEngine::schedule_topology`] for a link
-/// lighter than the conservative-lookahead window.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LookaheadViolation {
-    /// The offending link weight.
-    pub weight: Weight,
-    /// The minimum link weight of the initial graph (= the lookahead).
-    pub lookahead: Weight,
-}
-
-impl fmt::Display for LookaheadViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "cannot add a link of weight {} to a sharded run: the conservative lookahead \
-             window is {} (the minimum link weight of the initial graph), and a lighter \
-             link could deliver a cross-shard message into an already-executed window; \
-             start from a graph whose minimum weight covers every link you will add",
-            self.weight, self.lookahead
-        )
-    }
-}
-
-impl std::error::Error for LookaheadViolation {}
-
 /// Merged result of a sharded run, from [`ShardedEngine::finish`].
 pub struct ShardedRunSummary<R> {
     /// Per-node message statistics (the shards' tables are row-disjoint,
@@ -336,8 +314,8 @@ pub struct ShardedEngine<P: ShardProtocol + 'static, R: Recorder + Send + 'stati
     workers: Vec<WorkerHandle<Cmd<P, R>>>,
     replies: Vec<Receiver<Reply<P::Wire, R>>>,
     partition: Partition,
-    /// The conservative lookahead: minimum link weight of the initial
-    /// graph (see module docs).
+    /// The conservative lookahead: the lightest link of the initial graph
+    /// or of any link scheduled since (see module docs).
     lookahead: Weight,
     /// Coordinator mirror of the simulated graph.
     graph: Graph,
@@ -363,10 +341,6 @@ pub struct ShardedEngine<P: ShardProtocol + 'static, R: Recorder + Send + 'stati
     mail_min: Option<SimTime>,
     now: SimTime,
     started: bool,
-    /// Safety valve: stop at a barrier once the shards' summed event count
-    /// exceeds this (default 200 million, like the sequential engine; the
-    /// sum counts a replayed topology event once per shard).
-    pub max_events: u64,
 }
 
 impl<P: ShardProtocol + 'static> ShardedEngine<P, NoopRecorder> {
@@ -443,7 +417,6 @@ impl<P: ShardProtocol + 'static, R: Recorder + Send + 'static> ShardedEngine<P, 
             mail_min: None,
             now: 0.0,
             started: false,
-            max_events: 200_000_000,
         }
     }
 
@@ -458,8 +431,8 @@ impl<P: ShardProtocol + 'static, R: Recorder + Send + 'static> ShardedEngine<P, 
         self.partition.shard_of(v)
     }
 
-    /// The conservative lookahead window: the minimum link weight of the
-    /// initial graph.
+    /// The conservative lookahead window: the lightest link of the initial
+    /// graph or of any link scheduled since.
     pub fn lookahead(&self) -> Weight {
         self.lookahead
     }
@@ -533,31 +506,24 @@ impl<P: ShardProtocol + 'static, R: Recorder + Send + 'static> ShardedEngine<P, 
     }
 
     /// Schedule a topology mutation at absolute time `at` on every shard.
-    /// Fails if the event would add a link lighter than the lookahead
-    /// window (see [`LookaheadViolation`]); the check applies to every
-    /// shard count including 1, so accepted schedules behave identically
-    /// across counts.
-    pub fn schedule_topology(
-        &mut self,
-        at: SimTime,
-        event: TopologyEvent,
-    ) -> Result<(), LookaheadViolation> {
+    /// A link lighter than the lookahead window lowers the window to its
+    /// weight here, before any window the link exists in runs; the value
+    /// depends only on the schedule calls, so every shard count runs the
+    /// same windows.
+    pub fn schedule_topology(&mut self, at: SimTime, event: TopologyEvent) {
         let lightest = match &event {
-            TopologyEvent::LinkUp { weight, .. } => Some(*weight),
-            TopologyEvent::NodeJoin { links, .. } => links
-                .iter()
-                .map(|&(_, w)| w)
-                .fold(None, |m: Option<Weight>, w| Some(m.map_or(w, |m| m.min(w)))),
-            _ => None,
-        };
-        if let Some(w) = lightest {
-            if w < self.lookahead {
-                return Err(LookaheadViolation {
-                    weight: w,
-                    lookahead: self.lookahead,
-                });
+            TopologyEvent::LinkUp { weight, .. } => *weight,
+            TopologyEvent::NodeJoin { links, .. } => {
+                links.iter().map(|&(_, w)| w).fold(f64::INFINITY, f64::min)
             }
-        }
+            _ => f64::INFINITY,
+        };
+        assert!(
+            lightest > 0.0,
+            "sharded runs need positive link weights (a scheduled link of weight \
+             {lightest} leaves no safe lookahead window)"
+        );
+        self.lookahead = self.lookahead.min(lightest);
         assert!(
             at >= self.now,
             "topology event scheduled in the past ({at} < {})",
@@ -576,7 +542,6 @@ impl<P: ShardProtocol + 'static, R: Recorder + Send + 'static> ShardedEngine<P, 
             .pending_topo
             .partition_point(|&(t, k, _)| t < at || (t == at && k < key));
         self.pending_topo.insert(pos, (at, key, event));
-        Ok(())
     }
 
     /// Deliver `on_start` to every node (each on its owner shard) and
@@ -713,13 +678,15 @@ impl<P: ShardProtocol + 'static, R: Recorder + Send + 'static> ShardedEngine<P, 
         self.report(converged)
     }
 
-    /// Process events window by window until quiescence, the event valve,
-    /// or `stop` returns true. Unlike the sequential engine's per-event
+    /// Process events window by window until quiescence, the event valve
+    /// (200 million events summed over shards, checked at barriers; the
+    /// sum counts a replayed topology event once per shard), or `stop`
+    /// returns true. Unlike the sequential engine's per-event
     /// check, `stop` is evaluated at window barriers — the natural
     /// granularity of a parallel run. Returns true on quiescence.
     pub fn run_until(&mut self, mut stop: impl FnMut(&Self) -> bool) -> bool {
         loop {
-            if self.events_processed() >= self.max_events {
+            if self.events_processed() >= MAX_EVENTS {
                 return false;
             }
             let Some(next) = self.global_next() else {
@@ -741,7 +708,7 @@ impl<P: ShardProtocol + 'static, R: Recorder + Send + 'static> ShardedEngine<P, 
             self.start();
         }
         while let Some(next) = self.global_next() {
-            if next >= t || self.events_processed() >= self.max_events {
+            if next >= t || self.events_processed() >= MAX_EVENTS {
                 break;
             }
             self.exchange_window((next + self.lookahead).min(t), false);
@@ -1140,51 +1107,6 @@ mod tests {
     }
 
     #[test]
-    fn lookahead_rejects_lighter_late_links() {
-        let g = generators::ring(8); // all weights 1.0
-        let mut sh = ShardedEngine::new(&g, 2, 1, |_| PingPong::default());
-        assert_eq!(sh.lookahead(), 1.0);
-        let err = sh
-            .schedule_topology(
-                1.0,
-                TopologyEvent::LinkUp {
-                    u: NodeId(0),
-                    v: NodeId(4),
-                    weight: 0.25,
-                },
-            )
-            .unwrap_err();
-        assert_eq!(err.weight, 0.25);
-        assert_eq!(err.lookahead, 1.0);
-        let msg = err.to_string();
-        assert!(msg.contains("lookahead"), "{msg}");
-        assert!(msg.contains("0.25"), "{msg}");
-        // A joining node bringing a light link is rejected the same way…
-        assert!(sh
-            .schedule_topology(
-                1.0,
-                TopologyEvent::NodeJoin {
-                    node: NodeId(8),
-                    links: vec![(NodeId(0), 1.0), (NodeId(1), 0.5)],
-                },
-            )
-            .is_err());
-        // …while weights at or above the window pass.
-        assert!(sh
-            .schedule_topology(
-                1.0,
-                TopologyEvent::LinkUp {
-                    u: NodeId(0),
-                    v: NodeId(4),
-                    weight: 1.0,
-                },
-            )
-            .is_ok());
-        let report = sh.run();
-        assert!(report.converged);
-    }
-
-    #[test]
     fn churn_under_sharding_matches_sequential() {
         let g = generators::gnm_connected(32, 96, 5);
         let schedule = vec![
@@ -1212,7 +1134,7 @@ mod tests {
         for shards in [1, 2, 3] {
             let mut sh = ShardedEngine::new(&g, shards, 9, |_| PingPong::default());
             for (at, ev) in &schedule {
-                sh.schedule_topology(*at, ev.clone()).unwrap();
+                sh.schedule_topology(*at, ev.clone());
             }
             let report = sh.run();
             assert_eq!(report.topology_events, seq_report.topology_events);
@@ -1229,8 +1151,7 @@ mod tests {
     fn run_to_interleaves_with_probes() {
         let g = generators::ring(12);
         let mut sh = ShardedEngine::new(&g, 3, 2, |_| PingPong::default());
-        sh.schedule_topology(5.0, TopologyEvent::NodeLeave { node: NodeId(6) })
-            .unwrap();
+        sh.schedule_topology(5.0, TopologyEvent::NodeLeave { node: NodeId(6) });
         sh.run_to(2.0);
         assert_eq!(sh.now(), 2.0);
         assert_eq!(sh.active_count(), 12, "leave at t=5 not applied yet");

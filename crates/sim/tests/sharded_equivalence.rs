@@ -8,7 +8,9 @@
 
 use disco_graph::{generators, Graph, NodeId};
 use disco_sim::rng::rng_for;
-use disco_sim::{Context, Engine, Protocol, ShardProtocol, ShardedEngine, TopologyEvent};
+use disco_sim::{
+    Context, Engine, Partition, Protocol, ShardProtocol, ShardedEngine, TopologyEvent,
+};
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -73,10 +75,13 @@ impl ShardProtocol for Chatter {
     }
 }
 
-/// A random-but-valid churn schedule: leaves keep a quorum alive, joins
-/// resurrect departed nodes with fresh links to live peers. All link
-/// weights equal the graph generator's (1.0), so every event clears the
-/// lookahead window at any shard count.
+/// Weights a rejoining node's links draw from: two of them lighter than
+/// every link of the generated graph (1.0), so rejoins lower the sharded
+/// engine's lookahead while it runs.
+const JOIN_WEIGHTS: [f64; 4] = [0.25, 0.5, 1.0, 1.5];
+
+/// A random-but-valid churn schedule, in time order: leaves keep a quorum
+/// alive, joins resurrect departed nodes with fresh links to live peers.
 fn random_schedule(n: usize, events: usize, seed: u64) -> Vec<(f64, TopologyEvent)> {
     let mut rng = rng_for(seed, 0x5eed, 1);
     let mut alive: Vec<bool> = vec![true; n];
@@ -92,9 +97,10 @@ fn random_schedule(n: usize, events: usize, seed: u64) -> Vec<(f64, TopologyEven
             let peers: Vec<usize> = (0..n).filter(|&v| alive[v]).collect();
             let a = peers[rng.gen_range(0..peers.len())];
             let b = peers[rng.gen_range(0..peers.len())];
-            let mut links = vec![(NodeId(a), 1.0)];
+            let mut weight = || JOIN_WEIGHTS[rng.gen_range(0..JOIN_WEIGHTS.len())];
+            let mut links = vec![(NodeId(a), weight())];
             if b != a {
-                links.push((NodeId(b), 1.0));
+                links.push((NodeId(b), weight()));
             }
             alive[node] = true;
             schedule.push((
@@ -167,27 +173,56 @@ impl Logged for Lockstep {
     }
 }
 
-/// Run `schedule` on the sequential engine and at every count in
-/// `shard_counts`, requiring byte-identical reports and per-node logs.
+/// The weights of the links `ev` brings up.
+fn link_weights(ev: &TopologyEvent) -> Vec<f64> {
+    match ev {
+        TopologyEvent::LinkUp { weight, .. } => vec![*weight],
+        TopologyEvent::NodeJoin { links, .. } => links.iter().map(|&(_, w)| w).collect(),
+        _ => Vec::new(),
+    }
+}
+
+/// Run `schedule` (in time order) on the sequential engine and at every
+/// count in `shard_counts`, requiring byte-identical reports and per-node
+/// logs. Events before `cut` are scheduled before the run starts; the rest
+/// after `run_to(cut)`, into the running engine. Every sharded engine's
+/// lookahead must end at the lightest link of the graph or the schedule;
+/// that value is returned.
 fn assert_sharded_matches_sequential<P: Logged>(
     g: &Graph,
     schedule: &[(f64, TopologyEvent)],
+    cut: f64,
     shard_counts: &[usize],
     seed: u64,
-) {
-    let n = g.node_count();
+) -> f64 {
+    let (before, after) = schedule.split_at(schedule.partition_point(|(at, _)| *at < cut));
     let mut seq = Engine::new(g, |_| P::default());
-    for (at, ev) in schedule {
+    for (at, ev) in before {
+        seq.schedule_topology(*at, ev.clone());
+    }
+    seq.run_to(cut);
+    for (at, ev) in after {
         seq.schedule_topology(*at, ev.clone());
     }
     let seq_report = seq.run();
+    let n = seq.nodes().len();
     let seq_logs: Vec<Vec<LogEntry>> = seq.nodes().iter().map(|c| c.log().clone()).collect();
+    let lightest = g
+        .edges()
+        .map(|(_, e)| e.weight)
+        .chain(schedule.iter().flat_map(|(_, ev)| link_weights(ev)))
+        .fold(f64::INFINITY, f64::min);
 
     for &shards in shard_counts {
         let mut sh = ShardedEngine::new(g, shards, seed, |_| P::default());
-        for (at, ev) in schedule {
-            sh.schedule_topology(*at, ev.clone()).unwrap();
+        for (at, ev) in before {
+            sh.schedule_topology(*at, ev.clone());
         }
+        sh.run_to(cut);
+        for (at, ev) in after {
+            sh.schedule_topology(*at, ev.clone());
+        }
+        prop_assert_eq!(sh.lookahead(), lightest, "lookahead at shards={}", shards);
         let report = sh.run();
 
         prop_assert_eq!(
@@ -244,6 +279,7 @@ fn assert_sharded_matches_sequential<P: Logged>(
             );
         }
     }
+    lightest
 }
 
 /// The barrier's worst case for the queue: a lockstep flood, where each
@@ -252,14 +288,45 @@ fn assert_sharded_matches_sequential<P: Logged>(
 fn lockstep_flood_is_byte_identical_to_sequential() {
     let g = generators::gnm_connected(64, 256, 0x10c);
     assert!(g.edges().all(|(_, e)| e.weight == 1.0));
-    assert_sharded_matches_sequential::<Lockstep>(&g, &[], &[1, 2, 3], 7);
+    assert_sharded_matches_sequential::<Lockstep>(&g, &[], 0.0, &[1, 2, 3], 7);
+}
+
+/// Links lighter than every link of the initial graph, scheduled into a
+/// running engine: a link-up of weight 0.25 and a new node joining over a
+/// 0.5 link, each across the two shards. The lookahead shrinks to 0.25 and
+/// the run still equals the sequential one.
+#[test]
+fn light_links_scheduled_mid_run_lower_the_lookahead() {
+    let g = generators::gnm_connected(32, 96, 0x116);
+    let u = NodeId(0);
+    let v = g.nodes().find(|&w| w != u && !g.has_edge(u, w)).unwrap();
+    let joiner = NodeId(g.node_count());
+    let seed = (0..)
+        .find(|&s| {
+            let p = Partition::new(s, 2);
+            p.shard_of(u) != p.shard_of(v) && p.shard_of(joiner) != p.shard_of(u)
+        })
+        .expect("some seed splits both light links across the shards");
+    let schedule = [
+        (2.5, TopologyEvent::LinkUp { u, v, weight: 0.25 }),
+        (
+            3.0,
+            TopologyEvent::NodeJoin {
+                node: joiner,
+                links: vec![(u, 0.5), (NodeId(2), 1.0)],
+            },
+        ),
+    ];
+    let lookahead = assert_sharded_matches_sequential::<Chatter>(&g, &schedule, 2.0, &[2], seed);
+    assert_eq!(lookahead, 0.25);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 10, max_shrink_iters: 0 })]
 
-    /// Sequential vs sharded at every shard count the ISSUE names, on a
-    /// fresh random churn schedule per case.
+    /// Sequential vs sharded at shard counts 1, 2, 3 and 8, on a fresh
+    /// random churn schedule per case whose second half is scheduled into
+    /// the running engines.
     fn sharded_is_byte_identical_to_sequential(
         seed in 0u64..100_000,
         events in 4usize..12,
@@ -267,7 +334,8 @@ proptest! {
         let n = 32;
         let g = generators::gnm_connected(n, 96, seed ^ 0xface);
         let schedule = random_schedule(n, events, seed);
-        assert_sharded_matches_sequential::<Chatter>(&g, &schedule, &[1, 2, 3, 8], seed);
+        let cut = schedule[schedule.len() / 2].0;
+        assert_sharded_matches_sequential::<Chatter>(&g, &schedule, cut, &[1, 2, 3, 8], seed);
     }
 }
 

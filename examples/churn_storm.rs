@@ -89,9 +89,7 @@ fn main() {
     );
 
     let start = engine.now();
-    storm
-        .apply_to(&mut engine)
-        .expect("the storm adds only unit-weight links, like the graph's");
+    storm.apply_to(&mut engine);
 
     println!(
         "\n{:>8} {:>6} {:>10} {:>10} {:>13}",
