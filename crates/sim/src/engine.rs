@@ -8,9 +8,7 @@
 
 use crate::context::{Action, Context, DEFAULT_MSG_SIZE};
 use crate::event::{EventKind, EventQueue, SimTime, TimerWheel, TopologyEvent};
-use crate::sharded::{
-    Outbound, OutboundKind, ShardBinding, ShardProtocol, WireBody, WireBuckets, WireEvent,
-};
+use crate::sharded::{Filed, ShardBinding, ShardProtocol};
 use crate::stats::MessageStats;
 use crate::Protocol;
 use disco_graph::{EdgeId, Graph, NodeId, Weight};
@@ -115,8 +113,9 @@ pub struct Engine<
     world_ctr: u64,
     /// When this engine is one shard of a
     /// [`ShardedEngine`](crate::ShardedEngine): the seeded partition, this
-    /// shard's index, and the outbox of cross-shard sends accumulated
-    /// during the current window. `None` for the plain sequential engine.
+    /// shard's index, and the per-destination outbox of cross-shard events
+    /// filed during the current window. `None` for the plain sequential
+    /// engine.
     shard: Option<ShardBinding<P::Message>>,
     now: SimTime,
     started: bool,
@@ -132,8 +131,9 @@ pub struct Engine<
     /// dead-entry gauge ([`EventQueue::dead_refs`]) while it waits for its
     /// bucket to drain.
     stale_timer_pops: u64,
-    /// Safety valve: stop after this many events (default 200 million).
-    pub max_events: u64,
+    /// Safety valve: stop after this many events (200 million; a shard
+    /// worker lifts it, as the coordinator enforces the valve globally).
+    pub(crate) max_events: u64,
     /// Telemetry recorder (a zero-sized no-op by default).
     recorder: R,
 }
@@ -144,26 +144,15 @@ impl<'f, P: Protocol> Engine<'f, P> {
     /// engine's lifetime so joining nodes can be instantiated later.
     /// Events are scheduled on the default [`TimerWheel`] queue.
     pub fn new(graph: &Graph, factory: impl FnMut(NodeId) -> P + 'f) -> Self {
-        Engine::with_queue(graph, factory, TimerWheel::new())
-    }
-}
-
-impl<'f, P: Protocol, Q: EventQueue<P::Message>> Engine<'f, P, Q> {
-    /// Like [`Engine::new`], but scheduling events on a caller-supplied
-    /// queue implementation (e.g. the [`crate::event::BinaryHeapQueue`]
-    /// reference model). Both queues pop in the same deterministic
-    /// `(time, key, seq)` order, so runs are byte-identical across queue
-    /// implementations.
-    pub fn with_queue(graph: &Graph, factory: impl FnMut(NodeId) -> P + 'f, queue: Q) -> Self {
-        Engine::with_recorder(graph, factory, queue, NoopRecorder)
+        Engine::with_recorder(graph, factory, TimerWheel::new(), NoopRecorder)
     }
 }
 
 impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R> {
-    /// Like [`Engine::with_queue`], but additionally attaching a telemetry
-    /// [`Recorder`]. The engine reports into it from every hot-path site;
-    /// retrieve it afterwards with [`Engine::recorder`] /
-    /// [`Engine::into_recorder`].
+    /// Like [`Engine::new`], but scheduling events on `queue` and
+    /// attaching a telemetry [`Recorder`]. The engine reports into it from
+    /// every hot-path site; retrieve it afterwards with
+    /// [`Engine::recorder`] / [`Engine::into_recorder`].
     pub fn with_recorder(
         graph: &Graph,
         factory: impl FnMut(NodeId) -> P + 'f,
@@ -313,15 +302,37 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
         }
     }
 
+    /// The shard running `v`'s protocol instance (0 for the sequential
+    /// engine, which runs them all).
+    #[inline]
+    fn shard_of(&self, v: NodeId) -> usize {
+        self.shard.as_ref().map_or(0, |s| s.partition.shard_of(v))
+    }
+
     /// Attach this engine to a sharded run as shard `me` of `partition`:
-    /// only owned nodes receive upcalls, and sends whose receiver lives on
-    /// another shard are diverted to the outbox instead of the local queue.
+    /// only owned nodes receive upcalls, and events for another shard's
+    /// nodes are filed into that shard's outbox bucket instead of the local
+    /// queue.
     pub(crate) fn bind_shard(&mut self, partition: crate::sharded::Partition, me: usize) {
         self.shard = Some(ShardBinding {
             partition,
             me,
-            outbox: Vec::new(),
+            outbox: (0..partition.shards()).map(|_| Vec::new()).collect(),
         });
+    }
+
+    /// File an event for shard `dest` (see [`Engine::shard_of`]): onto the
+    /// local queue when `dest` is this engine's shard — always, for the
+    /// sequential engine — else into `dest`'s outbox bucket, under the same
+    /// `(time, key)` it would have been queued under locally.
+    #[inline]
+    fn file(&mut self, dest: usize, time: SimTime, key: u64, kind: EventKind<P::Message>) {
+        match &mut self.shard {
+            Some(s) if s.me != dest => s.outbox[dest].push((time, key, kind)),
+            _ => {
+                let _ = self.queue.push(time, key, kind);
+            }
+        }
     }
 
     /// Schedule a topology mutation at absolute simulation time `at`
@@ -380,14 +391,14 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
         }
     }
 
-    /// Turn the actions one upcall recorded into scheduled events,
-    /// draining the buffer in place (its capacity is recycled). Sends are
+    /// Turn the actions one upcall recorded into events, draining the
+    /// buffer in place (its capacity is recycled), and file each through
+    /// [`Engine::file`] — locally, or for the receiver's shard. Sends are
     /// already edge-resolved by the [`Context`], so no per-send adjacency
     /// scan happens here; floods walk the adjacency list exactly once.
-    /// Under sharding, sends whose receiver lives on another shard go to
-    /// the outbox (carrying the same `(time, key)` they would have been
-    /// queued under locally) instead of the local queue.
     fn apply_actions(&mut self, node: NodeId, actions: &mut Vec<Action<P::Message>>) {
+        let now = self.now;
+        let arrival = |w: Weight| now + w + PROCESSING_DELAY;
         for a in actions.drain(..) {
             match a {
                 Action::Send {
@@ -397,40 +408,18 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
                 } => {
                     self.stats.record_send(node, size_bytes);
                     if R::ENABLED {
-                        self.recorder.message_sent(
-                            self.now,
-                            P::classify(&msg),
-                            1,
-                            size_bytes as u64,
-                        );
+                        self.recorder
+                            .message_sent(now, P::classify(&msg), 1, size_bytes as u64);
                     }
-                    let time = self.now + to.weight + PROCESSING_DELAY;
                     let key = self.node_key(node);
-                    if self.owns(to.node) {
-                        let _ = self.queue.push(
-                            time,
-                            key,
-                            EventKind::Deliver {
-                                from: node,
-                                to: to.node,
-                                edge: to.edge,
-                                msg,
-                                size_bytes,
-                            },
-                        );
-                    } else {
-                        self.outbox().push(Outbound {
-                            time,
-                            key,
-                            from: node,
-                            kind: OutboundKind::Msg {
-                                to: to.node,
-                                edge: to.edge,
-                                msg,
-                                size_bytes,
-                            },
-                        });
-                    }
+                    let kind = EventKind::Deliver {
+                        from: node,
+                        to: to.node,
+                        edge: to.edge,
+                        msg,
+                        size_bytes,
+                    };
+                    self.file(self.shard_of(to.node), arrival(to.weight), key, kind);
                 }
                 Action::SendBatch { to, msgs } => {
                     for (msg, size_bytes) in msgs.iter() {
@@ -438,141 +427,67 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
                         if R::ENABLED {
                             let class = MessageClass::shaped(P::classify(msg), MessageClass::Batch);
                             self.recorder
-                                .message_sent(self.now, class, 1, *size_bytes as u64);
+                                .message_sent(now, class, 1, *size_bytes as u64);
                         }
                     }
-                    let time = self.now + to.weight + PROCESSING_DELAY;
                     let key = self.node_key(node);
-                    if self.owns(to.node) {
-                        let _ = self.queue.push(
-                            time,
-                            key,
-                            EventKind::DeliverBatch {
-                                from: node,
-                                to: to.node,
-                                edge: to.edge,
-                                msgs,
-                            },
-                        );
-                    } else {
-                        self.outbox().push(Outbound {
-                            time,
-                            key,
-                            from: node,
-                            kind: OutboundKind::Batch {
-                                to: to.node,
-                                edge: to.edge,
-                                msgs,
-                            },
-                        });
-                    }
+                    let kind = EventKind::DeliverBatch {
+                        from: node,
+                        to: to.node,
+                        edge: to.edge,
+                        msgs,
+                    };
+                    self.file(self.shard_of(to.node), arrival(to.weight), key, kind);
                 }
                 Action::Flood { msg, size_bytes } => {
-                    // Split borrows: walk the graph's adjacency while
-                    // pushing to the queue and counting into the stats.
-                    let now = self.now;
                     let key = self.node_key(node);
-                    let Engine {
-                        graph,
-                        queue,
-                        stats,
-                        recorder,
-                        shard,
-                        ..
-                    } = self;
-                    let nbrs = graph.neighbors(node);
-                    if nbrs.is_empty() {
-                        continue; // no neighbors, nothing to send
-                    }
-                    if R::ENABLED {
-                        let class = MessageClass::shaped(P::classify(&msg), MessageClass::Flood);
-                        recorder.message_sent(
-                            now,
-                            class,
-                            nbrs.len() as u64,
-                            (size_bytes * nbrs.len()) as u64,
-                        );
-                    }
-                    // Group the copies by link weight: every distinct
-                    // latency is one arrival instant, so each group is ONE
-                    // queue entry carrying the payload once, replicated at
-                    // the pop — uniform-weight graphs collapse to a single
-                    // entry (the common case), and geometric topologies get
-                    // one entry per distinct latency instead of one per
-                    // neighbor. Under sharding, each group additionally
-                    // splits off its remote targets into one outbound flood.
-                    type FloodGroup = (Weight, Vec<(NodeId, EdgeId)>, Vec<(NodeId, EdgeId)>);
+                    // Group the copies by link weight and receiving shard:
+                    // a weight is one arrival instant, so each group is ONE
+                    // event carrying the payload once, replicated at the
+                    // pop — uniform weights on one shard collapse to a
+                    // single event (the common case). Targets keep
+                    // adjacency order within a group.
+                    type FloodGroup = (Weight, usize, Vec<(NodeId, EdgeId)>);
                     let mut groups: Vec<FloodGroup> = Vec::new();
-                    for nb in nbrs {
-                        stats.record_send(node, size_bytes);
-                        let local = match shard {
-                            None => true,
-                            Some(s) => s.partition.shard_of(nb.node) == s.me,
-                        };
-                        let g = match groups.iter_mut().find(|g| g.0 == nb.weight) {
+                    for nb in self.graph.neighbors(node) {
+                        self.stats.record_send(node, size_bytes);
+                        let dest = self.shard_of(nb.node);
+                        let g = match groups.iter().position(|g| g.0 == nb.weight && g.1 == dest) {
                             Some(g) => g,
                             None => {
-                                groups.push((nb.weight, Vec::new(), Vec::new()));
-                                groups.last_mut().expect("just pushed")
+                                groups.push((nb.weight, dest, Vec::new()));
+                                groups.len() - 1
                             }
                         };
-                        if local {
-                            g.1.push((nb.node, nb.edge));
-                        } else {
-                            g.2.push((nb.node, nb.edge));
-                        }
+                        groups[g].2.push((nb.node, nb.edge));
                     }
-                    // All copies of one flood share the flood's key; they
-                    // differ in time (per weight) or destination shard, so
-                    // no two events of one queue collide on (time, key).
-                    // The payload moves into the last entry, cloning only
-                    // for the extra groups.
-                    let mut left: usize = groups
-                        .iter()
-                        .map(|g| usize::from(!g.1.is_empty()) + usize::from(!g.2.is_empty()))
-                        .sum();
-                    let mut msg = Some(msg);
-                    for (w, local_t, remote_t) in groups {
-                        let time = now + w + PROCESSING_DELAY;
-                        if !local_t.is_empty() {
-                            left -= 1;
-                            let m = match left {
-                                0 => msg.take().expect("one payload per push"),
-                                _ => msg.as_ref().expect("payload still owned").clone(),
-                            };
-                            let _ = queue.push(
-                                time,
-                                key,
-                                EventKind::DeliverFlood {
-                                    from: node,
-                                    msg: m,
-                                    targets: local_t.into_boxed_slice(),
-                                    size_bytes,
-                                },
-                            );
-                        }
-                        if !remote_t.is_empty() {
-                            left -= 1;
-                            let m = match left {
-                                0 => msg.take().expect("one payload per push"),
-                                _ => msg.as_ref().expect("payload still owned").clone(),
-                            };
-                            shard
-                                .as_mut()
-                                .expect("remote flood targets require a shard binding")
-                                .outbox
-                                .push(Outbound {
-                                    time,
-                                    key,
-                                    from: node,
-                                    kind: OutboundKind::Flood {
-                                        targets: remote_t,
-                                        msg: m,
-                                        size_bytes,
-                                    },
-                                });
-                        }
+                    // Every group carries the flood's key; groups differ in
+                    // time or receiving shard, so no two events of one
+                    // queue collide on (time, key). The payload moves into
+                    // the last group, cloning only for the others.
+                    let Some((w, dest, targets)) = groups.pop() else {
+                        continue; // no neighbors, nothing to send
+                    };
+                    if R::ENABLED {
+                        let class = MessageClass::shaped(P::classify(&msg), MessageClass::Flood);
+                        let copies = self.graph.degree(node);
+                        self.recorder.message_sent(
+                            now,
+                            class,
+                            copies as u64,
+                            (size_bytes * copies) as u64,
+                        );
                     }
+                    let flood = |msg, targets: Vec<_>| EventKind::DeliverFlood {
+                        from: node,
+                        msg,
+                        targets: targets.into_boxed_slice(),
+                        size_bytes,
+                    };
+                    for (w, dest, targets) in groups {
+                        self.file(dest, arrival(w), key, flood(msg.clone(), targets));
+                    }
+                    self.file(dest, arrival(w), key, flood(msg, targets));
                 }
                 Action::Timer { delay, token } => {
                     let key = self.node_key(node);
@@ -589,17 +504,6 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
                 }
             }
         }
-    }
-
-    /// The cross-shard outbox (must only be reached with a shard binding:
-    /// the sequential engine owns every node, so nothing diverts here).
-    #[inline]
-    fn outbox(&mut self) -> &mut Vec<Outbound<P::Message>> {
-        &mut self
-            .shard
-            .as_mut()
-            .expect("cross-shard send requires a shard binding")
-            .outbox
     }
 
     /// Run `upcall` on node `v` with a context over the engine's recycled
@@ -638,16 +542,48 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
         }
     }
 
-    /// The resolved arrival link for a delivery that just passed the
-    /// liveness check: the edge is live, so its record still describes
-    /// the current link between sender and receiver.
-    #[inline]
-    fn via_of(&self, from: NodeId, edge: EdgeId) -> disco_graph::Neighbor {
-        disco_graph::Neighbor {
-            node: from,
-            edge,
-            weight: self.graph.edge(edge).weight,
+    /// Deliver one message `from` → `to` over the link that was `edge` at
+    /// send time: every delivery event, whatever its shape, comes through
+    /// here once per message. A message whose link died in flight is
+    /// counted dropped; otherwise the receive is accounted and the arrival
+    /// link (live, so its record still describes the current link) is
+    /// handed to the `on_message` upcall. Returns the message's telemetry
+    /// class — the protocol's class over `shape`, or `shape` itself under
+    /// the no-op recorder.
+    fn deliver(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        edge: EdgeId,
+        msg: P::Message,
+        size_bytes: usize,
+        shape: MessageClass,
+    ) -> MessageClass {
+        let class = if R::ENABLED {
+            MessageClass::shaped(P::classify(&msg), shape)
+        } else {
+            shape
+        };
+        if self.link_died_in_flight(to, edge) {
+            self.messages_dropped += 1;
+            if R::ENABLED {
+                self.recorder.message_dropped(self.now, class, 1);
+            }
+        } else {
+            self.stats.record_receive(to, size_bytes);
+            self.messages_delivered += 1;
+            if R::ENABLED {
+                self.recorder
+                    .message_delivered(self.now, class, from.0 as u32, to.0 as u32);
+            }
+            let via = disco_graph::Neighbor {
+                node: from,
+                edge,
+                weight: self.graph.edge(edge).weight,
+            };
+            self.upcall_via(to, Some(via), |p, ctx| p.on_message(from, msg, ctx));
         }
+        class
     }
 
     /// Apply one topology mutation and deliver the resulting neighbor
@@ -841,69 +777,19 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
                 edge,
                 msg,
                 size_bytes,
-            } => {
-                let class = if R::ENABLED {
-                    P::classify(&msg)
-                } else {
-                    MessageClass::Deliver
-                };
-                if self.link_died_in_flight(to, edge) {
-                    self.messages_dropped += 1;
-                    if R::ENABLED {
-                        self.recorder.message_dropped(self.now, class, 1);
-                    }
-                } else {
-                    self.stats.record_receive(to, size_bytes);
-                    self.messages_delivered += 1;
-                    if R::ENABLED {
-                        self.recorder.message_delivered(
-                            self.now,
-                            class,
-                            from.0 as u32,
-                            to.0 as u32,
-                        );
-                    }
-                    let via = self.via_of(from, edge);
-                    self.upcall_via(to, Some(via), |p, ctx| p.on_message(from, msg, ctx));
-                }
-                class
-            }
+            } => self.deliver(from, to, edge, msg, size_bytes, MessageClass::Deliver),
             EventKind::DeliverBatch {
                 from,
                 to,
                 edge,
                 msgs,
             } => {
-                // One liveness check covers the whole batch: its messages
-                // would have popped back-to-back (consecutive seqs at one
-                // timestamp), so no topology event can interleave — the
-                // per-message checks of singleton delivery are provably
-                // equal. A lost batch loses every message in it.
-                if self.link_died_in_flight(to, edge) {
-                    self.messages_dropped += msgs.len() as u64;
-                    if R::ENABLED {
-                        for (msg, _) in msgs.iter() {
-                            let class = MessageClass::shaped(P::classify(msg), MessageClass::Batch);
-                            self.recorder.message_dropped(self.now, class, 1);
-                        }
-                    }
-                } else {
-                    let via = self.via_of(from, edge);
-                    for (msg, size_bytes) in msgs.into_vec() {
-                        self.stats.record_receive(to, size_bytes);
-                        self.messages_delivered += 1;
-                        if R::ENABLED {
-                            let class =
-                                MessageClass::shaped(P::classify(&msg), MessageClass::Batch);
-                            self.recorder.message_delivered(
-                                self.now,
-                                class,
-                                from.0 as u32,
-                                to.0 as u32,
-                            );
-                        }
-                        self.upcall_via(to, Some(via), |p, ctx| p.on_message(from, msg, ctx));
-                    }
+                // The messages would have popped back-to-back as singletons
+                // (consecutive seqs at one timestamp) and no upcall changes
+                // the topology, so checking liveness per message equals
+                // one check for the batch: a lost batch loses every message.
+                for (msg, size_bytes) in msgs.into_vec() {
+                    self.deliver(from, to, edge, msg, size_bytes, MessageClass::Batch);
                 }
                 MessageClass::Batch
             }
@@ -913,38 +799,14 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
                 targets,
                 size_bytes,
             } => {
-                // Replicate at the fan-out point: one payload, one clone
-                // (refcount bump for interned payloads) per live target,
-                // in adjacency order at send time — the order the
-                // per-neighbor entries popped in before packing. Liveness
-                // stays per target: a single failed link loses only that
-                // copy.
-                let class = if R::ENABLED {
-                    MessageClass::shaped(P::classify(&msg), MessageClass::Flood)
-                } else {
-                    MessageClass::Flood
-                };
-                for (to, edge) in targets.into_vec() {
-                    if self.link_died_in_flight(to, edge) {
-                        self.messages_dropped += 1;
-                        if R::ENABLED {
-                            self.recorder.message_dropped(self.now, class, 1);
-                        }
-                    } else {
-                        self.stats.record_receive(to, size_bytes);
-                        self.messages_delivered += 1;
-                        if R::ENABLED {
-                            self.recorder.message_delivered(
-                                self.now,
-                                class,
-                                from.0 as u32,
-                                to.0 as u32,
-                            );
-                        }
-                        let m = msg.clone();
-                        let via = self.via_of(from, edge);
-                        self.upcall_via(to, Some(via), |p, ctx| p.on_message(from, m, ctx));
-                    }
+                // Replicate at the fan-out point: one clone (refcount bump
+                // for interned payloads) per target, in adjacency order at
+                // send time. Liveness stays per target: a single failed
+                // link loses only that copy.
+                let mut class = MessageClass::Flood;
+                for &(to, edge) in targets.iter() {
+                    class =
+                        self.deliver(from, to, edge, msg.clone(), size_bytes, MessageClass::Flood);
                 }
                 class
             }
@@ -1046,125 +908,32 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
 }
 
 impl<P: ShardProtocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'_, P, Q, R> {
-    /// Drain the outbox into wire form, bucketed per destination shard.
-    /// Flood groups split per destination shard here (preserving adjacency
-    /// order within each), so one cross-shard flood stays one wire event
-    /// per receiving shard.
-    pub(crate) fn flush_outbox(&mut self) -> WireBuckets<P::Wire> {
-        let mut out = WireBuckets {
-            buckets: Vec::new(),
-            earliest: None,
-        };
+    /// Drain the outbox — one bucket per destination shard, each in send
+    /// order — with every message in wire form.
+    pub(crate) fn flush_outbox(&mut self) -> Vec<Vec<Filed<P::Wire>>> {
         let Some(shard) = &mut self.shard else {
-            return out;
+            return Vec::new();
         };
-        let partition = shard.partition;
-        out.buckets.resize_with(partition.shards(), Vec::new);
-        for ob in shard.outbox.drain(..) {
-            out.earliest = Some(out.earliest.map_or(ob.time, |m| m.min(ob.time)));
-            match ob.kind {
-                OutboundKind::Msg {
-                    to,
-                    edge,
-                    msg,
-                    size_bytes,
-                } => out.buckets[partition.shard_of(to)].push(WireEvent {
-                    time: ob.time,
-                    key: ob.key,
-                    from: ob.from,
-                    body: WireBody::Msg {
-                        to,
-                        edge,
-                        wire: P::to_wire(msg),
-                        size_bytes,
-                    },
-                }),
-                OutboundKind::Batch { to, edge, msgs } => {
-                    out.buckets[partition.shard_of(to)].push(WireEvent {
-                        time: ob.time,
-                        key: ob.key,
-                        from: ob.from,
-                        body: WireBody::Batch {
-                            to,
-                            edge,
-                            msgs: msgs
-                                .into_vec()
-                                .into_iter()
-                                .map(|(m, s)| (P::to_wire(m), s))
-                                .collect(),
-                        },
-                    })
-                }
-                OutboundKind::Flood {
-                    targets,
-                    msg,
-                    size_bytes,
-                } => {
-                    let mut by_shard: Vec<(usize, Vec<(NodeId, EdgeId)>)> = Vec::new();
-                    for (to, edge) in targets {
-                        let dest = partition.shard_of(to);
-                        match by_shard.iter_mut().find(|(s, _)| *s == dest) {
-                            Some((_, v)) => v.push((to, edge)),
-                            None => by_shard.push((dest, vec![(to, edge)])),
-                        }
-                    }
-                    for (dest, targets) in by_shard {
-                        out.buckets[dest].push(WireEvent {
-                            time: ob.time,
-                            key: ob.key,
-                            from: ob.from,
-                            body: WireBody::Flood {
-                                targets,
-                                wire: P::to_wire(msg.clone()),
-                                size_bytes,
-                            },
-                        });
-                    }
-                }
-            }
-        }
-        out
+        shard
+            .outbox
+            .iter_mut()
+            .map(|bucket| {
+                bucket
+                    .drain(..)
+                    .map(|(time, key, kind)| (time, key, kind.map_msg(P::to_wire)))
+                    .collect()
+            })
+            .collect()
     }
 
     /// File a barrier's cross-shard arrivals into the local queue, each
     /// under the `(time, key)` its sender assigned, as one batch.
-    pub(crate) fn ingest(&mut self, arrivals: Vec<WireEvent<P::Wire>>) {
-        self.queue.extend(arrivals.into_iter().map(|ev| {
-            let kind = match ev.body {
-                WireBody::Msg {
-                    to,
-                    edge,
-                    wire,
-                    size_bytes,
-                } => EventKind::Deliver {
-                    from: ev.from,
-                    to,
-                    edge,
-                    msg: P::from_wire(wire),
-                    size_bytes,
-                },
-                WireBody::Batch { to, edge, msgs } => EventKind::DeliverBatch {
-                    from: ev.from,
-                    to,
-                    edge,
-                    msgs: msgs
-                        .into_iter()
-                        .map(|(w, s)| (P::from_wire(w), s))
-                        .collect(),
-                },
-                WireBody::Flood {
-                    targets,
-                    wire,
-                    size_bytes,
-                } => EventKind::DeliverFlood {
-                    from: ev.from,
-                    msg: P::from_wire(wire),
-                    targets: targets.into_boxed_slice(),
-                    size_bytes,
-                },
-            };
-            (ev.time, ev.key, kind)
-        }));
+    pub(crate) fn ingest(&mut self, arrivals: Vec<Filed<P::Wire>>) {
+        self.queue.extend(
+            arrivals
+                .into_iter()
+                .map(|(time, key, kind)| (time, key, kind.map_msg(P::from_wire))),
+        );
     }
 }
 
@@ -1601,6 +1370,87 @@ mod tests {
         assert_eq!(batch.messages_delivered, 6);
         // The whole point: the batched run needed fewer queue entries.
         assert!(batch.events_processed < single.events_processed);
+    }
+
+    /// A flood is grouped once, at send time, by link weight and receiving
+    /// shard: one local `DeliverFlood` per weight, one outbox entry per
+    /// (weight, other shard), targets in adjacency order, every copy under
+    /// the flood's single key.
+    #[test]
+    fn flood_files_one_event_per_weight_and_receiving_shard() {
+        use crate::sharded::Partition;
+        use disco_graph::GraphBuilder;
+        struct Flooder;
+        impl Protocol for Flooder {
+            type Message = u32;
+            fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
+                if ctx.node_id() == NodeId(0) {
+                    ctx.broadcast(7);
+                }
+            }
+            fn on_message(&mut self, _f: NodeId, _m: u32, _c: &mut Context<'_, u32>) {}
+        }
+        // Hub 0 with twelve leaves over two link weights.
+        let mut b = GraphBuilder::new(13);
+        for leaf in 1..13 {
+            let w = if leaf % 2 == 0 { 2.0 } else { 1.0 };
+            b.add_edge(NodeId(0), NodeId(leaf), w);
+        }
+        let g = b.build();
+        let hub = g.neighbors(NodeId(0));
+        let weights = [1.0, 2.0];
+        let partition = (0..)
+            .map(|seed| Partition::new(seed, 3))
+            .find(|p| {
+                weights.iter().all(|&w| {
+                    (0..3).all(|s| {
+                        hub.iter()
+                            .any(|nb| nb.weight == w && p.shard_of(nb.node) == s)
+                    })
+                })
+            })
+            .expect("some seed puts leaves of both weights on every shard");
+        let me = partition.shard_of(NodeId(0));
+        let mut e = Engine::new(&g, |_| Flooder);
+        e.bind_shard(partition, me);
+        e.start();
+
+        type FloodCopy = (usize, SimTime, u64, NodeId, u32, Vec<(NodeId, EdgeId)>);
+        let copy = |shard: usize, time: SimTime, key: u64, kind: EventKind<u32>| -> FloodCopy {
+            let EventKind::DeliverFlood {
+                from, msg, targets, ..
+            } = kind
+            else {
+                panic!("a flood files only DeliverFlood events");
+            };
+            (shard, time, key, from, msg, targets.into_vec())
+        };
+        let mut filed: Vec<FloodCopy> = std::iter::from_fn(|| e.queue.pop())
+            .map(|(_, ev)| copy(me, ev.time, ev.key, ev.kind))
+            .collect();
+        let outbox = e.shard.take().expect("bound above").outbox;
+        assert!(outbox[me].is_empty(), "local copies go to the queue");
+        for (shard, bucket) in outbox.into_iter().enumerate() {
+            filed.extend(
+                bucket
+                    .into_iter()
+                    .map(|(t, k, kind)| copy(shard, t, k, kind)),
+            );
+        }
+        let mut expected: Vec<FloodCopy> = Vec::new();
+        for s in 0..3 {
+            for &w in &weights {
+                let targets = hub
+                    .iter()
+                    .filter(|nb| nb.weight == w && partition.shard_of(nb.node) == s)
+                    .map(|nb| (nb.node, nb.edge))
+                    .collect();
+                let key = node_event_key(NodeId(0), 1);
+                expected.push((s, 0.0 + w + PROCESSING_DELAY, key, NodeId(0), 7, targets));
+            }
+        }
+        filed.sort_by(|a, b| (a.0, a.1).partial_cmp(&(b.0, b.1)).unwrap());
+        assert_eq!(filed, expected);
     }
 
     /// A batch whose link dies while it is on the wire loses *every*

@@ -112,14 +112,12 @@ pub enum EventKind<M> {
     },
     /// Deliver one message from `from` to *every* listed target over the
     /// edges captured at send time, as **one** queue entry — the in-queue
-    /// form of a flood over uniform-latency links (the engine falls back
-    /// to per-neighbor [`EventKind::Deliver`] entries when link weights
-    /// differ, where arrivals spread over distinct times). All targets
-    /// share one timestamp, and a flood's per-neighbor sends carry
-    /// consecutive sequence numbers today, so popping the entry once and
-    /// walking the targets in adjacency order reproduces the singleton
-    /// pop order exactly; liveness is checked per target at pop time, so
-    /// losses stay per-message.
+    /// form of a flood. The engine files one such entry per distinct link
+    /// weight (one arrival instant) and receiving shard, so all targets
+    /// share one timestamp, and popping the entry once and walking the
+    /// targets in adjacency order reproduces the per-neighbor pop order
+    /// exactly; liveness is checked per target at pop time, so losses stay
+    /// per-message.
     DeliverFlood {
         from: NodeId,
         msg: M,
@@ -140,6 +138,57 @@ pub enum EventKind<M> {
     },
     /// Apply a topology mutation.
     Topology(TopologyEvent),
+}
+
+impl<M> EventKind<M> {
+    /// The same event with every message mapped through `f`, in order —
+    /// how a cross-shard event changes hands: `P::to_wire` on the sending
+    /// shard, `P::from_wire` on the receiving one.
+    pub(crate) fn map_msg<N>(self, mut f: impl FnMut(M) -> N) -> EventKind<N> {
+        match self {
+            EventKind::Deliver {
+                from,
+                to,
+                edge,
+                msg,
+                size_bytes,
+            } => EventKind::Deliver {
+                from,
+                to,
+                edge,
+                msg: f(msg),
+                size_bytes,
+            },
+            EventKind::DeliverBatch {
+                from,
+                to,
+                edge,
+                msgs,
+            } => EventKind::DeliverBatch {
+                from,
+                to,
+                edge,
+                msgs: msgs
+                    .into_vec()
+                    .into_iter()
+                    .map(|(m, s)| (f(m), s))
+                    .collect(),
+            },
+            EventKind::DeliverFlood {
+                from,
+                msg,
+                targets,
+                size_bytes,
+            } => EventKind::DeliverFlood {
+                from,
+                msg: f(msg),
+                targets,
+                size_bytes,
+            },
+            EventKind::Timer { node, token, epoch } => EventKind::Timer { node, token, epoch },
+            EventKind::Topology(ev) => EventKind::Topology(ev),
+        }
+    }
 }
 
 /// An event scheduled to fire at `time`. Equal timestamps are ordered by

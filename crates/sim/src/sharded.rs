@@ -8,7 +8,8 @@
 //! assigns every node to exactly one shard; a shard's engine replays *all*
 //! topology events (so its graph replica stays exact) but delivers upcalls
 //! only to the nodes it owns. Sends whose receiver lives on another shard
-//! are diverted to a per-shard outbox and exchanged at window barriers.
+//! are filed into the outbox bucket of the receiver's shard and exchanged
+//! at window barriers.
 //!
 //! ## The lookahead invariant
 //!
@@ -26,15 +27,24 @@
 //!
 //! ## The window protocol: one hop per window
 //!
+//! A cross-shard send has one form from send to delivery: the
+//! `(time, key, EventKind)` entry the engine would have queued locally.
+//! At send time one routine files each event either onto the local wheel
+//! or into the outbox bucket of the receiving shard — a flood's copies are
+//! grouped there, once, by link weight and receiving shard, so each
+//! receiving shard gets one `DeliverFlood` per arrival instant carrying the
+//! payload once. Across the barrier only the messages inside the events
+//! change form (`ShardProtocol::to_wire` when the outbox is flushed,
+//! `ShardProtocol::from_wire` when the mailbox is filed).
+//!
 //! A window costs each worker one command and one reply. The
-//! `Cmd::Window` command carries the window's end *and* the arrivals other
-//! shards sent this worker at the previous barrier; the worker converts
-//! them back from wire form, files them into its wheel as one batch
-//! ([`crate::event::EventQueue::extend`]), runs the window, and replies
-//! with its clock, its next pending time and its outbox — already in wire
-//! form, bucketed per destination shard, with the earliest arrival time
-//! noted. The coordinator never looks inside a bucket: it moves each one
-//! to its destination's mailbox and hands the mailbox over with the next
+//! `Cmd::Window` command carries the window's end *and* the events other
+//! shards filed for this worker at the previous barrier; the worker files
+//! them into its wheel as one batch ([`crate::event::EventQueue::extend`]),
+//! runs the window, and replies with its clock, its next pending time and
+//! its outbox buckets, with the earliest arrival time noted. The
+//! coordinator never looks inside a bucket: it moves each one to its
+//! destination's mailbox and hands the mailbox over with the next
 //! `Cmd::Window`. Filing is linear because the wheel's `peek_time` (which
 //! every worker answers at every barrier) does not drain the bucket it
 //! looks at: arrivals for the tick a shard is about to run take the
@@ -52,29 +62,30 @@
 //!
 //! 1. No two events in one shard's queue share `(time, key)`: a key is
 //!    unique per send (per-source counters never repeat) and a flood's
-//!    copies that share its key differ in time or destination shard. The
-//!    arrival `seq` — the only push-order-dependent tiebreak — therefore
-//!    never decides between two cross-shard arrivals.
+//!    events, which all carry its key, differ in time (link weight) or
+//!    receiving shard. An event reaches its receiver's queue under the
+//!    `(time, key)` it was filed with, so the arrival `seq` — the only
+//!    push-order-dependent tiebreak — never decides between two events.
 //! 2. The window boundary `t_min + W` is derived from the global minimum
 //!    and `W`, the lightest link of the initial graph or of any link
 //!    scheduled since. Both are `k`-independent (`W` moves only in
 //!    schedule calls, which do not depend on `k`), so every shard count
 //!    executes the same event set in the same windows.
 //!
-//! The barrier fills each mailbox in source-shard order (then outbox push
-//! order), which is deterministic too — though by fact 1 the ingestion
-//! order cannot matter. `k = 1` runs the exact same code path — one worker
+//! The barrier fills each mailbox in source-shard order (then send order),
+//! which is deterministic too — though by fact 1 the ingestion order
+//! cannot matter. `k = 1` runs the exact same code path — one worker
 //! thread, an always-empty exchange — and is the engine every dynamic
 //! driver runs on by default; the `exp_churn` goldens lock one, two and
 //! four shards byte-for-byte equal, and `tests/sharded_equivalence.rs`
 //! locks them equal to a bare [`Engine`].
 
 use crate::engine::{Engine, RunReport, MAX_EVENTS};
-use crate::event::{SimTime, TimerWheel, TopologyEvent};
+use crate::event::{EventKind, SimTime, TimerWheel, TopologyEvent};
 use crate::rng::splitmix64;
 use crate::stats::MessageStats;
 use crate::Protocol;
-use disco_graph::{EdgeId, Graph, NodeId, PathArena, Weight};
+use disco_graph::{Graph, NodeId, PathArena, Weight};
 use disco_telemetry::{MergeRecorder, NoopRecorder, Recorder};
 use scoped_threadpool::plumbing::WorkerHandle;
 use std::collections::VecDeque;
@@ -129,86 +140,32 @@ impl Partition {
         self.shards
     }
 
-    /// The shard owning node `v`.
+    /// The shard owning node `v`. A single shard owns everything without
+    /// hashing.
     #[inline]
     pub fn shard_of(&self, v: NodeId) -> usize {
+        if self.shards == 1 {
+            return 0;
+        }
         (splitmix64(self.seed ^ (v.0 as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
             % self.shards as u64) as usize
     }
 }
 
+/// An event as the engine files it: the `(time, key, kind)` triple
+/// [`crate::event::EventQueue::extend`] takes. A cross-shard send keeps
+/// this form from the sender's outbox to the receiver's wheel; only its
+/// messages change hands, in wire form, at the barrier.
+pub(crate) type Filed<M> = (SimTime, u64, EventKind<M>);
+
 /// Attachment making an [`Engine`] one shard of a sharded run: the
-/// partition, this shard's index, and the outbox collecting cross-shard
-/// sends of the current window.
+/// partition, this shard's index, and the outbox collecting the current
+/// window's cross-shard sends — one bucket per destination shard (index =
+/// shard id; this shard's own bucket stays empty), in send order.
 pub(crate) struct ShardBinding<M> {
     pub(crate) partition: Partition,
     pub(crate) me: usize,
-    pub(crate) outbox: Vec<Outbound<M>>,
-}
-
-/// One cross-shard send, still carrying the in-memory message (converted
-/// to wire form when the outbox is flushed at the barrier). `time` and
-/// `key` are exactly what the event would have been queued under locally.
-pub(crate) struct Outbound<M> {
-    pub(crate) time: SimTime,
-    pub(crate) key: u64,
-    pub(crate) from: NodeId,
-    pub(crate) kind: OutboundKind<M>,
-}
-
-pub(crate) enum OutboundKind<M> {
-    Msg {
-        to: NodeId,
-        edge: EdgeId,
-        msg: M,
-        size_bytes: usize,
-    },
-    Batch {
-        to: NodeId,
-        edge: EdgeId,
-        msgs: Box<[(M, usize)]>,
-    },
-    Flood {
-        targets: Vec<(NodeId, EdgeId)>,
-        msg: M,
-        size_bytes: usize,
-    },
-}
-
-/// A cross-shard event in wire form, as exchanged at window barriers.
-pub(crate) struct WireEvent<W> {
-    pub(crate) time: SimTime,
-    pub(crate) key: u64,
-    pub(crate) from: NodeId,
-    pub(crate) body: WireBody<W>,
-}
-
-pub(crate) enum WireBody<W> {
-    Msg {
-        to: NodeId,
-        edge: EdgeId,
-        wire: W,
-        size_bytes: usize,
-    },
-    Batch {
-        to: NodeId,
-        edge: EdgeId,
-        msgs: Vec<(W, usize)>,
-    },
-    Flood {
-        targets: Vec<(NodeId, EdgeId)>,
-        wire: W,
-        size_bytes: usize,
-    },
-}
-
-/// One window's cross-shard sends in wire form, as a worker hands them to
-/// the coordinator: one bucket per destination shard (index = shard id,
-/// the sender's own slot stays empty), each in outbox push order.
-pub(crate) struct WireBuckets<W> {
-    pub(crate) buckets: Vec<Vec<WireEvent<W>>>,
-    /// Earliest arrival time in any bucket.
-    pub(crate) earliest: Option<SimTime>,
+    pub(crate) outbox: Vec<Vec<Filed<M>>>,
 }
 
 /// The engine type each worker thread owns (always on the default
@@ -236,7 +193,7 @@ enum Cmd<P: ShardProtocol + 'static, R: Recorder + Send + 'static> {
     Window {
         end: SimTime,
         inclusive: bool,
-        ingest: Vec<WireEvent<P::Wire>>,
+        ingest: Vec<Filed<P::Wire>>,
     },
     /// Run a closure against the shard's engine (probes, stats reads).
     Visit(VisitFn<P, R>),
@@ -262,8 +219,11 @@ struct WindowReport<W> {
     /// Timestamp of its earliest still-pending local event.
     next: Option<SimTime>,
     counters: ShardCounters,
-    /// Cross-shard sends generated this window.
-    outbound: WireBuckets<W>,
+    /// Cross-shard sends generated this window, in wire form: one bucket
+    /// per destination shard.
+    outbound: Vec<Vec<Filed<W>>>,
+    /// Earliest arrival time in any bucket.
+    earliest: Option<SimTime>,
 }
 
 struct FinishReport<R> {
@@ -335,7 +295,7 @@ pub struct ShardedEngine<P: ShardProtocol + 'static, R: Recorder + Send + 'stati
     nexts: Vec<Option<SimTime>>,
     /// Per-shard mailbox: arrivals other shards produced at the last
     /// barrier, delivered with the shard's next `Cmd::Window`.
-    mail: Vec<Vec<WireEvent<P::Wire>>>,
+    mail: Vec<Vec<Filed<P::Wire>>>,
     /// Earliest arrival waiting in `mail` (its receiving shard reports it
     /// in `nexts` only once it has ingested it).
     mail_min: Option<SimTime>,
@@ -581,10 +541,10 @@ impl<P: ShardProtocol + 'static, R: Recorder + Send + 'static> ShardedEngine<P, 
             self.counters[i] = rep.counters;
             self.nexts[i] = rep.next;
             self.now = self.now.max(rep.now);
-            if let Some(t) = rep.outbound.earliest {
+            if let Some(t) = rep.earliest {
                 self.mail_min = Some(self.mail_min.map_or(t, |m| m.min(t)));
             }
-            for (mail, mut bucket) in self.mail.iter_mut().zip(rep.outbound.buckets) {
+            for (mail, mut bucket) in self.mail.iter_mut().zip(rep.outbound) {
                 if mail.is_empty() {
                     *mail = bucket;
                 } else {
@@ -827,8 +787,8 @@ impl<P: ShardProtocol + 'static, R: Recorder + Send + 'static> ShardedEngine<P, 
         }
         let mut stats = MessageStats::new(self.graph.node_count());
         let mut recorder: Option<R> = None;
-        // Arrivals still in a mailbox are pending events too: one wire
-        // event is one queue entry.
+        // Arrivals still in a mailbox are pending events too: each is one
+        // queue entry.
         let mut queue_live: usize = self.mail.iter().map(Vec::len).sum();
         let mut queue_dead = 0;
         let mut arena_reclaimed_cells = 0;
@@ -904,9 +864,10 @@ fn worker_loop<P, R>(
                 let t1 = R::ENABLED.then(Instant::now);
                 engine.run_window(end, inclusive);
                 let outbound = engine.flush_outbox();
+                let earliest = outbound.iter().flatten().map(|e| e.0).reduce(SimTime::min);
                 let next = engine.peek_time();
                 if let (Some(t0), Some(t1)) = (t0, t1) {
-                    let wire_out = outbound.buckets.iter().map(Vec::len).sum::<usize>() as u64;
+                    let wire_out = outbound.iter().map(Vec::len).sum::<usize>() as u64;
                     let events = engine.events_processed() - events_before;
                     engine.recorder_mut().window_done(
                         me as u32,
@@ -931,6 +892,7 @@ fn worker_loop<P, R>(
                         queue_dead,
                     },
                     outbound,
+                    earliest,
                 };
                 if replies.send(Reply::Window(report)).is_err() {
                     break;

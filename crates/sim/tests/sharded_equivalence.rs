@@ -16,7 +16,8 @@ use rand::Rng;
 
 /// A deliberately chatty protocol: floods on start, re-floods on receipt
 /// (bounded by hop count), fires cascading timers, and reacts to link
-/// flaps — so logs cover every upcall kind the engine dispatches.
+/// flaps with a single send and a batch — so logs cover every upcall kind
+/// and every delivery shape the engine dispatches.
 #[derive(Default)]
 struct Chatter {
     /// Every upcall, logged as `(time bits, peer, tag)` — exact f64 bit
@@ -57,6 +58,7 @@ impl Protocol for Chatter {
     fn on_neighbor_up(&mut self, peer: NodeId, ctx: &mut Context<'_, Hello>) {
         self.log.push((ctx.now().to_bits(), peer.0, 1000));
         ctx.send(peer, Hello(2));
+        ctx.send_batch(peer, vec![(Hello(3), 16), (Hello(4), 24)]);
     }
 
     fn on_neighbor_down(&mut self, peer: NodeId, ctx: &mut Context<'_, Hello>) {
