@@ -12,8 +12,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 use disco_bench::forward::{sample_flows, TTL};
 use disco_core::config::DiscoConfig;
 use disco_core::forward::ForwardingTable;
-use disco_core::landmark::{landmark_set, select_landmarks};
-use disco_core::protocol::{DiscoProtocol, PhaseTimers};
+use disco_core::protocol::DiscoProtocol;
 use disco_dynamics::forward::{FlowAddress, PacketWalker};
 use disco_graph::{generators, NodeId};
 use disco_sim::Engine;
@@ -27,10 +26,7 @@ fn forward(c: &mut Criterion) {
     // Static `n`, as `exp_forward`: the estimation gossip multiplies the
     // boot and leaves the data plane measured here as it is.
     let dcfg = DiscoConfig::seeded(seed).with_dynamic_n_estimation(false);
-    let lm_set = landmark_set(&select_landmarks(n, &dcfg));
-    let mut engine = Engine::new(&graph, |v| {
-        DiscoProtocol::new(v, lm_set.contains(&v), n, &dcfg, PhaseTimers::default())
-    });
+    let mut engine = Engine::new(&graph, DiscoProtocol::network(n, &dcfg));
     assert!(engine.run().converged, "the boot must quiesce");
     let nodes = engine.nodes();
     let mut tables: Vec<ForwardingTable> =

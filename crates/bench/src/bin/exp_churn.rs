@@ -84,20 +84,21 @@ fn main() {
     }
 
     if smoke {
+        let window = &outcome.window;
         let mut failures: Vec<String> = Vec::new();
-        if !outcome.quiesced {
+        if !window.quiesced {
             failures.push("network failed to quiesce after churn".into());
         }
-        if outcome.availability < 0.90 {
+        if window.availability < 0.90 {
             failures.push(format!(
                 "availability under churn {:.4} < 0.90",
-                outcome.availability
+                window.availability
             ));
         }
-        if outcome.final_availability < 0.99 {
+        if window.final_availability < 0.99 {
             failures.push(format!(
                 "post-repair availability {:.4} < 0.99",
-                outcome.final_availability
+                window.final_availability
             ));
         }
         if rec.repair.latencies().is_empty() {

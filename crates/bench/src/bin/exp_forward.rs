@@ -29,7 +29,7 @@
 //!                       the trace export must validate as JSON. With
 //!                       --shards K (K > 1) it also re-runs the leg at
 //!                       --shards 1 and requires every deterministic
-//!                       column to match bit-for-bit.
+//!                       column to match bit-for-bit. Refuses --nodes.
 //! ```
 //!
 //! Every node keeps its construction-time estimate of `n`: the live
@@ -64,6 +64,7 @@ fn parse_args() -> Args {
         trace: None,
         smoke: None,
     };
+    let smoke = std::env::args().any(|a| a == "--smoke");
     let mut it = std::env::args().skip(1).peekable();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| -> String {
@@ -71,6 +72,7 @@ fn parse_args() -> Args {
                 .unwrap_or_else(|| panic!("missing value for {name}"))
         };
         match flag.as_str() {
+            "--nodes" | "-n" if smoke => panic!("--smoke gates n=256: it takes no {flag}"),
             "--nodes" | "-n" => out.nodes = value("--nodes").parse().expect("--nodes"),
             "--seed" | "-s" => out.seed = value("--seed").parse().expect("--seed"),
             "--flows" => out.flows = value("--flows").parse().expect("--flows"),

@@ -36,6 +36,7 @@ use disco_bench::memory::{
     candidate_bound, control_bytes_per_dest_bound, run_leg, run_leg_traced, sqrt_n_log_n,
     MemoryParams, MemoryResult,
 };
+use disco_core::config::DiscoConfig;
 use std::fmt::Write as _;
 use std::process::Command;
 
@@ -108,10 +109,10 @@ fn parse_args() -> Args {
                     let (k, v) = kv.split_once('=').expect("--leg takes k=v pairs");
                     match k {
                         "n" => p.n = v.parse().expect("leg n"),
-                        "rate" => p.leave_rate_per_node = v.parse().expect("leg rate"),
+                        "rate" => p.window.leave_rate_per_node = v.parse().expect("leg rate"),
                         "forgetful" => p.forgetful = v == "1",
                         "seed" => p.seed = v.parse().expect("leg seed"),
-                        "horizon" => p.horizon = v.parse().expect("leg horizon"),
+                        "horizon" => p.window.horizon = v.parse().expect("leg horizon"),
                         "shards" => p.shards = parse_shards(v),
                         other => panic!("unknown leg key {other}"),
                     }
@@ -232,10 +233,10 @@ fn main() {
     // in-churn availability within tolerance of the recorded value.
     if args.smoke {
         let mut p = MemoryParams::grid_point(512, args.seed, 0.001, true);
-        p.horizon = 300.0;
+        p.window.horizon = 300.0;
         p.shards = args.shards;
         let r = run_leg(&p);
-        let bound = candidate_bound(512, p.alternates);
+        let bound = candidate_bound(512, DiscoConfig::default().forgetful_alternates);
         let per_dest = r.non_rib_bytes_mean / r.dests_mean.max(1.0);
         let per_dest_bound = control_bytes_per_dest_bound();
         println!(
@@ -283,7 +284,7 @@ fn main() {
     // and are not comparable to the sweep's, so this mode stands alone.
     if let Some(path) = &args.trace {
         let mut p = MemoryParams::grid_point(args.sizes[0], args.seed, args.rates[0], true);
-        p.horizon = args.horizon;
+        p.window.horizon = args.horizon;
         p.shards = args.shards;
         let r = run_leg_traced(&p, path);
         println!(
@@ -313,7 +314,7 @@ fn main() {
             for forgetful in [false, true] {
                 let r = if args.in_process {
                     let mut p = MemoryParams::grid_point(n, args.seed, rate, forgetful);
-                    p.horizon = args.horizon;
+                    p.window.horizon = args.horizon;
                     p.shards = args.shards;
                     run_leg(&p)
                 } else {

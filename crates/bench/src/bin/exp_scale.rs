@@ -47,7 +47,8 @@
 //!                       BENCH_exp_scale.json whenever the runner has a
 //!                       core per shard (with fewer cores the throughput is
 //!                       reported as UNMEASURED: time-sliced shards say
-//!                       nothing about parallel speed).
+//!                       nothing about parallel speed). Refuses --sizes
+//!                       and --full, which would gate another size.
 //! ```
 //!
 //! Run with: `cargo run --release -p disco-bench --bin exp_scale`
@@ -78,6 +79,7 @@ fn parse_args() -> Args {
         trace: None,
         shards: 1,
     };
+    let smoke = std::env::args().any(|a| a == "--smoke");
     let mut it = std::env::args().skip(1).peekable();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| -> String {
@@ -85,6 +87,7 @@ fn parse_args() -> Args {
                 .unwrap_or_else(|| panic!("missing value for {name}"))
         };
         match flag.as_str() {
+            "--sizes" | "--full" if smoke => panic!("--smoke gates n=1024: it takes no {flag}"),
             "--sizes" => {
                 out.sizes = value("--sizes")
                     .split(',')

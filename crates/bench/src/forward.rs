@@ -2,7 +2,8 @@
 //! forwarding tables during boot, churn and drain.
 //!
 //! Every prior experiment measures the *control* plane. This one forwards
-//! packets: each node's RIB selection column is compiled into a flat
+//! packets, on [`scenario::network`]'s boot under [`BOOT_CHURN`]'s
+//! schedule: each node's RIB selection column is compiled into a flat
 //! [`ForwardingTable`](disco_core::forward::ForwardingTable) behind an
 //! epoch-stamped [`TablePublisher`] double-buffer, and batched flat-name lookups (a Zipf mix and a uniform
 //! mix of destinations over the live nodes) are driven hop-by-hop through
@@ -32,13 +33,12 @@
 //! wall-clock differs.
 
 use crate::cli::write_trace;
+use crate::scenario::{self, BOOT_CHURN};
 use disco_core::config::DiscoConfig;
 use disco_core::forward::TablePublisher;
-use disco_core::landmark::{landmark_set, select_landmarks};
-use disco_core::protocol::{DiscoProtocol, PhaseTimers};
+use disco_core::protocol::DiscoProtocol;
 use disco_dynamics::forward::{hop_distances, FlowAddress, PacketWalker, WalkOutcome};
-use disco_dynamics::models::PoissonChurn;
-use disco_graph::{generators, FxHashMap, NodeId};
+use disco_graph::{FxHashMap, NodeId};
 use disco_sim::rng::rng_for;
 use disco_sim::{MergeRecorder, NoopRecorder, Phase, Protocol, Recorder, ShardedEngine};
 use disco_telemetry::{FullRecorder, Log2Histogram, MessageClass};
@@ -532,34 +532,19 @@ fn run_with<R: MergeRecorder + Send + 'static>(
     cfg: &ForwardConfig,
     recorders: impl FnMut(usize) -> R,
 ) -> (ForwardResult, R) {
-    let graph = generators::gnm_average_degree(cfg.n, 8.0, cfg.seed);
     // Static `n`: the estimation gossip is `exp_churn`'s subject and
     // dominates control cost super-linearly (~70x the messages at n=512),
     // while the data plane being measured here — table compile, epoch
     // publish, lookup — is identical either way.
     let dcfg = DiscoConfig::seeded(cfg.seed).with_dynamic_n_estimation(false);
-    let landmarks = select_landmarks(cfg.n, &dcfg);
-    let lm_set = landmark_set(&landmarks);
-    let model = PoissonChurn {
-        leave_rate_per_node: 0.0002,
-        mean_downtime: 150.0,
-        horizon: 300.0,
-        ..PoissonChurn::default()
-    };
-    let schedule = model.compile(&graph, cfg.seed);
+    let (graph, mut plane) = scenario::network(cfg.n, cfg.seed, &dcfg, cfg.shards, recorders);
+    let everyone = graph.nodes().map(|v| (v, ())).collect();
+    let is_landmark = plane.gather(everyone, |e, v, ()| e.nodes()[v.0].pv.is_landmark());
+    let landmarks = is_landmark.into_iter().filter(|&l| l).count();
     let mut pubs: Vec<TablePublisher> = (0..graph.node_count())
         .map(|v| TablePublisher::new(NodeId(v), cfg.debounce))
         .collect();
-
-    let n = cfg.n;
-    let mut plane = ShardedEngine::with_recorder(
-        &graph,
-        cfg.shards,
-        cfg.seed,
-        move |v| DiscoProtocol::new(v, lm_set.contains(&v), n, &dcfg, PhaseTimers::default()),
-        recorders,
-    );
-    schedule.apply_to(&mut plane);
+    BOOT_CHURN.schedule(&graph, cfg.seed).apply_to(&mut plane);
 
     // Boot, churn, drain: checkpoints at fixed times, then one last batch
     // after quiescence.
@@ -567,11 +552,6 @@ fn run_with<R: MergeRecorder + Send + 'static>(
     let churn_end = *CHURN_CHECKPOINTS.last().expect("churn checkpoints");
     let mut ck = 0u64;
     let mut boot = PhaseAcc::default();
-    plane.mark(|r| {
-        r.phase_begin(Phase::Build, 0.0);
-        r.phase_end(Phase::Build, 0.0);
-        r.phase_begin(Phase::Boot, 0.0);
-    });
     for &t in BOOT_CHECKPOINTS {
         plane.run_to(t);
         checkpoint(&mut plane, &mut pubs, &mut boot, cfg, ck, t);
@@ -613,7 +593,7 @@ fn run_with<R: MergeRecorder + Send + 'static>(
     let result = ForwardResult {
         n: cfg.n,
         shards: cfg.shards,
-        landmarks: landmarks.len(),
+        landmarks,
         flows: cfg.flows,
         boot: boot.into_row("boot"),
         churn: churn.into_row("churn"),

@@ -5,13 +5,16 @@
 //! (§5); the Criterion benches in `benches/` measure the cost of the core
 //! operations (topology generation, state construction, routing).
 //!
-//! See DESIGN.md §4 for the experiment index and EXPERIMENTS.md for the
-//! recorded paper-vs-measured comparison.
+//! The four dynamic drivers — [`churn`], [`memory`], [`scale`] and
+//! [`forward`] — boot the protocol through [`scenario`], which holds the
+//! one network boot and the one churn window they share. README's
+//! "Reproducing the paper" lists the binaries.
 
 pub mod churn;
 pub mod cli;
 pub mod forward;
 pub mod memory;
 pub mod scale;
+pub mod scenario;
 
 pub use cli::CommonArgs;

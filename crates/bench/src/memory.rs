@@ -1,9 +1,10 @@
 //! The `exp_memory` workload: control-state memory under churn, charted
 //! against the paper's `Θ(√(n log n))` bound (§4.2, forgetful routing).
 //!
-//! One *leg* runs the distributed Disco protocol to convergence, applies a
-//! Poisson churn schedule, probes availability at fixed times, and then
-//! meters per-node control state: path-vector candidates (the Adj-RIB-In,
+//! One *leg* boots the distributed Disco protocol to convergence on
+//! [`scenario::network`], runs a [`ChurnWindow`] (Poisson churn schedule,
+//! availability probes at fixed times, drain), and then meters per-node
+//! control state: path-vector candidates (the Adj-RIB-In,
 //! `exp_scale`'s memory wall), RIB bytes, interned-path arena cells, and
 //! the process's peak RSS (`VmHWM`). Every protocol-visible number is a
 //! pure function of the parameters; only wall-clock and RSS vary.
@@ -16,14 +17,11 @@
 //! the gated quantity.
 
 use crate::cli::write_trace;
+use crate::scenario::{self, ChurnWindow};
 use disco_core::config::DiscoConfig;
-use disco_core::landmark::{landmark_set, select_landmarks};
-use disco_core::protocol::{DiscoProtocol, PhaseTimers};
-use disco_dynamics::models::PoissonChurn;
-use disco_dynamics::probe::{disco_probe, sample_live_pairs};
-use disco_graph::{generators, PathArena};
+use disco_graph::PathArena;
 use disco_metrics::control::{ControlAccounting, ControlBytes};
-use disco_sim::{MergeRecorder, NoopRecorder, Phase, ShardedEngine};
+use disco_sim::{MergeRecorder, NoopRecorder};
 use disco_telemetry::FullRecorder;
 use std::time::Instant;
 
@@ -34,20 +32,10 @@ pub struct MemoryParams {
     pub n: usize,
     /// Experiment seed.
     pub seed: u64,
-    /// Per-node leave rate during the churn window.
-    pub leave_rate_per_node: f64,
-    /// Mean downtime before rejoin.
-    pub mean_downtime: f64,
-    /// Length of the churn window.
-    pub horizon: f64,
-    /// Availability probes spread over the window.
-    pub probes: usize,
-    /// Sampled (source, destination) pairs per probe.
-    pub pairs_per_probe: usize,
+    /// The churn window and its probes.
+    pub window: ChurnWindow,
     /// Run with forgetful eviction (`DiscoConfig::forgetful_dynamic`).
     pub forgetful: bool,
-    /// Alternate budget when forgetful.
-    pub alternates: usize,
     /// Engine shards (one worker thread each). Every protocol-visible
     /// number is shard-count invariant; the arena gauges are sums over the
     /// shards' thread-local arenas.
@@ -62,13 +50,14 @@ impl MemoryParams {
         MemoryParams {
             n,
             seed,
-            leave_rate_per_node: leave_rate,
-            mean_downtime: 150.0,
-            horizon: 500.0,
-            probes: 4,
-            pairs_per_probe: 64,
+            window: ChurnWindow {
+                leave_rate_per_node: leave_rate,
+                mean_downtime: 150.0,
+                horizon: 500.0,
+                probes: 4,
+                pairs_per_probe: 64,
+            },
             forgetful,
-            alternates: 2,
             shards: 1,
         }
     }
@@ -238,81 +227,17 @@ struct NodeGauge {
 
 fn run_leg_with<R: MergeRecorder + Send + 'static>(
     p: &MemoryParams,
-    mut recorders: impl FnMut(usize) -> R,
+    recorders: impl FnMut(usize) -> R,
 ) -> (MemoryResult, R) {
     let t0 = Instant::now();
-    // Shard 0's recorder carries the leg's phase spans; it exists before
-    // the engine so the build span has something to time.
-    let mut rec0 = recorders(0);
-    rec0.phase_begin(Phase::Build, 0.0);
-    let graph = generators::gnm_average_degree(p.n, 8.0, p.seed);
-    let cfg = DiscoConfig::seeded(p.seed)
-        .with_forgetful_dynamic(p.forgetful)
-        .with_forgetful_alternates(p.alternates);
-    let landmarks = select_landmarks(p.n, &cfg);
-    let lm_set = landmark_set(&landmarks);
-    rec0.phase_end(Phase::Build, 0.0);
-    rec0.phase_begin(Phase::Boot, 0.0);
-
-    let n = p.n;
-    let mut rec0 = Some(rec0);
-    let mut engine = ShardedEngine::with_recorder(
-        &graph,
-        p.shards,
-        p.seed,
-        move |v| DiscoProtocol::new(v, lm_set.contains(&v), n, &cfg, PhaseTimers::default()),
-        |me| rec0.take().unwrap_or_else(|| recorders(me)),
-    );
-    for shard in 0..engine.shards() {
-        engine.visit(shard, |_| PathArena::reset_peak());
-    }
+    let cfg = DiscoConfig::seeded(p.seed).with_forgetful_dynamic(p.forgetful);
+    let (graph, mut engine) = scenario::network(p.n, p.seed, &cfg, p.shards, recorders);
     let report = engine.run();
     assert!(report.converged, "initial convergence failed");
     let convergence_msgs = report.stats.total_sent();
     let boot_rss = peak_rss_bytes();
     reset_peak_rss();
-
-    let model = PoissonChurn {
-        leave_rate_per_node: p.leave_rate_per_node,
-        mean_downtime: p.mean_downtime,
-        horizon: p.horizon,
-        ..PoissonChurn::default()
-    };
-    let schedule = model.compile(&graph, p.seed);
-    let start = engine.now();
-    engine.mark(move |r| {
-        r.phase_end(Phase::Boot, start);
-        r.phase_begin(Phase::Churn, start);
-    });
-    schedule.apply_to(&mut engine);
-
-    let mut routable_total = 0usize;
-    let mut delivered_total = 0usize;
-    for i in 1..=p.probes {
-        let t = start + p.horizon * i as f64 / p.probes as f64;
-        engine.run_to(t);
-        let pairs = sample_live_pairs(&engine, p.pairs_per_probe, p.seed ^ i as u64);
-        let pr = disco_probe(&mut engine, &pairs);
-        routable_total += pr.routable;
-        delivered_total += pr.delivered;
-    }
-    let availability = if routable_total == 0 {
-        1.0
-    } else {
-        delivered_total as f64 / routable_total as f64
-    };
-
-    let churn_end = engine.now();
-    engine.mark(move |r| {
-        r.phase_end(Phase::Churn, churn_end);
-        r.phase_begin(Phase::Drain, churn_end);
-    });
-    let quiesced = engine.run_until(|_| false);
-    let drain_end = engine.now();
-    engine.mark(move |r| r.phase_end(Phase::Drain, drain_end));
-    let pairs = sample_live_pairs(&engine, p.pairs_per_probe, p.seed ^ 0xf17a1);
-    let pr = disco_probe(&mut engine, &pairs);
-    let final_availability = pr.availability();
+    let window = p.window.run(&mut engine, &graph, p.seed);
 
     // Control-state gauges over the live nodes, each read on its owner and
     // folded through the per-component accounting (Adj-RIB-In vs Loc-RIB
@@ -371,10 +296,10 @@ fn run_leg_with<R: MergeRecorder + Send + 'static>(
 
     let result = MemoryResult {
         n: p.n,
-        leave_rate: p.leave_rate_per_node,
+        leave_rate: p.window.leave_rate_per_node,
         forgetful: p.forgetful,
-        availability,
-        final_availability,
+        availability: window.availability,
+        final_availability: window.final_availability,
         cand_mean: cand_total as f64 / live_f,
         cand_max,
         rib_bytes_mean,
@@ -393,7 +318,7 @@ fn run_leg_with<R: MergeRecorder + Send + 'static>(
         peak_rss_bytes: peak_rss_bytes(),
         boot_rss_bytes: boot_rss,
         wall_secs: t0.elapsed().as_secs_f64(),
-        quiesced,
+        quiesced: window.quiesced,
     };
     (result, summary.recorder)
 }
@@ -528,8 +453,8 @@ mod tests {
     #[test]
     fn memory_leg_runs_and_roundtrips() {
         let mut p = MemoryParams::grid_point(128, 3, 0.001, true);
-        p.horizon = 200.0;
-        p.probes = 2;
+        p.window.horizon = 200.0;
+        p.window.probes = 2;
         let r = run_leg(&p);
         assert!(r.quiesced);
         assert!(r.topology_events > 5, "expected churn");
@@ -560,8 +485,8 @@ mod tests {
     #[test]
     fn protocol_numbers_are_shard_count_invariant() {
         let mut p = MemoryParams::grid_point(128, 3, 0.001, true);
-        p.horizon = 200.0;
-        p.probes = 2;
+        p.window.horizon = 200.0;
+        p.window.probes = 2;
         let seq = run_leg(&p);
         p.shards = 2;
         let sh = run_leg(&p);
@@ -586,8 +511,8 @@ mod tests {
     fn forgetful_leg_cuts_candidates_within_availability_budget() {
         let mk = |forgetful| {
             let mut p = MemoryParams::grid_point(192, 7, 0.0005, forgetful);
-            p.horizon = 200.0;
-            p.probes = 2;
+            p.window.horizon = 200.0;
+            p.window.probes = 2;
             run_leg(&p)
         };
         let full = mk(false);

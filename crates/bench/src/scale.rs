@@ -1,9 +1,10 @@
 //! The `exp_scale` workload: hot-path throughput and memory gauges at one
 //! network size.
 //!
-//! The measured leg is the distributed Disco protocol booting *under* a
-//! Poisson churn schedule, capped at a fixed budget of **delivered
-//! announcements** so the cost of a measurement is independent of `n` —
+//! The measured leg is the distributed Disco protocol booting on
+//! [`scenario::network`] *under* [`BOOT_CHURN`]'s Poisson schedule,
+//! capped at a fixed budget of **delivered announcements** so the cost of
+//! a measurement is independent of `n` —
 //! what varies with `n` is the per-message cost (routing-table size,
 //! candidate-set size, queue residency), which is exactly what the
 //! announcements/sec number tracks. The budget counts protocol messages
@@ -15,13 +16,11 @@
 //! `DiscoState::build_parallel` with the `threads` knob.
 
 use crate::cli::write_trace;
+use crate::scenario::{self, BOOT_CHURN};
 use disco_core::config::DiscoConfig;
-use disco_core::landmark::{landmark_set, select_landmarks};
-use disco_core::protocol::{DiscoProtocol, PhaseTimers};
 use disco_core::static_state::DiscoState;
-use disco_dynamics::models::PoissonChurn;
-use disco_graph::{generators, PathArena};
-use disco_sim::{NoopRecorder, Phase, ShardedEngine};
+use disco_graph::PathArena;
+use disco_sim::NoopRecorder;
 use disco_telemetry::{FullRecorder, MergeRecorder};
 use std::time::Instant;
 
@@ -145,42 +144,17 @@ fn run_with<R: MergeRecorder + Send + 'static>(
     cfg: &ScaleConfig,
     recorders: impl FnMut(usize) -> R,
 ) -> (ScaleResult, R) {
-    let graph = generators::gnm_average_degree(cfg.n, 8.0, cfg.seed);
     let dcfg = DiscoConfig::seeded(cfg.seed);
+    let (graph, mut engine) = scenario::network(cfg.n, cfg.seed, &dcfg, cfg.shards, recorders);
 
+    // Off the shard threads: the static build leaves their arena gauges be.
     let t0 = Instant::now();
     let st = DiscoState::build_parallel(&graph, &dcfg, cfg.build_threads);
     let build_secs = t0.elapsed().as_secs_f64();
     let landmarks_built = st.landmarks().len();
     drop(st);
 
-    let landmarks = select_landmarks(cfg.n, &dcfg);
-    let lm_set = landmark_set(&landmarks);
-    let model = PoissonChurn {
-        leave_rate_per_node: 0.0002,
-        mean_downtime: 150.0,
-        horizon: 300.0,
-        ..PoissonChurn::default()
-    };
-    let schedule = model.compile(&graph, cfg.seed);
-
-    let n = cfg.n;
-    let mut engine = ShardedEngine::with_recorder(
-        &graph,
-        cfg.shards,
-        cfg.seed,
-        move |v| DiscoProtocol::new(v, lm_set.contains(&v), n, &dcfg, PhaseTimers::default()),
-        recorders,
-    );
-    for shard in 0..engine.shards() {
-        engine.visit(shard, |_| PathArena::reset_peak());
-    }
-    schedule.apply_to(&mut engine);
-    engine.mark(|r| {
-        r.phase_begin(Phase::Build, 0.0);
-        r.phase_end(Phase::Build, 0.0); // static build happened above
-        r.phase_begin(Phase::Churn, 0.0);
-    });
+    BOOT_CHURN.schedule(&graph, cfg.seed).apply_to(&mut engine);
     let budget = cfg.announcement_budget;
     let t1 = Instant::now();
     engine.start();
@@ -199,7 +173,7 @@ fn run_with<R: MergeRecorder + Send + 'static>(
     let topology_events = engine.topology_events();
     let sim_end = engine.now();
     // Shut the shards down properly: each drops its engine and compacts
-    // its thread-local arena (`finish` also closes the open churn span).
+    // its thread-local arena (`finish` also closes the open boot span).
     let summary = engine.finish();
     let result = ScaleResult {
         n: cfg.n,

@@ -127,11 +127,14 @@ fn static_n_preserves_forgetful_availability() {
         .with_forgetful(true)
         .with_static_n(true);
     let outcome = run(&params, 1);
-    let line = format!("availability under churn: {:.4}", outcome.availability);
+    let line = format!(
+        "availability under churn: {:.4}",
+        outcome.window.availability
+    );
     assert!(
         GOLDEN_FORGETFUL.contains(&line),
         "static-n forgetful availability {:.4} differs from the forgetful \
          golden's (expected the golden to contain {line:?})",
-        outcome.availability
+        outcome.window.availability
     );
 }

@@ -119,12 +119,6 @@ impl DiscoConfig {
         self
     }
 
-    /// Builder-style: set the forgetful alternate budget.
-    pub fn with_forgetful_alternates(mut self, alternates: usize) -> Self {
-        self.forgetful_alternates = alternates;
-        self
-    }
-
     /// Target vicinity size for a network believed to contain `n` nodes:
     /// `⌈c·√(n ln n)⌉`, clamped to at least 2 and at most `n`.
     pub fn vicinity_size(&self, n: usize) -> usize {

@@ -41,11 +41,14 @@ pub fn select_landmarks(n: usize, cfg: &DiscoConfig) -> Vec<NodeId> {
     select_landmarks_with_estimates(n, cfg, |_| n)
 }
 
-/// The landmark set as a hash set for membership tests — the form every
-/// simulator harness needs to hand each node its own landmark status
+/// The landmark set as a hash set for membership tests — the form a
+/// harness needs to hand each node its own landmark status
 /// (`lm_set.contains(&v)`) when constructing protocol instances.
-/// `FxHashSet` like every other simulator-internal map (deterministic,
-/// no SipHash cost on the per-node probe during engine construction).
+/// [`DiscoProtocol::network`](crate::protocol::DiscoProtocol::network)
+/// does that for the workspace; the standalone `benchmark/` harness calls
+/// this and `DiscoProtocol::new` itself. `FxHashSet` like every other
+/// simulator-internal map (deterministic, no SipHash cost on the per-node
+/// probe during engine construction).
 pub fn landmark_set(landmarks: &[NodeId]) -> disco_graph::FxHashSet<NodeId> {
     landmarks.iter().copied().collect()
 }

@@ -38,7 +38,7 @@ use crate::config::DiscoConfig;
 use crate::estimate_n::Synopsis;
 use crate::forward::ForwardingTable;
 use crate::hash::{NameHash, NameHasher};
-use crate::landmark::LandmarkStatus;
+use crate::landmark::{landmark_set, select_landmarks, LandmarkStatus};
 use crate::name::FlatName;
 use crate::path_vector::{Announcement, PathVectorNode, TableLimit};
 use disco_graph::{FxHashMap, FxHashSet, InternedPath, NodeId};
@@ -72,7 +72,9 @@ const REPAIR_DELAY: f64 = 60.0;
 /// remains only as the last argument of [`DiscoProtocol::new`], because the
 /// standalone `benchmark/` harness constructs it with
 /// `PhaseTimers::default()` and keeps its source fixed so that runs of
-/// different commits stay comparable.
+/// different commits stay comparable. Outside this file, code in the
+/// workspace builds its nodes with [`DiscoProtocol::network`] and never
+/// names this type.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseTimers {}
 
@@ -273,10 +275,25 @@ pub struct DiscoProtocol {
 }
 
 impl DiscoProtocol {
+    /// The node factory of an `n`-node network: node `v` is built as by
+    /// [`Self::new`], every node estimating the size as `n`, and the
+    /// landmarks are [`select_landmarks`]`(n, cfg)` — drawn once, so the
+    /// set is never empty (node 0 stands in when nobody elects itself).
+    /// Hand it to `Engine::new` or `ShardedEngine::new`; this is how every
+    /// simulation in the workspace boots the protocol.
+    pub fn network(
+        n: usize,
+        cfg: &DiscoConfig,
+    ) -> impl Fn(NodeId) -> DiscoProtocol + Send + Clone + 'static {
+        let landmarks = landmark_set(&select_landmarks(n, cfg));
+        let cfg = cfg.clone();
+        move |v| DiscoProtocol::new(v, landmarks.contains(&v), n, &cfg, PhaseTimers::default())
+    }
+
     /// Create the protocol instance for `id`. `is_landmark` is the node's
     /// locally drawn landmark status and `n_estimate` its estimate of the
     /// network size. The last argument carries nothing (see
-    /// [`PhaseTimers`]).
+    /// [`PhaseTimers`]); [`Self::network`] builds whole networks.
     pub fn new(
         id: NodeId,
         is_landmark: bool,
@@ -1099,7 +1116,6 @@ impl Protocol for DiscoProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::landmark::{landmark_set, select_landmarks};
     use disco_graph::generators;
     use disco_sim::Engine;
 
@@ -1110,11 +1126,7 @@ mod tests {
     ) -> (disco_sim::RunReport, Vec<usize>, usize, usize) {
         let g = generators::gnm_average_degree(n, 8.0, seed);
         let cfg = DiscoConfig::seeded(seed).with_fingers(fingers);
-        let landmarks = select_landmarks(n, &cfg);
-        let lm_set = landmark_set(&landmarks);
-        let mut engine = Engine::new(&g, |v| {
-            DiscoProtocol::new(v, lm_set.contains(&v), n, &cfg, PhaseTimers::default())
-        });
+        let mut engine = Engine::new(&g, DiscoProtocol::network(n, &cfg));
         let report = engine.run();
         let group_counts: Vec<usize> = engine
             .nodes()
@@ -1132,6 +1144,36 @@ mod tests {
             .filter(|p| p.overlay_neighbor_count() > 0)
             .count();
         (report, group_counts, resolution_total, with_overlay)
+    }
+
+    /// The factory builds landmarks exactly where `select_landmarks` puts
+    /// them, every node anchored at the true `n` — node 0's fallback
+    /// included, at a size and seed where no node elects itself.
+    #[test]
+    fn network_builds_the_selected_landmarks_at_the_true_n() {
+        use crate::landmark::elects_itself;
+        let small = 4;
+        let nobody = (0..1000)
+            .find(|&seed| {
+                let cfg = DiscoConfig::seeded(seed);
+                (0..small).all(|v| !elects_itself(NodeId(v), small, &cfg))
+            })
+            .expect("some seed elects nobody at n=4");
+        for (n, seed) in [(256, 1), (small, nobody)] {
+            let cfg = DiscoConfig::seeded(seed);
+            let node = DiscoProtocol::network(n, &cfg);
+            let nodes: Vec<DiscoProtocol> = (0..n).map(|v| node(NodeId(v))).collect();
+            let built: Vec<NodeId> = (0..n)
+                .map(NodeId)
+                .filter(|v| nodes[v.0].landmark_status().is_landmark())
+                .collect();
+            assert_eq!(built, select_landmarks(n, &cfg), "n={n} seed={seed}");
+            assert!(nodes
+                .iter()
+                .all(|p| p.landmark_status().n_at_last_decision() == n));
+        }
+        let cfg = DiscoConfig::seeded(nobody);
+        assert_eq!(select_landmarks(small, &cfg), vec![NodeId(0)]);
     }
 
     #[test]
@@ -1165,17 +1207,14 @@ mod tests {
         let g = generators::gnm_average_degree(n, 8.0, seed);
         let cfg = DiscoConfig::seeded(seed);
         let landmarks = select_landmarks(n, &cfg);
-        let lm_set = landmark_set(&landmarks);
-        let mut engine = Engine::new(&g, |v| {
-            DiscoProtocol::new(v, lm_set.contains(&v), n, &cfg, PhaseTimers::default())
-        });
+        let mut engine = Engine::new(&g, DiscoProtocol::network(n, &cfg));
         let report = engine.run();
         assert!(report.converged);
         for node in engine.nodes() {
             let addr = node.my_address().expect("address after convergence");
             assert_eq!(addr.path.last(), node.pv.id());
             assert_eq!(addr.path.first(), addr.landmark);
-            assert!(lm_set.contains(&addr.landmark));
+            assert!(landmarks.contains(&addr.landmark));
         }
     }
 
@@ -1245,11 +1284,8 @@ mod tests {
         let seed = 21;
         let g = generators::gnm_average_degree(n, 6.0, seed);
         let cfg = DiscoConfig::seeded(seed).with_dynamic_n_estimation(true);
-        let landmarks = crate::landmark::select_landmarks(n, &cfg);
-        let lm_set = landmark_set(&landmarks);
-        let mut engine = Engine::new(&g, |v| {
-            DiscoProtocol::new(v, lm_set.contains(&v), n, &cfg, PhaseTimers::default())
-        });
+        let landmarks = select_landmarks(n, &cfg);
+        let mut engine = Engine::new(&g, DiscoProtocol::network(n, &cfg));
         assert!(engine.run().converged);
 
         // A sketch claiming a much larger network arrives at node 0 out of
@@ -1315,11 +1351,7 @@ mod tests {
         let seed = 13;
         let g = generators::gnm_average_degree(n, 8.0, seed);
         let cfg = DiscoConfig::seeded(seed).with_dynamic_n_estimation(true);
-        let landmarks = crate::landmark::select_landmarks(n, &cfg);
-        let lm_set = landmark_set(&landmarks);
-        let mut engine = Engine::new(&g, |v| {
-            DiscoProtocol::new(v, lm_set.contains(&v), n, &cfg, PhaseTimers::default())
-        });
+        let mut engine = Engine::new(&g, DiscoProtocol::network(n, &cfg));
         assert!(engine.run().converged);
         let before = engine.nodes()[0].live_estimate();
         assert!(before >= n / 2, "converged estimate {before} implausible");
@@ -1377,11 +1409,7 @@ mod tests {
         let seed = 17;
         let g = generators::gnm_average_degree(n, 8.0, seed);
         let cfg = DiscoConfig::seeded(seed).with_dynamic_n_estimation(true);
-        let landmarks = crate::landmark::select_landmarks(n, &cfg);
-        let lm_set = landmark_set(&landmarks);
-        let mut engine = Engine::new(&g, |v| {
-            DiscoProtocol::new(v, lm_set.contains(&v), n, &cfg, PhaseTimers::default())
-        });
+        let mut engine = Engine::new(&g, DiscoProtocol::network(n, &cfg));
         assert!(engine.run().converged);
         let before = engine.nodes()[0].live_estimate();
 

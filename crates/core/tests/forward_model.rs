@@ -41,8 +41,8 @@
 
 use disco_core::config::DiscoConfig;
 use disco_core::forward::{ForwardingTable, TablePublisher};
-use disco_core::landmark::{landmark_set, select_landmarks};
-use disco_core::protocol::{DiscoProtocol, PhaseTimers};
+use disco_core::landmark::select_landmarks;
+use disco_core::protocol::DiscoProtocol;
 use disco_graph::{generators, NodeId};
 use disco_sim::rng::rng_for;
 use disco_sim::{Engine, TopologyEvent};
@@ -103,10 +103,7 @@ fn network(n: usize, seed: u64) -> Network {
     let graph = generators::gnm_average_degree(n, 6.0, seed);
     let dcfg = DiscoConfig::seeded(seed).with_dynamic_n_estimation(false);
     let landmarks = select_landmarks(n, &dcfg);
-    let lm_set = landmark_set(&landmarks);
-    let engine = Engine::new(&graph, move |v| {
-        DiscoProtocol::new(v, lm_set.contains(&v), n, &dcfg, PhaseTimers::default())
-    });
+    let engine = Engine::new(&graph, DiscoProtocol::network(n, &dcfg));
     (graph, landmarks, engine)
 }
 

@@ -74,6 +74,17 @@ impl Default for PoissonChurn {
 }
 
 impl PoissonChurn {
+    /// Churn at `leave_rate_per_node` with mean downtime `mean_downtime`
+    /// over `horizon`; attachment and live floor as in [`Default`].
+    pub fn new(leave_rate_per_node: f64, mean_downtime: f64, horizon: f64) -> Self {
+        PoissonChurn {
+            leave_rate_per_node,
+            mean_downtime,
+            horizon,
+            ..PoissonChurn::default()
+        }
+    }
+
     /// Compile to a schedule over the nodes of `graph`.
     pub fn compile(&self, graph: &Graph, seed: u64) -> Schedule {
         let n = graph.node_count();

@@ -6,12 +6,10 @@
 //! zero by quiescence.
 
 use disco_core::config::DiscoConfig;
-use disco_core::landmark::select_landmarks;
-use disco_core::protocol::{DiscoProtocol, PhaseTimers};
+use disco_core::protocol::DiscoProtocol;
 use disco_dynamics::models::PoissonChurn;
-use disco_graph::{generators, NodeId};
+use disco_graph::generators;
 use disco_sim::ShardedEngine;
-use std::collections::HashSet;
 
 #[test]
 fn high_churn_never_pops_epoch_dead_timers() {
@@ -19,11 +17,7 @@ fn high_churn_never_pops_epoch_dead_timers() {
     let seed = 11;
     let graph = generators::gnm_average_degree(n, 8.0, seed);
     let cfg = DiscoConfig::seeded(seed).with_forgetful_dynamic(true);
-    let landmarks = select_landmarks(n, &cfg);
-    let lm_set: HashSet<NodeId> = landmarks.iter().copied().collect();
-    let mut engine = ShardedEngine::new(&graph, 1, seed, move |v| {
-        DiscoProtocol::new(v, lm_set.contains(&v), n, &cfg, PhaseTimers::default())
-    });
+    let mut engine = ShardedEngine::new(&graph, 1, seed, DiscoProtocol::network(n, &cfg));
     assert!(engine.run().converged, "initial convergence");
 
     // An order of magnitude more churn than the recorded baselines: every

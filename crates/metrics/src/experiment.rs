@@ -2,7 +2,7 @@
 //! evaluation (§5). The `disco-bench` binaries call these with paper-scale
 //! parameters; the tests here and the workspace integration tests run the
 //! same functions at smaller sizes, so the figure pipeline itself is under
-//! test. See DESIGN.md §4 for the experiment ↔ figure index.
+//! test. README's "Reproducing the paper" lists the binaries.
 
 use crate::congestion::{self, CongestionReport};
 use crate::sampling::{one_destination_per_node, sample_nodes, sample_pairs_grouped};
@@ -18,7 +18,7 @@ use disco_core::dissemination;
 use disco_core::estimate_n::NEstimates;
 use disco_core::overlay::Overlay;
 use disco_core::path_vector::{PathVectorNode, TableLimit};
-use disco_core::protocol::{DiscoProtocol, PhaseTimers};
+use disco_core::protocol::DiscoProtocol;
 use disco_core::routing::DiscoRouter;
 use disco_core::shortcut::ShortcutMode;
 use disco_core::sloppy_group::SloppyGrouping;
@@ -321,9 +321,7 @@ pub fn messaging_point(n: usize, seed: u64) -> MessagingPoint {
         let cfg = DiscoConfig::seeded(seed)
             .with_fingers(fingers)
             .with_dynamic_n_estimation(false);
-        let mut engine = Engine::new(&graph, |v| {
-            DiscoProtocol::new(v, lm_set.contains(&v), n, &cfg, PhaseTimers::default())
-        });
+        let mut engine = Engine::new(&graph, DiscoProtocol::network(n, &cfg));
         let report = engine.run();
         assert!(report.converged, "Disco did not converge");
         report.stats.mean_sent_per_node()

@@ -13,26 +13,21 @@
 
 use disco::core::config::DiscoConfig;
 use disco::core::landmark::select_landmarks;
-use disco::core::protocol::{DiscoProtocol, PhaseTimers};
+use disco::core::protocol::DiscoProtocol;
 use disco::dynamics::models::{FlashCrowd, LinkFailures, PoissonChurn, Waypoints};
 use disco::dynamics::probe::{disco_probe, sample_live_pairs};
 use disco::graph::{generators, NodeId};
 use disco::sim::ShardedEngine;
-use std::collections::HashSet;
 
 fn main() {
     let seed = 11;
     let n = 300;
     let graph = generators::gnm_average_degree(n, 8.0, seed);
     let cfg = DiscoConfig::seeded(seed);
-    // Size estimates anticipate the flash crowd; landmark election uses the
-    // initial population.
+    // Every node boots knowing the initial population; the flash crowd
+    // below is theirs to discover.
     let landmarks = select_landmarks(n, &cfg);
-    let lm_set: HashSet<NodeId> = landmarks.iter().copied().collect();
-
-    let mut engine = ShardedEngine::new(&graph, 1, seed, move |v| {
-        DiscoProtocol::new(v, lm_set.contains(&v), n, &cfg, PhaseTimers::default())
-    });
+    let mut engine = ShardedEngine::new(&graph, 1, seed, DiscoProtocol::network(n, &cfg));
     let report = engine.run();
     assert!(report.converged);
     println!(

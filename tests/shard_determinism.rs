@@ -7,8 +7,7 @@
 //! run.
 
 use disco::core::config::DiscoConfig;
-use disco::core::landmark::{landmark_set, select_landmarks};
-use disco::core::protocol::{DiscoProtocol, PhaseTimers};
+use disco::core::protocol::DiscoProtocol;
 use disco::dynamics::probe::{disco_probe, sample_live_pairs, ProbeReport};
 use disco::graph::{generators, NodeId};
 use disco::sim::{MessageStats, ShardedEngine, TopologyEvent};
@@ -28,10 +27,7 @@ fn run(shards: usize) -> Outcome {
     let (n, seed) = (96, 5);
     let graph = generators::gnm_average_degree(n, 8.0, seed);
     let cfg = DiscoConfig::seeded(seed).with_dynamic_n_estimation(false);
-    let lm = landmark_set(&select_landmarks(n, &cfg));
-    let mut engine = ShardedEngine::new(&graph, shards, seed, move |v| {
-        DiscoProtocol::new(v, lm.contains(&v), n, &cfg, PhaseTimers::default())
-    });
+    let mut engine = ShardedEngine::new(&graph, shards, seed, DiscoProtocol::network(n, &cfg));
     // While the boot floods are in flight: a link failure, a departure,
     // and the departed node rejoining over links lighter than any in the
     // graph (the lookahead shrinks mid-run).
