@@ -149,14 +149,15 @@ pub fn candidate_bound(n: usize, alternates: usize) -> f64 {
 
 /// The non-RIB-control-bytes-per-destination bound the smoke gate asserts
 /// (mean non-RIB control bytes per node over mean interned destinations
-/// per node). Measured 47.4 B/dest at the smoke point (n=512, heavy churn,
-/// forgetful, 427 dests/node): ~44.4 B of Loc-RIB and routing table (view
-/// columns at 28 B/dest plus vector growth slack, ordered-mirror keys) and
-/// ~3 B of dissemination. The bound leaves 11 % over that reading, so a
-/// regression that re-materializes per-destination state still fails CI.
-/// The store's id order (4 B per interned destination) is priced as well
-/// once built — which only a forwarding compile does, so not in this
-/// experiment; with it the point would read ≈ 51.4, also under the bound.
+/// per node). Measured 46.2 B/dest at the smoke point (n=512, heavy churn,
+/// forgetful, 427 dests/node): ~43.2 B of Loc-RIB and routing table (view
+/// columns at 28 B/dest plus vector growth slack, and the ordered mirrors'
+/// 12 B keys priced at their arrays' capacity) and ~3 B of dissemination.
+/// The bound leaves 15 % over that reading, so a regression that
+/// re-materializes per-destination state still fails CI. The store's id
+/// order (4 B per interned destination) is priced as well once built —
+/// which only a forwarding compile does, so not in this experiment; with
+/// it the point would read ≈ 50.2, also under the bound.
 ///
 /// The meter is complete: `loc_rib_bytes` prices every per-destination
 /// byte a node keeps outside the Adj-RIB-In (the routing table is the

@@ -108,6 +108,36 @@ impl Bencher {
         self.elapsed_ns = start.elapsed().as_nanos();
         self.iters = ITERATIONS;
     }
+
+    /// Time `routine` alone over a fixed number of iterations (after one
+    /// warm-up call), each on a fresh input from the untimed `setup`.
+    pub fn iter_batched<I, O>(
+        &mut self,
+        mut setup: impl FnMut() -> I,
+        mut routine: impl FnMut(I) -> O,
+        _size: BatchSize,
+    ) {
+        black_box(routine(setup()));
+        self.elapsed_ns = 0;
+        for _ in 0..ITERATIONS {
+            let input = setup();
+            let start = Instant::now();
+            let output = routine(input);
+            self.elapsed_ns += start.elapsed().as_nanos();
+            drop(black_box(output));
+        }
+        self.iters = ITERATIONS;
+    }
+}
+
+/// How many inputs [`Bencher::iter_batched`] sets up at once; accepted for
+/// API compatibility (the stand-in sets up one per iteration).
+#[derive(Debug, Clone, Copy)]
+pub enum BatchSize {
+    /// Inputs small enough to batch.
+    SmallInput,
+    /// Inputs too large to hold many of at once.
+    LargeInput,
 }
 
 fn run_one(name: &str, elements: Option<u64>, mut f: impl FnMut(&mut Bencher)) {

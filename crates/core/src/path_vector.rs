@@ -76,20 +76,69 @@ const JOURNAL_LEN: u64 = 64;
 /// distinct numbers and publishes nothing else.
 static NEXT_INCARNATION: AtomicU64 = AtomicU64::new(1);
 
-/// Finite weight with a total order, usable as a BTreeSet key.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct OrdW(Weight);
-impl Eq for OrdW {}
-impl PartialOrd for OrdW {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+/// One ordered mirror of [`PathVectorNode`]'s selections: a sorted array
+/// of packed 12-byte `(dist bits hi, dist bits lo, destination id)` keys.
+/// Non-negative finite `f64`s order like their bit patterns, so the
+/// array's lexicographic order is exactly `(dist, NodeId)`. Gives back
+/// half its capacity when its length falls under a quarter of it, so a
+/// transient peak (a boot's waiting list) is not held for good.
+#[derive(Debug, Clone, Default)]
+struct Mirror(Vec<[u32; 3]>);
+
+impl Mirror {
+    /// The key `d` at distance `dist` is filed under.
+    #[inline]
+    fn key(dist: Weight, d: NodeId) -> [u32; 3] {
+        debug_assert!(
+            dist.is_finite() && dist.is_sign_positive(),
+            "route weights are finite and non-negative"
+        );
+        let bits = dist.to_bits();
+        [(bits >> 32) as u32, bits as u32, PathVectorNode::dkey(d)]
     }
-}
-impl Ord for OrdW {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0
-            .partial_cmp(&other.0)
-            .expect("route weights are finite")
+
+    /// The `(destination, distance)` a key encodes.
+    #[inline]
+    fn entry(k: &[u32; 3]) -> (NodeId, Weight) {
+        let bits = (u64::from(k[0]) << 32) | u64::from(k[1]);
+        (NodeId(k[2] as usize), f64::from_bits(bits))
+    }
+
+    fn insert(&mut self, dist: Weight, d: NodeId) {
+        let k = Self::key(dist, d);
+        let at = self.0.binary_search(&k).expect_err("a key is filed once");
+        self.0.insert(at, k);
+    }
+
+    fn remove(&mut self, dist: Weight, d: NodeId) {
+        let at = self
+            .0
+            .binary_search(&Self::key(dist, d))
+            .expect("a removed key is filed");
+        self.0.remove(at);
+        if self.0.len() < self.0.capacity() / 4 {
+            self.0.shrink_to(self.0.capacity() / 2);
+        }
+    }
+
+    #[cfg(test)]
+    fn contains(&self, dist: Weight, d: NodeId) -> bool {
+        self.0.binary_search(&Self::key(dist, d)).is_ok()
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Heap bytes held: the capacity, not the length.
+    fn bytes(&self) -> usize {
+        self.0.capacity() * std::mem::size_of::<[u32; 3]>()
+    }
+
+    /// The filed destinations with their distances, closest first, ties
+    /// by smaller id.
+    fn iter(&self) -> impl DoubleEndedIterator<Item = (NodeId, Weight)> + '_ {
+        self.0.iter().map(Self::entry)
     }
 }
 
@@ -180,10 +229,9 @@ pub struct PathVectorNode {
     /// is a filter over the selection, not a second copy of it.
     ///
     /// Ordered mirrors that turn the per-message O(table) / O(best) scans
-    /// of cap admission into O(log) lookups — the difference between
-    /// per-event cost growing with √n and staying flat. Together they
-    /// partition the selected destinations, each filed as `(dist, key)`
-    /// under the selection's `(landmark flag, resident mark)`:
+    /// of cap admission into a binary search and an end read. Together
+    /// they partition the selected destinations, each filed as `(dist,
+    /// id)` under the selection's `(landmark flag, resident mark)`:
     ///
     /// * flag set → `lm_best` (min = this node's own landmark distance;
     ///   every limit admits landmarks, so outside a re-derivation these
@@ -193,20 +241,26 @@ pub struct PathVectorNode {
     /// * flag clear, not resident → `waiting` (min = the cap's best
     ///   waiting candidate).
     ///
-    /// [`Self::unmirror_at`] / [`Self::mirror_at`] are the only writers:
-    /// take the key out *before* touching either field (clearing a
-    /// selection can compact the interner and the mark with it), file it
-    /// again after. Keys are compact 4-byte destination keys
-    /// (`d.0 as u32`), *not* interned RIB indexes: the `(dist, key)` order
-    /// must equal the `(dist, NodeId)` order — distance ties are
-    /// everywhere on unit-weight graphs and the tie-break decides cap
-    /// admission — and intern order is arrival order, which would reorder
-    /// ties and change converged tables.
-    locals: BTreeSet<(OrdW, u32)>,
+    /// [`Self::refile`] is the only writer. A writer reads the `(dist,
+    /// flag, resident)` a selection had before it touches either field,
+    /// and refiles once after: the key moves only when one of the three
+    /// did (most writes during a boot put back the very key they would
+    /// have taken out), and a cleared selection loses its key before
+    /// anything reads `lm_best` or `waiting`. Until then the old key stays
+    /// filed while [`Self::apply_selection`] tests admission, which reads
+    /// only `locals` — and only when `d` was not a resident local (that
+    /// case short-circuits), so its old key sits in `waiting` or
+    /// `lm_best`, never in `locals`. Keys carry destination ids, *not*
+    /// interned RIB indexes: the `(dist, id)` order must equal the `(dist,
+    /// NodeId)` order — distance ties are everywhere on unit-weight graphs
+    /// and the tie-break decides cap admission — and intern order is
+    /// arrival order, which would reorder ties and change converged
+    /// tables.
+    locals: Mirror,
     /// See `locals`.
-    waiting: BTreeSet<(OrdW, u32)>,
+    waiting: Mirror,
     /// See `locals`.
-    lm_best: BTreeSet<(OrdW, u32)>,
+    lm_best: Mirror,
     /// Distance to this node's own closest landmark (0 for landmarks, `∞`
     /// while none is reachable); re-announced whenever it changes since the
     /// cluster rule keys on it.
@@ -277,9 +331,9 @@ impl PathVectorNode {
             pending_refresh: BTreeSet::new(),
             refreshes_sent: 0,
             refreshes_answered: 0,
-            locals: BTreeSet::new(),
-            waiting: BTreeSet::new(),
-            lm_best: BTreeSet::new(),
+            locals: Mirror::default(),
+            waiting: Mirror::default(),
+            lm_best: Mirror::default(),
             self_path: None,
             own_landmark_dist: if is_landmark { 0.0 } else { Weight::INFINITY },
             pending: disco_graph::FxHashSet::default(),
@@ -379,16 +433,6 @@ impl PathVectorNode {
         self.route(dest).map(|r| r.dist)
     }
 
-    /// The destinations filed in one ordered mirror with their distances,
-    /// closest first, ties by smaller id.
-    fn mirrored(
-        mirror: &BTreeSet<(OrdW, u32)>,
-    ) -> impl DoubleEndedIterator<Item = (NodeId, Weight)> + '_ {
-        mirror
-            .iter()
-            .map(|&(OrdW(dist), key)| (NodeId(key as usize), dist))
-    }
-
     /// Landmarks currently in the table with their distances — this node
     /// itself first if it is one, then closest first, ties by smaller id.
     /// Walks the `lm_best` mirror without touching the store;
@@ -397,13 +441,13 @@ impl PathVectorNode {
         let own = self.route(self.id).filter(|r| r.dest_is_landmark);
         own.map(|r| (self.id, r.dist))
             .into_iter()
-            .chain(Self::mirrored(&self.lm_best))
+            .chain(self.lm_best.iter())
     }
 
     /// Non-landmark destinations currently in the table (the vicinity /
     /// cluster) with their distances, closest first, ties by smaller id.
     pub fn local_entries(&self) -> impl Iterator<Item = (NodeId, Weight)> + '_ {
-        Self::mirrored(&self.locals)
+        self.locals.iter()
     }
 
     /// Number of candidate routes held across all neighbors (control-plane
@@ -462,13 +506,13 @@ impl PathVectorNode {
     /// the per-destination view columns in the [`RibStore`] (selection,
     /// hop count, resident mark, and the id order once a forwarding
     /// compile built it) plus the ordered `locals`/`waiting`/`lm_best`
-    /// mirrors (≈12 B keys in B-tree nodes that amortize to about twice
-    /// the payload). This is the "loc-rib bytes" column of `exp_memory`'s
-    /// per-component accounting, and it is all there is: the node keeps no
-    /// other per-destination state.
+    /// mirrors, priced at what they hold: their capacity in 12 B keys.
+    /// This is the "loc-rib bytes" column of `exp_memory`'s per-component
+    /// accounting, and it is all there is: the node keeps no other
+    /// per-destination state.
     pub fn loc_rib_bytes(&self) -> usize {
-        let mirrored = self.locals.len() + self.waiting.len() + self.lm_best.len();
-        self.rib.selection_bytes() + mirrored * 24
+        let mirrored = self.locals.bytes() + self.waiting.bytes() + self.lm_best.bytes();
+        self.rib.selection_bytes() + mirrored
     }
 
     /// Route-refresh requests this node has flooded (forgetful routing's
@@ -482,8 +526,7 @@ impl PathVectorNode {
         self.refreshes_answered
     }
 
-    /// Compact 4-byte mirror key for a destination (order-isomorphic to
-    /// `NodeId` — see the mirror field docs).
+    /// Compact 4-byte journal and mirror key for a destination.
     #[inline]
     fn dkey(d: NodeId) -> u32 {
         debug_assert_eq!(d.0 as u32 as usize, d.0, "node ids must fit u32");
@@ -492,7 +535,7 @@ impl PathVectorNode {
 
     /// The mirror a selection with this `(flag, resident)` pair is filed
     /// in (the partition rule of the `locals` field docs).
-    fn mirror_of(&mut self, flag: bool, resident: bool) -> &mut BTreeSet<(OrdW, u32)> {
+    fn mirror_of(&mut self, flag: bool, resident: bool) -> &mut Mirror {
         match (flag, resident) {
             (true, _) => &mut self.lm_best,
             (false, true) => &mut self.locals,
@@ -500,24 +543,22 @@ impl PathVectorNode {
         }
     }
 
-    /// Take `d`'s selection out of its mirror — call before any write to
-    /// the selection or the resident mark of `d`. Returns the `(distance,
-    /// flag, resident)` it was filed under, `None` if nothing is selected.
-    fn unmirror_at(&mut self, d: NodeId, di: u32) -> Option<(Weight, bool, bool)> {
-        let parts = self.rib.selected_parts_at(di)?;
-        let (dist, flag, resident) = parts;
-        self.mirror_of(flag, resident)
-            .remove(&(OrdW(dist), Self::dkey(d)));
-        Some(parts)
-    }
-
-    /// File `d`'s selection (if any) in the mirror its current `(flag,
-    /// resident)` names — call after the write [`Self::unmirror_at`]
-    /// preceded.
-    fn mirror_at(&mut self, d: NodeId, di: u32) {
-        if let Some((dist, flag, resident)) = self.rib.selected_parts_at(di) {
-            self.mirror_of(flag, resident)
-                .insert((OrdW(dist), Self::dkey(d)));
+    /// File `d`'s selection after a write to it or to its resident mark:
+    /// `prev` is the `(distance, flag, resident)` it had before the write
+    /// (`None` if nothing was selected), `di` its index now (`None` if the
+    /// write cleared it out of the interner). Touches no mirror when the
+    /// key did not move; otherwise takes the old key out and files the new
+    /// one, if any.
+    fn refile(&mut self, d: NodeId, prev: Option<(Weight, bool, bool)>, di: Option<u32>) {
+        let now = di.and_then(|i| self.rib.selected_parts_at(i));
+        if prev == now {
+            return;
+        }
+        if let Some((dist, flag, resident)) = prev {
+            self.mirror_of(flag, resident).remove(dist, d);
+        }
+        if let Some((dist, flag, resident)) = now {
+            self.mirror_of(flag, resident).insert(dist, d);
         }
     }
 
@@ -525,9 +566,9 @@ impl PathVectorNode {
     /// (a cap admission or eviction) and queue the change for export.
     fn set_resident(&mut self, w: NodeId, resident: bool) {
         let wi = self.rib.idx(w).expect("a mirrored destination is interned");
-        self.unmirror_at(w, wi);
+        let prev = self.rib.selected_parts_at(wi);
         self.rib.set_resident_at(wi, resident);
-        self.mirror_at(w, wi);
+        self.refile(w, prev, Some(wi));
         self.pending.insert(w);
     }
 
@@ -538,7 +579,7 @@ impl PathVectorNode {
     /// re-probe.
     fn select_candidate(&mut self, d: NodeId, di: u32, nbr: NodeId, cand: Candidate) {
         self.bump_revision(d);
-        let prev = self.unmirror_at(d, di);
+        let prev = self.rib.selected_parts_at(di);
         let moved = self.rib.select_from_at(di, nbr, cand);
         self.apply_selection(d, Some(di), prev, moved);
     }
@@ -717,7 +758,7 @@ impl PathVectorNode {
             // selection and compact the interner; `di` is dead past this
             // point.
             self.bump_revision(d);
-            let prev = self.rib.idx(d).and_then(|i| self.unmirror_at(d, i));
+            let prev = self.rib.idx(d).and_then(|i| self.rib.selected_parts_at(i));
             let moved = self.rib.select_best(d);
             // The selected route vanished with no retained alternate left.
             // If the forgetful policy discarded candidates for this
@@ -790,16 +831,16 @@ impl PathVectorNode {
     }
 
     /// The best selected route not currently in the table (the cap's
-    /// waiting list) with its distance, if any. O(log) via the `waiting`
+    /// waiting list) with its distance, if any: the head of the `waiting`
     /// mirror.
     fn best_waiting(&self) -> Option<(NodeId, Weight)> {
-        Self::mirrored(&self.waiting).next()
+        self.waiting.iter().next()
     }
 
     /// The worst non-landmark table entry (the cap's eviction candidate)
-    /// with its distance. O(log) via the `locals` mirror.
+    /// with its distance: the tail of the `locals` mirror.
     fn worst_local(&self) -> Option<(NodeId, Weight)> {
-        Self::mirrored(&self.locals).next_back()
+        self.locals.iter().next_back()
     }
 
     /// Admit the cap's best waiting candidate, if any, into a freed slot.
@@ -815,11 +856,11 @@ impl PathVectorNode {
     /// [`TableLimit::VicinityCap`], and keeps `own_landmark_dist`
     /// (exported on the self route) current.
     ///
-    /// The second half of every selection write: the caller took `d` out
-    /// of its mirror ([`Self::unmirror_at`], whose result is `prev` — what
-    /// `d`'s selection and table entry were), then wrote the selection
-    /// (`moved` = the store saw the selected route change); this decides
-    /// the resident mark and files `d` again.
+    /// The second half of every selection write: the caller read `prev`
+    /// — what `d`'s selection and table entry were, still filed under
+    /// that key — then wrote the selection (`moved` = the store saw the
+    /// selected route change); this decides the resident mark and
+    /// refiles `d` ([`Self::refile`]).
     fn apply_selection(
         &mut self,
         d: NodeId,
@@ -867,8 +908,8 @@ impl PathVectorNode {
             // resident goes back to `waiting`.
             if let Some(i) = di {
                 self.rib.set_resident_at(i, false);
-                self.mirror_at(d, i);
             }
+            self.refile(d, prev, di);
             if was_resident {
                 self.pending.insert(d);
                 // A freed cap slot admits the best waiting candidate.
@@ -883,7 +924,7 @@ impl PathVectorNode {
             return;
         };
         self.rib.set_resident_at(di, true);
-        self.mirror_at(d, di);
+        self.refile(d, prev, Some(di));
         // `d`'s export changed iff it had no entry, or the entry it had —
         // its previous selection — differs from the new one.
         if !was_resident || moved {
@@ -931,16 +972,17 @@ impl PathVectorNode {
     }
 
     /// Keep the exported own-landmark distance current after a landmark
-    /// route changed; the cluster rule at *other* nodes keys on it. O(log)
-    /// via the `lm_best` mirror instead of a scan over every selection.
+    /// route changed; the cluster rule at *other* nodes keys on it. The
+    /// head of the `lm_best` mirror instead of a scan over every selection.
     fn refresh_own_landmark_dist(&mut self) {
         if self.is_landmark {
             return;
         }
         let nearest = self
             .lm_best
-            .first()
-            .map_or(Weight::INFINITY, |&(OrdW(w), _)| w);
+            .iter()
+            .next()
+            .map_or(Weight::INFINITY, |(_, w)| w);
         if nearest != self.own_landmark_dist {
             self.own_landmark_dist = nearest;
             if self.self_path.is_some() {
@@ -1024,9 +1066,8 @@ impl PathVectorNode {
         self.dump_scratch.clear();
         self.dump_scratch
             .extend(self.self_path.is_some().then_some(self.id));
-        let resident = self.locals.iter().chain(&self.lm_best);
-        self.dump_scratch
-            .extend(resident.map(|&(_, key)| NodeId(key as usize)));
+        let resident = self.locals.iter().chain(self.lm_best.iter());
+        self.dump_scratch.extend(resident.map(|(d, _)| d));
         self.dump_scratch.sort_unstable();
         let mut batch = Vec::with_capacity(self.dump_scratch.len());
         for &d in &self.dump_scratch {
@@ -1178,8 +1219,8 @@ mod tests {
                     continue;
                 };
                 selected += 1;
-                let key = (OrdW(dist), PathVectorNode::dkey(d));
-                let filed = [&node.lm_best, &node.locals, &node.waiting].map(|m| m.contains(&key));
+                let filed =
+                    [&node.lm_best, &node.locals, &node.waiting].map(|m| m.contains(dist, d));
                 let named = [flag, !flag && resident, !flag && !resident];
                 assert_eq!(filed, named, "{v}: {d} misfiled (lm_best, locals, waiting)");
                 assert!(resident || !flag, "{v}: landmark {d} outside the table");

@@ -36,6 +36,11 @@
 //!    every destination whose `for_each_route_by_id` row differs — or
 //!    says it does not reach that far back
 //!    (`journal_names_every_row_that_moved`).
+//! 8. also one level up, under a vicinity cap: at every quiescence of a
+//!    booting and link-flapping network, `local_entries` and
+//!    `landmark_entries` list exactly the resident selections, ordered by
+//!    `(dist, NodeId)`, and no waiting selection outranks the worst local
+//!    (`cap_mirrors_match_a_reference_order`).
 //!
 //! A neighbor of its own announces filler destinations — a handful before
 //! anything else is interned, a burst halfway through — and then goes, so
@@ -497,4 +502,109 @@ fn journal_names_every_row_that_moved() {
         engine.nodes()[0].writes_since(0).is_none(),
         "a stamp this node never had"
     );
+}
+
+/// A selection's rank under the vicinity cap: distance, ties by smaller
+/// id, compared as floats (not as the mirrors' packed keys).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Rank(Weight, NodeId);
+
+impl Eq for Rank {}
+
+impl PartialOrd for Rank {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Rank {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        let by_dist = self.0.partial_cmp(&other.0).expect("finite distances");
+        by_dist.then(self.1.cmp(&other.1))
+    }
+}
+
+/// Invariant (8) for one node: the ordered entry lists against a
+/// reference rebuilt from the selection column and the table.
+fn check_cap_order(node: &PathVectorNode, cap: usize) {
+    let v = node.id();
+    let (mut locals, mut landmarks, mut waiting) =
+        (BTreeSet::new(), BTreeSet::new(), BTreeSet::new());
+    node.for_each_selected(|d, sel| {
+        let rank = Rank(sel.dist, d);
+        match (node.route(d).is_some(), sel.dest_is_landmark) {
+            (true, true) => landmarks.insert(rank),
+            (true, false) => locals.insert(rank),
+            (false, false) => waiting.insert(rank),
+            (false, true) => panic!("{v}: landmark {d} outside the table"),
+        };
+    });
+    let listed = |ranks: &BTreeSet<Rank>| ranks.iter().map(|r| (r.1, r.0)).collect::<Vec<_>>();
+    let own = node.is_landmark().then_some((v, 0.0));
+    let expect_landmarks: Vec<_> = own.into_iter().chain(listed(&landmarks)).collect();
+    assert_eq!(
+        node.local_entries().collect::<Vec<_>>(),
+        listed(&locals),
+        "{v}: locals"
+    );
+    assert_eq!(
+        node.landmark_entries().collect::<Vec<_>>(),
+        expect_landmarks,
+        "{v}: landmarks"
+    );
+    assert!(
+        locals.len() <= cap,
+        "{v}: {} locals over the cap {cap}",
+        locals.len()
+    );
+    if let (Some(worst), Some(best)) = (locals.last(), waiting.first()) {
+        assert!(
+            best >= worst,
+            "{v}: waiting {best:?} outranks local {worst:?}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, max_shrink_iters: 0 })]
+    #[test]
+    fn cap_mirrors_match_a_reference_order(
+        n in 6usize..40,
+        degree in 2usize..5,
+        cap in 1usize..8,
+        landmark_every in 3usize..9,
+        seed in 0u64..1_000_000,
+    ) {
+        let graph = generators::gnm(n, n * degree / 2, seed);
+        let limit = TableLimit::VicinityCap { size: cap };
+        let mut engine = Engine::new(&graph, |v| {
+            PathVectorNode::new(v, v.0 % landmark_every == 0, limit)
+        });
+        prop_assert!(engine.run().converged);
+        engine.nodes().iter().for_each(|node| check_cap_order(node, cap));
+        // Flap links one event at a time, each to quiescence.
+        let edges: Vec<(NodeId, NodeId)> = graph
+            .nodes()
+            .flat_map(|u| graph.neighbors(u).iter().map(move |nb| (u, nb.node)))
+            .filter(|(u, v)| u < v)
+            .collect();
+        let (mut down, mut rng) = (Vec::new(), seed);
+        for _ in 0..8 {
+            let pick = splitmix(&mut rng) as usize;
+            let event = if down.is_empty() || !pick.is_multiple_of(3) {
+                let (u, v) = edges[pick % edges.len()];
+                if down.contains(&(u, v)) {
+                    continue;
+                }
+                down.push((u, v));
+                TopologyEvent::LinkDown { u, v }
+            } else {
+                let (u, v) = down.swap_remove(pick % down.len());
+                TopologyEvent::LinkUp { u, v, weight: 1.0 }
+            };
+            engine.schedule_topology(engine.now() + 1.0, event);
+            prop_assert!(engine.run().converged);
+            engine.nodes().iter().for_each(|node| check_cap_order(node, cap));
+        }
+    }
 }

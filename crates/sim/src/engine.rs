@@ -446,26 +446,36 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
                     // event carrying the payload once, replicated at the
                     // pop — uniform weights on one shard collapse to a
                     // single event (the common case). Targets keep
-                    // adjacency order within a group.
-                    type FloodGroup = (Weight, usize, Vec<(NodeId, EdgeId)>);
+                    // adjacency order within a group. One pass sizes the
+                    // groups, so each target list is allocated once at
+                    // its final length and boxes without a `realloc`.
+                    // `(weight, receiving shard, size, targets)`.
+                    type FloodGroup = (Weight, usize, usize, Vec<(NodeId, EdgeId)>);
                     let mut groups: Vec<FloodGroup> = Vec::new();
+                    let group_of = |groups: &[FloodGroup], w: Weight, dest: usize| {
+                        groups.iter().position(|g| g.0 == w && g.1 == dest)
+                    };
                     for nb in self.graph.neighbors(node) {
                         self.stats.record_send(node, size_bytes);
                         let dest = self.shard_of(nb.node);
-                        let g = match groups.iter().position(|g| g.0 == nb.weight && g.1 == dest) {
-                            Some(g) => g,
-                            None => {
-                                groups.push((nb.weight, dest, Vec::new()));
-                                groups.len() - 1
-                            }
-                        };
-                        groups[g].2.push((nb.node, nb.edge));
+                        match group_of(&groups, nb.weight, dest) {
+                            Some(g) => groups[g].2 += 1,
+                            None => groups.push((nb.weight, dest, 1, Vec::new())),
+                        }
+                    }
+                    for g in &mut groups {
+                        g.3.reserve_exact(g.2);
+                    }
+                    for nb in self.graph.neighbors(node) {
+                        let dest = self.shard_of(nb.node);
+                        let g = group_of(&groups, nb.weight, dest).expect("sized above");
+                        groups[g].3.push((nb.node, nb.edge));
                     }
                     // Every group carries the flood's key; groups differ in
                     // time or receiving shard, so no two events of one
                     // queue collide on (time, key). The payload moves into
                     // the last group, cloning only for the others.
-                    let Some((w, dest, targets)) = groups.pop() else {
+                    let Some((w, dest, _, targets)) = groups.pop() else {
                         continue; // no neighbors, nothing to send
                     };
                     if R::ENABLED {
@@ -484,7 +494,7 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
                         targets: targets.into_boxed_slice(),
                         size_bytes,
                     };
-                    for (w, dest, targets) in groups {
+                    for (w, dest, _, targets) in groups {
                         self.file(dest, arrival(w), key, flood(msg.clone(), targets));
                     }
                     self.file(dest, arrival(w), key, flood(msg, targets));
