@@ -1,6 +1,7 @@
 //! Criterion benches wrapping the figure pipelines at reduced scale, so
 //! `cargo bench` exercises every experiment end to end (the full-scale
-//! regeneration is done by the `fig*` binaries; see EXPERIMENTS.md).
+//! regeneration is done by the `fig*` binaries; see README, "Substitutions",
+//! on scale).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use disco_metrics::experiment::{

@@ -36,33 +36,20 @@
 //!   failure.
 
 use disco_bench::churn::{churn_experiment, ChurnParams};
-use disco_bench::cli::{parse_shards, write_trace};
+use disco_bench::cli::{exit_on_failures, write_trace, Flags};
 use disco_bench::CommonArgs;
 use disco_sim::NoopRecorder;
 use disco_telemetry::{validate_json, FullRecorder};
 
 fn main() {
-    let mut forgetful = false;
-    let mut static_n = false;
-    let mut telemetry = false;
-    let mut smoke = false;
-    let mut shards = 1;
-    let mut trace: Option<String> = None;
-    let mut rest: Vec<String> = Vec::new();
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--forgetful" => forgetful = true,
-            "--static-n" => static_n = true,
-            "--telemetry" => telemetry = true,
-            "--smoke" => smoke = true,
-            "--shards" => shards = parse_shards(&it.next().expect("missing value for --shards")),
-            "--trace" => trace = Some(it.next().expect("missing value for --trace")),
-            _ => rest.push(a),
-        }
-    }
-    let default_nodes = if smoke { 192 } else { 512 };
-    let args = CommonArgs::parse_from(rest, default_nodes);
+    let mut flags = Flags::from_env();
+    let forgetful = flags.switch("--forgetful");
+    let static_n = flags.switch("--static-n");
+    let telemetry = flags.switch("--telemetry");
+    let smoke = flags.switch("--smoke");
+    let shards = flags.shards();
+    let trace: Option<String> = flags.value("--trace");
+    let args = CommonArgs::from_flags(flags, if smoke { 192 } else { 512 });
     let params = ChurnParams::sized(args.nodes, args.seed)
         .with_forgetful(forgetful)
         .with_static_n(static_n);
@@ -120,12 +107,9 @@ fn main() {
             }
         }
         if !failures.is_empty() {
-            for f in &failures {
-                eprintln!("smoke FAIL: {f}");
-            }
             eprint!("{}", rec.flight.dump());
-            std::process::exit(1);
         }
+        exit_on_failures(&failures);
         println!("smoke OK");
     }
 }

@@ -38,90 +38,12 @@
 //!
 //! Run with: `cargo run --release -p disco-bench --bin exp_forward`
 
-use disco_bench::cli::{parse_shards, recorded};
+use disco_bench::cli::{exit_on_failures, recorded, write_report, Flags};
 use disco_bench::forward::{run_one, ForwardConfig, ForwardResult};
-use std::fmt::Write as _;
+use disco_telemetry::Json;
 
-struct Args {
-    nodes: usize,
-    seed: u64,
-    flows: usize,
-    debounce: f64,
-    shards: usize,
-    json: Option<String>,
-    trace: Option<String>,
-    smoke: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut out = Args {
-        nodes: 4096,
-        seed: 1,
-        flows: 4096,
-        debounce: 5.0,
-        shards: 1,
-        json: None,
-        trace: None,
-        smoke: None,
-    };
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let mut it = std::env::args().skip(1).peekable();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> String {
-            it.next()
-                .unwrap_or_else(|| panic!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--nodes" | "-n" if smoke => panic!("--smoke gates n=256: it takes no {flag}"),
-            "--nodes" | "-n" => out.nodes = value("--nodes").parse().expect("--nodes"),
-            "--seed" | "-s" => out.seed = value("--seed").parse().expect("--seed"),
-            "--flows" => out.flows = value("--flows").parse().expect("--flows"),
-            "--debounce" => out.debounce = value("--debounce").parse().expect("--debounce"),
-            "--shards" => out.shards = parse_shards(&value("--shards")),
-            "--json" => out.json = Some(value("--json")),
-            "--trace" => out.trace = Some(value("--trace")),
-            "--smoke" => {
-                out.nodes = 256;
-                out.flows = out.flows.min(2048);
-                out.smoke = Some("BENCH_exp_forward.json".to_string());
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "flags: --nodes N --seed S --flows F --debounce T --shards K \
-                     --json PATH --trace PATH --smoke"
-                );
-                std::process::exit(0);
-            }
-            other => panic!("unknown flag {other}; try --help"),
-        }
-    }
-    out
-}
-
-fn render_json(args: &Args, result: &ForwardResult) -> String {
-    let nproc = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let mut j = String::new();
-    let _ = writeln!(j, "{{");
-    let _ = writeln!(j, "  \"experiment\": \"exp_forward\",");
-    let _ = writeln!(j, "  \"seed\": {},", args.seed);
-    let _ = writeln!(j, "  \"flows\": {},", args.flows);
-    let _ = writeln!(j, "  \"debounce\": {},", args.debounce);
-    let _ = writeln!(j, "  \"nproc\": {nproc},");
-    // The smoke gate: 70% of the drain batch's measured lookup rate,
-    // rounded down — CI fails an exp_forward --smoke run whose drain batch
-    // regresses below it. The drain batch walks the converged tables, so
-    // its rate is the steady-state one.
-    let _ = writeln!(
-        j,
-        "  \"min_lookups_per_sec\": {},",
-        (result.drain.lookups_per_sec * 0.7) as u64
-    );
-    let _ = writeln!(j, "  \"results\": [");
-    let _ = writeln!(j, "    {}", result.to_json());
-    let _ = writeln!(j, "  ]");
-    let _ = writeln!(j, "}}");
-    j
-}
+const USAGE: &str = "flags: --nodes N --seed S --flows F --debounce T --shards K \
+                     --json PATH --trace PATH --smoke";
 
 fn print_table(r: &ForwardResult) {
     println!(
@@ -214,14 +136,11 @@ fn smoke_failures(r: &ForwardResult, floor: f64, trace_path: &str) -> Vec<String
 /// — walks, deliveries, stale losses, misses, lookup counts, hop sums,
 /// republish decisions, table totals and simulation end — to match
 /// bit-for-bit.
-fn shard_invariance_failures(args: &Args, multi: &ForwardResult) -> Vec<String> {
+fn shard_invariance_failures(cfg: &ForwardConfig, multi: &ForwardResult) -> Vec<String> {
     let one = run_one(&ForwardConfig {
-        n: multi.n,
-        seed: args.seed,
-        flows: args.flows,
-        debounce: args.debounce,
         shards: 1,
         trace: None,
+        ..cfg.clone()
     });
     let mut failures = Vec::new();
     for (a, b) in [
@@ -233,7 +152,7 @@ fn shard_invariance_failures(args: &Args, multi: &ForwardResult) -> Vec<String> 
             failures.push(format!(
                 "phase {} diverged at shards={}: one shard {:?} vs {:?}",
                 a.phase,
-                args.shards,
+                cfg.shards,
                 a.deterministic_key(),
                 b.deterministic_key()
             ));
@@ -246,7 +165,7 @@ fn shard_invariance_failures(args: &Args, multi: &ForwardResult) -> Vec<String> 
         failures.push(format!(
             "end-state diverged at shards={}: entries {} vs {}, bytes {} vs {}, \
              sim_end {} vs {}",
-            args.shards,
+            cfg.shards,
             one.table_entries,
             multi.table_entries,
             one.table_bytes,
@@ -258,57 +177,65 @@ fn shard_invariance_failures(args: &Args, multi: &ForwardResult) -> Vec<String> 
     if failures.is_empty() {
         eprintln!(
             "smoke OK: shards={} matches shards=1 bit-for-bit on every deterministic column",
-            args.shards
+            cfg.shards
         );
     }
     failures
 }
 
 fn main() {
-    let mut args = parse_args();
-    // A smoke leg always exports a trace so the gate can validate it; an
-    // explicit --trace keeps the user's path.
-    if args.smoke.is_some() && args.trace.is_none() {
-        args.trace = Some(
-            std::env::temp_dir()
-                .join("exp_forward_trace.json")
-                .to_string_lossy()
-                .into_owned(),
-        );
+    let mut flags = Flags::from_env();
+    let smoke = flags.switch("--smoke");
+    if let Some(flag) = flags.find(&["--nodes"]).filter(|_| smoke) {
+        panic!("--smoke gates n=256: it takes no {flag}");
     }
+    let flows = flags.value("--flows").unwrap_or(4096);
     let cfg = ForwardConfig {
-        n: args.nodes,
-        seed: args.seed,
-        flows: args.flows,
-        debounce: args.debounce,
-        shards: args.shards,
-        trace: args.trace.clone(),
+        n: flags
+            .value("--nodes")
+            .unwrap_or(if smoke { 256 } else { 4096 }),
+        seed: flags.value("--seed").unwrap_or(1),
+        flows: if smoke { flows.min(2048) } else { flows },
+        debounce: flags.value("--debounce").unwrap_or(5.0),
+        shards: flags.shards(),
+        // A smoke leg always exports a trace so the gate can validate it;
+        // an explicit --trace keeps the user's path.
+        trace: flags.value("--trace").or_else(|| {
+            let default = std::env::temp_dir().join("exp_forward_trace.json");
+            smoke.then(|| default.to_string_lossy().into_owned())
+        }),
     };
+    let json: Option<String> = flags.value("--json");
+    flags.finish(USAGE);
     // Read before the leg runs: a smoke that cannot read its floor fails
     // (`recorded` exits), it does not fall back to a weaker gate.
-    let floor = args
-        .smoke
-        .as_deref()
-        .map(|baseline| recorded(baseline, "min_lookups_per_sec"));
+    let floor = smoke.then(|| recorded("BENCH_exp_forward.json", "min_lookups_per_sec"));
     let r = run_one(&cfg);
     print_table(&r);
 
-    if let Some(path) = &args.json {
-        std::fs::write(path, render_json(&args, &r)).expect("write json");
-        eprintln!("wrote {path}");
+    if let Some(path) = &json {
+        // The smoke gate: 70% of the drain batch's measured lookup rate,
+        // rounded down — CI fails an exp_forward --smoke run whose drain
+        // batch regresses below it. The drain batch walks the converged
+        // tables, so its rate is the steady-state one.
+        let floor = (r.drain.lookups_per_sec * 0.7) as u64;
+        let nproc = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let header = vec![
+            ("seed", Json::Int(cfg.seed)),
+            ("flows", Json::Int(cfg.flows as u64)),
+            ("debounce", Json::Num(cfg.debounce)),
+            ("nproc", Json::Int(nproc as u64)),
+            ("min_lookups_per_sec", Json::Int(floor)),
+        ];
+        write_report(path, "exp_forward", header, vec![r.to_json()]);
     }
 
     if let Some(floor) = floor {
-        let trace_path = args.trace.as_deref().expect("smoke legs always trace");
+        let trace_path = cfg.trace.as_deref().expect("smoke legs always trace");
         let mut failures = smoke_failures(&r, floor, trace_path);
-        if args.shards > 1 {
-            failures.extend(shard_invariance_failures(&args, &r));
+        if cfg.shards > 1 {
+            failures.extend(shard_invariance_failures(&cfg, &r));
         }
-        if !failures.is_empty() {
-            for f in &failures {
-                eprintln!("smoke FAIL: {f}");
-            }
-            std::process::exit(1);
-        }
+        exit_on_failures(&failures);
     }
 }

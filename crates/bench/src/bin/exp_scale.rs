@@ -53,111 +53,51 @@
 //!
 //! Run with: `cargo run --release -p disco-bench --bin exp_scale`
 
-use disco_bench::cli::{parse_shards, recorded};
+use disco_bench::cli::{exit_on_failures, recorded, write_report, Flags};
 use disco_bench::scale::{run_one, ScaleConfig, ScaleResult};
-use std::fmt::Write as _;
+use disco_telemetry::Json;
 
-struct Args {
-    sizes: Vec<usize>,
-    seed: u64,
-    budget: u64,
-    threads: usize,
-    json: Option<String>,
-    smoke: Option<String>,
-    trace: Option<String>,
-    shards: usize,
-}
+const USAGE: &str = "flags: --sizes a,b,c --full --seed S --events N --threads T \
+                     --json PATH --trace PATH --shards K --smoke";
 
-fn parse_args() -> Args {
-    let mut out = Args {
-        sizes: vec![1024, 4096, 16384],
-        seed: 1,
-        budget: 3_000_000,
-        threads: 0,
-        json: None,
-        smoke: None,
-        trace: None,
-        shards: 1,
-    };
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let mut it = std::env::args().skip(1).peekable();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> String {
-            it.next()
-                .unwrap_or_else(|| panic!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--sizes" | "--full" if smoke => panic!("--smoke gates n=1024: it takes no {flag}"),
-            "--sizes" => {
-                out.sizes = value("--sizes")
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--sizes"))
-                    .collect();
-            }
-            "--full" => out.sizes.push(65_536),
-            "--seed" | "-s" => out.seed = value("--seed").parse().expect("--seed"),
-            "--events" => out.budget = value("--events").parse().expect("--events"),
-            "--threads" => out.threads = value("--threads").parse().expect("--threads"),
-            "--json" => out.json = Some(value("--json")),
-            "--trace" => out.trace = Some(value("--trace")),
-            "--shards" => out.shards = parse_shards(&value("--shards")),
-            "--smoke" => {
-                out.sizes = vec![1024];
-                out.smoke = Some("BENCH_exp_scale.json".to_string());
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "flags: --sizes a,b,c --full --seed S --events N --threads T \
-                     --json PATH --trace PATH --shards K --smoke"
-                );
-                std::process::exit(0);
-            }
-            other => panic!("unknown flag {other}; try --help"),
-        }
+fn main() {
+    let mut flags = Flags::from_env();
+    let smoke = flags.switch("--smoke");
+    if let Some(flag) = flags.find(&["--sizes", "--full"]).filter(|_| smoke) {
+        panic!("--smoke gates n=1024: it takes no {flag}");
     }
+    let default_sizes = if smoke {
+        vec![1024]
+    } else {
+        vec![1024, 4096, 16384]
+    };
+    let mut sizes = flags.list("--sizes").unwrap_or(default_sizes);
+    if flags.switch("--full") {
+        sizes.push(65_536);
+    }
+    // Every leg's configuration but its size.
+    let base = ScaleConfig {
+        n: sizes[0],
+        seed: flags.value("--seed").unwrap_or(1),
+        announcement_budget: flags.value("--events").unwrap_or(3_000_000),
+        build_threads: flags.value("--threads").unwrap_or(0),
+        trace: flags.value("--trace"),
+        shards: flags.shards(),
+    };
+    let json: Option<String> = flags.value("--json");
+    flags.finish(USAGE);
     assert!(
-        !(out.smoke.is_some() && out.shards > 1 && out.json.is_some()),
+        !(smoke && base.shards > 1 && json.is_some()),
         "--shards K --smoke measures a ratio, not a sweep: it writes no --json \
          (record its printed median as sharded_ratio; see README \"Performance\")"
     );
-    out
-}
-
-fn render_json(args: &Args, results: &[ScaleResult]) -> String {
-    let mut j = String::new();
-    let _ = writeln!(j, "{{");
-    let _ = writeln!(j, "  \"experiment\": \"exp_scale\",");
-    let _ = writeln!(j, "  \"seed\": {},", args.seed);
-    let _ = writeln!(j, "  \"announcement_budget\": {},", args.budget);
-    // The smoke gate: 70% of the measured one-shard 1k announcement rate,
-    // rounded down — CI fails an exp_scale --smoke run that regresses
-    // delivered announcements/sec by >30%.
-    if let Some(r1k) = results.iter().find(|r| r.n == 1024 && r.shards == 1) {
-        let _ = writeln!(
-            j,
-            "  \"min_announcements_per_sec\": {},",
-            (r1k.announcements_per_sec * 0.7) as u64
-        );
-    }
-    let _ = writeln!(j, "  \"results\": [");
-    for (i, r) in results.iter().enumerate() {
-        let comma = if i + 1 < results.len() { "," } else { "" };
-        let _ = writeln!(j, "    {}{comma}", r.to_json());
-    }
-    let _ = writeln!(j, "  ]");
-    let _ = writeln!(j, "}}");
-    j
-}
-
-fn main() {
-    let args = parse_args();
     // Read before the legs run: a smoke that cannot read its floor fails
     // (`recorded` exits), it does not run ungated.
-    let floor = args.smoke.as_deref().map(|baseline| {
-        if args.shards > 1 {
-            0.7 * recorded(baseline, "sharded_ratio")
+    let floor = smoke.then(|| {
+        if base.shards > 1 {
+            0.7 * recorded("BENCH_exp_scale.json", "sharded_ratio")
         } else {
-            recorded(baseline, "min_announcements_per_sec")
+            recorded("BENCH_exp_scale.json", "min_announcements_per_sec")
         }
     });
     let mut results = Vec::new();
@@ -165,16 +105,13 @@ fn main() {
         "{:>7} {:>10} {:>12} {:>13} {:>13} {:>12}",
         "n", "landmarks", "build_secs", "events/sec", "anns/sec", "peak_cells"
     );
-    for &n in &args.sizes {
+    for &n in &sizes {
         let cfg = ScaleConfig {
             n,
-            seed: args.seed,
-            announcement_budget: args.budget,
-            build_threads: args.threads,
             // Trace only the first size in the sweep (the file would
             // otherwise be overwritten per size).
-            trace: args.trace.clone().filter(|_| results.is_empty()),
-            shards: args.shards,
+            trace: base.trace.clone().filter(|_| results.is_empty()),
+            ..base.clone()
         };
         let r = run_one(&cfg);
         println!(
@@ -190,14 +127,25 @@ fn main() {
     }
 
     match floor {
-        Some(floor) if args.shards > 1 => smoke_shard_ratio(&args, &results[0], floor),
+        Some(floor) if base.shards > 1 => smoke_shard_ratio(&base, &results[0], floor),
         Some(floor) => smoke_rate(&results[0], floor),
         None => {}
     }
 
-    if let Some(path) = &args.json {
-        std::fs::write(path, render_json(&args, &results)).expect("write json");
-        eprintln!("wrote {path}");
+    if let Some(path) = &json {
+        let mut header = vec![
+            ("seed", Json::Int(base.seed)),
+            ("announcement_budget", Json::Int(base.announcement_budget)),
+        ];
+        // The smoke gate: 70% of the measured one-shard 1k announcement
+        // rate, rounded down — CI fails an exp_scale --smoke run that
+        // regresses delivered announcements/sec by >30%.
+        if let Some(r1k) = results.iter().find(|r| r.n == 1024 && r.shards == 1) {
+            let floor = (r1k.announcements_per_sec * 0.7) as u64;
+            header.push(("min_announcements_per_sec", Json::Int(floor)));
+        }
+        let rows = results.iter().map(ScaleResult::to_json).collect();
+        write_report(path, "exp_scale", header, rows);
     }
 }
 
@@ -235,15 +183,13 @@ const SHARDED_SMOKE_REPEATS: usize = 3;
 /// reported as unmeasured, in so many words, so a one-core runner cannot be
 /// read as having passed it. The printed median is what gets recorded as
 /// `sharded_ratio`.
-fn smoke_shard_ratio(args: &Args, first: &ScaleResult, floor: f64) {
+fn smoke_shard_ratio(base: &ScaleConfig, first: &ScaleResult, floor: f64) {
     let leg = |shards| {
         run_one(&ScaleConfig {
             n: first.n,
-            seed: args.seed,
-            announcement_budget: args.budget,
-            build_threads: args.threads,
             trace: None,
             shards,
+            ..base.clone()
         })
     };
     let mut failures = Vec::new();
@@ -252,7 +198,7 @@ fn smoke_shard_ratio(args: &Args, first: &ScaleResult, floor: f64) {
         let multi = if rep == 0 {
             first.clone()
         } else {
-            leg(args.shards)
+            leg(base.shards)
         };
         let single = leg(1);
         if multi.announcements != single.announcements
@@ -262,7 +208,7 @@ fn smoke_shard_ratio(args: &Args, first: &ScaleResult, floor: f64) {
             failures.push(format!(
                 "shards={} diverged from shards=1: announcements {} vs {}, \
                  topology {} vs {}, sim_end {} vs {}",
-                args.shards,
+                base.shards,
                 multi.announcements,
                 single.announcements,
                 multi.topology_events,
@@ -275,7 +221,7 @@ fn smoke_shard_ratio(args: &Args, first: &ScaleResult, floor: f64) {
         eprintln!(
             "smoke: repeat {}: shards={} {:.0} vs shards=1 {:.0} announcements/sec ({ratio:.2}x)",
             rep + 1,
-            args.shards,
+            base.shards,
             multi.announcements_per_sec,
             single.announcements_per_sec
         );
@@ -285,24 +231,19 @@ fn smoke_shard_ratio(args: &Args, first: &ScaleResult, floor: f64) {
     let ratio = ratios[ratios.len() / 2];
 
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let measured = cores >= args.shards;
+    let measured = cores >= base.shards;
     if measured && ratio < floor {
         failures.push(format!(
             "shards={} throughput is {ratio:.2}x single-shard on {cores} cores \
              (median of {SHARDED_SMOKE_REPEATS}), below the floor {floor:.2}x \
              (0.7x the recorded sharded_ratio)",
-            args.shards
+            base.shards
         ));
     }
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("smoke FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
+    exit_on_failures(&failures);
     eprintln!(
         "smoke OK: shards={} matches shards=1 bit-for-bit in all {SHARDED_SMOKE_REPEATS} repeats",
-        args.shards
+        base.shards
     );
     if measured {
         eprintln!(
@@ -313,7 +254,7 @@ fn smoke_shard_ratio(args: &Args, first: &ScaleResult, floor: f64) {
         eprintln!(
             "smoke: throughput UNMEASURED — {} shards on {cores} core(s) time-slice \
              (ratio {ratio:.2}x is not a parallel measurement and gates nothing)",
-            args.shards
+            base.shards
         );
     }
 }

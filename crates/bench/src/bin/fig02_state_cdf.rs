@@ -3,7 +3,7 @@
 //!
 //! Paper: 16,384-node geometric graph plus the CAIDA AS-level and
 //! router-level maps. Default here: 8,192 nodes per topology (see
-//! DESIGN.md §3 on scale); pass `--nodes 16384` for the paper scale.
+//! README, "Substitutions"); pass `--nodes 16384` for the paper scale.
 
 use disco_bench::CommonArgs;
 use disco_metrics::experiment::{state_comparison, ExperimentParams};

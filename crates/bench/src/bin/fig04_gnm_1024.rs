@@ -1,63 +1,10 @@
 //! Fig. 4 — State, stretch and congestion on a 1,024-node G(n,m) random
 //! graph, including VRR and path-vector routing.
 
-use disco_bench::CommonArgs;
-use disco_metrics::experiment::{congestion_comparison, state_comparison, stretch_comparison};
-use disco_metrics::{report, Topology};
+use disco_bench::{figures, CommonArgs};
+use disco_metrics::Topology;
 
 fn main() {
-    let args = CommonArgs::parse(1024);
-    let params = args.params();
-    let topology = Topology::Gnm;
-
-    let st = state_comparison(topology, &params, true);
-    let d = st.disco.cdf();
-    let nd = st.nddisco.cdf();
-    let s4 = st.s4.cdf();
-    let vrr = st.vrr.as_ref().unwrap().cdf();
-    println!(
-        "{}",
-        report::render_summary(
-            &format!("Fig. 4 (left) — state, {topology}, n={}", st.nodes),
-            &[("Disco", &d), ("ND-Disco", &nd), ("S4", &s4), ("VRR", &vrr)]
-        )
-    );
-
-    let sr = stretch_comparison(topology, &params, true);
-    let df = sr.disco.first_cdf();
-    let dl = sr.disco.later_cdf();
-    let sf = sr.s4.first_cdf();
-    let sl = sr.s4.later_cdf();
-    let vs = sr.vrr.as_ref().unwrap().first_cdf();
-    println!(
-        "{}",
-        report::render_summary(
-            "Fig. 4 (middle) — stretch",
-            &[
-                ("Disco First", &df),
-                ("Disco Later", &dl),
-                ("S4 First", &sf),
-                ("S4 Later", &sl),
-                ("VRR", &vs),
-            ]
-        )
-    );
-
-    let cg = congestion_comparison(topology, &params, true);
-    let dc = cg.disco.cdf();
-    let pc = cg.path_vector.cdf();
-    let sc = cg.s4.cdf();
-    let vc = cg.vrr.as_ref().unwrap().cdf();
-    println!(
-        "{}",
-        report::render_summary(
-            "Fig. 4 (right) — congestion (paths per edge)",
-            &[
-                ("Disco", &dc),
-                ("Path-vector", &pc),
-                ("S4", &sc),
-                ("VRR", &vc)
-            ]
-        )
-    );
+    let params = CommonArgs::parse(1024).params();
+    figures::state_stretch_congestion(4, Topology::Gnm, "stretch", &params);
 }

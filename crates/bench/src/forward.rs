@@ -41,7 +41,7 @@ use disco_dynamics::forward::{hop_distances, FlowAddress, PacketWalker, WalkOutc
 use disco_graph::{FxHashMap, NodeId};
 use disco_sim::rng::rng_for;
 use disco_sim::{MergeRecorder, NoopRecorder, Phase, Protocol, Recorder, ShardedEngine};
-use disco_telemetry::{FullRecorder, Log2Histogram, MessageClass};
+use disco_telemetry::{FullRecorder, Json, Log2Histogram, MessageClass};
 use rand::Rng;
 use std::time::Instant;
 
@@ -162,32 +162,25 @@ impl PhaseRow {
         ]
     }
 
-    /// One JSON object literal (hand-rolled; the serde stand-in does not
-    /// serialize).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{ \"phase\": \"{}\", \"checkpoints\": {}, \"walks\": {}, \
-             \"delivered\": {}, \"stale_loss\": {}, \"miss\": {}, \
-             \"unreachable\": {}, \"lookups\": {}, \"lookup_secs\": {:.4}, \
-             \"lookups_per_sec\": {:.0}, \"mean_hops\": {:.3}, \
-             \"mean_stretch\": {:.3}, \"p50_ns\": {}, \"p90_ns\": {}, \
-             \"republishes\": {} }}",
-            self.phase,
-            self.checkpoints,
-            self.walks,
-            self.delivered,
-            self.stale_loss,
-            self.miss,
-            self.unreachable,
-            self.lookups,
-            self.lookup_secs,
-            self.lookups_per_sec,
-            self.mean_hops(),
-            self.mean_stretch(),
-            self.p50_ns,
-            self.p90_ns,
-            self.republishes,
-        )
+    /// The phase's row of the JSON report.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("phase", Json::str(self.phase)),
+            ("checkpoints", Json::Int(self.checkpoints.into())),
+            ("walks", Json::Int(self.walks)),
+            ("delivered", Json::Int(self.delivered)),
+            ("stale_loss", Json::Int(self.stale_loss)),
+            ("miss", Json::Int(self.miss)),
+            ("unreachable", Json::Int(self.unreachable)),
+            ("lookups", Json::Int(self.lookups)),
+            ("lookup_secs", Json::Fixed(self.lookup_secs, 4)),
+            ("lookups_per_sec", Json::Fixed(self.lookups_per_sec, 0)),
+            ("mean_hops", Json::Fixed(self.mean_hops(), 3)),
+            ("mean_stretch", Json::Fixed(self.mean_stretch(), 3)),
+            ("p50_ns", Json::Int(self.p50_ns)),
+            ("p90_ns", Json::Int(self.p90_ns)),
+            ("republishes", Json::Int(self.republishes)),
+        ])
     }
 }
 
@@ -222,25 +215,20 @@ pub struct ForwardResult {
 }
 
 impl ForwardResult {
-    /// One JSON object literal.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{ \"n\": {}, \"shards\": {}, \"landmarks\": {}, \"flows\": {}, \
-             \"table_entries\": {}, \"table_bytes\": {}, \"hash_fib_bytes\": {}, \
-             \"sim_end\": {:.6}, \
-             \"phases\": [\n      {},\n      {},\n      {}\n    ] }}",
-            self.n,
-            self.shards,
-            self.landmarks,
-            self.flows,
-            self.table_entries,
-            self.table_bytes,
-            self.hash_fib_bytes,
-            self.sim_end,
-            self.boot.to_json(),
-            self.churn.to_json(),
-            self.drain.to_json(),
-        )
+    /// The leg's row of the JSON report.
+    pub fn to_json(&self) -> Json {
+        let phases = [&self.boot, &self.churn, &self.drain].map(PhaseRow::to_json);
+        Json::obj([
+            ("n", Json::Int(self.n as u64)),
+            ("shards", Json::Int(self.shards as u64)),
+            ("landmarks", Json::Int(self.landmarks as u64)),
+            ("flows", Json::Int(self.flows as u64)),
+            ("table_entries", Json::Int(self.table_entries)),
+            ("table_bytes", Json::Int(self.table_bytes)),
+            ("hash_fib_bytes", Json::Int(self.hash_fib_bytes)),
+            ("sim_end", Json::Fixed(self.sim_end, 6)),
+            ("phases", Json::Arr(phases.into())),
+        ])
     }
 }
 
@@ -654,7 +642,10 @@ mod tests {
             assert!(0 < p.p50_ns && p.p50_ns <= p.p90_ns, "{p:?}");
         }
         let j = r.to_json();
-        assert!(j.contains("\"lookups_per_sec\""));
+        let Some(Json::Arr(phases)) = j.get("phases") else {
+            panic!("{j:?}")
+        };
+        assert_eq!(phases[2].get("walks"), Some(&Json::Int(r.drain.walks)));
     }
 
     /// The deterministic columns are shard-count invariant — same walks,

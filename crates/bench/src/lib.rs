@@ -7,11 +7,13 @@
 //!
 //! The four dynamic drivers — [`churn`], [`memory`], [`scale`] and
 //! [`forward`] — boot the protocol through [`scenario`], which holds the
-//! one network boot and the one churn window they share. README's
+//! one network boot and the one churn window they share; [`cli`] holds the
+//! one flag reader and the report files every binary shares. README's
 //! "Reproducing the paper" lists the binaries.
 
 pub mod churn;
 pub mod cli;
+pub mod figures;
 pub mod forward;
 pub mod memory;
 pub mod scale;

@@ -12,9 +12,10 @@
 //! Peak RSS is a *process-wide high-water mark*, so comparing legs in one
 //! process would let the first leg's peak mask the second's. The
 //! `exp_memory` binary therefore re-executes itself (`--leg`) so each leg
-//! owns a fresh address space; [`run_leg`] is the in-process form used by
-//! tests and the `--smoke` gate, where candidate counts — not RSS — are
-//! the gated quantity.
+//! owns a fresh address space, and reads the child's
+//! [`MemoryResult::to_json`] row back; [`run_leg`] is the in-process form
+//! used by tests and the `--smoke` gate, where candidate counts — not RSS
+//! — are the gated quantity.
 
 use crate::cli::write_trace;
 use crate::scenario::{self, ChurnWindow};
@@ -22,7 +23,7 @@ use disco_core::config::DiscoConfig;
 use disco_graph::PathArena;
 use disco_metrics::control::{ControlAccounting, ControlBytes};
 use disco_sim::{MergeRecorder, NoopRecorder};
-use disco_telemetry::FullRecorder;
+use disco_telemetry::{peak_rss_bytes, FullRecorder, Json};
 use std::time::Instant;
 
 /// Parameters of one `exp_memory` leg.
@@ -115,13 +116,13 @@ pub struct MemoryResult {
     pub evictions: u64,
     /// Topology events applied.
     pub topology_events: u64,
-    /// Peak RSS (`VmHWM`) of the *churn phase* — the watermark is reset
-    /// after initial convergence (see [`reset_peak_rss`]); 0 where
+    /// Peak RSS (`VmHWM`, MB) of the *churn phase* — the watermark is
+    /// reset after initial convergence (see [`reset_peak_rss`]); 0 where
     /// unreadable.
-    pub peak_rss_bytes: u64,
-    /// Peak RSS of the boot phase (graph + initial convergence flood),
-    /// identical workload in both RIB modes.
-    pub boot_rss_bytes: u64,
+    pub peak_rss_mb: f64,
+    /// Peak RSS (MB) of the boot phase (graph + initial convergence
+    /// flood), identical workload in both RIB modes.
+    pub boot_rss_mb: f64,
     /// Wall time of the whole leg.
     pub wall_secs: f64,
     /// Whether the run quiesced.
@@ -177,27 +178,13 @@ pub fn reset_peak_rss() {
     let _ = std::fs::write("/proc/self/clear_refs", "5");
 }
 
-/// Read this process's peak resident set size (`VmHWM`) in bytes.
-pub fn peak_rss_bytes() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kb: u64 = rest
-                .trim()
-                .trim_end_matches("kB")
-                .trim()
-                .parse()
-                .unwrap_or(0);
-            return kb * 1024;
-        }
-    }
-    0
+/// This process's peak resident set size (`VmHWM`) in MB.
+pub fn peak_rss_mb() -> f64 {
+    peak_rss_bytes() as f64 / (1024.0 * 1024.0)
 }
 
 /// Run one leg in-process. Protocol-visible numbers are deterministic in
-/// the parameters; `peak_rss_bytes` reflects everything this process did
+/// the parameters; `peak_rss_mb` reflects everything this process did
 /// before, so sweep legs run in child processes.
 pub fn run_leg(p: &MemoryParams) -> MemoryResult {
     // The no-op recorder monomorphizes the leg to the uninstrumented
@@ -236,7 +223,7 @@ fn run_leg_with<R: MergeRecorder + Send + 'static>(
     let report = engine.run();
     assert!(report.converged, "initial convergence failed");
     let convergence_msgs = report.stats.total_sent();
-    let boot_rss = peak_rss_bytes();
+    let boot_rss_mb = peak_rss_mb();
     reset_peak_rss();
     let window = p.window.run(&mut engine, &graph, p.seed);
 
@@ -316,8 +303,8 @@ fn run_leg_with<R: MergeRecorder + Send + 'static>(
         refreshes_sent: refreshes,
         evictions,
         topology_events,
-        peak_rss_bytes: peak_rss_bytes(),
-        boot_rss_bytes: boot_rss,
+        peak_rss_mb: peak_rss_mb(),
+        boot_rss_mb,
         wall_secs: t0.elapsed().as_secs_f64(),
         quiesced: window.quiesced,
     };
@@ -325,132 +312,96 @@ fn run_leg_with<R: MergeRecorder + Send + 'static>(
 }
 
 impl MemoryResult {
-    /// Render as one `key=value` line (the child → parent protocol of the
-    /// sweep binary; the parent renders JSON).
-    pub fn to_kv_line(&self) -> String {
-        format!(
-            "MEMLEG n={} rate={} forgetful={} availability={:.4} final_availability={:.4} \
-             cand_mean={:.1} cand_max={} rib_bytes_mean={:.0} loc_rib_bytes_mean={:.0} \
-             dissem_bytes_mean={:.0} non_rib_bytes_mean={:.0} dests_mean={:.1} \
-             path_nodes_mean={:.0} \
-             arena_peak_cells={} arena_live_cells={} arena_shrunk_cells={} \
-             repair_msgs_per_node={:.1} refreshes_sent={} evictions={} topology_events={} \
-             peak_rss_bytes={} boot_rss_bytes={} wall_secs={:.2} quiesced={}",
-            self.n,
-            self.leave_rate,
-            self.forgetful as u8,
-            self.availability,
-            self.final_availability,
-            self.cand_mean,
-            self.cand_max,
-            self.rib_bytes_mean,
-            self.loc_rib_bytes_mean,
-            self.dissem_bytes_mean,
-            self.non_rib_bytes_mean,
-            self.dests_mean,
-            self.path_nodes_mean,
-            self.arena_peak_cells,
-            self.arena_live_cells,
-            self.arena_shrunk_cells,
-            self.repair_msgs_per_node,
-            self.refreshes_sent,
-            self.evictions,
-            self.topology_events,
-            self.peak_rss_bytes,
-            self.boot_rss_bytes,
-            self.wall_secs,
-            self.quiesced as u8,
-        )
+    /// The leg's row of the JSON report; a sweep's child process prints it
+    /// for the parent to read back with [`MemoryResult::from_json`].
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("n", Json::Int(self.n as u64)),
+            ("leave_rate", Json::Num(self.leave_rate)),
+            ("forgetful", Json::Bool(self.forgetful)),
+            ("availability", Json::Fixed(self.availability, 4)),
+            (
+                "final_availability",
+                Json::Fixed(self.final_availability, 4),
+            ),
+            ("cand_mean", Json::Fixed(self.cand_mean, 1)),
+            ("cand_max", Json::Int(self.cand_max as u64)),
+            ("sqrt_n_log_n", Json::Fixed(sqrt_n_log_n(self.n), 1)),
+            ("rib_bytes_mean", Json::Fixed(self.rib_bytes_mean, 0)),
+            (
+                "loc_rib_bytes_mean",
+                Json::Fixed(self.loc_rib_bytes_mean, 0),
+            ),
+            ("dissem_bytes_mean", Json::Fixed(self.dissem_bytes_mean, 0)),
+            (
+                "non_rib_bytes_mean",
+                Json::Fixed(self.non_rib_bytes_mean, 0),
+            ),
+            ("dests_mean", Json::Fixed(self.dests_mean, 1)),
+            ("path_nodes_mean", Json::Fixed(self.path_nodes_mean, 0)),
+            ("arena_peak_cells", Json::Int(self.arena_peak_cells as u64)),
+            ("arena_live_cells", Json::Int(self.arena_live_cells as u64)),
+            (
+                "arena_shrunk_cells",
+                Json::Int(self.arena_shrunk_cells as u64),
+            ),
+            (
+                "repair_msgs_per_node",
+                Json::Fixed(self.repair_msgs_per_node, 1),
+            ),
+            ("refreshes_sent", Json::Int(self.refreshes_sent)),
+            ("evictions", Json::Int(self.evictions)),
+            ("topology_events", Json::Int(self.topology_events)),
+            ("peak_rss_mb", Json::Fixed(self.peak_rss_mb, 1)),
+            ("boot_rss_mb", Json::Fixed(self.boot_rss_mb, 1)),
+            ("wall_secs", Json::Fixed(self.wall_secs, 2)),
+            ("quiesced", Json::Bool(self.quiesced)),
+        ])
     }
 
-    /// Parse a [`Self::to_kv_line`] line (child-process output).
-    pub fn from_kv_line(line: &str) -> Option<MemoryResult> {
-        let line = line.strip_prefix("MEMLEG ")?;
-        let mut r = MemoryResult::default();
-        for kv in line.split_whitespace() {
-            let (k, v) = kv.split_once('=')?;
-            match k {
-                "n" => r.n = v.parse().ok()?,
-                "rate" => r.leave_rate = v.parse().ok()?,
-                "forgetful" => r.forgetful = v == "1",
-                "availability" => r.availability = v.parse().ok()?,
-                "final_availability" => r.final_availability = v.parse().ok()?,
-                "cand_mean" => r.cand_mean = v.parse().ok()?,
-                "cand_max" => r.cand_max = v.parse().ok()?,
-                "rib_bytes_mean" => r.rib_bytes_mean = v.parse().ok()?,
-                "loc_rib_bytes_mean" => r.loc_rib_bytes_mean = v.parse().ok()?,
-                "dissem_bytes_mean" => r.dissem_bytes_mean = v.parse().ok()?,
-                "non_rib_bytes_mean" => r.non_rib_bytes_mean = v.parse().ok()?,
-                "dests_mean" => r.dests_mean = v.parse().ok()?,
-                "path_nodes_mean" => r.path_nodes_mean = v.parse().ok()?,
-                "arena_peak_cells" => r.arena_peak_cells = v.parse().ok()?,
-                "arena_live_cells" => r.arena_live_cells = v.parse().ok()?,
-                "arena_shrunk_cells" => r.arena_shrunk_cells = v.parse().ok()?,
-                "repair_msgs_per_node" => r.repair_msgs_per_node = v.parse().ok()?,
-                "refreshes_sent" => r.refreshes_sent = v.parse().ok()?,
-                "evictions" => r.evictions = v.parse().ok()?,
-                "topology_events" => r.topology_events = v.parse().ok()?,
-                "peak_rss_bytes" => r.peak_rss_bytes = v.parse().ok()?,
-                "boot_rss_bytes" => r.boot_rss_bytes = v.parse().ok()?,
-                "wall_secs" => r.wall_secs = v.parse().ok()?,
-                "quiesced" => r.quiesced = v == "1",
-                _ => {}
-            }
-        }
-        Some(r)
-    }
-
-    /// One JSON object literal for the sweep report (hand-rolled; the
-    /// serde stand-in does not serialize).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{ \"n\": {}, \"leave_rate\": {}, \"forgetful\": {}, \
-             \"availability\": {:.4}, \"final_availability\": {:.4}, \
-             \"cand_mean\": {:.1}, \"cand_max\": {}, \"sqrt_n_log_n\": {:.1}, \
-             \"rib_bytes_mean\": {:.0}, \"loc_rib_bytes_mean\": {:.0}, \
-             \"dissem_bytes_mean\": {:.0}, \
-             \"non_rib_bytes_mean\": {:.0}, \"dests_mean\": {:.1}, \
-             \"path_nodes_mean\": {:.0}, \
-             \"arena_peak_cells\": {}, \"arena_live_cells\": {}, \
-             \"arena_shrunk_cells\": {}, \"repair_msgs_per_node\": {:.1}, \
-             \"refreshes_sent\": {}, \"evictions\": {}, \"topology_events\": {}, \
-             \"peak_rss_mb\": {:.1}, \"boot_rss_mb\": {:.1}, \"wall_secs\": {:.2}, \
-             \"quiesced\": {} }}",
-            self.n,
-            self.leave_rate,
-            self.forgetful,
-            self.availability,
-            self.final_availability,
-            self.cand_mean,
-            self.cand_max,
-            sqrt_n_log_n(self.n),
-            self.rib_bytes_mean,
-            self.loc_rib_bytes_mean,
-            self.dissem_bytes_mean,
-            self.non_rib_bytes_mean,
-            self.dests_mean,
-            self.path_nodes_mean,
-            self.arena_peak_cells,
-            self.arena_live_cells,
-            self.arena_shrunk_cells,
-            self.repair_msgs_per_node,
-            self.refreshes_sent,
-            self.evictions,
-            self.topology_events,
-            self.peak_rss_bytes as f64 / (1024.0 * 1024.0),
-            self.boot_rss_bytes as f64 / (1024.0 * 1024.0),
-            self.wall_secs,
-            self.quiesced,
-        )
+    /// Read a [`MemoryResult::to_json`] row back, at the precision it was
+    /// printed with. Columns since retired, which checked-in rows still
+    /// carry, are skipped.
+    pub fn from_json(row: &Json) -> Option<MemoryResult> {
+        let num = |key: &str| row.get(key)?.as_f64();
+        let int = |key: &str| row.get(key)?.as_u64();
+        let flag = |key: &str| row.get(key)?.as_bool();
+        Some(MemoryResult {
+            n: int("n")? as usize,
+            leave_rate: num("leave_rate")?,
+            forgetful: flag("forgetful")?,
+            availability: num("availability")?,
+            final_availability: num("final_availability")?,
+            cand_mean: num("cand_mean")?,
+            cand_max: int("cand_max")? as usize,
+            rib_bytes_mean: num("rib_bytes_mean")?,
+            loc_rib_bytes_mean: num("loc_rib_bytes_mean")?,
+            dissem_bytes_mean: num("dissem_bytes_mean")?,
+            non_rib_bytes_mean: num("non_rib_bytes_mean")?,
+            dests_mean: num("dests_mean")?,
+            path_nodes_mean: num("path_nodes_mean")?,
+            arena_peak_cells: int("arena_peak_cells")? as usize,
+            arena_live_cells: int("arena_live_cells")? as usize,
+            arena_shrunk_cells: int("arena_shrunk_cells")? as usize,
+            repair_msgs_per_node: num("repair_msgs_per_node")?,
+            refreshes_sent: int("refreshes_sent")?,
+            evictions: int("evictions")?,
+            topology_events: int("topology_events")?,
+            peak_rss_mb: num("peak_rss_mb")?,
+            boot_rss_mb: num("boot_rss_mb")?,
+            wall_secs: num("wall_secs")?,
+            quiesced: flag("quiesced")?,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use disco_telemetry::parse_json;
 
     /// Tiny smoke of the leg itself: runs, quiesces, meters real state,
-    /// and the kv line round-trips.
+    /// and its report row reads back.
     #[test]
     fn memory_leg_runs_and_roundtrips() {
         let mut p = MemoryParams::grid_point(128, 3, 0.001, true);
@@ -465,17 +416,11 @@ mod tests {
         // The per-component byte columns meter real state.
         assert!(r.loc_rib_bytes_mean > 0.0 && r.dissem_bytes_mean > 0.0);
         assert!(r.dests_mean > 0.0);
-        // Keys of columns since retired (checked-in rows still carry them)
-        // are skipped, not rejected.
-        let line = format!("{} non_rib_reduction=1.54 intern_bytes=7", r.to_kv_line());
-        let parsed = MemoryResult::from_kv_line(&line).expect("kv parse");
-        assert_eq!(parsed.n, r.n);
-        assert_eq!(parsed.cand_max, r.cand_max);
-        assert_eq!(parsed.forgetful, r.forgetful);
-        assert!((parsed.availability - r.availability).abs() < 1e-3);
-        assert!((parsed.non_rib_bytes_mean - r.non_rib_bytes_mean).abs() < 1.0);
-        assert!((parsed.dests_mean - r.dests_mean).abs() < 0.1);
-        assert!(r.to_json().contains("\"sqrt_n_log_n\""));
+        // Read back and re-rendered, the row prints the same.
+        let row = r.to_json().compact();
+        let parsed = MemoryResult::from_json(&parse_json(&row).expect("row parses"));
+        assert_eq!(parsed.expect("row reads back").to_json().compact(), row);
+        assert!(row.contains("\"sqrt_n_log_n\""));
     }
 
     /// The shard count does not change the simulation: every

@@ -21,7 +21,7 @@ use disco_core::config::DiscoConfig;
 use disco_core::static_state::DiscoState;
 use disco_graph::PathArena;
 use disco_sim::NoopRecorder;
-use disco_telemetry::{FullRecorder, MergeRecorder};
+use disco_telemetry::{FullRecorder, Json, MergeRecorder};
 use std::time::Instant;
 
 /// Parameters of one `exp_scale` leg.
@@ -94,34 +94,33 @@ pub struct ScaleResult {
 }
 
 impl ScaleResult {
-    /// One JSON object literal (hand-rolled; the serde stand-in does not
-    /// serialize), stamped with the core count of the machine rendering it
-    /// — a sharded rate means nothing without it.
-    pub fn to_json(&self) -> String {
+    /// The leg's row of the JSON report, stamped with the core count of
+    /// the machine rendering it — a sharded rate means nothing without it.
+    pub fn to_json(&self) -> Json {
         let nproc = std::thread::available_parallelism().map_or(1, |p| p.get());
-        format!(
-            "{{ \"n\": {}, \"landmarks\": {}, \"build_secs\": {:.3}, \
-             \"events\": {}, \"announcements\": {}, \"engine_secs\": {:.3}, \
-             \"events_per_sec\": {:.0}, \"announcements_per_sec\": {:.0}, \
-             \"peak_arena_cells\": {}, \"live_arena_cells\": {}, \
-             \"arena_reclaimed_cells\": {}, \
-             \"topology_events\": {}, \"shards\": {}, \"nproc\": {nproc}, \
-             \"sim_end\": {:.6} }}",
-            self.n,
-            self.landmarks,
-            self.build_secs,
-            self.events,
-            self.announcements,
-            self.engine_secs,
-            self.events_per_sec,
-            self.announcements_per_sec,
-            self.peak_arena_cells,
-            self.live_arena_cells,
-            self.arena_reclaimed_cells,
-            self.topology_events,
-            self.shards,
-            self.sim_end
-        )
+        Json::obj([
+            ("n", Json::Int(self.n as u64)),
+            ("landmarks", Json::Int(self.landmarks as u64)),
+            ("build_secs", Json::Fixed(self.build_secs, 3)),
+            ("events", Json::Int(self.events)),
+            ("announcements", Json::Int(self.announcements)),
+            ("engine_secs", Json::Fixed(self.engine_secs, 3)),
+            ("events_per_sec", Json::Fixed(self.events_per_sec, 0)),
+            (
+                "announcements_per_sec",
+                Json::Fixed(self.announcements_per_sec, 0),
+            ),
+            ("peak_arena_cells", Json::Int(self.peak_arena_cells as u64)),
+            ("live_arena_cells", Json::Int(self.live_arena_cells as u64)),
+            (
+                "arena_reclaimed_cells",
+                Json::Int(self.arena_reclaimed_cells as u64),
+            ),
+            ("topology_events", Json::Int(self.topology_events)),
+            ("shards", Json::Int(self.shards as u64)),
+            ("nproc", Json::Int(nproc as u64)),
+            ("sim_end", Json::Fixed(self.sim_end, 6)),
+        ])
     }
 }
 
@@ -221,7 +220,7 @@ mod tests {
         assert!(r.peak_arena_cells > 0);
         assert!(r.build_secs >= 0.0 && r.engine_secs > 0.0);
         let j = r.to_json();
-        assert!(j.contains("\"announcements_per_sec\""));
+        assert_eq!(j.get("announcements"), Some(&Json::Int(r.announcements)));
     }
 
     /// The leg's budget stop is shard-count-invariant: delivered

@@ -4,7 +4,7 @@
 //! a node name to a roughly uniformly-distributed string of `Θ(log n)`
 //! bits. The routing layer only needs uniformity and determinism, so this
 //! reproduction uses a 64-bit splitmix-style mixer over the name bytes (see
-//! DESIGN.md §3 for the substitution note). Sixty-four bits are plenty: the
+//! README, "Substitutions"). Sixty-four bits are plenty: the
 //! paper's constructions use the first `k ≈ log2(√n / log n)` bits for
 //! sloppy grouping and the full value for ring ordering, and collisions at
 //! `n ≤ 2^32` are negligible.

@@ -31,8 +31,8 @@ impl FlatName {
     /// name itself proves ownership of the key without a PKI (paper §2).
     /// The digest here is the crate's internal mixer applied in
     /// sponge-fashion; it is not cryptographically strong, but the routing
-    /// layer only requires uniformity (see DESIGN.md §3 on the SHA-2
-    /// substitution).
+    /// layer only requires uniformity (see README, "Substitutions", on the
+    /// SHA-2 substitution).
     pub fn self_certifying(public_key: &[u8]) -> Self {
         let mut digest = Vec::with_capacity(20);
         let mut acc: u64 = 0x6a09e667f3bcc908;

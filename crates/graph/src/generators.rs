@@ -14,7 +14,7 @@
 //! property that matters for the paper's conclusions is the heavy-tailed
 //! degree distribution with a few highly central nodes, which is exactly
 //! what explodes S4's per-node cluster state while Disco's fixed-size
-//! vicinities stay bounded (see DESIGN.md §3).
+//! vicinities stay bounded (see README, "Substitutions").
 //!
 //! In addition, several deterministic pathological topologies used by tests
 //! and the theory-oriented benchmarks are provided: [`ring`], [`line()`],
@@ -165,7 +165,8 @@ fn geometric_from_positions(pos: &[(f64, f64)], radius: f64) -> Graph {
 /// existing nodes, plus extra peering edges between random existing nodes to
 /// bring the average degree near the AS graph's (~4–5). Unweighted edges.
 ///
-/// Substitutes the paper's 30,610-node CAIDA AS-level map (see DESIGN.md §3).
+/// Substitutes the paper's 30,610-node CAIDA AS-level map (see README,
+/// "Substitutions").
 pub fn internet_as_like(n: usize, seed: u64) -> Graph {
     preferential_attachment(n, 2, 0.4, seed)
 }

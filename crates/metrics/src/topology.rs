@@ -2,7 +2,7 @@
 //!
 //! | Paper topology | Here |
 //! |---|---|
-//! | 30,610-node AS-level Internet map | [`Topology::AsLevel`] — synthetic power-law graph (see DESIGN.md §3) |
+//! | 30,610-node AS-level Internet map | [`Topology::AsLevel`] — synthetic power-law graph (see README, "Substitutions") |
 //! | 192,244-node router-level Internet map | [`Topology::RouterLevel`] — synthetic power-law graph |
 //! | `G(n, m)` random graphs, average degree 8 | [`Topology::Gnm`] |
 //! | geometric random graphs, average degree 8, link latencies | [`Topology::Geometric`] |

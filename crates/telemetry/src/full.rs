@@ -2,13 +2,13 @@
 //! ring and phase spans, with Chrome-trace export.
 
 use crate::flight::{FlightEvent, FlightRecorder};
+use crate::json::Json;
 use crate::recorder::{MergeRecorder, MessageClass, Phase, Recorder};
 use crate::registry::ClassRegistry;
 use crate::repair::RepairProbe;
 use crate::spans::PhaseSpans;
 use crate::trace::{ChromeTrace, US_PER_SIM_UNIT};
 use crate::windows::ShardWindows;
-use std::fmt::Write as _;
 
 /// Default flight-ring capacity (last N engine events kept for dumps).
 const FLIGHT_CAPACITY: usize = 256;
@@ -106,19 +106,18 @@ impl FullRecorder {
         tr.thread_name(3, "topology");
 
         for sp in self.phases.spans() {
-            let args = format!(
-                "{{\"wall_ms\":{:.3},\"rss_start_bytes\":{},\"rss_end_bytes\":{},\"rss_delta_bytes\":{}}}",
-                sp.wall_secs * 1e3,
-                sp.rss_start,
-                sp.rss_end,
-                sp.rss_delta()
-            );
+            let args = Json::obj([
+                ("wall_ms", Json::Fixed(sp.wall_secs * 1e3, 3)),
+                ("rss_start_bytes", Json::Int(sp.rss_start)),
+                ("rss_end_bytes", Json::Int(sp.rss_end)),
+                ("rss_delta_bytes", Json::Num(sp.rss_delta() as f64)),
+            ]);
             tr.complete(
                 sp.phase.name(),
                 1,
                 us(sp.sim_start),
                 us(sp.sim_end - sp.sim_start),
-                Some(&args),
+                Some(&args.compact()),
             );
         }
 
@@ -181,74 +180,55 @@ impl FullRecorder {
         // Summary block next to traceEvents: per-class totals, the wall
         // latency histogram buckets, the repair distribution, and the
         // per-shard window accounting.
-        let mut summary = String::from("{\"classes\":{");
-        let mut first = true;
-        for c in MessageClass::ALL {
+        let classes = MessageClass::ALL.into_iter().filter_map(|c| {
             let s = self.registry.stats(c);
             if s.sent == 0 && s.delivered == 0 && s.dropped == 0 {
-                continue;
+                return None;
             }
-            if !first {
-                summary.push(',');
-            }
-            first = false;
             let lat = self.registry.latency(c);
-            let mut buckets = String::from("[");
-            for (i, (upper, count)) in lat.nonzero_buckets().enumerate() {
-                if i > 0 {
-                    buckets.push(',');
-                }
-                let _ = write!(buckets, "[{upper},{count}]");
-            }
-            buckets.push(']');
-            let _ = write!(
-                summary,
-                "\"{}\":{{\"sent\":{},\"sent_bytes\":{},\"delivered\":{},\"dropped\":{},\
-                 \"event_wall_ns_log2_buckets\":{buckets},\"event_wall_ns_p50\":{},\"event_wall_ns_p99\":{}}}",
-                c.name(),
-                s.sent,
-                s.sent_bytes,
-                s.delivered,
-                s.dropped,
-                lat.quantile_upper(0.50),
-                lat.quantile_upper(0.99),
-            );
-        }
-        let _ = write!(
-            summary,
-            "}},\"repair\":{{\"events\":{},\"p50\":{:.3},\"p90\":{:.3},\"p99\":{:.3},\"settle_gap\":{}}},\"shards\":[",
-            self.repair.latencies().len(),
-            self.repair.quantile(0.50),
-            self.repair.quantile(0.90),
-            self.repair.quantile(0.99),
-            self.repair.settle_gap(),
-        );
-        for (shard, w) in self.windows.iter().enumerate() {
-            if shard > 0 {
-                summary.push(',');
-            }
-            let _ = write!(
-                summary,
-                "{{\"shard\":{shard},\"windows\":{},\"events\":{},\"wire_in\":{},\"wire_out\":{}",
-                w.windows(),
-                w.events,
-                w.wire_in,
-                w.wire_out,
-            );
+            let buckets = lat
+                .nonzero_buckets()
+                .map(|(upper, count)| Json::Arr(vec![Json::Int(upper), Json::Int(count)]));
+            let stats = Json::obj([
+                ("sent", Json::Int(s.sent)),
+                ("sent_bytes", Json::Int(s.sent_bytes)),
+                ("delivered", Json::Int(s.delivered)),
+                ("dropped", Json::Int(s.dropped)),
+                ("event_wall_ns_log2_buckets", Json::Arr(buckets.collect())),
+                ("event_wall_ns_p50", Json::Int(lat.quantile_upper(0.50))),
+                ("event_wall_ns_p99", Json::Int(lat.quantile_upper(0.99))),
+            ]);
+            Some((c.name(), stats))
+        });
+        let repair = Json::obj([
+            ("events", Json::Int(self.repair.latencies().len() as u64)),
+            ("p50", Json::Fixed(self.repair.quantile(0.50), 3)),
+            ("p90", Json::Fixed(self.repair.quantile(0.90), 3)),
+            ("p99", Json::Fixed(self.repair.quantile(0.99), 3)),
+            ("settle_gap", Json::Num(self.repair.settle_gap())),
+        ]);
+        let shards = self.windows.iter().enumerate().map(|(shard, w)| {
+            let counts = [
+                ("shard", shard as u64),
+                ("windows", w.windows()),
+                ("events", w.events),
+                ("wire_in", w.wire_in),
+                ("wire_out", w.wire_out),
+            ];
+            let mut members: Vec<_> = counts.map(|(k, v)| (k.to_string(), Json::Int(v))).into();
             for (part, h) in [("work", &w.work), ("ingest", &w.ingest), ("wait", &w.wait)] {
-                let _ = write!(
-                    summary,
-                    ",\"{part}_ns\":{},\"{part}_ns_p50\":{},\"{part}_ns_p99\":{}",
-                    h.sum(),
-                    h.quantile_upper(0.50),
-                    h.quantile_upper(0.99),
-                );
+                members.push((format!("{part}_ns"), Json::Int(h.sum())));
+                members.push((format!("{part}_ns_p50"), Json::Int(h.quantile_upper(0.50))));
+                members.push((format!("{part}_ns_p99"), Json::Int(h.quantile_upper(0.99))));
             }
-            summary.push('}');
-        }
-        summary.push_str("]}");
-
-        tr.into_json(&[("disco_summary", summary)])
+            Json::Obj(members)
+        });
+        let summary = Json::obj([
+            ("classes", Json::obj(classes)),
+            ("repair", repair),
+            ("shards", Json::Arr(shards.collect())),
+        ]);
+        tr.into_json(&[("disco_summary", summary.compact())])
     }
 }
 

@@ -28,16 +28,19 @@
 //!
 //! A [`FullRecorder`] run can be exported as a Chrome `trace_event` JSON
 //! timeline ([`FullRecorder::chrome_trace_json`]) and opened in
-//! `chrome://tracing` or <https://ui.perfetto.dev>. Everything derived from
-//! *simulation* time or message counts is deterministic in the run's seed;
-//! wall-clock and RSS numbers are the only non-deterministic fields and are
-//! kept out of the deterministic summaries.
+//! `chrome://tracing` or <https://ui.perfetto.dev>; [`Json`] is the one
+//! JSON tree every summary and report is rendered from and parsed into.
+//! Everything derived from *simulation* time or message counts is
+//! deterministic in the run's seed; wall-clock and RSS numbers are the only
+//! non-deterministic fields and are kept out of the deterministic
+//! summaries.
 //!
 //! The crate is dependency-free (node ids are plain `u32`, simulation time
 //! is `f64`), so it sits below `disco-sim` in the workspace graph.
 
 pub mod flight;
 pub mod histogram;
+pub mod json;
 pub mod recorder;
 pub mod registry;
 pub mod repair;
@@ -50,9 +53,10 @@ mod full;
 pub use flight::{FlightEvent, FlightRecorder};
 pub use full::FullRecorder;
 pub use histogram::Log2Histogram;
+pub use json::{parse_json, validate_json, Json};
 pub use recorder::{MergeRecorder, MessageClass, NoopRecorder, Phase, Recorder};
 pub use registry::{ClassRegistry, ClassStats};
 pub use repair::RepairProbe;
-pub use spans::{current_rss_bytes, PhaseSpan, PhaseSpans};
-pub use trace::{validate_json, ChromeTrace};
+pub use spans::{current_rss_bytes, peak_rss_bytes, PhaseSpan, PhaseSpans};
+pub use trace::ChromeTrace;
 pub use windows::ShardWindows;

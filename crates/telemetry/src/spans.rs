@@ -8,21 +8,23 @@ use std::time::Instant;
 /// `/proc` is unavailable (non-Linux). Best-effort by design: RSS numbers
 /// annotate the timeline and never feed a deterministic summary.
 pub fn current_rss_bytes() -> u64 {
+    proc_status_kb("VmRSS:") * 1024
+}
+
+/// Peak resident set size (`VmHWM`) of this process in bytes; 0 where
+/// unreadable.
+pub fn peak_rss_bytes() -> u64 {
+    proc_status_kb("VmHWM:") * 1024
+}
+
+/// The kB value of the `field` line of `/proc/self/status` (0 if absent).
+fn proc_status_kb(field: &str) -> u64 {
     let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
         return 0;
     };
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmRSS:") {
-            let kb: u64 = rest
-                .trim()
-                .trim_end_matches("kB")
-                .trim()
-                .parse()
-                .unwrap_or(0);
-            return kb * 1024;
-        }
-    }
-    0
+    let line = status.lines().find_map(|l| l.strip_prefix(field));
+    let kb = line.map(|rest| rest.trim().trim_end_matches("kB").trim().parse());
+    kb.and_then(Result::ok).unwrap_or(0)
 }
 
 /// One closed phase span.
@@ -136,6 +138,10 @@ mod tests {
 
     #[test]
     fn rss_reads_do_not_panic() {
-        let _ = current_rss_bytes();
+        let now = current_rss_bytes();
+        assert!(
+            peak_rss_bytes() >= now,
+            "the high-water mark is at least the RSS"
+        );
     }
 }

@@ -1,6 +1,4 @@
-//! Chrome `trace_event` timeline export, plus a small JSON syntax
-//! validator (the workspace's serde is an offline stand-in that does not
-//! serialize, so both the writer and its checker are hand-rolled).
+//! Chrome `trace_event` timeline export.
 //!
 //! The emitted file is the JSON object format
 //! (`{"traceEvents": [...], ...}`) understood by `chrome://tracing` and
@@ -8,38 +6,16 @@
 //! at 1 sim unit = 1 ms, so a 2000-unit churn window renders as a 2 s
 //! timeline.
 
+use crate::json::Json;
+pub use crate::json::{escape_json, validate_json};
 use std::fmt::Write as _;
 
 /// Microseconds per simulation time unit in the exported timeline.
 pub const US_PER_SIM_UNIT: f64 = 1000.0;
 
-/// Escape a string for inclusion in a JSON string literal.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Format an `f64` as a JSON number (JSON has no NaN/Infinity; both clamp
-/// to 0, which cannot occur for the sane inputs the exporter feeds it).
+/// A timestamp or duration in trace microseconds, as the viewers read it.
 fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "0".to_string()
-    }
+    Json::Fixed(v, 3).compact()
 }
 
 /// Incremental builder of a `trace_event` JSON document. All events share
@@ -96,14 +72,7 @@ impl ChromeTrace {
     /// A counter sample (`ph:"C"`): `series` is `(name, value)` pairs
     /// plotted as a stacked track.
     pub fn counter(&mut self, name: &str, ts_us: f64, series: &[(&str, u64)]) {
-        let mut args = String::from("{");
-        for (i, (k, v)) in series.iter().enumerate() {
-            if i > 0 {
-                args.push(',');
-            }
-            let _ = write!(args, "\"{}\":{v}", escape_json(k));
-        }
-        args.push('}');
+        let args = Json::obj(series.iter().map(|&(k, v)| (k, Json::Int(v)))).compact();
         self.events.push(format!(
             "{{\"name\":\"{}\",\"ph\":\"C\",\"pid\":1,\"ts\":{},\"args\":{args}}}",
             escape_json(name),
@@ -142,234 +111,9 @@ impl ChromeTrace {
     }
 }
 
-// ---------------------------------------------------------------------------
-// JSON validation (recursive descent over the grammar of RFC 8259)
-// ---------------------------------------------------------------------------
-
-struct Parser<'a> {
-    s: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, what: &str) -> String {
-        format!("invalid JSON at byte {}: {what}", self.i)
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&c) = self.s.get(self.i) {
-            if matches!(c, b' ' | b'\t' | b'\n' | b'\r') {
-                self.i += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.s.get(self.i).copied()
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", c as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<(), String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string(),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a value")),
-        }
-    }
-
-    fn literal(&mut self, lit: &str) -> Result<(), String> {
-        if self.s[self.i..].starts_with(lit.as_bytes()) {
-            self.i += lit.len();
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{lit}'")))
-        }
-    }
-
-    fn object(&mut self) -> Result<(), String> {
-        self.eat(b'{')?;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.value()?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<(), String> {
-        self.eat(b'[')?;
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(());
-        }
-        loop {
-            self.value()?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<(), String> {
-        self.eat(b'"')?;
-        while let Some(c) = self.peek() {
-            self.i += 1;
-            match c {
-                b'"' => return Ok(()),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(self.err("truncated escape"));
-                    };
-                    self.i += 1;
-                    match esc {
-                        b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't' => {}
-                        b'u' => {
-                            for _ in 0..4 {
-                                match self.peek() {
-                                    Some(h) if h.is_ascii_hexdigit() => self.i += 1,
-                                    _ => return Err(self.err("bad \\u escape")),
-                                }
-                            }
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                }
-                c if c < 0x20 => return Err(self.err("raw control char in string")),
-                _ => {}
-            }
-        }
-        Err(self.err("unterminated string"))
-    }
-
-    fn number(&mut self) -> Result<(), String> {
-        if self.peek() == Some(b'-') {
-            self.i += 1;
-        }
-        let digits_start = self.i;
-        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-            self.i += 1;
-        }
-        if self.i == digits_start {
-            return Err(self.err("expected digits"));
-        }
-        if self.peek() == Some(b'.') {
-            self.i += 1;
-            let frac = self.i;
-            while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                self.i += 1;
-            }
-            if self.i == frac {
-                return Err(self.err("expected fraction digits"));
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.i += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.i += 1;
-            }
-            let exp = self.i;
-            while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                self.i += 1;
-            }
-            if self.i == exp {
-                return Err(self.err("expected exponent digits"));
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Check that `s` is one syntactically valid JSON value (with nothing but
-/// whitespace after it). Used by the `exp_churn --smoke` trace check and
-/// the exporter's own tests; viewers are the authority on semantics.
-pub fn validate_json(s: &str) -> Result<(), String> {
-    let mut p = Parser {
-        s: s.as_bytes(),
-        i: 0,
-    };
-    p.value()?;
-    p.skip_ws();
-    if p.i != p.s.len() {
-        return Err(p.err("trailing garbage"));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn validator_accepts_valid_json() {
-        for ok in [
-            "{}",
-            "[]",
-            "null",
-            "-1.5e-3",
-            "\"a\\n\\u0041\"",
-            "{\"a\":[1,2,{\"b\":null}],\"c\":true}",
-            " { \"x\" : [ 1 , \"y\" ] } ",
-        ] {
-            assert!(validate_json(ok).is_ok(), "{ok}");
-        }
-    }
-
-    #[test]
-    fn validator_rejects_invalid_json() {
-        for bad in [
-            "",
-            "{",
-            "[1,]",
-            "{\"a\":}",
-            "{\"a\" 1}",
-            "nul",
-            "1.2.3",
-            "\"unterminated",
-            "{} trailing",
-            "{\"a\":1,}",
-            "\"bad\\q\"",
-        ] {
-            assert!(validate_json(bad).is_err(), "{bad}");
-        }
-    }
 
     #[test]
     fn trace_builder_emits_valid_json() {
@@ -387,12 +131,5 @@ mod tests {
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains("\"disco_summary\""));
         assert!(json.contains("\"ph\":\"C\""));
-    }
-
-    #[test]
-    fn escaping_covers_specials() {
-        let s = escape_json("a\"b\\c\nd\u{1}");
-        assert_eq!(s, "a\\\"b\\\\c\\nd\\u0001");
-        assert!(validate_json(&format!("\"{s}\"")).is_ok());
     }
 }
