@@ -38,6 +38,10 @@
 //!    behind the publisher its dead predecessor filled; its revisions
 //!    never meet the predecessor's, so it is republished at once and never
 //!    patched from the dead epochs.
+//! 7. **The table is the routing table** (ignored; ROADMAP item 13): a
+//!    quiesced node's table holds exactly the destinations `pv.route`
+//!    answers for. Invariant 1 pins what the compile does today, which
+//!    is to serve every selected route.
 
 use disco_core::config::DiscoConfig;
 use disco_core::forward::{ForwardingTable, TablePublisher};
@@ -458,5 +462,61 @@ fn one_link_down_republishes_a_twentieth_of_the_rows() {
     assert!(
         written * 20 <= served,
         "{tables} tables republished: {written} rows written of {served} served"
+    );
+}
+
+/// The compiled table is the routing table: after a quiesced boot, each
+/// node's table holds exactly the destinations `pv.route` answers for —
+/// its vicinity and the landmarks (`rib.rs`: "the table is the marked
+/// subset"). The compile sweeps the whole selection column instead, the
+/// `resident` mark unread, so the table also serves every selected
+/// route outside V(v) ∪ L.
+#[test]
+#[ignore = "ROADMAP item 13: the compile serves every selected route, not the routing table"]
+fn the_compiled_table_is_the_routing_table() {
+    let (n, seed) = (1024, 1);
+    let graph = generators::gnm_average_degree(n, 8.0, seed);
+    let cfg = DiscoConfig::seeded(seed).with_dynamic_n_estimation(false);
+    let mut engine = Engine::new(&graph, DiscoProtocol::network(n, &cfg));
+    assert!(engine.run().converged, "initial convergence failed");
+    let nodes = engine.nodes();
+    // The surplus rows are learned from neighbours: each is a neighbour
+    // or in a neighbour's vicinity.
+    let in_vicinity = |v: NodeId, d: u32| {
+        let mut vicinity = nodes[v.0].pv.local_entries();
+        v.0 as u32 == d || vicinity.any(|(w, _)| w.0 as u32 == d)
+    };
+    let (mut rows, mut vicinity, mut landmarks, mut differ, mut foreign) = (0, 0, 0, 0, 0);
+    for proto in nodes {
+        let me = proto.pv.id();
+        let routed: Vec<u32> = (0..n as u32)
+            .filter(|&d| d != me.0 as u32 && proto.pv.route(NodeId(d as usize)).is_some())
+            .collect();
+        let table = from_scratch(proto);
+        rows += table.len();
+        vicinity += proto.pv.local_entries().count();
+        landmarks += proto
+            .pv
+            .landmark_entries()
+            .filter(|&(l, _)| l != me)
+            .count();
+        differ += usize::from(table.keys() != routed.as_slice());
+        foreign += table
+            .keys()
+            .iter()
+            .filter(|&&d| routed.binary_search(&d).is_err())
+            .filter(|&&d| !graph.neighbors(me).iter().any(|nb| in_vicinity(nb.node, d)))
+            .count();
+    }
+    let per_node = |x: usize| x as f64 / n as f64;
+    assert_eq!(
+        differ,
+        0,
+        "{differ} of {n} tables are not the routing table: {:.1} compiled rows a node \
+         against {:.1} vicinity + {:.1} landmarks; {foreign} surplus rows lie outside \
+         every neighbour's vicinity",
+        per_node(rows),
+        per_node(vicinity),
+        per_node(landmarks)
     );
 }

@@ -8,8 +8,6 @@
 //! shows it mostly does not.
 
 use crate::cdf::Cdf;
-use disco_baselines::{S4Router, ShortestPathRouter, VrrRouter};
-use disco_core::routing::DiscoRouter;
 use disco_graph::{Graph, NodeId};
 
 /// Per-edge usage counts for one protocol's routes.
@@ -49,7 +47,8 @@ impl CongestionReport {
     }
 }
 
-/// Accumulate edge usage for a set of routes produced by `route_nodes`.
+/// Accumulate edge usage over the route `route_nodes(s, t)` of every pair
+/// — the one congestion measurement, with the protocol as the closure.
 pub fn measure<F>(graph: &Graph, pairs: &[(NodeId, NodeId)], mut route_nodes: F) -> CongestionReport
 where
     F: FnMut(NodeId, NodeId) -> Vec<NodeId>,
@@ -69,48 +68,13 @@ where
     CongestionReport { edge_usage }
 }
 
-/// Congestion of Disco's first-packet routes.
-pub fn disco_congestion(
-    graph: &Graph,
-    router: &DiscoRouter<'_>,
-    pairs: &[(NodeId, NodeId)],
-) -> CongestionReport {
-    measure(graph, pairs, |s, t| router.route_later_packet(s, t).nodes)
-}
-
-/// Congestion of S4's later-packet routes.
-pub fn s4_congestion(
-    graph: &Graph,
-    router: &S4Router<'_>,
-    pairs: &[(NodeId, NodeId)],
-) -> CongestionReport {
-    measure(graph, pairs, |s, t| router.route_later_packet(s, t).0)
-}
-
-/// Congestion of VRR's greedy routes.
-pub fn vrr_congestion(
-    graph: &Graph,
-    router: &VrrRouter<'_>,
-    pairs: &[(NodeId, NodeId)],
-) -> CongestionReport {
-    measure(graph, pairs, |s, t| router.route(s, t).0)
-}
-
-/// Congestion of shortest-path routing.
-pub fn shortest_path_congestion(
-    graph: &Graph,
-    router: &ShortestPathRouter<'_>,
-    pairs: &[(NodeId, NodeId)],
-) -> CongestionReport {
-    measure(graph, pairs, |s, t| router.route(s, t).nodes().to_vec())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sampling::one_destination_per_node;
-    use disco_baselines::{S4State, VrrState};
+    use disco_baselines::{S4Router, S4State, ShortestPathRouter, VrrRouter, VrrState};
     use disco_core::config::DiscoConfig;
+    use disco_core::routing::DiscoRouter;
     use disco_core::static_state::DiscoState;
     use disco_graph::generators;
 
@@ -119,7 +83,7 @@ mod tests {
         let g = generators::gnm_average_degree(128, 8.0, 1);
         let router = ShortestPathRouter::new(&g);
         let pairs = one_destination_per_node(128, 1);
-        let rep = shortest_path_congestion(&g, &router, &pairs);
+        let rep = measure(&g, &pairs, |s, t| router.route(s, t).nodes().to_vec());
         let total_usage: u64 = rep.edge_usage.iter().sum();
         let total_hops: usize = pairs
             .iter()
@@ -139,9 +103,11 @@ mod tests {
         let disco_router = DiscoRouter::new(&g, &disco_state);
         let sp_router = ShortestPathRouter::new(&g);
         let pairs = one_destination_per_node(n, 3);
-        let disco = disco_congestion(&g, &disco_router, &pairs);
-        let sp = shortest_path_congestion(&g, &sp_router, &pairs);
-        // Disco routes are at most 3x longer, so aggregate load is bounded
+        let disco = measure(&g, &pairs, |s, t| {
+            disco_router.route_later_packet(s, t).nodes
+        });
+        let sp = measure(&g, &pairs, |s, t| sp_router.route(s, t).nodes().to_vec());
+        // Disco's later-packet routes are at most 3x longer, so aggregate load is bounded
         // by a small factor of shortest-path load.
         let disco_total: u64 = disco.edge_usage.iter().sum();
         let sp_total: u64 = sp.edge_usage.iter().sum();
@@ -159,8 +125,8 @@ mod tests {
         let vrr_router = VrrRouter::new(&g, &vrr_state);
         let s4_router = S4Router::new(&g, &s4_state);
         let pairs = one_destination_per_node(n, 5);
-        let vrr = vrr_congestion(&g, &vrr_router, &pairs);
-        let s4 = s4_congestion(&g, &s4_router, &pairs);
+        let vrr = measure(&g, &pairs, |s, t| vrr_router.route(s, t).0);
+        let s4 = measure(&g, &pairs, |s, t| s4_router.route_later_packet(s, t).0);
         // VRR's longer, identifier-chasing routes put more total load on
         // the network than S4's (Figs. 4–5 right).
         let vrr_total: u64 = vrr.edge_usage.iter().sum();

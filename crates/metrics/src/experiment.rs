@@ -6,7 +6,7 @@
 
 use crate::congestion::{self, CongestionReport};
 use crate::sampling::{one_destination_per_node, sample_nodes, sample_pairs_grouped};
-use crate::state::{self, StateReport};
+use crate::state::{self, ByteReport, StateReport};
 use crate::stretch::{self, StretchReport};
 use crate::topology::Topology;
 use disco_baselines::{
@@ -95,17 +95,23 @@ pub fn state_comparison(
 
     let vrr = include_vrr.then(|| {
         let v = VrrState::build(&graph, &cfg);
-        state::vrr_entries(&v, &nodes)
+        StateReport::per_node(&nodes, |w| v.state_entries(w))
     });
-    let path_vector =
-        include_vrr.then(|| state::path_vector_entries(&ShortestPathState::build(&graph), &nodes));
+    let path_vector = include_vrr.then(|| {
+        let pv = ShortestPathState::build(&graph);
+        StateReport::per_node(&nodes, |w| pv.state_entries(w))
+    });
 
     StateComparison {
         topology,
         nodes: params.nodes,
-        disco: state::disco_entries(&graph, &disco_state, &nodes),
-        nddisco: state::nddisco_entries(&graph, &disco_state, &nodes),
-        s4: state::s4_entries(&s4_state, &nodes),
+        disco: StateReport::per_node(&nodes, |v| {
+            disco_state.state_breakdown(&graph, v).disco_total()
+        }),
+        nddisco: StateReport::per_node(&nodes, |v| {
+            disco_state.state_breakdown(&graph, v).nddisco_total()
+        }),
+        s4: StateReport::per_node(&nodes, |v| s4_state.state_entries(v)),
         vrr,
         path_vector,
     }
@@ -147,17 +153,27 @@ pub fn stretch_comparison(
         params.stretch_dests_per_source,
         params.seed,
     );
-    // The per-source sampling harnesses fan over one worker per CPU
-    // (threads = 0); output is bit-identical to the sequential forms.
     let vrr = include_vrr.then(|| {
         let v = VrrState::build(&graph, &cfg);
-        stretch::vrr_stretch_parallel(&graph, &v, &pairs, 0)
+        let router = || VrrRouter::new(&graph, &v);
+        stretch::sample(&pairs, router, |r, s, t| {
+            let x = r.stretch(s, t);
+            (x, x)
+        })
     });
+    let disco_router = || DiscoRouter::new(&graph, &disco_state);
+    let s4_router = || S4Router::new(&graph, &s4_state);
     StretchComparison {
         topology,
         nodes: params.nodes,
-        disco: stretch::disco_stretch_parallel(&graph, &disco_state, &pairs, 0),
-        s4: stretch::s4_stretch_parallel(&graph, &s4_state, &pairs, 0),
+        disco: stretch::sample(&pairs, disco_router, |r, s, t| {
+            let d = r.true_distance(s, t);
+            let first = r.route_first_packet(s, t).stretch(d);
+            (first, r.route_later_packet(s, t).stretch(d))
+        }),
+        s4: stretch::sample(&pairs, s4_router, |r, s, t| {
+            (r.first_packet_stretch(s, t), r.later_packet_stretch(s, t))
+        }),
         vrr,
     }
 }
@@ -186,13 +202,16 @@ pub fn shortcut_sweep(topology: Topology, params: &ExperimentParams) -> Shortcut
         params.stretch_dests_per_source,
         params.seed,
     );
+    let router = || DiscoRouter::new(&graph, &state);
     let means = ShortcutMode::ALL
         .iter()
         .map(|&mode| {
-            (
-                mode,
-                stretch::disco_mean_stretch_with_mode_parallel(&graph, &state, &pairs, mode, 0),
-            )
+            let first = stretch::sample(&pairs, router, |r, s, t| {
+                let d = r.true_distance(s, t);
+                let x = r.route_first_packet_with(s, t, mode).stretch(d);
+                (x, x)
+            });
+            (mode, first.mean_first())
         })
         .collect();
     ShortcutRow { topology, means }
@@ -231,48 +250,36 @@ pub fn state_bytes_table(topology: Topology, params: &ExperimentParams) -> Vec<B
     let nodes = sample_nodes(params.nodes, params.state_samples, params.seed);
 
     let kb = |b: f64| b / 1024.0;
-    let mut rows = Vec::new();
-
-    let s4_entries = state::s4_entries(&s4_state, &nodes);
-    let s4_v4 = state::s4_bytes(&graph, &disco_state, &s4_state, &nodes, IdentifierSize::V4);
-    let s4_v6 = state::s4_bytes(&graph, &disco_state, &s4_state, &nodes, IdentifierSize::V6);
-    rows.push(ByteRow {
-        protocol: "S4",
-        mean_entries: s4_entries.mean(),
-        max_entries: s4_entries.max() as f64,
-        mean_kb_v4: kb(s4_v4.mean()),
-        max_kb_v4: kb(s4_v4.max()),
-        mean_kb_v6: kb(s4_v6.mean()),
-        max_kb_v6: kb(s4_v6.max()),
-    });
-
-    let nd_entries = state::nddisco_entries(&graph, &disco_state, &nodes);
-    let nd_v4 = state::disco_bytes(&graph, &disco_state, &nodes, IdentifierSize::V4, false);
-    let nd_v6 = state::disco_bytes(&graph, &disco_state, &nodes, IdentifierSize::V6, false);
-    rows.push(ByteRow {
-        protocol: "ND-Disco",
-        mean_entries: nd_entries.mean(),
-        max_entries: nd_entries.max() as f64,
-        mean_kb_v4: kb(nd_v4.mean()),
-        max_kb_v4: kb(nd_v4.max()),
-        mean_kb_v6: kb(nd_v6.mean()),
-        max_kb_v6: kb(nd_v6.max()),
-    });
-
-    let d_entries = state::disco_entries(&graph, &disco_state, &nodes);
-    let d_v4 = state::disco_bytes(&graph, &disco_state, &nodes, IdentifierSize::V4, true);
-    let d_v6 = state::disco_bytes(&graph, &disco_state, &nodes, IdentifierSize::V6, true);
-    rows.push(ByteRow {
-        protocol: "Disco",
-        mean_entries: d_entries.mean(),
-        max_entries: d_entries.max() as f64,
-        mean_kb_v4: kb(d_v4.mean()),
-        max_kb_v4: kb(d_v4.max()),
-        mean_kb_v6: kb(d_v6.mean()),
-        max_kb_v6: kb(d_v6.max()),
-    });
-
-    rows
+    let row = |protocol, entries: StateReport, bytes: &dyn Fn(IdentifierSize) -> ByteReport| {
+        let (v4, v6) = (bytes(IdentifierSize::V4), bytes(IdentifierSize::V6));
+        ByteRow {
+            protocol,
+            mean_entries: entries.mean(),
+            max_entries: entries.max() as f64,
+            mean_kb_v4: kb(v4.mean()),
+            max_kb_v4: kb(v4.max()),
+            mean_kb_v6: kb(v6.mean()),
+            max_kb_v6: kb(v6.max()),
+        }
+    };
+    let breakdown = |v: NodeId| disco_state.state_breakdown(&graph, v);
+    vec![
+        row(
+            "S4",
+            StateReport::per_node(&nodes, |v| s4_state.state_entries(v)),
+            &|id| state::s4_bytes(&s4_state, &nodes, id),
+        ),
+        row(
+            "ND-Disco",
+            StateReport::per_node(&nodes, |v| breakdown(v).nddisco_total()),
+            &|id| state::disco_bytes(&graph, &disco_state, &nodes, id, false),
+        ),
+        row(
+            "Disco",
+            StateReport::per_node(&nodes, |v| breakdown(v).disco_total()),
+            &|id| state::disco_bytes(&graph, &disco_state, &nodes, id, true),
+        ),
+    ]
 }
 
 // ---------------------------------------------------------------------
@@ -395,13 +402,13 @@ pub struct CongestionComparison {
     pub topology: Topology,
     /// Number of nodes.
     pub nodes: usize,
-    /// Disco.
+    /// Disco's later-packet routes.
     pub disco: CongestionReport,
     /// Shortest-path routing.
     pub path_vector: CongestionReport,
-    /// S4.
+    /// S4's later-packet routes.
     pub s4: CongestionReport,
-    /// VRR (small topologies only).
+    /// VRR's greedy routes (small topologies only).
     pub vrr: Option<CongestionReport>,
 }
 
@@ -423,14 +430,18 @@ pub fn congestion_comparison(
     let vrr = include_vrr.then(|| {
         let v = VrrState::build(&graph, &cfg);
         let router = VrrRouter::new(&graph, &v);
-        congestion::vrr_congestion(&graph, &router, &pairs)
+        congestion::measure(&graph, &pairs, |s, t| router.route(s, t).0)
     });
     CongestionComparison {
         topology,
         nodes: params.nodes,
-        disco: congestion::disco_congestion(&graph, &disco_router, &pairs),
-        path_vector: congestion::shortest_path_congestion(&graph, &sp_router, &pairs),
-        s4: congestion::s4_congestion(&graph, &s4_router, &pairs),
+        disco: congestion::measure(&graph, &pairs, |s, t| {
+            disco_router.route_later_packet(s, t).nodes
+        }),
+        path_vector: congestion::measure(&graph, &pairs, |s, t| {
+            sp_router.route(s, t).nodes().to_vec()
+        }),
+        s4: congestion::measure(&graph, &pairs, |s, t| s4_router.route_later_packet(s, t).0),
         vrr,
     }
 }
@@ -548,14 +559,18 @@ pub fn static_accuracy_experiment(params: &ExperimentParams) -> StaticAccuracyOu
 
     // Static side.
     let state = DiscoState::build(&graph, &cfg);
-    let router = DiscoRouter::new(&graph, &state);
     let pairs = sample_pairs_grouped(
         n,
         params.stretch_sources,
         params.stretch_dests_per_source,
         params.seed,
     );
-    let static_mean = stretch::disco_stretch(&router, &pairs).mean_later();
+    let router = || DiscoRouter::new(&graph, &state);
+    let static_mean = stretch::sample(&pairs, router, |r, s, t| {
+        let x = r.route_later_packet(s, t).stretch(r.true_distance(s, t));
+        (x, x)
+    })
+    .mean_later();
 
     // Event-driven side: run the bounded path-vector protocol to
     // convergence and route over its converged tables.

@@ -13,36 +13,27 @@
 //! explicit-route bytes.
 
 use crate::cdf::Cdf;
-use disco_baselines::{S4State, ShortestPathState, VrrState};
+use disco_baselines::S4State;
 use disco_core::address::IdentifierSize;
 use disco_core::static_state::DiscoState;
 use disco_graph::{Graph, NodeId};
 
-/// Which protocol's state to account.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StateProtocol {
-    /// Full name-independent Disco.
-    Disco,
-    /// Name-dependent NDDisco (landmarks + vicinity + labels + resolution).
-    NdDisco,
-    /// S4 (landmarks + clusters + directory).
-    S4,
-    /// Virtual Ring Routing.
-    Vrr,
-    /// Shortest-path / path-vector routing.
-    PathVector,
-}
-
 /// Per-node entry counts for one protocol, plus derived statistics.
 #[derive(Debug, Clone)]
 pub struct StateReport {
-    /// Which protocol was measured.
-    pub protocol: StateProtocol,
     /// Entry count per measured node.
     pub entries: Vec<usize>,
 }
 
 impl StateReport {
+    /// `entries(v)` for each of `nodes` (all nodes or a sample) — the one
+    /// per-node state measurement, with the protocol as the closure.
+    pub fn per_node(nodes: &[NodeId], entries: impl Fn(NodeId) -> usize) -> Self {
+        StateReport {
+            entries: nodes.iter().map(|&v| entries(v)).collect(),
+        }
+    }
+
     /// Mean entries per node.
     pub fn mean(&self) -> f64 {
         if self.entries.is_empty() {
@@ -63,53 +54,6 @@ impl StateReport {
     }
 }
 
-/// Disco per-node entries (full name-independent protocol) for the given
-/// nodes (pass all nodes or a sample).
-pub fn disco_entries(graph: &Graph, state: &DiscoState, nodes: &[NodeId]) -> StateReport {
-    StateReport {
-        protocol: StateProtocol::Disco,
-        entries: nodes
-            .iter()
-            .map(|&v| state.state_breakdown(graph, v).disco_total())
-            .collect(),
-    }
-}
-
-/// NDDisco per-node entries (name-dependent subset of Disco's state).
-pub fn nddisco_entries(graph: &Graph, state: &DiscoState, nodes: &[NodeId]) -> StateReport {
-    StateReport {
-        protocol: StateProtocol::NdDisco,
-        entries: nodes
-            .iter()
-            .map(|&v| state.state_breakdown(graph, v).nddisco_total())
-            .collect(),
-    }
-}
-
-/// S4 per-node entries.
-pub fn s4_entries(state: &S4State, nodes: &[NodeId]) -> StateReport {
-    StateReport {
-        protocol: StateProtocol::S4,
-        entries: nodes.iter().map(|&v| state.state_entries(v)).collect(),
-    }
-}
-
-/// VRR per-node entries.
-pub fn vrr_entries(state: &VrrState, nodes: &[NodeId]) -> StateReport {
-    StateReport {
-        protocol: StateProtocol::Vrr,
-        entries: nodes.iter().map(|&v| state.state_entries(v)).collect(),
-    }
-}
-
-/// Shortest-path routing per-node entries (`n − 1` everywhere).
-pub fn path_vector_entries(state: &ShortestPathState, nodes: &[NodeId]) -> StateReport {
-    StateReport {
-        protocol: StateProtocol::PathVector,
-        entries: nodes.iter().map(|&v| state.state_entries(v)).collect(),
-    }
-}
-
 /// Byte-accounted state (the paper's Fig. 7 table): per measured node, the
 /// size of its routing state in bytes given the identifier size.
 ///
@@ -121,8 +65,6 @@ pub fn path_vector_entries(state: &ShortestPathState, nodes: &[NodeId]) -> State
 ///   explicit-route bytes.
 #[derive(Debug, Clone)]
 pub struct ByteReport {
-    /// Which protocol was measured.
-    pub protocol: StateProtocol,
     /// Bytes of state per measured node.
     pub bytes: Vec<f64>,
 }
@@ -182,24 +124,11 @@ pub fn disco_bytes(
             total
         })
         .collect();
-    ByteReport {
-        protocol: if name_independent {
-            StateProtocol::Disco
-        } else {
-            StateProtocol::NdDisco
-        },
-        bytes,
-    }
+    ByteReport { bytes }
 }
 
 /// Byte-accounted S4 state.
-pub fn s4_bytes(
-    graph: &Graph,
-    disco_state: &DiscoState,
-    s4: &S4State,
-    nodes: &[NodeId],
-    id_size: IdentifierSize,
-) -> ByteReport {
+pub fn s4_bytes(s4: &S4State, nodes: &[NodeId], id_size: IdentifierSize) -> ByteReport {
     let id = id_size.bytes() as f64;
     let bytes = nodes
         .iter()
@@ -207,26 +136,29 @@ pub fn s4_bytes(
             let mut total = (s4.landmarks().len() + s4.cluster(v).len()) as f64 * id;
             if s4.is_landmark(v) {
                 // Directory entries: name + landmark identifier each; S4
-                // stores no explicit routes, so no route bytes. Reuse the
-                // Disco addresses only for counting which nodes hash here.
+                // stores no explicit routes, so no route bytes.
                 total += s4.directory_entries_at(v) as f64 * 2.0 * id;
             }
-            let _ = disco_state;
-            let _ = graph;
             total
         })
         .collect();
-    ByteReport {
-        protocol: StateProtocol::S4,
-        bytes,
-    }
+    ByteReport { bytes }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use disco_baselines::ShortestPathState;
     use disco_core::config::DiscoConfig;
     use disco_graph::generators;
+
+    fn disco(g: &Graph, d: &DiscoState, nodes: &[NodeId]) -> StateReport {
+        StateReport::per_node(nodes, |v| d.state_breakdown(g, v).disco_total())
+    }
+
+    fn nddisco(g: &Graph, d: &DiscoState, nodes: &[NodeId]) -> StateReport {
+        StateReport::per_node(nodes, |v| d.state_breakdown(g, v).nddisco_total())
+    }
 
     fn setup(n: usize, seed: u64) -> (Graph, DiscoState, S4State) {
         let g = generators::gnm_average_degree(n, 8.0, seed);
@@ -240,8 +172,8 @@ mod tests {
     fn disco_state_is_balanced_and_bounded() {
         let (g, d, _) = setup(256, 1);
         let nodes: Vec<NodeId> = g.nodes().collect();
-        let disco = disco_entries(&g, &d, &nodes);
-        let nd = nddisco_entries(&g, &d, &nodes);
+        let disco = disco(&g, &d, &nodes);
+        let nd = nddisco(&g, &d, &nodes);
         assert_eq!(disco.entries.len(), 256);
         // NDDisco ≤ Disco everywhere.
         for (a, b) in nd.entries.iter().zip(&disco.entries) {
@@ -255,8 +187,9 @@ mod tests {
     fn path_vector_dwarfs_disco_at_scale() {
         let (g, d, _) = setup(512, 2);
         let nodes: Vec<NodeId> = g.nodes().collect();
-        let pv = path_vector_entries(&ShortestPathState::build(&g), &nodes);
-        let disco = disco_entries(&g, &d, &nodes);
+        let pv_state = ShortestPathState::build(&g);
+        let pv = StateReport::per_node(&nodes, |v| pv_state.state_entries(v));
+        let disco = disco(&g, &d, &nodes);
         assert_eq!(pv.mean(), 511.0);
         assert!(disco.mean() < pv.mean());
     }
@@ -274,8 +207,8 @@ mod tests {
         let d = DiscoState::build(&g, &cfg);
         let s = S4State::build(&g, &cfg);
         let nodes: Vec<NodeId> = g.nodes().collect();
-        let nd = nddisco_entries(&g, &d, &nodes);
-        let s4r = s4_entries(&s, &nodes);
+        let nd = nddisco(&g, &d, &nodes);
+        let s4r = StateReport::per_node(&nodes, |v| s.state_entries(v));
         let nd_imbalance = nd.max() as f64 / nd.mean();
         let s4_imbalance = s4r.max() as f64 / s4r.mean();
         assert!(
@@ -288,8 +221,8 @@ mod tests {
         let s_tree = S4State::build(&tree, &cfg);
         let d_tree = DiscoState::build(&tree, &cfg);
         let tree_nodes: Vec<NodeId> = tree.nodes().collect();
-        let s4_tree = s4_entries(&s_tree, &tree_nodes);
-        let nd_tree = nddisco_entries(&tree, &d_tree, &tree_nodes);
+        let s4_tree = StateReport::per_node(&tree_nodes, |v| s_tree.state_entries(v));
+        let nd_tree = nddisco(&tree, &d_tree, &tree_nodes);
         assert!(s4_tree.max() > 2 * nd_tree.max());
     }
 
@@ -301,7 +234,7 @@ mod tests {
         let v6 = disco_bytes(&g, &d, &nodes, IdentifierSize::V6, true);
         assert!(v6.mean() > v4.mean() * 2.0);
         assert!(v6.max() >= v6.mean());
-        let s4b = s4_bytes(&g, &d, &s, &nodes, IdentifierSize::V4);
+        let s4b = s4_bytes(&s, &nodes, IdentifierSize::V4);
         assert!(s4b.mean() > 0.0);
         let nd = disco_bytes(&g, &d, &nodes, IdentifierSize::V4, false);
         assert!(nd.mean() < v4.mean());
@@ -311,7 +244,7 @@ mod tests {
     fn cdf_over_nodes_has_all_samples() {
         let (g, d, _) = setup(128, 4);
         let nodes: Vec<NodeId> = g.nodes().collect();
-        let rep = disco_entries(&g, &d, &nodes);
+        let rep = disco(&g, &d, &nodes);
         assert_eq!(rep.cdf().len(), 128);
         assert!(rep.cdf().max() >= rep.cdf().mean());
     }

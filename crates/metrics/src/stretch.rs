@@ -5,25 +5,20 @@
 //! length, measured over sampled source–destination pairs; the paper
 //! reports both the first packet of a flow and subsequent ("later")
 //! packets.
-
-//! ## Parallel harnesses
 //!
-//! Stretch sampling is embarrassingly parallel per *source*: every pair's
-//! samples are a pure function of `(graph, state, pair)`, and the routers'
-//! per-source tree caches only pay off within one source's destination
-//! group. The `*_parallel` variants below fan contiguous same-source runs
-//! of the pair list over a `scoped_threadpool`, each worker building its
-//! own router (the routers' `RefCell` caches are not `Sync`) and writing
-//! into the run's own index-addressed output slice — the same
-//! bit-identical-output contract as `DiscoState::build_parallel`: results
-//! are byte-for-byte independent of the thread count.
+//! ## One sampler
+//!
+//! [`sample`] measures every protocol: a protocol is a router factory and
+//! a per-pair measurement, both closures. Every pair's samples are a pure
+//! function of `(graph, state, pair)`, so the pair list is cut into one
+//! contiguous share per CPU. Each worker builds its own router (the
+//! routers' `RefCell` tree caches are not `Sync`) and writes its share's
+//! samples by index, so the report holds the same bits for any CPU count.
+//! Pairs from `sample_pairs_grouped` arrive grouped by source, so a
+//! router's per-source tree cache pays off within a share.
 
 use crate::cdf::Cdf;
-use disco_baselines::{S4Router, S4State, VrrRouter, VrrState};
-use disco_core::routing::DiscoRouter;
-use disco_core::shortcut::ShortcutMode;
-use disco_core::static_state::DiscoState;
-use disco_graph::{Graph, NodeId};
+use disco_graph::NodeId;
 
 /// First- and later-packet stretch samples for one protocol.
 #[derive(Debug, Clone, Default)]
@@ -74,226 +69,75 @@ fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Number of worker threads to use: `threads` (0 = one per CPU).
-fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    } else {
-        threads
-    }
-}
-
-/// Split `pairs` into contiguous same-source runs together with each run's
-/// start index (pairs from `sample_pairs_grouped` arrive grouped by
-/// source, so a run is one source's destination block).
-fn source_runs(pairs: &[(NodeId, NodeId)]) -> Vec<(usize, &[(NodeId, NodeId)])> {
-    let mut runs = Vec::new();
-    let mut start = 0;
-    for i in 1..=pairs.len() {
-        if i == pairs.len() || pairs[i].0 != pairs[start].0 {
-            runs.push((start, &pairs[start..i]));
-            start = i;
-        }
-    }
-    runs
-}
-
-/// Fan per-source runs over a scoped pool. `eval` fills one run's
-/// first/later output slices from a fresh per-worker measurement context;
-/// each output index is computed exactly once, by pure per-pair work, so
-/// the assembled report is identical for any thread count.
-fn stretch_parallel_with(
+/// Sample stretch over `pairs` on one worker per CPU. Each worker builds
+/// one router with `router` and fills its share of the pairs, by index,
+/// with `stretch(&router, s, t)` = `(first, later)`. A protocol without
+/// the first/later distinction (VRR), or a measurement of one packet
+/// (Fig. 6), returns its sample twice.
+pub fn sample<R>(
     pairs: &[(NodeId, NodeId)],
-    threads: usize,
-    eval: impl Fn(&[(NodeId, NodeId)], &mut [f64], &mut [f64]) + Sync,
+    router: impl Fn() -> R + Sync,
+    stretch: impl Fn(&R, NodeId, NodeId) -> (f64, f64) + Sync,
 ) -> StretchReport {
-    let mut report = StretchReport {
-        first: vec![0.0; pairs.len()],
-        later: vec![0.0; pairs.len()],
-    };
-    let mut pool = scoped_threadpool::Pool::new(resolve_threads(threads) as u32);
-    // Carve the output vectors into per-run slices (disjoint, index-addressed).
-    let mut first_rest: &mut [f64] = &mut report.first;
-    let mut later_rest: &mut [f64] = &mut report.later;
-    let mut jobs = Vec::new();
-    for (_, run) in source_runs(pairs) {
-        let (f, fr) = first_rest.split_at_mut(run.len());
-        let (l, lr) = later_rest.split_at_mut(run.len());
-        first_rest = fr;
-        later_rest = lr;
-        jobs.push((run, f, l));
-    }
-    pool.scoped(|scope| {
-        for (run, f, l) in jobs {
-            let eval = &eval;
-            scope.execute(move || eval(run, f, l));
+    let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let share = pairs.len().div_ceil(workers).max(1);
+    let mut samples = vec![(0.0, 0.0); pairs.len()];
+    std::thread::scope(|scope| {
+        for (pairs, out) in pairs.chunks(share).zip(samples.chunks_mut(share)) {
+            let (router, stretch) = (&router, &stretch);
+            scope.spawn(move || {
+                let router = router();
+                for (&(s, t), slot) in pairs.iter().zip(out) {
+                    *slot = stretch(&router, s, t);
+                }
+            });
         }
     });
-    report
-}
-
-/// [`disco_stretch`] fanned over `threads` workers (0 = one per CPU);
-/// bit-identical to the sequential form.
-pub fn disco_stretch_parallel(
-    graph: &Graph,
-    state: &DiscoState,
-    pairs: &[(NodeId, NodeId)],
-    threads: usize,
-) -> StretchReport {
-    stretch_parallel_with(pairs, threads, |run, first, later| {
-        let router = DiscoRouter::new(graph, state);
-        for (i, &(s, t)) in run.iter().enumerate() {
-            let d = router.true_distance(s, t);
-            first[i] = router.route_first_packet(s, t).stretch(d);
-            later[i] = router.route_later_packet(s, t).stretch(d);
-        }
-    })
-}
-
-/// [`nddisco_stretch`] fanned over `threads` workers (0 = one per CPU).
-pub fn nddisco_stretch_parallel(
-    graph: &Graph,
-    state: &DiscoState,
-    pairs: &[(NodeId, NodeId)],
-    threads: usize,
-) -> StretchReport {
-    stretch_parallel_with(pairs, threads, |run, first, later| {
-        let router = DiscoRouter::new(graph, state);
-        for (i, &(s, t)) in run.iter().enumerate() {
-            let d = router.true_distance(s, t);
-            first[i] = router.nddisco_first_packet(s, t).stretch(d);
-            later[i] = router.nddisco_later_packet(s, t).stretch(d);
-        }
-    })
-}
-
-/// [`s4_stretch`] fanned over `threads` workers (0 = one per CPU).
-pub fn s4_stretch_parallel(
-    graph: &Graph,
-    state: &S4State,
-    pairs: &[(NodeId, NodeId)],
-    threads: usize,
-) -> StretchReport {
-    stretch_parallel_with(pairs, threads, |run, first, later| {
-        let router = S4Router::new(graph, state);
-        for (i, &(s, t)) in run.iter().enumerate() {
-            first[i] = router.first_packet_stretch(s, t);
-            later[i] = router.later_packet_stretch(s, t);
-        }
-    })
-}
-
-/// [`vrr_stretch`] fanned over `threads` workers (0 = one per CPU).
-pub fn vrr_stretch_parallel(
-    graph: &Graph,
-    state: &VrrState,
-    pairs: &[(NodeId, NodeId)],
-    threads: usize,
-) -> StretchReport {
-    stretch_parallel_with(pairs, threads, |run, first, later| {
-        let router = VrrRouter::new(graph, state);
-        for (i, &(s, t)) in run.iter().enumerate() {
-            first[i] = router.stretch(s, t);
-            later[i] = first[i];
-        }
-    })
-}
-
-/// [`disco_mean_stretch_with_mode`] fanned over `threads` workers — the
-/// Fig. 6 shortcut sweep's inner loop.
-pub fn disco_mean_stretch_with_mode_parallel(
-    graph: &Graph,
-    state: &DiscoState,
-    pairs: &[(NodeId, NodeId)],
-    mode: ShortcutMode,
-    threads: usize,
-) -> f64 {
-    let report = stretch_parallel_with(pairs, threads, |run, first, _later| {
-        let router = DiscoRouter::new(graph, state);
-        for (i, &(s, t)) in run.iter().enumerate() {
-            let d = router.true_distance(s, t);
-            first[i] = router.route_first_packet_with(s, t, mode).stretch(d);
-        }
-    });
-    mean(&report.first)
-}
-
-/// Measure Disco first/later-packet stretch over the given pairs with the
-/// router's configured shortcutting.
-pub fn disco_stretch(router: &DiscoRouter<'_>, pairs: &[(NodeId, NodeId)]) -> StretchReport {
-    let mut report = StretchReport::default();
-    for &(s, t) in pairs {
-        let d = router.true_distance(s, t);
-        report
-            .first
-            .push(router.route_first_packet(s, t).stretch(d));
-        report
-            .later
-            .push(router.route_later_packet(s, t).stretch(d));
-    }
-    report
-}
-
-/// Measure Disco first-packet stretch under an explicit shortcut mode
-/// (used by the Fig. 6 sweep). Returns the mean.
-pub fn disco_mean_stretch_with_mode(
-    router: &DiscoRouter<'_>,
-    pairs: &[(NodeId, NodeId)],
-    mode: ShortcutMode,
-) -> f64 {
-    let samples: Vec<f64> = pairs
-        .iter()
-        .map(|&(s, t)| {
-            let d = router.true_distance(s, t);
-            router.route_first_packet_with(s, t, mode).stretch(d)
-        })
-        .collect();
-    mean(&samples)
-}
-
-/// Measure NDDisco first/later-packet stretch (name-dependent protocol).
-pub fn nddisco_stretch(router: &DiscoRouter<'_>, pairs: &[(NodeId, NodeId)]) -> StretchReport {
-    let mut report = StretchReport::default();
-    for &(s, t) in pairs {
-        let d = router.true_distance(s, t);
-        report
-            .first
-            .push(router.nddisco_first_packet(s, t).stretch(d));
-        report
-            .later
-            .push(router.nddisco_later_packet(s, t).stretch(d));
-    }
-    report
-}
-
-/// Measure S4 first/later-packet stretch.
-pub fn s4_stretch(router: &S4Router<'_>, pairs: &[(NodeId, NodeId)]) -> StretchReport {
-    let mut report = StretchReport::default();
-    for &(s, t) in pairs {
-        report.first.push(router.first_packet_stretch(s, t));
-        report.later.push(router.later_packet_stretch(s, t));
-    }
-    report
-}
-
-/// Measure VRR stretch (VRR has no first/later distinction; both fields get
-/// the same samples so reports stay comparable).
-pub fn vrr_stretch(router: &VrrRouter<'_>, pairs: &[(NodeId, NodeId)]) -> StretchReport {
-    let samples: Vec<f64> = pairs.iter().map(|&(s, t)| router.stretch(s, t)).collect();
-    StretchReport {
-        first: samples.clone(),
-        later: samples,
-    }
+    let (first, later) = samples.into_iter().unzip();
+    StretchReport { first, later }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sampling::sample_pairs_grouped;
-    use disco_baselines::{S4State, VrrState};
+    use disco_baselines::{S4Router, S4State, VrrRouter, VrrState};
     use disco_core::config::DiscoConfig;
+    use disco_core::routing::DiscoRouter;
+    use disco_core::shortcut::ShortcutMode;
     use disco_core::static_state::DiscoState;
     use disco_graph::generators;
+
+    fn disco(r: &DiscoRouter<'_>, s: NodeId, t: NodeId) -> (f64, f64) {
+        let d = r.true_distance(s, t);
+        let first = r.route_first_packet(s, t).stretch(d);
+        (first, r.route_later_packet(s, t).stretch(d))
+    }
+
+    fn nddisco(r: &DiscoRouter<'_>, s: NodeId, t: NodeId) -> (f64, f64) {
+        let d = r.true_distance(s, t);
+        let first = r.nddisco_first_packet(s, t).stretch(d);
+        (first, r.nddisco_later_packet(s, t).stretch(d))
+    }
+
+    fn s4(r: &S4Router<'_>, s: NodeId, t: NodeId) -> (f64, f64) {
+        (r.first_packet_stretch(s, t), r.later_packet_stretch(s, t))
+    }
+
+    fn vrr(r: &VrrRouter<'_>, s: NodeId, t: NodeId) -> (f64, f64) {
+        let x = r.stretch(s, t);
+        (x, x)
+    }
+
+    /// Disco's first packet under an explicit shortcut mode (Fig. 6).
+    fn disco_with(mode: ShortcutMode) -> impl Fn(&DiscoRouter<'_>, NodeId, NodeId) -> (f64, f64) {
+        move |r, s, t| {
+            let x = r
+                .route_first_packet_with(s, t, mode)
+                .stretch(r.true_distance(s, t));
+            (x, x)
+        }
+    }
 
     #[test]
     fn disco_stretch_bounds_and_ordering() {
@@ -301,9 +145,8 @@ mod tests {
         let g = generators::gnm_average_degree(n, 8.0, 3);
         let cfg = DiscoConfig::seeded(3);
         let state = DiscoState::build(&g, &cfg);
-        let router = DiscoRouter::new(&g, &state);
         let pairs = sample_pairs_grouped(n, 12, 10, 3);
-        let rep = disco_stretch(&router, &pairs);
+        let rep = sample(&pairs, || DiscoRouter::new(&g, &state), disco);
         assert_eq!(rep.first.len(), pairs.len());
         assert!(rep.mean_first() >= 1.0 - 1e-9);
         assert!(rep.mean_later() <= rep.mean_first() + 1e-9);
@@ -317,12 +160,12 @@ mod tests {
         let g = generators::geometric_connected(n, 8.0, 5);
         let cfg = DiscoConfig::seeded(5);
         let state = DiscoState::build(&g, &cfg);
-        let router = DiscoRouter::new(&g, &state);
         let pairs = sample_pairs_grouped(n, 10, 10, 5);
-        let none = disco_mean_stretch_with_mode(&router, &pairs, ShortcutMode::None);
-        let to_dest = disco_mean_stretch_with_mode(&router, &pairs, ShortcutMode::ToDestination);
-        let npk = disco_mean_stretch_with_mode(&router, &pairs, ShortcutMode::NoPathKnowledge);
-        let pk = disco_mean_stretch_with_mode(&router, &pairs, ShortcutMode::PathKnowledge);
+        let mean = |mode| sample(&pairs, || DiscoRouter::new(&g, &state), disco_with(mode));
+        let none = mean(ShortcutMode::None).mean_first();
+        let to_dest = mean(ShortcutMode::ToDestination).mean_first();
+        let npk = mean(ShortcutMode::NoPathKnowledge).mean_first();
+        let pk = mean(ShortcutMode::PathKnowledge).mean_first();
         assert!(to_dest <= none + 1e-9);
         assert!(npk <= to_dest + 1e-9);
         assert!(pk <= npk + 1e-9);
@@ -334,16 +177,13 @@ mod tests {
         let n = 400;
         let g = generators::gnm_average_degree(n, 8.0, 7);
         let cfg = DiscoConfig::seeded(7);
-        let disco = DiscoState::build(&g, &cfg);
-        let s4 = S4State::build(&g, &cfg);
-        let vrr = VrrState::build(&g, &cfg);
-        let d_router = DiscoRouter::new(&g, &disco);
-        let s_router = S4Router::new(&g, &s4);
-        let v_router = VrrRouter::new(&g, &vrr);
+        let disco_state = DiscoState::build(&g, &cfg);
+        let s4_state = S4State::build(&g, &cfg);
+        let vrr_state = VrrState::build(&g, &cfg);
         let pairs = sample_pairs_grouped(n, 15, 8, 7);
-        let d = disco_stretch(&d_router, &pairs);
-        let s = s4_stretch(&s_router, &pairs);
-        let v = vrr_stretch(&v_router, &pairs);
+        let d = sample(&pairs, || DiscoRouter::new(&g, &disco_state), disco);
+        let s = sample(&pairs, || S4Router::new(&g, &s4_state), s4);
+        let v = sample(&pairs, || VrrRouter::new(&g, &vrr_state), vrr);
         // First-packet comparison is where Disco's advantage shows.
         assert!(
             d.mean_first() < s.mean_first() + 1e-9,
@@ -362,48 +202,48 @@ mod tests {
         assert!(s.max_later() <= 3.0 + 1e-9);
     }
 
-    /// The parallel harnesses carry the same contract as
-    /// `DiscoState::build_parallel`: byte-identical output for any thread
-    /// count, including the sequential reference.
+    /// The sampler's shares, per-worker routers and index writes change no
+    /// bit: each report equals one router walking the pairs in order.
     #[test]
-    fn parallel_harnesses_bit_identical_to_sequential() {
+    fn sampler_matches_a_plain_loop_over_each_router() {
+        fn plain<R>(
+            pairs: &[(NodeId, NodeId)],
+            router: R,
+            stretch: impl Fn(&R, NodeId, NodeId) -> (f64, f64),
+        ) -> StretchReport {
+            let (first, later) = pairs.iter().map(|&(s, t)| stretch(&router, s, t)).unzip();
+            StretchReport { first, later }
+        }
+        fn same(a: &StretchReport, b: &StretchReport, what: &str) {
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a.first), bits(&b.first), "{what} first");
+            assert_eq!(bits(&a.later), bits(&b.later), "{what} later");
+        }
         let n = 240;
         let g = generators::gnm_average_degree(n, 8.0, 11);
         let cfg = DiscoConfig::seeded(11);
         let state = DiscoState::build(&g, &cfg);
-        let s4 = S4State::build(&g, &cfg);
-        let vrr = VrrState::build(&g, &cfg);
+        let s4_state = S4State::build(&g, &cfg);
+        let vrr_state = VrrState::build(&g, &cfg);
         let pairs = sample_pairs_grouped(n, 14, 9, 11);
+        let disco_router = || DiscoRouter::new(&g, &state);
 
-        let d_router = DiscoRouter::new(&g, &state);
-        let seq_d = disco_stretch(&d_router, &pairs);
-        let seq_nd = nddisco_stretch(&d_router, &pairs);
-        let seq_s4 = s4_stretch(&S4Router::new(&g, &s4), &pairs);
-        let seq_v = vrr_stretch(&VrrRouter::new(&g, &vrr), &pairs);
-        let seq_mode = disco_mean_stretch_with_mode(&d_router, &pairs, ShortcutMode::PathKnowledge);
-
-        for threads in [1, 3, 0] {
-            let par = disco_stretch_parallel(&g, &state, &pairs, threads);
-            assert_eq!(par.first, seq_d.first, "disco first, {threads} threads");
-            assert_eq!(par.later, seq_d.later, "disco later, {threads} threads");
-            let par_nd = nddisco_stretch_parallel(&g, &state, &pairs, threads);
-            assert_eq!(par_nd.first, seq_nd.first);
-            assert_eq!(par_nd.later, seq_nd.later);
-            let par_s4 = s4_stretch_parallel(&g, &s4, &pairs, threads);
-            assert_eq!(par_s4.first, seq_s4.first);
-            assert_eq!(par_s4.later, seq_s4.later);
-            let par_v = vrr_stretch_parallel(&g, &vrr, &pairs, threads);
-            assert_eq!(par_v.first, seq_v.first);
-            assert_eq!(par_v.later, seq_v.later);
-            let par_mode = disco_mean_stretch_with_mode_parallel(
-                &g,
-                &state,
-                &pairs,
-                ShortcutMode::PathKnowledge,
-                threads,
-            );
-            assert_eq!(par_mode.to_bits(), seq_mode.to_bits());
-        }
+        let d = sample(&pairs, disco_router, disco);
+        same(&d, &plain(&pairs, disco_router(), disco), "Disco");
+        let nd = sample(&pairs, disco_router, nddisco);
+        same(&nd, &plain(&pairs, disco_router(), nddisco), "ND-Disco");
+        let s = sample(&pairs, || S4Router::new(&g, &s4_state), s4);
+        same(&s, &plain(&pairs, S4Router::new(&g, &s4_state), s4), "S4");
+        let v = sample(&pairs, || VrrRouter::new(&g, &vrr_state), vrr);
+        same(
+            &v,
+            &plain(&pairs, VrrRouter::new(&g, &vrr_state), vrr),
+            "VRR",
+        );
+        let pk = disco_with(ShortcutMode::PathKnowledge);
+        let fig6 = sample(&pairs, disco_router, &pk).mean_first();
+        let fig6_plain = plain(&pairs, disco_router(), &pk).mean_first();
+        assert_eq!(fig6.to_bits(), fig6_plain.to_bits(), "Fig. 6 mean");
     }
 
     #[test]
@@ -412,9 +252,8 @@ mod tests {
         let g = generators::gnm_average_degree(n, 8.0, 9);
         let cfg = DiscoConfig::seeded(9);
         let state = DiscoState::build(&g, &cfg);
-        let router = DiscoRouter::new(&g, &state);
         let pairs = sample_pairs_grouped(n, 10, 10, 9);
-        let rep = nddisco_stretch(&router, &pairs);
+        let rep = sample(&pairs, || DiscoRouter::new(&g, &state), nddisco);
         assert!(rep.max_first() <= 5.0 + 1e-9);
         assert!(rep.max_later() <= 3.0 + 1e-9);
     }

@@ -7,7 +7,7 @@
 use disco::baselines::{S4Router, S4State};
 use disco::core::prelude::*;
 use disco::graph::generators;
-use disco::metrics::{experiment::ExperimentParams, Topology};
+use disco::metrics::{experiment::ExperimentParams, state::StateReport, stretch};
 
 fn main() {
     let n: usize = std::env::args()
@@ -29,25 +29,14 @@ fn main() {
 
     // State comparison (Fig. 2 flavour).
     let nodes: Vec<_> = graph.nodes().collect();
-    let disco_entries = disco::metrics::state::disco_entries(&graph, &disco_state, &nodes);
-    let nd_entries = disco::metrics::state::nddisco_entries(&graph, &disco_state, &nodes);
-    let s4_entries = disco::metrics::state::s4_entries(&s4_state, &nodes);
+    let breakdown = |v| disco_state.state_breakdown(&graph, v);
+    let disco = StateReport::per_node(&nodes, |v| breakdown(v).disco_total());
+    let nddisco = StateReport::per_node(&nodes, |v| breakdown(v).nddisco_total());
+    let s4 = StateReport::per_node(&nodes, |v| s4_state.state_entries(v));
     println!("\nstate (entries per node):      mean      max");
-    println!(
-        "  Disco                    {:>8.1} {:>8}",
-        disco_entries.mean(),
-        disco_entries.max()
-    );
-    println!(
-        "  ND-Disco                 {:>8.1} {:>8}",
-        nd_entries.mean(),
-        nd_entries.max()
-    );
-    println!(
-        "  S4                       {:>8.1} {:>8}",
-        s4_entries.mean(),
-        s4_entries.max()
-    );
+    for (name, r) in [("Disco", disco), ("ND-Disco", nddisco), ("S4", s4)] {
+        println!("  {name:<24} {:>8.1} {:>8}", r.mean(), r.max());
+    }
 
     // Stretch comparison (Fig. 3 flavour).
     let params = ExperimentParams::for_nodes(n, seed);
@@ -56,30 +45,20 @@ fn main() {
         params.stretch_sources * params.stretch_dests_per_source,
         seed,
     );
-    let d_router = DiscoRouter::new(&graph, &disco_state);
-    let s_router = S4Router::new(&graph, &s4_state);
-    let d = disco::metrics::stretch::disco_stretch(&d_router, &pairs);
-    let s = disco::metrics::stretch::s4_stretch(&s_router, &pairs);
+    let disco_router = || DiscoRouter::new(&graph, &disco_state);
+    let d = stretch::sample(&pairs, disco_router, |r, s, t| {
+        let dist = r.true_distance(s, t);
+        let first = r.route_first_packet(s, t).stretch(dist);
+        (first, r.route_later_packet(s, t).stretch(dist))
+    });
+    let s4_router = || S4Router::new(&graph, &s4_state);
+    let s = stretch::sample(&pairs, s4_router, |r, s, t| {
+        (r.first_packet_stretch(s, t), r.later_packet_stretch(s, t))
+    });
     println!("\nstretch (mean / max):");
-    println!(
-        "  Disco first   {:.3} / {:.3}",
-        d.mean_first(),
-        d.max_first()
-    );
-    println!(
-        "  Disco later   {:.3} / {:.3}",
-        d.mean_later(),
-        d.max_later()
-    );
-    println!(
-        "  S4 first      {:.3} / {:.3}",
-        s.mean_first(),
-        s.max_first()
-    );
-    println!(
-        "  S4 later      {:.3} / {:.3}",
-        s.mean_later(),
-        s.max_later()
-    );
-    let _ = Topology::RouterLevel;
+    for (name, r) in [("Disco", &d), ("S4", &s)] {
+        let (first, later) = (format!("{name} first"), format!("{name} later"));
+        println!("  {first:<14}{:.3} / {:.3}", r.mean_first(), r.max_first());
+        println!("  {later:<14}{:.3} / {:.3}", r.mean_later(), r.max_later());
+    }
 }
