@@ -21,7 +21,7 @@
 //! that is "central" (close to many nodes that are far from their own
 //! landmarks) accumulates `Θ(n)` entries — the paper's footnote-6 tree and
 //! its Fig. 2 Internet topologies both show this, and both are reproduced
-//! in this crate's tests and in the `fig02`/`fig07` experiments.
+//! in this crate's tests and in `paper fig02_state_cdf` / `paper fig07_state_bytes`.
 
 use disco_core::config::DiscoConfig;
 use disco_core::hash::NameHasher;

@@ -20,7 +20,6 @@
 //! --seed S              experiment seed (default 1)
 //! --events N            delivered-announcement budget per size
 //!                       (default 3000000)
-//! --threads T           static-build worker threads (default 0 = one/CPU)
 //! --json PATH           write the JSON report of this sweep to PATH (not
 //!                       with --shards K --smoke, K > 1: that gate measures
 //!                       a ratio, not a sweep; README "Performance" says
@@ -57,7 +56,7 @@ use disco_bench::cli::{exit_on_failures, recorded, write_report, Flags};
 use disco_bench::scale::{run_one, ScaleConfig, ScaleResult};
 use disco_telemetry::Json;
 
-const USAGE: &str = "flags: --sizes a,b,c --full --seed S --events N --threads T \
+const USAGE: &str = "flags: --sizes a,b,c --full --seed S --events N \
                      --json PATH --trace PATH --shards K --smoke";
 
 fn main() {
@@ -80,7 +79,6 @@ fn main() {
         n: sizes[0],
         seed: flags.value("--seed").unwrap_or(1),
         announcement_budget: flags.value("--events").unwrap_or(3_000_000),
-        build_threads: flags.value("--threads").unwrap_or(0),
         trace: flags.value("--trace"),
         shards: flags.shards(),
     };

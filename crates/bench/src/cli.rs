@@ -1,16 +1,17 @@
-//! The command line and the files of the `fig*` / `exp*` binaries.
+//! The command line and the files of the `paper` / `exp*` binaries.
 //!
-//! [`Flags`] is the one flag reader: each bin takes its switches, values
-//! and comma lists out of it by name and then [`Flags::finish`]es it, which
-//! prints the bin's usage for `--help` and rejects anything left over. No
-//! external argument-parsing crate is used (the offline dependency list is
-//! deliberately small). The paper bins share [`CommonArgs`]:
+//! [`Flags`] is the one flag reader: each bin takes its leading
+//! [`Flags::command`], switches, values and comma lists out of it by name
+//! and then [`Flags::finish`]es it, which prints the bin's usage for
+//! `--help` and rejects anything left over. No external argument-parsing
+//! crate is used (the offline dependency list is deliberately small).
+//! Every `paper` figure (and `exp_churn`) reads [`CommonArgs`]:
 //!
 //! ```text
-//! --nodes N      topology size (each binary has a paper-appropriate default)
+//! --nodes N      topology size (each figure has a paper-appropriate default)
 //! --seed S       experiment seed (default 1)
-//! --sources K    number of sampled stretch sources
-//! --dests K      destinations per sampled source
+//! --sources K    number of sampled stretch sources (default 50, at most n/2)
+//! --dests K      destinations per sampled source (default 40, at most n/4)
 //! --points K     number of CDF points to print (default 20)
 //! ```
 //!
@@ -51,6 +52,13 @@ impl Flags {
         self.0
             .iter()
             .position(|a| a == flag || ALIASES.contains(&(flag, a.as_str())))
+    }
+
+    /// The leading positional argument (`paper <figure> …`), if the
+    /// command line starts with one.
+    pub fn command(&mut self) -> Option<String> {
+        let first = self.0.first()?;
+        (!first.starts_with('-')).then(|| self.0.remove(0))
     }
 
     /// The first token naming one of `flags` (as spelled), still untaken.
@@ -127,10 +135,10 @@ pub struct CommonArgs {
     pub nodes: usize,
     /// Experiment seed.
     pub seed: u64,
-    /// Sampled stretch sources.
-    pub sources: usize,
-    /// Destinations per source.
-    pub dests: usize,
+    /// Sampled stretch sources, if `--sources` was given.
+    pub sources: Option<usize>,
+    /// Destinations per source, if `--dests` was given.
+    pub dests: Option<usize>,
     /// CDF points to print.
     pub points: usize,
 }
@@ -182,19 +190,14 @@ pub fn recorded(path: &str, key: &str) -> f64 {
 }
 
 impl CommonArgs {
-    /// Parse this process's command line with the given default node count.
-    pub fn parse(default_nodes: usize) -> Self {
-        Self::from_flags(Flags::from_env(), default_nodes)
-    }
-
     /// Take the common flags out of `flags` and finish it: a bin with
     /// flags of its own takes those first.
     pub fn from_flags(mut flags: Flags, default_nodes: usize) -> Self {
         let out = CommonArgs {
             nodes: flags.value("--nodes").unwrap_or(default_nodes),
             seed: flags.value("--seed").unwrap_or(1),
-            sources: flags.value("--sources").unwrap_or(50),
-            dests: flags.value("--dests").unwrap_or(40),
+            sources: flags.value("--sources"),
+            dests: flags.value("--dests"),
             points: flags.value("--points").unwrap_or(20),
         };
         flags.finish(&format!(
@@ -203,15 +206,21 @@ impl CommonArgs {
         out
     }
 
-    /// Convert to experiment parameters.
+    /// The experiment parameters at `--nodes`.
     pub fn params(&self) -> ExperimentParams {
+        self.params_at(self.nodes)
+    }
+
+    /// The experiment parameters at `nodes` (a sweep's sizes):
+    /// [`ExperimentParams::for_nodes`] with the flags' sample sizes.
+    pub fn params_at(&self, nodes: usize) -> ExperimentParams {
+        let defaults = ExperimentParams::for_nodes(nodes, self.seed);
         ExperimentParams {
-            nodes: self.nodes,
-            seed: self.seed,
-            state_samples: usize::MAX,
-            stretch_sources: self.sources.min(self.nodes / 2).max(1),
-            stretch_dests_per_source: self.dests.min(self.nodes / 4).max(1),
+            stretch_sources: self.sources.unwrap_or(defaults.stretch_sources),
+            stretch_dests_per_source: self.dests.unwrap_or(defaults.stretch_dests_per_source),
+            ..defaults
         }
+        .clamped()
     }
 }
 
@@ -241,6 +250,33 @@ mod tests {
         let p = a.params();
         assert_eq!(p.nodes, 256);
         assert_eq!(p.seed, 9);
+    }
+
+    #[test]
+    fn params_default_to_for_nodes_and_take_the_overrides() {
+        for n in [2, 256, 16384] {
+            let a = CommonArgs::from_flags(Flags::new(v(&["--seed", "3"])), n);
+            assert_eq!(a.params(), ExperimentParams::for_nodes(n, 3), "n={n}");
+        }
+        let args = v(&["--sources", "7", "--dests", "5"]);
+        let a = CommonArgs::from_flags(Flags::new(args), 256);
+        let p = a.params();
+        assert_eq!((p.stretch_sources, p.stretch_dests_per_source), (7, 5));
+        // A sweep's smaller size clamps the same overrides.
+        let p = a.params_at(12);
+        assert_eq!(
+            (p.nodes, p.stretch_sources, p.stretch_dests_per_source),
+            (12, 6, 3)
+        );
+    }
+
+    #[test]
+    fn command_takes_only_a_leading_positional() {
+        let mut flags = Flags::new(v(&["fig02_state_cdf", "--nodes", "64"]));
+        assert_eq!(flags.command().as_deref(), Some("fig02_state_cdf"));
+        assert_eq!(flags.command(), None);
+        assert_eq!(flags.value::<usize>("--nodes"), Some(64));
+        assert_eq!(Flags::new(v(&["--nodes", "64"])).command(), None);
     }
 
     #[test]

@@ -1,19 +1,19 @@
 //! # disco-bench
 //!
-//! Benchmark and figure-regeneration harness. The `fig*`/`exp*` binaries in
-//! `src/bin/` regenerate every table and figure of the paper's evaluation
-//! (§5); the Criterion benches in `benches/` measure the cost of the core
-//! operations (topology generation, state construction, routing).
+//! Benchmark and figure-regeneration harness. The `paper` binary
+//! regenerates every table and figure of the paper's evaluation (§5), one
+//! per run (`paper <figure>`); the Criterion benches in `benches/` measure
+//! the cost of the core operations (topology generation, state
+//! construction, routing).
 //!
 //! The four dynamic drivers — [`churn`], [`memory`], [`scale`] and
 //! [`forward`] — boot the protocol through [`scenario`], which holds the
 //! one network boot and the one churn window they share; [`cli`] holds the
 //! one flag reader and the report files every binary shares. README's
-//! "Reproducing the paper" lists the binaries.
+//! "Reproducing the paper" lists the figures.
 
 pub mod churn;
 pub mod cli;
-pub mod figures;
 pub mod forward;
 pub mod memory;
 pub mod scale;

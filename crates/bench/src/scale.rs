@@ -12,8 +12,8 @@
 //! plane packs a whole table dump into one queue entry, events/sec could
 //! be "improved" arbitrarily by packing more work per event, while a
 //! delivered announcement means the same protocol work in every
-//! configuration. The static-build timing exercises
-//! `DiscoState::build_parallel` with the `threads` knob.
+//! configuration. The static-build timing times `DiscoState::build`
+//! (one worker per CPU).
 
 use crate::cli::write_trace;
 use crate::scenario::{self, BOOT_CHURN};
@@ -34,8 +34,6 @@ pub struct ScaleConfig {
     /// Delivered-announcement budget for the throughput leg (the run stops
     /// once this many messages reached `on_message`, or at quiescence).
     pub announcement_budget: u64,
-    /// Worker threads for the static build (0 = one per CPU).
-    pub build_threads: usize,
     /// Export the throughput leg as a Chrome `trace_event` timeline to this
     /// path (runs the full telemetry recorder on every shard, merged; the
     /// timeline carries a work/ingest/wait counter track per shard).
@@ -55,7 +53,7 @@ pub struct ScaleResult {
     pub n: usize,
     /// Landmarks elected at this size.
     pub landmarks: usize,
-    /// Wall time of `DiscoState::build_parallel`.
+    /// Wall time of `DiscoState::build`.
     pub build_secs: f64,
     /// Engine events (queue pops) processed in the throughput leg.
     pub events: u64,
@@ -124,7 +122,7 @@ impl ScaleResult {
     }
 }
 
-/// Run one leg: static parallel build, then the budgeted churn throughput
+/// Run one leg: static build, then the budgeted churn throughput
 /// measurement. Deterministic in `(n, seed)` up to wall-clock numbers.
 pub fn run_one(cfg: &ScaleConfig) -> ScaleResult {
     match &cfg.trace {
@@ -148,7 +146,7 @@ fn run_with<R: MergeRecorder + Send + 'static>(
 
     // Off the shard threads: the static build leaves their arena gauges be.
     let t0 = Instant::now();
-    let st = DiscoState::build_parallel(&graph, &dcfg, cfg.build_threads);
+    let st = DiscoState::build(&graph, &dcfg);
     let build_secs = t0.elapsed().as_secs_f64();
     let landmarks_built = st.landmarks().len();
     drop(st);
@@ -205,7 +203,6 @@ mod tests {
             n: 128,
             seed: 3,
             announcement_budget: 50_000,
-            build_threads: 2,
             trace: None,
             shards: 1,
         });
@@ -232,7 +229,6 @@ mod tests {
             n: 96,
             seed: 5,
             announcement_budget: 40_000,
-            build_threads: 1,
             trace: None,
             shards,
         };

@@ -11,8 +11,7 @@
 //! panicking closure propagates the panic out of `scoped`.
 //!
 //! Determinism note: closures run concurrently, so any shared-state
-//! side effects are unordered — callers (e.g. `disco-core`'s
-//! `DiscoState::build_parallel`) must write results into disjoint,
+//! side effects are unordered — callers must write results into disjoint,
 //! index-addressed slots, which makes the outcome independent of thread
 //! interleaving.
 

@@ -9,7 +9,7 @@
 //!
 //! On the CAIDA router-level map the paper measures a maximum address size
 //! of 10.6 bytes, a 95th percentile of 5 bytes and a mean of 2.93 bytes;
-//! the `exp_address_size` experiment regenerates the equivalent numbers on
+//! `paper exp_address_size` regenerates the equivalent numbers on
 //! the synthetic router-level topology.
 //!
 //! This module provides:

@@ -76,6 +76,35 @@ pub mod static_state;
 pub mod vicinity;
 pub mod wire;
 
+/// `(0..len).map(job)` on one scoped worker per CPU. The workers take
+/// `chunk` consecutive indices at a time from a shared cursor, so uneven
+/// jobs still spread evenly, and each result lands in its own slot: the
+/// output is the same for any CPU count.
+pub(crate) fn map_per_cpu<T: Send>(
+    len: usize,
+    chunk: usize,
+    job: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let mut out: Vec<Option<T>> = (0..len).map(|_| None).collect();
+    let cursor = std::sync::Mutex::new(out.chunks_mut(chunk).enumerate());
+    std::thread::scope(|scope| {
+        for _ in 0..workers.min(len.div_ceil(chunk)) {
+            scope.spawn(|| loop {
+                let Some((c, slots)) = cursor.lock().expect("a worker panicked").next() else {
+                    break;
+                };
+                for (off, slot) in slots.iter_mut().enumerate() {
+                    *slot = Some(job(c * chunk + off));
+                }
+            });
+        }
+    });
+    out.into_iter()
+        .map(|slot| slot.expect("every slot filled"))
+        .collect()
+}
+
 /// Convenient re-exports of the most commonly used types.
 pub mod prelude {
     pub use crate::address::Address;

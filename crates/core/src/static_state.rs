@@ -15,7 +15,7 @@
 //! what [`crate::routing::DiscoRouter`] routes over. The accuracy of this
 //! shortcut relative to the event-driven protocol is itself one of the
 //! paper's reported experiments (§5.2 "Accuracy of static simulation"),
-//! reproduced by the `exp_static_accuracy` binary.
+//! reproduced by `paper exp_static_accuracy`.
 
 use crate::address::Address;
 use crate::config::DiscoConfig;
@@ -71,42 +71,28 @@ pub struct DiscoState {
 
 impl DiscoState {
     /// Build the converged state over `graph` with synthetic flat names
-    /// (`FlatName::synthetic(i)` for node `i`), single-threaded.
+    /// (`FlatName::synthetic(i)` for node `i`).
+    ///
+    /// The expensive, embarrassingly parallel stages — one shortest-path
+    /// tree per landmark and one truncated tree per node's vicinity — run
+    /// on one worker per CPU. Every worker writes its own index-addressed
+    /// slot, so the state is the same for any CPU count.
     pub fn build(graph: &Graph, cfg: &DiscoConfig) -> Self {
-        Self::build_parallel(graph, cfg, 1)
+        let names: Vec<FlatName> = (0..graph.node_count()).map(FlatName::synthetic).collect();
+        Self::build_with_names(graph, cfg, names)
     }
 
-    /// Build the converged state fanning the expensive, embarrassingly
-    /// parallel stages — one shortest-path tree per landmark and one
-    /// truncated tree per node's vicinity — over `threads` worker threads
-    /// (`0` = one per available CPU). Every worker writes its own
-    /// index-addressed slot, so the result is identical to [`Self::build`]
-    /// for any thread count.
-    pub fn build_parallel(graph: &Graph, cfg: &DiscoConfig, threads: usize) -> Self {
-        let names: Vec<FlatName> = (0..graph.node_count()).map(FlatName::synthetic).collect();
-        Self::build_with_names_parallel(graph, cfg, names, threads)
+    /// [`Self::build`] under the name the repository benchmark's probes
+    /// call; `threads` is ignored (the build always uses one worker per
+    /// CPU).
+    pub fn build_parallel(graph: &Graph, cfg: &DiscoConfig, _threads: usize) -> Self {
+        Self::build(graph, cfg)
     }
 
     /// Build the converged state with caller-supplied flat names (one per
-    /// node, same order as node ids), single-threaded.
+    /// node, same order as node ids), on one worker per CPU like
+    /// [`Self::build`].
     pub fn build_with_names(graph: &Graph, cfg: &DiscoConfig, names: Vec<FlatName>) -> Self {
-        Self::build_with_names_parallel(graph, cfg, names, 1)
-    }
-
-    /// [`Self::build_with_names`] with the [`Self::build_parallel`] thread
-    /// knob.
-    pub fn build_with_names_parallel(
-        graph: &Graph,
-        cfg: &DiscoConfig,
-        names: Vec<FlatName>,
-        threads: usize,
-    ) -> Self {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        } else {
-            threads
-        };
-        let mut pool = scoped_threadpool::Pool::new(threads as u32);
         let n = graph.node_count();
         assert!(n >= 2, "Disco needs at least two nodes");
         assert_eq!(names.len(), n, "one name per node required");
@@ -142,32 +128,23 @@ impl DiscoState {
 
         // Full shortest-path tree from every landmark: distances + parents.
         // Needed for the `ℓ ; v` legs of routes and for addresses. The
-        // trees are independent — one pool job per landmark.
-        let mut landmark_dist: Vec<Vec<Weight>> = vec![Vec::new(); landmarks.len()];
-        let mut landmark_parent: Vec<Vec<u32>> = vec![Vec::new(); landmarks.len()];
-        pool.scoped(|scope| {
-            for ((&lm, dist_slot), parent_slot) in landmarks
-                .iter()
-                .zip(landmark_dist.iter_mut())
-                .zip(landmark_parent.iter_mut())
-            {
-                scope.execute(move || {
-                    let tree = dijkstra(graph, lm);
-                    let mut dist = vec![Weight::INFINITY; n];
-                    let mut parent = vec![u32::MAX; n];
-                    for v in graph.nodes() {
-                        if let Some(d) = tree.distance(v) {
-                            dist[v.0] = d;
-                        }
-                        if let Some(p) = tree.parent(v) {
-                            parent[v.0] = p.0 as u32;
-                        }
-                    }
-                    *dist_slot = dist;
-                    *parent_slot = parent;
-                });
+        // trees are independent — one job per landmark.
+        let trees = crate::map_per_cpu(landmarks.len(), 1, |i| {
+            let tree = dijkstra(graph, landmarks[i]);
+            let mut dist = vec![Weight::INFINITY; n];
+            let mut parent = vec![u32::MAX; n];
+            for v in graph.nodes() {
+                if let Some(d) = tree.distance(v) {
+                    dist[v.0] = d;
+                }
+                if let Some(p) = tree.parent(v) {
+                    parent[v.0] = p.0 as u32;
+                }
             }
+            (dist, parent)
         });
+        let (landmark_dist, landmark_parent): (Vec<Vec<Weight>>, Vec<Vec<u32>>) =
+            trees.into_iter().unzip();
 
         // Addresses: explicit route from the closest landmark to the node.
         let addresses: Vec<Address> = graph
@@ -184,10 +161,8 @@ impl DiscoState {
             })
             .collect();
 
-        // Vicinities (§4.2): the Θ(√(n log n)) closest nodes, one
-        // truncated Dijkstra per node, fanned over the pool.
-        let vicinities =
-            vicinity::all_vicinities_pooled(graph, cfg, |v| estimates.of(v), &mut pool);
+        // Vicinities (§4.2): the Θ(√(n log n)) closest nodes.
+        let vicinities = vicinity::all_vicinities(graph, cfg, |v| estimates.of(v));
 
         // Sloppy groups and overlay (§4.4).
         let grouping = SloppyGrouping::build(n, cfg, &names, |v| estimates.of(v));
@@ -582,7 +557,8 @@ mod tests {
                 "address of {v} differs"
             );
         }
-        // threads = 0 auto-sizes to the machine and must also agree.
+        // Whatever thread count the benchmark's name is given, the state
+        // is the one `build` makes.
         let c = DiscoState::build_parallel(&g, &cfg, 0);
         assert_eq!(a.landmark_dist, c.landmark_dist);
         assert_eq!(a.closest_landmark, c.closest_landmark);

@@ -90,7 +90,9 @@ impl Vicinity {
 }
 
 /// Compute vicinities for every node, using a per-node vicinity size taken
-/// from the node's (possibly erroneous) estimate of `n`.
+/// from the node's (possibly erroneous) estimate of `n`: one truncated
+/// Dijkstra per node, fanned over one worker per CPU. The vicinities are
+/// independent, so the result is the same for any CPU count.
 ///
 /// Returns a vector indexed by node id.
 pub fn all_vicinities(
@@ -98,38 +100,12 @@ pub fn all_vicinities(
     cfg: &DiscoConfig,
     estimate: impl Fn(NodeId) -> usize + Sync,
 ) -> Vec<Vicinity> {
-    all_vicinities_pooled(g, cfg, estimate, &mut scoped_threadpool::Pool::new(1))
-}
-
-/// Nodes per pool job: coarse enough that job dispatch is noise, fine
-/// enough that a large graph spreads evenly over the workers.
-const VICINITY_CHUNK: usize = 64;
-
-/// [`all_vicinities`] fanned out over a worker pool. Per-node vicinities
-/// are independent, and each lands in its own index-addressed slot, so the
-/// result is identical to the sequential computation regardless of thread
-/// interleaving.
-pub fn all_vicinities_pooled(
-    g: &Graph,
-    cfg: &DiscoConfig,
-    estimate: impl Fn(NodeId) -> usize + Sync,
-    pool: &mut scoped_threadpool::Pool,
-) -> Vec<Vicinity> {
-    let mut out: Vec<Option<Vicinity>> = (0..g.node_count()).map(|_| None).collect();
-    pool.scoped(|scope| {
-        for (chunk_idx, chunk) in out.chunks_mut(VICINITY_CHUNK).enumerate() {
-            let estimate = &estimate;
-            scope.execute(move || {
-                for (off, slot) in chunk.iter_mut().enumerate() {
-                    let v = NodeId(chunk_idx * VICINITY_CHUNK + off);
-                    *slot = Some(Vicinity::compute(g, v, cfg.vicinity_size(estimate(v))));
-                }
-            });
-        }
-    });
-    out.into_iter()
-        .map(|v| v.expect("all slots filled"))
-        .collect()
+    // 64 nodes per chunk: coarse enough that taking a chunk is noise,
+    // fine enough that a large graph spreads evenly over the workers.
+    crate::map_per_cpu(g.node_count(), 64, |v| {
+        let v = NodeId(v);
+        Vicinity::compute(g, v, cfg.vicinity_size(estimate(v)))
+    })
 }
 
 #[cfg(test)]

@@ -1,8 +1,13 @@
 //! Experiment runners: one function per figure/table of the paper's
-//! evaluation (§5). The `disco-bench` binaries call these with paper-scale
-//! parameters; the tests here and the workspace integration tests run the
-//! same functions at smaller sizes, so the figure pipeline itself is under
-//! test. README's "Reproducing the paper" lists the binaries.
+//! evaluation (§5). The `paper` binary of `disco-bench` calls these with
+//! paper-scale parameters; the tests here and the workspace integration
+//! tests run the same functions at smaller sizes, so the figure pipeline
+//! itself is under test. README's "Reproducing the paper" lists the
+//! figures.
+//!
+//! The static-simulator figures read from an [`Instance`]: one topology
+//! built once with every protocol's converged state, so a figure with
+//! several panels (Figs. 4, 5 and 9) builds each state once.
 
 use crate::congestion::{self, CongestionReport};
 use crate::sampling::{one_destination_per_node, sample_nodes, sample_pairs_grouped};
@@ -28,7 +33,7 @@ use disco_graph::{Graph, NodeId};
 use disco_sim::Engine;
 
 /// Common experiment parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentParams {
     /// Number of nodes in the topology.
     pub nodes: usize,
@@ -45,15 +50,81 @@ pub struct ExperimentParams {
 
 impl ExperimentParams {
     /// Reasonable defaults for an `n`-node run: all nodes for state, about
-    /// 2,000 pairs for stretch.
+    /// 2,000 pairs (50 sources × 40 destinations) for stretch.
     pub fn for_nodes(nodes: usize, seed: u64) -> Self {
         ExperimentParams {
             nodes,
             seed,
             state_samples: usize::MAX,
-            stretch_sources: 50.min(nodes / 2),
-            stretch_dests_per_source: 40.min(nodes / 4).max(1),
+            stretch_sources: 50,
+            stretch_dests_per_source: 40,
         }
+        .clamped()
+    }
+
+    /// The stretch sample cut to what `nodes` nodes hold: at most n/2
+    /// sources with n/4 destinations each, and at least one of each.
+    pub fn clamped(self) -> Self {
+        ExperimentParams {
+            stretch_sources: self.stretch_sources.min(self.nodes / 2).max(1),
+            stretch_dests_per_source: self.stretch_dests_per_source.min(self.nodes / 4).max(1),
+            ..self
+        }
+    }
+
+    /// The sampled stretch pairs, grouped by source.
+    fn stretch_pairs(&self) -> Vec<(NodeId, NodeId)> {
+        sample_pairs_grouped(
+            self.nodes,
+            self.stretch_sources,
+            self.stretch_dests_per_source,
+            self.seed,
+        )
+    }
+}
+
+/// One topology instance of `(topology, params)` with the converged
+/// static state of every protocol the figures compare. Build it once and
+/// read any number of measurements from it.
+pub struct Instance {
+    /// The topology family.
+    pub topology: Topology,
+    /// The parameters it was built and is sampled with.
+    pub params: ExperimentParams,
+    /// The topology.
+    pub graph: Graph,
+    /// Disco's configuration (seeded from `params.seed`).
+    pub cfg: DiscoConfig,
+    /// Disco's converged state (ND-Disco is read from the same state).
+    pub disco: DiscoState,
+    /// S4's converged state.
+    pub s4: S4State,
+    /// VRR's converged state, on the small-topology figures only
+    /// (Figs. 4 and 5). An instance with VRR also measures path-vector
+    /// state, whose all-pairs tables likewise fit only small topologies.
+    pub vrr: Option<VrrState>,
+}
+
+impl Instance {
+    /// Build the topology and the Disco and S4 states.
+    pub fn build(topology: Topology, params: &ExperimentParams) -> Self {
+        let graph = topology.build(params.nodes, params.seed);
+        let cfg = DiscoConfig::seeded(params.seed);
+        Instance {
+            disco: DiscoState::build(&graph, &cfg),
+            s4: S4State::build(&graph, &cfg),
+            vrr: None,
+            topology,
+            params: params.clone(),
+            graph,
+            cfg,
+        }
+    }
+
+    /// The same instance with VRR's state built too.
+    pub fn with_vrr(mut self) -> Self {
+        self.vrr = Some(VrrState::build(&self.graph, &self.cfg));
+        self
     }
 }
 
@@ -74,46 +145,30 @@ pub struct StateComparison {
     pub nddisco: StateReport,
     /// S4.
     pub s4: StateReport,
-    /// VRR (only on the small-topology figures).
+    /// VRR (only on an instance with VRR).
     pub vrr: Option<StateReport>,
-    /// Shortest-path routing.
+    /// Shortest-path routing (only on an instance with VRR).
     pub path_vector: Option<StateReport>,
 }
 
-/// Run the state comparison of Fig. 2 (Disco / NDDisco / S4) or
-/// Fig. 4/5-left (plus VRR and path-vector) on one topology instance.
-pub fn state_comparison(
-    topology: Topology,
-    params: &ExperimentParams,
-    include_vrr: bool,
-) -> StateComparison {
-    let graph = topology.build(params.nodes, params.seed);
-    let cfg = DiscoConfig::seeded(params.seed);
-    let disco_state = DiscoState::build(&graph, &cfg);
-    let s4_state = S4State::build(&graph, &cfg);
+/// The state comparison of Fig. 2 (Disco / NDDisco / S4), or of
+/// Fig. 4/5-left (plus VRR and path-vector) on an instance with VRR.
+pub fn state_comparison(inst: &Instance) -> StateComparison {
+    let Instance { graph, params, .. } = inst;
     let nodes = sample_nodes(params.nodes, params.state_samples, params.seed);
-
-    let vrr = include_vrr.then(|| {
-        let v = VrrState::build(&graph, &cfg);
-        StateReport::per_node(&nodes, |w| v.state_entries(w))
-    });
-    let path_vector = include_vrr.then(|| {
-        let pv = ShortestPathState::build(&graph);
-        StateReport::per_node(&nodes, |w| pv.state_entries(w))
-    });
-
+    let breakdown = |v| inst.disco.state_breakdown(graph, v);
+    let vrr = inst.vrr.as_ref();
     StateComparison {
-        topology,
+        topology: inst.topology,
         nodes: params.nodes,
-        disco: StateReport::per_node(&nodes, |v| {
-            disco_state.state_breakdown(&graph, v).disco_total()
+        disco: StateReport::per_node(&nodes, |v| breakdown(v).disco_total()),
+        nddisco: StateReport::per_node(&nodes, |v| breakdown(v).nddisco_total()),
+        s4: StateReport::per_node(&nodes, |v| inst.s4.state_entries(v)),
+        vrr: vrr.map(|vrr| StateReport::per_node(&nodes, |v| vrr.state_entries(v))),
+        path_vector: vrr.is_some().then(|| {
+            let pv = ShortestPathState::build(graph);
+            StateReport::per_node(&nodes, |w| pv.state_entries(w))
         }),
-        nddisco: StateReport::per_node(&nodes, |v| {
-            disco_state.state_breakdown(&graph, v).nddisco_total()
-        }),
-        s4: StateReport::per_node(&nodes, |v| s4_state.state_entries(v)),
-        vrr,
-        path_vector,
     }
 }
 
@@ -132,40 +187,27 @@ pub struct StretchComparison {
     pub disco: StretchReport,
     /// S4 (first + later packets).
     pub s4: StretchReport,
-    /// VRR (optional; same samples for first/later).
+    /// VRR (only on an instance with VRR; same samples for first/later).
     pub vrr: Option<StretchReport>,
 }
 
-/// Run the stretch comparison of Fig. 3 (Disco vs S4) or Fig. 4/5-middle
-/// (plus VRR) on one topology instance.
-pub fn stretch_comparison(
-    topology: Topology,
-    params: &ExperimentParams,
-    include_vrr: bool,
-) -> StretchComparison {
-    let graph = topology.build(params.nodes, params.seed);
-    let cfg = DiscoConfig::seeded(params.seed);
-    let disco_state = DiscoState::build(&graph, &cfg);
-    let s4_state = S4State::build(&graph, &cfg);
-    let pairs = sample_pairs_grouped(
-        params.nodes,
-        params.stretch_sources,
-        params.stretch_dests_per_source,
-        params.seed,
-    );
-    let vrr = include_vrr.then(|| {
-        let v = VrrState::build(&graph, &cfg);
-        let router = || VrrRouter::new(&graph, &v);
+/// The stretch comparison of Fig. 3 (Disco vs S4), or of Fig. 4/5-middle
+/// (plus VRR) on an instance with VRR.
+pub fn stretch_comparison(inst: &Instance) -> StretchComparison {
+    let graph = &inst.graph;
+    let pairs = inst.params.stretch_pairs();
+    let vrr = inst.vrr.as_ref().map(|v| {
+        let router = || VrrRouter::new(graph, v);
         stretch::sample(&pairs, router, |r, s, t| {
             let x = r.stretch(s, t);
             (x, x)
         })
     });
-    let disco_router = || DiscoRouter::new(&graph, &disco_state);
-    let s4_router = || S4Router::new(&graph, &s4_state);
+    let disco_router = || DiscoRouter::new(graph, &inst.disco);
+    let s4_router = || S4Router::new(graph, &inst.s4);
     StretchComparison {
-        topology,
-        nodes: params.nodes,
+        topology: inst.topology,
+        nodes: inst.params.nodes,
         disco: stretch::sample(&pairs, disco_router, |r, s, t| {
             let d = r.true_distance(s, t);
             let first = r.route_first_packet(s, t).stretch(d);
@@ -191,18 +233,10 @@ pub struct ShortcutRow {
     pub means: Vec<(ShortcutMode, f64)>,
 }
 
-/// Run the Fig. 6 shortcutting sweep on one topology instance.
-pub fn shortcut_sweep(topology: Topology, params: &ExperimentParams) -> ShortcutRow {
-    let graph = topology.build(params.nodes, params.seed);
-    let cfg = DiscoConfig::seeded(params.seed);
-    let state = DiscoState::build(&graph, &cfg);
-    let pairs = sample_pairs_grouped(
-        params.nodes,
-        params.stretch_sources,
-        params.stretch_dests_per_source,
-        params.seed,
-    );
-    let router = || DiscoRouter::new(&graph, &state);
+/// The Fig. 6 shortcutting sweep on one topology instance.
+pub fn shortcut_sweep(inst: &Instance) -> ShortcutRow {
+    let pairs = inst.params.stretch_pairs();
+    let router = || DiscoRouter::new(&inst.graph, &inst.disco);
     let means = ShortcutMode::ALL
         .iter()
         .map(|&mode| {
@@ -214,7 +248,10 @@ pub fn shortcut_sweep(topology: Topology, params: &ExperimentParams) -> Shortcut
             (mode, first.mean_first())
         })
         .collect();
-    ShortcutRow { topology, means }
+    ShortcutRow {
+        topology: inst.topology,
+        means,
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -240,13 +277,16 @@ pub struct ByteRow {
     pub max_kb_v6: f64,
 }
 
-/// Run the Fig. 7 byte-accounting table on one topology instance
-/// (the paper uses the router-level Internet map).
-pub fn state_bytes_table(topology: Topology, params: &ExperimentParams) -> Vec<ByteRow> {
-    let graph = topology.build(params.nodes, params.seed);
-    let cfg = DiscoConfig::seeded(params.seed);
-    let disco_state = DiscoState::build(&graph, &cfg);
-    let s4_state = S4State::build(&graph, &cfg);
+/// The Fig. 7 byte-accounting table on one topology instance (the paper
+/// uses the router-level Internet map).
+pub fn state_bytes_table(inst: &Instance) -> Vec<ByteRow> {
+    let Instance {
+        graph,
+        params,
+        disco,
+        s4,
+        ..
+    } = inst;
     let nodes = sample_nodes(params.nodes, params.state_samples, params.seed);
 
     let kb = |b: f64| b / 1024.0;
@@ -262,22 +302,22 @@ pub fn state_bytes_table(topology: Topology, params: &ExperimentParams) -> Vec<B
             max_kb_v6: kb(v6.max()),
         }
     };
-    let breakdown = |v: NodeId| disco_state.state_breakdown(&graph, v);
+    let breakdown = |v: NodeId| disco.state_breakdown(graph, v);
     vec![
         row(
             "S4",
-            StateReport::per_node(&nodes, |v| s4_state.state_entries(v)),
-            &|id| state::s4_bytes(&s4_state, &nodes, id),
+            StateReport::per_node(&nodes, |v| s4.state_entries(v)),
+            &|id| state::s4_bytes(s4, &nodes, id),
         ),
         row(
             "ND-Disco",
             StateReport::per_node(&nodes, |v| breakdown(v).nddisco_total()),
-            &|id| state::disco_bytes(&graph, &disco_state, &nodes, id, false),
+            &|id| state::disco_bytes(graph, disco, &nodes, id, false),
         ),
         row(
             "Disco",
             StateReport::per_node(&nodes, |v| breakdown(v).disco_total()),
-            &|id| state::disco_bytes(&graph, &disco_state, &nodes, id, true),
+            &|id| state::disco_bytes(graph, disco, &nodes, id, true),
         ),
     ]
 }
@@ -344,11 +384,6 @@ pub fn messaging_point(n: usize, seed: u64) -> MessagingPoint {
     }
 }
 
-/// Run the Fig. 8 sweep over several network sizes.
-pub fn messaging_sweep(sizes: &[usize], seed: u64) -> Vec<MessagingPoint> {
-    sizes.iter().map(|&n| messaging_point(n, seed)).collect()
-}
-
 // ---------------------------------------------------------------------
 // Figure 9: scaling with n
 // ---------------------------------------------------------------------
@@ -374,13 +409,14 @@ pub struct ScalingPoint {
     pub s4_state: f64,
 }
 
-/// Run the Fig. 9 scaling experiment at one size.
-pub fn scaling_point(n: usize, seed: u64) -> ScalingPoint {
-    let params = ExperimentParams::for_nodes(n, seed);
-    let st = state_comparison(Topology::Geometric, &params, false);
-    let sr = stretch_comparison(Topology::Geometric, &params, false);
+/// Run the Fig. 9 scaling experiment at one size: state and stretch on
+/// one geometric instance of `params.nodes` nodes.
+pub fn scaling_point(params: &ExperimentParams) -> ScalingPoint {
+    let inst = Instance::build(Topology::Geometric, params);
+    let st = state_comparison(&inst);
+    let sr = stretch_comparison(&inst);
     ScalingPoint {
-        nodes: n,
+        nodes: params.nodes,
         disco_first: sr.disco.mean_first(),
         disco_later: sr.disco.mean_later(),
         s4_first: sr.s4.mean_first(),
@@ -408,40 +444,32 @@ pub struct CongestionComparison {
     pub path_vector: CongestionReport,
     /// S4's later-packet routes.
     pub s4: CongestionReport,
-    /// VRR's greedy routes (small topologies only).
+    /// VRR's greedy routes (only on an instance with VRR).
     pub vrr: Option<CongestionReport>,
 }
 
-/// Run the congestion comparison (Fig. 4/5 right with VRR, Fig. 10
-/// without) on one topology instance.
-pub fn congestion_comparison(
-    topology: Topology,
-    params: &ExperimentParams,
-    include_vrr: bool,
-) -> CongestionComparison {
-    let graph = topology.build(params.nodes, params.seed);
-    let cfg = DiscoConfig::seeded(params.seed);
-    let disco_state = DiscoState::build(&graph, &cfg);
-    let s4_state = S4State::build(&graph, &cfg);
-    let pairs = one_destination_per_node(params.nodes, params.seed);
-    let disco_router = DiscoRouter::new(&graph, &disco_state);
-    let s4_router = S4Router::new(&graph, &s4_state);
-    let sp_router = ShortestPathRouter::new(&graph);
-    let vrr = include_vrr.then(|| {
-        let v = VrrState::build(&graph, &cfg);
-        let router = VrrRouter::new(&graph, &v);
-        congestion::measure(&graph, &pairs, |s, t| router.route(s, t).0)
+/// The congestion comparison (Fig. 4/5 right on an instance with VRR,
+/// Fig. 10 without) on one topology instance.
+pub fn congestion_comparison(inst: &Instance) -> CongestionComparison {
+    let graph = &inst.graph;
+    let pairs = one_destination_per_node(inst.params.nodes, inst.params.seed);
+    let disco_router = DiscoRouter::new(graph, &inst.disco);
+    let s4_router = S4Router::new(graph, &inst.s4);
+    let sp_router = ShortestPathRouter::new(graph);
+    let vrr = inst.vrr.as_ref().map(|v| {
+        let router = VrrRouter::new(graph, v);
+        congestion::measure(graph, &pairs, |s, t| router.route(s, t).0)
     });
     CongestionComparison {
-        topology,
-        nodes: params.nodes,
-        disco: congestion::measure(&graph, &pairs, |s, t| {
+        topology: inst.topology,
+        nodes: inst.params.nodes,
+        disco: congestion::measure(graph, &pairs, |s, t| {
             disco_router.route_later_packet(s, t).nodes
         }),
-        path_vector: congestion::measure(&graph, &pairs, |s, t| {
+        path_vector: congestion::measure(graph, &pairs, |s, t| {
             sp_router.route(s, t).nodes().to_vec()
         }),
-        s4: congestion::measure(&graph, &pairs, |s, t| s4_router.route_later_packet(s, t).0),
+        s4: congestion::measure(graph, &pairs, |s, t| s4_router.route_later_packet(s, t).0),
         vrr,
     }
 }
@@ -465,15 +493,13 @@ pub struct AddressSizeStats {
 }
 
 /// Measure explicit-route sizes on one topology instance.
-pub fn address_size_experiment(topology: Topology, params: &ExperimentParams) -> AddressSizeStats {
-    let graph = topology.build(params.nodes, params.seed);
-    let cfg = DiscoConfig::seeded(params.seed);
-    let state = DiscoState::build(&graph, &cfg);
+pub fn address_size_experiment(inst: &Instance) -> AddressSizeStats {
+    let graph = &inst.graph;
     let sizes: Vec<f64> = graph
         .nodes()
-        .map(|v| state.address_of(v).route_bytes(&graph) as f64)
+        .map(|v| inst.disco.address_of(v).route_bytes(graph) as f64)
         .collect();
-    let cdf = crate::cdf::Cdf::new(sizes.clone());
+    let cdf = crate::cdf::Cdf::new(sizes);
     AddressSizeStats {
         mean_bytes: cdf.mean(),
         p95_bytes: cdf.percentile(0.95),
@@ -512,12 +538,7 @@ pub fn estimation_error_experiment(
     let cfg = DiscoConfig::seeded(params.seed).with_n_estimate_error(error);
     let state = DiscoState::build(&graph, &cfg);
     let router = DiscoRouter::new(&graph, &state);
-    let pairs = sample_pairs_grouped(
-        params.nodes,
-        params.stretch_sources,
-        params.stretch_dests_per_source,
-        params.seed,
-    );
+    let pairs = params.stretch_pairs();
     let mut fallbacks = 0usize;
     let mut stretches = Vec::with_capacity(pairs.len());
     for &(s, t) in &pairs {
@@ -559,12 +580,7 @@ pub fn static_accuracy_experiment(params: &ExperimentParams) -> StaticAccuracyOu
 
     // Static side.
     let state = DiscoState::build(&graph, &cfg);
-    let pairs = sample_pairs_grouped(
-        n,
-        params.stretch_sources,
-        params.stretch_dests_per_source,
-        params.seed,
-    );
+    let pairs = params.stretch_pairs();
     let router = || DiscoRouter::new(&graph, &state);
     let static_mean = stretch::sample(&pairs, router, |r, s, t| {
         let x = r.route_later_packet(s, t).stretch(r.true_distance(s, t));
@@ -707,7 +723,7 @@ mod tests {
     #[test]
     fn state_comparison_smoke() {
         let params = small_params(200, 1);
-        let cmp = state_comparison(Topology::Gnm, &params, true);
+        let cmp = state_comparison(&Instance::build(Topology::Gnm, &params).with_vrr());
         assert_eq!(cmp.disco.entries.len(), 200);
         assert!(cmp.nddisco.mean() <= cmp.disco.mean());
         assert!(cmp.vrr.is_some());
@@ -717,7 +733,7 @@ mod tests {
     #[test]
     fn stretch_comparison_smoke() {
         let params = small_params(200, 2);
-        let cmp = stretch_comparison(Topology::Geometric, &params, false);
+        let cmp = stretch_comparison(&Instance::build(Topology::Geometric, &params));
         assert!(cmp.disco.mean_first() >= 1.0);
         assert!(cmp.disco.max_later() <= 3.0 + 1e-9);
         assert!(cmp.s4.max_later() <= 3.0 + 1e-9);
@@ -726,7 +742,7 @@ mod tests {
     #[test]
     fn shortcut_sweep_has_all_modes_in_order() {
         let params = small_params(150, 3);
-        let row = shortcut_sweep(Topology::Gnm, &params);
+        let row = shortcut_sweep(&Instance::build(Topology::Gnm, &params));
         assert_eq!(row.means.len(), 6);
         assert_eq!(row.means[0].0, ShortcutMode::None);
         // No-shortcut is the upper bound of the column.
@@ -739,7 +755,7 @@ mod tests {
     #[test]
     fn byte_table_has_three_rows() {
         let params = small_params(150, 4);
-        let rows = state_bytes_table(Topology::RouterLevel, &params);
+        let rows = state_bytes_table(&Instance::build(Topology::RouterLevel, &params));
         assert_eq!(rows.len(), 3);
         for row in &rows {
             assert!(row.mean_kb_v6 > row.mean_kb_v4);
@@ -763,7 +779,7 @@ mod tests {
 
     #[test]
     fn scaling_point_smoke() {
-        let p = scaling_point(200, 6);
+        let p = scaling_point(&ExperimentParams::for_nodes(200, 6));
         assert!(p.disco_later <= p.disco_first + 1e-9);
         assert!(p.disco_state >= p.nddisco_state);
         assert!(p.s4_state > 0.0);
@@ -772,7 +788,7 @@ mod tests {
     #[test]
     fn congestion_comparison_smoke() {
         let params = small_params(150, 7);
-        let cmp = congestion_comparison(Topology::Gnm, &params, true);
+        let cmp = congestion_comparison(&Instance::build(Topology::Gnm, &params).with_vrr());
         assert_eq!(cmp.disco.edge_usage.len(), cmp.path_vector.edge_usage.len());
         assert!(cmp.vrr.is_some());
         let disco_total: u64 = cmp.disco.edge_usage.iter().sum();
@@ -783,7 +799,7 @@ mod tests {
     #[test]
     fn address_sizes_are_small() {
         let params = small_params(400, 8);
-        let stats = address_size_experiment(Topology::RouterLevel, &params);
+        let stats = address_size_experiment(&Instance::build(Topology::RouterLevel, &params));
         assert!(stats.mean_bytes < 6.0, "mean {}", stats.mean_bytes);
         assert!(stats.max_bytes < 20.0);
         assert!(stats.p95_bytes >= stats.mean_bytes);

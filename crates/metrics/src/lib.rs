@@ -6,9 +6,9 @@
 //! pair sampling, CDF utilities, and the experiment runners behind every
 //! figure and table.
 //!
-//! The `disco-bench` crate's `fig*` binaries are thin wrappers around
-//! [`experiment`]: they call a runner with the paper-scale parameters and
-//! print the series/rows; the same runners at smaller sizes are exercised
+//! The `disco-bench` crate's `paper` binary is a thin wrapper around
+//! [`experiment`]: each figure calls a runner with the paper-scale
+//! parameters and prints the series/rows; the same runners at smaller sizes are exercised
 //! by this crate's tests and by the workspace integration tests, so the
 //! figure pipeline itself is under test.
 

@@ -506,7 +506,8 @@ impl<P: ShardProtocol + 'static, R: Recorder + Send + 'static> ShardedEngine<P, 
 
     /// Deliver `on_start` to every node (each on its owner shard) and
     /// exchange any cross-shard sends it produced. Called automatically by
-    /// [`ShardedEngine::run`] / [`ShardedEngine::run_to`] on first use.
+    /// [`ShardedEngine::run`], [`ShardedEngine::run_until`] and
+    /// [`ShardedEngine::run_to`] on first use.
     pub fn start(&mut self) {
         self.started = true;
         for w in &self.workers {
@@ -605,6 +606,13 @@ impl<P: ShardProtocol + 'static, R: Recorder + Send + 'static> ShardedEngine<P, 
         }
     }
 
+    /// [`ShardedEngine::start`], unless it already ran or events did.
+    fn start_once(&mut self) {
+        if !self.started && self.events_processed() == 0 {
+            self.start();
+        }
+    }
+
     /// Timestamp of the globally earliest pending event: the minimum over
     /// every shard's reported next event, arrivals waiting in the
     /// mailboxes, and scheduled topology not yet inside any window.
@@ -631,9 +639,6 @@ impl<P: ShardProtocol + 'static, R: Recorder + Send + 'static> ShardedEngine<P, 
     /// Process events until quiescence or the event valve; returns the run
     /// report. Calls [`ShardedEngine::start`] first unless it already ran.
     pub fn run(&mut self) -> RunReport {
-        if !self.started && self.events_processed() == 0 {
-            self.start();
-        }
         let converged = self.run_until(|_| false);
         self.report(converged)
     }
@@ -643,8 +648,10 @@ impl<P: ShardProtocol + 'static, R: Recorder + Send + 'static> ShardedEngine<P, 
     /// sum counts a replayed topology event once per shard), or `stop`
     /// returns true. Unlike the sequential engine's per-event
     /// check, `stop` is evaluated at window barriers — the natural
-    /// granularity of a parallel run. Returns true on quiescence.
+    /// granularity of a parallel run. Returns true on quiescence. Calls
+    /// [`ShardedEngine::start`] first unless it already ran.
     pub fn run_until(&mut self, mut stop: impl FnMut(&Self) -> bool) -> bool {
+        self.start_once();
         loop {
             if self.events_processed() >= MAX_EVENTS {
                 return false;
@@ -664,9 +671,7 @@ impl<P: ShardProtocol + 'static, R: Recorder + Send + 'static> ShardedEngine<P, 
     /// exactly `t` runs as one inclusive window — safe because anything an
     /// event at `t` causes lands strictly after `t`.
     pub fn run_to(&mut self, t: SimTime) -> bool {
-        if !self.started && self.events_processed() == 0 {
-            self.start();
-        }
+        self.start_once();
         while let Some(next) = self.global_next() {
             if next >= t || self.events_processed() >= MAX_EVENTS {
                 break;
@@ -1107,6 +1112,20 @@ mod tests {
             assert_eq!(sh.active_count(), seq.active_count());
             assert_eq!(sh.graph().edge_count(), seq.graph().edge_count());
         }
+    }
+
+    #[test]
+    fn run_until_boots_an_unstarted_engine() {
+        // A boot spelled `new` + `run_until` runs the boot, as `run` does,
+        // rather than reporting quiescence at t = 0 with nothing run.
+        let g = generators::gnm_connected(48, 128, 11);
+        let mut seq = Engine::new(&g, |_| PingPong::default());
+        let seq_report = seq.run();
+        let mut sh = ShardedEngine::new(&g, 2, 42, |_| PingPong::default());
+        assert!(sh.run_until(|_| false));
+        assert!(sh.events_processed() > 0);
+        assert!(sh.now() > 0.0);
+        assert_eq!(sh.messages_delivered(), seq_report.messages_delivered);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use disco::core::prelude::*;
 use disco::graph::NodeId;
-use disco::metrics::experiment::{self, ExperimentParams};
+use disco::metrics::experiment::{self, ExperimentParams, Instance};
 use disco::metrics::Topology;
 
 fn params(n: usize, seed: u64) -> ExperimentParams {
@@ -30,11 +30,11 @@ fn facade_reexports_are_usable() {
 #[test]
 fn fig2_and_fig3_pipelines_run_on_all_topologies() {
     for topo in Topology::ALL {
-        let p = params(220, 3);
-        let st = experiment::state_comparison(topo, &p, false);
+        let inst = Instance::build(topo, &params(220, 3));
+        let st = experiment::state_comparison(&inst);
         assert_eq!(st.disco.entries.len(), 220);
         assert!(st.nddisco.mean() <= st.disco.mean());
-        let sr = experiment::stretch_comparison(topo, &p, false);
+        let sr = experiment::stretch_comparison(&inst);
         assert!(sr.disco.mean_first() >= 1.0 - 1e-9);
         assert!(sr.disco.max_later() <= 3.0 + 1e-9, "{topo}");
     }
@@ -42,8 +42,8 @@ fn fig2_and_fig3_pipelines_run_on_all_topologies() {
 
 #[test]
 fn fig4_style_pipeline_includes_vrr_and_path_vector() {
-    let p = params(200, 5);
-    let st = experiment::state_comparison(Topology::Gnm, &p, true);
+    let inst = Instance::build(Topology::Gnm, &params(200, 5)).with_vrr();
+    let st = experiment::state_comparison(&inst);
     let vrr = st.vrr.expect("VRR included");
     let pv = st.path_vector.expect("path vector included");
     assert_eq!(pv.mean(), 199.0);
@@ -60,7 +60,7 @@ fn fig4_style_pipeline_includes_vrr_and_path_vector() {
     );
     assert!((st.disco.max() as f64) < 2.0 * st.disco.mean());
 
-    let cg = experiment::congestion_comparison(Topology::Gnm, &p, true);
+    let cg = experiment::congestion_comparison(&inst);
     assert!(cg.vrr.is_some());
     let disco_total: u64 = cg.disco.edge_usage.iter().sum();
     let sp_total: u64 = cg.path_vector.edge_usage.iter().sum();
@@ -71,8 +71,8 @@ fn fig4_style_pipeline_includes_vrr_and_path_vector() {
 fn fig6_ordering_matches_paper() {
     // The paper's Fig. 6: every shortcutting heuristic improves on "No
     // Shortcutting", and "Using Path Knowledge" is the best (lowest mean).
-    let p = params(250, 7);
-    let row = experiment::shortcut_sweep(Topology::Geometric, &p);
+    let inst = Instance::build(Topology::Geometric, &params(250, 7));
+    let row = experiment::shortcut_sweep(&inst);
     let base = row.means[0].1;
     let best = row.means.last().unwrap().1;
     for &(_, m) in &row.means {
@@ -98,8 +98,8 @@ fn fig8_messaging_ordering() {
 
 #[test]
 fn fig9_state_grows_sublinearly() {
-    let small = experiment::scaling_point(256, 13);
-    let large = experiment::scaling_point(1024, 13);
+    let small = experiment::scaling_point(&ExperimentParams::for_nodes(256, 13));
+    let large = experiment::scaling_point(&ExperimentParams::for_nodes(1024, 13));
     // A 4x increase in n should grow Disco state by roughly 2x (√n), far
     // less than 4x; allow slack for the log factor and constants.
     let growth = large.disco_state / small.disco_state;
@@ -130,8 +130,8 @@ fn estimation_error_and_static_accuracy_experiments() {
 
 #[test]
 fn address_size_experiment_matches_paper_scale() {
-    let p = params(2000, 19);
-    let stats = experiment::address_size_experiment(Topology::RouterLevel, &p);
+    let inst = Instance::build(Topology::RouterLevel, &params(2000, 19));
+    let stats = experiment::address_size_experiment(&inst);
     // Paper (router-level Internet): mean 2.93 B, p95 5 B, max 10.6 B. Our
     // synthetic graph is smaller so routes are a little shorter; assert the
     // same order of magnitude and orderings.
