@@ -3,7 +3,8 @@
 //!
 //! S4 is a distributed adaptation of the Thorup–Zwick *cluster* scheme:
 //!
-//! * landmarks are selected uniformly at random (same rule as Disco),
+//! * landmarks are selected uniformly at random (same rule as Disco), and
+//!   the landmark trees are Disco's own [`LandmarkForest`] build,
 //! * every node `v` knows shortest paths to all landmarks and to its
 //!   **cluster** `C(v) = { w : d(v, w) < d(w, ℓ_w) }` — all nodes closer to
 //!   `v` than to their own closest landmark,
@@ -25,26 +26,18 @@
 
 use disco_core::config::DiscoConfig;
 use disco_core::hash::NameHasher;
-use disco_core::landmark;
+use disco_core::landmark::{self, LandmarkForest};
 use disco_core::name::FlatName;
-use disco_graph::{dijkstra, dijkstra_bounded, multi_source_dijkstra, Graph, NodeId, Path, Weight};
-use std::cell::RefCell;
+use disco_graph::{search, Graph, NodeId, Path, Stop, TreeCache, Weight};
 use std::collections::HashMap;
 
 /// Post-convergence S4 state for an entire network.
 #[derive(Debug, Clone)]
 pub struct S4State {
-    landmarks: Vec<NodeId>,
-    is_landmark: Vec<bool>,
-    landmark_index: HashMap<NodeId, usize>,
-    closest_landmark: Vec<NodeId>,
-    closest_landmark_dist: Vec<Weight>,
+    /// Landmarks, closest landmarks and the landmark trees.
+    forest: LandmarkForest,
     /// Cluster of each node: destination → distance.
     clusters: Vec<HashMap<NodeId, Weight>>,
-    /// Per landmark: distance from the landmark to every node.
-    landmark_dist: Vec<Vec<Weight>>,
-    /// Per landmark: parent of every node in the landmark's SPT.
-    landmark_parent: Vec<Vec<u32>>,
     /// Directory owner (by consistent hashing over landmark ids) per node.
     directory_owner: Vec<NodeId>,
     names: Vec<FlatName>,
@@ -57,50 +50,17 @@ impl S4State {
         let n = graph.node_count();
         assert!(n >= 2);
         let names: Vec<FlatName> = (0..n).map(FlatName::synthetic).collect();
-        let landmarks = landmark::select_landmarks(n, cfg);
-        let mut is_landmark = vec![false; n];
-        for &lm in &landmarks {
-            is_landmark[lm.0] = true;
-        }
-        let landmark_index: HashMap<NodeId, usize> =
-            landmarks.iter().enumerate().map(|(i, &l)| (l, i)).collect();
-
-        let closest = multi_source_dijkstra(graph, &landmarks);
-        let mut closest_landmark = vec![NodeId(0); n];
-        let mut closest_landmark_dist = vec![0.0; n];
-        for v in graph.nodes() {
-            closest_landmark[v.0] = closest.closest_source(v).expect("connected graph");
-            closest_landmark_dist[v.0] = closest.distance(v).unwrap();
-        }
-
-        // Landmark SPTs.
-        let mut landmark_dist = Vec::with_capacity(landmarks.len());
-        let mut landmark_parent = Vec::with_capacity(landmarks.len());
-        for &lm in &landmarks {
-            let tree = dijkstra(graph, lm);
-            let mut dist = vec![Weight::INFINITY; n];
-            let mut parent = vec![u32::MAX; n];
-            for v in graph.nodes() {
-                if let Some(d) = tree.distance(v) {
-                    dist[v.0] = d;
-                }
-                if let Some(p) = tree.parent(v) {
-                    parent[v.0] = p.0 as u32;
-                }
-            }
-            landmark_dist.push(dist);
-            landmark_parent.push(parent);
-        }
+        let forest = LandmarkForest::build(graph, landmark::select_landmarks(n, cfg));
 
         // Clusters: for every w, all nodes strictly closer to w than w's own
-        // landmark get w in their cluster. One bounded Dijkstra per node.
+        // landmark get w in their cluster. One bounded search per node.
         let mut clusters: Vec<HashMap<NodeId, Weight>> = vec![HashMap::new(); n];
         for w in graph.nodes() {
-            let bound = closest_landmark_dist[w.0];
+            let bound = forest.closest_distance(w);
             if bound <= 0.0 {
                 continue; // w is a landmark; nobody clusters it
             }
-            let ball = dijkstra_bounded(graph, w, bound);
+            let ball = search(graph, &[w], Stop::Below(bound));
             for &v in ball.settled_order() {
                 if v != w {
                     clusters[v.0].insert(w, ball.distance(v).unwrap());
@@ -113,7 +73,8 @@ impl S4State {
         let mut directory_owner = vec![NodeId(0); n];
         for v in graph.nodes() {
             let h = hasher.hash_name(&names[v.0]);
-            let owner = landmarks
+            let owner = forest
+                .landmarks()
                 .iter()
                 .min_by_key(|&&lm| h.clockwise_distance(hasher.hash_u64(lm.0 as u64)))
                 .copied()
@@ -122,37 +83,26 @@ impl S4State {
         }
 
         S4State {
-            landmarks,
-            is_landmark,
-            landmark_index,
-            closest_landmark,
-            closest_landmark_dist,
+            forest,
             clusters,
-            landmark_dist,
-            landmark_parent,
             directory_owner,
             names,
         }
     }
 
+    /// The landmarks, each node's closest one and the landmark trees.
+    pub fn forest(&self) -> &LandmarkForest {
+        &self.forest
+    }
+
     /// The landmark set.
     pub fn landmarks(&self) -> &[NodeId] {
-        &self.landmarks
+        self.forest.landmarks()
     }
 
     /// Whether `v` is a landmark.
     pub fn is_landmark(&self, v: NodeId) -> bool {
-        self.is_landmark[v.0]
-    }
-
-    /// `v`'s closest landmark.
-    pub fn closest_landmark(&self, v: NodeId) -> NodeId {
-        self.closest_landmark[v.0]
-    }
-
-    /// `d(v, ℓ_v)`.
-    pub fn closest_landmark_distance(&self, v: NodeId) -> Weight {
-        self.closest_landmark_dist[v.0]
+        self.forest.is_landmark(v)
     }
 
     /// `v`'s cluster (destination → distance).
@@ -170,26 +120,6 @@ impl S4State {
         self.directory_owner[v.0]
     }
 
-    /// Distance from landmark `lm` to `v`.
-    pub fn landmark_distance(&self, lm: NodeId, v: NodeId) -> Weight {
-        self.landmark_dist[self.landmark_index[&lm]][v.0]
-    }
-
-    /// Shortest path from landmark `lm` to `v` along `lm`'s SPT.
-    pub fn landmark_path(&self, lm: NodeId, v: NodeId) -> Path {
-        let parent = &self.landmark_parent[self.landmark_index[&lm]];
-        let mut nodes = vec![v];
-        let mut cur = v;
-        while cur != lm {
-            let p = parent[cur.0];
-            assert!(p != u32::MAX, "{v} unreachable from landmark {lm}");
-            cur = NodeId(p as usize);
-            nodes.push(cur);
-        }
-        nodes.reverse();
-        Path::new(nodes)
-    }
-
     /// Number of directory entries stored at landmark `lm`.
     pub fn directory_entries_at(&self, lm: NodeId) -> usize {
         self.directory_owner.iter().filter(|&&o| o == lm).count()
@@ -198,7 +128,7 @@ impl S4State {
     /// Data-plane routing-table entries at node `v`: landmark routes,
     /// cluster routes and (for landmarks) the directory shard.
     pub fn state_entries(&self, v: NodeId) -> usize {
-        let mut total = self.landmarks.len() + self.clusters[v.0].len();
+        let mut total = self.landmarks().len() + self.clusters[v.0].len();
         if self.is_landmark(v) {
             total += self.directory_entries_at(v);
         }
@@ -210,9 +140,8 @@ impl S4State {
 pub struct S4Router<'a> {
     graph: &'a Graph,
     state: &'a S4State,
-    /// Per-source Dijkstra trees toward sampled destinations (for cluster
-    /// path extraction and ground truth).
-    trees: RefCell<HashMap<NodeId, disco_graph::ShortestPathTree>>,
+    /// Full trees per source: cluster paths and ground truth.
+    trees: TreeCache<'a>,
 }
 
 impl<'a> S4Router<'a> {
@@ -221,7 +150,7 @@ impl<'a> S4Router<'a> {
         S4Router {
             graph,
             state,
-            trees: RefCell::new(HashMap::new()),
+            trees: TreeCache::full(graph),
         }
     }
 
@@ -232,30 +161,11 @@ impl<'a> S4Router<'a> {
 
     /// Ground-truth shortest distance.
     pub fn true_distance(&self, s: NodeId, t: NodeId) -> Weight {
-        if s == t {
-            return 0.0;
-        }
-        self.with_tree(s, |tree| tree.distance(t).expect("connected graph"))
-    }
-
-    fn with_tree<R>(&self, s: NodeId, f: impl FnOnce(&disco_graph::ShortestPathTree) -> R) -> R {
-        let mut cache = self.trees.borrow_mut();
-        let tree = cache.entry(s).or_insert_with(|| dijkstra(self.graph, s));
-        f(tree)
+        self.trees.distance(s, t).expect("connected graph")
     }
 
     fn shortest_path(&self, s: NodeId, t: NodeId) -> Path {
-        if s == t {
-            return Path::trivial(s);
-        }
-        self.with_tree(s, |tree| tree.path_to(t).expect("connected graph"))
-    }
-
-    fn path_to_landmark(&self, v: NodeId, lm: NodeId) -> Path {
-        if v == lm {
-            return Path::trivial(v);
-        }
-        self.state.landmark_path(lm, v).reversed()
+        self.trees.path(s, t).expect("connected graph")
     }
 
     /// Apply S4's To-Destination shortcutting to a node sequence.
@@ -296,9 +206,10 @@ impl<'a> S4Router<'a> {
             let len = p.length(self.graph);
             return (p.nodes().to_vec(), len);
         }
-        let lm = self.state.closest_landmark(t);
-        let to_lm = self.path_to_landmark(s, lm);
-        let tail = self.state.landmark_path(lm, t);
+        let forest = self.state.forest();
+        let lm = forest.closest(t);
+        let to_lm = forest.path_up(s, lm);
+        let tail = forest.path(lm, t);
         let mut nodes = to_lm.nodes().to_vec();
         nodes.extend_from_slice(&tail.nodes()[1..]);
         self.finish(nodes)
@@ -314,12 +225,13 @@ impl<'a> S4Router<'a> {
         if self.state.is_landmark(t) || self.state.cluster(s).contains_key(&t) {
             return self.route_later_packet(s, t);
         }
+        let forest = self.state.forest();
         let dir = self.state.directory_owner(t);
-        let lm = self.state.closest_landmark(t);
-        let to_dir = self.path_to_landmark(s, dir);
+        let lm = forest.closest(t);
+        let to_dir = forest.path_up(s, dir);
         // Directory landmark forwards toward ℓ_t, then ℓ_t delivers.
-        let dir_to_lm = self.path_to_landmark(dir, lm);
-        let tail = self.state.landmark_path(lm, t);
+        let dir_to_lm = forest.path_up(dir, lm);
+        let tail = forest.path(lm, t);
         let mut nodes = to_dir.nodes().to_vec();
         nodes.extend_from_slice(&dir_to_lm.nodes()[1..]);
         nodes.extend_from_slice(&tail.nodes()[1..]);
@@ -352,7 +264,7 @@ impl<'a> S4Router<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use disco_graph::generators;
+    use disco_graph::{dijkstra, generators};
 
     fn setup(n: usize, seed: u64) -> (Graph, S4State) {
         let g = generators::gnm_average_degree(n, 8.0, seed);
@@ -370,7 +282,7 @@ mod tests {
                 if w == v {
                     continue;
                 }
-                let expected = tree.distance(w).unwrap() < st.closest_landmark_distance(w) - 1e-12;
+                let expected = tree.distance(w).unwrap() < st.forest().closest_distance(w) - 1e-12;
                 assert_eq!(st.cluster(v).contains_key(&w), expected, "v={v} w={w}");
             }
         }
@@ -471,6 +383,20 @@ mod tests {
             "S4 root {s4_root_entries} vs NDDisco root {}",
             breakdown.nddisco_total()
         );
+    }
+
+    #[test]
+    fn s4_and_disco_hold_equal_landmark_forests() {
+        // One landmark election and one forest build: S4 and Disco route
+        // over the same trees when every node estimates n exactly.
+        for seed in [1, 2] {
+            let g = generators::gnm_average_degree(200, 8.0, seed);
+            let cfg = DiscoConfig::seeded(seed);
+            let s4 = S4State::build(&g, &cfg);
+            let disco = disco_core::static_state::DiscoState::build(&g, &cfg);
+            assert!(!s4.landmarks().is_empty());
+            assert_eq!(s4.forest(), disco.forest());
+        }
     }
 
     #[test]

@@ -10,9 +10,7 @@
 //! (re-exported here for convenience).
 
 pub use disco_core::path_vector::TableLimit;
-use disco_graph::{dijkstra, Graph, NodeId, Path, ShortestPathTree, Weight};
-use std::cell::RefCell;
-use std::collections::HashMap;
+use disco_graph::{Graph, NodeId, Path, TreeCache, Weight};
 
 /// Converged shortest-path routing state (conceptually, every node's full
 /// routing table; materialised lazily per source).
@@ -43,39 +41,25 @@ impl ShortestPathState {
 
 /// Router producing true shortest paths (stretch 1 by construction).
 pub struct ShortestPathRouter<'a> {
-    graph: &'a Graph,
-    trees: RefCell<HashMap<NodeId, ShortestPathTree>>,
+    trees: TreeCache<'a>,
 }
 
 impl<'a> ShortestPathRouter<'a> {
     /// A router over `graph`.
     pub fn new(graph: &'a Graph) -> Self {
         ShortestPathRouter {
-            graph,
-            trees: RefCell::new(HashMap::new()),
+            trees: TreeCache::full(graph),
         }
     }
 
     /// Shortest-path distance between two nodes.
     pub fn distance(&self, s: NodeId, t: NodeId) -> Weight {
-        if s == t {
-            return 0.0;
-        }
-        self.with_tree(s, |tree| tree.distance(t).expect("connected graph"))
+        self.trees.distance(s, t).expect("connected graph")
     }
 
     /// The route taken: the shortest path itself.
     pub fn route(&self, s: NodeId, t: NodeId) -> Path {
-        if s == t {
-            return Path::trivial(s);
-        }
-        self.with_tree(s, |tree| tree.path_to(t).expect("connected graph"))
-    }
-
-    fn with_tree<R>(&self, s: NodeId, f: impl FnOnce(&ShortestPathTree) -> R) -> R {
-        let mut cache = self.trees.borrow_mut();
-        let tree = cache.entry(s).or_insert_with(|| dijkstra(self.graph, s));
-        f(tree)
+        self.trees.path(s, t).expect("connected graph")
     }
 }
 

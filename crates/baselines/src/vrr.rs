@@ -31,11 +31,10 @@
 use disco_core::config::DiscoConfig;
 use disco_core::hash::{NameHash, NameHasher};
 use disco_core::name::FlatName;
-use disco_graph::{dijkstra, Graph, NodeId, Path, Weight};
+use disco_graph::{dijkstra, Graph, NodeId, Path, TreeCache, Weight};
 use disco_sim::rng::rng_for;
 use rand::seq::SliceRandom;
-use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Number of virtual neighbors (the paper evaluates `r = 4`).
 pub const DEFAULT_VSET_SIZE: usize = 4;
@@ -326,7 +325,8 @@ impl<'a> VrrBuilder<'a> {
 pub struct VrrRouter<'a> {
     graph: &'a Graph,
     state: &'a VrrState,
-    trees: RefCell<HashMap<NodeId, disco_graph::ShortestPathTree>>,
+    /// Full trees per source: ground truth and dead-end completions.
+    trees: TreeCache<'a>,
 }
 
 impl<'a> VrrRouter<'a> {
@@ -335,18 +335,13 @@ impl<'a> VrrRouter<'a> {
         VrrRouter {
             graph,
             state,
-            trees: RefCell::new(HashMap::new()),
+            trees: TreeCache::full(graph),
         }
     }
 
     /// Ground-truth shortest distance.
     pub fn true_distance(&self, s: NodeId, t: NodeId) -> Weight {
-        if s == t {
-            return 0.0;
-        }
-        let mut cache = self.trees.borrow_mut();
-        let tree = cache.entry(s).or_insert_with(|| dijkstra(self.graph, s));
-        tree.distance(t).expect("connected graph")
+        self.trees.distance(s, t).expect("connected graph")
     }
 
     /// Route a packet from `s` to `t` by greedy identifier forwarding.
@@ -377,11 +372,7 @@ impl<'a> VrrRouter<'a> {
             }
         }
         if current != t {
-            let mut cache = self.trees.borrow_mut();
-            let tree = cache
-                .entry(current)
-                .or_insert_with(|| dijkstra(self.graph, current));
-            let rest = tree.path_to(t).expect("connected graph");
+            let rest = self.trees.path(current, t).expect("connected graph");
             nodes.extend_from_slice(&rest.nodes()[1..]);
         }
         let len = Path::new(nodes.clone()).length(self.graph);

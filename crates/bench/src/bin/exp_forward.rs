@@ -81,16 +81,8 @@ fn print_table(r: &ForwardResult) {
         );
     }
     eprintln!(
-        "n={} shards={} landmarks={} table_entries={} table_bytes={} \
-         (hash-map FIB would pay {}, {:.1}x) sim_end={:.1}",
-        r.n,
-        r.shards,
-        r.landmarks,
-        r.table_entries,
-        r.table_bytes,
-        r.hash_fib_bytes,
-        r.hash_fib_bytes as f64 / (r.table_bytes as f64).max(1.0),
-        r.sim_end
+        "n={} shards={} landmarks={} table_entries={} table_bytes={} sim_end={:.1}",
+        r.n, r.shards, r.landmarks, r.table_entries, r.table_bytes, r.sim_end
     );
 }
 

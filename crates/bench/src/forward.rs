@@ -207,9 +207,6 @@ pub struct ForwardResult {
     pub table_entries: u64,
     /// Published flat-array bytes summed over all tables at end of run.
     pub table_bytes: u64,
-    /// What per-node `FxHashMap<NodeId, FibEntry>` FIBs would pay for the
-    /// same contents ([`disco_metrics::forward`]'s pricing model).
-    pub hash_fib_bytes: u64,
     /// Simulation time at quiescence.
     pub sim_end: f64,
 }
@@ -225,7 +222,6 @@ impl ForwardResult {
             ("flows", Json::Int(self.flows as u64)),
             ("table_entries", Json::Int(self.table_entries)),
             ("table_bytes", Json::Int(self.table_bytes)),
-            ("hash_fib_bytes", Json::Int(self.hash_fib_bytes)),
             ("sim_end", Json::Fixed(self.sim_end, 6)),
             ("phases", Json::Arr(phases.into())),
         ])
@@ -568,13 +564,12 @@ fn run_with<R: MergeRecorder + Send + 'static>(
     // merges the recorders.
     let recorder = plane.finish().recorder;
 
-    let (mut table_entries, mut table_bytes, mut hash_fib_bytes) = (0u64, 0u64, 0u64);
+    let (mut table_entries, mut table_bytes) = (0u64, 0u64);
     for p in &pubs {
         if p.has_published() {
             let t = p.table();
             table_entries += t.len() as u64;
             table_bytes += t.approx_bytes() as u64;
-            hash_fib_bytes += disco_metrics::forward::hash_fib_bytes(t.len(), t.ring_len()) as u64;
         }
     }
 
@@ -588,7 +583,6 @@ fn run_with<R: MergeRecorder + Send + 'static>(
         drain: drain.into_row("drain"),
         table_entries,
         table_bytes,
-        hash_fib_bytes,
         sim_end,
     };
     (result, recorder)

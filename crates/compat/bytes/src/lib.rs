@@ -1,102 +1,5 @@
-//! Offline stand-in for the `bytes` crate: `Vec<u8>`-backed [`Bytes`] /
-//! [`BytesMut`] with the tiny [`BufMut`] surface the workspace uses.
-//! See `crates/compat/README.md`.
-
-use std::ops::Deref;
-
-/// Immutable byte buffer (no refcounted zero-copy slicing; plain `Vec<u8>`).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
-pub struct Bytes(Vec<u8>);
-
-impl Bytes {
-    /// Number of bytes.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-}
-
-impl Deref for Bytes {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.0
-    }
-}
-
-impl AsRef<[u8]> for Bytes {
-    fn as_ref(&self) -> &[u8] {
-        &self.0
-    }
-}
-
-impl From<Vec<u8>> for Bytes {
-    fn from(v: Vec<u8>) -> Self {
-        Bytes(v)
-    }
-}
-
-/// Write access to a growable byte buffer.
-pub trait BufMut {
-    /// Append one byte.
-    fn put_u8(&mut self, b: u8);
-}
-
-/// Growable byte buffer.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BytesMut(Vec<u8>);
-
-impl BytesMut {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of bytes written.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// Freeze into an immutable [`Bytes`].
-    pub fn freeze(self) -> Bytes {
-        Bytes(self.0)
-    }
-}
-
-impl BufMut for BytesMut {
-    fn put_u8(&mut self, b: u8) {
-        self.0.push(b);
-    }
-}
-
-impl Deref for BytesMut {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.0
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn roundtrip() {
-        let mut b = BytesMut::new();
-        b.put_u8(1);
-        b.put_u8(255);
-        assert_eq!(b.len(), 2);
-        let frozen = b.freeze();
-        assert_eq!(&frozen[..], &[1, 255]);
-        assert_eq!(frozen.len(), 2);
-        assert!(!frozen.is_empty());
-    }
-}
+//! Empty shell of the offline `bytes` stand-in. Nothing in the workspace
+//! uses it: the one user, `disco_core::label`'s bit writer, fills a
+//! `Vec<u8>`. The crate and the dependency line naming it stay only
+//! because the standalone `benchmark/` package's `Cargo.lock` lists it;
+//! unfreezing that lock deletes both. See `crates/compat/README.md`.

@@ -1,11 +1,5 @@
-//! Offline stand-in for `serde`: marker traits plus the no-op derives from
-//! the sibling `serde_derive` stand-in. See `crates/compat/README.md`.
-
-pub use serde_derive::{Deserialize, Serialize};
-
-/// Marker trait mirroring `serde::Serialize` (no methods; nothing in the
-/// workspace serializes yet).
-pub trait Serialize {}
-
-/// Marker trait mirroring `serde::Deserialize` (no methods).
-pub trait Deserialize<'de> {}
+//! Empty shell of the offline `serde` stand-in. Nothing in the workspace
+//! derives or names serde traits: nothing serializes. The crate and the
+//! dependency lines naming it stay only because the standalone
+//! `benchmark/` package's `Cargo.lock` lists it; unfreezing that lock
+//! deletes both. See `crates/compat/README.md`.

@@ -1,18 +1,5 @@
-//! No-op `#[derive(Serialize)]` / `#[derive(Deserialize)]` macros.
-//!
-//! The workspace derives serde traits on its public data types so that a
-//! future PR can turn on real serialization, but nothing serializes yet and
-//! the real `serde_derive` is unavailable offline. These derives expand to
-//! nothing; the marker traits live in the sibling `serde` stand-in.
-
-use proc_macro::TokenStream;
-
-#[proc_macro_derive(Serialize)]
-pub fn derive_serialize(_input: TokenStream) -> TokenStream {
-    TokenStream::new()
-}
-
-#[proc_macro_derive(Deserialize)]
-pub fn derive_deserialize(_input: TokenStream) -> TokenStream {
-    TokenStream::new()
-}
+//! Empty shell of the offline `serde_derive` stand-in (a proc-macro crate
+//! that exports no macro). Nothing in the workspace derives serde traits.
+//! The crate stays only because the standalone `benchmark/` package's
+//! `Cargo.lock` lists it; unfreezing that lock deletes it. See
+//! `crates/compat/README.md`.

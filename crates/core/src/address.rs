@@ -9,12 +9,11 @@
 
 use crate::label::ExplicitRoute;
 use disco_graph::{Graph, NodeId, Path};
-use serde::{Deserialize, Serialize};
 
 /// How many bytes a node identifier occupies on the wire when computing
 /// address / routing-table sizes. The paper's Table 7 reports both an
 /// IPv4-sized (4-byte) and an IPv6-sized (16-byte) identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IdentifierSize {
     /// 4-byte identifiers (IPv4-sized).
     V4,
@@ -34,7 +33,7 @@ impl IdentifierSize {
 
 /// The routing address of a node: its closest landmark plus the explicit
 /// route from that landmark to the node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Address {
     /// The node this address belongs to.
     pub node: NodeId,

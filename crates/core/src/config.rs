@@ -7,10 +7,9 @@
 //! shortcutting.
 
 use crate::shortcut::ShortcutMode;
-use serde::{Deserialize, Serialize};
 
 /// Tunable parameters for Disco / NDDisco.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiscoConfig {
     /// Master seed; every random decision (landmark election, finger
     /// selection, hash salt) derives from it.

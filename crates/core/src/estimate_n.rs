@@ -22,7 +22,6 @@ use disco_graph::NodeId;
 use disco_sim::rng::rng_for;
 use disco_sim::{Context, Protocol};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Number of independent FM sketches averaged together. More sketches →
 /// lower variance; 64 gives ≈ 13% standard error, comparable to the paper's
@@ -48,7 +47,7 @@ const ERROR_STREAM: u64 = 0x34;
 /// every node restarts its union from its own sketch upon adopting the
 /// higher epoch (see `DiscoProtocol`), so only live nodes re-contribute
 /// and the estimate can *fall*. Synopses of different epochs never union.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Synopsis {
     sketches: Vec<u32>,
     epoch: u64,

@@ -14,7 +14,6 @@
 //! a circular 64-bit identifier space.
 
 use crate::name::FlatName;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One round of a 64-bit finalizer (splitmix64's output function).
@@ -27,7 +26,7 @@ pub fn mix64(mut z: u64) -> u64 {
 }
 
 /// A position on the 64-bit circular identifier space, `h(name)`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NameHash(pub u64);
 
 impl NameHash {
@@ -99,7 +98,7 @@ impl fmt::Display for NameHash {
 
 /// The globally agreed hash function `h(·)`, parameterised by a salt so
 /// tests and multi-hash consistent hashing can derive independent functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NameHasher {
     salt: u64,
 }

@@ -23,14 +23,12 @@
 //!   node's sorted adjacency list (so it costs one entry per *used*
 //!   neighbor; see Theorem 2's discussion).
 
-use bytes::{BufMut, Bytes, BytesMut};
 use disco_graph::{Graph, NodeId, Path};
-use serde::{Deserialize, Serialize};
 
 /// MSB-first bit stream writer.
 #[derive(Debug, Default, Clone)]
 pub struct BitWriter {
-    buf: BytesMut,
+    buf: Vec<u8>,
     /// Bits already written into the current partial byte (0..8).
     partial_bits: u8,
     partial: u8,
@@ -53,7 +51,7 @@ impl BitWriter {
             self.partial_bits += 1;
             self.len_bits += 1;
             if self.partial_bits == 8 {
-                self.buf.put_u8(self.partial);
+                self.buf.push(self.partial);
                 self.partial = 0;
                 self.partial_bits = 0;
             }
@@ -66,12 +64,12 @@ impl BitWriter {
     }
 
     /// Finish, padding the last byte with zero bits.
-    pub fn finish(mut self) -> Bytes {
+    pub fn finish(mut self) -> Vec<u8> {
         if self.partial_bits > 0 {
             self.partial <<= 8 - self.partial_bits;
-            self.buf.put_u8(self.partial);
+            self.buf.push(self.partial);
         }
-        self.buf.freeze()
+        self.buf
     }
 }
 
@@ -104,11 +102,6 @@ impl<'a> BitReader<'a> {
         }
         Some(out)
     }
-
-    /// Bits consumed so far.
-    pub fn position_bits(&self) -> usize {
-        self.pos_bits
-    }
 }
 
 /// Number of bits needed to address one of `degree` interfaces
@@ -133,7 +126,7 @@ pub fn interface_index(g: &Graph, at: NodeId, next: NodeId) -> usize {
 /// An explicit (source) route: the starting node plus one interface index
 /// per hop. Encoded compactly, the hop leaving a node of degree `d`
 /// occupies `⌈log2 d⌉` bits.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExplicitRoute {
     start: NodeId,
     interfaces: Vec<u32>,
@@ -209,7 +202,7 @@ impl ExplicitRoute {
     }
 
     /// Encode to the compact wire format.
-    pub fn encode(&self, g: &Graph) -> Bytes {
+    pub fn encode(&self, g: &Graph) -> Vec<u8> {
         let mut w = BitWriter::new();
         let mut at = self.start;
         for &ifx in &self.interfaces {

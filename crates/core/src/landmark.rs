@@ -13,10 +13,9 @@
 //! `Ω(n)` joins/leaves.
 
 use crate::config::DiscoConfig;
-use disco_graph::NodeId;
+use disco_graph::{dijkstra, search, Graph, NodeId, Path, Stop, Weight};
 use disco_sim::rng::rng_for;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// RNG stream id for landmark election (see `disco_sim::rng`).
 const LANDMARK_STREAM: u64 = 0x11;
@@ -71,10 +70,130 @@ pub fn select_landmarks_with_estimates(
     landmarks
 }
 
+/// The landmark half of both static simulators: the landmark set, each
+/// node's closest landmark `ℓ_v`, and one full shortest-path tree per
+/// landmark, along which routes reach a landmark (`s ; ℓ`) and leave it
+/// (`ℓ ; t`, the explicit route of an address). Disco's
+/// [`DiscoState`](crate::static_state::DiscoState) and the S4 baseline
+/// hold one each; both are this one build.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LandmarkForest {
+    /// Landmark ids in increasing order.
+    landmarks: Vec<NodeId>,
+    /// Node id → its index in `landmarks` (`u32::MAX` for a non-landmark).
+    index: Vec<u32>,
+    /// Closest landmark of each node (the lowest id among equally close
+    /// ones).
+    closest: Vec<NodeId>,
+    /// Distance from each node to its closest landmark.
+    closest_dist: Vec<Weight>,
+    /// Per landmark (by index): distance to every node.
+    dist: Vec<Vec<Weight>>,
+    /// Per landmark (by index): each node's parent on the landmark's tree
+    /// (`u32::MAX` for the landmark itself or an unreachable node).
+    parent: Vec<Vec<u32>>,
+}
+
+impl LandmarkForest {
+    /// Search the forest of `landmarks` (sorted by id) over `graph`: one
+    /// search from every landmark at once for the closest ones, then one
+    /// full tree per landmark on one worker per CPU.
+    pub fn build(graph: &Graph, landmarks: Vec<NodeId>) -> Self {
+        let n = graph.node_count();
+        let mut index = vec![u32::MAX; n];
+        for (i, &lm) in landmarks.iter().enumerate() {
+            index[lm.0] = i as u32;
+        }
+        let nearest = search(graph, &landmarks, Stop::All);
+        let (closest, closest_dist) = graph
+            .nodes()
+            .map(|v| {
+                let lm = nearest.source_of(v).expect("graph must be connected");
+                (lm, nearest.distance(v).unwrap())
+            })
+            .unzip();
+        let (dist, parent) = crate::map_per_cpu(landmarks.len(), 1, |i| {
+            let tree = dijkstra(graph, landmarks[i]);
+            let mut dist = vec![Weight::INFINITY; n];
+            let mut parent = vec![u32::MAX; n];
+            for &v in tree.settled_order() {
+                dist[v.0] = tree.distance(v).unwrap();
+                parent[v.0] = tree.parent(v).map_or(u32::MAX, |p| p.0 as u32);
+            }
+            (dist, parent)
+        })
+        .into_iter()
+        .unzip();
+        LandmarkForest {
+            landmarks,
+            index,
+            closest,
+            closest_dist,
+            dist,
+            parent,
+        }
+    }
+
+    /// The landmark set, sorted by node id.
+    pub fn landmarks(&self) -> &[NodeId] {
+        &self.landmarks
+    }
+
+    /// Whether `v` is a landmark.
+    pub fn is_landmark(&self, v: NodeId) -> bool {
+        self.index[v.0] != u32::MAX
+    }
+
+    fn index_of(&self, lm: NodeId) -> usize {
+        assert!(self.is_landmark(lm), "{lm} is not a landmark");
+        self.index[lm.0] as usize
+    }
+
+    /// The closest landmark `ℓ_v` of `v`.
+    pub fn closest(&self, v: NodeId) -> NodeId {
+        self.closest[v.0]
+    }
+
+    /// `d(v, ℓ_v)`.
+    pub fn closest_distance(&self, v: NodeId) -> Weight {
+        self.closest_dist[v.0]
+    }
+
+    /// Distance from landmark `lm` to `v`. Panics if `lm` is not a
+    /// landmark.
+    pub fn distance(&self, lm: NodeId, v: NodeId) -> Weight {
+        self.dist[self.index_of(lm)][v.0]
+    }
+
+    /// The path `lm ; v` down `lm`'s tree. Panics if `lm` is not a
+    /// landmark.
+    pub fn path(&self, lm: NodeId, v: NodeId) -> Path {
+        let parent = &self.parent[self.index_of(lm)];
+        let mut nodes = vec![v];
+        let mut cur = v;
+        while cur != lm {
+            let p = parent[cur.0];
+            assert!(
+                p != u32::MAX,
+                "node {cur} is not reachable from landmark {lm}"
+            );
+            cur = NodeId(p as usize);
+            nodes.push(cur);
+        }
+        nodes.reverse();
+        Path::new(nodes)
+    }
+
+    /// The path `v ; lm` up `lm`'s tree: [`Self::path`] reversed.
+    pub fn path_up(&self, v: NodeId, lm: NodeId) -> Path {
+        self.path(lm, v).reversed()
+    }
+}
+
 /// Per-node landmark status with the ×2 hysteresis rule of §4.2: the status
 /// is re-drawn only when the node's estimate of `n` has changed by at least
 /// a factor of two since the last decision.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LandmarkStatus {
     node: NodeId,
     is_landmark: bool,

@@ -16,7 +16,7 @@
 //! | Paper section | Module |
 //! |---|---|
 //! | §4.1 assumptions, estimating `n` | [`config`], [`estimate_n`] |
-//! | §4.2 landmarks | [`landmark`] |
+//! | §4.2 landmarks: election and the landmark forest (trees, `ℓ_v`) | [`landmark`] |
 //! | §4.2 vicinities + path-vector learning | [`vicinity`], [`path_vector`] |
 //! | §4.2 addresses / explicit routes / labels | [`address`], [`label`] |
 //! | §4.2 routing + shortcutting heuristics | [`routing`], [`shortcut`] |
@@ -32,7 +32,9 @@
 //!
 //! * [`static_state::DiscoState`] — builds the *post-convergence* state of
 //!   every node directly from a [`disco_graph::Graph`] (the paper's "static
-//!   simulator", used for all state/stretch/congestion results), and
+//!   simulator", used for all state/stretch/congestion results) over one
+//!   [`landmark::LandmarkForest`], the same build the S4 baseline holds,
+//!   and
 //! * [`protocol::DiscoProtocol`] — the distributed protocol run inside the
 //!   [`disco_sim`] discrete-event engine (the paper's "custom discrete event
 //!   simulator", used for convergence-messaging results).

@@ -5,14 +5,13 @@
 //! identifier (the hash of a public key). The routing protocol never
 //! interprets a name — it only hashes it (see [`crate::hash`]).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An arbitrary, location-independent node name.
 ///
 /// Names are plain byte strings. Equality and hashing are byte-wise; two
 /// nodes must not share a name.
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FlatName(Vec<u8>);
 
 impl FlatName {

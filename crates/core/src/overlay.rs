@@ -20,14 +20,13 @@ use crate::sloppy_group::SloppyGrouping;
 use disco_graph::NodeId;
 use disco_sim::rng::rng_for;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// RNG stream id for finger selection.
 const FINGER_STREAM: u64 = 0x22;
 
 /// The overlay links of one node.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OverlayLinks {
     /// Next node clockwise on the hash ring.
     pub successor: NodeId,

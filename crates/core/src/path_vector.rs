@@ -58,7 +58,6 @@
 use crate::rib::{preferred_parts, Candidate, RibStats, RibStore, SelectedRoute};
 use disco_graph::{InternedPath, NodeId, Weight};
 use disco_sim::{Context, Protocol};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -143,7 +142,7 @@ impl Mirror {
 }
 
 /// Acceptance rule for destinations other than landmarks.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TableLimit {
     /// Accept every destination (classic path vector).
     Unlimited,
@@ -167,7 +166,7 @@ pub enum TableLimit {
 /// The path is interned ([`InternedPath`]): cloning an announcement for
 /// each neighbor is a reference-count bump, not a `Vec` copy — the
 /// dominant allocation of churn runs before interning landed.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Announcement {
     /// The destination the route leads to.
     pub dest: NodeId,
@@ -462,11 +461,6 @@ impl PathVectorNode {
     /// their destinations are touched.
     pub fn set_forgetful_rib(&mut self, alternates: Option<usize>) {
         self.forgetful = alternates;
-    }
-
-    /// The forgetful alternate budget, if forgetful routing is on.
-    pub fn forgetful_rib(&self) -> Option<usize> {
-        self.forgetful
     }
 
     /// Candidate-store gauge (per-node candidate count, path nodes and

@@ -403,10 +403,9 @@ impl DiscoProtocol {
     /// accounted by the arena.
     pub fn dissemination_bytes(&self) -> usize {
         const ADDR: usize = std::mem::size_of::<WireAddress>();
-        // Hash structures are priced at their real SwissTable allocation —
+        // Hash structures are priced at their real SwissTable allocation:
         // `capacity()` is 7/8 of the bucket array, each bucket paying its
-        // payload plus one control byte (`disco-metrics::control`'s
-        // `swiss_table_bytes` model).
+        // payload plus one control byte.
         let group_buckets = self.group_addresses.capacity() * 8 / 7;
         let fwd_buckets = self.forwarded.capacity() * 8 / 7;
         group_buckets * (4 + ADDR + 1)

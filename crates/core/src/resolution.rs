@@ -17,11 +17,10 @@ use crate::config::DiscoConfig;
 use crate::hash::{NameHash, NameHasher};
 use crate::name::FlatName;
 use disco_graph::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Soft-state timing parameters (in minutes, as in the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SoftStateTimers {
     /// Re-insertion period `t`.
     pub refresh_minutes: f64,

@@ -21,15 +21,15 @@
 //!
 //! All routes then pass through the configured [`ShortcutMode`].
 //!
-//! The router caches truncated shortest-path trees per source, so
-//! evaluating many destinations from the same source (as the experiments
-//! do) is cheap.
+//! The landmark legs come from the state's
+//! [`LandmarkForest`](crate::landmark::LandmarkForest); the vicinity legs
+//! and the ground truth come from per-source [`TreeCache`]s, so evaluating
+//! many destinations from the same source (as the experiments do) is
+//! cheap.
 
 use crate::shortcut::ShortcutMode;
 use crate::static_state::DiscoState;
-use disco_graph::{dijkstra, k_nearest, Graph, NodeId, Path, ShortestPathTree, Weight};
-use std::cell::RefCell;
-use std::collections::HashMap;
+use disco_graph::{Graph, NodeId, Path, Stop, TreeCache, Weight};
 
 /// How a route was obtained; reported so experiments can break results down
 /// by case.
@@ -102,11 +102,10 @@ impl RouteOutcome {
 pub struct DiscoRouter<'a> {
     graph: &'a Graph,
     state: &'a DiscoState,
-    /// Cache of truncated (vicinity-sized) shortest-path trees per source.
-    vicinity_trees: RefCell<HashMap<NodeId, ShortestPathTree>>,
-    /// Cache of full shortest-path trees per source (ground-truth
-    /// distances for stretch).
-    full_trees: RefCell<HashMap<NodeId, ShortestPathTree>>,
+    /// One vicinity-sized tree per source: the legs inside `V(s)`.
+    vicinity_trees: TreeCache<'a>,
+    /// Full trees per source: ground-truth distances for stretch.
+    full_trees: TreeCache<'a>,
 }
 
 /// NDDisco shares all routing machinery with Disco; the name-dependent
@@ -119,8 +118,8 @@ impl<'a> DiscoRouter<'a> {
         DiscoRouter {
             graph,
             state,
-            vicinity_trees: RefCell::new(HashMap::new()),
-            full_trees: RefCell::new(HashMap::new()),
+            vicinity_trees: TreeCache::new(graph, move |s| Stop::Settled(state.vicinity(s).len())),
+            full_trees: TreeCache::full(graph),
         }
     }
 
@@ -140,67 +139,26 @@ impl<'a> DiscoRouter<'a> {
 
     /// True shortest-path distance (ground truth for stretch).
     pub fn true_distance(&self, s: NodeId, t: NodeId) -> Weight {
-        if s == t {
-            return 0.0;
-        }
-        self.with_full_tree(s, |tree| {
-            tree.distance(t)
-                .unwrap_or_else(|| panic!("{t} unreachable from {s}"))
-        })
+        self.full_trees
+            .distance(s, t)
+            .unwrap_or_else(|| panic!("{t} unreachable from {s}"))
     }
 
     /// True shortest path (used by the path-vector baseline and congestion
     /// accounting).
     pub fn shortest_path(&self, s: NodeId, t: NodeId) -> Path {
-        if s == t {
-            return Path::trivial(s);
-        }
-        self.with_full_tree(s, |tree| tree.path_to(t).expect("graph must be connected"))
-    }
-
-    fn with_full_tree<R>(&self, s: NodeId, f: impl FnOnce(&ShortestPathTree) -> R) -> R {
-        let mut cache = self.full_trees.borrow_mut();
-        let tree = cache.entry(s).or_insert_with(|| dijkstra(self.graph, s));
-        f(tree)
-    }
-
-    /// Drop cached shortest-path trees (frees memory between experiment
-    /// phases).
-    pub fn clear_caches(&self) {
-        self.vicinity_trees.borrow_mut().clear();
-        self.full_trees.borrow_mut().clear();
+        self.full_trees.path(s, t).expect("graph must be connected")
     }
 
     // ------------------------------------------------------------------
     // Legs
     // ------------------------------------------------------------------
 
-    fn with_vicinity_tree<R>(&self, s: NodeId, f: impl FnOnce(&ShortestPathTree) -> R) -> R {
-        let mut cache = self.vicinity_trees.borrow_mut();
-        let size = self.state.vicinity(s).len();
-        let tree = cache
-            .entry(s)
-            .or_insert_with(|| k_nearest(self.graph, s, size));
-        f(tree)
-    }
-
     /// Path from `s` to a member `w` of `V(s)`; panics if `w ∉ V(s)`.
     pub fn vicinity_path(&self, s: NodeId, w: NodeId) -> Path {
-        if s == w {
-            return Path::trivial(s);
-        }
-        self.with_vicinity_tree(s, |tree| {
-            tree.path_to(w)
-                .unwrap_or_else(|| panic!("{w} is not in the vicinity of {s}"))
-        })
-    }
-
-    /// Path from `v` to landmark `lm` (the reverse of `lm`'s tree path).
-    fn path_to_landmark(&self, v: NodeId, lm: NodeId) -> Path {
-        if v == lm {
-            return Path::trivial(v);
-        }
-        self.state.landmark_path(lm, v).reversed()
+        self.vicinity_trees
+            .path(s, w)
+            .unwrap_or_else(|| panic!("{w} is not in the vicinity of {s}"))
     }
 
     /// Path from `t`'s closest landmark to `t` (the explicit route in `t`'s
@@ -233,7 +191,7 @@ impl<'a> DiscoRouter<'a> {
     /// shortcutting applied.
     fn landmark_route_nodes(&self, s: NodeId, t: NodeId) -> Vec<NodeId> {
         let lm = self.state.closest_landmark(t);
-        let to_lm = self.path_to_landmark(s, lm);
+        let to_lm = self.state.forest().path_up(s, lm);
         let addr = self.address_leg(t);
         Self::concat_nodes(&[&to_lm, &addr])
     }
@@ -243,7 +201,7 @@ impl<'a> DiscoRouter<'a> {
     fn proxy_route_nodes(&self, s: NodeId, w: NodeId, t: NodeId) -> Vec<NodeId> {
         let to_w = self.vicinity_path(s, w);
         let lm = self.state.closest_landmark(t);
-        let to_lm = self.path_to_landmark(w, lm);
+        let to_lm = self.state.forest().path_up(w, lm);
         let addr = self.address_leg(t);
         Self::concat_nodes(&[&to_w, &to_lm, &addr])
     }
@@ -388,7 +346,7 @@ impl<'a> DiscoRouter<'a> {
             });
         }
         if self.state.is_landmark(t) {
-            let path = self.path_to_landmark(s, t);
+            let path = self.state.forest().path_up(s, t);
             return Some(RouteOutcome::from_nodes(
                 self.graph,
                 path.nodes().to_vec(),
@@ -516,15 +474,9 @@ impl<'a> DiscoRouter<'a> {
             .state
             .resolution_ring()
             .owner_of_name(self.state.name_of(t));
-        let to_owner = self.path_to_landmark(s, owner);
+        let to_owner = self.state.forest().path_up(s, owner);
         let lm = self.state.closest_landmark(t);
-        let owner_to_lm = Path::new(
-            self.state
-                .landmark_path(lm, owner)
-                .reversed()
-                .nodes()
-                .to_vec(),
-        );
+        let owner_to_lm = self.state.forest().path_up(owner, lm);
         let addr = self.address_leg(t);
         let forward = Self::concat_nodes(&[&to_owner, &owner_to_lm, &addr]);
         self.finish(mode, forward, None, RouteCategory::Fallback)

@@ -8,13 +8,12 @@
 //! needs no extra information in the packet. The modes are applied by
 //! [`crate::routing`]; this module only defines them.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// A shortcutting heuristic, ordered roughly by aggressiveness. The names
 /// match the rows of the paper's Fig. 6.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ShortcutMode {
     /// No shortcutting: always use the full `s ; w ; ℓ_t ; t` route.
     None,

@@ -19,11 +19,10 @@ use crate::config::DiscoConfig;
 use crate::hash::{NameHash, NameHasher};
 use crate::name::FlatName;
 use disco_graph::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A sloppy-group identifier: the first `bits` bits of the members' hashes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GroupId {
     /// Prefix value (in the low bits of the word).
     pub prefix: u64,
@@ -175,11 +174,6 @@ impl SloppyGrouping {
             .filter(|&w| gid.contains(self.hashes[w]))
             .map(NodeId)
             .collect()
-    }
-
-    /// Number of distinct core groups.
-    pub fn core_group_count(&self) -> usize {
-        self.core_groups.len()
     }
 
     /// Iterate over all core groups.

@@ -5,7 +5,8 @@
 //! state of the network". [`DiscoState::build`] is that simulator: given a
 //! graph and a configuration it directly computes, for every node,
 //!
-//! * whether it is a landmark and which landmark is closest,
+//! * whether it is a landmark and which landmark is closest (the
+//!   [`LandmarkForest`], with one shortest-path tree per landmark),
 //! * its address (closest landmark + explicit route),
 //! * its vicinity (the `Θ(√(n log n))` closest nodes),
 //! * its sloppy group and overlay links,
@@ -20,13 +21,13 @@
 use crate::address::Address;
 use crate::config::DiscoConfig;
 use crate::estimate_n::NEstimates;
-use crate::landmark;
+use crate::landmark::{self, LandmarkForest};
 use crate::name::FlatName;
 use crate::overlay::Overlay;
 use crate::resolution::{ResolutionDatabase, ResolutionRing};
 use crate::sloppy_group::SloppyGrouping;
 use crate::vicinity::{self, Vicinity};
-use disco_graph::{dijkstra, multi_source_dijkstra, FxHashMap, Graph, NodeId, Path, Weight};
+use disco_graph::{Graph, NodeId, Weight};
 
 /// Post-convergence Disco state for an entire network.
 #[derive(Debug, Clone)]
@@ -37,28 +38,12 @@ pub struct DiscoState {
     names: Vec<FlatName>,
     /// Per-node estimates of `n` (exact unless the config injects error).
     estimates: NEstimates,
-    /// Landmark ids in increasing order.
-    landmarks: Vec<NodeId>,
-    is_landmark: Vec<bool>,
-    /// Landmark id → index into the per-landmark vectors (`FxHashMap`
-    /// like every other simulator-internal map: deterministic iteration
-    /// and no SipHash cost on the per-address path reconstructions).
-    landmark_index: FxHashMap<NodeId, usize>,
-    /// Closest landmark of each node.
-    closest_landmark: Vec<NodeId>,
-    /// Distance to the closest landmark.
-    closest_landmark_dist: Vec<Weight>,
+    /// Landmarks, closest landmarks and the landmark trees.
+    forest: LandmarkForest,
     /// Address of each node (closest landmark + explicit route).
     addresses: Vec<Address>,
     /// Vicinity of each node.
     vicinities: Vec<Vicinity>,
-    /// For each landmark (by landmark index): distance from the landmark to
-    /// every node.
-    landmark_dist: Vec<Vec<Weight>>,
-    /// For each landmark (by landmark index): parent of every node on the
-    /// shortest-path tree rooted at the landmark (`u32::MAX` = the landmark
-    /// itself / unreachable).
-    landmark_parent: Vec<Vec<u32>>,
     /// Sloppy grouping of all nodes.
     grouping: SloppyGrouping,
     /// The address-dissemination overlay.
@@ -104,59 +89,21 @@ impl DiscoState {
             NEstimates::exact(n)
         };
 
-        // Landmark election (§4.2).
-        let landmarks = landmark::select_landmarks_with_estimates(n, cfg, |v| estimates.of(v));
-        let mut is_landmark = vec![false; n];
-        for &lm in &landmarks {
-            is_landmark[lm.0] = true;
-        }
-        let landmark_index: FxHashMap<NodeId, usize> = landmarks
-            .iter()
-            .enumerate()
-            .map(|(i, &lm)| (lm, i))
-            .collect();
-
-        // Closest landmark of every node, and the shortest-path forest
-        // toward the closest landmarks (for addresses).
-        let closest = multi_source_dijkstra(graph, &landmarks);
-        let mut closest_landmark = vec![NodeId(0); n];
-        let mut closest_landmark_dist = vec![0.0; n];
-        for v in graph.nodes() {
-            closest_landmark[v.0] = closest.closest_source(v).expect("graph must be connected");
-            closest_landmark_dist[v.0] = closest.distance(v).unwrap();
-        }
-
-        // Full shortest-path tree from every landmark: distances + parents.
-        // Needed for the `ℓ ; v` legs of routes and for addresses. The
-        // trees are independent — one job per landmark.
-        let trees = crate::map_per_cpu(landmarks.len(), 1, |i| {
-            let tree = dijkstra(graph, landmarks[i]);
-            let mut dist = vec![Weight::INFINITY; n];
-            let mut parent = vec![u32::MAX; n];
-            for v in graph.nodes() {
-                if let Some(d) = tree.distance(v) {
-                    dist[v.0] = d;
-                }
-                if let Some(p) = tree.parent(v) {
-                    parent[v.0] = p.0 as u32;
-                }
-            }
-            (dist, parent)
-        });
-        let (landmark_dist, landmark_parent): (Vec<Vec<Weight>>, Vec<Vec<u32>>) =
-            trees.into_iter().unzip();
+        // Landmark election and the landmark trees (§4.2).
+        let forest = LandmarkForest::build(
+            graph,
+            landmark::select_landmarks_with_estimates(n, cfg, |v| estimates.of(v)),
+        );
 
         // Addresses: explicit route from the closest landmark to the node.
         let addresses: Vec<Address> = graph
             .nodes()
             .map(|v| {
-                let lm = closest_landmark[v.0];
+                let lm = forest.closest(v);
                 if lm == v {
                     Address::landmark_self(v)
                 } else {
-                    let li = landmark_index[&lm];
-                    let path = reconstruct_path_from_parents(&landmark_parent[li], lm, v);
-                    Address::from_landmark_path(graph, v, &path)
+                    Address::from_landmark_path(graph, v, &forest.path(lm, v))
                 }
             })
             .collect();
@@ -169,7 +116,7 @@ impl DiscoState {
         let overlay = Overlay::build(&grouping, cfg);
 
         // Name resolution database over the landmarks (§4.3).
-        let resolution_ring = ResolutionRing::new(&landmarks, cfg);
+        let resolution_ring = ResolutionRing::new(forest.landmarks(), cfg);
         let resolution_db = ResolutionDatabase::build(&resolution_ring, &names, &addresses);
 
         DiscoState {
@@ -177,15 +124,9 @@ impl DiscoState {
             n,
             names,
             estimates,
-            landmarks,
-            is_landmark,
-            landmark_index,
-            closest_landmark,
-            closest_landmark_dist,
+            forest,
             addresses,
             vicinities,
-            landmark_dist,
-            landmark_parent,
             grouping,
             overlay,
             resolution_ring,
@@ -218,24 +159,29 @@ impl DiscoState {
         &self.estimates
     }
 
+    /// The landmarks, each node's closest one and the landmark trees.
+    pub fn forest(&self) -> &LandmarkForest {
+        &self.forest
+    }
+
     /// The landmark set, sorted by node id.
     pub fn landmarks(&self) -> &[NodeId] {
-        &self.landmarks
+        self.forest.landmarks()
     }
 
     /// Whether `v` is a landmark.
     pub fn is_landmark(&self, v: NodeId) -> bool {
-        self.is_landmark[v.0]
+        self.forest.is_landmark(v)
     }
 
     /// The closest landmark `ℓ_v` of node `v`.
     pub fn closest_landmark(&self, v: NodeId) -> NodeId {
-        self.closest_landmark[v.0]
+        self.forest.closest(v)
     }
 
     /// Distance `d(v, ℓ_v)`.
     pub fn closest_landmark_distance(&self, v: NodeId) -> Weight {
-        self.closest_landmark_dist[v.0]
+        self.forest.closest_distance(v)
     }
 
     /// The address of node `v`.
@@ -251,20 +197,6 @@ impl DiscoState {
     /// The vicinity of node `v`.
     pub fn vicinity(&self, v: NodeId) -> &Vicinity {
         &self.vicinities[v.0]
-    }
-
-    /// Distance from landmark `lm` to node `v`. Panics if `lm` is not a
-    /// landmark.
-    pub fn landmark_distance(&self, lm: NodeId, v: NodeId) -> Weight {
-        let li = self.landmark_index[&lm];
-        self.landmark_dist[li][v.0]
-    }
-
-    /// The shortest path from landmark `lm` to node `v` along `lm`'s
-    /// shortest-path tree. Panics if `lm` is not a landmark.
-    pub fn landmark_path(&self, lm: NodeId, v: NodeId) -> Path {
-        let li = self.landmark_index[&lm];
-        reconstruct_path_from_parents(&self.landmark_parent[li], lm, v)
     }
 
     /// The sloppy grouping.
@@ -327,7 +259,7 @@ impl DiscoState {
     /// Per-node count of routing-table entries in the data plane, broken
     /// down by component. See [`StateBreakdown`].
     pub fn state_breakdown(&self, graph: &Graph, v: NodeId) -> StateBreakdown {
-        let landmark_entries = self.landmarks.len();
+        let landmark_entries = self.landmarks().len();
         let vicinity_entries = self.vicinity(v).len().saturating_sub(1);
         // Forwarding-label mappings: one per neighbor that is actually used
         // as a next hop toward a landmark or vicinity member; bounded by
@@ -388,29 +320,10 @@ impl StateBreakdown {
     }
 }
 
-/// Rebuild the path `root ; v` from a parent array of the shortest-path
-/// tree rooted at `root` (`parent[x]` = predecessor of `x` on the path from
-/// `root`, `u32::MAX` for the root itself).
-fn reconstruct_path_from_parents(parent: &[u32], root: NodeId, v: NodeId) -> Path {
-    let mut nodes = vec![v];
-    let mut cur = v;
-    while cur != root {
-        let p = parent[cur.0];
-        assert!(
-            p != u32::MAX,
-            "node {cur} is not reachable from landmark {root}"
-        );
-        cur = NodeId(p as usize);
-        nodes.push(cur);
-    }
-    nodes.reverse();
-    Path::new(nodes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use disco_graph::generators;
+    use disco_graph::{dijkstra, generators};
 
     fn small_state(seed: u64) -> (Graph, DiscoState) {
         let g = generators::gnm_average_degree(256, 8.0, seed);
@@ -428,10 +341,10 @@ mod tests {
             assert!(st.is_landmark(lm));
             // The recorded distance matches the landmark tree distance.
             let d = st.closest_landmark_distance(v);
-            assert!((st.landmark_distance(lm, v) - d).abs() < 1e-9);
+            assert!((st.forest().distance(lm, v) - d).abs() < 1e-9);
             // No other landmark is strictly closer.
             for &other in st.landmarks() {
-                assert!(st.landmark_distance(other, v) + 1e-9 >= d);
+                assert!(st.forest().distance(other, v) + 1e-9 >= d);
             }
         }
     }
@@ -457,7 +370,7 @@ mod tests {
         let lm = st.landmarks()[0];
         let tree = dijkstra(&g, lm);
         for v in g.nodes().step_by(17) {
-            let p = st.landmark_path(lm, v);
+            let p = st.forest().path(lm, v);
             assert!((p.length(&g) - tree.distance(v).unwrap()).abs() < 1e-9);
             assert_eq!(p.source(), lm);
             assert_eq!(p.destination(), v);
@@ -540,11 +453,7 @@ mod tests {
         let cfg = DiscoConfig::seeded(42);
         let a = DiscoState::build(&g, &cfg);
         let b = DiscoState::build_parallel(&g, &cfg, 3);
-        assert_eq!(a.landmarks, b.landmarks);
-        assert_eq!(a.closest_landmark, b.closest_landmark);
-        assert_eq!(a.closest_landmark_dist, b.closest_landmark_dist);
-        assert_eq!(a.landmark_dist, b.landmark_dist);
-        assert_eq!(a.landmark_parent, b.landmark_parent);
+        assert_eq!(a.forest, b.forest);
         for v in g.nodes() {
             assert_eq!(
                 a.vicinity(v).members().collect::<Vec<_>>(),
@@ -560,8 +469,7 @@ mod tests {
         // Whatever thread count the benchmark's name is given, the state
         // is the one `build` makes.
         let c = DiscoState::build_parallel(&g, &cfg, 0);
-        assert_eq!(a.landmark_dist, c.landmark_dist);
-        assert_eq!(a.closest_landmark, c.closest_landmark);
+        assert_eq!(a.forest, c.forest);
     }
 
     #[test]

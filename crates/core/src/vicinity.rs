@@ -17,13 +17,12 @@
 //! lives in [`crate::path_vector`].
 
 use crate::config::DiscoConfig;
-use disco_graph::{k_nearest, Graph, NodeId, Weight};
-use serde::{Deserialize, Serialize};
+use disco_graph::{search, Graph, NodeId, Stop, Weight};
 use std::collections::HashMap;
 
 /// The vicinity of one node: its `k` closest nodes with their distances,
 /// in settling (non-decreasing distance) order.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Vicinity {
     owner: NodeId,
     /// Members in non-decreasing distance order (the owner itself is first,
@@ -37,7 +36,7 @@ impl Vicinity {
     /// Compute the vicinity of `owner` containing the `size` closest nodes
     /// (including `owner` itself).
     pub fn compute(g: &Graph, owner: NodeId, size: usize) -> Self {
-        let tree = k_nearest(g, owner, size);
+        let tree = search(g, &[owner], Stop::Settled(size));
         let ordered: Vec<(NodeId, Weight)> = tree
             .settled_order()
             .iter()

@@ -7,7 +7,6 @@
 //! layered on top by `disco-core` — a graph node never needs to know its
 //! name.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Link weight (latency / cost). The paper uses unweighted Internet maps
@@ -15,7 +14,7 @@ use std::fmt;
 pub type Weight = f64;
 
 /// Dense node identifier, `0..n`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub usize);
 
 impl NodeId {
@@ -40,7 +39,7 @@ impl From<usize> for NodeId {
 
 /// Dense edge identifier, `0..m`. Each undirected edge has a single id shared
 /// by both endpoints; this is what congestion accounting keys on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EdgeId(pub usize);
 
 impl EdgeId {
@@ -59,7 +58,7 @@ impl fmt::Display for EdgeId {
 
 /// One directed half of an undirected edge as seen from a node's adjacency
 /// list.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Neighbor {
     /// The node at the other end of the edge.
     pub node: NodeId,
@@ -70,7 +69,7 @@ pub struct Neighbor {
 }
 
 /// An undirected edge record.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Edge {
     /// One endpoint (the smaller index by construction in the builder).
     pub u: NodeId,
@@ -108,7 +107,7 @@ impl Edge {
 /// and traces keyed by edge id stay unambiguous across topology changes.
 /// A node is never deleted from the id space; "leaving" the network means
 /// losing all incident edges (see [`Graph::detach_node`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Graph {
     adjacency: Vec<Vec<Neighbor>>,
     edges: Vec<Edge>,

@@ -16,11 +16,11 @@
 //!   plus pathological topologies used to exercise worst cases (ring, star,
 //!   the two-level tree from the paper's footnote 6 that breaks S4's state
 //!   bound),
-//! * [`shortest_path`] — Dijkstra in full, truncated (k nearest nodes, used
-//!   to build vicinities), multi-source and target-set variants, plus path
-//!   reconstruction,
-//! * [`properties`] — connectivity checks, degree statistics, diameter
-//!   estimation.
+//! * [`shortest_path`] — one Dijkstra routine from one or more sources,
+//!   run to completion, to the `k` nearest nodes (vicinities) or below a
+//!   distance bound, plus path reconstruction and the per-source
+//!   [`TreeCache`] the static routers share,
+//! * [`properties`] — connectivity checks.
 //!
 //! All generators are deterministic given a seed, so every experiment in the
 //! paper reproduction is replayable bit-for-bit.
@@ -51,7 +51,4 @@ pub use builder::GraphBuilder;
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use graph::{EdgeId, Graph, Neighbor, NodeId, Weight};
 pub use path::Path;
-pub use shortest_path::{
-    dijkstra, dijkstra_bounded, dijkstra_to_targets, k_nearest, multi_source_dijkstra,
-    ShortestPathTree,
-};
+pub use shortest_path::{dijkstra, search, ShortestPathTree, Stop, TreeCache};

@@ -1,12 +1,11 @@
 //! Paths through a graph and their lengths.
 
 use crate::graph::{Graph, NodeId, Weight};
-use serde::{Deserialize, Serialize};
 
 /// A walk through the graph given as the sequence of visited nodes
 /// (`source` first, `destination` last). A single-node path represents a
 /// node routing to itself and has length 0.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Path {
     nodes: Vec<NodeId>,
 }

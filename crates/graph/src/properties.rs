@@ -1,7 +1,6 @@
-//! Structural graph properties used by the experiments and tests.
+//! Connectivity of a graph, as the generators and experiments check it.
 
-use crate::graph::{Graph, NodeId, Weight};
-use crate::shortest_path::dijkstra;
+use crate::graph::{Graph, NodeId};
 use std::collections::VecDeque;
 
 /// Whether the graph is connected (the empty graph counts as connected).
@@ -39,54 +38,6 @@ pub fn connected_components(g: &Graph) -> Vec<Vec<NodeId>> {
     out
 }
 
-/// Degree distribution: `result[d]` = number of nodes with degree `d`.
-pub fn degree_histogram(g: &Graph) -> Vec<usize> {
-    let mut hist = vec![0usize; g.max_degree() + 1];
-    for v in g.nodes() {
-        hist[g.degree(v)] += 1;
-    }
-    hist
-}
-
-/// Estimate the weighted diameter by double-sweep: run Dijkstra from an
-/// arbitrary node, then from the farthest node found. This is a lower bound
-/// on (and in practice very close to) the true diameter; exact diameters are
-/// not needed by any experiment.
-pub fn estimate_diameter(g: &Graph) -> Weight {
-    if g.node_count() == 0 {
-        return 0.0;
-    }
-    let t1 = dijkstra(g, NodeId(0));
-    let far = t1
-        .iter()
-        .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-        .map(|(v, _)| v)
-        .unwrap_or(NodeId(0));
-    let t2 = dijkstra(g, far);
-    t2.iter().map(|(_, d)| d).fold(0.0, f64::max)
-}
-
-/// Mean shortest-path distance over a sample of `samples` random-ish source
-/// nodes (deterministic: the first `samples` node ids are used).
-pub fn mean_distance_sampled(g: &Graph, samples: usize) -> Weight {
-    let mut total = 0.0;
-    let mut count = 0usize;
-    for s in g.nodes().take(samples.max(1)) {
-        let t = dijkstra(g, s);
-        for (v, d) in t.iter() {
-            if v != s {
-                total += d;
-                count += 1;
-            }
-        }
-    }
-    if count == 0 {
-        0.0
-    } else {
-        total / count as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,33 +63,5 @@ mod tests {
         let g = generators::ring(20);
         assert!(is_connected(&g));
         assert_eq!(connected_components(&g).len(), 1);
-    }
-
-    #[test]
-    fn degree_histogram_sums_to_n() {
-        let g = generators::gnm_connected(200, 800, 2);
-        let hist = degree_histogram(&g);
-        assert_eq!(hist.iter().sum::<usize>(), 200);
-    }
-
-    #[test]
-    fn diameter_of_line() {
-        let g = generators::line(10);
-        let d = estimate_diameter(&g);
-        assert!((d - 9.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn diameter_of_ring() {
-        let g = generators::ring(10);
-        let d = estimate_diameter(&g);
-        assert!((d - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mean_distance_positive() {
-        let g = generators::gnm_connected(100, 400, 9);
-        let md = mean_distance_sampled(&g, 10);
-        assert!(md > 1.0 && md < 10.0);
     }
 }

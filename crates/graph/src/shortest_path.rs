@@ -1,29 +1,48 @@
-//! Shortest-path algorithms.
+//! Shortest paths: one search routine.
 //!
-//! The Disco reproduction needs four flavours of Dijkstra:
+//! [`search`] is Dijkstra from one or more sources. A [`Stop`] rule says
+//! how far it goes:
 //!
-//! * [`dijkstra`] — full single-source shortest-path tree; used for landmark
-//!   trees (routes `ℓ ; v` embedded in addresses) and for ground-truth
-//!   distances when computing stretch,
-//! * [`k_nearest`] — truncated Dijkstra that stops after settling the `k`
-//!   closest nodes; this *is* the paper's vicinity `V(v)` (the
-//!   `Θ(√(n log n))` nodes closest to `v`),
-//! * [`multi_source_dijkstra`] — distance to the closest of a set of sources
-//!   (used to find each node's closest landmark `ℓ_v` in one pass),
-//! * [`dijkstra_to_targets`] — early-terminating variant that stops once a
-//!   given set of targets has been settled (used when measuring stretch on
-//!   sampled source–destination pairs of very large graphs).
+//! * [`Stop::All`] settles everything reachable: landmark trees (the
+//!   `ℓ ; v` legs of routes and addresses), each node's closest landmark
+//!   (one search from every landmark at once) and ground-truth distances
+//!   for stretch;
+//! * [`Stop::Settled`]`(k)` stops after the `k` closest nodes: the paper's
+//!   vicinity `V(v)`, the `Θ(√(n log n))` nodes closest to `v`;
+//! * [`Stop::Below`]`(b)` settles the nodes at distance strictly below `b`:
+//!   S4's cluster balls.
 //!
-//! Ties in distance are broken by node id so that vicinity membership and
-//! closest-landmark assignment are deterministic, which keeps every
-//! experiment reproducible.
+//! Ties are broken by node id so that vicinity membership, closest-landmark
+//! assignment and every reconstructed path are deterministic:
+//!
+//! * nodes settle in (distance, node id) order, so a truncated search's
+//!   settle order is a prefix of the full one;
+//! * among equal-length ways to reach a node, the one from the lower
+//!   source id wins, then the one through the lower parent id.
+//!
+//! [`dijkstra`] is the single-source full search. [`TreeCache`] keeps one
+//! tree per source for routers that ask many questions of the same source.
 
+use crate::fxhash::FxHashMap;
 use crate::graph::{Graph, NodeId, Weight};
 use crate::path::Path;
+use std::cell::RefCell;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::BinaryHeap;
 
-/// Queue entry: (distance, tie-break id, node).
+/// Where a [`search`] stops.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Stop {
+    /// Settle every node reachable from the sources.
+    All,
+    /// Stop once this many nodes (sources included) are settled; at least
+    /// one is.
+    Settled(usize),
+    /// Settle only the nodes at distance strictly below the bound.
+    Below(Weight),
+}
+
+/// Queue entry, ordered as a min-heap on (distance, node id).
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct QueueEntry {
     dist: Weight,
@@ -34,7 +53,6 @@ impl Eq for QueueEntry {}
 
 impl Ord for QueueEntry {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap on (dist, node id): reverse the natural order.
         other
             .dist
             .partial_cmp(&self.dist)
@@ -49,291 +67,129 @@ impl PartialOrd for QueueEntry {
     }
 }
 
-/// Result of a single-source shortest-path computation.
-///
-/// Stores, for every reached node, its distance from the source and its
-/// predecessor on a shortest path; paths can be reconstructed with
-/// [`ShortestPathTree::path_to`].
+/// `parent` of a source.
+const NO_PARENT: u32 = u32::MAX;
+
+/// A node's best way in so far: distance, the source it comes from and the
+/// node it comes through. Final once `done`.
+#[derive(Debug, Clone, Copy)]
+struct Label {
+    dist: Weight,
+    source: u32,
+    parent: u32,
+    done: bool,
+}
+
+/// The result of a [`search`]: for every settled node, its distance from
+/// the closest source, that source, and its predecessor on the way, in
+/// space proportional to the nodes the search touched.
 #[derive(Debug, Clone)]
 pub struct ShortestPathTree {
-    source: NodeId,
-    dist: HashMap<NodeId, Weight>,
-    parent: HashMap<NodeId, NodeId>,
-    /// Nodes in the order they were settled (non-decreasing distance). For
-    /// [`k_nearest`] this is exactly the vicinity ordering.
+    /// Settled and frontier nodes; only `done` labels are visible.
+    labels: FxHashMap<NodeId, Label>,
+    /// Nodes in the order they were settled.
     settled: Vec<NodeId>,
 }
 
 impl ShortestPathTree {
-    /// The source node of this tree.
-    pub fn source(&self) -> NodeId {
-        self.source
+    fn label(&self, v: NodeId) -> Option<&Label> {
+        self.labels.get(&v).filter(|l| l.done)
     }
 
-    /// Distance from the source to `v`, if `v` was reached.
+    /// Distance from the closest source to `v`, if `v` was settled.
     pub fn distance(&self, v: NodeId) -> Option<Weight> {
-        self.dist.get(&v).copied()
+        self.label(v).map(|l| l.dist)
     }
 
-    /// Whether `v` was reached/settled.
-    pub fn reached(&self, v: NodeId) -> bool {
-        self.dist.contains_key(&v)
+    /// The source `v` was reached from: the closest one, the lowest id
+    /// among equally close ones.
+    pub fn source_of(&self, v: NodeId) -> Option<NodeId> {
+        self.label(v).map(|l| NodeId(l.source as usize))
     }
 
-    /// Predecessor of `v` on its shortest path from the source.
+    /// Predecessor of `v` on its shortest path (`None` for a source).
     pub fn parent(&self, v: NodeId) -> Option<NodeId> {
-        self.parent.get(&v).copied()
+        self.label(v)
+            .filter(|l| l.parent != NO_PARENT)
+            .map(|l| NodeId(l.parent as usize))
     }
 
-    /// Nodes in settling order (non-decreasing distance, ties by id).
+    /// Settled nodes in settle order: (distance, node id).
     pub fn settled_order(&self) -> &[NodeId] {
         &self.settled
     }
 
-    /// Number of nodes reached (including the source).
-    pub fn reached_count(&self) -> usize {
-        self.dist.len()
-    }
-
-    /// Reconstruct the shortest path from the source to `v`.
+    /// The shortest path from `v`'s source to `v`, if `v` was settled.
     pub fn path_to(&self, v: NodeId) -> Option<Path> {
-        if !self.dist.contains_key(&v) {
-            return None;
-        }
+        self.label(v)?;
         let mut nodes = vec![v];
         let mut cur = v;
-        while cur != self.source {
-            cur = self.parent[&cur];
-            nodes.push(cur);
+        while let Some(p) = self.parent(cur) {
+            nodes.push(p);
+            cur = p;
         }
         nodes.reverse();
         Some(Path::new(nodes))
     }
-
-    /// Iterate over `(node, distance)` for every reached node.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, Weight)> + '_ {
-        self.dist.iter().map(|(&v, &d)| (v, d))
-    }
 }
 
-/// Generic Dijkstra core. `limit` bounds the number of settled nodes
-/// (`usize::MAX` for unbounded); `targets` (if non-empty) stops the search
-/// once all of them are settled.
-fn dijkstra_core(
-    g: &Graph,
-    source: NodeId,
-    limit: usize,
-    targets: Option<&HashSet<NodeId>>,
-) -> ShortestPathTree {
-    let mut dist: HashMap<NodeId, Weight> = HashMap::new();
-    let mut parent: HashMap<NodeId, NodeId> = HashMap::new();
-    let mut settled: Vec<NodeId> = Vec::new();
-    let mut done: HashSet<NodeId> = HashSet::new();
-    let mut remaining_targets = targets.map(|t| t.len()).unwrap_or(0);
-
+/// Dijkstra from every node of `sources` at once, up to `stop`. See the
+/// module documentation for the settle order and the tie rules.
+pub fn search(g: &Graph, sources: &[NodeId], stop: Stop) -> ShortestPathTree {
+    let (limit, bound) = match stop {
+        Stop::All => (usize::MAX, Weight::INFINITY),
+        Stop::Settled(k) => (k.max(1), Weight::INFINITY),
+        Stop::Below(b) => (usize::MAX, b),
+    };
+    let mut labels: FxHashMap<NodeId, Label> = FxHashMap::default();
+    let mut settled = Vec::new();
     let mut heap = BinaryHeap::new();
-    heap.push(QueueEntry {
-        dist: 0.0,
-        node: source,
-    });
-    let mut best: HashMap<NodeId, Weight> = HashMap::new();
-    best.insert(source, 0.0);
-
+    for &s in sources {
+        let label = Label {
+            dist: 0.0,
+            source: s.0 as u32,
+            parent: NO_PARENT,
+            done: false,
+        };
+        labels.insert(s, label);
+        heap.push(QueueEntry { dist: 0.0, node: s });
+    }
     while let Some(QueueEntry { dist: d, node: v }) = heap.pop() {
-        if done.contains(&v) {
+        if d >= bound {
+            break;
+        }
+        let label = labels.get_mut(&v).expect("queued nodes are labelled");
+        if label.done {
             continue;
         }
-        done.insert(v);
-        dist.insert(v, d);
+        label.done = true;
+        let source = label.source;
         settled.push(v);
-        if let Some(t) = targets {
-            if t.contains(&v) {
-                remaining_targets -= 1;
-                if remaining_targets == 0 {
-                    break;
-                }
-            }
-        }
         if settled.len() >= limit {
             break;
         }
         for nb in g.neighbors(v) {
-            if done.contains(&nb.node) {
-                continue;
-            }
-            let nd = d + nb.weight;
-            let improve = match best.get(&nb.node) {
-                Some(&old) => {
-                    nd < old
-                        || (nd == old
-                            && v.0 < parent.get(&nb.node).map(|p| p.0).unwrap_or(usize::MAX))
-                }
-                None => true,
-            };
-            if improve {
-                best.insert(nb.node, nd);
-                parent.insert(nb.node, v);
-                heap.push(QueueEntry {
-                    dist: nd,
-                    node: nb.node,
-                });
-            }
-        }
-    }
-
-    ShortestPathTree {
-        source,
-        dist,
-        parent,
-        settled,
-    }
-}
-
-/// Full single-source shortest paths from `source`.
-pub fn dijkstra(g: &Graph, source: NodeId) -> ShortestPathTree {
-    dijkstra_core(g, source, usize::MAX, None)
-}
-
-/// Truncated Dijkstra: settle only the `k` nodes closest to `source`
-/// (including `source` itself). The settled order of the returned tree is
-/// the vicinity of `source` in the paper's sense.
-pub fn k_nearest(g: &Graph, source: NodeId, k: usize) -> ShortestPathTree {
-    dijkstra_core(g, source, k.max(1), None)
-}
-
-/// Distance-bounded Dijkstra: settle every node at distance strictly less
-/// than `bound` from `source`. Used to build S4's clusters (`w` belongs to
-/// `v`'s cluster iff `d(v, w) < d(w, ℓ_w)`, i.e. `v` is settled by a search
-/// from `w` bounded by `w`'s landmark distance).
-pub fn dijkstra_bounded(g: &Graph, source: NodeId, bound: Weight) -> ShortestPathTree {
-    let mut tree = dijkstra_core_bounded(g, source, bound);
-    tree.settled.retain(|v| tree.dist[v] < bound);
-    tree
-}
-
-fn dijkstra_core_bounded(g: &Graph, source: NodeId, bound: Weight) -> ShortestPathTree {
-    let mut dist: HashMap<NodeId, Weight> = HashMap::new();
-    let mut parent: HashMap<NodeId, NodeId> = HashMap::new();
-    let mut settled: Vec<NodeId> = Vec::new();
-    let mut done: HashSet<NodeId> = HashSet::new();
-    let mut best: HashMap<NodeId, Weight> = HashMap::new();
-    let mut heap = BinaryHeap::new();
-    heap.push(QueueEntry {
-        dist: 0.0,
-        node: source,
-    });
-    best.insert(source, 0.0);
-    while let Some(QueueEntry { dist: d, node: v }) = heap.pop() {
-        if done.contains(&v) {
-            continue;
-        }
-        if d >= bound {
-            break;
-        }
-        done.insert(v);
-        dist.insert(v, d);
-        settled.push(v);
-        for nb in g.neighbors(v) {
-            if done.contains(&nb.node) {
-                continue;
-            }
             let nd = d + nb.weight;
             if nd >= bound {
                 continue;
             }
-            let improve = best.get(&nb.node).is_none_or(|&old| nd < old);
-            if improve {
-                best.insert(nb.node, nd);
-                parent.insert(nb.node, v);
-                heap.push(QueueEntry {
-                    dist: nd,
-                    node: nb.node,
-                });
-            }
-        }
-    }
-    ShortestPathTree {
-        source,
-        dist,
-        parent,
-        settled,
-    }
-}
-
-/// Dijkstra that stops as soon as every node in `targets` has been settled
-/// (or the graph component is exhausted).
-pub fn dijkstra_to_targets(
-    g: &Graph,
-    source: NodeId,
-    targets: &HashSet<NodeId>,
-) -> ShortestPathTree {
-    dijkstra_core(g, source, usize::MAX, Some(targets))
-}
-
-/// Result of a multi-source Dijkstra: for each reached node, the distance to
-/// the closest source and which source that is.
-#[derive(Debug, Clone)]
-pub struct MultiSourceResult {
-    dist: HashMap<NodeId, Weight>,
-    closest: HashMap<NodeId, NodeId>,
-}
-
-impl MultiSourceResult {
-    /// Distance from `v` to its closest source.
-    pub fn distance(&self, v: NodeId) -> Option<Weight> {
-        self.dist.get(&v).copied()
-    }
-
-    /// The closest source to `v` (ties broken by source id through the
-    /// deterministic queue ordering).
-    pub fn closest_source(&self, v: NodeId) -> Option<NodeId> {
-        self.closest.get(&v).copied()
-    }
-
-    /// Number of nodes reached.
-    pub fn reached_count(&self) -> usize {
-        self.dist.len()
-    }
-}
-
-/// Multi-source Dijkstra: computes, for every node, the distance to and
-/// identity of its closest source in `sources`. Used to assign each node its
-/// closest landmark `ℓ_v` in a single pass over the graph.
-pub fn multi_source_dijkstra(g: &Graph, sources: &[NodeId]) -> MultiSourceResult {
-    let mut dist: HashMap<NodeId, Weight> = HashMap::new();
-    let mut closest: HashMap<NodeId, NodeId> = HashMap::new();
-    let mut done: HashSet<NodeId> = HashSet::new();
-    let mut best: HashMap<NodeId, (Weight, NodeId)> = HashMap::new();
-    let mut heap = BinaryHeap::new();
-
-    // Sort sources so tie-breaking (equal distance to two landmarks) is by
-    // landmark id, independent of the caller's ordering.
-    let mut sorted: Vec<NodeId> = sources.to_vec();
-    sorted.sort();
-    for &s in &sorted {
-        best.insert(s, (0.0, s));
-        heap.push(QueueEntry { dist: 0.0, node: s });
-    }
-
-    while let Some(QueueEntry { dist: d, node: v }) = heap.pop() {
-        if done.contains(&v) {
-            continue;
-        }
-        done.insert(v);
-        let owner = best[&v].1;
-        dist.insert(v, d);
-        closest.insert(v, owner);
-        for nb in g.neighbors(v) {
-            if done.contains(&nb.node) {
-                continue;
-            }
-            let nd = d + nb.weight;
-            let improve = match best.get(&nb.node) {
-                Some(&(old, old_owner)) => nd < old || (nd == old && owner.0 < old_owner.0),
-                None => true,
+            let offer = Label {
+                dist: nd,
+                source,
+                parent: v.0 as u32,
+                done: false,
             };
-            if improve {
-                best.insert(nb.node, (nd, owner));
+            let better = match labels.get(&nb.node) {
+                None => true,
+                Some(old) => {
+                    !old.done
+                        && (nd < old.dist
+                            || (nd == old.dist
+                                && (source, offer.parent) < (old.source, old.parent)))
+                }
+            };
+            if better {
+                labels.insert(nb.node, offer);
                 heap.push(QueueEntry {
                     dist: nd,
                     node: nb.node,
@@ -341,22 +197,61 @@ pub fn multi_source_dijkstra(g: &Graph, sources: &[NodeId]) -> MultiSourceResult
             }
         }
     }
-
-    MultiSourceResult { dist, closest }
+    ShortestPathTree { labels, settled }
 }
 
-/// All-pairs shortest path distances by repeated Dijkstra. Quadratic memory;
-/// only for small graphs (tests, 1,024-node experiments).
-pub fn all_pairs_distances(g: &Graph) -> Vec<Vec<Option<Weight>>> {
-    let n = g.node_count();
-    let mut out = vec![vec![None; n]; n];
-    for s in g.nodes() {
-        let t = dijkstra(g, s);
-        for (v, d) in t.iter() {
-            out[s.0][v.0] = Some(d);
+/// Full single-source shortest paths from `source`.
+pub fn dijkstra(g: &Graph, source: NodeId) -> ShortestPathTree {
+    search(g, &[source], Stop::All)
+}
+
+/// Shortest-path trees searched on first use and kept per source: the
+/// cache behind every static router's ground truth and local legs.
+pub struct TreeCache<'g> {
+    graph: &'g Graph,
+    /// The stop rule of the search from each source.
+    stop: Box<dyn Fn(NodeId) -> Stop + 'g>,
+    trees: RefCell<FxHashMap<NodeId, ShortestPathTree>>,
+}
+
+impl<'g> TreeCache<'g> {
+    /// A cache whose tree from `s` is searched up to `stop(s)`.
+    pub fn new(graph: &'g Graph, stop: impl Fn(NodeId) -> Stop + 'g) -> Self {
+        TreeCache {
+            graph,
+            stop: Box::new(stop),
+            trees: RefCell::new(FxHashMap::default()),
         }
     }
-    out
+
+    /// A cache of full trees.
+    pub fn full(graph: &'g Graph) -> Self {
+        Self::new(graph, |_| Stop::All)
+    }
+
+    fn with<R>(&self, s: NodeId, f: impl FnOnce(&ShortestPathTree) -> R) -> R {
+        let mut trees = self.trees.borrow_mut();
+        let tree = trees
+            .entry(s)
+            .or_insert_with(|| search(self.graph, &[s], (self.stop)(s)));
+        f(tree)
+    }
+
+    /// `d(s, t)`, if the tree from `s` settles `t`.
+    pub fn distance(&self, s: NodeId, t: NodeId) -> Option<Weight> {
+        if s == t {
+            return Some(0.0);
+        }
+        self.with(s, |tree| tree.distance(t))
+    }
+
+    /// The shortest path `s ; t`, if the tree from `s` settles `t`.
+    pub fn path(&self, s: NodeId, t: NodeId) -> Option<Path> {
+        if s == t {
+            return Some(Path::trivial(s));
+        }
+        self.with(s, |tree| tree.path_to(t))
+    }
 }
 
 #[cfg(test)]
@@ -404,16 +299,16 @@ mod tests {
         b.add_edge(NodeId(0), NodeId(1), 1.0);
         let g = b.build();
         let t = dijkstra(&g, NodeId(0));
-        assert!(!t.reached(NodeId(2)));
+        assert!(t.distance(NodeId(2)).is_none());
         assert!(t.path_to(NodeId(2)).is_none());
-        assert_eq!(t.reached_count(), 2);
+        assert_eq!(t.settled_order().len(), 2);
     }
 
     #[test]
     fn k_nearest_settles_exactly_k() {
         let g = generators::gnm_connected(64, 256, 7);
         let k = 10;
-        let t = k_nearest(&g, NodeId(0), k);
+        let t = search(&g, &[NodeId(0)], Stop::Settled(k));
         assert_eq!(t.settled_order().len(), k);
         assert_eq!(t.settled_order()[0], NodeId(0));
         // Settled order must be non-decreasing in distance.
@@ -431,7 +326,8 @@ mod tests {
     fn k_nearest_matches_full_dijkstra_prefix() {
         let g = generators::geometric_connected(128, 8.0, 3);
         let full = dijkstra(&g, NodeId(5));
-        let trunc = k_nearest(&g, NodeId(5), 20);
+        let trunc = search(&g, &[NodeId(5)], Stop::Settled(20));
+        assert_eq!(trunc.settled_order(), &full.settled_order()[..20]);
         for &v in trunc.settled_order() {
             assert_eq!(trunc.distance(v), full.distance(v));
         }
@@ -440,77 +336,34 @@ mod tests {
     #[test]
     fn multi_source_assigns_closest() {
         let g = diamond();
-        let res = multi_source_dijkstra(&g, &[NodeId(0), NodeId(3)]);
-        assert_eq!(res.closest_source(NodeId(1)), Some(NodeId(0)));
-        assert_eq!(res.closest_source(NodeId(2)), Some(NodeId(3)));
+        let res = search(&g, &[NodeId(0), NodeId(3)], Stop::All);
+        assert_eq!(res.source_of(NodeId(1)), Some(NodeId(0)));
+        assert_eq!(res.source_of(NodeId(2)), Some(NodeId(3)));
         assert_eq!(res.distance(NodeId(2)), Some(1.0));
-        assert_eq!(res.reached_count(), 4);
+        assert_eq!(res.settled_order().len(), 4);
     }
 
     #[test]
-    fn multi_source_matches_min_of_single_sources() {
-        let g = generators::gnm_connected(100, 400, 11);
-        let sources = vec![NodeId(3), NodeId(50), NodeId(97)];
-        let res = multi_source_dijkstra(&g, &sources);
-        let trees: Vec<_> = sources.iter().map(|&s| dijkstra(&g, s)).collect();
-        for v in g.nodes() {
-            let expect = trees
-                .iter()
-                .filter_map(|t| t.distance(v))
-                .fold(f64::INFINITY, f64::min);
-            let got = res.distance(v).unwrap();
-            assert!((expect - got).abs() < 1e-9, "node {v}: {expect} vs {got}");
-        }
-    }
-
-    #[test]
-    fn dijkstra_to_targets_settles_all_targets() {
-        let g = generators::gnm_connected(200, 800, 13);
-        let targets: HashSet<NodeId> = [NodeId(9), NodeId(150), NodeId(42)].into_iter().collect();
-        let t = dijkstra_to_targets(&g, NodeId(0), &targets);
-        for &x in &targets {
-            assert!(t.reached(x));
-            // Distances must agree with the full computation.
-            let full = dijkstra(&g, NodeId(0));
-            assert_eq!(t.distance(x), full.distance(x));
-        }
-    }
-
-    #[test]
-    fn bounded_dijkstra_settles_exactly_nodes_within_bound() {
-        let g = generators::gnm_connected(150, 600, 21);
-        let full = dijkstra(&g, NodeId(7));
-        let bound = 2.5;
-        let t = dijkstra_bounded(&g, NodeId(7), bound);
-        for v in g.nodes() {
-            let within = full.distance(v).unwrap() < bound;
-            assert_eq!(
-                t.reached(v) && t.settled_order().contains(&v),
-                within,
-                "node {v}"
-            );
-            if within {
-                assert_eq!(t.distance(v), full.distance(v));
-            }
-        }
-    }
-
-    #[test]
-    fn bounded_dijkstra_zero_bound_is_empty() {
+    fn bounded_search_zero_bound_is_empty() {
         let g = generators::ring(10);
-        let t = dijkstra_bounded(&g, NodeId(0), 0.0);
+        let t = search(&g, &[NodeId(0)], Stop::Below(0.0));
         assert!(t.settled_order().is_empty());
+        assert!(t.distance(NodeId(0)).is_none());
     }
 
     #[test]
-    fn all_pairs_symmetric() {
-        let g = generators::gnm_connected(40, 120, 5);
-        let d = all_pairs_distances(&g);
-        for (i, row) in d.iter().enumerate() {
-            for (j, cell) in row.iter().enumerate() {
-                assert_eq!(*cell, d[j][i]);
-            }
-            assert_eq!(row[i], Some(0.0));
-        }
+    fn tree_cache_answers_from_one_tree_per_source() {
+        let g = diamond();
+        let full = TreeCache::full(&g);
+        assert_eq!(full.distance(NodeId(0), NodeId(3)), Some(2.5));
+        assert_eq!(full.distance(NodeId(2), NodeId(2)), Some(0.0));
+        assert_eq!(
+            full.path(NodeId(0), NodeId(2)).unwrap().nodes(),
+            &[NodeId(0), NodeId(1), NodeId(2)]
+        );
+        let near = TreeCache::new(&g, |_| Stop::Settled(2));
+        assert_eq!(near.distance(NodeId(0), NodeId(1)), Some(1.0));
+        assert_eq!(near.distance(NodeId(0), NodeId(2)), None);
+        assert!(near.path(NodeId(0), NodeId(3)).is_none());
     }
 }

@@ -4,10 +4,8 @@
 //! nodes, stretch over source–destination pairs, congestion over edges) or
 //! a mean-vs-parameter curve; this module provides the shared machinery.
 
-use serde::{Deserialize, Serialize};
-
 /// An empirical CDF over a set of samples.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cdf {
     sorted: Vec<f64>,
 }

@@ -13,23 +13,7 @@
 //! * [`ControlBytes`] — one node's control state split into Adj-RIB-In
 //!   proper, the Loc-RIB view, and dissemination/resolution bookkeeping;
 //! * [`ControlAccounting`] — the per-node aggregator `exp_memory` folds
-//!   the grid legs through;
-//! * [`swiss_table_bytes`] — the allocation model of a hashbrown map, used
-//!   wherever a layout is priced against a hash-map alternative
-//!   ([`crate::forward::hash_fib_bytes`]).
-
-/// Byte cost of a hashbrown (SwissTable) map holding `len` entries of
-/// `payload` bytes each: buckets are the next power of two holding `len`
-/// at 7/8 load, each bucket paying one control byte on top of the payload.
-/// This is the allocation model behind both `std::collections::HashMap`
-/// and the `FxHashMap` alias, independent of hasher.
-pub fn swiss_table_bytes(len: usize, payload: usize) -> usize {
-    if len == 0 {
-        return 0;
-    }
-    let buckets = (len * 8).div_ceil(7).next_power_of_two();
-    buckets * (payload + 1)
-}
+//!   the grid legs through.
 
 /// One node's control-plane bytes, by component.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -47,12 +31,6 @@ pub struct ControlBytes {
 }
 
 impl ControlBytes {
-    /// Everything that is not the Adj-RIB-In: the Loc-RIB view plus the
-    /// dissemination bookkeeping.
-    pub fn non_rib(&self) -> usize {
-        self.loc_rib + self.dissemination
-    }
-
     /// Component-wise sum.
     pub fn total(&self) -> usize {
         self.rib + self.loc_rib + self.dissemination
@@ -95,15 +73,6 @@ impl ControlAccounting {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn swiss_model_matches_power_of_two_growth() {
-        assert_eq!(swiss_table_bytes(0, 12), 0);
-        // 7 entries fit 8 buckets at 7/8; 8 entries need 16.
-        assert_eq!(swiss_table_bytes(7, 12), 8 * 13);
-        assert_eq!(swiss_table_bytes(8, 12), 16 * 13);
-        assert!(swiss_table_bytes(1000, 12) >= 1024 * 13);
-    }
 
     #[test]
     fn accounting_aggregates() {

@@ -16,7 +16,6 @@ pub mod cdf;
 pub mod congestion;
 pub mod control;
 pub mod experiment;
-pub mod forward;
 pub mod report;
 pub mod sampling;
 pub mod state;

@@ -8,12 +8,11 @@
 //! | geometric random graphs, average degree 8, link latencies | [`Topology::Geometric`] |
 
 use disco_graph::{generators, Graph};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// A topology family from the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Topology {
     /// `G(n, m)` random graph with average degree 8 (unweighted).
     Gnm,

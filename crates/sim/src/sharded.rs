@@ -87,9 +87,9 @@ use crate::stats::MessageStats;
 use crate::Protocol;
 use disco_graph::{Graph, NodeId, PathArena, Weight};
 use disco_telemetry::{MergeRecorder, NoopRecorder, Recorder};
-use scoped_threadpool::plumbing::WorkerHandle;
 use std::collections::VecDeque;
 use std::sync::mpsc::{channel, Receiver, Sender};
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Lookahead used when the initial graph has no edges at all: no message
@@ -933,6 +933,57 @@ fn worker_loop<P, R>(
     }
 }
 
+/// One shard's persistent worker thread, fed through an in-order command
+/// channel. It lives for the whole run, so it can own thread-affine state
+/// (protocol instances whose interned paths live in a thread-local arena).
+/// Dropping the handle closes the channel, which ends the worker's receive
+/// loop, and joins the thread, propagating any panic.
+#[derive(Debug)]
+struct WorkerHandle<C> {
+    tx: Option<Sender<C>>,
+    handle: Option<JoinHandle<()>>,
+}
+
+impl<C: Send + 'static> WorkerHandle<C> {
+    /// Spawn a named worker running `body` over its command receiver;
+    /// `body` loops on `recv()` and returns when the channel disconnects.
+    fn spawn<F>(name: String, body: F) -> WorkerHandle<C>
+    where
+        F: FnOnce(Receiver<C>) + Send + 'static,
+    {
+        let (tx, rx) = channel();
+        let handle = std::thread::Builder::new()
+            .name(name)
+            .spawn(move || body(rx))
+            .expect("spawning worker thread");
+        WorkerHandle {
+            tx: Some(tx),
+            handle: Some(handle),
+        }
+    }
+
+    /// Enqueue one command. Panics if the worker died (its loop exited or
+    /// panicked); the join on drop then surfaces the real cause.
+    fn send(&self, cmd: C) {
+        self.tx
+            .as_ref()
+            .expect("worker already shut down")
+            .send(cmd)
+            .expect("worker thread hung up");
+    }
+}
+
+impl<C> Drop for WorkerHandle<C> {
+    fn drop(&mut self) {
+        drop(self.tx.take());
+        if let Some(h) = self.handle.take() {
+            if let Err(p) = h.join() {
+                std::panic::resume_unwind(p);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -975,6 +1026,22 @@ mod tests {
         fn from_wire(wire: Msg) -> Msg {
             wire
         }
+    }
+
+    #[test]
+    fn worker_processes_commands_in_order_and_joins_on_drop() {
+        let (out_tx, out_rx) = channel();
+        let w = WorkerHandle::spawn("test-worker".into(), move |rx| {
+            while let Ok(v) = rx.recv() {
+                out_tx.send(v * 2).unwrap();
+            }
+        });
+        for i in 0..10u64 {
+            w.send(i);
+        }
+        drop(w);
+        let got: Vec<u64> = out_rx.iter().collect();
+        assert_eq!(got, (0..10).map(|i| i * 2).collect::<Vec<_>>());
     }
 
     #[test]

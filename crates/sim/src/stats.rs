@@ -6,10 +6,9 @@
 //! inspected.
 
 use disco_graph::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Per-run message statistics.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MessageStats {
     sent: Vec<u64>,
     received: Vec<u64>,
@@ -100,11 +99,6 @@ impl MessageStats {
     /// Maximum messages sent by any single node.
     pub fn max_sent_per_node(&self) -> u64 {
         self.sent.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Per-node sent counts (indexable by `NodeId.0`).
-    pub fn sent_per_node(&self) -> &[u64] {
-        &self.sent
     }
 
     /// Merge another table into this one by elementwise addition, growing

@@ -74,12 +74,6 @@ impl FullRecorder {
         self
     }
 
-    /// Override the flight ring's capacity.
-    pub fn with_flight_capacity(mut self, capacity: usize) -> Self {
-        self.flight = FlightRecorder::new(capacity);
-        self
-    }
-
     /// Final simulation clock recorded by [`Recorder::finish`].
     pub fn end_time(&self) -> f64 {
         self.end_time

@@ -2,7 +2,7 @@
 //! a [`Json`] tree rendered here, and every JSON text read back — a
 //! recorded floor, a child leg's row, an exported trace — is parsed into
 //! one by [`parse_json`], a recursive descent over the grammar of RFC 8259
-//! (the workspace's serde is an offline stand-in that does not serialize).
+//! (the workspace has no serialization library).
 
 use std::fmt::{self, Write as _};
 
