@@ -14,7 +14,6 @@
 //! --nodes N             network size (default 4096)
 //! --seed S              experiment seed (default 1)
 //! --flows F             flows per checkpoint (default 4096)
-//! --debounce T          republish debounce in sim-time units (default 5)
 //! --shards K            run on K engine shards (default 1; tables compile
 //!                       on their owner shards and ship to the
 //!                       coordinator)
@@ -39,11 +38,11 @@
 //! Run with: `cargo run --release -p disco-bench --bin exp_forward`
 
 use disco_bench::cli::{exit_on_failures, recorded, write_report, Flags};
-use disco_bench::forward::{run_one, ForwardConfig, ForwardResult};
+use disco_bench::forward::{run_one, ForwardConfig, ForwardResult, DEBOUNCE};
 use disco_telemetry::Json;
 
-const USAGE: &str = "flags: --nodes N --seed S --flows F --debounce T --shards K \
-                     --json PATH --trace PATH --smoke";
+const USAGE: &str = "flags: --nodes N --seed S --flows F --shards K --json PATH --trace PATH \
+                     --smoke";
 
 fn print_table(r: &ForwardResult) {
     println!(
@@ -188,7 +187,6 @@ fn main() {
             .unwrap_or(if smoke { 256 } else { 4096 }),
         seed: flags.value("--seed").unwrap_or(1),
         flows: if smoke { flows.min(2048) } else { flows },
-        debounce: flags.value("--debounce").unwrap_or(5.0),
         shards: flags.shards(),
         // A smoke leg always exports a trace so the gate can validate it;
         // an explicit --trace keeps the user's path.
@@ -215,7 +213,7 @@ fn main() {
         let header = vec![
             ("seed", Json::Int(cfg.seed)),
             ("flows", Json::Int(cfg.flows as u64)),
-            ("debounce", Json::Num(cfg.debounce)),
+            ("debounce", Json::Num(DEBOUNCE)),
             ("nproc", Json::Int(nproc as u64)),
             ("min_lookups_per_sec", Json::Int(floor)),
         ];

@@ -39,7 +39,7 @@ use disco_bench::memory::{
     candidate_bound, control_bytes_per_dest_bound, run_leg, run_leg_traced, sqrt_n_log_n,
     MemoryParams, MemoryResult,
 };
-use disco_core::config::DiscoConfig;
+use disco_core::protocol::FORGETFUL_ALTERNATES;
 use disco_telemetry::{parse_json, Json};
 use std::process::Command;
 
@@ -123,7 +123,7 @@ fn main() {
         p.window.horizon = 300.0;
         p.shards = shards;
         let r = run_leg(&p);
-        let bound = candidate_bound(512, DiscoConfig::default().forgetful_alternates);
+        let bound = candidate_bound(512, FORGETFUL_ALTERNATES);
         let per_dest = r.non_rib_bytes_mean / r.dests_mean.max(1.0);
         let per_dest_bound = control_bytes_per_dest_bound();
         println!(

@@ -51,7 +51,7 @@ const BOOT_CHECKPOINTS: &[f64] = &[30.0, 60.0, 90.0, 120.0];
 /// Churn-phase probe times, inside the Poisson schedule's horizon.
 const CHURN_CHECKPOINTS: &[f64] = &[140.0, 160.0, 180.0, 200.0, 220.0, 240.0, 260.0, 280.0];
 /// Walk TTL: transient loops across mixed epochs count as stale losses.
-pub const TTL: u32 = 128;
+const TTL: u32 = 128;
 /// Flows per checkpoint whose walks feed the hop-stretch estimate (each
 /// needs a BFS from its source; the full flow batch would be quadratic).
 const STRETCH_SAMPLE: usize = 64;
@@ -59,6 +59,9 @@ const STRETCH_SAMPLE: usize = 64;
 /// reads — long enough that the reads are 1–2 % of it, short enough that
 /// the smoke's drain batch (2,048 walks) still yields 128 readings.
 const SLICE_WALKS: usize = 16;
+/// Publisher debounce in simulation-time units: selection changes closer
+/// than this to the last publish coalesce into one republish.
+pub const DEBOUNCE: f64 = 5.0;
 
 /// Parameters of one `exp_forward` leg.
 #[derive(Debug, Clone)]
@@ -70,9 +73,6 @@ pub struct ForwardConfig {
     /// Flows sampled per checkpoint (half Zipf destinations, half
     /// uniform).
     pub flows: usize,
-    /// Publisher debounce in simulation-time units: selection changes
-    /// closer than this to the last publish coalesce into one republish.
-    pub debounce: f64,
     /// Engine shards (one worker thread each).
     pub shards: usize,
     /// Write the run as a Chrome `trace_event` timeline to this path:
@@ -81,7 +81,7 @@ pub struct ForwardConfig {
 }
 
 /// Per-phase traffic statistics of one leg. All integer columns are
-/// deterministic in `(n, seed, flows, debounce)` and identical across
+/// deterministic in `(n, seed, flows)` and identical across
 /// shard counts; only the wall-clock-derived columns vary.
 #[derive(Debug, Clone)]
 pub struct PhaseRow {
@@ -372,7 +372,7 @@ fn record_lookups<R: Recorder + Send + 'static>(
 /// Sample one checkpoint's flows: sources uniform over the live nodes;
 /// destinations alternate between a Zipf(1) rank distribution over the
 /// live list and a uniform draw. Deterministic in `(seed, checkpoint)`.
-pub fn sample_flows(
+fn sample_flows(
     live: &[NodeId],
     flows: usize,
     seed: u64,
@@ -499,8 +499,8 @@ fn checkpoint<R: Recorder + Send + 'static>(
     record_lookups(plane, now, flows, outcomes, slice_ns);
 }
 
-/// Run one `exp_forward` leg. Deterministic in `(n, seed, flows,
-/// debounce)` up to wall-clock columns, including across shard counts.
+/// Run one `exp_forward` leg. Deterministic in `(n, seed, flows)` up to
+/// wall-clock columns, including across shard counts.
 pub fn run_one(cfg: &ForwardConfig) -> ForwardResult {
     match &cfg.trace {
         Some(path) => {
@@ -526,7 +526,7 @@ fn run_with<R: MergeRecorder + Send + 'static>(
     let is_landmark = plane.gather(everyone, |e, v, ()| e.nodes()[v.0].pv.is_landmark());
     let landmarks = is_landmark.into_iter().filter(|&l| l).count();
     let mut pubs: Vec<TablePublisher> = (0..graph.node_count())
-        .map(|v| TablePublisher::new(NodeId(v), cfg.debounce))
+        .map(|v| TablePublisher::new(NodeId(v), DEBOUNCE))
         .collect();
     BOOT_CHURN.schedule(&graph, cfg.seed).apply_to(&mut plane);
 
@@ -597,7 +597,6 @@ mod tests {
             n: 96,
             seed: 5,
             flows: 48,
-            debounce: 5.0,
             shards,
             trace: None,
         }

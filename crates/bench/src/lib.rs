@@ -2,9 +2,9 @@
 //!
 //! Benchmark and figure-regeneration harness. The `paper` binary
 //! regenerates every table and figure of the paper's evaluation (§5), one
-//! per run (`paper <figure>`); the Criterion benches in `benches/` measure
-//! the cost of the core operations (topology generation, state
-//! construction, routing).
+//! per run (`paper <figure>`). The cost of the core operations (topology
+//! generation, state construction, routing, the forwarding tables) is
+//! timed by the repo benchmark's per-layer lines (`benchmark/`).
 //!
 //! The four dynamic drivers — [`churn`], [`memory`], [`scale`] and
 //! [`forward`] — boot the protocol through [`scenario`], which holds the

@@ -1,12 +1,13 @@
 //! Protocol parameters.
 //!
-//! All constants the paper leaves as `Θ(·)` choices are gathered here so
-//! experiments can sweep them. Defaults follow the paper's evaluation
-//! settings (§5.1): vicinity size `⌈√(n ln n)⌉`, landmark probability
-//! `√(ln n / n)`, one or three overlay fingers, "No Path Knowledge"
-//! shortcutting.
-
-use crate::shortcut::ShortcutMode;
+//! The paper leaves the vicinity size, the landmark probability and the
+//! sloppy-group prefix length as `Θ(·)` choices; this module fixes them at
+//! its evaluation settings (§5.1): vicinity size `⌈√(n ln n)⌉`, landmark
+//! probability `√(ln n / n)`; its "No Path Knowledge" shortcutting is the
+//! mode [`DiscoRouter`](crate::routing::DiscoRouter) applies.
+//! [`DiscoConfig`] holds only what callers set: the seed, the overlay
+//! fingers (the paper evaluates one and three), the injected estimation
+//! error and the distributed protocol's two switches.
 
 /// Tunable parameters for Disco / NDDisco.
 #[derive(Debug, Clone, PartialEq)]
@@ -14,43 +15,26 @@ pub struct DiscoConfig {
     /// Master seed; every random decision (landmark election, finger
     /// selection, hash salt) derives from it.
     pub seed: u64,
-    /// Multiplier `c` on the vicinity size `⌈c·√(n ln n)⌉`.
-    pub vicinity_constant: f64,
-    /// Multiplier `c` on the landmark probability `c·√(ln n / n)`.
-    pub landmark_constant: f64,
     /// Number of long-distance overlay fingers per node (paper evaluates 1
     /// and 3).
     pub fingers: usize,
-    /// Shortcutting heuristic applied to routes (paper default for the core
-    /// protocol: [`ShortcutMode::NoPathKnowledge`]).
-    pub shortcut: ShortcutMode,
-    /// Whether the control plane uses forgetful routing (§4.2), which drops
-    /// unused neighbor announcements and brings control state down from
-    /// `Θ(δ√(n log n))` to `Θ(√(n log n))`.
-    pub forgetful_routing: bool,
     /// Whether the *distributed* protocol's path-vector RIB applies the
-    /// forgetful eviction policy at runtime: each destination retains only
-    /// the selected route plus [`Self::forgetful_alternates`] failover
-    /// candidates (table-resident destinations — landmarks and vicinity
-    /// members — only; everything else keeps the selected route alone),
-    /// re-soliciting forgotten alternates with route-refresh requests when
-    /// a withdrawal needs them. Off by default: the recorded churn
-    /// baselines keep the full per-neighbor Adj-RIB-In.
+    /// forgetful eviction policy of §4.2 at runtime: each destination
+    /// retains only the selected route plus
+    /// [`FORGETFUL_ALTERNATES`](crate::protocol::FORGETFUL_ALTERNATES)
+    /// failover candidates (table-resident destinations — landmarks and
+    /// vicinity members — only; everything else keeps the selected route
+    /// alone), re-soliciting forgotten alternates with route-refresh
+    /// requests when a withdrawal needs them. Off by default: the recorded
+    /// churn baselines keep the full per-neighbor Adj-RIB-In.
     pub forgetful_dynamic: bool,
-    /// Alternate routes retained per table-resident destination when
-    /// [`Self::forgetful_dynamic`] is on.
-    pub forgetful_alternates: usize,
-    /// Number of hash functions for consistent hashing of the name
-    /// resolution database over the landmarks (§4.3, §4.5: multiple hash
-    /// functions reduce the load imbalance).
-    pub resolution_hash_functions: usize,
     /// Relative error injected into each node's estimate of `n`
     /// (0.0 = perfect knowledge; the paper's robustness experiment uses up
     /// to 0.6).
     pub n_estimate_error: f64,
     /// Whether the *distributed* protocol runs synopsis-diffusion gossip
     /// (§4.1) and re-derives its parameters from the live estimate of `n`:
-    /// vicinity capacity tracks `⌈c·√(n̂ ln n̂)⌉` and landmark status is
+    /// vicinity capacity tracks `⌈√(n̂ ln n̂)⌉` and landmark status is
     /// re-drawn under the ×2 hysteresis rule of §4.2. On by default — the
     /// paper's protocol estimates `n` live; pass
     /// [`Self::with_dynamic_n_estimation`]`(false)` (or `--static-n` on
@@ -63,14 +47,8 @@ impl Default for DiscoConfig {
     fn default() -> Self {
         DiscoConfig {
             seed: 0,
-            vicinity_constant: 1.0,
-            landmark_constant: 1.0,
             fingers: 1,
-            shortcut: ShortcutMode::NoPathKnowledge,
-            forgetful_routing: true,
             forgetful_dynamic: false,
-            forgetful_alternates: 2,
-            resolution_hash_functions: 8,
             n_estimate_error: 0.0,
             dynamic_n_estimation: true,
         }
@@ -89,12 +67,6 @@ impl DiscoConfig {
     /// Builder-style: set the number of overlay fingers.
     pub fn with_fingers(mut self, fingers: usize) -> Self {
         self.fingers = fingers;
-        self
-    }
-
-    /// Builder-style: set the shortcutting heuristic.
-    pub fn with_shortcut(mut self, mode: ShortcutMode) -> Self {
-        self.shortcut = mode;
         self
     }
 
@@ -119,18 +91,18 @@ impl DiscoConfig {
     }
 
     /// Target vicinity size for a network believed to contain `n` nodes:
-    /// `⌈c·√(n ln n)⌉`, clamped to at least 2 and at most `n`.
+    /// `⌈√(n ln n)⌉`, clamped to at least 2 and at most `n`.
     pub fn vicinity_size(&self, n: usize) -> usize {
         let n = n.max(2);
-        let raw = self.vicinity_constant * ((n as f64) * (n as f64).ln()).sqrt();
+        let raw = ((n as f64) * (n as f64).ln()).sqrt();
         (raw.ceil() as usize).clamp(2, n)
     }
 
     /// Probability with which a node elects itself landmark:
-    /// `c·√(ln n / n)`, clamped to (0, 1].
+    /// `√(ln n / n)`, clamped to (0, 1].
     pub fn landmark_probability(&self, n: usize) -> f64 {
         let n = n.max(2);
-        (self.landmark_constant * ((n as f64).ln() / n as f64).sqrt()).clamp(1e-12, 1.0)
+        ((n as f64).ln() / n as f64).sqrt().clamp(1e-12, 1.0)
     }
 
     /// The sloppy-group prefix length `k = ⌊log2(√n / ln n)⌋`, clamped to
@@ -155,8 +127,6 @@ mod tests {
     fn defaults_are_paper_defaults() {
         let c = DiscoConfig::default();
         assert_eq!(c.fingers, 1);
-        assert_eq!(c.shortcut, ShortcutMode::NoPathKnowledge);
-        assert!(c.forgetful_routing);
         assert_eq!(c.n_estimate_error, 0.0);
     }
 
@@ -204,11 +174,9 @@ mod tests {
     fn builder_methods() {
         let c = DiscoConfig::seeded(9)
             .with_fingers(3)
-            .with_shortcut(ShortcutMode::None)
             .with_n_estimate_error(0.4);
         assert_eq!(c.seed, 9);
         assert_eq!(c.fingers, 3);
-        assert_eq!(c.shortcut, ShortcutMode::None);
         assert!((c.n_estimate_error - 0.4).abs() < 1e-12);
     }
 }

@@ -12,15 +12,15 @@
 //!
 //! * [`Synopsis`] — the FM sketch with union and count estimation,
 //! * [`estimate_exact_union`] — the converged estimate every node would
-//!   agree on after gossip stabilises,
-//! * [`GossipEstimator`] — a [`disco_sim::Protocol`] implementation that
-//!   actually runs the gossip in the discrete-event simulator, and
+//!   agree on after gossip stabilises, and
 //! * [`NEstimates`] — per-node estimates with injectable error, used by the
 //!   robustness experiment in §5.2 ("Error in Estimating Number of Nodes").
+//!
+//! The gossip itself runs inside the distributed protocol
+//! ([`crate::protocol::DiscoProtocol`], `DiscoMsg::Gossip`).
 
 use disco_graph::NodeId;
 use disco_sim::rng::rng_for;
-use disco_sim::{Context, Protocol};
 use rand::Rng;
 
 /// Number of independent FM sketches averaged together. More sketches →
@@ -181,16 +181,6 @@ impl NEstimates {
         NEstimates { estimates }
     }
 
-    /// Per-node estimates derived from the converged synopsis union (what
-    /// the deployed protocol would actually use): every node holds the same
-    /// union, so every node gets the same estimate.
-    pub fn from_synopsis(n: usize, seed: u64) -> Self {
-        let est = estimate_exact_union(n, seed).round().max(2.0) as usize;
-        NEstimates {
-            estimates: vec![est; n],
-        }
-    }
-
     /// Node `v`'s estimate of `n`.
     pub fn of(&self, v: NodeId) -> usize {
         self.estimates[v.0]
@@ -207,56 +197,9 @@ impl NEstimates {
     }
 }
 
-/// Gossip message carrying a synopsis.
-#[derive(Debug, Clone)]
-pub struct GossipMsg(pub Synopsis);
-
-/// A [`Protocol`] that runs synopsis diffusion: each node starts with its
-/// own synopsis and forwards its union to all neighbors whenever the union
-/// grows. At quiescence every node in a connected graph holds the global
-/// union.
-#[derive(Debug, Clone)]
-pub struct GossipEstimator {
-    /// This node's current union.
-    pub union: Synopsis,
-}
-
-impl GossipEstimator {
-    /// Initial state for `node` under experiment `seed`.
-    pub fn new(node: NodeId, seed: u64) -> Self {
-        GossipEstimator {
-            union: Synopsis::for_node(node, seed),
-        }
-    }
-
-    /// The node's current estimate of `n`.
-    pub fn estimate(&self) -> f64 {
-        self.union.estimate()
-    }
-}
-
-impl Protocol for GossipEstimator {
-    type Message = GossipMsg;
-
-    fn on_start(&mut self, ctx: &mut Context<'_, GossipMsg>) {
-        let bytes = self.union.wire_bytes();
-        ctx.flood_sized(GossipMsg(self.union.clone()), bytes);
-    }
-
-    fn on_message(&mut self, _from: NodeId, msg: GossipMsg, ctx: &mut Context<'_, GossipMsg>) {
-        if self.union.would_grow(&msg.0) {
-            self.union.union(&msg.0);
-            let bytes = self.union.wire_bytes();
-            ctx.flood_sized(GossipMsg(self.union.clone()), bytes);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use disco_graph::generators;
-    use disco_sim::Engine;
 
     #[test]
     fn single_node_estimate_is_order_one() {
@@ -309,35 +252,5 @@ mod tests {
         let exact = NEstimates::exact(n);
         assert!(!exact.is_empty());
         assert!((0..n).all(|v| exact.of(NodeId(v)) == n));
-    }
-
-    #[test]
-    fn gossip_converges_to_global_union_on_connected_graph() {
-        let n = 128;
-        let g = generators::gnm_connected(n, 512, 9);
-        let seed = 9;
-        let mut engine = Engine::new(&g, |v| GossipEstimator::new(v, seed));
-        let report = engine.run();
-        assert!(report.converged);
-        let expect = estimate_exact_union(n, seed);
-        for node in engine.nodes() {
-            assert!((node.estimate() - expect).abs() < 1e-9);
-        }
-        // Messaging is bounded: each node forwards only when its union
-        // grows, and a union can grow at most SKETCH_COUNT·SKETCH_BITS
-        // times, so the total cannot explode.
-        assert!(
-            report.stats.total_sent()
-                < (n as u64) * 8 * (SKETCH_COUNT as u64) * (SKETCH_BITS as u64)
-        );
-    }
-
-    #[test]
-    fn from_synopsis_estimates_are_uniform_across_nodes() {
-        let est = NEstimates::from_synopsis(512, 3);
-        let first = est.of(NodeId(0));
-        assert!((0..512).all(|v| est.of(NodeId(v)) == first));
-        let err = (first as f64 - 512.0).abs() / 512.0;
-        assert!(err < 0.4, "estimate {first}");
     }
 }

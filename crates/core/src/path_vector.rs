@@ -304,13 +304,15 @@ pub struct PathVectorNode {
     /// instead of allocating a fresh key vector for every new peer (a
     /// joiner with `k` links triggers `2k` full-table dumps).
     dump_scratch: Vec<NodeId>,
-    /// Minimum interval between export floods. Batching is what keeps
-    /// withdrawal cascades polynomial: without it, path hunting explores
-    /// exponentially many stale alternatives one message at a time; with
-    /// it, each node exports at most one coalesced update per destination
-    /// per round, so a cascade dies within max-path-length rounds.
-    pub batch_delay: f64,
 }
+
+/// Minimum interval between export floods, in simulation-time units.
+/// Batching is what keeps withdrawal cascades polynomial: without it, path
+/// hunting explores exponentially many stale alternatives one message at
+/// a time; with it, each node exports at most one coalesced update per
+/// destination per round, so a cascade dies within max-path-length
+/// rounds.
+const BATCH_DELAY: f64 = 2.0;
 
 /// Timer token used by the path-vector batch flush. Composite protocols
 /// embedding a [`PathVectorNode`] must deliver timers with this token back
@@ -342,7 +344,6 @@ impl PathVectorNode {
             journal: [0; JOURNAL_LEN as usize],
             batch_armed: false,
             dump_scratch: Vec::new(),
-            batch_delay: 2.0,
         }
     }
 
@@ -999,7 +1000,7 @@ impl PathVectorNode {
     fn arm_batch(&mut self, ctx: &mut Context<'_, Announcement>) {
         if (!self.pending.is_empty() || !self.pending_refresh.is_empty()) && !self.batch_armed {
             self.batch_armed = true;
-            ctx.set_timer(self.batch_delay, BATCH_TIMER);
+            ctx.set_timer(BATCH_DELAY, BATCH_TIMER);
         }
     }
 

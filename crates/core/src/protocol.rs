@@ -67,6 +67,9 @@ const DISSEMINATE_AT: f64 = 110.0;
 /// Long enough for the path-vector layer to re-converge first on the
 /// evaluation topologies.
 const REPAIR_DELAY: f64 = 60.0;
+/// Alternate routes a forgetful RIB keeps per table-resident destination
+/// besides the selected one ([`DiscoConfig::forgetful_dynamic`]).
+pub const FORGETFUL_ALTERNATES: usize = 2;
 
 /// Carries nothing: the phase timers are the constants above. The type
 /// remains only as the last argument of [`DiscoProtocol::new`], because the
@@ -312,7 +315,7 @@ impl DiscoProtocol {
         // Forgetful routing (§4.2): bound the per-destination candidate
         // sets, re-soliciting evicted alternates on demand.
         if cfg.forgetful_dynamic {
-            pv.set_forgetful_rib(Some(cfg.forgetful_alternates));
+            pv.set_forgetful_rib(Some(FORGETFUL_ALTERNATES));
         }
         DiscoProtocol {
             pv,
@@ -1173,6 +1176,27 @@ mod tests {
         }
         let cfg = DiscoConfig::seeded(nobody);
         assert_eq!(select_landmarks(small, &cfg), vec![NodeId(0)]);
+    }
+
+    /// Synopsis diffusion (§4.1) on the protocol's own gossip: booted to
+    /// quiescence with the default config (live `n`-estimation on), every
+    /// node of a connected G(n,m) holds the same union, and it estimates
+    /// exactly what the union of all per-node synopses does.
+    #[test]
+    fn gossip_converges_to_the_global_union() {
+        use crate::estimate_n::estimate_exact_union;
+        for (n, seed) in [(128, 9), (96, 11), (256, 3)] {
+            let g = generators::gnm_connected(n, 4 * n, seed);
+            let cfg = DiscoConfig::seeded(seed);
+            let mut engine = Engine::new(&g, DiscoProtocol::network(n, &cfg));
+            assert!(engine.run().converged, "n={n} seed={seed}");
+            let union = &engine.nodes()[0].synopsis;
+            assert!(
+                engine.nodes().iter().all(|p| &p.synopsis == union),
+                "n={n} seed={seed}: nodes disagree on the union"
+            );
+            assert_eq!(union.estimate(), estimate_exact_union(n, seed));
+        }
     }
 
     #[test]

@@ -4,13 +4,16 @@
 //! landmarks and maps `flat name → address`. Every node inserts its own
 //! address under the key `h(name)`; any node can query the database to
 //! bootstrap communication (and Disco also uses it to look up overlay
-//! finger candidates). The state is *soft*: entries are re-inserted every
-//! `t` minutes and expire after `2t + 1` minutes (the simulator uses
-//! `t = 10` as in the paper).
+//! finger candidates). The paper keeps the entries as soft state,
+//! re-inserted periodically and expired when not refreshed. The
+//! distributed simulator ([`crate::protocol::DiscoProtocol`]) inserts each
+//! node's entry once at boot and again on every repair pass (which a
+//! neighbor change schedules); the owning landmark keeps one entry per
+//! name hash, a re-insert overwrites it, and nothing expires an entry.
 //!
-//! The ring uses multiple hash functions per landmark (virtual points),
-//! which reduces consistent hashing's `Θ(log n)` load imbalance and keeps
-//! the per-landmark share of the database at `O~(√n)` entries (Theorem 2).
+//! The ring uses 8 hash functions per landmark (virtual points), which
+//! reduces consistent hashing's `Θ(log n)` load imbalance and keeps the
+//! per-landmark share of the database at `O~(√n)` entries (Theorem 2).
 
 use crate::address::Address;
 use crate::config::DiscoConfig;
@@ -19,30 +22,9 @@ use crate::name::FlatName;
 use disco_graph::NodeId;
 use std::collections::HashMap;
 
-/// Soft-state timing parameters (in minutes, as in the paper).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SoftStateTimers {
-    /// Re-insertion period `t`.
-    pub refresh_minutes: f64,
-    /// Expiry `2t + 1`.
-    pub expiry_minutes: f64,
-}
-
-impl Default for SoftStateTimers {
-    fn default() -> Self {
-        SoftStateTimers::with_refresh(10.0)
-    }
-}
-
-impl SoftStateTimers {
-    /// Timers for a refresh period of `t` minutes (expiry `2t + 1`).
-    pub fn with_refresh(t: f64) -> Self {
-        SoftStateTimers {
-            refresh_minutes: t,
-            expiry_minutes: 2.0 * t + 1.0,
-        }
-    }
-}
+/// Virtual points per landmark on the ring: one per hash function
+/// (§4.3, §4.5: multiple hash functions reduce the load imbalance).
+const RESOLUTION_HASH_FUNCTIONS: usize = 8;
 
 /// The consistent-hashing ring over the landmark set.
 #[derive(Debug, Clone)]
@@ -54,13 +36,13 @@ pub struct ResolutionRing {
 
 impl ResolutionRing {
     /// Build the ring for the given landmark set with
-    /// `cfg.resolution_hash_functions` virtual points per landmark.
+    /// `RESOLUTION_HASH_FUNCTIONS` virtual points per landmark.
     pub fn new(landmarks: &[NodeId], cfg: &DiscoConfig) -> Self {
         assert!(!landmarks.is_empty(), "resolution ring needs ≥1 landmark");
         let hasher = NameHasher::new(cfg.seed ^ 0xca11);
-        let mut points = Vec::with_capacity(landmarks.len() * cfg.resolution_hash_functions.max(1));
+        let mut points = Vec::with_capacity(landmarks.len() * RESOLUTION_HASH_FUNCTIONS);
         for &lm in landmarks {
-            for vp in 0..cfg.resolution_hash_functions.max(1) {
+            for vp in 0..RESOLUTION_HASH_FUNCTIONS {
                 let pos = hasher.hash_u64(((vp as u64) << 48) ^ lm.0 as u64);
                 points.push((pos, lm));
             }
@@ -166,15 +148,6 @@ mod tests {
     }
 
     #[test]
-    fn soft_state_timers_follow_paper_rule() {
-        let t = SoftStateTimers::default();
-        assert!((t.refresh_minutes - 10.0).abs() < 1e-12);
-        assert!((t.expiry_minutes - 21.0).abs() < 1e-12);
-        let t5 = SoftStateTimers::with_refresh(5.0);
-        assert!((t5.expiry_minutes - 11.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn ring_owner_is_deterministic_and_consistent() {
         let cfg = DiscoConfig::seeded(2);
         let landmarks = select_landmarks(1024, &cfg);
@@ -184,7 +157,7 @@ mod tests {
         assert!(landmarks.contains(&ring.owner_of_name(&name)));
         assert_eq!(
             ring.virtual_point_count(),
-            landmarks.len() * cfg.resolution_hash_functions
+            landmarks.len() * RESOLUTION_HASH_FUNCTIONS
         );
     }
 

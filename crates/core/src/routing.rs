@@ -19,7 +19,9 @@
 //!   (a with-high-probability failure), the landmark name-resolution
 //!   database is used as a fallback, exactly as §4.4 prescribes.
 //!
-//! All routes then pass through the configured [`ShortcutMode`].
+//! All routes then pass through a [`ShortcutMode`]: the `*_with` methods
+//! take one, the others apply "No Path Knowledge", the paper's mode for
+//! the core protocol (§5.1).
 //!
 //! The landmark legs come from the state's
 //! [`LandmarkForest`](crate::landmark::LandmarkForest); the vicinity legs
@@ -30,6 +32,9 @@
 use crate::shortcut::ShortcutMode;
 use crate::static_state::DiscoState;
 use disco_graph::{Graph, NodeId, Path, Stop, TreeCache, Weight};
+
+/// The shortcutting heuristic of the methods that take no mode.
+const SHORTCUT: ShortcutMode = ShortcutMode::NoPathKnowledge;
 
 /// How a route was obtained; reported so experiments can break results down
 /// by case.
@@ -368,10 +373,10 @@ impl<'a> DiscoRouter<'a> {
     // NDDisco (name-dependent; the sender knows the destination's address)
     // ------------------------------------------------------------------
 
-    /// NDDisco first packet with the configured shortcut mode
+    /// NDDisco first packet with No-Path-Knowledge shortcutting
     /// (worst-case stretch 5).
     pub fn nddisco_first_packet(&self, s: NodeId, t: NodeId) -> RouteOutcome {
-        self.nddisco_first_packet_with(s, t, self.state.config().shortcut)
+        self.nddisco_first_packet_with(s, t, SHORTCUT)
     }
 
     /// NDDisco first packet with an explicit shortcut mode.
@@ -395,7 +400,7 @@ impl<'a> DiscoRouter<'a> {
 
     /// NDDisco later packets (after the handshake; worst-case stretch 3).
     pub fn nddisco_later_packet(&self, s: NodeId, t: NodeId) -> RouteOutcome {
-        self.nddisco_later_packet_with(s, t, self.state.config().shortcut)
+        self.nddisco_later_packet_with(s, t, SHORTCUT)
     }
 
     /// NDDisco later packets with an explicit shortcut mode.
@@ -430,10 +435,10 @@ impl<'a> DiscoRouter<'a> {
     // Disco (name-independent; the sender knows only the flat name)
     // ------------------------------------------------------------------
 
-    /// Disco first packet with the configured shortcut mode (worst-case
+    /// Disco first packet with No-Path-Knowledge shortcutting (worst-case
     /// stretch 7, Theorem 1).
     pub fn route_first_packet(&self, s: NodeId, t: NodeId) -> RouteOutcome {
-        self.route_first_packet_with(s, t, self.state.config().shortcut)
+        self.route_first_packet_with(s, t, SHORTCUT)
     }
 
     /// Disco first packet with an explicit shortcut mode.

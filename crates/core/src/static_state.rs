@@ -32,7 +32,6 @@ use disco_graph::{Graph, NodeId, Weight};
 /// Post-convergence Disco state for an entire network.
 #[derive(Debug, Clone)]
 pub struct DiscoState {
-    cfg: DiscoConfig,
     n: usize,
     /// Flat name of each node.
     names: Vec<FlatName>,
@@ -120,7 +119,6 @@ impl DiscoState {
         let resolution_db = ResolutionDatabase::build(&resolution_ring, &names, &addresses);
 
         DiscoState {
-            cfg: cfg.clone(),
             n,
             names,
             estimates,
@@ -132,11 +130,6 @@ impl DiscoState {
             resolution_ring,
             resolution_db,
         }
-    }
-
-    /// The configuration the state was built with.
-    pub fn config(&self) -> &DiscoConfig {
-        &self.cfg
     }
 
     /// Number of nodes.

@@ -17,7 +17,6 @@
 //! system's cost model, where a message leaving the process must be
 //! serialized anyway.
 
-use crate::estimate_n::{GossipEstimator, GossipMsg};
 use crate::hash::NameHash;
 use crate::path_vector::{Announcement, PathVectorNode};
 use crate::protocol::{DiscoMsg, DiscoProtocol, FlowAddress, LookupKind, Payload};
@@ -224,18 +223,6 @@ impl ShardProtocol for DiscoProtocol {
             },
             WireDiscoMsg::Gossip(s) => DiscoMsg::Gossip(s),
         }
-    }
-}
-
-impl ShardProtocol for GossipEstimator {
-    type Wire = GossipMsg;
-
-    fn to_wire(msg: GossipMsg) -> GossipMsg {
-        msg
-    }
-
-    fn from_wire(wire: GossipMsg) -> GossipMsg {
-        wire
     }
 }
 

@@ -11,7 +11,7 @@
 use disco_core::hash::NameHash;
 use disco_core::path_vector::PathVectorNode;
 use disco_core::protocol::DiscoProtocol;
-use disco_graph::{dijkstra, Graph, NodeId};
+use disco_graph::{Graph, NodeId, TreeCache};
 use disco_sim::rng::rng_for;
 use disco_sim::{Recorder, ShardProtocol, ShardedEngine, SimTime};
 use rand::Rng;
@@ -130,15 +130,9 @@ where
         sum_stretch: 0.0,
     };
     // One shortest-path tree per distinct source.
-    let mut sources: Vec<NodeId> = pairs.iter().map(|&(s, _)| s).collect();
-    sources.sort_unstable();
-    sources.dedup();
-    let trees: std::collections::HashMap<NodeId, _> = sources
-        .into_iter()
-        .map(|s| (s, dijkstra(graph, s)))
-        .collect();
+    let trees = TreeCache::full(graph);
     for (&(s, t), cands) in pairs.iter().zip(candidates) {
-        let Some(true_dist) = trees[&s].distance(t) else {
+        let Some(true_dist) = trees.distance(s, t) else {
             continue; // partitioned: not the routing layer's fault
         };
         report.routable += 1;

@@ -285,11 +285,6 @@ impl Graph {
             .map(|nb| nb.weight)
     }
 
-    /// Sum of all edge weights.
-    pub fn total_weight(&self) -> Weight {
-        self.edges.iter().map(|e| e.weight).sum()
-    }
-
     /// Maximum degree over all nodes (0 for the empty graph).
     pub fn max_degree(&self) -> usize {
         self.adjacency.iter().map(Vec::len).max().unwrap_or(0)
@@ -363,12 +358,6 @@ mod tests {
             weight: 1.0,
         };
         let _ = e.other(NodeId(5));
-    }
-
-    #[test]
-    fn total_weight() {
-        let g = triangle();
-        assert!((g.total_weight() - 6.0).abs() < 1e-12);
     }
 
     #[test]

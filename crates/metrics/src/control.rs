@@ -30,13 +30,6 @@ pub struct ControlBytes {
     pub dissemination: usize,
 }
 
-impl ControlBytes {
-    /// Component-wise sum.
-    pub fn total(&self) -> usize {
-        self.rib + self.loc_rib + self.dissemination
-    }
-}
-
 /// Aggregates per-node [`ControlBytes`] over the live nodes of one
 /// experiment leg.
 #[derive(Debug, Clone, Default)]

@@ -68,12 +68,6 @@ impl FullRecorder {
         }
     }
 
-    /// Override the repair probe's settle gap (sim-time units).
-    pub fn with_settle_gap(mut self, gap: f64) -> Self {
-        self.repair = RepairProbe::new(gap);
-        self
-    }
-
     /// Final simulation clock recorded by [`Recorder::finish`].
     pub fn end_time(&self) -> f64 {
         self.end_time
@@ -364,7 +358,7 @@ mod tests {
     /// exported timeline end-to-end.
     #[test]
     fn synthetic_run_exports_valid_trace() {
-        let mut r = FullRecorder::new().with_settle_gap(5.0);
+        let mut r = FullRecorder::new();
         r.phase_begin(Phase::Build, 0.0);
         r.phase_end(Phase::Build, 0.0);
         r.phase_begin(Phase::Boot, 0.0);
@@ -378,9 +372,11 @@ mod tests {
         r.topology_changed(12.0, "leave", 3);
         r.selection_changed(13.0, 4);
         r.message_dropped(13.5, MessageClass::Withdraw, 2);
-        r.topology_changed(30.0, "join", 3);
-        r.selection_changed(30.5, 4);
-        r.finish(60.0);
+        // Past the default settle gap (25) after the leave's last activity,
+        // so the join opens a window of its own.
+        r.topology_changed(40.0, "join", 3);
+        r.selection_changed(40.5, 4);
+        r.finish(70.0);
 
         assert_eq!(r.registry.stats(MessageClass::Flood).delivered, 10);
         assert_eq!(r.repair.latencies(), &[1.0, 0.5]);
