@@ -94,7 +94,7 @@ fn checked_in_reports_parse_and_hold_their_floors() {
     );
     assert_eq!(
         floor("BENCH_exp_scale.json", "min_announcements_per_sec"),
-        1612052.0
+        1999842.0
     );
     assert_eq!(floor("BENCH_exp_scale.json", "sharded_ratio"), 1.028);
 }

@@ -55,7 +55,7 @@
 //! route for that destination. Refreshes ride the same MRAI-style batch as
 //! withdrawals, so repair cascades stay polynomial.
 
-use crate::rib::{preferred_parts, Candidate, RibStats, RibStore, SelectedRoute};
+use crate::rib::{Candidate, RibStats, RibStore, SelectedRoute};
 use disco_graph::{InternedPath, NodeId, Weight};
 use disco_sim::{Context, Protocol};
 use std::collections::BTreeSet;
@@ -721,24 +721,13 @@ impl PathVectorNode {
         if let Some(cand) = new {
             // An inserted candidate always has its index in hand.
             let di = di.expect("insertions carry the destination index");
-            // Compare against the selection's *cached* route: when `from`
-            // re-announced over its own selected candidate, the cache still
-            // holds the pre-update values.
-            //
-            // An attribute-only refresh — the selected neighbor re-announcing
-            // the very route it is selected for, with only the destination's
-            // landmark distance or flag moved (every node causes one while
-            // its own landmark distance settles) — leaves the candidate's
-            // rank where it was, so it is still the minimum: re-select it in
-            // place rather than rescanning every neighbor to find it again.
-            let promote = match self.rib.selected_view_at(di) {
-                None => true,
-                Some(cur) => {
-                    (cur_hop == Some(from) && cand.dist == cur.dist && cand.path == *cur.path)
-                        || preferred_parts(cand.dist, &cand.path, cur.dist, cur.path)
-                }
-            };
-            if promote {
+            // Decided against the selection's *cached* route (when `from`
+            // re-announced over its own selected candidate, the record still
+            // holds the pre-update values). An attribute-only refresh — every
+            // node causes one while its own landmark distance settles —
+            // re-selects in place rather than rescanning every neighbor to
+            // find the same minimum again.
+            if self.rib.promotes(di, from, &cand) {
                 self.select_candidate(d, di, from, cand);
                 return;
             }

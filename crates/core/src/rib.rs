@@ -7,33 +7,39 @@
 //! every candidate. [`RibStore`] replaces it with
 //!
 //! * a per-node **destination interner** (`NodeId` → dense `u32` index),
-//! * one **slab per neighbor**: a struct-of-arrays of `Candidate` fields
-//!   (`cost`, `landmark_flag`, `path`, …) addressed by slab slot, kept
-//!   dense with swap-remove, plus a `dest index → slot` position vector,
+//! * one **slab per neighbor**: a dense `Vec` of 24-byte candidate slots
+//!   (distance, landmark distance, path, and the destination index with
+//!   the landmark flag in its top bit), kept dense with swap-remove, plus
+//!   a `dest index → slot` position map,
 //! * a **forgetful eviction** primitive ([`RibStore::enforce`]) that trims
 //!   a destination's candidate set down to the selected route plus a
 //!   bounded alternate set, remembering (per destination) that information
 //!   was discarded so the protocol can re-solicit it when needed
 //!   (paper §4.2, forgetful routing),
-//! * per-destination **columns** — the Loc-RIB *and the routing table* as
-//!   a view over the store, dense and parallel, created when a destination
-//!   is interned and remapped together by compaction:
+//! * one 40-byte **destination record** per interned index — the Loc-RIB
+//!   *and the routing table* as a view over the store, created when a
+//!   destination is interned and remapped by compaction. A message for a
+//!   destination reads one record, not a column per field:
+//!   * the destination's id, its candidate count and evicted flag (12 B
+//!     with padding, the interner's and eviction policy's share);
 //!   * the **selection** (`neighbor, cost, landmark flag, landmark
-//!     distance, interned path id`, ~25 B), written by the owner through
+//!     distance, interned path id`, 25 B), written by the owner through
 //!     [`RibStore::select_from_at`] / [`RibStore::select_best`] and read in
 //!     place through [`RibStore::selected_view`];
 //!   * the selected path's **hop count** (2 B), written by the store with
 //!     the path, and only when the selected route actually moved — the
 //!     comparison that decides that has just read the path's arena cell,
 //!     so the hot message path gains one store and no cold read. It is
-//!     what lets a forwarding-table compile leave the path arena alone;
+//!     what lets a forwarding-table compile leave the path arena alone,
+//!     and what lets [`RibStore::promotes`] decide a tie between two
+//!     neighbors without it;
 //!   * the **resident** mark (1 B): the owner's "this selected route is in
 //!     the routing table" (§4.2's acceptance rule is a *filter* over the
 //!     selection, so the table is the marked subset — nothing is copied).
 //!     Only the owner sets it ([`RibStore::set_resident_at`]); the store
 //!     clears it with the selection it marks and makes no decision on it.
 //!
-//!   Beside the columns sits the **id order** (4 B per interned
+//!   Beside the records sits the **id order** (4 B per interned
 //!   destination once built): the interned indexes sorted by destination
 //!   id, which [`RibStore::for_each_route_by_id`] walks to hand a
 //!   from-scratch forwarding compile its rows already in published order.
@@ -47,9 +53,9 @@
 //!   earlier epoch reads just those rows, one
 //!   [`RibStore::route_by_id`] probe each.
 //!
-//! The selection columns are a *cache* of the selected candidate's fields,
-//! not a pointer into the slabs: after the backing candidate is withdrawn
-//! the cached values remain readable until the owner re-selects. That is
+//! The selection is a *cache* of the selected candidate's fields, not a
+//! pointer into the slabs: after the backing candidate is withdrawn the
+//! cached values remain readable until the owner re-selects. That is
 //! deliberate — the repairing path vector reads the previous best while
 //! deciding how to heal (and, during a neighbor-down sweep, may transiently
 //! export a not-yet-reprocessed destination's old route, behavior the churn
@@ -64,6 +70,7 @@
 
 use disco_graph::{FxHashMap, InternedPath, NodeId, Weight};
 use std::cell::OnceCell;
+use std::cmp::Ordering;
 
 /// A candidate route as held in the per-neighbor Adj-RIB-In: a
 /// [`SelectedRoute`] minus the next hop (implied by which neighbor's slab
@@ -84,7 +91,7 @@ pub struct Candidate {
 /// then lexicographically smaller path. Total over distinct candidates
 /// (paths from different neighbors differ in their second node), which is
 /// what makes selection independent of iteration order.
-pub(crate) fn preferred_parts(
+fn preferred_parts(
     a_dist: Weight,
     a_path: &InternedPath,
     b_dist: Weight,
@@ -96,32 +103,70 @@ pub(crate) fn preferred_parts(
     if b_dist + 1e-12 < a_dist {
         return false;
     }
-    a_path.cmp_route(b_path) == std::cmp::Ordering::Less
+    a_path.cmp_route(b_path) == Ordering::Less
 }
 
 const ABSENT: u32 = u32::MAX;
 
-/// Struct-of-arrays slab holding one neighbor's candidates. Slots `0..len`
-/// are dense (occupied); `pos` maps an interned destination index to its
-/// slot. The position index is a compact `u32 → u32` hash map rather than
-/// a dense vector: a node's destination universe is the *union* of every
-/// neighbor's exports, so per-neighbor occupancy is sparse (δ-fold so
-/// under forgetful eviction) and dense position vectors would cost
-/// `δ × dests × 4` bytes of mostly-empty slots per node.
+/// The landmark flag's bit in a slot's destination index.
+const LM_BIT: u32 = 1 << 31;
+
+/// One candidate in a neighbor's slab: 24 bytes, the landmark flag packed
+/// into the top bit of the destination index.
+#[derive(Debug, Clone)]
+struct Slot {
+    /// Distance (link weight already included).
+    dist: Weight,
+    /// The destination's own-landmark distance.
+    lm_dist: Weight,
+    /// Destination index, `| LM_BIT` when the destination is a landmark.
+    tagged: u32,
+    /// Path (this node first).
+    path: InternedPath,
+}
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 24);
+
+impl Slot {
+    fn new(di: u32, cand: &Candidate) -> Self {
+        Slot {
+            dist: cand.dist,
+            lm_dist: cand.dest_landmark_dist,
+            tagged: di | (LM_BIT * u32::from(cand.dest_is_landmark)),
+            path: cand.path.clone(),
+        }
+    }
+
+    fn di(&self) -> u32 {
+        self.tagged & !LM_BIT
+    }
+
+    /// The candidate, materialized (the path copy is a refcount bump).
+    fn candidate(&self) -> Candidate {
+        Candidate {
+            dist: self.dist,
+            path: self.path.clone(),
+            dest_is_landmark: self.tagged & LM_BIT != 0,
+            dest_landmark_dist: self.lm_dist,
+        }
+    }
+}
+
+/// One neighbor's candidates: slots `0..len` are dense (occupied); `pos`
+/// maps an interned destination index to its slot. The position index is
+/// a compact `u32 → u32` hash map rather than a dense vector: a node's
+/// destination universe is the *union* of every neighbor's exports, so
+/// per-neighbor occupancy is sparse (δ-fold so under forgetful eviction)
+/// and dense position vectors would cost `δ × dests × 4` bytes of
+/// mostly-empty slots per node. On top of the records, dense positions
+/// read about 5 % more announcements/s on an n=2048 boot (2-vCPU Xeon VM)
+/// for 28 MB more peak RSS, and cost more than the hashes when forgetful.
 #[derive(Debug, Clone, Default)]
 struct NeighborSlab {
     /// Destination index → slot.
     pos: FxHashMap<u32, u32>,
-    /// Slot → destination index (for swap-remove fixup and iteration).
-    dest: Vec<u32>,
-    /// Slot → distance (link weight already included).
-    dist: Vec<Weight>,
-    /// Slot → destination's own-landmark distance.
-    lm_dist: Vec<Weight>,
-    /// Slot → path (this node first).
-    path: Vec<InternedPath>,
-    /// Slot → landmark flag.
-    lm_flag: Vec<bool>,
+    /// The candidates, dense.
+    slots: Vec<Slot>,
 }
 
 impl NeighborSlab {
@@ -129,37 +174,18 @@ impl NeighborSlab {
         self.pos.get(&di).map(|&s| s as usize)
     }
 
-    /// The candidate in slot `s`, materialized (the path copy is a
-    /// reference-count bump).
-    fn at(&self, s: usize) -> Candidate {
-        Candidate {
-            dist: self.dist[s],
-            path: self.path[s].clone(),
-            dest_is_landmark: self.lm_flag[s],
-            dest_landmark_dist: self.lm_dist[s],
-        }
-    }
-
     fn get(&self, di: u32) -> Option<Candidate> {
-        self.slot_of(di).map(|s| self.at(s))
+        self.slot_of(di).map(|s| self.slots[s].candidate())
     }
 
     /// Insert or replace; returns whether a candidate was replaced.
     fn insert(&mut self, di: u32, cand: &Candidate) -> bool {
         if let Some(s) = self.slot_of(di) {
-            self.dist[s] = cand.dist;
-            self.lm_dist[s] = cand.dest_landmark_dist;
-            self.path[s] = cand.path.clone();
-            self.lm_flag[s] = cand.dest_is_landmark;
+            self.slots[s] = Slot::new(di, cand);
             return true;
         }
-        let s = self.dest.len() as u32;
-        self.pos.insert(di, s);
-        self.dest.push(di);
-        self.dist.push(cand.dist);
-        self.lm_dist.push(cand.dest_landmark_dist);
-        self.path.push(cand.path.clone());
-        self.lm_flag.push(cand.dest_is_landmark);
+        self.pos.insert(di, self.slots.len() as u32);
+        self.slots.push(Slot::new(di, cand));
         false
     }
 
@@ -169,29 +195,20 @@ impl NeighborSlab {
         let Some(s) = self.slot_of(di) else {
             return false;
         };
-        let last = self.dest.len() - 1;
         self.pos.remove(&di);
-        self.dest.swap_remove(s);
-        self.dist.swap_remove(s);
-        self.lm_dist.swap_remove(s);
-        self.path.swap_remove(s);
-        self.lm_flag.swap_remove(s);
-        if s != last {
+        self.slots.swap_remove(s);
+        if let Some(moved) = self.slots.get(s) {
             // The former last slot moved into `s`; update its position.
-            self.pos.insert(self.dest[s], s as u32);
+            self.pos.insert(moved.di(), s as u32);
         }
         true
     }
 
-    /// Approximate heap bytes held by this slab (positions + SoA columns;
+    /// Approximate heap bytes held by this slab (positions + slots;
     /// interned path cells are accounted by the arena, not here).
     fn approx_bytes(&self) -> usize {
         self.pos.capacity() * 10 // ~(4+4) B payload + control per slot
-            + self.dest.capacity() * 4
-            + self.dist.capacity() * 8
-            + self.lm_dist.capacity() * 8
-            + self.path.capacity() * 4
-            + self.lm_flag.capacity()
+            + self.slots.capacity() * std::mem::size_of::<Slot>()
     }
 }
 
@@ -207,11 +224,12 @@ pub struct RibStats {
     pub selected: usize,
     /// Total path nodes across all candidates (each retains arena cells).
     pub path_nodes: usize,
-    /// Approximate heap bytes of the Adj-RIB-In proper (slabs + interner;
-    /// the view columns are accounted separately).
+    /// Approximate heap bytes of the Adj-RIB-In proper (slabs, interner,
+    /// and each destination record's id, candidate count, evicted flag
+    /// and padding; the record's view fields are accounted separately).
     pub approx_bytes: usize,
-    /// Approximate heap bytes of the per-destination view columns
-    /// (selection, hop count, resident mark, and the id order once
+    /// Approximate heap bytes of the per-destination view (selection, hop
+    /// count and resident mark of each record, and the id order once
     /// built) — the Loc-RIB and routing-table component of `exp_memory`'s
     /// byte accounting.
     pub selection_bytes: usize,
@@ -236,12 +254,84 @@ pub struct SelectedRoute<'a> {
     pub path: &'a InternedPath,
 }
 
-/// The compact Adj-RIB-In: per-neighbor SoA slabs over interned
-/// destination indexes. See the module docs.
+/// One interned destination (see the module docs): 28 bytes of view —
+/// the selection, its hop count and the resident mark — and 12 of
+/// bookkeeping.
+#[derive(Debug, Clone)]
+struct DestRecord {
+    /// Selected route's distance.
+    sel_dist: Weight,
+    /// Selected route's destination-landmark distance.
+    sel_lm_dist: Weight,
+    /// The destination's node id (compact: simulation node ids fit u32).
+    dest: u32,
+    /// The selected route's neighbor (`ABSENT` = none selected). The
+    /// fields after it are cached, not dereferenced through the slab —
+    /// see the module docs for why staleness is load-bearing.
+    sel_nbr: u32,
+    /// Selected route's path (a reference-count bump on the slab's path).
+    sel_path: Option<InternedPath>,
+    /// Candidates held for this destination across neighbors.
+    cand_count: u32,
+    /// Selected route's hop count (`path.len() - 1`, saturated): kept
+    /// beside the selection so a forwarding-table compile never reads the
+    /// path arena. Written where the path is
+    /// ([`RibStore::select_from_at`]), stale with it.
+    sel_hops: u16,
+    /// Selected route's landmark flag.
+    sel_flag: bool,
+    /// The owner's routing-table mark. Only ever set on a destination
+    /// with a selection, and cleared with it.
+    resident: bool,
+    /// The forgetful policy discarded candidates for this destination
+    /// since the flag was last taken.
+    evicted: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<DestRecord>() == 40);
+
+/// Bytes of a [`DestRecord`] that are the view: neighbor 4, distance 8,
+/// landmark distance 8, flag 1, path 4, hop count 2, resident mark 1.
+const VIEW_BYTES: usize = 28;
+
+impl DestRecord {
+    fn new(dest: u32) -> Self {
+        DestRecord {
+            sel_dist: 0.0,
+            sel_lm_dist: 0.0,
+            dest,
+            sel_nbr: ABSENT,
+            sel_path: None,
+            cand_count: 0,
+            sel_hops: 0,
+            sel_flag: false,
+            resident: false,
+            evicted: false,
+        }
+    }
+
+    /// Whether this destination must survive compaction.
+    fn is_live(&self) -> bool {
+        self.cand_count > 0 || self.evicted || self.sel_nbr != ABSENT
+    }
+
+    fn view(&self) -> Option<SelectedRoute<'_>> {
+        (self.sel_nbr != ABSENT).then(|| SelectedRoute {
+            next_hop: NodeId(self.sel_nbr as usize),
+            dist: self.sel_dist,
+            dest_landmark_dist: self.sel_lm_dist,
+            dest_is_landmark: self.sel_flag,
+            path: self.sel_path.as_ref().expect("selection holds a path"),
+        })
+    }
+}
+
+/// The compact Adj-RIB-In: per-neighbor slabs over interned destination
+/// records. See the module docs.
 #[derive(Debug, Clone, Default)]
 pub struct RibStore {
-    /// Destination index → node id (compact: simulation node ids fit u32).
-    dests: Vec<u32>,
+    /// Destination index → record.
+    recs: Vec<DestRecord>,
     /// Destination node id → index.
     dest_idx: FxHashMap<u32, u32>,
     /// Per-neighbor slabs. A linear-scan vector, not a map: a node has
@@ -253,39 +343,13 @@ pub struct RibStore {
     slabs: Vec<(NodeId, NeighborSlab)>,
     /// Occupied candidates across all slabs.
     total: usize,
-    /// Per destination index: candidate count across neighbors.
-    cand_count: Vec<u32>,
-    /// Per destination index: the forgetful policy discarded candidates
-    /// for this destination since the flag was last taken.
-    evicted: Vec<bool>,
-    /// Per destination index: the owner's routing-table mark. Only ever
-    /// set on a destination with a selection, and cleared with it.
-    resident: Vec<bool>,
-    /// Selection column (the Loc-RIB view), indexed by destination index:
-    /// the selected route's neighbor (`ABSENT` = none selected) and the
-    /// cached fields of its candidate. Cached, not dereferenced through
-    /// the slab — see the module docs for why staleness is load-bearing.
-    sel_nbr: Vec<u32>,
-    /// Selected route's distance.
-    sel_dist: Vec<Weight>,
-    /// Selected route's destination-landmark distance.
-    sel_lm_dist: Vec<Weight>,
-    /// Selected route's landmark flag.
-    sel_flag: Vec<bool>,
-    /// Selected route's path (a reference-count bump on the slab's path).
-    sel_path: Vec<Option<InternedPath>>,
-    /// Selected route's hop count (`path.len() - 1`, saturated): the one
-    /// fact about the path a forwarding-table compile needs, kept beside
-    /// the selection so the compile never reads the path arena. Written
-    /// where the path is ([`RibStore::select_from_at`]), stale with it.
-    sel_hops: Vec<u16>,
     /// The interned indexes sorted by destination id — the order
     /// [`RibStore::for_each_route_by_id`] visits in. It covers every
     /// interned index, selected or not, so only interning a destination
     /// or compacting the interner can change it: those two drop it, the
     /// next ordered visit rebuilds it (under `&self`, hence the cell).
     id_order: OnceCell<Vec<u32>>,
-    /// Destinations with a selection (`sel_nbr[i] != ABSENT`).
+    /// Destinations with a selection (`sel_nbr != ABSENT`).
     sel_count: usize,
     /// Destinations with candidates, a pending evicted flag or a selection
     /// (the ones a compaction must keep) — maintained incrementally so the
@@ -301,11 +365,6 @@ impl RibStore {
         Self::default()
     }
 
-    /// Whether destination index `i` must survive compaction.
-    fn is_live_idx(&self, i: usize) -> bool {
-        self.cand_count[i] > 0 || self.evicted[i] || self.sel_nbr[i] != ABSENT
-    }
-
     /// Intern `d`, returning its dense index.
     fn dest_id(&mut self, d: NodeId) -> u32 {
         let key = d.0 as u32;
@@ -313,17 +372,12 @@ impl RibStore {
         if let Some(&i) = self.dest_idx.get(&key) {
             return i;
         }
-        let i = self.dests.len() as u32;
-        self.dests.push(key);
-        self.cand_count.push(0);
-        self.evicted.push(false);
-        self.resident.push(false);
-        self.sel_nbr.push(ABSENT);
-        self.sel_dist.push(0.0);
-        self.sel_lm_dist.push(0.0);
-        self.sel_flag.push(false);
-        self.sel_path.push(None);
-        self.sel_hops.push(0);
+        let i = self.recs.len() as u32;
+        assert!(
+            i < LM_BIT,
+            "destination index overflows the slots' flag bit"
+        );
+        self.recs.push(DestRecord::new(key));
         self.id_order.take();
         self.dest_idx.insert(key, i);
         i
@@ -393,7 +447,8 @@ impl RibStore {
 
     /// Number of candidates held for destination `d` across neighbors.
     pub fn count_for(&self, d: NodeId) -> usize {
-        self.idx_of(d).map_or(0, |i| self.cand_count[i] as usize)
+        self.idx_of(d)
+            .map_or(0, |i| self.recs[i].cand_count as usize)
     }
 
     /// The candidate neighbor `nbr` holds for `d`, if any (materialized;
@@ -414,13 +469,12 @@ impl RibStore {
         if self.slab_entry(nbr).insert(di, cand) {
             return;
         }
-        let i = di as usize;
         self.total += 1;
-        let was_live = self.is_live_idx(i);
-        self.cand_count[i] += 1;
-        if !was_live {
+        let rec = &mut self.recs[di as usize];
+        if !rec.is_live() {
             self.live_dests += 1;
         }
+        rec.cand_count += 1;
     }
 
     /// Remove the candidate `nbr` holds for `d`; returns whether it held
@@ -439,10 +493,10 @@ impl RibStore {
 
     /// Account for one removed candidate of `di`, tracking liveness.
     fn drop_count(&mut self, di: u32) {
-        let i = di as usize;
         self.total -= 1;
-        self.cand_count[i] -= 1;
-        if !self.is_live_idx(i) {
+        let rec = &mut self.recs[di as usize];
+        rec.cand_count -= 1;
+        if !rec.is_live() {
             self.live_dests -= 1;
         }
     }
@@ -455,10 +509,11 @@ impl RibStore {
             return Vec::new();
         };
         let (_, slab) = self.slabs.swap_remove(i);
-        let mut out: Vec<NodeId> = Vec::with_capacity(slab.dest.len());
-        for &di in &slab.dest {
+        let mut out: Vec<NodeId> = Vec::with_capacity(slab.slots.len());
+        for slot in &slab.slots {
+            let di = slot.di();
             self.drop_count(di);
-            out.push(NodeId(self.dests[di as usize] as usize));
+            out.push(NodeId(self.recs[di as usize].dest as usize));
         }
         out.sort_unstable();
         self.maybe_compact();
@@ -468,47 +523,73 @@ impl RibStore {
     /// The most-preferred candidate's `(neighbor, slot)` for destination
     /// index `di`. Deterministic: the preference order is total, so the
     /// minimum is independent of slab iteration order.
-    fn best_slot(&self, di: u32) -> Option<(NodeId, usize)> {
-        let mut best: Option<(NodeId, usize, &NeighborSlab)> = None;
+    fn best_slot(&self, di: u32) -> Option<(NodeId, &Slot)> {
+        let mut best: Option<(NodeId, &Slot)> = None;
         for &(nbr, ref slab) in &self.slabs {
             let Some(s) = slab.slot_of(di) else { continue };
-            let better = match &best {
-                None => true,
-                Some((_, bs, bslab)) => preferred_parts(
-                    slab.dist[s],
-                    &slab.path[s],
-                    bslab.dist[*bs],
-                    &bslab.path[*bs],
-                ),
-            };
-            if better {
-                best = Some((nbr, s, slab));
+            let slot = &slab.slots[s];
+            if best.is_none_or(|(_, b)| preferred_parts(slot.dist, &slot.path, b.dist, &b.path)) {
+                best = Some((nbr, slot));
             }
         }
-        best.map(|(nbr, s, _)| (nbr, s))
+        best
     }
 
     /// The most-preferred candidate for `d` over all neighbors, with the
     /// neighbor that announced it.
     pub fn best_for(&self, d: NodeId) -> Option<(NodeId, Candidate)> {
-        let di = self.idx_of(d)? as u32;
-        let (nbr, s) = self.best_slot(di)?;
-        let slab = self.slab_of(nbr).expect("best neighbor has a slab");
-        Some((nbr, slab.at(s)))
+        let (nbr, slot) = self.best_slot(self.idx_of(d)? as u32)?;
+        Some((nbr, slot.candidate()))
     }
 
-    // ---- the Loc-RIB view (per-destination selection column) ----
+    // ---- the Loc-RIB view (the records' selection fields) ----
+
+    /// Whether `cand`, just announced by `from` for the destination
+    /// indexed `di`, takes over the selection: nothing is selected, it is
+    /// preferred to the selection's *cached* route (`from` may have
+    /// re-announced over its own selected candidate), or it is an
+    /// attribute-only refresh — the selected neighbor re-announcing the
+    /// very route it is selected for, with only the destination's
+    /// landmark distance or flag moved — which leaves its rank where it
+    /// was, so it is still the minimum.
+    ///
+    /// `cand`'s path starts `[self, from, …]` like the selection's starts
+    /// `[self, selected neighbor, …]`, so a distance tie between two
+    /// different neighbors is decided as the path order would decide it —
+    /// the shorter path, then the smaller neighbor id — from the record's
+    /// hop count, without reading the path arena. Only a re-announcement
+    /// by the selected neighbor (or a saturated hop count) compares paths.
+    pub fn promotes(&self, di: u32, from: NodeId, cand: &Candidate) -> bool {
+        let rec = &self.recs[di as usize];
+        if rec.sel_nbr == ABSENT || cand.dist + 1e-12 < rec.sel_dist {
+            return true;
+        }
+        if rec.sel_dist + 1e-12 < cand.dist {
+            return false;
+        }
+        let same = rec.sel_nbr == from.0 as u32;
+        if !same && rec.sel_hops < u16::MAX {
+            let hops = cand.path.len() - 1;
+            let ord = hops.cmp(&usize::from(rec.sel_hops));
+            return ord.then(from.0.cmp(&(rec.sel_nbr as usize))) == Ordering::Less;
+        }
+        let cur = rec.sel_path.as_ref().expect("selection holds a path");
+        match cand.path.cmp_route(cur) {
+            Ordering::Less => true,
+            Ordering::Equal => same && cand.dist == rec.sel_dist,
+            Ordering::Greater => false,
+        }
+    }
 
     /// Point the selection for the destination indexed `di` at `cand`, a
     /// candidate `nbr`'s slab holds for it, caching every field — the
     /// landmark flag like the distance — without re-reading the slab (two
     /// probes on the hottest protocol path, promotion of a fresh
     /// announcement). Takes the candidate by value: its path handle moves
-    /// into the selection column instead of paying a reference-count
-    /// round trip.
+    /// into the record instead of paying a reference-count round trip.
     ///
     /// Returns whether the selected route — neighbor, distance, landmark
-    /// distance, landmark flag or path — differs from the one the column
+    /// distance, landmark flag or path — differs from the one the record
     /// held (always, when it held none): the one place that is decided,
     /// before the old values are gone.
     pub fn select_from_at(&mut self, di: u32, nbr: NodeId, cand: Candidate) -> bool {
@@ -516,14 +597,14 @@ impl RibStore {
             self.slab_of(nbr).is_some_and(|s| s.slot_of(di).is_some()),
             "selected neighbor must hold a candidate"
         );
-        let di = di as usize;
+        let rec = &mut self.recs[di as usize];
         let nbr = nbr.0 as u32;
-        let moved = self.sel_nbr[di] != nbr
-            || self.sel_dist[di] != cand.dist
-            || self.sel_lm_dist[di] != cand.dest_landmark_dist
-            || self.sel_path[di].as_ref() != Some(&cand.path)
-            || self.sel_flag[di] != cand.dest_is_landmark;
-        if self.sel_nbr[di] == ABSENT {
+        let moved = rec.sel_nbr != nbr
+            || rec.sel_dist != cand.dist
+            || rec.sel_lm_dist != cand.dest_landmark_dist
+            || rec.sel_path.as_ref() != Some(&cand.path)
+            || rec.sel_flag != cand.dest_is_landmark;
+        if rec.sel_nbr == ABSENT {
             // It holds a candidate, so it was already live.
             self.sel_count += 1;
         }
@@ -532,13 +613,13 @@ impl RibStore {
             // one just had this cell read by the comparison above (or
             // built by the caller's prepend): no cold arena access.
             let hops = cand.path.len().saturating_sub(1);
-            self.sel_hops[di] = hops.min(usize::from(u16::MAX)) as u16;
+            rec.sel_hops = hops.min(usize::from(u16::MAX)) as u16;
         }
-        self.sel_nbr[di] = nbr;
-        self.sel_dist[di] = cand.dist;
-        self.sel_lm_dist[di] = cand.dest_landmark_dist;
-        self.sel_flag[di] = cand.dest_is_landmark;
-        self.sel_path[di] = Some(cand.path);
+        rec.sel_nbr = nbr;
+        rec.sel_dist = cand.dist;
+        rec.sel_lm_dist = cand.dest_landmark_dist;
+        rec.sel_flag = cand.dest_is_landmark;
+        rec.sel_path = Some(cand.path);
         moved
     }
 
@@ -549,8 +630,8 @@ impl RibStore {
     pub fn select_best(&mut self, d: NodeId) -> Option<bool> {
         let di = self.idx_of(d)?;
         match self.best_slot(di as u32) {
-            Some((nbr, s)) => {
-                let cand = self.slab_of(nbr).expect("best neighbor has a slab").at(s);
+            Some((nbr, slot)) => {
+                let cand = slot.candidate();
                 Some(self.select_from_at(di as u32, nbr, cand))
             }
             None => {
@@ -563,14 +644,15 @@ impl RibStore {
     /// Drop the selection for destination index `di`, if any, and the
     /// resident mark with it.
     fn clear_selected(&mut self, di: usize) {
-        if self.sel_nbr[di] == ABSENT {
+        let rec = &mut self.recs[di];
+        if rec.sel_nbr == ABSENT {
             return;
         }
-        self.sel_nbr[di] = ABSENT;
-        self.sel_path[di] = None;
-        self.resident[di] = false;
+        rec.sel_nbr = ABSENT;
+        rec.sel_path = None;
+        rec.resident = false;
         self.sel_count -= 1;
-        if !self.is_live_idx(di) {
+        if !rec.is_live() {
             self.live_dests -= 1;
         }
         self.maybe_compact();
@@ -585,7 +667,7 @@ impl RibStore {
     /// [`RibStore::selected_hop`] by destination index.
     #[inline]
     pub fn selected_hop_at(&self, di: u32) -> Option<NodeId> {
-        let nbr = self.sel_nbr[di as usize];
+        let nbr = self.recs[di as usize].sel_nbr;
         (nbr != ABSENT).then_some(NodeId(nbr as usize))
     }
 
@@ -598,18 +680,7 @@ impl RibStore {
     /// [`RibStore::selected_view`] by destination index.
     #[inline]
     pub fn selected_view_at(&self, di: u32) -> Option<SelectedRoute<'_>> {
-        let di = di as usize;
-        let nbr = self.sel_nbr[di];
-        if nbr == ABSENT {
-            return None;
-        }
-        Some(SelectedRoute {
-            next_hop: NodeId(nbr as usize),
-            dist: self.sel_dist[di],
-            dest_landmark_dist: self.sel_lm_dist[di],
-            dest_is_landmark: self.sel_flag[di],
-            path: self.sel_path[di].as_ref().expect("selection holds a path"),
-        })
+        self.recs[di as usize].view()
     }
 
     /// Destinations with a selected route — how many rows
@@ -622,26 +693,24 @@ impl RibStore {
     /// Visit every destination with a selected route as `(destination,
     /// next hop, path hop count)`, in ascending destination id — the
     /// forwarding-table compile sweep, already in the order the table
-    /// publishes. The rows are the cached selection column (see the module
-    /// docs on load-bearing staleness), which is exactly the contract a
+    /// publishes. The rows are the cached selections (see the module docs
+    /// on load-bearing staleness), which is exactly the contract a
     /// compiled data plane wants: the routes this node is currently
     /// *serving*, not the candidates a repair in flight may be about to
-    /// select. Reads three dense columns and the id order; never the path
-    /// arena.
+    /// select. Reads the records and the id order; never the path arena.
     pub fn for_each_route_by_id(&self, mut f: impl FnMut(NodeId, NodeId, u16)) {
         let order = self.id_order.get_or_init(|| {
-            let mut order: Vec<u32> = (0..self.dests.len() as u32).collect();
-            order.sort_unstable_by_key(|&i| self.dests[i as usize]);
+            let mut order: Vec<u32> = (0..self.recs.len() as u32).collect();
+            order.sort_unstable_by_key(|&i| self.recs[i as usize].dest);
             order
         });
         for &i in order {
-            let i = i as usize;
-            let nbr = self.sel_nbr[i];
-            if nbr != ABSENT {
+            let rec = &self.recs[i as usize];
+            if rec.sel_nbr != ABSENT {
                 f(
-                    NodeId(self.dests[i] as usize),
-                    NodeId(nbr as usize),
-                    self.sel_hops[i],
+                    NodeId(rec.dest as usize),
+                    NodeId(rec.sel_nbr as usize),
+                    rec.sel_hops,
                 );
             }
         }
@@ -651,30 +720,18 @@ impl RibStore {
     /// hop count)` — or `None` when no route to it is selected: what a
     /// forwarding compile that patches reads, one interner probe a row.
     pub fn route_by_id(&self, d: NodeId) -> Option<(NodeId, u16)> {
-        let i = self.idx_of(d)?;
-        let nbr = self.sel_nbr[i];
-        (nbr != ABSENT).then(|| (NodeId(nbr as usize), self.sel_hops[i]))
+        let rec = &self.recs[self.idx_of(d)?];
+        (rec.sel_nbr != ABSENT).then_some((NodeId(rec.sel_nbr as usize), rec.sel_hops))
     }
 
     /// Visit every destination with a selected route, in interning order,
     /// with the full view (path included) — the reference
     /// [`RibStore::for_each_route_by_id`] is checked against.
     pub fn for_each_selected(&self, mut f: impl FnMut(NodeId, SelectedRoute<'_>)) {
-        for i in 0..self.dests.len() {
-            let nbr = self.sel_nbr[i];
-            if nbr == ABSENT {
-                continue;
+        for rec in &self.recs {
+            if let Some(view) = rec.view() {
+                f(NodeId(rec.dest as usize), view);
             }
-            f(
-                NodeId(self.dests[i] as usize),
-                SelectedRoute {
-                    next_hop: NodeId(nbr as usize),
-                    dist: self.sel_dist[i],
-                    dest_landmark_dist: self.sel_lm_dist[i],
-                    dest_is_landmark: self.sel_flag[i],
-                    path: self.sel_path[i].as_ref().expect("selection holds a path"),
-                },
-            );
         }
     }
 
@@ -683,50 +740,41 @@ impl RibStore {
     /// mirrors key on.
     #[inline]
     pub fn selected_parts_at(&self, di: u32) -> Option<(Weight, bool, bool)> {
-        let di = di as usize;
-        (self.sel_nbr[di] != ABSENT)
-            .then(|| (self.sel_dist[di], self.sel_flag[di], self.resident[di]))
+        let rec = &self.recs[di as usize];
+        (rec.sel_nbr != ABSENT).then_some((rec.sel_dist, rec.sel_flag, rec.resident))
     }
 
     /// Set or clear the owner's routing-table mark on the selected route
     /// of destination index `di`.
     #[inline]
     pub fn set_resident_at(&mut self, di: u32, resident: bool) {
-        debug_assert!(!resident || self.sel_nbr[di as usize] != ABSENT);
-        self.resident[di as usize] = resident;
+        let rec = &mut self.recs[di as usize];
+        debug_assert!(!resident || rec.sel_nbr != ABSENT);
+        rec.resident = resident;
     }
 
     /// Whether the owner marked `d` resident.
     #[inline]
     pub fn is_resident(&self, d: NodeId) -> bool {
-        self.idx_of(d).is_some_and(|di| self.resident[di])
+        self.idx_of(d).is_some_and(|di| self.recs[di].resident)
     }
 
     /// The selected route for `d` if the owner marked it resident — the
     /// routing table, read in place.
     #[inline]
     pub fn resident_view(&self, d: NodeId) -> Option<SelectedRoute<'_>> {
-        let di = self.idx_of(d)?;
-        self.resident[di]
-            .then(|| self.selected_view_at(di as u32))
-            .flatten()
+        let rec = &self.recs[self.idx_of(d)?];
+        rec.resident.then(|| rec.view()).flatten()
     }
 
-    /// Approximate heap bytes of the per-destination view columns — the
-    /// Loc-RIB and routing table: ~28 B per interned destination (4 nbr +
-    /// 8 dist + 8 lm-dist + 1 flag + 4 `Option<path id>` — the path
-    /// handle's `NonZeroU32` niche keeps the `Option` at 4 bytes — plus
-    /// 2 hop count and 1 resident mark), and 4 B more for the id order
-    /// once an ordered visit has built it.
+    /// Approximate heap bytes of the per-destination view — the Loc-RIB
+    /// and routing table: the records' 28 view bytes per interned
+    /// destination (4 nbr + 8 dist + 8 lm-dist + 1 flag + 4 `Option<path
+    /// id>` — the path handle's `NonZeroU32` niche keeps the `Option` at 4
+    /// bytes — plus 2 hop count and 1 resident mark), and 4 B more for the
+    /// id order once an ordered visit has built it.
     pub fn selection_bytes(&self) -> usize {
-        self.sel_nbr.capacity() * 4
-            + self.sel_dist.capacity() * 8
-            + self.sel_lm_dist.capacity() * 8
-            + self.sel_flag.capacity()
-            + self.sel_path.capacity() * std::mem::size_of::<Option<InternedPath>>()
-            + self.sel_hops.capacity() * 2
-            + self.id_order.get().map_or(0, |o| o.capacity() * 4)
-            + self.resident.capacity()
+        self.recs.capacity() * VIEW_BYTES + self.id_order.get().map_or(0, |o| o.capacity() * 4)
     }
 
     /// All candidates for `d` as `(neighbor, candidate)`, sorted by
@@ -758,20 +806,20 @@ impl RibStore {
     }
 
     /// Forgetful eviction (§4.2): keep at most `keep` candidates for `d` —
-    /// always including the *selected* candidate (read from the selection
-    /// column), whatever its rank — evicting the least-preferred rest.
-    /// Marks `d` as having forgotten information.
+    /// always including the *selected* candidate (read from the record),
+    /// whatever its rank — evicting the least-preferred rest. Marks `d` as
+    /// having forgotten information.
     pub fn enforce(&mut self, d: NodeId, keep: usize) {
         let Some(di) = self.idx_of(d) else {
             return;
         };
-        let di = di as u32;
-        if (self.cand_count[di as usize] as usize) <= keep {
+        if (self.recs[di].cand_count as usize) <= keep {
             return;
         }
+        let di = di as u32;
         let mut ranked = self.candidates_for(d);
         // The selected route is never evicted, whatever its rank.
-        if let Some(hop) = self.selected_hop(d) {
+        if let Some(hop) = self.selected_hop_at(di) {
             if let Some(p) = ranked.iter().position(|&(nbr, _)| nbr == hop) {
                 let sel = ranked.remove(p);
                 ranked.insert(0, sel);
@@ -782,7 +830,7 @@ impl RibStore {
             debug_assert!(held, "ranked candidate must exist");
             self.drop_count(di);
             self.evictions += 1;
-            self.evicted[di as usize] = true;
+            self.recs[di as usize].evicted = true;
         }
         self.maybe_compact();
     }
@@ -791,117 +839,68 @@ impl RibStore {
     /// the flag was last taken; clears the flag. The caller re-solicits
     /// (route-refresh) exactly when this returns true after a loss.
     pub fn take_evicted(&mut self, d: NodeId) -> bool {
-        match self.idx_of(d) {
-            Some(di) => {
-                let was = std::mem::replace(&mut self.evicted[di], false);
-                if was && !self.is_live_idx(di) {
-                    self.live_dests -= 1;
-                }
-                was
-            }
-            None => false,
+        let Some(di) = self.idx_of(d) else {
+            return false;
+        };
+        let rec = &mut self.recs[di];
+        let was = std::mem::replace(&mut rec.evicted, false);
+        if was && !rec.is_live() {
+            self.live_dests -= 1;
         }
+        was
     }
 
     /// Gauge snapshot for `exp_memory`.
     pub fn stats(&self) -> RibStats {
-        let path_nodes = self
-            .slabs
-            .iter()
-            .flat_map(|(_, s)| s.path.iter())
-            .map(InternedPath::len)
-            .sum();
-        let approx_bytes = self
-            .slabs
-            .iter()
-            .map(|(_, s)| s.approx_bytes())
-            .sum::<usize>()
-            + self.dests.capacity() * 4
-            + self.cand_count.capacity() * 4
-            + self.evicted.capacity()
-            + self.dest_idx.capacity() * 10;
-        let selection_bytes = self.selection_bytes();
+        let slabs = || self.slabs.iter().map(|(_, s)| s);
         RibStats {
             candidates: self.total,
-            dests_interned: self.dests.len(),
+            dests_interned: self.recs.len(),
             selected: self.sel_count,
-            path_nodes,
-            approx_bytes,
-            selection_bytes,
+            path_nodes: slabs().flat_map(|s| &s.slots).map(|s| s.path.len()).sum(),
+            approx_bytes: slabs().map(NeighborSlab::approx_bytes).sum::<usize>()
+                + self.recs.capacity() * (std::mem::size_of::<DestRecord>() - VIEW_BYTES)
+                + self.dest_idx.capacity() * 10,
+            selection_bytes: self.selection_bytes(),
             evictions: self.evictions,
         }
     }
 
     /// Rebuild the destination interner when most interned destinations no
-    /// longer hold candidates (long churn runs otherwise grow the position
-    /// vectors with the union of every destination ever seen). Triggered
-    /// from the mutation paths by occupancy, so behavior stays a pure
-    /// function of the operation sequence.
+    /// longer hold candidates (long churn runs otherwise grow the records
+    /// with the union of every destination ever seen). Triggered from the
+    /// mutation paths by occupancy, so behavior stays a pure function of
+    /// the operation sequence.
     fn maybe_compact(&mut self) {
         let live = self.live_dests;
-        debug_assert_eq!(
-            live,
-            (0..self.dests.len())
-                .filter(|&i| self.is_live_idx(i))
-                .count()
-        );
-        if self.dests.len() < 64 || live * 4 >= self.dests.len() {
+        debug_assert_eq!(live, self.recs.iter().filter(|r| r.is_live()).count());
+        if self.recs.len() < 64 || live * 4 >= self.recs.len() {
             return;
         }
-        let mut remap = vec![ABSENT; self.dests.len()];
-        let mut dests = Vec::with_capacity(live);
-        let mut cand_count = Vec::with_capacity(live);
-        let mut evicted = Vec::with_capacity(live);
-        let mut resident = Vec::with_capacity(live);
-        let mut sel_nbr = Vec::with_capacity(live);
-        let mut sel_dist = Vec::with_capacity(live);
-        let mut sel_lm_dist = Vec::with_capacity(live);
-        let mut sel_flag = Vec::with_capacity(live);
-        let mut sel_path = Vec::with_capacity(live);
-        let mut sel_hops = Vec::with_capacity(live);
+        let mut remap = vec![ABSENT; self.recs.len()];
+        let mut recs = Vec::with_capacity(live);
         let mut dest_idx = FxHashMap::default();
-        // (Indexing, not iterators: the loop reads the parallel columns
-        // and writes `remap` by the same index.)
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..self.dests.len() {
-            if !self.is_live_idx(i) {
+        for (i, rec) in std::mem::take(&mut self.recs).into_iter().enumerate() {
+            if !rec.is_live() {
                 continue;
             }
-            let ni = dests.len() as u32;
+            let ni = recs.len() as u32;
             remap[i] = ni;
-            dests.push(self.dests[i]);
-            cand_count.push(self.cand_count[i]);
-            evicted.push(self.evicted[i]);
-            resident.push(self.resident[i]);
-            sel_nbr.push(self.sel_nbr[i]);
-            sel_dist.push(self.sel_dist[i]);
-            sel_lm_dist.push(self.sel_lm_dist[i]);
-            sel_flag.push(self.sel_flag[i]);
-            sel_path.push(self.sel_path[i].take());
-            sel_hops.push(self.sel_hops[i]);
-            dest_idx.insert(self.dests[i], ni);
+            dest_idx.insert(rec.dest, ni);
+            recs.push(rec);
         }
         for (_, slab) in self.slabs.iter_mut() {
             let mut pos = FxHashMap::default();
-            for s in 0..slab.dest.len() {
-                let ni = remap[slab.dest[s] as usize];
+            for (s, slot) in slab.slots.iter_mut().enumerate() {
+                let ni = remap[slot.di() as usize];
                 debug_assert!(ni != ABSENT, "occupied dest must survive compaction");
-                slab.dest[s] = ni;
+                slot.tagged = ni | (slot.tagged & LM_BIT);
                 pos.insert(ni, s as u32);
             }
             slab.pos = pos;
         }
-        self.live_dests = dests.len();
-        self.dests = dests;
-        self.cand_count = cand_count;
-        self.evicted = evicted;
-        self.resident = resident;
-        self.sel_nbr = sel_nbr;
-        self.sel_dist = sel_dist;
-        self.sel_lm_dist = sel_lm_dist;
-        self.sel_flag = sel_flag;
-        self.sel_path = sel_path;
-        self.sel_hops = sel_hops;
+        self.live_dests = recs.len();
+        self.recs = recs;
         self.id_order.take();
         self.dest_idx = dest_idx;
     }

@@ -36,7 +36,15 @@
 //!    every destination whose `for_each_route_by_id` row differs — or
 //!    says it does not reach that far back
 //!    (`journal_names_every_row_that_moved`).
-//! 8. also one level up, under a vicinity cap: at every quiescence of a
+//! 8. `promotes`, the owner's promote test, answers exactly as the
+//!    expression it replaced — the same-neighbor equal-route test, or
+//!    the preference order over the full paths — for every candidate the
+//!    store holds for a selected destination, and for probes from every
+//!    neighbor around the selection of the step's destination: exact
+//!    ties (the only ties unit weights produce), distances inside and
+//!    just outside the `1e-12` band, and paths one hop shorter, as long
+//!    and one hop longer.
+//! 9. also one level up, under a vicinity cap: at every quiescence of a
 //!    booting and link-flapping network, `local_entries` and
 //!    `landmark_entries` list exactly the resident selections, ordered by
 //!    `(dist, NodeId)`, and no waiting selection outranks the worst local
@@ -302,6 +310,62 @@ fn check_invariants(dr: &Driven, model: &FullRib, dests: &[NodeId], settled: boo
     assert_eq!(ordered.len(), dr.rib.selected_count());
 }
 
+/// Invariant (8): `promotes` against `better` over the full paths, for
+/// every held candidate of every selected destination and for probes
+/// around the selection of `probed`.
+fn check_promotes(rib: &RibStore, dests: &[NodeId], neighbors: &[NodeId], probed: NodeId) {
+    for &d in dests {
+        let Some(view) = rib.selected_view(d) else {
+            continue;
+        };
+        let di = rib.idx(d).expect("selected");
+        let sel = Candidate {
+            dist: view.dist,
+            path: view.path.clone(),
+            dest_is_landmark: view.dest_is_landmark,
+            dest_landmark_dist: view.dest_landmark_dist,
+        };
+        let mut probes = rib.candidates_for(d);
+        if d == probed {
+            // Paths me → nbr → fillers → d; fillers below the salts for
+            // even neighbors, above them for odd ones, so the selected
+            // neighbor's probes order both ways against its own path.
+            let hops = view.path.len() - 1;
+            for &nbr in neighbors {
+                let base = if nbr.0 % 2 == 0 { 150 } else { 300 };
+                for len in [hops - 1, hops, hops + 1] {
+                    let mut nodes = vec![NodeId(ME), nbr];
+                    nodes.extend((2..len).map(|k| NodeId(base + k)));
+                    nodes.push(d);
+                    for delta in [0.0, 5e-13, -5e-13, 2e-12, -2e-12] {
+                        let c = Candidate {
+                            dist: view.dist + delta,
+                            path: InternedPath::from_slice(&nodes),
+                            ..sel.clone()
+                        };
+                        probes.push((nbr, c));
+                    }
+                }
+            }
+            probes.push((view.next_hop, sel.clone()));
+        }
+        for (from, c) in &probes {
+            let head = (view.next_hop == *from && c.dist == sel.dist && c.path == sel.path)
+                || better(c, &sel);
+            assert_eq!(
+                rib.promotes(di, *from, c),
+                head,
+                "promotes for {d} from {from}: {:?} at {} against {:?} at {} via {}",
+                c.path,
+                c.dist,
+                sel.path,
+                sel.dist,
+                view.next_hop
+            );
+        }
+    }
+}
+
 fn run_model(seed: u64, forgetful: bool) -> u64 {
     let mut rng = seed;
     let neighbors: Vec<NodeId> = (1..=6).map(NodeId).collect();
@@ -394,6 +458,7 @@ fn run_model(seed: u64, forgetful: bool) -> u64 {
             }
         }
         check_invariants(&dr, &model, &dests, settle);
+        check_promotes(&dr.rib, &dests, &neighbors, d);
     }
     let stats = dr.rib.stats();
     assert_eq!(
@@ -524,7 +589,7 @@ impl Ord for Rank {
     }
 }
 
-/// Invariant (8) for one node: the ordered entry lists against a
+/// Invariant (9) for one node: the ordered entry lists against a
 /// reference rebuilt from the selection column and the table.
 fn check_cap_order(node: &PathVectorNode, cap: usize) {
     let v = node.id();

@@ -18,7 +18,7 @@
 //!
 //! Sharing is by construction, not by lookup: a cell `(v, P)` comes into
 //! being when `v` absorbs `P` from one neighbor, and every other holder of
-//! that path (selection column, table entry, export, each copy of a flood)
+//! that path (selection, table entry, export, each copy of a flood)
 //! is a `clone()` of the one handle. A table keyed by `(head, tail)` would
 //! have nothing left to find — it de-duplicated under 2 % of cells on boot
 //! and churn runs and cost a random memory probe per prepend and per
@@ -209,8 +209,8 @@ impl PathArena {
 /// retain/release on another thread's arena would corrupt both.
 pub struct InternedPath {
     /// Cell id plus one (`NonZeroU32` so `Option<InternedPath>` is 4
-    /// bytes — the `RibStore` selection column stores one per interned
-    /// destination). The arena's raw id space is `0..u32::MAX - 1`
+    /// bytes — each `RibStore` destination record stores one for its
+    /// selection). The arena's raw id space is `0..u32::MAX - 1`
     /// (`acquire` asserts), so the +1 cannot wrap.
     id: std::num::NonZeroU32,
     /// Pins the value to its creating thread (raw pointers are `!Send`
@@ -729,8 +729,8 @@ mod tests {
 
     #[test]
     fn option_interned_path_has_a_niche() {
-        // The RibStore selection column stores one Option<InternedPath>
-        // per interned destination; the NonZeroU32 id keeps it at 4 bytes.
+        // Each RibStore destination record stores one Option<InternedPath>
+        // for its selection; the NonZeroU32 id keeps it at 4 bytes.
         assert_eq!(std::mem::size_of::<Option<InternedPath>>(), 4);
         assert_eq!(std::mem::size_of::<InternedPath>(), 4);
     }

@@ -13,6 +13,7 @@ use crate::stats::MessageStats;
 use crate::Protocol;
 use disco_graph::{EdgeId, Graph, NodeId, Weight};
 use disco_telemetry::{MessageClass, NoopRecorder, Recorder};
+use std::sync::Arc;
 
 /// Default event valve of a run (the sequential engine's
 /// [`Engine::max_events`], and the sharded engine's summed over shards).
@@ -32,6 +33,13 @@ const PROCESSING_DELAY: SimTime = 0.01;
 pub(crate) fn node_event_key(node: NodeId, ctr: u32) -> u64 {
     ((node.0 as u64 + 1) << 32) | ctr as u64
 }
+
+/// One flood group of a node: the link weight (one arrival instant), the
+/// receiving shard, and the `(receiver, edge)` targets in adjacency order.
+/// Shared by every `DeliverFlood` the node files until its adjacency
+/// changes; an `Arc`, not an `Rc`, because sharded outboxes move events
+/// between worker threads.
+type FloodGroup = (Weight, usize, Arc<[(NodeId, EdgeId)]>);
 
 /// Summary of one simulation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -104,6 +112,12 @@ pub struct Engine<
     /// drained in place afterwards — the zero-allocation upcall path (the
     /// buffer's capacity survives across upcalls).
     action_scratch: Vec<Action<P::Message>>,
+    /// Per node, its flood groups, built by its first flood after an
+    /// adjacency change (`None` until then): a flood's targets depend only
+    /// on the sender's adjacency and the partition, so a flood files
+    /// events that share them and allocates nothing. A topology event
+    /// drops the groups of exactly the nodes whose adjacency it changed.
+    floods: Vec<Option<Box<[FloodGroup]>>>,
     /// Per-node action counters backing the logical event keys (see
     /// [`node_event_key`]); never reset, so keys stay unique across
     /// leave/rejoin cycles.
@@ -172,6 +186,7 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
             pending_timers: (0..n).map(|_| Vec::new()).collect(),
             stats: MessageStats::new(n),
             action_scratch: Vec::new(),
+            floods: vec![None; n],
             push_ctr: vec![0; n],
             world_ctr: 0,
             shard: None,
@@ -314,6 +329,8 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
     /// nodes are filed into that shard's outbox bucket instead of the local
     /// queue.
     pub(crate) fn bind_shard(&mut self, partition: crate::sharded::Partition, me: usize) {
+        // Flood groups are split by receiving shard.
+        self.floods.fill(None);
         self.shard = Some(ShardBinding {
             partition,
             me,
@@ -395,7 +412,8 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
     /// buffer in place (its capacity is recycled), and file each through
     /// [`Engine::file`] — locally, or for the receiver's shard. Sends are
     /// already edge-resolved by the [`Context`], so no per-send adjacency
-    /// scan happens here; floods walk the adjacency list exactly once.
+    /// scan happens here; a flood reuses its sender's flood groups and
+    /// walks the adjacency list only on its first flood after a change.
     fn apply_actions(&mut self, node: NodeId, actions: &mut Vec<Action<P::Message>>) {
         let now = self.now;
         let arrival = |w: Weight| now + w + PROCESSING_DELAY;
@@ -406,7 +424,7 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
                     msg,
                     size_bytes,
                 } => {
-                    self.stats.record_send(node, size_bytes);
+                    self.stats.record_sends(node, 1, size_bytes);
                     if R::ENABLED {
                         self.recorder
                             .message_sent(now, P::classify(&msg), 1, size_bytes as u64);
@@ -423,7 +441,7 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
                 }
                 Action::SendBatch { to, msgs } => {
                     for (msg, size_bytes) in msgs.iter() {
-                        self.stats.record_send(node, *size_bytes);
+                        self.stats.record_sends(node, 1, *size_bytes);
                         if R::ENABLED {
                             let class = MessageClass::shaped(P::classify(msg), MessageClass::Batch);
                             self.recorder
@@ -441,63 +459,42 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
                 }
                 Action::Flood { msg, size_bytes } => {
                     let key = self.node_key(node);
-                    // Group the copies by link weight and receiving shard:
-                    // a weight is one arrival instant, so each group is ONE
-                    // event carrying the payload once, replicated at the
-                    // pop — uniform weights on one shard collapse to a
-                    // single event (the common case). Targets keep
-                    // adjacency order within a group. One pass sizes the
-                    // groups, so each target list is allocated once at
-                    // its final length and boxes without a `realloc`.
-                    // `(weight, receiving shard, size, targets)`.
-                    type FloodGroup = (Weight, usize, usize, Vec<(NodeId, EdgeId)>);
-                    let mut groups: Vec<FloodGroup> = Vec::new();
-                    let group_of = |groups: &[FloodGroup], w: Weight, dest: usize| {
-                        groups.iter().position(|g| g.0 == w && g.1 == dest)
+                    let copies = self.graph.degree(node);
+                    self.stats.record_sends(node, copies, size_bytes);
+                    // Each group is ONE event carrying the payload once,
+                    // replicated at the pop — uniform weights on one shard
+                    // collapse to a single event (the common case). Every
+                    // group carries the flood's key; groups differ in time
+                    // or receiving shard, so no two events of one queue
+                    // collide on (time, key). The payload moves into the
+                    // last group, cloning only for the others.
+                    let groups = match self.floods[node.0].take() {
+                        Some(groups) => groups,
+                        None => self.flood_groups(node),
                     };
-                    for nb in self.graph.neighbors(node) {
-                        self.stats.record_send(node, size_bytes);
-                        let dest = self.shard_of(nb.node);
-                        match group_of(&groups, nb.weight, dest) {
-                            Some(g) => groups[g].2 += 1,
-                            None => groups.push((nb.weight, dest, 1, Vec::new())),
+                    if let Some(((w, dest, targets), rest)) = groups.split_last() {
+                        if R::ENABLED {
+                            let class =
+                                MessageClass::shaped(P::classify(&msg), MessageClass::Flood);
+                            self.recorder.message_sent(
+                                now,
+                                class,
+                                copies as u64,
+                                (size_bytes * copies) as u64,
+                            );
                         }
+                        let flood = |msg, targets: &Arc<_>| EventKind::DeliverFlood {
+                            from: node,
+                            msg,
+                            targets: Arc::clone(targets),
+                            size_bytes,
+                        };
+                        for (w, dest, targets) in rest {
+                            self.file(*dest, arrival(*w), key, flood(msg.clone(), targets));
+                        }
+                        self.file(*dest, arrival(*w), key, flood(msg, targets));
                     }
-                    for g in &mut groups {
-                        g.3.reserve_exact(g.2);
-                    }
-                    for nb in self.graph.neighbors(node) {
-                        let dest = self.shard_of(nb.node);
-                        let g = group_of(&groups, nb.weight, dest).expect("sized above");
-                        groups[g].3.push((nb.node, nb.edge));
-                    }
-                    // Every group carries the flood's key; groups differ in
-                    // time or receiving shard, so no two events of one
-                    // queue collide on (time, key). The payload moves into
-                    // the last group, cloning only for the others.
-                    let Some((w, dest, _, targets)) = groups.pop() else {
-                        continue; // no neighbors, nothing to send
-                    };
-                    if R::ENABLED {
-                        let class = MessageClass::shaped(P::classify(&msg), MessageClass::Flood);
-                        let copies = self.graph.degree(node);
-                        self.recorder.message_sent(
-                            now,
-                            class,
-                            copies as u64,
-                            (size_bytes * copies) as u64,
-                        );
-                    }
-                    let flood = |msg, targets: Vec<_>| EventKind::DeliverFlood {
-                        from: node,
-                        msg,
-                        targets: targets.into_boxed_slice(),
-                        size_bytes,
-                    };
-                    for (w, dest, _, targets) in groups {
-                        self.file(dest, arrival(w), key, flood(msg.clone(), targets));
-                    }
-                    self.file(dest, arrival(w), key, flood(msg, targets));
+                    self.floods[node.0] = Some(groups);
                 }
                 Action::Timer { delay, token } => {
                     let key = self.node_key(node);
@@ -514,6 +511,30 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
                 }
             }
         }
+    }
+
+    /// `node`'s flood groups from its current adjacency: grouped by link
+    /// weight and receiving shard in first-appearance order, targets in
+    /// adjacency order within a group.
+    fn flood_groups(&self, node: NodeId) -> Box<[FloodGroup]> {
+        let nbs = self.graph.neighbors(node);
+        let mut keys: Vec<(Weight, usize)> = Vec::new();
+        for nb in nbs {
+            let key = (nb.weight, self.shard_of(nb.node));
+            if !keys.contains(&key) {
+                keys.push(key);
+            }
+        }
+        keys.into_iter()
+            .map(|(w, dest)| {
+                let targets = nbs
+                    .iter()
+                    .filter(|nb| nb.weight == w && self.shard_of(nb.node) == dest)
+                    .map(|nb| (nb.node, nb.edge))
+                    .collect();
+                (w, dest, targets)
+            })
+            .collect()
     }
 
     /// Run `upcall` on node `v` with a context over the engine's recycled
@@ -615,6 +636,8 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
                     return;
                 }
                 if self.graph.insert_edge(u, v, weight).is_some() {
+                    self.floods[u.0] = None;
+                    self.floods[v.0] = None;
                     if self.owns(u) {
                         self.upcall(u, |p, ctx| p.on_neighbor_up(v, ctx));
                     }
@@ -625,6 +648,8 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
             }
             TopologyEvent::LinkDown { u, v } => {
                 if self.graph.remove_edge(u, v).is_some() {
+                    self.floods[u.0] = None;
+                    self.floods[v.0] = None;
                     if self.is_active(u) && self.owns(u) {
                         self.upcall(u, |p, ctx| p.on_neighbor_down(v, ctx));
                     }
@@ -644,6 +669,10 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
                 // so replicas drop nothing here.)
                 self.cancel_node_timers(node);
                 let former = self.graph.detach_node(node);
+                self.floods[node.0] = None;
+                for &(peer, _) in &former {
+                    self.floods[peer.0] = None;
+                }
                 for (peer, _) in former {
                     if self.is_active(peer) && self.owns(peer) {
                         self.upcall(peer, |p, ctx| p.on_neighbor_down(node, ctx));
@@ -658,6 +687,7 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
                     self.active.push(false);
                     self.epoch.push(0);
                     self.pending_timers.push(Vec::new());
+                    self.floods.push(None);
                     self.push_ctr.push(0);
                 }
                 self.stats.grow_to(self.graph.node_count());
@@ -687,6 +717,10 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
                     {
                         attached.push(peer);
                     }
+                }
+                self.floods[node.0] = None;
+                for &peer in &attached {
+                    self.floods[peer.0] = None;
                 }
                 // The joiner boots first (it sees its links in the context),
                 // then both sides observe the new adjacency.
@@ -1433,7 +1467,7 @@ mod tests {
             else {
                 panic!("a flood files only DeliverFlood events");
             };
-            (shard, time, key, from, msg, targets.into_vec())
+            (shard, time, key, from, msg, targets.to_vec())
         };
         let mut filed: Vec<FloodCopy> = std::iter::from_fn(|| e.queue.pop())
             .map(|(_, ev)| copy(me, ev.time, ev.key, ev.kind))

@@ -122,8 +122,9 @@ pub enum EventKind<M> {
         from: NodeId,
         msg: M,
         /// `(receiver, edge at send time)`, in adjacency order at send
-        /// time.
-        targets: Box<[(NodeId, EdgeId)]>,
+        /// time — the sender's flood group, shared by every flood it
+        /// sends until its adjacency changes.
+        targets: std::sync::Arc<[(NodeId, EdgeId)]>,
         /// Accounted wire size of one flood copy (every target receives the
         /// same message).
         size_bytes: usize,

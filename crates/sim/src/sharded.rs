@@ -30,12 +30,15 @@
 //! A cross-shard send has one form from send to delivery: the
 //! `(time, key, EventKind)` entry the engine would have queued locally.
 //! At send time one routine files each event either onto the local wheel
-//! or into the outbox bucket of the receiving shard — a flood's copies are
-//! grouped there, once, by link weight and receiving shard, so each
-//! receiving shard gets one `DeliverFlood` per arrival instant carrying the
-//! payload once. Across the barrier only the messages inside the events
-//! change form (`ShardProtocol::to_wire` when the outbox is flushed,
-//! `ShardProtocol::from_wire` when the mailbox is filed).
+//! or into the outbox bucket of the receiving shard. A flood's copies go
+//! out in the sender's flood groups — its neighbors grouped by link weight
+//! and receiving shard, built on its first flood after an adjacency change
+//! and kept until the next — so each receiving shard gets one
+//! `DeliverFlood` per arrival instant carrying the payload once and
+//! sharing the group's target list (an `Arc`: the event may cross to
+//! another worker thread). Across the barrier only the messages inside the
+//! events change form (`ShardProtocol::to_wire` when the outbox is
+//! flushed, `ShardProtocol::from_wire` when the mailbox is filed).
 //!
 //! A window costs each worker one command and one reply. The
 //! `Cmd::Window` command carries the window's end *and* the events other

@@ -38,11 +38,11 @@ impl MessageStats {
         }
     }
 
-    /// Record one message of `size_bytes` sent by `from` (and eventually
-    /// received by `to`).
-    pub fn record_send(&mut self, from: NodeId, size_bytes: usize) {
-        self.sent[from.0] += 1;
-        self.bytes_sent[from.0] += size_bytes as u64;
+    /// Record `copies` messages of `size_bytes` each sent by `from` (one
+    /// send, or the copies of one flood).
+    pub fn record_sends(&mut self, from: NodeId, copies: usize, size_bytes: usize) {
+        self.sent[from.0] += copies as u64;
+        self.bytes_sent[from.0] += (copies * size_bytes) as u64;
     }
 
     /// Record delivery of a message of `size_bytes` at `to`.
@@ -135,9 +135,9 @@ mod tests {
     #[test]
     fn records_and_aggregates() {
         let mut s = MessageStats::new(3);
-        s.record_send(NodeId(0), 100);
-        s.record_send(NodeId(0), 50);
-        s.record_send(NodeId(2), 10);
+        s.record_sends(NodeId(0), 1, 100);
+        s.record_sends(NodeId(0), 1, 50);
+        s.record_sends(NodeId(2), 1, 10);
         s.record_receive(NodeId(1), 100);
         assert_eq!(s.sent_by(NodeId(0)), 2);
         assert_eq!(s.sent_by(NodeId(1)), 0);
