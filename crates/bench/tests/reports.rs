@@ -94,9 +94,9 @@ fn checked_in_reports_parse_and_hold_their_floors() {
     );
     assert_eq!(
         floor("BENCH_exp_scale.json", "min_announcements_per_sec"),
-        1999842.0
+        2265206.0
     );
-    assert_eq!(floor("BENCH_exp_scale.json", "sharded_ratio"), 1.028);
+    assert_eq!(floor("BENCH_exp_scale.json", "sharded_ratio"), 1.317);
 }
 
 /// A checked-in sweep row still reads into a `MemoryResult`: the columns

@@ -7,7 +7,7 @@
 //! [`Protocol::on_neighbor_up`] / [`Protocol::on_neighbor_down`] upcalls.
 
 use crate::context::{Action, Context, DEFAULT_MSG_SIZE};
-use crate::event::{EventKind, EventQueue, SimTime, TimerWheel, TopologyEvent};
+use crate::event::{EventKind, EventQueue, FloodRun, SimTime, TimerWheel, TopologyEvent};
 use crate::sharded::{Filed, ShardBinding, ShardProtocol};
 use crate::stats::MessageStats;
 use crate::Protocol;
@@ -40,6 +40,64 @@ pub(crate) fn node_event_key(node: NodeId, ctr: u32) -> u64 {
 /// changes; an `Arc`, not an `Rc`, because sharded outboxes move events
 /// between worker threads.
 type FloodGroup = (Weight, usize, Arc<[(NodeId, EdgeId)]>);
+
+/// The wall time of one event, split by the classes of the messages it
+/// carries, for [`Recorder::event_done`]. An event that carries one class
+/// reports its whole time once under that class, as a single message
+/// does; an event that carries several (a batch, or a run of floods
+/// mixing routes and withdrawals) reports each class once, with the time
+/// of its messages. The clock is read only where the class changes, and
+/// not at all under a recorder that is not `ENABLED`.
+struct ClassClock<R: Recorder> {
+    /// Start of the current class's stretch (`None` when not `ENABLED`).
+    at: Option<std::time::Instant>,
+    class: Option<MessageClass>,
+    ns: [u64; MessageClass::COUNT],
+    /// Bit `i` set: class index `i` appeared in the event.
+    seen: u16,
+    recorder: std::marker::PhantomData<R>,
+}
+
+impl<R: Recorder> ClassClock<R> {
+    fn start() -> Self {
+        ClassClock {
+            at: R::ENABLED.then(std::time::Instant::now),
+            class: None,
+            ns: [0; MessageClass::COUNT],
+            seen: 0,
+            recorder: std::marker::PhantomData,
+        }
+    }
+
+    /// The event's next message (or the event itself) is of `class`. The
+    /// time before the first one goes to the first one's class.
+    #[inline]
+    fn enter(&mut self, class: MessageClass) {
+        if !R::ENABLED || self.class == Some(class) {
+            return;
+        }
+        if let (Some(prev), Some(at)) = (self.class, self.at) {
+            let now = std::time::Instant::now();
+            self.ns[prev.index()] += (now - at).as_nanos() as u64;
+            self.at = Some(now);
+        }
+        self.class = Some(class);
+        self.seen |= 1 << class.index();
+    }
+
+    /// Close the last stretch and report one `event_done` per class seen.
+    fn finish(mut self, recorder: &mut R) {
+        let (Some(last), Some(at)) = (self.class, self.at) else {
+            return;
+        };
+        self.ns[last.index()] += at.elapsed().as_nanos() as u64;
+        for class in MessageClass::ALL {
+            if self.seen & (1 << class.index()) != 0 {
+                recorder.event_done(class, self.ns[class.index()]);
+            }
+        }
+    }
+}
 
 /// Summary of one simulation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -412,12 +470,24 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
     /// buffer in place (its capacity is recycled), and file each through
     /// [`Engine::file`] — locally, or for the receiver's shard. Sends are
     /// already edge-resolved by the [`Context`], so no per-send adjacency
-    /// scan happens here; a flood reuses its sender's flood groups and
-    /// walks the adjacency list only on its first flood after a change.
+    /// scan happens here.
+    ///
+    /// A maximal run of consecutive floods (any send, batch or timer
+    /// between two floods ends it; a lone flood is a run of one) becomes
+    /// one [`EventKind::DeliverFlood`] per flood group, carrying the run's
+    /// messages in send order under the run's first key; the node's
+    /// counter still advances once per flood, so every later key is the
+    /// one it would have been. The groups are the sender's cached ones —
+    /// the adjacency list is walked only on its first flood after a
+    /// change — and a run of one allocates nothing; a longer run
+    /// allocates one exact-size buffer per group. One consequence for
+    /// callers: [`Engine::run_until`] checks its stop predicate per
+    /// event, so after a whole run's deliveries, not after each message.
     fn apply_actions(&mut self, node: NodeId, actions: &mut Vec<Action<P::Message>>) {
         let now = self.now;
         let arrival = |w: Weight| now + w + PROCESSING_DELAY;
-        for a in actions.drain(..) {
+        let mut actions = actions.drain(..);
+        while let Some(a) = actions.next() {
             match a {
                 Action::Send {
                     to,
@@ -458,41 +528,60 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
                     self.file(self.shard_of(to.node), arrival(to.weight), key, kind);
                 }
                 Action::Flood { msg, size_bytes } => {
+                    // The run: this flood and the floods right after it.
+                    let more = actions
+                        .as_slice()
+                        .iter()
+                        .take_while(|a| matches!(a, Action::Flood { .. }))
+                        .count();
+                    let run = if more == 0 {
+                        FloodRun::One((msg, size_bytes))
+                    } else {
+                        let rest = actions.by_ref().take(more).map(|a| match a {
+                            Action::Flood { msg, size_bytes } => (msg, size_bytes),
+                            _ => unreachable!("counted as a flood above"),
+                        });
+                        FloodRun::Many(std::iter::once((msg, size_bytes)).chain(rest).collect())
+                    };
                     let key = self.node_key(node);
+                    self.push_ctr[node.0] += more as u32;
                     let copies = self.graph.degree(node);
-                    self.stats.record_sends(node, copies, size_bytes);
-                    // Each group is ONE event carrying the payload once,
+                    for &(_, size) in run.as_slice() {
+                        self.stats.record_sends(node, copies, size);
+                    }
+                    // Each group is ONE event carrying the run once,
                     // replicated at the pop — uniform weights on one shard
                     // collapse to a single event (the common case). Every
-                    // group carries the flood's key; groups differ in time
-                    // or receiving shard, so no two events of one queue
-                    // collide on (time, key). The payload moves into the
-                    // last group, cloning only for the others.
+                    // group carries the run's first key; groups differ in
+                    // time or receiving shard, so no two events of one
+                    // queue collide on (time, key). The run moves into the
+                    // last group, cloned only for the others.
                     let groups = match self.floods[node.0].take() {
                         Some(groups) => groups,
                         None => self.flood_groups(node),
                     };
-                    if let Some(((w, dest, targets), rest)) = groups.split_last() {
+                    if let Some(((w, dest, targets), others)) = groups.split_last() {
                         if R::ENABLED {
-                            let class =
-                                MessageClass::shaped(P::classify(&msg), MessageClass::Flood);
-                            self.recorder.message_sent(
-                                now,
-                                class,
-                                copies as u64,
-                                (size_bytes * copies) as u64,
-                            );
+                            for (m, size) in run.as_slice() {
+                                let class =
+                                    MessageClass::shaped(P::classify(m), MessageClass::Flood);
+                                self.recorder.message_sent(
+                                    now,
+                                    class,
+                                    copies as u64,
+                                    (size * copies) as u64,
+                                );
+                            }
                         }
-                        let flood = |msg, targets: &Arc<_>| EventKind::DeliverFlood {
+                        let flood = |run, targets: &Arc<_>| EventKind::DeliverFlood {
                             from: node,
-                            msg,
+                            run,
                             targets: Arc::clone(targets),
-                            size_bytes,
                         };
-                        for (w, dest, targets) in rest {
-                            self.file(*dest, arrival(*w), key, flood(msg.clone(), targets));
+                        for (w, dest, targets) in others {
+                            self.file(*dest, arrival(*w), key, flood(run.clone(), targets));
                         }
-                        self.file(*dest, arrival(*w), key, flood(msg, targets));
+                        self.file(*dest, arrival(*w), key, flood(run, targets));
                     }
                     self.floods[node.0] = Some(groups);
                 }
@@ -574,27 +663,29 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
     }
 
     /// Deliver one message `from` → `to` over the link that was `edge` at
-    /// send time: every delivery event, whatever its shape, comes through
-    /// here once per message. A message whose link died in flight is
-    /// counted dropped; otherwise the receive is accounted and the arrival
-    /// link (live, so its record still describes the current link) is
-    /// handed to the `on_message` upcall. Returns the message's telemetry
-    /// class — the protocol's class over `shape`, or `shape` itself under
-    /// the no-op recorder.
+    /// send time (`(to, edge)` is one target): every delivery event,
+    /// whatever its shape, comes through here once per message. A message
+    /// whose link died in flight is counted dropped; otherwise the receive
+    /// is accounted and the arrival link (live, so its record still
+    /// describes the current link) is handed to the `on_message` upcall.
+    /// The message's telemetry class — the protocol's class over `shape` —
+    /// is entered on `clock` (under the no-op recorder neither is
+    /// computed).
     fn deliver(
         &mut self,
         from: NodeId,
-        to: NodeId,
-        edge: EdgeId,
+        (to, edge): (NodeId, EdgeId),
         msg: P::Message,
         size_bytes: usize,
         shape: MessageClass,
-    ) -> MessageClass {
+        clock: &mut ClassClock<R>,
+    ) {
         let class = if R::ENABLED {
             MessageClass::shaped(P::classify(&msg), shape)
         } else {
             shape
         };
+        clock.enter(class);
         if self.link_died_in_flight(to, edge) {
             self.messages_dropped += 1;
             if R::ENABLED {
@@ -614,7 +705,6 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
             };
             self.upcall_via(to, Some(via), |p, ctx| p.on_message(from, msg, ctx));
         }
-        class
     }
 
     /// Apply one topology mutation and deliver the resulting neighbor
@@ -807,21 +897,24 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
         self.now = ev.time;
         self.events_processed += 1;
         // Wall-clock the event only when a recorder is attached; under the
-        // no-op recorder the timer, the per-arm class and the final
-        // `event_done` upcall all fold away.
-        let wall = if R::ENABLED {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
-        let ev_class = match ev.kind {
+        // no-op recorder the clock, the per-message classes and the final
+        // `event_done` upcalls all fold away.
+        let mut clock = ClassClock::<R>::start();
+        match ev.kind {
             EventKind::Deliver {
                 from,
                 to,
                 edge,
                 msg,
                 size_bytes,
-            } => self.deliver(from, to, edge, msg, size_bytes, MessageClass::Deliver),
+            } => self.deliver(
+                from,
+                (to, edge),
+                msg,
+                size_bytes,
+                MessageClass::Deliver,
+                &mut clock,
+            ),
             EventKind::DeliverBatch {
                 from,
                 to,
@@ -833,28 +926,26 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
                 // the topology, so checking liveness per message equals
                 // one check for the batch: a lost batch loses every message.
                 for (msg, size_bytes) in msgs.into_vec() {
-                    self.deliver(from, to, edge, msg, size_bytes, MessageClass::Batch);
+                    let shape = MessageClass::Batch;
+                    self.deliver(from, (to, edge), msg, size_bytes, shape, &mut clock);
                 }
-                MessageClass::Batch
             }
-            EventKind::DeliverFlood {
-                from,
-                msg,
-                targets,
-                size_bytes,
-            } => {
-                // Replicate at the fan-out point: one clone (refcount bump
-                // for interned payloads) per target, in adjacency order at
-                // send time. Liveness stays per target: a single failed
-                // link loses only that copy.
-                let mut class = MessageClass::Flood;
-                for &(to, edge) in targets.iter() {
-                    class =
-                        self.deliver(from, to, edge, msg.clone(), size_bytes, MessageClass::Flood);
+            EventKind::DeliverFlood { from, run, targets } => {
+                // Replicate at the fan-out point, receiver-major: each
+                // target, in adjacency order at send time, gets the whole
+                // run in send order before the next target gets any of it.
+                // One clone (refcount bump for interned payloads) per
+                // (target, message); liveness stays per (target, message),
+                // so a failed link loses only the copies it carried.
+                let shape = MessageClass::Flood;
+                for &target in targets.iter() {
+                    for (msg, size) in run.as_slice() {
+                        self.deliver(from, target, msg.clone(), *size, shape, &mut clock);
+                    }
                 }
-                class
             }
             EventKind::Timer { node, token, epoch } => {
+                clock.enter(MessageClass::Timer);
                 // This timer fired, so its handle is spent.
                 let handles = &mut self.pending_timers[node.0];
                 if let Some(pos) = handles.iter().position(|&h| h == id) {
@@ -882,22 +973,20 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
                     }
                     self.upcall(node, |p, ctx| p.on_timer(token, ctx));
                 }
-                MessageClass::Timer
             }
             EventKind::Topology(event) => {
+                clock.enter(MessageClass::Topology);
                 self.apply_topology(event);
-                MessageClass::Topology
             }
-        };
-        if let Some(t0) = wall {
-            self.recorder
-                .event_done(ev_class, t0.elapsed().as_nanos() as u64);
         }
+        clock.finish(&mut self.recorder);
         self.events_processed < self.max_events
     }
 
     /// Process events until quiescence, a safety limit, or `stop` returns
-    /// true for the engine's current state (checked after each event).
+    /// true for the engine's current state (checked after each event —
+    /// and one event can be a whole run of floods delivered to every
+    /// target of a flood group, see [`EventKind::DeliverFlood`]).
     /// Returns true if the queue drained (quiescence).
     pub fn run_until(&mut self, mut stop: impl FnMut(&Self) -> bool) -> bool {
         while !self.queue.is_empty() {
@@ -1416,10 +1505,11 @@ mod tests {
         assert!(batch.events_processed < single.events_processed);
     }
 
-    /// A flood is grouped once, at send time, by link weight and receiving
-    /// shard: one local `DeliverFlood` per weight, one outbox entry per
-    /// (weight, other shard), targets in adjacency order, every copy under
-    /// the flood's single key.
+    /// A run of floods is grouped once, at send time, by link weight and
+    /// receiving shard: one local `DeliverFlood` per weight, one outbox
+    /// entry per (weight, other shard), targets in adjacency order, the
+    /// run's messages in send order under the run's first key. A unicast
+    /// send ends a run, and the counter advances once per flood.
     #[test]
     fn flood_files_one_event_per_weight_and_receiving_shard() {
         use crate::sharded::Partition;
@@ -1429,7 +1519,13 @@ mod tests {
             type Message = u32;
             fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
                 if ctx.node_id() == NodeId(0) {
-                    ctx.broadcast(7);
+                    // Keys 1–3: a run of three; key 4: a send; key 5: a
+                    // run of one.
+                    for m in [7, 8, 9] {
+                        ctx.broadcast(m);
+                    }
+                    ctx.send(NodeId(1), 10);
+                    ctx.broadcast(11);
                 }
             }
             fn on_message(&mut self, _f: NodeId, _m: u32, _c: &mut Context<'_, u32>) {}
@@ -1459,18 +1555,23 @@ mod tests {
         e.bind_shard(partition, me);
         e.start();
 
-        type FloodCopy = (usize, SimTime, u64, NodeId, u32, Vec<(NodeId, EdgeId)>);
-        let copy = |shard: usize, time: SimTime, key: u64, kind: EventKind<u32>| -> FloodCopy {
-            let EventKind::DeliverFlood {
-                from, msg, targets, ..
-            } = kind
-            else {
-                panic!("a flood files only DeliverFlood events");
+        type FloodCopy = (
+            usize,
+            SimTime,
+            u64,
+            NodeId,
+            Vec<(u32, usize)>,
+            Vec<(NodeId, EdgeId)>,
+        );
+        let copy = |shard: usize, time: SimTime, key: u64, kind: EventKind<u32>| {
+            let EventKind::DeliverFlood { from, run, targets } = kind else {
+                return None;
             };
-            (shard, time, key, from, msg, targets.to_vec())
+            let msgs = run.as_slice().to_vec();
+            Some((shard, time, key, from, msgs, targets.to_vec()))
         };
         let mut filed: Vec<FloodCopy> = std::iter::from_fn(|| e.queue.pop())
-            .map(|(_, ev)| copy(me, ev.time, ev.key, ev.kind))
+            .filter_map(|(_, ev)| copy(me, ev.time, ev.key, ev.kind))
             .collect();
         let outbox = e.shard.take().expect("bound above").outbox;
         assert!(outbox[me].is_empty(), "local copies go to the queue");
@@ -1478,22 +1579,32 @@ mod tests {
             filed.extend(
                 bucket
                     .into_iter()
-                    .map(|(t, k, kind)| copy(shard, t, k, kind)),
+                    .filter_map(|(t, k, kind)| copy(shard, t, k, kind)),
             );
         }
+        let size = DEFAULT_MSG_SIZE;
+        let runs = [
+            (1, vec![(7, size), (8, size), (9, size)]),
+            (5, vec![(11, size)]),
+        ];
         let mut expected: Vec<FloodCopy> = Vec::new();
         for s in 0..3 {
             for &w in &weights {
-                let targets = hub
+                let targets: Vec<_> = hub
                     .iter()
                     .filter(|nb| nb.weight == w && partition.shard_of(nb.node) == s)
                     .map(|nb| (nb.node, nb.edge))
                     .collect();
-                let key = node_event_key(NodeId(0), 1);
-                expected.push((s, 0.0 + w + PROCESSING_DELAY, key, NodeId(0), 7, targets));
+                for (ctr, msgs) in &runs {
+                    let key = node_event_key(NodeId(0), *ctr);
+                    let time = 0.0 + w + PROCESSING_DELAY;
+                    expected.push((s, time, key, NodeId(0), msgs.clone(), targets.clone()));
+                }
             }
         }
-        filed.sort_by(|a, b| (a.0, a.1).partial_cmp(&(b.0, b.1)).unwrap());
+        let order = |c: &FloodCopy| (c.0, c.1.to_bits(), c.2);
+        filed.sort_by_key(order);
+        expected.sort_by_key(order);
         assert_eq!(filed, expected);
     }
 

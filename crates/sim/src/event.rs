@@ -110,24 +110,28 @@ pub enum EventKind<M> {
         edge: EdgeId,
         msgs: Box<[(M, usize)]>,
     },
-    /// Deliver one message from `from` to *every* listed target over the
-    /// edges captured at send time, as **one** queue entry — the in-queue
-    /// form of a flood. The engine files one such entry per distinct link
-    /// weight (one arrival instant) and receiving shard, so all targets
-    /// share one timestamp, and popping the entry once and walking the
-    /// targets in adjacency order reproduces the per-neighbor pop order
-    /// exactly; liveness is checked per target at pop time, so losses stay
-    /// per-message.
+    /// Deliver a run of floods from `from` to *every* listed target over
+    /// the edges captured at send time, as **one** queue entry — the
+    /// in-queue form of the consecutive floods one upcall sent. The engine
+    /// files one such entry per flood group (distinct link weight, so one
+    /// arrival instant, and receiving shard) under the run's first key,
+    /// and pops it receiver-major: each target in adjacency order gets
+    /// every message in send order. The floods would have popped
+    /// back-to-back (consecutive keys at one timestamp), and only the
+    /// order in which each receiver sees its messages is observable, so
+    /// this reproduces the per-flood schedule (save that a receiver's
+    /// zero-delay timer fires after the event, not between two of its
+    /// messages); liveness is checked per (target, message) at pop time,
+    /// so losses stay per-message.
     DeliverFlood {
         from: NodeId,
-        msg: M,
+        /// The run's messages with their accounted wire size per copy, in
+        /// send order.
+        run: FloodRun<M>,
         /// `(receiver, edge at send time)`, in adjacency order at send
         /// time — the sender's flood group, shared by every flood it
         /// sends until its adjacency changes.
         targets: std::sync::Arc<[(NodeId, EdgeId)]>,
-        /// Accounted wire size of one flood copy (every target receives the
-        /// same message).
-        size_bytes: usize,
     },
     /// Fire a timer at `node` with the caller-chosen `token`. `epoch` is the
     /// node's incarnation when the timer was set; timers from a previous
@@ -175,19 +179,43 @@ impl<M> EventKind<M> {
                     .map(|(m, s)| (f(m), s))
                     .collect(),
             },
-            EventKind::DeliverFlood {
+            EventKind::DeliverFlood { from, run, targets } => EventKind::DeliverFlood {
                 from,
-                msg,
+                run: match run {
+                    FloodRun::One((m, s)) => FloodRun::One((f(m), s)),
+                    FloodRun::Many(msgs) => FloodRun::Many(
+                        msgs.into_vec()
+                            .into_iter()
+                            .map(|(m, s)| (f(m), s))
+                            .collect(),
+                    ),
+                },
                 targets,
-                size_bytes,
-            } => EventKind::DeliverFlood {
-                from,
-                msg: f(msg),
-                targets,
-                size_bytes,
             },
             EventKind::Timer { node, token, epoch } => EventKind::Timer { node, token, epoch },
             EventKind::Topology(ev) => EventKind::Topology(ev),
+        }
+    }
+}
+
+/// The messages of one [`EventKind::DeliverFlood`], each with its
+/// accounted wire size: a lone flood inline, so it allocates nothing, and
+/// a run of several in one exact-size buffer per flood group.
+#[derive(Debug, Clone)]
+pub enum FloodRun<M> {
+    /// A run of one flood.
+    One((M, usize)),
+    /// A run of two or more floods, in send order.
+    Many(Box<[(M, usize)]>),
+}
+
+impl<M> FloodRun<M> {
+    /// The run's `(message, size)` pairs, in send order.
+    #[inline]
+    pub fn as_slice(&self) -> &[(M, usize)] {
+        match self {
+            FloodRun::One(one) => std::slice::from_ref(one),
+            FloodRun::Many(msgs) => msgs,
         }
     }
 }

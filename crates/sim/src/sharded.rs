@@ -30,15 +30,16 @@
 //! A cross-shard send has one form from send to delivery: the
 //! `(time, key, EventKind)` entry the engine would have queued locally.
 //! At send time one routine files each event either onto the local wheel
-//! or into the outbox bucket of the receiving shard. A flood's copies go
-//! out in the sender's flood groups — its neighbors grouped by link weight
-//! and receiving shard, built on its first flood after an adjacency change
-//! and kept until the next — so each receiving shard gets one
-//! `DeliverFlood` per arrival instant carrying the payload once and
-//! sharing the group's target list (an `Arc`: the event may cross to
-//! another worker thread). Across the barrier only the messages inside the
-//! events change form (`ShardProtocol::to_wire` when the outbox is
-//! flushed, `ShardProtocol::from_wire` when the mailbox is filed).
+//! or into the outbox bucket of the receiving shard. A run of floods (the
+//! consecutive floods of one upcall) goes out in the sender's flood groups
+//! — its neighbors grouped by link weight and receiving shard, built on
+//! its first flood after an adjacency change and kept until the next — so
+//! each receiving shard gets one `DeliverFlood` per arrival instant
+//! carrying the run once and sharing the group's target list (an `Arc`:
+//! the event may cross to another worker thread). Across the barrier only
+//! the messages inside the events change form (`ShardProtocol::to_wire`
+//! when the outbox is flushed, `ShardProtocol::from_wire` when the mailbox
+//! is filed), every message of a run.
 //!
 //! A window costs each worker one command and one reply. The
 //! `Cmd::Window` command carries the window's end *and* the events other
@@ -61,19 +62,34 @@
 //! Events order by `(time, key, seq)` where `key` is the logical key of
 //! the engine's `node_event_key` — `(source node, per-source counter)`
 //! for node actions, a centrally assigned world counter for scheduled
-//! topology. Two facts make the run independent of `k`:
+//! topology. Three facts make the run independent of `k`:
 //!
 //! 1. No two events in one shard's queue share `(time, key)`: a key is
-//!    unique per send (per-source counters never repeat) and a flood's
-//!    events, which all carry its key, differ in time (link weight) or
-//!    receiving shard. An event reaches its receiver's queue under the
-//!    `(time, key)` it was filed with, so the arrival `seq` — the only
-//!    push-order-dependent tiebreak — never decides between two events.
+//!    unique per send (per-source counters never repeat) and a flood
+//!    run's events, which all carry the run's first key, differ in time
+//!    (link weight) or receiving shard. An event reaches its receiver's
+//!    queue under the `(time, key)` it was filed with, so the arrival
+//!    `seq` — the only push-order-dependent tiebreak — never decides
+//!    between two events.
 //! 2. The window boundary `t_min + W` is derived from the global minimum
 //!    and `W`, the lightest link of the initial graph or of any link
 //!    scheduled since. Both are `k`-independent (`W` moves only in
 //!    schedule calls, which do not depend on `k`), so every shard count
 //!    executes the same event set in the same windows.
+//! 3. Within one event, the order in which *different* receivers run is
+//!    unobservable. An upcall reads and writes only its own node's state,
+//!    and it files what it sends under its own node's counter at times
+//!    after the event's, so what a receiver does depends only on the
+//!    sequence of messages it is handed. So any order that hands each
+//!    receiver its messages in the same order, with every event kept at
+//!    its `(time, key)`, is the same run. A flood event's receivers are
+//!    split across the shards that own them, and each shard runs its own
+//!    share; the same rule licenses the engine's receiver-major pop,
+//!    where each target absorbs a whole run of floods before the next
+//!    target gets its first message. One caveat: a receiver timer of
+//!    zero delay, filed under a key below the run's, fires after the whole
+//!    event rather than between two of its messages. `DiscoProtocol`'s
+//!    timers are all at least 2.0 long.
 //!
 //! The barrier fills each mailbox in source-shard order (then send order),
 //! which is deterministic too — though by fact 1 the ingestion order
@@ -433,9 +449,9 @@ impl<P: ShardProtocol + 'static, R: Recorder + Send + 'static> ShardedEngine<P, 
 
     /// Events processed, summed over shards. Unlike every other counter
     /// here this is *not* shard-count-invariant: replayed topology events
-    /// count once per shard and a flood fans out into one queue entry per
-    /// involved shard. Compare runs on delivered/dropped counts, stats and
-    /// end time instead.
+    /// count once per shard and a run of floods fans out into one queue
+    /// entry per involved shard. Compare runs on delivered/dropped counts,
+    /// stats and end time instead.
     pub fn events_processed(&self) -> u64 {
         self.counters.iter().map(|c| c.events).sum()
     }

@@ -1,22 +1,31 @@
 //! Batched-vs-singleton message-plane equivalence.
 //!
 //! The batched message plane (`Action::SendBatch` → `EventKind::DeliverBatch`,
-//! `Action::Flood`) must be *observationally identical* to sending every
-//! message as its own queue entry: same per-node receive logs (times,
-//! senders, payloads, order), same `MessageStats` (per-message send/receive
-//! counts and byte totals), same in-flight loss accounting — including a
-//! batch whose link dies between send and delivery losing every message in
-//! it, one drop per message — and the same end time, under churn. The only
-//! permitted difference is the number of queue pops (`events_processed`):
-//! a batch is one entry.
+//! runs of `Action::Flood` → one `EventKind::DeliverFlood` per flood group,
+//! popped receiver-major) must be *observationally identical* to sending
+//! every message to every neighbor as its own queue entry: same per-node
+//! receive logs (times, senders, payloads, order), same `MessageStats`
+//! (per-message send/receive counts and byte totals), same in-flight loss
+//! accounting — including a batch whose link dies between send and
+//! delivery losing every message in it, one drop per message — and the
+//! same end time, under churn. The only permitted difference is the number
+//! of queue pops (`events_processed`): a batch or a run of floods is one
+//! entry per flood group.
 //!
-//! The property drives a gossiping protocol through random topologies and
-//! seeded churn twice — once recording fan-out as batches/floods, once as
-//! per-message sends — and compares the full observable trace.
+//! The property drives a gossiping protocol through random topologies with
+//! three link weights (so a node's floods split into several groups,
+//! arriving at different instants) and seeded churn — once recording
+//! fan-out as batches and flood runs, once as per-message sends — and
+//! compares the full observable trace. Each upcall floods runs of one to
+//! four messages, with a unicast send splitting two runs and a batch in the
+//! same upcall. The batched scenario runs again on the sharded engine at
+//! one and two shards against the same reference.
 
-use disco_graph::{generators, NodeId};
+use disco_graph::{generators, Graph, GraphBuilder, NodeId};
 use disco_sim::rng::rng_for;
-use disco_sim::{Context, Engine, Protocol, RunReport, TopologyEvent};
+use disco_sim::{
+    Context, Engine, Protocol, RunReport, ShardProtocol, ShardedEngine, TopologyEvent,
+};
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -33,14 +42,17 @@ struct Blaster {
 }
 
 impl Blaster {
-    fn fan_out(&self, msg: Msg, size: usize, ctx: &mut Context<'_, Msg>) {
-        if self.batched {
-            ctx.flood_sized(msg, size);
-        } else {
-            // The pre-batching idiom: clone-and-send per neighbor, in
-            // adjacency order.
-            for nb in ctx.neighbors() {
-                ctx.send_sized(nb, msg, size);
+    /// Flood a run of messages (one flood action each, back to back).
+    fn fan_out(&self, run: &[(Msg, usize)], ctx: &mut Context<'_, Msg>) {
+        for &(msg, size) in run {
+            if self.batched {
+                ctx.flood_sized(msg, size);
+            } else {
+                // The pre-batching idiom: clone-and-send per neighbor, in
+                // adjacency order.
+                for nb in ctx.neighbors() {
+                    ctx.send_sized(nb, msg, size);
+                }
             }
         }
     }
@@ -56,6 +68,17 @@ impl Blaster {
     }
 }
 
+/// A run of `len` floods: the first carries `hops` on, the rest are
+/// terminal; every message has its own tag and size.
+fn run_of(len: u32, hops: u8, tag: u32) -> Vec<(Msg, usize)> {
+    (0..len)
+        .map(|i| {
+            let hops = if i == 0 { hops } else { 0 };
+            ((hops, tag.wrapping_add(i * 0x101)), 20 + i as usize)
+        })
+        .collect()
+}
+
 impl Protocol for Blaster {
     type Message = Msg;
 
@@ -64,16 +87,21 @@ impl Protocol for Blaster {
         if !me.0.is_multiple_of(7) {
             return;
         }
+        let Some(&peer) = ctx.neighbors().first() else {
+            return;
+        };
         // A table-dump-like batch of individually-sized messages to the
         // first neighbor…
-        if let Some(&peer) = ctx.neighbors().first() {
-            let dump: Vec<(Msg, usize)> = (0..12u32)
-                .map(|i| ((0u8, 1000 + i), 10 + i as usize))
-                .collect();
-            self.dump_to(peer, dump, ctx);
-        }
-        // …and a flood seeding the cascade.
-        self.fan_out((2, me.0 as u32), 33, ctx);
+        let dump: Vec<(Msg, usize)> = (0..12u32)
+            .map(|i| ((0u8, 1000 + i), 10 + i as usize))
+            .collect();
+        self.dump_to(peer, dump, ctx);
+        // …then a run seeding the cascade, a unicast to the same neighbor
+        // that ends it, and a second run.
+        let tag = me.0 as u32;
+        self.fan_out(&run_of(1 + tag % 4, 2, tag), ctx);
+        ctx.send_sized(peer, (0, tag ^ 0xdead), 9);
+        self.fan_out(&run_of(1 + (tag / 4) % 2, 0, tag ^ 0xbeef), ctx);
     }
 
     fn on_message(&mut self, from: NodeId, msg: Msg, ctx: &mut Context<'_, Msg>) {
@@ -82,23 +110,51 @@ impl Protocol for Blaster {
         if hops == 0 {
             return;
         }
-        // Re-flood with one hop less, and answer the sender with a small
-        // batch (the link exists right now: delivery just validated it).
-        self.fan_out((hops - 1, tag.wrapping_mul(31).wrapping_add(7)), 21, ctx);
+        // A run of one to four floods carrying the cascade on with one hop
+        // less, a unicast back to the sender (the link exists right now:
+        // delivery just validated it, and the sender is a flood target of
+        // the same arrival instant) that splits it from a second run, and
+        // a small batch answer to the sender.
+        let next = tag.wrapping_mul(31).wrapping_add(7);
+        self.fan_out(&run_of(1 + next % 4, hops - 1, next), ctx);
+        ctx.send_sized(from, (0, next ^ 0xdead), 9);
+        self.fan_out(&run_of(1 + (next / 4) % 2, 0, next ^ 0xbeef), ctx);
         let reply: Vec<(Msg, usize)> = (0..3u32).map(|i| ((0u8, tag ^ i), 5)).collect();
         self.dump_to(from, reply, ctx);
     }
+}
+
+impl ShardProtocol for Blaster {
+    type Wire = Msg;
+    fn to_wire(msg: Msg) -> Msg {
+        msg
+    }
+    fn from_wire(wire: Msg) -> Msg {
+        wire
+    }
+}
+
+/// `gnm_connected(n, m, seed)` with each link's weight drawn from three
+/// values, so most nodes have links of several weights.
+fn weighted(n: usize, m: usize, seed: u64) -> Graph {
+    let g = generators::gnm_connected(n, m, seed);
+    let mut rng = rng_for(seed, 0x3e16, 0);
+    let mut b = GraphBuilder::new(n);
+    for (_, e) in g.edges() {
+        b.add_edge(e.u, e.v, [1.0, 1.5, 2.0][rng.gen_range(0..3usize)]);
+    }
+    b.build()
 }
 
 /// Seeded churn aimed at in-flight messages: cut the batch sender's first
 /// link mid-flight (per-message loss inside a batch), bounce another link
 /// down and up before delivery (edge-id mismatch), then random link cuts
 /// and node departures through the cascade.
-fn churn_events(g: &disco_graph::Graph, seed: u64) -> Vec<(f64, TopologyEvent)> {
+fn churn_events(g: &Graph, seed: u64) -> Vec<(f64, TopologyEvent)> {
     let mut ev = Vec::new();
     // Node 0 dumped a 12-message batch to its first neighbor at t=0; the
-    // delivery is at 1.01 (unit weight + processing delay). Cutting the
-    // link at 0.5 loses the whole batch in flight.
+    // delivery is at 1.01 or later (weight + processing delay). Cutting
+    // the link at 0.5 loses the whole batch in flight.
     let nb0 = g.neighbors(NodeId(0))[0].node;
     ev.push((
         0.5,
@@ -141,19 +197,74 @@ fn churn_events(g: &disco_graph::Graph, seed: u64) -> Vec<(f64, TopologyEvent)> 
     ev
 }
 
-fn run(seed: u64, batched: bool) -> (RunReport, Vec<Vec<LogEntry>>) {
+fn graph_for(seed: u64) -> Graph {
     let n = 24 + (seed as usize % 17);
-    let g = generators::gnm_connected(n, n * 3, seed);
-    let mut engine = Engine::new(&g, |_| Blaster {
+    weighted(n, n * 3, seed)
+}
+
+fn blaster(batched: bool) -> impl Fn(NodeId) -> Blaster + Send + Clone + 'static {
+    move |_| Blaster {
         batched,
         log: Vec::new(),
-    });
+    }
+}
+
+fn run(seed: u64, batched: bool) -> (RunReport, Vec<Vec<LogEntry>>) {
+    let g = graph_for(seed);
+    let mut engine = Engine::new(&g, blaster(batched));
     for (t, ev) in churn_events(&g, seed) {
         engine.schedule_topology(t, ev);
     }
     let report = engine.run();
     let logs = engine.nodes().iter().map(|b| b.log.clone()).collect();
     (report, logs)
+}
+
+/// The batched scenario on the sharded engine at `shards` workers.
+fn run_sharded(seed: u64, shards: usize) -> (RunReport, Vec<Vec<LogEntry>>) {
+    let g = graph_for(seed);
+    let mut engine = ShardedEngine::new(&g, shards, seed, blaster(true));
+    for (t, ev) in churn_events(&g, seed) {
+        engine.schedule_topology(t, ev);
+    }
+    let report = engine.run();
+    let ids = (0..g.node_count()).map(|v| (NodeId(v), ())).collect();
+    let logs = engine.gather(ids, |e, v, ()| e.nodes()[v.0].log.clone());
+    (report, logs)
+}
+
+/// Every observable of `got` equals the reference run's; only the number
+/// of queue pops may differ.
+fn assert_observably_equal(
+    reference: &(RunReport, Vec<Vec<LogEntry>>),
+    got: &(RunReport, Vec<Vec<LogEntry>>),
+    leg: &str,
+) {
+    let ((single, single_logs), (batched, batched_logs)) = (reference, got);
+    for (v, (want, have)) in single_logs.iter().zip(batched_logs).enumerate() {
+        prop_assert_eq!(want, have, "{}: node {} receive log diverged", leg, v);
+    }
+    prop_assert_eq!(
+        &single.stats,
+        &batched.stats,
+        "{}: MessageStats diverged",
+        leg
+    );
+    prop_assert_eq!(single.messages_dropped, batched.messages_dropped, "{}", leg);
+    prop_assert_eq!(
+        single.messages_delivered,
+        batched.messages_delivered,
+        "{}",
+        leg
+    );
+    prop_assert_eq!(single.topology_events, batched.topology_events, "{}", leg);
+    prop_assert_eq!(
+        single.end_time.to_bits(),
+        batched.end_time.to_bits(),
+        "{}: end time diverged",
+        leg
+    );
+    prop_assert!(batched.converged, "{}: did not converge", leg);
 }
 
 proptest! {
@@ -163,24 +274,31 @@ proptest! {
     /// run must match — only the queue-pop count may differ.
     #[test]
     fn batched_run_is_observationally_identical(seed in 0u64..10_000) {
-        let (single, single_logs) = run(seed, false);
-        let (batched, batched_logs) = run(seed, true);
-        prop_assert_eq!(&single_logs, &batched_logs, "receive logs diverged");
-        prop_assert_eq!(&single.stats, &batched.stats, "MessageStats diverged");
-        prop_assert_eq!(single.messages_dropped, batched.messages_dropped);
-        prop_assert_eq!(single.messages_delivered, batched.messages_delivered);
-        prop_assert_eq!(single.topology_events, batched.topology_events);
-        prop_assert_eq!(single.end_time.to_bits(), batched.end_time.to_bits());
-        prop_assert!(single.converged && batched.converged);
+        let single = run(seed, false);
+        let batched = run(seed, true);
+        assert_observably_equal(&single, &batched, "sequential");
+        prop_assert!(single.0.converged);
         // The 12-message dump was cut mid-flight: per-message loss inside
         // the batch, so both runs drop at least those 12.
-        prop_assert!(batched.messages_dropped >= 12, "expected in-flight batch loss");
+        prop_assert!(batched.0.messages_dropped >= 12, "expected in-flight batch loss");
         // Batching must actually reduce queue entries.
         prop_assert!(
-            batched.events_processed < single.events_processed,
+            batched.0.events_processed < single.0.events_processed,
             "batched run popped {} events vs {} — nothing was batched",
-            batched.events_processed,
-            single.events_processed
+            batched.0.events_processed,
+            single.0.events_processed
         );
+    }
+
+    /// The batched scenario on the sharded engine, at two shards (flood
+    /// groups split by receiving shard, crossing the barrier in wire form)
+    /// and at one, equals the same singleton reference.
+    #[test]
+    fn sharded_batched_run_is_observationally_identical(seed in 0u64..10_000) {
+        let single = run(seed, false);
+        for shards in [2, 1] {
+            let sharded = run_sharded(seed, shards);
+            assert_observably_equal(&single, &sharded, &format!("shards={shards}"));
+        }
     }
 }

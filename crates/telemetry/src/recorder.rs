@@ -152,7 +152,10 @@ pub trait Recorder {
     fn message_dropped(&mut self, _now: f64, _class: MessageClass, _count: u64) {}
 
     /// One engine event (queue pop) of class `class` finished; it took
-    /// `wall_nanos` nanoseconds of wall-clock to process. (For
+    /// `wall_nanos` nanoseconds of wall-clock to process. An event that
+    /// carries messages of several classes (a batch, or a run of floods
+    /// mixing routes and withdrawals) reports once per class it carries,
+    /// each with the time of its own messages. (For
     /// [`MessageClass::Lookup`] a reading is a slice mean, see there.)
     fn event_done(&mut self, _class: MessageClass, _wall_nanos: u64) {}
 
