@@ -94,9 +94,9 @@ fn checked_in_reports_parse_and_hold_their_floors() {
     );
     assert_eq!(
         floor("BENCH_exp_scale.json", "min_announcements_per_sec"),
-        2265206.0
+        2593210.0
     );
-    assert_eq!(floor("BENCH_exp_scale.json", "sharded_ratio"), 1.317);
+    assert_eq!(floor("BENCH_exp_scale.json", "sharded_ratio"), 1.252);
 }
 
 /// A checked-in sweep row still reads into a `MemoryResult`: the columns

@@ -197,7 +197,8 @@ pub struct PathVectorNode {
     limit: TableLimit,
     /// Per-neighbor candidate routes (Adj-RIB-In): the last usable route
     /// each neighbor announced for each destination, with `dist` already
-    /// including the link weight and `path` starting at this node. Stored
+    /// including the link weight and `path` as the neighbor announced it
+    /// (a selected route's path starts at this node). Stored
     /// compactly ([`RibStore`]: per-neighbor SoA slabs over interned
     /// destination indexes) — candidate storage dominates control-plane
     /// memory, so every byte is multiplied by `degree × dests × n`.
@@ -327,7 +328,7 @@ impl PathVectorNode {
             id,
             is_landmark,
             limit,
-            rib: RibStore::new(),
+            rib: RibStore::for_owner(id),
             forgetful: None,
             pending_refresh: BTreeSet::new(),
             refreshes_sent: 0,
@@ -677,21 +678,20 @@ impl PathVectorNode {
     ) -> (NodeId, Option<Candidate>, Option<u32>) {
         let d = ann.dest;
         // The usable case first: not a withdrawal, not our own id, and we
-        // are not already on the path (loop prevention) — in which case
-        // the containment scan and the prepend share one arena pass.
-        if !ann.withdrawn && d != self.id {
-            if let Some(path) = ann.path.prepend_unless_contains(self.id) {
-                let cand = Candidate {
-                    dist: ann.dist + link_weight,
-                    // Shares the announced path, prefixed with this node.
-                    path,
-                    dest_is_landmark: ann.dest_is_landmark,
-                    dest_landmark_dist: ann.dest_landmark_dist,
-                };
-                let di = self.rib.intern(d);
-                self.rib.insert_at(from, di, &cand);
-                return (d, Some(cand), Some(di));
-            }
+        // are not already on the path (loop prevention, a scan that
+        // allocates nothing). The candidate keeps the announced path as
+        // it is — a reference-count bump; the store prepends this node
+        // only if the candidate is selected and its path moved.
+        if !ann.withdrawn && d != self.id && !ann.path.contains(self.id) {
+            let cand = Candidate {
+                dist: ann.dist + link_weight,
+                path: ann.path.clone(),
+                dest_is_landmark: ann.dest_is_landmark,
+                dest_landmark_dist: ann.dest_landmark_dist,
+            };
+            let di = self.rib.intern(d);
+            self.rib.insert_at(from, di, &cand);
+            return (d, Some(cand), Some(di));
         }
         // Withdrawals and routes through this node make the neighbor
         // unusable for that destination.
@@ -1062,6 +1062,42 @@ impl PathVectorNode {
         ctx.send_batch(peer, batch);
     }
 
+    /// Absorb one announcement from neighbor `from`, borrowed: answer a
+    /// route-refresh request, or record the candidate, re-select and arm
+    /// the export batch. What [`Protocol::on_message`] and
+    /// [`Protocol::on_run`] do per message; public so a composite protocol
+    /// (`DiscoProtocol`) can absorb a run in place too.
+    pub fn on_announcement(
+        &mut self,
+        from: NodeId,
+        msg: &Announcement,
+        ctx: &mut Context<'_, Announcement>,
+    ) {
+        let Some(w) = ctx.link_weight(from) else {
+            return; // link died between send and delivery
+        };
+        if msg.refresh {
+            // Route-refresh request: answer with the current export state
+            // for that destination, unicast to the requester (over the
+            // already-resolved arrival link). Nothing to say if we hold no
+            // route (the requester's slot for us is already empty).
+            if let Some(e) = self.route(msg.dest) {
+                let ann = Self::export(msg.dest, &e);
+                self.refreshes_answered += 1;
+                let size = announcement_bytes(&ann);
+                match ctx.via() {
+                    Some(via) if via.node == from => ctx.send_resolved(via, ann, size),
+                    _ => ctx.send_sized(from, ann, size),
+                }
+            }
+            return;
+        }
+        let (d, removed, di) = self.absorb(from, w, msg);
+        self.update_dest(d, from, removed, di);
+        self.enforce_forgetful(d);
+        self.arm_batch(ctx);
+    }
+
     /// Flood `ann` to every neighbor: one engine-expanded action, no
     /// neighbor list allocation and no per-neighbor adjacency scans.
     fn flood(ann: &Announcement, ctx: &mut Context<'_, Announcement>) {
@@ -1103,29 +1139,20 @@ impl Protocol for PathVectorNode {
     }
 
     fn on_message(&mut self, from: NodeId, msg: Announcement, ctx: &mut Context<'_, Announcement>) {
-        let Some(w) = ctx.link_weight(from) else {
-            return; // link died between send and delivery
-        };
-        if msg.refresh {
-            // Route-refresh request: answer with the current export state
-            // for that destination, unicast to the requester (over the
-            // already-resolved arrival link). Nothing to say if we hold no
-            // route (the requester's slot for us is already empty).
-            if let Some(e) = self.route(msg.dest) {
-                let ann = Self::export(msg.dest, &e);
-                self.refreshes_answered += 1;
-                let size = announcement_bytes(&ann);
-                match ctx.via() {
-                    Some(via) if via.node == from => ctx.send_resolved(via, ann, size),
-                    _ => ctx.send_sized(from, ann, size),
-                }
-            }
-            return;
+        self.on_announcement(from, &msg, ctx);
+    }
+
+    /// A run is absorbed where it lands: each announcement is read in
+    /// place, in order, exactly as `on_message` would read it.
+    fn on_run(
+        &mut self,
+        from: NodeId,
+        run: &[(Announcement, usize)],
+        ctx: &mut Context<'_, Announcement>,
+    ) {
+        for (ann, _) in run {
+            self.on_announcement(from, ann, ctx);
         }
-        let (d, removed, di) = self.absorb(from, w, &msg);
-        self.update_dest(d, from, removed, di);
-        self.enforce_forgetful(d);
-        self.arm_batch(ctx);
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_, Announcement>) {
@@ -1822,11 +1849,13 @@ mod tests {
 
     /// The selected neighbor re-announcing its route with only the
     /// destination's landmark distance moved is re-selected in place (no
-    /// rescan): same next hop, the new attribute reaches the table, and
-    /// the selection is still what a scan over all candidates would pick.
+    /// rescan): same next hop, the new attribute reaches the table, the
+    /// selection is still what a scan over all candidates would pick — and
+    /// it keeps its path cell: the neighbor re-exports its unmoved
+    /// selection's handle, so nothing is built.
     #[test]
     fn attribute_only_refresh_from_selected_neighbor_keeps_the_selection() {
-        use disco_graph::GraphBuilder;
+        use disco_graph::{GraphBuilder, PathArena};
         let mut b = GraphBuilder::new(4);
         b.add_edge(NodeId(0), NodeId(1), 1.0);
         b.add_edge(NodeId(0), NodeId(2), 1.0);
@@ -1836,11 +1865,11 @@ mod tests {
             disco_sim::Context::new(NodeId(0), 0.0, &g);
         pv.on_start(&mut ctx);
         let d = NodeId(3);
+        let paths = [1, 2].map(|via| InternedPath::from_slice(&[NodeId(via), d]));
         let ann = |via: usize, lm_dist: f64| Announcement {
             dest: d,
             dist: 1.0,
-            // Built afresh per message: equal content, separate cells.
-            path: InternedPath::from_slice(&[NodeId(via), d]),
+            path: paths[via - 1].clone(),
             dest_is_landmark: false,
             dest_landmark_dist: lm_dist,
             withdrawn: false,
@@ -1851,7 +1880,7 @@ mod tests {
         let hop = pv.route(d).unwrap().next_hop;
         assert_eq!(hop, NodeId(1), "tie broken by path order");
         let revision = pv.selection_revision();
-        let live = disco_graph::PathArena::stats().live_cells;
+        let arena = PathArena::stats();
 
         pv.on_message(NodeId(1), ann(1, 4.0), &mut ctx);
 
@@ -1865,11 +1894,76 @@ mod tests {
         let sel = pv.rib.selected_view(d).expect("still selected");
         assert_eq!(sel.next_hop, best_nbr);
         assert_eq!(sel.dist, best.dist);
-        assert_eq!(*sel.path, best.path);
+        assert_eq!(best.path.to_vec(), vec![NodeId(1), d], "held as announced");
+        assert_eq!(sel.path.tail().as_ref(), Some(&best.path));
         assert_eq!(sel.dest_landmark_dist, best.dest_landmark_dist);
-        // The replaced candidate's cells were released, not accumulated.
         drop(best);
-        assert_eq!(disco_graph::PathArena::stats().live_cells, live);
+        let now = PathArena::stats();
+        assert_eq!(now.interned_total, arena.interned_total, "no cell built");
+        assert_eq!(now.live_cells, arena.live_cells, "none accumulated");
+    }
+
+    /// The arena cost of absorbing: an announcement that moves no
+    /// selection's path builds no cell — the candidate holds the announced
+    /// path itself — and one that moves it builds exactly one, the owner
+    /// on the announced path.
+    #[test]
+    fn absorbs_build_a_cell_only_where_the_selected_path_moves() {
+        use disco_graph::{GraphBuilder, PathArena};
+        let mut b = GraphBuilder::new(6);
+        for v in 1..=3 {
+            b.add_edge(NodeId(0), NodeId(v), 1.0);
+        }
+        let g = b.build();
+        let mut pv = PathVectorNode::new(NodeId(0), false, TableLimit::Unlimited);
+        let mut ctx: disco_sim::Context<'_, Announcement> =
+            disco_sim::Context::new(NodeId(0), 0.0, &g);
+        pv.on_start(&mut ctx);
+        let d = NodeId(5);
+        let path = |nodes: &[usize]| {
+            InternedPath::from_slice(&nodes.iter().map(|&v| NodeId(v)).collect::<Vec<_>>())
+        };
+        let ann = |path: InternedPath, dist: f64, lm_dist: f64, withdrawn: bool| Announcement {
+            dest: d,
+            dist,
+            path,
+            dest_is_landmark: false,
+            dest_landmark_dist: lm_dist,
+            withdrawn,
+            refresh: false,
+        };
+        let inf = f64::INFINITY;
+        let via2 = path(&[2, 4, 5]);
+        // (sender, announcement, cells the absorb builds), in order; every
+        // path is built before the count is read.
+        let steps = [
+            // First selection: one cell.
+            (2, ann(via2.clone(), 2.0, inf, false), 1),
+            // A worse route from a non-selected neighbor: none.
+            (3, ann(path(&[3, 4, 4, 5]), 3.0, inf, false), 0),
+            // A looping route (through this node): none.
+            (1, ann(path(&[1, 0, 5]), 1.0, inf, false), 0),
+            // The selected neighbor refreshes an attribute over the very
+            // handle it announced, then over an equal path built apart:
+            // the selection moves, its path does not.
+            (2, ann(via2.clone(), 2.0, 7.0, false), 0),
+            (2, ann(path(&[2, 4, 5]), 2.0, 8.0, false), 0),
+            // A better route from another neighbor: one.
+            (1, ann(path(&[1, 5]), 1.0, inf, false), 1),
+            // Its withdrawal falls back to neighbor 2: one.
+            (1, ann(path(&[1, 5]), inf, inf, true), 1),
+            // The selected neighbor moves its path: one.
+            (2, ann(path(&[2, 3, 5]), 2.0, inf, false), 1),
+        ];
+        for (i, (from, ann, built)) in steps.into_iter().enumerate() {
+            let before = PathArena::stats().interned_total;
+            pv.on_message(NodeId(from), ann, &mut ctx);
+            let after = PathArena::stats().interned_total;
+            assert_eq!(after - before, built, "step {i}");
+        }
+        let sel = pv.route(d).expect("selected");
+        assert_eq!(sel.path.to_vec(), [0, 2, 3, 5].map(NodeId));
+        assert_eq!(pv.route_by_id(d), Some((NodeId(2), 3)));
     }
 
     #[test]

@@ -826,23 +826,36 @@ impl DiscoProtocol {
         }
     }
 
+    /// The context the embedded path-vector machinery records into during
+    /// one upcall of this protocol: over this instance's recycled scratch
+    /// buffer, with the outer upcall's arrival link.
+    fn pv_context<'a>(&mut self, ctx: &Context<'a, DiscoMsg>) -> Context<'a, Announcement> {
+        let buffer = std::mem::take(&mut self.pv_scratch);
+        let mut inner = Context::with_buffer(ctx.node_id(), ctx.now(), ctx.graph(), buffer);
+        inner.set_via(ctx.via());
+        inner
+    }
+
     /// Run one upcall of the embedded path-vector machinery and re-wrap its
-    /// outgoing announcements as [`DiscoMsg::Route`]. The inner context
-    /// records into this instance's recycled scratch buffer, and the
-    /// relayed sends reuse the neighbor handles the inner context already
-    /// resolved (same graph snapshot) — no second adjacency scan.
+    /// outgoing announcements as [`DiscoMsg::Route`] ([`Self::relay`]).
     fn run_pv(
         &mut self,
         upcall: impl FnOnce(&mut PathVectorNode, &mut Context<'_, Announcement>),
         ctx: &mut Context<'_, DiscoMsg>,
     ) {
-        let buffer = std::mem::take(&mut self.pv_scratch);
-        let mut inner: Context<'_, Announcement> =
-            Context::with_buffer(ctx.node_id(), ctx.now(), ctx.graph(), buffer);
-        inner.set_via(ctx.via());
+        let mut inner = self.pv_context(ctx);
         upcall(&mut self.pv, &mut inner);
-        let mut actions = inner.into_buffer();
-        for action in actions.drain(..) {
+        Self::relay(&mut inner, ctx);
+        self.pv_scratch = inner.into_buffer();
+    }
+
+    /// Move the actions the embedded path-vector context recorded so far
+    /// into this protocol's context, in order, re-wrapping announcements
+    /// as [`DiscoMsg::Route`]. The inner buffer keeps its capacity, and
+    /// the relayed sends reuse the neighbor handles the inner context
+    /// already resolved (same graph snapshot) — no second adjacency scan.
+    fn relay(inner: &mut Context<'_, Announcement>, ctx: &mut Context<'_, DiscoMsg>) {
+        for action in inner.drain_actions() {
             match action {
                 Action::Send {
                     to,
@@ -868,7 +881,6 @@ impl DiscoProtocol {
                 Action::Timer { delay, token } => ctx.set_timer(delay, token),
             }
         }
-        self.pv_scratch = actions;
     }
 
     /// Debounce a repair pass: the first neighbor change arms one timer;
@@ -1011,22 +1023,8 @@ impl Protocol for DiscoProtocol {
 
     fn on_message(&mut self, from: NodeId, msg: DiscoMsg, ctx: &mut Context<'_, DiscoMsg>) {
         match msg {
-            DiscoMsg::Route(ann) => {
-                // A route update can change this node's *address* (closest
-                // landmark or the path to it) without any local adjacency
-                // change — e.g. a remote link failure rerouting the
-                // landmark path — and a landmark-set change reshuffles
-                // consistent-hashing ownership under everyone. Either way
-                // the resolution database and overlay hold stale state, so
-                // treat it like a neighbor event and schedule a (debounced)
-                // repair pass. The path-vector's landmark version covers
-                // both causes and costs one integer compare per message.
-                let before = self.bootstrapped.then(|| self.pv.landmark_version());
-                self.run_pv(|pv, c| pv.on_message(from, ann, c), ctx);
-                if before.is_some_and(|v| self.pv.landmark_version() != v) {
-                    self.schedule_repair(ctx);
-                }
-            }
+            // A lone route is a run of one (`on_run` reads no sizes).
+            route @ DiscoMsg::Route(_) => self.on_run(from, &[(route, 0)], ctx),
             DiscoMsg::Forward { route, payload } => {
                 let Some(remaining) = route.tail() else {
                     self.deliver(payload, ctx);
@@ -1074,6 +1072,40 @@ impl Protocol for DiscoProtocol {
         }
     }
 
+    /// A run is absorbed where it lands: one path-vector context for the
+    /// whole run, each route read in place. The actions go out in exactly
+    /// the order per-message upcalls would record them: a route that
+    /// moves the landmark version has what the run recorded so far relayed
+    /// before its repair timer, and a gossip message (or any non-route)
+    /// has it relayed before its own actions.
+    fn on_run(&mut self, from: NodeId, run: &[(DiscoMsg, usize)], ctx: &mut Context<'_, DiscoMsg>) {
+        let mut inner = self.pv_context(ctx);
+        for (msg, _) in run {
+            let DiscoMsg::Route(ann) = msg else {
+                Self::relay(&mut inner, ctx);
+                self.on_message(from, msg.clone(), ctx);
+                continue;
+            };
+            // A route update can change this node's *address* (closest
+            // landmark or the path to it) without any local adjacency
+            // change — e.g. a remote link failure rerouting the landmark
+            // path — and a landmark-set change reshuffles
+            // consistent-hashing ownership under everyone. Either way the
+            // resolution database and overlay hold stale state, so treat
+            // it like a neighbor event and schedule a (debounced) repair
+            // pass. The path-vector's landmark version covers both causes
+            // and costs one integer compare per message.
+            let before = self.bootstrapped.then(|| self.pv.landmark_version());
+            self.pv.on_announcement(from, ann, &mut inner);
+            if before.is_some_and(|v| self.pv.landmark_version() != v) {
+                Self::relay(&mut inner, ctx);
+                self.schedule_repair(ctx);
+            }
+        }
+        Self::relay(&mut inner, ctx);
+        self.pv_scratch = inner.into_buffer();
+    }
+
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_, DiscoMsg>) {
         match token {
             TIMER_INSERT => self.do_insert(ctx),
@@ -1119,7 +1151,7 @@ impl Protocol for DiscoProtocol {
 mod tests {
     use super::*;
     use disco_graph::generators;
-    use disco_sim::Engine;
+    use disco_sim::{Engine, TopologyEvent};
 
     fn run_disco(
         n: usize,
@@ -1579,5 +1611,173 @@ mod tests {
             r3.stats.total_sent(),
             r1.stats.total_sent()
         );
+    }
+
+    /// A mixed run handed to `on_run` records exactly what per-message
+    /// upcalls on an identical node record, in the same order: a booted
+    /// node gets, from the neighbor its closest-landmark route leaves
+    /// through, that route's withdrawal (the landmark version moves, so a
+    /// repair timer), a gossip round of a newer epoch (a flood) and a
+    /// refresh request (a unicast answer).
+    #[test]
+    fn a_mixed_run_records_what_per_message_upcalls_record() {
+        let (n, seed) = (32, 5);
+        let g = generators::gnm_average_degree(n, 6.0, seed);
+        let cfg = DiscoConfig::seeded(seed);
+        let booted = || {
+            let mut engine = Engine::new(&g, DiscoProtocol::network(n, &cfg));
+            assert!(engine.run().converged);
+            engine
+        };
+        let (mut a, mut b) = (booted(), booted());
+        let (v, lm, from) = a
+            .nodes()
+            .iter()
+            .find_map(|p| {
+                let me = p.pv.id();
+                let (lm, _) = p.pv.landmark_entries().find(|&(l, _)| l != me)?;
+                Some((me, lm, p.pv.route(lm)?.next_hop))
+            })
+            .expect("a node with a route to another landmark");
+        assert!(a.nodes()[v.0].bootstrapped);
+        let ann = |dest: NodeId, withdrawn: bool, refresh: bool| Announcement {
+            dest,
+            dist: f64::INFINITY,
+            path: InternedPath::from_slice(&[from, dest]),
+            dest_is_landmark: false,
+            dest_landmark_dist: f64::INFINITY,
+            withdrawn,
+            refresh,
+        };
+        let mut gossip = a.nodes()[v.0].synopsis.clone();
+        gossip.set_epoch(gossip.epoch() + 1);
+        let run = [
+            (DiscoMsg::Route(ann(lm, true, false)), 0),
+            (DiscoMsg::Gossip(gossip), 0),
+            (DiscoMsg::Route(ann(v, false, true)), 0),
+        ];
+        let via = *g.neighbors(v).iter().find(|nb| nb.node == from).unwrap();
+        let context = || {
+            let mut ctx = Context::new(v, 500.0, &g);
+            ctx.set_via(Some(via));
+            ctx
+        };
+        let (mut by_run, mut by_message) = (context(), context());
+        let version = a.nodes()[v.0].pv.landmark_version();
+        a.nodes_mut()[v.0].on_run(from, &run, &mut by_run);
+        for (msg, _) in &run {
+            b.nodes_mut()[v.0].on_message(from, msg.clone(), &mut by_message);
+        }
+        assert_ne!(a.nodes()[v.0].pv.landmark_version(), version);
+        let recorded = |ctx: &mut Context<'_, DiscoMsg>| {
+            let actions: Vec<_> = ctx.drain_actions().collect();
+            format!("{actions:?}")
+        };
+        let (got, want) = (recorded(&mut by_run), recorded(&mut by_message));
+        assert_eq!(got, want);
+        // Not vacuous: the repair timer comes before the gossip flood, and
+        // the refresh answer last.
+        let at = |needle: &str| got.find(needle).expect(needle);
+        let repair = at(&format!("token: {TIMER_REPAIR}"));
+        assert!(
+            repair < at("Gossip") && at("Gossip") < at("Send {"),
+            "{got}"
+        );
+    }
+
+    /// `DiscoProtocol` with the default `on_run` — every message cloned
+    /// into `on_message`.
+    struct PerMessage(DiscoProtocol);
+
+    impl Protocol for PerMessage {
+        type Message = DiscoMsg;
+        fn on_start(&mut self, ctx: &mut Context<'_, DiscoMsg>) {
+            self.0.on_start(ctx);
+        }
+        fn on_message(&mut self, from: NodeId, msg: DiscoMsg, ctx: &mut Context<'_, DiscoMsg>) {
+            self.0.on_message(from, msg, ctx);
+        }
+        fn on_timer(&mut self, token: u64, ctx: &mut Context<'_, DiscoMsg>) {
+            self.0.on_timer(token, ctx);
+        }
+        fn on_neighbor_up(&mut self, peer: NodeId, ctx: &mut Context<'_, DiscoMsg>) {
+            self.0.on_neighbor_up(peer, ctx);
+        }
+        fn on_neighbor_down(&mut self, peer: NodeId, ctx: &mut Context<'_, DiscoMsg>) {
+            self.0.on_neighbor_down(peer, ctx);
+        }
+    }
+
+    /// What a node serves and knows, for comparing two runs.
+    fn served(p: &DiscoProtocol) -> String {
+        let mut rows = Vec::new();
+        p.pv.for_each_route_by_id(|d, hop, hops| rows.push((d, hop, hops)));
+        let mut stored: Vec<_> = p.resolution_store.iter().collect();
+        stored.sort_by_key(|(hash, _)| **hash);
+        let mut group: Vec<_> = p.group_addresses.iter().collect();
+        group.sort_by_key(|(id, _)| **id);
+        format!(
+            "{rows:?} {:?} {stored:?} {:?} {group:?} {} {}",
+            p.pv.landmark_entries().collect::<Vec<_>>(),
+            p.overlay_neighbors,
+            p.live_estimate(),
+            p.repair_epoch,
+        )
+    }
+
+    /// Through the engine, with live n-estimation on (every boot's first
+    /// flush is a mixed run: the node's own route, then its gossip) and
+    /// links and a node failing after the bootstrap (routes that move
+    /// landmark versions mid-run): `on_run` and per-message upcalls end in
+    /// the same state, with the same messages.
+    #[test]
+    fn mixed_runs_absorbed_in_place_equal_per_message_upcalls() {
+        let (n, seed) = (40, 3);
+        let g = generators::gnm_average_degree(n, 6.0, seed);
+        let cfg = DiscoConfig::seeded(seed);
+        let node = DiscoProtocol::network(n, &cfg);
+        // After the bootstrap (t = 110): node 3's, 13's and 28's first
+        // links fail, nodes 8 and 23 leave.
+        let script: Vec<(f64, TopologyEvent)> = [3, 8, 13, 23, 28]
+            .into_iter()
+            .enumerate()
+            .map(|(i, k)| {
+                let u = NodeId(k);
+                let event = if i % 2 == 0 {
+                    TopologyEvent::LinkDown {
+                        u,
+                        v: g.neighbors(u)[0].node,
+                    }
+                } else {
+                    TopologyEvent::NodeLeave { node: u }
+                };
+                (130.0 + 17.0 * i as f64, event)
+            })
+            .collect();
+        let mut by_run = Engine::new(&g, &node);
+        let mut by_message = Engine::new(&g, |v| PerMessage(node(v)));
+        for (t, ev) in &script {
+            by_run.schedule_topology(*t, ev.clone());
+            by_message.schedule_topology(*t, ev.clone());
+        }
+        let (got, want) = (by_run.run(), by_message.run());
+        assert!(got.converged && want.converged);
+        assert_eq!(got.stats, want.stats);
+        assert_eq!(
+            (
+                got.messages_delivered,
+                got.messages_dropped,
+                got.end_time.to_bits()
+            ),
+            (
+                want.messages_delivered,
+                want.messages_dropped,
+                want.end_time.to_bits()
+            )
+        );
+        assert!(got.messages_dropped > 0, "no message was lost in flight");
+        for (a, b) in by_run.nodes().iter().zip(by_message.nodes()) {
+            assert_eq!(served(a), served(&b.0), "node {}", a.pv.id());
+        }
     }
 }

@@ -10,7 +10,10 @@
 //! * one **slab per neighbor**: a dense `Vec` of 24-byte candidate slots
 //!   (distance, landmark distance, path, and the destination index with
 //!   the landmark flag in its top bit), kept dense with swap-remove, plus
-//!   a `dest index → slot` position map,
+//!   a `dest index → slot` position map. A slot keeps the path *as the
+//!   neighbor announced it* (`[neighbor, …, destination]`): absorbing an
+//!   announcement is a reference-count bump on the announced path, and
+//!   the loop check a scan of it — nothing is built per candidate,
 //! * a **forgetful eviction** primitive ([`RibStore::enforce`]) that trims
 //!   a destination's candidate set down to the selected route plus a
 //!   bounded alternate set, remembering (per destination) that information
@@ -25,14 +28,19 @@
 //!   * the **selection** (`neighbor, cost, landmark flag, landmark
 //!     distance, interned path id`, 25 B), written by the owner through
 //!     [`RibStore::select_from_at`] / [`RibStore::select_best`] and read in
-//!     place through [`RibStore::selected_view`];
-//!   * the selected path's **hop count** (2 B), written by the store with
-//!     the path, and only when the selected route actually moved — the
-//!     comparison that decides that has just read the path's arena cell,
-//!     so the hot message path gains one store and no cold read. It is
-//!     what lets a forwarding-table compile leave the path arena alone,
-//!     and what lets [`RibStore::promotes`] decide a tie between two
-//!     neighbors without it;
+//!     place through [`RibStore::selected_view`]. Its path is the store's
+//!     owner ([`RibStore::for_owner`]) prepended to the selected
+//!     candidate's — the path the owner exports — built, one arena cell,
+//!     only when the selected *path* moves (another neighbor, or the same
+//!     one announcing a path other than the selection's tail). A
+//!     re-announcement that moves only the distance, landmark distance or
+//!     flag keeps the cell, so during a boot a cell is paid per selection
+//!     change, not per announcement absorbed;
+//!   * the selected path's **hop count** (2 B: the announced path's
+//!     length), written by the store with the path, and only when the
+//!     path moved. It is what lets a forwarding-table compile leave the
+//!     path arena alone, and what lets [`RibStore::promotes`] decide a
+//!     tie between two neighbors without it;
 //!   * the **resident** mark (1 B): the owner's "this selected route is in
 //!     the routing table" (§4.2's acceptance rule is a *filter* over the
 //!     selection, so the table is the marked subset — nothing is copied).
@@ -66,7 +74,10 @@
 //! route-refresh is decided by [`crate::path_vector::PathVectorNode`].
 //! Selection order is a pure function of the candidate *set* (the
 //! preference order is total), so replacing the nested maps cannot change
-//! protocol behavior — the churn golden test locks this.
+//! protocol behavior — the churn golden test locks this. Nor can keeping
+//! candidates un-prefixed: every path a store compares shares the owner
+//! as its first node, so announced paths order exactly as the prefixed
+//! ones did.
 
 use disco_graph::{FxHashMap, InternedPath, NodeId, Weight};
 use std::cell::OnceCell;
@@ -74,12 +85,14 @@ use std::cmp::Ordering;
 
 /// A candidate route as held in the per-neighbor Adj-RIB-In: a
 /// [`SelectedRoute`] minus the next hop (implied by which neighbor's slab
-/// the candidate sits in).
+/// the candidate sits in), with the path as the neighbor announced it.
 #[derive(Debug, Clone)]
 pub struct Candidate {
     /// Distance from this node to the destination via the neighbor.
     pub dist: Weight,
-    /// Path from this node to the destination (this node first).
+    /// Path from the neighbor to the destination, as announced (the
+    /// neighbor first): the store prepends its owner only when the
+    /// candidate is selected and its path moved.
     pub path: InternedPath,
     /// Whether the destination is a landmark.
     pub dest_is_landmark: bool,
@@ -89,8 +102,10 @@ pub struct Candidate {
 
 /// Deterministic route preference: smaller distance, then shorter path,
 /// then lexicographically smaller path. Total over distinct candidates
-/// (paths from different neighbors differ in their second node), which is
-/// what makes selection independent of iteration order.
+/// (paths from different neighbors differ in their first node), which is
+/// what makes selection independent of iteration order. Over announced
+/// paths it orders exactly as over the same paths with the owner
+/// prepended.
 fn preferred_parts(
     a_dist: Weight,
     a_path: &InternedPath,
@@ -121,7 +136,7 @@ struct Slot {
     lm_dist: Weight,
     /// Destination index, `| LM_BIT` when the destination is a landmark.
     tagged: u32,
-    /// Path (this node first).
+    /// Path as announced (the neighbor first).
     path: InternedPath,
 }
 
@@ -222,7 +237,8 @@ pub struct RibStats {
     pub dests_interned: usize,
     /// Destinations with a selected route (the Loc-RIB view's occupancy).
     pub selected: usize,
-    /// Total path nodes across all candidates (each retains arena cells).
+    /// Total path nodes across all candidates, as announced (each
+    /// retains arena cells, shared with the announcing neighbor's).
     pub path_nodes: usize,
     /// Approximate heap bytes of the Adj-RIB-In proper (slabs, interner,
     /// and each destination record's id, candidate count, evicted flag
@@ -240,6 +256,7 @@ pub struct RibStats {
 /// Borrowed view of the selected route for one destination — everything
 /// the forwarding / export path needs, read in place. A routing-table
 /// entry is one of these whose destination the owner marked resident.
+/// Unlike a [`Candidate`]'s, its path starts at the store's owner.
 #[derive(Debug, PartialEq)]
 pub struct SelectedRoute<'a> {
     /// Neighbor the selected route goes through.
@@ -269,13 +286,15 @@ struct DestRecord {
     /// fields after it are cached, not dereferenced through the slab —
     /// see the module docs for why staleness is load-bearing.
     sel_nbr: u32,
-    /// Selected route's path (a reference-count bump on the slab's path).
+    /// Selected route's path: the owner prepended to the selected
+    /// candidate's announced path — one arena cell, built when the
+    /// selected path moves and kept while it does not.
     sel_path: Option<InternedPath>,
     /// Candidates held for this destination across neighbors.
     cand_count: u32,
-    /// Selected route's hop count (`path.len() - 1`, saturated): kept
-    /// beside the selection so a forwarding-table compile never reads the
-    /// path arena. Written where the path is
+    /// Selected route's hop count (the announced path's length,
+    /// saturated): kept beside the selection so a forwarding-table compile
+    /// never reads the path arena. Written where the path is
     /// ([`RibStore::select_from_at`]), stale with it.
     sel_hops: u16,
     /// Selected route's landmark flag.
@@ -328,8 +347,11 @@ impl DestRecord {
 
 /// The compact Adj-RIB-In: per-neighbor slabs over interned destination
 /// records. See the module docs.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct RibStore {
+    /// The node whose Adj-RIB-In this is: the first node of every
+    /// selected path.
+    owner: NodeId,
     /// Destination index → record.
     recs: Vec<DestRecord>,
     /// Destination node id → index.
@@ -359,10 +381,33 @@ pub struct RibStore {
     evictions: u64,
 }
 
+impl Default for RibStore {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl RibStore {
-    /// An empty store.
+    /// An empty store owned by `NodeId(0)` (see [`RibStore::for_owner`]).
     pub fn new() -> Self {
-        Self::default()
+        Self::for_owner(NodeId(0))
+    }
+
+    /// An empty store for node `owner`'s Adj-RIB-In: candidates keep the
+    /// paths their neighbors announced, and a selection's path is `owner`
+    /// prepended to its candidate's.
+    pub fn for_owner(owner: NodeId) -> Self {
+        RibStore {
+            owner,
+            recs: Vec::new(),
+            dest_idx: FxHashMap::default(),
+            slabs: Vec::new(),
+            total: 0,
+            id_order: OnceCell::new(),
+            sel_count: 0,
+            live_dests: 0,
+            evictions: 0,
+        }
     }
 
     /// Intern `d`, returning its dense index.
@@ -553,12 +598,13 @@ impl RibStore {
     /// landmark distance or flag moved — which leaves its rank where it
     /// was, so it is still the minimum.
     ///
-    /// `cand`'s path starts `[self, from, …]` like the selection's starts
-    /// `[self, selected neighbor, …]`, so a distance tie between two
+    /// `cand`'s announced path starts `[from, …]` like the selection's
+    /// tail starts `[selected neighbor, …]`, so a distance tie between two
     /// different neighbors is decided as the path order would decide it —
     /// the shorter path, then the smaller neighbor id — from the record's
     /// hop count, without reading the path arena. Only a re-announcement
-    /// by the selected neighbor (or a saturated hop count) compares paths.
+    /// by the selected neighbor (or a saturated hop count) compares paths,
+    /// the announced one against the selection's tail.
     pub fn promotes(&self, di: u32, from: NodeId, cand: &Candidate) -> bool {
         let rec = &self.recs[di as usize];
         if rec.sel_nbr == ABSENT || cand.dist + 1e-12 < rec.sel_dist {
@@ -569,12 +615,12 @@ impl RibStore {
         }
         let same = rec.sel_nbr == from.0 as u32;
         if !same && rec.sel_hops < u16::MAX {
-            let hops = cand.path.len() - 1;
+            let hops = cand.path.len();
             let ord = hops.cmp(&usize::from(rec.sel_hops));
             return ord.then(from.0.cmp(&(rec.sel_nbr as usize))) == Ordering::Less;
         }
         let cur = rec.sel_path.as_ref().expect("selection holds a path");
-        match cand.path.cmp_route(cur) {
+        match cand.path.cmp_route_to_tail(cur) {
             Ordering::Less => true,
             Ordering::Equal => same && cand.dist == rec.sel_dist,
             Ordering::Greater => false,
@@ -585,8 +631,13 @@ impl RibStore {
     /// candidate `nbr`'s slab holds for it, caching every field — the
     /// landmark flag like the distance — without re-reading the slab (two
     /// probes on the hottest protocol path, promotion of a fresh
-    /// announcement). Takes the candidate by value: its path handle moves
-    /// into the record instead of paying a reference-count round trip.
+    /// announcement).
+    ///
+    /// The selection's path is the owner prepended to `cand`'s, built —
+    /// one arena cell — only when the selected path moves: another
+    /// neighbor, or the same one announcing a path that differs from the
+    /// selection's tail. A re-announcement that moves only the distance,
+    /// the landmark distance or the flag keeps the cell it had.
     ///
     /// Returns whether the selected route — neighbor, distance, landmark
     /// distance, landmark flag or path — differs from the one the record
@@ -597,29 +648,33 @@ impl RibStore {
             self.slab_of(nbr).is_some_and(|s| s.slot_of(di).is_some()),
             "selected neighbor must hold a candidate"
         );
+        let owner = self.owner;
         let rec = &mut self.recs[di as usize];
         let nbr = nbr.0 as u32;
-        let moved = rec.sel_nbr != nbr
+        let path_moved = rec.sel_nbr != nbr
+            || rec
+                .sel_path
+                .as_ref()
+                .is_none_or(|cur| cand.path.cmp_route_to_tail(cur) != Ordering::Equal);
+        let moved = path_moved
             || rec.sel_dist != cand.dist
             || rec.sel_lm_dist != cand.dest_landmark_dist
-            || rec.sel_path.as_ref() != Some(&cand.path)
             || rec.sel_flag != cand.dest_is_landmark;
         if rec.sel_nbr == ABSENT {
             // It holds a candidate, so it was already live.
             self.sel_count += 1;
         }
-        if moved {
-            // An unmoved route kept its path, so its hop count. A moved
-            // one just had this cell read by the comparison above (or
-            // built by the caller's prepend): no cold arena access.
-            let hops = cand.path.len().saturating_sub(1);
+        if path_moved {
+            // An unmoved path keeps its cell, so its hop count; a moved
+            // one's is the announced length.
+            let hops = cand.path.len();
             rec.sel_hops = hops.min(usize::from(u16::MAX)) as u16;
+            rec.sel_path = Some(cand.path.prepend(owner));
         }
         rec.sel_nbr = nbr;
         rec.sel_dist = cand.dist;
         rec.sel_lm_dist = cand.dest_landmark_dist;
         rec.sel_flag = cand.dest_is_landmark;
-        rec.sel_path = Some(cand.path);
         moved
     }
 
@@ -909,7 +964,9 @@ impl RibStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use disco_graph::PathArena;
 
+    /// A candidate as neighbor `path[0]` announces it to node 0.
     fn cand(path: &[usize], dist: Weight, lm: bool) -> Candidate {
         let nodes: Vec<NodeId> = path.iter().map(|&i| NodeId(i)).collect();
         Candidate {
@@ -928,15 +985,15 @@ mod tests {
 
     #[test]
     fn insert_get_remove_roundtrip() {
-        let mut rib = RibStore::new();
+        let mut rib = RibStore::for_owner(NodeId(0));
         let (n1, n2, d) = (NodeId(1), NodeId(2), NodeId(9));
         assert!(rib.is_empty());
-        rib.insert(n1, d, &cand(&[0, 1, 9], 2.0, false));
-        rib.insert(n2, d, &cand(&[0, 2, 9], 3.0, true));
+        rib.insert(n1, d, &cand(&[1, 9], 2.0, false));
+        rib.insert(n2, d, &cand(&[2, 9], 3.0, true));
         assert_eq!(rib.len(), 2);
         assert_eq!(rib.count_for(d), 2);
         // Replacement overwrites in place.
-        rib.insert(n2, d, &cand(&[0, 2, 9], 1.0, false));
+        rib.insert(n2, d, &cand(&[2, 9], 1.0, false));
         assert_eq!(rib.len(), 2);
         let got = rib.get(n2, d).unwrap();
         assert_eq!(got.dist, 1.0);
@@ -951,11 +1008,11 @@ mod tests {
 
     #[test]
     fn best_for_is_preference_minimum() {
-        let mut rib = RibStore::new();
+        let mut rib = RibStore::for_owner(NodeId(0));
         let d = NodeId(9);
-        rib.insert(NodeId(1), d, &cand(&[0, 1, 9], 2.0, false));
-        rib.insert(NodeId(2), d, &cand(&[0, 2, 9], 1.5, false));
-        rib.insert(NodeId(3), d, &cand(&[0, 3, 9], 1.5, false));
+        rib.insert(NodeId(1), d, &cand(&[1, 9], 2.0, false));
+        rib.insert(NodeId(2), d, &cand(&[2, 9], 1.5, false));
+        rib.insert(NodeId(3), d, &cand(&[3, 9], 1.5, false));
         let (nbr, best) = rib.best_for(d).unwrap();
         // 1.5 ties; path [0,2,9] < [0,3,9] lexicographically.
         assert_eq!(nbr, NodeId(2));
@@ -969,10 +1026,10 @@ mod tests {
 
     #[test]
     fn remove_neighbor_reports_sorted_dests() {
-        let mut rib = RibStore::new();
-        rib.insert(NodeId(1), NodeId(7), &cand(&[0, 1, 7], 2.0, true));
-        rib.insert(NodeId(1), NodeId(3), &cand(&[0, 1, 3], 2.0, false));
-        rib.insert(NodeId(2), NodeId(3), &cand(&[0, 2, 3], 2.0, false));
+        let mut rib = RibStore::for_owner(NodeId(0));
+        rib.insert(NodeId(1), NodeId(7), &cand(&[1, 7], 2.0, true));
+        rib.insert(NodeId(1), NodeId(3), &cand(&[1, 3], 2.0, false));
+        rib.insert(NodeId(2), NodeId(3), &cand(&[2, 3], 2.0, false));
         let lost = rib.remove_neighbor(NodeId(1));
         assert_eq!(lost, vec![NodeId(3), NodeId(7)]);
         assert_eq!(rib.len(), 1);
@@ -981,10 +1038,10 @@ mod tests {
 
     #[test]
     fn enforce_keeps_selected_and_best_alternates() {
-        let mut rib = RibStore::new();
+        let mut rib = RibStore::for_owner(NodeId(0));
         let d = NodeId(9);
         for (i, dist) in [(1, 4.0), (2, 1.0), (3, 2.0), (4, 3.0)] {
-            rib.insert(NodeId(i), d, &cand(&[0, i, 9], dist, false));
+            rib.insert(NodeId(i), d, &cand(&[i, 9], dist, false));
         }
         // Keep 2 (selected + 1 alternate); the selected hop is the worst
         // candidate (forced survivor, read from the selection column).
@@ -1003,17 +1060,22 @@ mod tests {
 
     #[test]
     fn selection_view_tracks_select_and_clear() {
-        let mut rib = RibStore::new();
+        let mut rib = RibStore::for_owner(NodeId(0));
         let d = NodeId(9);
-        rib.insert(NodeId(1), d, &cand(&[0, 1, 9], 2.0, false));
-        rib.insert(NodeId(2), d, &cand(&[0, 2, 9], 1.0, true));
+        rib.insert(NodeId(1), d, &cand(&[1, 9], 2.0, false));
+        rib.insert(NodeId(2), d, &cand(&[2, 9], 1.0, true));
         assert!(rib.selected_hop(d).is_none());
         assert_eq!(rib.select_best(d), Some(true));
         assert_eq!(rib.selected_hop(d), Some(NodeId(2)));
         let v = rib.selected_view(d).unwrap();
         assert_eq!(v.dist, 1.0);
         assert!(v.dest_is_landmark);
+        // The selection starts at the owner; the candidate stays as its
+        // neighbor announced it.
         assert_eq!(v.path.to_vec(), vec![NodeId(0), NodeId(2), NodeId(9)]);
+        let held = rib.get(NodeId(2), d).unwrap().path;
+        assert_eq!(held.to_vec(), vec![NodeId(2), NodeId(9)]);
+        assert_eq!(v.path.tail(), Some(held));
         let di = rib.idx(d).unwrap();
         assert_eq!(rib.selected_parts_at(di), Some((1.0, true, false)));
         // The owner's table mark rides on the selection.
@@ -1022,17 +1084,28 @@ mod tests {
         assert_eq!(rib.selected_parts_at(di), Some((1.0, true, true)));
         assert_eq!(rib.resident_view(d), rib.selected_view(d));
         // Re-selecting the same candidate moves nothing; a re-announcement
-        // over it does, whichever field it changed — the flag included.
+        // over it does, whichever field it changed — the flag included —
+        // but one of the same path (here built apart: equal nodes, other
+        // cells) keeps the selection's cell.
+        let cells = || PathArena::stats().interned_total;
         assert_eq!(rib.select_best(d), Some(false));
-        rib.insert(NodeId(2), d, &cand(&[0, 2, 9], 0.5, true));
+        let (nearer, unflagged) = (cand(&[2, 9], 0.5, true), cand(&[2, 9], 0.5, false));
+        let before = cells();
+        rib.insert(NodeId(2), d, &nearer);
         assert_eq!(rib.select_best(d), Some(true));
-        rib.insert(NodeId(2), d, &cand(&[0, 2, 9], 0.5, false));
+        rib.insert(NodeId(2), d, &unflagged);
         assert_eq!(rib.select_best(d), Some(true));
         assert!(!rib.selected_view(d).unwrap().dest_is_landmark);
+        assert_eq!(cells(), before, "attribute-only moves build no cell");
         // Explicit selection of a non-best candidate is allowed (the owner
-        // decides); stats count the occupancy, the mark stays.
+        // decides); stats count the occupancy, the mark stays. A moved
+        // path is one new cell, the owner on the announced path.
+        let before = cells();
         assert!(select(&mut rib, d, NodeId(1)));
+        assert_eq!(cells(), before + 1);
         assert!(!select(&mut rib, d, NodeId(1)));
+        let v = rib.selected_view(d).unwrap();
+        assert_eq!(v.path.to_vec(), vec![NodeId(0), NodeId(1), NodeId(9)]);
         assert_eq!(rib.selected_hop(d), Some(NodeId(1)));
         assert!(rib.is_resident(d));
         assert_eq!(rib.stats().selected, 1);
@@ -1049,10 +1122,10 @@ mod tests {
     /// reads the previous best while healing), until a reselect.
     #[test]
     fn selection_survives_candidate_removal_until_reselect() {
-        let mut rib = RibStore::new();
+        let mut rib = RibStore::for_owner(NodeId(0));
         let d = NodeId(9);
-        rib.insert(NodeId(1), d, &cand(&[0, 1, 9], 2.0, false));
-        rib.insert(NodeId(2), d, &cand(&[0, 2, 9], 3.0, false));
+        rib.insert(NodeId(1), d, &cand(&[1, 9], 2.0, false));
+        rib.insert(NodeId(2), d, &cand(&[2, 9], 3.0, false));
         assert!(rib.select_best(d).is_some());
         assert_eq!(rib.selected_hop(d), Some(NodeId(1)));
         rib.remove(NodeId(1), d);
@@ -1076,15 +1149,15 @@ mod tests {
     /// count, resident mark — across the remap.
     #[test]
     fn compaction_preserves_selections() {
-        let mut rib = RibStore::new();
+        let mut rib = RibStore::for_owner(NodeId(0));
         let (nbr, other) = (NodeId(1), NodeId(2));
         for i in 0..199 {
-            rib.insert(nbr, NodeId(1000 + i), &cand(&[0, 1, 1000 + i], 2.0, false));
+            rib.insert(nbr, NodeId(1000 + i), &cand(&[1, 1000 + i], 2.0, false));
         }
         // The last destination sits one hop further out than the rest.
-        rib.insert(nbr, NodeId(1199), &cand(&[0, 1, 5, 1199], 2.0, false));
+        rib.insert(nbr, NodeId(1199), &cand(&[1, 5, 1199], 2.0, false));
         // One destination keeps a candidate from another neighbor.
-        rib.insert(other, NodeId(1100), &cand(&[0, 2, 1100], 3.0, true));
+        rib.insert(other, NodeId(1100), &cand(&[2, 1100], 3.0, true));
         rib.select_best(NodeId(1199));
         rib.select_best(NodeId(1000));
         rib.set_resident_at(rib.idx(NodeId(1199)).unwrap(), true);
@@ -1103,6 +1176,7 @@ mod tests {
         for d in [NodeId(1000), NodeId(1199)] {
             let v = rib.selected_view(d).expect("selection survives compaction");
             assert_eq!(v.next_hop, nbr);
+            assert_eq!((v.path.first(), v.path.second()), (NodeId(0), Some(nbr)));
             assert_eq!(v.path.last(), d);
         }
         assert_eq!(routes(&rib), want, "hop counts and id order survive");
@@ -1121,10 +1195,10 @@ mod tests {
 
     #[test]
     fn compaction_preserves_contents() {
-        let mut rib = RibStore::new();
+        let mut rib = RibStore::for_owner(NodeId(0));
         let nbr = NodeId(1);
         for i in 0..200 {
-            rib.insert(nbr, NodeId(1000 + i), &cand(&[0, 1, 1000 + i], 2.0, false));
+            rib.insert(nbr, NodeId(1000 + i), &cand(&[1, 1000 + i], 2.0, false));
         }
         // Remove most destinations to trigger compaction, keep a few.
         for i in 0..190 {
@@ -1141,7 +1215,7 @@ mod tests {
         }
         assert_eq!(rib.len(), 10);
         // Interning new destinations after compaction still works.
-        rib.insert(nbr, NodeId(5000), &cand(&[0, 1, 5000], 1.0, false));
+        rib.insert(nbr, NodeId(5000), &cand(&[1, 5000], 1.0, false));
         assert_eq!(rib.best_for(NodeId(5000)).unwrap().0, nbr);
     }
 }

@@ -13,8 +13,11 @@
 //!
 //! 1. the store never *loses* a destination the full RIB can still reach
 //!    (in forgetful mode, refresh recovers it within the same step),
-//! 2. any selected candidate is one the full model also holds, verbatim
-//!    (the selection column is a faithful cache of a real candidate),
+//! 2. any selected candidate is one the full model also holds, verbatim:
+//!    the store keeps the path as announced (`held.path == model path`)
+//!    and the selection is the owner on it (`view.path == [owner] ++
+//!    model path`) — the selection column is a faithful cache of a real
+//!    candidate,
 //! 3. the per-destination candidate budget is respected (forgetful mode),
 //! 4. the derived Loc-RIB view equals the model's best selection — after
 //!    *every* op in full mode, and after a settle round (every neighbor
@@ -29,7 +32,8 @@
 //! 6. the ordered visitor (`for_each_route_by_id`, the forwarding-table
 //!    compile sweep) yields strictly ascending destination ids and exactly
 //!    `for_each_selected`'s rows, each with the hop count of the model's
-//!    candidate (`path.len() - 1`; announced paths vary in length).
+//!    candidate (its announced path's length; announced paths vary in
+//!    length).
 //!
 //! 7. one level up, where the owner counts the writes: between any two
 //!    revisions of a `PathVectorNode` its journal (`writes_since`) names
@@ -183,9 +187,10 @@ impl Driven {
         let promote = match self.rib.selected_view(d) {
             None => true,
             Some(cur) => {
+                // The selection's path is the owner on the candidate's.
                 let held = Candidate {
                     dist: cur.dist,
-                    path: cur.path.clone(),
+                    path: cur.path.tail().expect("a selection extends its candidate"),
                     dest_is_landmark: cur.dest_is_landmark,
                     dest_landmark_dist: cur.dest_landmark_dist,
                 };
@@ -232,6 +237,13 @@ fn splitmix(x: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// `[owner] ++ path`: what a selection of the announced `path` holds.
+fn owned(path: &InternedPath) -> Vec<NodeId> {
+    let mut nodes = vec![NodeId(ME)];
+    nodes.extend(path.to_vec());
+    nodes
+}
+
 fn check_invariants(dr: &Driven, model: &FullRib, dests: &[NodeId], settled: bool) {
     // In full mode the incremental selection is the exact minimum at all
     // times; in forgetful mode eviction can hide the global best until a
@@ -255,14 +267,14 @@ fn check_invariants(dr: &Driven, model: &FullRib, dests: &[NodeId], settled: boo
                 .get(&(v.next_hop, d))
                 .expect("selected candidate must exist in the full model");
             assert_eq!(v.dist, model_c.dist, "stale distance for {d}");
-            assert_eq!(*v.path, model_c.path, "stale path for {d}");
+            assert_eq!(v.path.to_vec(), owned(&model_c.path), "stale path for {d}");
             // The candidate is also physically retained in the store.
             let held = dr
                 .rib
                 .get(v.next_hop, d)
                 .expect("selected candidate in store");
             assert_eq!(held.dist, v.dist);
-            assert_eq!(held.path, *v.path);
+            assert_eq!(held.path, model_c.path, "held as announced for {d}");
         }
         // (3) budget respected.
         if dr.forgetful {
@@ -285,7 +297,7 @@ fn check_invariants(dr: &Driven, model: &FullRib, dests: &[NodeId], settled: boo
             if let (Some((mn, mc)), Some(v)) = (model_best, &view) {
                 assert_eq!(
                     (v.next_hop, v.dist, v.path.to_vec()),
-                    (mn, mc.dist, mc.path.to_vec()),
+                    (mn, mc.dist, owned(&mc.path)),
                     "selection diverged for {d}"
                 );
             }
@@ -302,7 +314,7 @@ fn check_invariants(dr: &Driven, model: &FullRib, dests: &[NodeId], settled: boo
     );
     let mut selected = Vec::new();
     dr.rib.for_each_selected(|d, sel| {
-        let hops = model.cands[&(sel.next_hop, d)].path.len() - 1;
+        let hops = model.cands[&(sel.next_hop, d)].path.len();
         selected.push((d, sel.next_hop, hops.min(usize::from(u16::MAX)) as u16));
     });
     selected.sort_unstable();
@@ -321,20 +333,20 @@ fn check_promotes(rib: &RibStore, dests: &[NodeId], neighbors: &[NodeId], probed
         let di = rib.idx(d).expect("selected");
         let sel = Candidate {
             dist: view.dist,
-            path: view.path.clone(),
+            path: view.path.tail().expect("a selection extends its candidate"),
             dest_is_landmark: view.dest_is_landmark,
             dest_landmark_dist: view.dest_landmark_dist,
         };
         let mut probes = rib.candidates_for(d);
         if d == probed {
-            // Paths me → nbr → fillers → d; fillers below the salts for
+            // Paths nbr → fillers → d; fillers below the salts for
             // even neighbors, above them for odd ones, so the selected
             // neighbor's probes order both ways against its own path.
             let hops = view.path.len() - 1;
             for &nbr in neighbors {
                 let base = if nbr.0 % 2 == 0 { 150 } else { 300 };
                 for len in [hops - 1, hops, hops + 1] {
-                    let mut nodes = vec![NodeId(ME), nbr];
+                    let mut nodes = vec![nbr];
                     nodes.extend((2..len).map(|k| NodeId(base + k)));
                     nodes.push(d);
                     for delta in [0.0, 5e-13, -5e-13, 2e-12, -2e-12] {
@@ -372,7 +384,7 @@ fn run_model(seed: u64, forgetful: bool) -> u64 {
     let dests: Vec<NodeId> = (100..116).map(NodeId).collect();
     let mut model = FullRib::default();
     let mut dr = Driven {
-        rib: RibStore::new(),
+        rib: RibStore::for_owner(NodeId(ME)),
         forgetful,
         refreshes: 0,
     };
@@ -384,7 +396,7 @@ fn run_model(seed: u64, forgetful: bool) -> u64 {
     let filler = NodeId(7);
     let fill = |dr: &mut Driven, ids: std::ops::Range<usize>| {
         for i in ids {
-            let path = InternedPath::from_slice(&[NodeId(ME), filler, NodeId(i)]);
+            let path = InternedPath::from_slice(&[filler, NodeId(i)]);
             let c = Candidate {
                 dist: 2.0,
                 path,
@@ -401,13 +413,13 @@ fn run_model(seed: u64, forgetful: bool) -> u64 {
         let nbr = neighbors[(r % neighbors.len() as u64) as usize];
         let d = dests[((r >> 8) % dests.len() as u64) as usize];
         match (r >> 16) % 11 {
-            // Announce: route me → nbr → (one to three salts) → d, salted
-            // so re-announcements change the path and its length, not
-            // just the distance.
+            // Announce: route nbr → (one to three salts) → d, as nbr
+            // announces it, salted so re-announcements change the path
+            // and its length, not just the distance.
             0..=5 => {
                 let dist = 1.0 + ((r >> 24) % 32) as Weight;
                 let salt = 200 + ((r >> 32) % 8) as usize;
-                let mut nodes = vec![NodeId(ME), nbr];
+                let mut nodes = vec![nbr];
                 nodes.extend((0..=(r >> 36) % 3).map(|k| NodeId(salt + 10 * k as usize)));
                 nodes.push(d);
                 let path = InternedPath::from_slice(&nodes);

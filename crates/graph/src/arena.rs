@@ -17,9 +17,11 @@
 //!   `path[1]` carrying `path[1..]`) is O(1) and allocates nothing.
 //!
 //! Sharing is by construction, not by lookup: a cell `(v, P)` comes into
-//! being when `v` absorbs `P` from one neighbor, and every other holder of
-//! that path (selection, table entry, export, each copy of a flood)
-//! is a `clone()` of the one handle. A table keyed by `(head, tail)` would
+//! being when `v` *selects* `P` from one neighbor (a cell per selection
+//! whose path moved, not per announcement absorbed: the neighbor's
+//! candidate slot holds `P` itself, as announced), and every other holder
+//! of that path (table entry, export, each copy of a flood, every
+//! neighbor's candidate) is a `clone()` of the one handle. A table keyed by `(head, tail)` would
 //! have nothing left to find — it de-duplicated under 2 % of cells on boot
 //! and churn runs and cost a random memory probe per prepend and per
 //! release — so there is none. Two paths built separately from the same
@@ -258,27 +260,6 @@ impl InternedPath {
         })
     }
 
-    /// [`InternedPath::contains`] and [`InternedPath::prepend`] fused into
-    /// one pool borrow — the path-vector's per-announcement loop check
-    /// plus prepend: `None` when `node` already appears in the path,
-    /// otherwise the prepended path. O(len) for the scan, O(1) to build.
-    pub fn prepend_unless_contains(&self, node: NodeId) -> Option<Self> {
-        let needle = node.0 as u32;
-        POOL.with(|p| {
-            let mut p = p.borrow_mut();
-            let mut id = self.raw();
-            while id != NIL {
-                let cell = &p.cells[id as usize];
-                if cell.head == needle {
-                    return None;
-                }
-                id = cell.tail;
-            }
-            let id = p.acquire(needle, self.raw());
-            Some(InternedPath::wrap(id))
-        })
-    }
-
     /// The path `[node] ; self` — the path-vector prepend. O(1).
     pub fn prepend(&self, node: NodeId) -> Self {
         let id = POOL.with(|p| p.borrow_mut().acquire(node.0 as u32, self.raw()));
@@ -425,29 +406,49 @@ impl InternedPath {
         if self.id == other.id {
             return Ordering::Equal;
         }
+        POOL.with(|p| p.borrow().cmp_chains(self.raw(), other.raw()))
+    }
+
+    /// [`InternedPath::cmp_route`] of this path against `other[1..]`, the
+    /// path `other` extends by one node (an empty tail sorts first) —
+    /// without a handle on the tail. This is how a path as a neighbor
+    /// announced it compares with a selection built by prepending the
+    /// owner to one: `[v] ; a` against `[v] ; b` orders as `a` against
+    /// `b`. O(1) when `other` was built on this very path.
+    pub fn cmp_route_to_tail(&self, other: &InternedPath) -> Ordering {
         POOL.with(|p| {
             let p = p.borrow();
-            let (a, b) = (
-                &p.cells[self.raw() as usize],
-                &p.cells[other.raw() as usize],
-            );
-            a.len.cmp(&b.len).then_with(|| {
-                let (mut x, mut y) = (self.raw(), other.raw());
-                while x != NIL && y != NIL {
-                    if x == y {
-                        return Ordering::Equal; // shared suffix
-                    }
-                    let (cx, cy) = (&p.cells[x as usize], &p.cells[y as usize]);
-                    match cx.head.cmp(&cy.head) {
-                        Ordering::Equal => {
-                            x = cx.tail;
-                            y = cy.tail;
-                        }
-                        ord => return ord,
-                    }
+            match p.cells[other.raw() as usize].tail {
+                NIL => Ordering::Greater,
+                tail => p.cmp_chains(self.raw(), tail),
+            }
+        })
+    }
+}
+
+impl PathArena {
+    /// [`InternedPath::cmp_route`] over two cell ids.
+    fn cmp_chains(&self, a: u32, b: u32) -> Ordering {
+        if a == b {
+            return Ordering::Equal;
+        }
+        let (ca, cb) = (&self.cells[a as usize], &self.cells[b as usize]);
+        ca.len.cmp(&cb.len).then_with(|| {
+            let (mut x, mut y) = (a, b);
+            while x != NIL && y != NIL {
+                if x == y {
+                    return Ordering::Equal; // shared suffix
                 }
-                Ordering::Equal
-            })
+                let (cx, cy) = (&self.cells[x as usize], &self.cells[y as usize]);
+                match cx.head.cmp(&cy.head) {
+                    Ordering::Equal => {
+                        x = cx.tail;
+                        y = cy.tail;
+                    }
+                    ord => return ord,
+                }
+            }
+            Ordering::Equal
         })
     }
 }
@@ -624,6 +625,28 @@ mod tests {
     }
 
     #[test]
+    fn tail_ordering_matches_route_ordering_of_the_tail() {
+        let cases: &[&[usize]] = &[&[1], &[1, 2], &[1, 3], &[2, 3], &[1, 2, 3], &[5, 0, 0]];
+        for x in cases {
+            let a = InternedPath::from_slice(&ids(x));
+            // Built on `a` (one shared cell) and built apart.
+            let on = a.prepend(NodeId(9));
+            assert_eq!(a.cmp_route_to_tail(&on), Ordering::Equal, "{x:?}");
+            for y in cases {
+                let b = InternedPath::from_slice(&ids(y));
+                let apart = InternedPath::from_slice(&ids(&[&[7], *y].concat()));
+                assert_eq!(
+                    a.cmp_route_to_tail(&apart),
+                    a.cmp_route(&b),
+                    "{x:?} vs {y:?}"
+                );
+            }
+            let lone = InternedPath::single(NodeId(4));
+            assert_eq!(a.cmp_route_to_tail(&lone), Ordering::Greater);
+        }
+    }
+
+    #[test]
     fn shrink_releases_free_tail_but_keeps_live_cells() {
         // Other tests on this thread may hold arena state; work relative.
         let keep = InternedPath::from_slice(&ids(&[401, 402]));
@@ -678,13 +701,14 @@ mod tests {
                     Some((held[i].1.prepend(v), nodes))
                 }
                 2 => {
+                    // The path-vector loop check, then the prepend.
                     let v = node(next());
-                    let got = held[i].1.prepend_unless_contains(v);
-                    assert_eq!(got.is_none(), held[i].0.contains(&v));
-                    got.map(|p| {
+                    let looped = held[i].1.contains(v);
+                    assert_eq!(looped, held[i].0.contains(&v));
+                    (!looped).then(|| {
                         let mut nodes = vec![v];
                         nodes.extend(&held[i].0);
-                        (p, nodes)
+                        (held[i].1.prepend(v), nodes)
                     })
                 }
                 3 => {
@@ -720,6 +744,12 @@ mod tests {
                     p.cmp_route(other),
                     (nodes.len(), &nodes).cmp(&(other_nodes.len(), other_nodes))
                 );
+                let other_tail = &other_nodes[1..];
+                let to_tail = match other_tail {
+                    [] => Ordering::Greater,
+                    tail => (nodes.len(), &nodes[..]).cmp(&(tail.len(), tail)),
+                };
+                assert_eq!(p.cmp_route_to_tail(other), to_tail);
                 held.push((nodes, p));
             }
         }

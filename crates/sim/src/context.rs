@@ -14,7 +14,7 @@ pub(crate) const DEFAULT_MSG_SIZE: usize = 64;
 ///
 /// The type is public so protocols can *compose*: an outer protocol can run
 /// an embedded sub-protocol in a fresh `Context`, drain its actions with
-/// [`Context::take_actions`], and re-wrap the messages in its own message
+/// [`Context::drain_actions`], and re-wrap the messages in its own message
 /// type (see `disco-core`'s `DiscoProtocol`, which embeds the path-vector
 /// protocol this way).
 ///
@@ -82,9 +82,10 @@ pub struct Context<'a, M> {
     now: SimTime,
     graph: &'a Graph,
     pub(crate) actions: Vec<Action<M>>,
-    /// For `on_message` upcalls: the link the message arrived over,
-    /// already resolved by the engine (it validated liveness at pop time).
-    /// Lets `link_weight(sender)` and replies skip the adjacency scan.
+    /// For `on_message` / `on_run` upcalls: the link the message (or run)
+    /// arrived over, already resolved by the engine (it validated liveness
+    /// at pop time). Lets `link_weight(sender)` and replies skip the
+    /// adjacency scan.
     pub(crate) via: Option<Neighbor>,
 }
 
@@ -119,9 +120,9 @@ impl<'a, M> Context<'a, M> {
     }
 
     /// The resolved link the message being processed arrived over
-    /// (`on_message` upcalls only; `None` elsewhere). The engine validated
-    /// this link's liveness when it delivered the message, so within the
-    /// upcall it is a valid send target.
+    /// (`on_message` and `on_run` upcalls only; `None` elsewhere). The
+    /// engine validated this link's liveness when it delivered the
+    /// message, so within the upcall it is a valid send target.
     pub fn via(&self) -> Option<Neighbor> {
         self.via
     }
@@ -144,10 +145,11 @@ impl<'a, M> Context<'a, M> {
         self.graph
     }
 
-    /// Drain the actions recorded so far (used when relaying an embedded
-    /// protocol's actions into an outer protocol's context).
-    pub fn take_actions(&mut self) -> Vec<Action<M>> {
-        std::mem::take(&mut self.actions)
+    /// Drain the actions recorded so far, in order, keeping the buffer's
+    /// capacity (used when relaying an embedded protocol's actions into an
+    /// outer protocol's context, possibly several times in one upcall).
+    pub fn drain_actions(&mut self) -> std::vec::Drain<'_, Action<M>> {
+        self.actions.drain(..)
     }
 
     /// Id of the node this upcall runs on.

@@ -116,13 +116,15 @@ pub enum EventKind<M> {
     /// files one such entry per flood group (distinct link weight, so one
     /// arrival instant, and receiving shard) under the run's first key,
     /// and pops it receiver-major: each target in adjacency order gets
-    /// every message in send order. The floods would have popped
+    /// every message in send order, the whole run borrowed in one
+    /// `Protocol::on_run` upcall. The floods would have popped
     /// back-to-back (consecutive keys at one timestamp), and only the
     /// order in which each receiver sees its messages is observable, so
     /// this reproduces the per-flood schedule (save that a receiver's
     /// zero-delay timer fires after the event, not between two of its
-    /// messages); liveness is checked per (target, message) at pop time,
-    /// so losses stay per-message.
+    /// messages); liveness is checked per target at pop time — no upcall
+    /// changes the topology, so that equals a check per message — and
+    /// every message is counted, delivered or lost, on its own.
     DeliverFlood {
         from: NodeId,
         /// The run's messages with their accounted wire size per copy, in

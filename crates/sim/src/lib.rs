@@ -16,8 +16,9 @@
 //!   weight doubles as the link propagation delay.
 //! * Each node runs a [`Protocol`] instance. The engine delivers three kinds
 //!   of upcalls: [`Protocol::on_start`] once at time 0, [`Protocol::on_message`]
-//!   for every received message, and [`Protocol::on_timer`] for timers the
-//!   node set itself.
+//!   for every received message — or [`Protocol::on_run`], borrowed, for a
+//!   run of messages that arrive together — and [`Protocol::on_timer`] for
+//!   timers the node set itself.
 //! * Nodes interact with the world only through the [`Context`] handed to
 //!   each upcall: sending messages to direct neighbors, scheduling timers,
 //!   and reading their own id / adjacency. This mirrors the paper's
@@ -102,6 +103,35 @@ pub trait Protocol {
         msg: Self::Message,
         ctx: &mut Context<'_, Self::Message>,
     );
+
+    /// Called when a run of messages from direct neighbor `from` arrives
+    /// together: the messages of one [`Context::send_batch`], or a run of
+    /// consecutive floods the sender recorded in one upcall, each
+    /// `(message, accounted size)` in send order. The engine hands each
+    /// receiver its whole run in one upcall, borrowed, so a protocol that
+    /// reads messages in place pays no clone per (receiver, message).
+    ///
+    /// Contract: the outcome must equal [`Protocol::on_message`] called
+    /// for every message in order within one context — the default does
+    /// exactly that, cloning each message — and the actions recorded must
+    /// come in the order those calls would have recorded them. Liveness is
+    /// checked once per (receiver, run): no upcall changes the topology,
+    /// so a run whose link died in flight is lost whole and a live one is
+    /// delivered whole. Every message is still counted received on its
+    /// own. Under an enabled [`Recorder`] the engine hands the run over in
+    /// maximal stretches of one [`MessageClass`], one upcall each, so its
+    /// per-class busy time stays exact.
+    #[inline]
+    fn on_run(
+        &mut self,
+        from: NodeId,
+        run: &[(Self::Message, usize)],
+        ctx: &mut Context<'_, Self::Message>,
+    ) {
+        for (msg, _) in run {
+            self.on_message(from, msg.clone(), ctx);
+        }
+    }
 
     /// Called when a timer previously scheduled through
     /// [`Context::set_timer`] fires. `token` is the caller-chosen value.

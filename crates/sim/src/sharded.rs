@@ -86,10 +86,16 @@
 //!    split across the shards that own them, and each shard runs its own
 //!    share; the same rule licenses the engine's receiver-major pop,
 //!    where each target absorbs a whole run of floods before the next
-//!    target gets its first message. One caveat: a receiver timer of
-//!    zero delay, filed under a key below the run's, fires after the whole
-//!    event rather than between two of its messages. `DiscoProtocol`'s
-//!    timers are all at least 2.0 long.
+//!    target gets its first message, and the borrowed run upcall
+//!    (`Protocol::on_run`), where a target absorbs its run in one upcall
+//!    and the engine files what it sent after the run, in the order
+//!    per-message upcalls would have sent it. Every later action keeps
+//!    the key it would have had; floods that per-message upcalls would
+//!    have ended and begun back to back may share one event, whose
+//!    receivers again see only their own sequences. One caveat: a
+//!    receiver timer of zero delay, filed under a key below the run's,
+//!    fires after the whole event rather than between two of its
+//!    messages. `DiscoProtocol`'s timers are all at least 2.0 long.
 //!
 //! The barrier fills each mailbox in source-shard order (then send order),
 //! which is deterministic too — though by fact 1 the ingestion order
@@ -456,7 +462,7 @@ impl<P: ShardProtocol + 'static, R: Recorder + Send + 'static> ShardedEngine<P, 
         self.counters.iter().map(|c| c.events).sum()
     }
 
-    /// Messages delivered to `on_message` upcalls (shard-count-invariant).
+    /// Messages delivered to the protocol (shard-count-invariant).
     pub fn messages_delivered(&self) -> u64 {
         self.counters.iter().map(|c| c.delivered).sum()
     }

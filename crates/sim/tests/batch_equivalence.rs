@@ -20,6 +20,14 @@
 //! four messages, with a unicast send splitting two runs and a batch in the
 //! same upcall. The batched scenario runs again on the sharded engine at
 //! one and two shards against the same reference.
+//!
+//! The engine hands a receiver its whole run (or batch) in one
+//! `Protocol::on_run` upcall, borrowed. Each batched scenario runs twice:
+//! with the default `on_run`, which clones every message into
+//! `on_message`, and with `RunReader`, which reads the run in place — and
+//! both must equal the per-message reference, links dying with runs in
+//! flight included (node 0's first link dies under its first runs; node
+//! 7's, under a run of four, comes back before they land).
 
 use disco_graph::{generators, Graph, GraphBuilder, NodeId};
 use disco_sim::rng::rng_for;
@@ -39,6 +47,27 @@ type LogEntry = (u64, NodeId, u8, u32);
 struct Blaster {
     batched: bool,
     log: Vec<LogEntry>,
+}
+
+/// A [`Blaster`] that overrides `on_run`: every message of a run is read
+/// where it lies, by reference, with no clone.
+struct RunReader(Blaster);
+
+/// A protocol whose receive log the comparison reads.
+trait Logged: ShardProtocol<Message = Msg> + Send + 'static {
+    fn log(&self) -> &[LogEntry];
+}
+
+impl Logged for Blaster {
+    fn log(&self) -> &[LogEntry] {
+        &self.log
+    }
+}
+
+impl Logged for RunReader {
+    fn log(&self) -> &[LogEntry] {
+        &self.0.log
+    }
 }
 
 impl Blaster {
@@ -105,8 +134,14 @@ impl Protocol for Blaster {
     }
 
     fn on_message(&mut self, from: NodeId, msg: Msg, ctx: &mut Context<'_, Msg>) {
-        self.log.push((ctx.now().to_bits(), from, msg.0, msg.1));
-        let (hops, tag) = msg;
+        self.receive(from, &msg, ctx);
+    }
+}
+
+impl Blaster {
+    /// One received message: log it and carry the cascade on.
+    fn receive(&mut self, from: NodeId, &(hops, tag): &Msg, ctx: &mut Context<'_, Msg>) {
+        self.log.push((ctx.now().to_bits(), from, hops, tag));
         if hops == 0 {
             return;
         }
@@ -124,7 +159,35 @@ impl Protocol for Blaster {
     }
 }
 
+impl Protocol for RunReader {
+    type Message = Msg;
+
+    fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+        self.0.on_start(ctx);
+    }
+
+    fn on_message(&mut self, from: NodeId, msg: Msg, ctx: &mut Context<'_, Msg>) {
+        self.0.receive(from, &msg, ctx);
+    }
+
+    fn on_run(&mut self, from: NodeId, run: &[(Msg, usize)], ctx: &mut Context<'_, Msg>) {
+        for (msg, _) in run {
+            self.0.receive(from, msg, ctx);
+        }
+    }
+}
+
 impl ShardProtocol for Blaster {
+    type Wire = Msg;
+    fn to_wire(msg: Msg) -> Msg {
+        msg
+    }
+    fn from_wire(wire: Msg) -> Msg {
+        wire
+    }
+}
+
+impl ShardProtocol for RunReader {
     type Wire = Msg;
     fn to_wire(msg: Msg) -> Msg {
         msg
@@ -209,37 +272,43 @@ fn blaster(batched: bool) -> impl Fn(NodeId) -> Blaster + Send + Clone + 'static
     }
 }
 
-fn run(seed: u64, batched: bool) -> (RunReport, Vec<Vec<LogEntry>>) {
+fn run_reader(v: NodeId) -> RunReader {
+    RunReader(blaster(true)(v))
+}
+
+type Observed = (RunReport, Vec<Vec<LogEntry>>);
+
+fn run<P: Logged>(seed: u64, factory: impl Fn(NodeId) -> P) -> Observed {
     let g = graph_for(seed);
-    let mut engine = Engine::new(&g, blaster(batched));
+    let mut engine = Engine::new(&g, factory);
     for (t, ev) in churn_events(&g, seed) {
         engine.schedule_topology(t, ev);
     }
     let report = engine.run();
-    let logs = engine.nodes().iter().map(|b| b.log.clone()).collect();
+    let logs = engine.nodes().iter().map(|b| b.log().to_vec()).collect();
     (report, logs)
 }
 
 /// The batched scenario on the sharded engine at `shards` workers.
-fn run_sharded(seed: u64, shards: usize) -> (RunReport, Vec<Vec<LogEntry>>) {
+fn run_sharded<P: Logged>(
+    seed: u64,
+    shards: usize,
+    factory: impl Fn(NodeId) -> P + Send + Clone + 'static,
+) -> Observed {
     let g = graph_for(seed);
-    let mut engine = ShardedEngine::new(&g, shards, seed, blaster(true));
+    let mut engine = ShardedEngine::new(&g, shards, seed, factory);
     for (t, ev) in churn_events(&g, seed) {
         engine.schedule_topology(t, ev);
     }
     let report = engine.run();
     let ids = (0..g.node_count()).map(|v| (NodeId(v), ())).collect();
-    let logs = engine.gather(ids, |e, v, ()| e.nodes()[v.0].log.clone());
+    let logs = engine.gather(ids, |e, v, ()| e.nodes()[v.0].log().to_vec());
     (report, logs)
 }
 
 /// Every observable of `got` equals the reference run's; only the number
 /// of queue pops may differ.
-fn assert_observably_equal(
-    reference: &(RunReport, Vec<Vec<LogEntry>>),
-    got: &(RunReport, Vec<Vec<LogEntry>>),
-    leg: &str,
-) {
+fn assert_observably_equal(reference: &Observed, got: &Observed, leg: &str) {
     let ((single, single_logs), (batched, batched_logs)) = (reference, got);
     for (v, (want, have)) in single_logs.iter().zip(batched_logs).enumerate() {
         prop_assert_eq!(want, have, "{}: node {} receive log diverged", leg, v);
@@ -271,12 +340,15 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
     /// Same seed, batched vs singleton fan-out: every observable of the
-    /// run must match — only the queue-pop count may differ.
+    /// run must match — only the queue-pop count may differ — whether the
+    /// receiver takes a run through the default `on_run` or reads it in
+    /// place.
     #[test]
     fn batched_run_is_observationally_identical(seed in 0u64..10_000) {
-        let single = run(seed, false);
-        let batched = run(seed, true);
+        let single = run(seed, blaster(false));
+        let batched = run(seed, blaster(true));
         assert_observably_equal(&single, &batched, "sequential");
+        assert_observably_equal(&single, &run(seed, run_reader), "sequential, by reference");
         prop_assert!(single.0.converged);
         // The 12-message dump was cut mid-flight: per-message loss inside
         // the batch, so both runs drop at least those 12.
@@ -292,13 +364,16 @@ proptest! {
 
     /// The batched scenario on the sharded engine, at two shards (flood
     /// groups split by receiving shard, crossing the barrier in wire form)
-    /// and at one, equals the same singleton reference.
+    /// and at one, equals the same singleton reference — through the
+    /// default `on_run` and read in place.
     #[test]
     fn sharded_batched_run_is_observationally_identical(seed in 0u64..10_000) {
-        let single = run(seed, false);
+        let single = run(seed, blaster(false));
         for shards in [2, 1] {
-            let sharded = run_sharded(seed, shards);
+            let sharded = run_sharded(seed, shards, blaster(true));
             assert_observably_equal(&single, &sharded, &format!("shards={shards}"));
+            let by_ref = run_sharded(seed, shards, run_reader);
+            assert_observably_equal(&single, &by_ref, &format!("shards={shards}, by reference"));
         }
     }
 }
