@@ -68,14 +68,8 @@ pub struct VrrState {
 impl VrrState {
     /// Build converged VRR state with `r = 4` virtual neighbors.
     pub fn build(graph: &Graph, cfg: &DiscoConfig) -> Self {
-        Self::build_with_vset(graph, cfg, DEFAULT_VSET_SIZE)
-    }
-
-    /// Build converged VRR state with a custom vset size (must be even).
-    pub fn build_with_vset(graph: &Graph, cfg: &DiscoConfig, vset_size: usize) -> Self {
         let n = graph.node_count();
         assert!(n >= 2);
-        assert!(vset_size >= 2 && vset_size.is_multiple_of(2));
         let hasher = NameHasher::new(cfg.seed ^ 0x4242);
         let ids: Vec<NameHash> = (0..n)
             .map(|i| hasher.hash_name(&FlatName::synthetic(i)))
@@ -87,7 +81,6 @@ impl VrrState {
             ids: &ids,
             tables: vec![Vec::new(); n],
             joined: HashSet::new(),
-            vset_size,
         };
 
         // Join order: random start, then grow the connected component
@@ -153,14 +146,14 @@ struct VrrBuilder<'a> {
     ids: &'a [NameHash],
     tables: Vec<Vec<VsetPathEntry>>,
     joined: HashSet<NodeId>,
-    vset_size: usize,
 }
 
 impl<'a> VrrBuilder<'a> {
-    /// The `vset_size` nodes whose ids are closest to `x`'s on the ring
-    /// (half clockwise, half counter-clockwise), among joined nodes.
+    /// The [`DEFAULT_VSET_SIZE`] nodes whose ids are closest to `x`'s on
+    /// the ring (half clockwise, half counter-clockwise), among joined
+    /// nodes.
     fn vset_of(&self, x: NodeId) -> Vec<NodeId> {
-        let half = self.vset_size / 2;
+        let half = DEFAULT_VSET_SIZE / 2;
         let mut cw: Vec<(u64, NodeId)> = Vec::new();
         let mut ccw: Vec<(u64, NodeId)> = Vec::new();
         for &v in &self.joined {

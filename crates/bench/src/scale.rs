@@ -8,8 +8,8 @@
 //! what varies with `n` is the per-message cost (routing-table size,
 //! candidate-set size, queue residency), which is exactly what the
 //! announcements/sec number tracks. The budget counts protocol messages
-//! delivered to `on_message`, not queue pops: since the batched message
-//! plane packs a whole table dump into one queue entry, events/sec could
+//! delivered to the protocol, not queue pops: since a run of sends packs
+//! a whole table dump into one queue entry, events/sec could
 //! be "improved" arbitrarily by packing more work per event, while a
 //! delivered announcement means the same protocol work in every
 //! configuration. The static-build timing times `DiscoState::build`
@@ -32,7 +32,7 @@ pub struct ScaleConfig {
     /// Experiment seed.
     pub seed: u64,
     /// Delivered-announcement budget for the throughput leg (the run stops
-    /// once this many messages reached `on_message`, or at quiescence).
+    /// once this many messages were delivered, or at quiescence).
     pub announcement_budget: u64,
     /// Export the throughput leg as a Chrome `trace_event` timeline to this
     /// path (runs the full telemetry recorder on every shard, merged; the
@@ -57,12 +57,12 @@ pub struct ScaleResult {
     pub build_secs: f64,
     /// Engine events (queue pops) processed in the throughput leg.
     pub events: u64,
-    /// Announcements delivered to `on_message` upcalls (batch members
-    /// counted individually).
+    /// Announcements delivered to `on_message` and `on_run` upcalls (run
+    /// members counted individually).
     pub announcements: u64,
     /// Wall time of the throughput leg.
     pub engine_secs: f64,
-    /// Queue pops per second (a batch counts once — see
+    /// Queue pops per second (a run counts once — see
     /// [`ScaleResult::announcements_per_sec`] for the headline number).
     pub events_per_sec: f64,
     /// The headline number: delivered announcements per second.

@@ -1041,25 +1041,25 @@ impl PathVectorNode {
     }
 
     /// Send this node's entire table (the paper's "the entire routing table
-    /// is then exported") to one neighbor, in deterministic order, as a
-    /// single batched delivery: one queue entry for the whole dump instead
-    /// of one per announcement, with identical per-announcement processing
-    /// order and statistics. The sort order is rebuilt in a reusable
-    /// scratch vector.
+    /// is then exported") to one neighbor, in deterministic order, as
+    /// consecutive sends over one link: the engine files them as one run,
+    /// one queue entry for the whole dump, with identical
+    /// per-announcement processing order and statistics. The peer is
+    /// resolved once, and the sort order is rebuilt in a reusable scratch
+    /// vector.
     fn send_table_to(&mut self, peer: NodeId, ctx: &mut Context<'_, Announcement>) {
+        let peer = ctx.neighbor(peer).expect("a table goes to a neighbor");
         self.dump_scratch.clear();
         self.dump_scratch
             .extend(self.self_path.is_some().then_some(self.id));
         let resident = self.locals.iter().chain(self.lm_best.iter());
         self.dump_scratch.extend(resident.map(|(d, _)| d));
         self.dump_scratch.sort_unstable();
-        let mut batch = Vec::with_capacity(self.dump_scratch.len());
         for &d in &self.dump_scratch {
             let ann = Self::export(d, &self.route(d).expect("a resident destination"));
             let size = announcement_bytes(&ann);
-            batch.push((ann, size));
+            ctx.send_resolved(peer, ann, size);
         }
-        ctx.send_batch(peer, batch);
     }
 
     /// Absorb one announcement from neighbor `from`, borrowed: answer a

@@ -46,6 +46,7 @@ use disco_sim::context::Action;
 use disco_sim::rng::rng_for;
 use disco_sim::{Context, Protocol};
 use rand::Rng;
+use std::cell::Cell;
 
 /// Timer tokens.
 const TIMER_INSERT: u64 = 1;
@@ -70,6 +71,16 @@ const REPAIR_DELAY: f64 = 60.0;
 /// Alternate routes a forgetful RIB keeps per table-resident destination
 /// besides the selected one ([`DiscoConfig::forgetful_dynamic`]).
 pub const FORGETFUL_ALTERNATES: usize = 2;
+
+thread_local! {
+    /// The recycled action buffer of the embedded path-vector context
+    /// ([`DiscoProtocol::pv_context`]): an inner upcall records into it and
+    /// the translation loop drains it in place, so composing the two
+    /// protocols costs no per-upcall allocation. One per thread, not per
+    /// node — nodes are thread-affine through the path arena — so its
+    /// peak capacity (a whole table dump) is paid once, not by every node.
+    static PV_SCRATCH: Cell<Vec<Action<Announcement>>> = const { Cell::new(Vec::new()) };
+}
 
 /// Carries nothing: the phase timers are the constants above. The type
 /// remains only as the last argument of [`DiscoProtocol::new`], because the
@@ -200,6 +211,12 @@ pub enum DiscoMsg {
     Gossip(Synopsis),
 }
 
+/// Every queued event carries its payload inline, so the size of an event
+/// is what the timer wheel moves per entry: a message run (one message
+/// inline, or a boxed slice) next to a flood group or a link keeps it at
+/// 96 bytes.
+const _: () = assert!(std::mem::size_of::<disco_sim::event::EventKind<DiscoMsg>>() == 96);
+
 /// Per-node state of the distributed Disco protocol.
 pub struct DiscoProtocol {
     /// The embedded path-vector machinery (landmarks + vicinity).
@@ -270,11 +287,6 @@ pub struct DiscoProtocol {
     /// reachable; salts the election RNG and doubles its probability per
     /// attempt. Reset whenever a landmark is known.
     election_attempts: u64,
-    /// Recycled action buffer for the embedded path-vector context
-    /// ([`Self::run_pv`]): the inner upcall records into this scratch and
-    /// the translation loop drains it in place, so composing the two
-    /// protocols costs no per-upcall allocation.
-    pv_scratch: Vec<Action<Announcement>>,
 }
 
 impl DiscoProtocol {
@@ -338,7 +350,6 @@ impl DiscoProtocol {
             bootstrapped: false,
             repair_epoch: 0,
             election_attempts: 0,
-            pv_scratch: Vec::new(),
         }
     }
 
@@ -827,13 +838,19 @@ impl DiscoProtocol {
     }
 
     /// The context the embedded path-vector machinery records into during
-    /// one upcall of this protocol: over this instance's recycled scratch
-    /// buffer, with the outer upcall's arrival link.
-    fn pv_context<'a>(&mut self, ctx: &Context<'a, DiscoMsg>) -> Context<'a, Announcement> {
-        let buffer = std::mem::take(&mut self.pv_scratch);
+    /// one upcall of this protocol: over the thread's recycled scratch
+    /// buffer ([`PV_SCRATCH`]), with the outer upcall's arrival link. Hand
+    /// it back, drained, with [`Self::pv_release`].
+    fn pv_context<'a>(ctx: &Context<'a, DiscoMsg>) -> Context<'a, Announcement> {
+        let buffer = PV_SCRATCH.with(Cell::take);
         let mut inner = Context::with_buffer(ctx.node_id(), ctx.now(), ctx.graph(), buffer);
         inner.set_via(ctx.via());
         inner
+    }
+
+    /// Return a drained embedded context's buffer to the thread's scratch.
+    fn pv_release(inner: Context<'_, Announcement>) {
+        PV_SCRATCH.with(|scratch| scratch.set(inner.into_buffer()));
     }
 
     /// Run one upcall of the embedded path-vector machinery and re-wrap its
@@ -843,10 +860,10 @@ impl DiscoProtocol {
         upcall: impl FnOnce(&mut PathVectorNode, &mut Context<'_, Announcement>),
         ctx: &mut Context<'_, DiscoMsg>,
     ) {
-        let mut inner = self.pv_context(ctx);
+        let mut inner = Self::pv_context(ctx);
         upcall(&mut self.pv, &mut inner);
         Self::relay(&mut inner, ctx);
-        self.pv_scratch = inner.into_buffer();
+        Self::pv_release(inner);
     }
 
     /// Move the actions the embedded path-vector context recorded so far
@@ -863,14 +880,6 @@ impl DiscoProtocol {
                     size_bytes,
                 } => {
                     ctx.send_resolved(to, DiscoMsg::Route(msg), size_bytes);
-                }
-                Action::SendBatch { to, msgs } => {
-                    let wrapped = msgs
-                        .into_vec()
-                        .into_iter()
-                        .map(|(m, size)| (DiscoMsg::Route(m), size))
-                        .collect();
-                    ctx.send_batch_resolved(to, wrapped);
                 }
                 Action::Flood { msg, size_bytes } => {
                     ctx.flood_sized(DiscoMsg::Route(msg), size_bytes);
@@ -1079,7 +1088,7 @@ impl Protocol for DiscoProtocol {
     /// before its repair timer, and a gossip message (or any non-route)
     /// has it relayed before its own actions.
     fn on_run(&mut self, from: NodeId, run: &[(DiscoMsg, usize)], ctx: &mut Context<'_, DiscoMsg>) {
-        let mut inner = self.pv_context(ctx);
+        let mut inner = Self::pv_context(ctx);
         for (msg, _) in run {
             let DiscoMsg::Route(ann) = msg else {
                 Self::relay(&mut inner, ctx);
@@ -1103,7 +1112,7 @@ impl Protocol for DiscoProtocol {
             }
         }
         Self::relay(&mut inner, ctx);
-        self.pv_scratch = inner.into_buffer();
+        Self::pv_release(inner);
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_, DiscoMsg>) {

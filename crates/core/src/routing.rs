@@ -492,16 +492,6 @@ impl<'a> DiscoRouter<'a> {
     pub fn route_later_packet(&self, s: NodeId, t: NodeId) -> RouteOutcome {
         self.nddisco_later_packet(s, t)
     }
-
-    /// Disco later packets with an explicit shortcut mode.
-    pub fn route_later_packet_with(
-        &self,
-        s: NodeId,
-        t: NodeId,
-        mode: ShortcutMode,
-    ) -> RouteOutcome {
-        self.nddisco_later_packet_with(s, t, mode)
-    }
 }
 
 #[cfg(test)]
@@ -609,7 +599,7 @@ mod tests {
         let router = DiscoRouter::new(&g, &st);
         for (s, t) in sample_pairs(256, 60, 5) {
             let first = router.route_first_packet_with(s, t, ShortcutMode::None);
-            let later = router.route_later_packet_with(s, t, ShortcutMode::None);
+            let later = router.nddisco_later_packet_with(s, t, ShortcutMode::None);
             assert!(later.length <= first.length + 1e-9);
         }
     }

@@ -21,11 +21,13 @@ pub(crate) const DEFAULT_MSG_SIZE: usize = 64;
 /// Sends are *edge-resolved*: the context looks the neighbor up once when
 /// the action is recorded and the engine schedules the delivery straight
 /// off the resolved [`Neighbor`] handle (node, edge id, link weight) —
-/// the engine never re-scans the adjacency list per send. Fan-out has two
-/// dedicated shapes: [`Action::Flood`] carries the payload once and lets
+/// the engine never re-scans the adjacency list per send. Fan-out has a
+/// dedicated shape: [`Action::Flood`] carries the payload once and lets
 /// the engine replicate it at the adjacency walk (one refcount bump per
-/// edge for interned payloads), and [`Action::SendBatch`] carries a whole
-/// table dump to one peer as a single scheduled delivery.
+/// edge for interned payloads). The engine files consecutive sends over
+/// one edge, and consecutive floods, as one queue entry each: a run, which
+/// a receiver absorbs in one `Protocol::on_run` upcall (a table dump is
+/// such a run of sends).
 #[derive(Debug, Clone)]
 pub enum Action<M> {
     /// Send `msg` (accounted as `size_bytes`) to the direct neighbor `to`
@@ -37,19 +39,6 @@ pub enum Action<M> {
         msg: M,
         /// Accounted wire size.
         size_bytes: usize,
-    },
-    /// Send a batch of individually-sized messages to the one neighbor
-    /// `to` as a *single* scheduled delivery. The engine pops the batch as
-    /// one event and processes the messages in order, exactly as if they
-    /// had been sent back-to-back (consecutive sequence numbers, equal
-    /// deliver time); per-message send/receive statistics are recorded
-    /// identically, and a batch lost in flight counts every message
-    /// dropped.
-    SendBatch {
-        /// Receiving neighbor, resolved at send time.
-        to: Neighbor,
-        /// The messages with their accounted wire sizes, in send order.
-        msgs: Box<[(M, usize)]>,
     },
     /// Send a copy of `msg` (accounted as `size_bytes` each) to *every*
     /// direct neighbor. The engine performs the adjacency walk itself, in
@@ -205,14 +194,6 @@ impl<'a, M> Context<'a, M> {
         self.graph.edge_weight(self.node, to)
     }
 
-    /// Total number of nodes in the network. Protocols that honour the
-    /// paper's model should *not* rely on this except to emulate the
-    /// synopsis-diffusion estimate of `n` (§4.1); it is exposed for
-    /// convenience and for test assertions.
-    pub fn network_size(&self) -> usize {
-        self.graph.node_count()
-    }
-
     /// Resolve `to` or panic with the send-validation message.
     fn resolve(&self, to: NodeId) -> Neighbor {
         self.neighbor(to)
@@ -252,28 +233,6 @@ impl<'a, M> Context<'a, M> {
             to,
             msg,
             size_bytes,
-        });
-    }
-
-    /// Send a batch of `(message, size_bytes)` pairs to neighbor `to` as a
-    /// single scheduled delivery (see [`Action::SendBatch`]). Equivalent —
-    /// message for message, byte for byte, in order — to calling
-    /// [`Context::send_sized`] for each pair, but the whole dump occupies
-    /// one queue entry. Empty batches are dropped. Panics if `to` is not a
-    /// neighbor.
-    pub fn send_batch(&mut self, to: NodeId, msgs: Vec<(M, usize)>) {
-        let to = self.resolve(to);
-        self.send_batch_resolved(to, msgs);
-    }
-
-    /// [`Context::send_batch`] for an already-resolved neighbor.
-    pub fn send_batch_resolved(&mut self, to: Neighbor, msgs: Vec<(M, usize)>) {
-        if msgs.is_empty() {
-            return;
-        }
-        self.actions.push(Action::SendBatch {
-            to,
-            msgs: msgs.into_boxed_slice(),
         });
     }
 
@@ -321,7 +280,6 @@ mod tests {
         assert_eq!(nbrs, vec![NodeId(1), NodeId(4)]);
         assert_eq!(ctx.link_weight(NodeId(1)), Some(1.0));
         assert_eq!(ctx.link_weight(NodeId(2)), None);
-        assert_eq!(ctx.network_size(), 5);
     }
 
     #[test]
@@ -371,22 +329,6 @@ mod tests {
                 size_bytes: 64
             }
         ));
-    }
-
-    #[test]
-    fn send_batch_keeps_order_and_drops_empty() {
-        let g = generators::star(3);
-        let mut ctx: Context<'_, u8> = Context::new(NodeId(0), 0.0, &g);
-        ctx.send_batch(NodeId(1), Vec::new());
-        assert!(ctx.actions.is_empty(), "empty batch must record nothing");
-        ctx.send_batch(NodeId(1), vec![(1, 10), (2, 20), (3, 30)]);
-        match &ctx.actions[0] {
-            Action::SendBatch { to, msgs } => {
-                assert_eq!(to.node, NodeId(1));
-                assert_eq!(msgs.as_ref(), &[(1, 10), (2, 20), (3, 30)]);
-            }
-            other => panic!("expected batch, got {other:?}"),
-        }
     }
 
     #[test]

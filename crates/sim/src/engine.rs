@@ -7,7 +7,7 @@
 //! [`Protocol::on_neighbor_up`] / [`Protocol::on_neighbor_down`] upcalls.
 
 use crate::context::{Action, Context, DEFAULT_MSG_SIZE};
-use crate::event::{EventKind, EventQueue, FloodRun, SimTime, TimerWheel, TopologyEvent};
+use crate::event::{EventKind, EventQueue, Run, SimTime, TimerWheel, TopologyEvent};
 use crate::sharded::{Filed, ShardBinding, ShardProtocol};
 use crate::stats::MessageStats;
 use crate::Protocol;
@@ -44,7 +44,7 @@ type FloodGroup = (Weight, usize, Arc<[(NodeId, EdgeId)]>);
 /// The wall time of one event, split by the classes of the messages it
 /// carries, for [`Recorder::event_done`]. An event that carries one class
 /// reports its whole time once under that class, as a single message
-/// does; an event that carries several (a batch, or a run of floods
+/// does; an event that carries several (a run of sends or floods
 /// mixing routes and withdrawals) reports each class once, with the time
 /// of its messages. The clock is read only where the class changes, and
 /// not at all under a recorder that is not `ENABLED`.
@@ -115,10 +115,10 @@ pub struct RunReport {
     /// delivery) plus stale-incarnation timers discarded.
     pub messages_dropped: u64,
     /// Messages delivered to the protocol (`on_message` and `on_run`
-    /// upcalls). Counts every message — a delivered batch or run
-    /// contributes its full length — so it measures protocol work
-    /// independently of how deliveries are packed into queue entries (an
-    /// event can carry a whole table dump).
+    /// upcalls). Counts every message — a delivered run contributes its
+    /// full length — so it measures protocol work independently of how
+    /// deliveries are packed into queue entries (an event can carry a
+    /// whole table dump).
     pub messages_delivered: u64,
     /// Epoch-dead timers that slipped past eager cancellation and were only
     /// discarded at pop time (0 when eager reclamation is airtight; see
@@ -331,8 +331,8 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
         self.messages_dropped
     }
 
-    /// Messages delivered to the protocol so far (batch and run members
-    /// counted individually — see [`RunReport::messages_delivered`]).
+    /// Messages delivered to the protocol so far (run members counted
+    /// individually — see [`RunReport::messages_delivered`]).
     pub fn messages_delivered(&self) -> u64 {
         self.messages_delivered
     }
@@ -349,8 +349,8 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
         self.topology_events
     }
 
-    /// Events (queue pops) processed so far. A batched delivery counts
-    /// once however many messages it carries; see
+    /// Events (queue pops) processed so far. A run of sends or floods
+    /// counts once (per flood group) however many messages it carries; see
     /// [`Engine::messages_delivered`] for the per-message count.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
@@ -473,17 +473,19 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
     /// already edge-resolved by the [`Context`], so no per-send adjacency
     /// scan happens here.
     ///
-    /// A maximal run of consecutive floods (any send, batch or timer
-    /// between two floods ends it; a lone flood is a run of one) becomes
-    /// one [`EventKind::DeliverFlood`] per flood group, carrying the run's
-    /// messages in send order under the run's first key; the node's
-    /// counter still advances once per flood, so every later key is the
-    /// one it would have been. The groups are the sender's cached ones —
-    /// the adjacency list is walked only on its first flood after a
-    /// change — and a run of one allocates nothing; a longer run
-    /// allocates one exact-size buffer per group. One consequence for
-    /// callers: [`Engine::run_until`] checks its stop predicate per
-    /// event, so after a whole run's deliveries, not after each message.
+    /// Messages travel in runs. A maximal run of consecutive sends over
+    /// one edge becomes one [`EventKind::Deliver`], and a maximal run of
+    /// consecutive floods one [`EventKind::DeliverFlood`] per flood group;
+    /// any other action ends a run (a timer, the other kind of message, or
+    /// a send over another edge). A run carries its messages in send order
+    /// under its first key; the node's counter still advances once per
+    /// message, so every later key is the one it would have been. The
+    /// flood groups are the sender's cached ones — the adjacency list is
+    /// walked only on its first flood after a change — and a run of one
+    /// allocates nothing; a longer run allocates one exact-size buffer
+    /// (per flood group, for floods). One consequence for callers:
+    /// [`Engine::run_until`] checks its stop predicate per event, so after
+    /// a whole run's deliveries, not after each message.
     fn apply_actions(&mut self, node: NodeId, actions: &mut Vec<Action<P::Message>>) {
         let now = self.now;
         let arrival = |w: Weight| now + w + PROCESSING_DELAY;
@@ -495,36 +497,32 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
                     msg,
                     size_bytes,
                 } => {
-                    self.stats.record_sends(node, 1, size_bytes);
-                    if R::ENABLED {
-                        self.recorder
-                            .message_sent(now, P::classify(&msg), 1, size_bytes as u64);
+                    // The run: this send and the sends over its edge right
+                    // after it.
+                    let edge = to.edge;
+                    let more = actions
+                        .as_slice()
+                        .iter()
+                        .take_while(|a| matches!(a, Action::Send { to, .. } if to.edge == edge))
+                        .count();
+                    let (run, key) = self.run_of(node, (msg, size_bytes), more, &mut actions);
+                    let shape = if more == 0 {
+                        MessageClass::Deliver
+                    } else {
+                        MessageClass::Batch
+                    };
+                    for (msg, size) in run.as_slice() {
+                        self.stats.record_sends(node, 1, *size);
+                        if R::ENABLED {
+                            let class = MessageClass::shaped(P::classify(msg), shape);
+                            self.recorder.message_sent(now, class, 1, *size as u64);
+                        }
                     }
-                    let key = self.node_key(node);
                     let kind = EventKind::Deliver {
                         from: node,
                         to: to.node,
                         edge: to.edge,
-                        msg,
-                        size_bytes,
-                    };
-                    self.file(self.shard_of(to.node), arrival(to.weight), key, kind);
-                }
-                Action::SendBatch { to, msgs } => {
-                    for (msg, size_bytes) in msgs.iter() {
-                        self.stats.record_sends(node, 1, *size_bytes);
-                        if R::ENABLED {
-                            let class = MessageClass::shaped(P::classify(msg), MessageClass::Batch);
-                            self.recorder
-                                .message_sent(now, class, 1, *size_bytes as u64);
-                        }
-                    }
-                    let key = self.node_key(node);
-                    let kind = EventKind::DeliverBatch {
-                        from: node,
-                        to: to.node,
-                        edge: to.edge,
-                        msgs,
+                        run,
                     };
                     self.file(self.shard_of(to.node), arrival(to.weight), key, kind);
                 }
@@ -535,17 +533,7 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
                         .iter()
                         .take_while(|a| matches!(a, Action::Flood { .. }))
                         .count();
-                    let run = if more == 0 {
-                        FloodRun::One((msg, size_bytes))
-                    } else {
-                        let rest = actions.by_ref().take(more).map(|a| match a {
-                            Action::Flood { msg, size_bytes } => (msg, size_bytes),
-                            _ => unreachable!("counted as a flood above"),
-                        });
-                        FloodRun::Many(std::iter::once((msg, size_bytes)).chain(rest).collect())
-                    };
-                    let key = self.node_key(node);
-                    self.push_ctr[node.0] += more as u32;
+                    let (run, key) = self.run_of(node, (msg, size_bytes), more, &mut actions);
                     let copies = self.graph.degree(node);
                     for &(_, size) in run.as_slice() {
                         self.stats.record_sends(node, copies, size);
@@ -601,6 +589,32 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
                 }
             }
         }
+    }
+
+    /// The run of `node` that starts with `first` and goes on through the
+    /// next `more` actions of `rest` (all sends, or all floods) — inline
+    /// when `more` is 0, else in one exact-size buffer — and its key: the
+    /// first message's, with `node`'s counter advanced once per message.
+    fn run_of(
+        &mut self,
+        node: NodeId,
+        first: (P::Message, usize),
+        more: usize,
+        rest: &mut std::vec::Drain<'_, Action<P::Message>>,
+    ) -> (Run<P::Message>, u64) {
+        let key = self.node_key(node);
+        self.push_ctr[node.0] += more as u32;
+        if more == 0 {
+            return (Run::One(first), key);
+        }
+        let rest = rest.take(more).map(|a| match a {
+            Action::Send {
+                msg, size_bytes, ..
+            }
+            | Action::Flood { msg, size_bytes } => (msg, size_bytes),
+            Action::Timer { .. } => unreachable!("counted as a message above"),
+        });
+        (Run::Many(std::iter::once(first).chain(rest).collect()), key)
     }
 
     /// `node`'s flood groups from its current adjacency: grouped by link
@@ -721,7 +735,7 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
     }
 
     /// Deliver a run of messages `from` → `to` (`(to, edge)` is one
-    /// target): a batch, or one target's copy of a run of floods. The
+    /// target): a run of sends, or one target's copy of a run of floods. The
     /// run is handed over borrowed, in one [`Protocol::on_run`] upcall,
     /// after one liveness check — no upcall changes the topology, so that
     /// equals a check per message. Under an enabled recorder the run goes
@@ -962,8 +976,7 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
                 from,
                 to,
                 edge,
-                msg,
-                size_bytes,
+                run: Run::One((msg, size_bytes)),
             } => {
                 // A lone message: handed over by value, no clone.
                 let class = Self::class_of(&msg, MessageClass::Deliver);
@@ -975,12 +988,12 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
                     self.upcall_via(to, Some(via), |p, ctx| p.on_message(from, msg, ctx));
                 }
             }
-            EventKind::DeliverBatch {
+            EventKind::Deliver {
                 from,
                 to,
                 edge,
-                msgs,
-            } => self.deliver_run(from, (to, edge), &msgs, MessageClass::Batch, &mut clock),
+                run: Run::Many(run),
+            } => self.deliver_run(from, (to, edge), &run, MessageClass::Batch, &mut clock),
             EventKind::DeliverFlood { from, run, targets } => {
                 // Replicate at the fan-out point by reference,
                 // receiver-major: each target, in adjacency order at send
@@ -1034,8 +1047,8 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
 
     /// Process events until quiescence, a safety limit, or `stop` returns
     /// true for the engine's current state (checked after each event —
-    /// and one event can be a whole run of floods delivered to every
-    /// target of a flood group, see [`EventKind::DeliverFlood`]).
+    /// and one event can be a whole run of sends, or of floods delivered
+    /// to every target of a flood group, see [`EventKind::DeliverFlood`]).
     /// Returns true if the queue drained (quiescence).
     pub fn run_until(&mut self, mut stop: impl FnMut(&Self) -> bool) -> bool {
         while !self.queue.is_empty() {
@@ -1064,8 +1077,7 @@ impl<'f, P: Protocol, Q: EventQueue<P::Message>, R: Recorder> Engine<'f, P, Q, R
                 from,
                 to,
                 edge,
-                msg,
-                size_bytes: DEFAULT_MSG_SIZE,
+                run: Run::One((msg, DEFAULT_MSG_SIZE)),
             },
         );
     }
@@ -1506,52 +1518,70 @@ mod tests {
         assert_eq!(e.nodes()[1].ups, vec![NodeId(2)]);
     }
 
-    /// Accounting audit: a batched send must record exactly the same
-    /// per-message counts and byte sizes in [`MessageStats`] as the same
-    /// messages sent one by one — the churn goldens' `msgs/node` lines
-    /// depend on it.
+    /// k consecutive sends to one neighbor pop as one event and reach the
+    /// receiver in one `on_run`; a send to another neighbor ends the run
+    /// and arrives alone, through `on_message`. Every message is counted
+    /// on its own: sent, received, and — for a run whose link dies in
+    /// flight — dropped.
     #[test]
-    fn batched_sends_record_identical_per_message_stats() {
+    fn consecutive_sends_to_one_neighbor_pop_as_one_run() {
+        use disco_graph::GraphBuilder;
+        #[derive(Default)]
         struct Sender {
-            batched: bool,
+            runs: Vec<Vec<u8>>,
+            lone: Vec<u8>,
         }
         impl Protocol for Sender {
             type Message = u8;
             fn on_start(&mut self, ctx: &mut Context<'_, u8>) {
-                if ctx.node_id() != NodeId(0) {
-                    return;
-                }
-                let msgs = vec![(1u8, 10), (2u8, 25), (3u8, 100)];
-                if self.batched {
-                    ctx.send_batch(NodeId(1), msgs);
-                    ctx.flood_sized(9, 7);
-                } else {
-                    for (m, s) in msgs {
-                        ctx.send_sized(NodeId(1), m, s);
+                if ctx.node_id() == NodeId(0) {
+                    for m in 0..5 {
+                        ctx.send_sized(NodeId(1), m, 10 + m as usize);
                     }
-                    for nb in ctx.neighbors() {
-                        ctx.send_sized(nb, 9, 7);
+                    ctx.send(NodeId(2), 5);
+                    for m in 6..9 {
+                        ctx.send_sized(NodeId(3), m, 8);
                     }
                 }
             }
-            fn on_message(&mut self, _f: NodeId, _m: u8, _c: &mut Context<'_, u8>) {}
+            fn on_message(&mut self, _f: NodeId, m: u8, _c: &mut Context<'_, u8>) {
+                self.lone.push(m);
+            }
+            fn on_run(&mut self, _f: NodeId, run: &[(u8, usize)], _c: &mut Context<'_, u8>) {
+                self.runs.push(run.iter().map(|&(m, _)| m).collect());
+            }
         }
-        let g = generators::star(4); // hub 0, leaves 1..3
-        let run = |batched| {
-            let mut e = Engine::new(&g, move |_| Sender { batched });
-            e.run()
-        };
-        let single = run(false);
-        let batch = run(true);
-        assert_eq!(single.stats, batch.stats);
-        assert_eq!(batch.stats.sent_by(NodeId(0)), 6); // 3 batched + 3 flooded
-        assert_eq!(batch.stats.bytes_sent_by(NodeId(0)), 10 + 25 + 100 + 3 * 7);
-        assert_eq!(batch.stats.received_by(NodeId(1)), 4);
-        assert_eq!(batch.stats.received_by(NodeId(2)), 1);
-        assert_eq!(single.messages_delivered, batch.messages_delivered);
-        assert_eq!(batch.messages_delivered, 6);
-        // The whole point: the batched run needed fewer queue entries.
-        assert!(batch.events_processed < single.events_processed);
+        // Hub 0; the link to leaf 3 is slow and fails under its run.
+        let mut b = GraphBuilder::new(4);
+        b.add_edge(NodeId(0), NodeId(1), 1.0);
+        b.add_edge(NodeId(0), NodeId(2), 1.0);
+        b.add_edge(NodeId(0), NodeId(3), 10.0);
+        let g = b.build();
+        let mut e = Engine::new(&g, |_| Sender::default());
+        e.schedule_topology(
+            2.0,
+            TopologyEvent::LinkDown {
+                u: NodeId(0),
+                v: NodeId(3),
+            },
+        );
+        let report = e.run();
+        assert!(report.converged);
+        // Three runs and the link failure.
+        assert_eq!(report.events_processed, 4);
+        assert_eq!(e.nodes()[1].runs, vec![vec![0, 1, 2, 3, 4]]);
+        assert!(e.nodes()[1].lone.is_empty());
+        assert_eq!(e.nodes()[2].lone, vec![5]);
+        assert!(e.nodes()[2].runs.is_empty());
+        assert!(e.nodes()[3].runs.is_empty() && e.nodes()[3].lone.is_empty());
+        assert_eq!(report.stats.sent_by(NodeId(0)), 9);
+        assert_eq!(
+            report.stats.bytes_sent_by(NodeId(0)),
+            (10..15).sum::<u64>() + DEFAULT_MSG_SIZE as u64 + 3 * 8
+        );
+        assert_eq!(report.stats.received_by(NodeId(1)), 5);
+        assert_eq!(report.messages_delivered, 6);
+        assert_eq!(report.messages_dropped, 3, "a lost run drops every message");
     }
 
     /// A run of floods is grouped once, at send time, by link weight and
@@ -1655,41 +1685,6 @@ mod tests {
         filed.sort_by_key(order);
         expected.sort_by_key(order);
         assert_eq!(filed, expected);
-    }
-
-    /// A batch whose link dies while it is on the wire loses *every*
-    /// message in it — one drop per message, like singleton deliveries.
-    #[test]
-    fn in_flight_batch_loss_counts_every_message() {
-        use disco_graph::GraphBuilder;
-        struct BatchSender;
-        impl Protocol for BatchSender {
-            type Message = u8;
-            fn on_start(&mut self, ctx: &mut Context<'_, u8>) {
-                if ctx.node_id() == NodeId(0) {
-                    ctx.send_batch(NodeId(1), (0..5).map(|i| (i, 8)).collect());
-                }
-            }
-            fn on_message(&mut self, _f: NodeId, _m: u8, _c: &mut Context<'_, u8>) {
-                panic!("batch should have been lost with the link");
-            }
-        }
-        let mut b = GraphBuilder::new(2);
-        b.add_edge(NodeId(0), NodeId(1), 10.0); // slow link: batch in flight
-        let g = b.build();
-        let mut e = Engine::new(&g, |_| BatchSender);
-        e.schedule_topology(
-            1.0,
-            TopologyEvent::LinkDown {
-                u: NodeId(0),
-                v: NodeId(1),
-            },
-        );
-        let report = e.run();
-        assert!(report.converged);
-        assert_eq!(report.stats.total_sent(), 5, "sends recorded per message");
-        assert_eq!(report.messages_dropped, 5, "losses counted per message");
-        assert_eq!(report.messages_delivered, 0);
     }
 
     #[test]

@@ -79,36 +79,21 @@ pub enum TopologyEvent {
 /// What happens when an event fires.
 #[derive(Debug, Clone)]
 pub enum EventKind<M> {
-    /// Deliver a message to `to`, sent by `from` over the link that was
-    /// `edge` at send time. Edge ids are retired on removal and freshly
-    /// minted on (re-)insertion, so an id mismatch at delivery time means
-    /// the link the message was riding failed while it was in flight —
-    /// even if a link between the same endpoints has since come back.
+    /// Deliver a run of messages to `to`, sent by `from` over the link that
+    /// was `edge` at send time — the in-queue form of the consecutive sends
+    /// to one neighbor that one upcall recorded (a lone send is a run of
+    /// one), filed under the run's first key. Edge ids are retired on
+    /// removal and freshly minted on (re-)insertion, so an id mismatch at
+    /// delivery time means the link the run was riding failed while it was
+    /// in flight — even if a link between the same endpoints has since come
+    /// back — and every message in it counts as dropped.
     Deliver {
         from: NodeId,
         to: NodeId,
         edge: EdgeId,
-        msg: M,
-        /// Accounted wire size of the message, captured at send time so
-        /// delivery can credit the receiver's byte counters.
-        size_bytes: usize,
-    },
-    /// Deliver a whole batch of messages from `from` to `to` over the link
-    /// that was `edge` at send time, as **one** queue entry: the engine
-    /// pops the batch once and processes the messages in order, exactly as
-    /// if each had been a separate [`EventKind::Deliver`] scheduled
-    /// back-to-back (same deliver time, consecutive sequence numbers).
-    /// Each message carries its accounted wire size, recorded per message
-    /// at send time; if the link fails (or the receiver departs) while the
-    /// batch is in flight, *every* message in it counts as dropped —
-    /// identical loss accounting to per-message delivery, because the
-    /// whole batch rides one edge and the engine's liveness checks cannot
-    /// change between consecutive same-time pops.
-    DeliverBatch {
-        from: NodeId,
-        to: NodeId,
-        edge: EdgeId,
-        msgs: Box<[(M, usize)]>,
+        /// The messages with their accounted wire sizes, captured at send
+        /// time so delivery can credit the receiver's byte counters.
+        run: Run<M>,
     },
     /// Deliver a run of floods from `from` to *every* listed target over
     /// the edges captured at send time, as **one** queue entry — the
@@ -129,7 +114,7 @@ pub enum EventKind<M> {
         from: NodeId,
         /// The run's messages with their accounted wire size per copy, in
         /// send order.
-        run: FloodRun<M>,
+        run: Run<M>,
         /// `(receiver, edge at send time)`, in adjacency order at send
         /// time — the sender's flood group, shared by every flood it
         /// sends until its adjacency changes.
@@ -151,47 +136,22 @@ impl<M> EventKind<M> {
     /// The same event with every message mapped through `f`, in order —
     /// how a cross-shard event changes hands: `P::to_wire` on the sending
     /// shard, `P::from_wire` on the receiving one.
-    pub(crate) fn map_msg<N>(self, mut f: impl FnMut(M) -> N) -> EventKind<N> {
+    pub(crate) fn map_msg<N>(self, f: impl FnMut(M) -> N) -> EventKind<N> {
         match self {
             EventKind::Deliver {
                 from,
                 to,
                 edge,
-                msg,
-                size_bytes,
+                run,
             } => EventKind::Deliver {
                 from,
                 to,
                 edge,
-                msg: f(msg),
-                size_bytes,
-            },
-            EventKind::DeliverBatch {
-                from,
-                to,
-                edge,
-                msgs,
-            } => EventKind::DeliverBatch {
-                from,
-                to,
-                edge,
-                msgs: msgs
-                    .into_vec()
-                    .into_iter()
-                    .map(|(m, s)| (f(m), s))
-                    .collect(),
+                run: run.map(f),
             },
             EventKind::DeliverFlood { from, run, targets } => EventKind::DeliverFlood {
                 from,
-                run: match run {
-                    FloodRun::One((m, s)) => FloodRun::One((f(m), s)),
-                    FloodRun::Many(msgs) => FloodRun::Many(
-                        msgs.into_vec()
-                            .into_iter()
-                            .map(|(m, s)| (f(m), s))
-                            .collect(),
-                    ),
-                },
+                run: run.map(f),
                 targets,
             },
             EventKind::Timer { node, token, epoch } => EventKind::Timer { node, token, epoch },
@@ -200,24 +160,38 @@ impl<M> EventKind<M> {
     }
 }
 
-/// The messages of one [`EventKind::DeliverFlood`], each with its
-/// accounted wire size: a lone flood inline, so it allocates nothing, and
-/// a run of several in one exact-size buffer per flood group.
+/// The messages of one [`EventKind::Deliver`] or
+/// [`EventKind::DeliverFlood`], each with its accounted wire size: a lone
+/// message inline, so it allocates nothing, and a run of several in one
+/// exact-size buffer.
 #[derive(Debug, Clone)]
-pub enum FloodRun<M> {
-    /// A run of one flood.
+pub enum Run<M> {
+    /// A run of one message.
     One((M, usize)),
-    /// A run of two or more floods, in send order.
+    /// A run of two or more messages, in send order.
     Many(Box<[(M, usize)]>),
 }
 
-impl<M> FloodRun<M> {
+impl<M> Run<M> {
     /// The run's `(message, size)` pairs, in send order.
     #[inline]
     pub fn as_slice(&self) -> &[(M, usize)] {
         match self {
-            FloodRun::One(one) => std::slice::from_ref(one),
-            FloodRun::Many(msgs) => msgs,
+            Run::One(one) => std::slice::from_ref(one),
+            Run::Many(msgs) => msgs,
+        }
+    }
+
+    /// The same run with every message mapped through `f`, in order.
+    fn map<N>(self, mut f: impl FnMut(M) -> N) -> Run<N> {
+        match self {
+            Run::One((m, s)) => Run::One((f(m), s)),
+            Run::Many(msgs) => Run::Many(
+                msgs.into_vec()
+                    .into_iter()
+                    .map(|(m, s)| (f(m), s))
+                    .collect(),
+            ),
         }
     }
 }

@@ -105,9 +105,11 @@ pub trait Protocol {
     );
 
     /// Called when a run of messages from direct neighbor `from` arrives
-    /// together: the messages of one [`Context::send_batch`], or a run of
-    /// consecutive floods the sender recorded in one upcall, each
-    /// `(message, accounted size)` in send order. The engine hands each
+    /// together: the consecutive sends over one link, or the consecutive
+    /// floods, that the sender recorded in one upcall, each
+    /// `(message, accounted size)` in send order. A lone sent message
+    /// arrives through [`Protocol::on_message`] instead; a lone flood is a
+    /// run of one. The engine hands each
     /// receiver its whole run in one upcall, borrowed, so a protocol that
     /// reads messages in place pays no clone per (receiver, message).
     ///

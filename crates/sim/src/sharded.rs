@@ -64,13 +64,13 @@
 //! for node actions, a centrally assigned world counter for scheduled
 //! topology. Three facts make the run independent of `k`:
 //!
-//! 1. No two events in one shard's queue share `(time, key)`: a key is
-//!    unique per send (per-source counters never repeat) and a flood
-//!    run's events, which all carry the run's first key, differ in time
-//!    (link weight) or receiving shard. An event reaches its receiver's
-//!    queue under the `(time, key)` it was filed with, so the arrival
-//!    `seq` — the only push-order-dependent tiebreak — never decides
-//!    between two events.
+//! 1. No two events in one shard's queue share `(time, key)`: a run of
+//!    sends carries its first key, unique (per-source counters never
+//!    repeat), and a flood run's events, which all carry the run's first
+//!    key, differ in time (link weight) or receiving shard. An event
+//!    reaches its receiver's queue under the `(time, key)` it was filed
+//!    with, so the arrival `seq` — the only push-order-dependent
+//!    tiebreak — never decides between two events.
 //! 2. The window boundary `t_min + W` is derived from the global minimum
 //!    and `W`, the lightest link of the initial graph or of any link
 //!    scheduled since. Both are `k`-independent (`W` moves only in
@@ -89,13 +89,16 @@
 //!    target gets its first message, and the borrowed run upcall
 //!    (`Protocol::on_run`), where a target absorbs its run in one upcall
 //!    and the engine files what it sent after the run, in the order
-//!    per-message upcalls would have sent it. Every later action keeps
-//!    the key it would have had; floods that per-message upcalls would
-//!    have ended and begun back to back may share one event, whose
-//!    receivers again see only their own sequences. One caveat: a
-//!    receiver timer of zero delay, filed under a key below the run's,
-//!    fires after the whole event rather than between two of its
-//!    messages. `DiscoProtocol`'s timers are all at least 2.0 long.
+//!    per-message upcalls would have sent it. A run of sends over one
+//!    link is one event with one receiver, whose messages would have
+//!    popped back to back (consecutive keys at one arrival time), so it
+//!    is licensed the same way. Every later action keeps the key it would
+//!    have had; messages that per-message upcalls would have ended and
+//!    begun back to back may share one event, whose receivers again see
+//!    only their own sequences. One caveat: a receiver timer of zero
+//!    delay, filed under a key below the run's, fires after the whole
+//!    event rather than between two of its messages. `DiscoProtocol`'s
+//!    timers are all at least 2.0 long.
 //!
 //! The barrier fills each mailbox in source-shard order (then send order),
 //! which is deterministic too — though by fact 1 the ingestion order

@@ -1,33 +1,35 @@
-//! Batched-vs-singleton message-plane equivalence.
+//! Run-vs-singleton message-plane equivalence.
 //!
-//! The batched message plane (`Action::SendBatch` → `EventKind::DeliverBatch`,
-//! runs of `Action::Flood` → one `EventKind::DeliverFlood` per flood group,
-//! popped receiver-major) must be *observationally identical* to sending
-//! every message to every neighbor as its own queue entry: same per-node
-//! receive logs (times, senders, payloads, order), same `MessageStats`
-//! (per-message send/receive counts and byte totals), same in-flight loss
-//! accounting — including a batch whose link dies between send and
-//! delivery losing every message in it, one drop per message — and the
-//! same end time, under churn. The only permitted difference is the number
-//! of queue pops (`events_processed`): a batch or a run of floods is one
-//! entry per flood group.
+//! The engine's runs — consecutive `Action::Send`s over one link → one
+//! `EventKind::Deliver`, consecutive `Action::Flood`s → one
+//! `EventKind::DeliverFlood` per flood group, popped receiver-major — must
+//! be *observationally identical* to sending every message to every
+//! neighbor as its own queue entry: same per-node receive logs (times,
+//! senders, payloads, order), same `MessageStats` (per-message send/receive
+//! counts and byte totals), same in-flight loss accounting — including a
+//! run whose link dies between send and delivery losing every message in
+//! it, one drop per message — and the same end time, under churn. The only
+//! permitted difference is the number of queue pops (`events_processed`):
+//! a run is one entry (per flood group).
 //!
 //! The property drives a gossiping protocol through random topologies with
 //! three link weights (so a node's floods split into several groups,
 //! arriving at different instants) and seeded churn — once recording
-//! fan-out as batches and flood runs, once as per-message sends — and
-//! compares the full observable trace. Each upcall floods runs of one to
-//! four messages, with a unicast send splitting two runs and a batch in the
-//! same upcall. The batched scenario runs again on the sharded engine at
-//! one and two shards against the same reference.
+//! fan-out as runs of floods and dumps as runs of sends, once as
+//! per-message sends — and compares the full observable trace. The
+//! reference records a zero-delay no-op timer after each send: a timer
+//! ends a run, so each of its messages is its own queue entry. Each upcall
+//! floods runs of one to four messages, with a unicast send splitting two
+//! runs and a dump in the same upcall. The run scenario runs again on the
+//! sharded engine at one and two shards against the same reference.
 //!
-//! The engine hands a receiver its whole run (or batch) in one
-//! `Protocol::on_run` upcall, borrowed. Each batched scenario runs twice:
-//! with the default `on_run`, which clones every message into
-//! `on_message`, and with `RunReader`, which reads the run in place — and
-//! both must equal the per-message reference, links dying with runs in
-//! flight included (node 0's first link dies under its first runs; node
-//! 7's, under a run of four, comes back before they land).
+//! The engine hands a receiver its whole run in one `Protocol::on_run`
+//! upcall, borrowed. Each run scenario runs twice: with the default
+//! `on_run`, which clones every message into `on_message`, and with
+//! `RunReader`, which reads the run in place — and both must equal the
+//! per-message reference, links dying with runs in flight included (node
+//! 0's first link dies under its first runs; node 7's, under a run of
+//! four, comes back before they land).
 
 use disco_graph::{generators, Graph, GraphBuilder, NodeId};
 use disco_sim::rng::rng_for;
@@ -77,23 +79,31 @@ impl Blaster {
             if self.batched {
                 ctx.flood_sized(msg, size);
             } else {
-                // The pre-batching idiom: clone-and-send per neighbor, in
-                // adjacency order.
+                // Clone-and-send per neighbor, in adjacency order.
                 for nb in ctx.neighbors() {
-                    ctx.send_sized(nb, msg, size);
+                    Self::send_alone(nb, msg, size, ctx);
                 }
             }
         }
     }
 
+    /// Send a dump of messages to `peer`: back to back, or one queue entry
+    /// each.
     fn dump_to(&self, peer: NodeId, msgs: Vec<(Msg, usize)>, ctx: &mut Context<'_, Msg>) {
-        if self.batched {
-            ctx.send_batch(peer, msgs);
-        } else {
-            for (m, s) in msgs {
+        for (m, s) in msgs {
+            if self.batched {
                 ctx.send_sized(peer, m, s);
+            } else {
+                Self::send_alone(peer, m, s, ctx);
             }
         }
+    }
+
+    /// A send that no later send joins: the no-op timer after it ends the
+    /// run.
+    fn send_alone(to: NodeId, msg: Msg, size: usize, ctx: &mut Context<'_, Msg>) {
+        ctx.send_sized(to, msg, size);
+        ctx.set_timer(0.0, 0);
     }
 }
 
@@ -119,7 +129,7 @@ impl Protocol for Blaster {
         let Some(&peer) = ctx.neighbors().first() else {
             return;
         };
-        // A table-dump-like batch of individually-sized messages to the
+        // A table-dump-like run of individually-sized messages to the
         // first neighbor…
         let dump: Vec<(Msg, usize)> = (0..12u32)
             .map(|i| ((0u8, 1000 + i), 10 + i as usize))
@@ -149,7 +159,7 @@ impl Blaster {
         // less, a unicast back to the sender (the link exists right now:
         // delivery just validated it, and the sender is a flood target of
         // the same arrival instant) that splits it from a second run, and
-        // a small batch answer to the sender.
+        // a small dump answered to the sender.
         let next = tag.wrapping_mul(31).wrapping_add(7);
         self.fan_out(&run_of(1 + next % 4, hops - 1, next), ctx);
         ctx.send_sized(from, (0, next ^ 0xdead), 9);
@@ -209,15 +219,15 @@ fn weighted(n: usize, m: usize, seed: u64) -> Graph {
     b.build()
 }
 
-/// Seeded churn aimed at in-flight messages: cut the batch sender's first
-/// link mid-flight (per-message loss inside a batch), bounce another link
+/// Seeded churn aimed at in-flight messages: cut the dump sender's first
+/// link mid-flight (per-message loss inside a run), bounce another link
 /// down and up before delivery (edge-id mismatch), then random link cuts
 /// and node departures through the cascade.
 fn churn_events(g: &Graph, seed: u64) -> Vec<(f64, TopologyEvent)> {
     let mut ev = Vec::new();
-    // Node 0 dumped a 12-message batch to its first neighbor at t=0; the
+    // Node 0 dumped a 12-message run to its first neighbor at t=0; the
     // delivery is at 1.01 or later (weight + processing delay). Cutting
-    // the link at 0.5 loses the whole batch in flight.
+    // the link at 0.5 loses the whole run in flight.
     let nb0 = g.neighbors(NodeId(0))[0].node;
     ev.push((
         0.5,
@@ -289,7 +299,7 @@ fn run<P: Logged>(seed: u64, factory: impl Fn(NodeId) -> P) -> Observed {
     (report, logs)
 }
 
-/// The batched scenario on the sharded engine at `shards` workers.
+/// The run scenario on the sharded engine at `shards` workers.
 fn run_sharded<P: Logged>(
     seed: u64,
     shards: usize,
@@ -339,7 +349,7 @@ fn assert_observably_equal(reference: &Observed, got: &Observed, leg: &str) {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
-    /// Same seed, batched vs singleton fan-out: every observable of the
+    /// Same seed, runs vs singleton fan-out: every observable of the
     /// run must match — only the queue-pop count may differ — whether the
     /// receiver takes a run through the default `on_run` or reads it in
     /// place.
@@ -351,18 +361,18 @@ proptest! {
         assert_observably_equal(&single, &run(seed, run_reader), "sequential, by reference");
         prop_assert!(single.0.converged);
         // The 12-message dump was cut mid-flight: per-message loss inside
-        // the batch, so both runs drop at least those 12.
-        prop_assert!(batched.0.messages_dropped >= 12, "expected in-flight batch loss");
-        // Batching must actually reduce queue entries.
+        // the run, so both sides drop at least those 12.
+        prop_assert!(batched.0.messages_dropped >= 12, "expected in-flight run loss");
+        // Runs must actually reduce queue entries.
         prop_assert!(
             batched.0.events_processed < single.0.events_processed,
-            "batched run popped {} events vs {} — nothing was batched",
+            "run side popped {} events vs {} — nothing ran together",
             batched.0.events_processed,
             single.0.events_processed
         );
     }
 
-    /// The batched scenario on the sharded engine, at two shards (flood
+    /// The run scenario on the sharded engine, at two shards (flood
     /// groups split by receiving shard, crossing the barrier in wire form)
     /// and at one, equals the same singleton reference — through the
     /// default `on_run` and read in place.

@@ -16,7 +16,7 @@ use rand::Rng;
 
 /// A deliberately chatty protocol: floods on start, re-floods on receipt
 /// (bounded by hop count), fires cascading timers, and reacts to link
-/// flaps with a single send and a batch — so logs cover every upcall kind
+/// flaps with a run of sends and a lone one — so logs cover every upcall kind
 /// and every delivery shape the engine dispatches.
 #[derive(Default)]
 struct Chatter {
@@ -58,11 +58,15 @@ impl Protocol for Chatter {
     fn on_neighbor_up(&mut self, peer: NodeId, ctx: &mut Context<'_, Hello>) {
         self.log.push((ctx.now().to_bits(), peer.0, 1000));
         ctx.send(peer, Hello(2));
-        ctx.send_batch(peer, vec![(Hello(3), 16), (Hello(4), 24)]);
+        ctx.send_sized(peer, Hello(3), 16);
+        ctx.send_sized(peer, Hello(4), 24);
     }
 
     fn on_neighbor_down(&mut self, peer: NodeId, ctx: &mut Context<'_, Hello>) {
         self.log.push((ctx.now().to_bits(), peer.0, 1001));
+        if let Some(&nb) = ctx.neighbors().first() {
+            ctx.send(nb, Hello(2));
+        }
         ctx.broadcast(Hello(2));
     }
 }

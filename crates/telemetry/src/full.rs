@@ -5,7 +5,7 @@ use crate::flight::{FlightEvent, FlightRecorder};
 use crate::json::Json;
 use crate::recorder::{MergeRecorder, MessageClass, Phase, Recorder};
 use crate::registry::ClassRegistry;
-use crate::repair::RepairProbe;
+use crate::repair::{RepairProbe, SETTLE_GAP};
 use crate::spans::PhaseSpans;
 use crate::trace::{ChromeTrace, US_PER_SIM_UNIT};
 use crate::windows::ShardWindows;
@@ -193,7 +193,7 @@ impl FullRecorder {
             ("p50", Json::Fixed(self.repair.quantile(0.50), 3)),
             ("p90", Json::Fixed(self.repair.quantile(0.90), 3)),
             ("p99", Json::Fixed(self.repair.quantile(0.99), 3)),
-            ("settle_gap", Json::Num(self.repair.settle_gap())),
+            ("settle_gap", Json::Num(SETTLE_GAP)),
         ]);
         let shards = self.windows.iter().enumerate().map(|(shard, w)| {
             let counts = [

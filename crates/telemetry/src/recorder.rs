@@ -15,7 +15,7 @@
 /// queue; the *protocol* classes ([`MessageClass::Withdraw`],
 /// [`MessageClass::Refresh`], [`MessageClass::Gossip`]) come from the
 /// protocol's own `classify` hook and take precedence — a withdrawal is a
-/// withdrawal whether it was flooded or batched. [`MessageClass::Timer`]
+/// withdrawal whether it was flooded or sent in a run. [`MessageClass::Timer`]
 /// and [`MessageClass::Topology`] label the non-message engine events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
@@ -24,7 +24,8 @@ pub enum MessageClass {
     Deliver = 0,
     /// Message delivered through a flood fan-out.
     Flood = 1,
-    /// Message delivered as a member of a batched table dump.
+    /// Message delivered as a member of a run of two or more consecutive
+    /// sends over one link (a table dump, for one).
     Batch = 2,
     /// Route withdrawal.
     Withdraw = 3,

@@ -4,7 +4,7 @@
 //! Every [`topology event`](crate::Recorder::topology_changed) opens a
 //! *window*. Every [`selection change`](crate::Recorder::selection_changed)
 //! stamps the activity time of all open windows. A window closes once no
-//! selection change has happened for `settle_gap` simulation-time units
+//! selection change has happened for [`SETTLE_GAP`] simulation-time units
 //! after its last activity; its latency is `last_activity − start` (zero if
 //! the event provoked no selection change at all — the failure was
 //! invisible to routing). This turns the churn experiment's availability
@@ -17,6 +17,12 @@
 
 use std::fmt::Write as _;
 
+/// Simulation time without selection activity after which a window is
+/// settled. It sits well above the path-vector batch delay (2.0) and below
+/// the protocols' repair debounce (60.0), so one window tracks one repair
+/// wave.
+pub const SETTLE_GAP: f64 = 25.0;
+
 /// One still-open repair window.
 #[derive(Debug, Clone, Copy)]
 struct Window {
@@ -26,44 +32,19 @@ struct Window {
 
 /// The probe. Feed it topology and selection-change events in
 /// non-decreasing time order; read the closed-window latencies at the end.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RepairProbe {
-    settle_gap: f64,
     open: Vec<Window>,
     latencies: Vec<f64>,
 }
 
-impl Default for RepairProbe {
-    fn default() -> Self {
-        Self::new(25.0)
-    }
-}
-
 impl RepairProbe {
-    /// A probe that considers a window settled after `settle_gap` sim-time
-    /// units without selection activity. The default (25.0) sits well above
-    /// the path-vector batch delay (2.0) and below the protocols' repair
-    /// debounce (60.0), so one window tracks one repair wave.
-    pub fn new(settle_gap: f64) -> Self {
-        RepairProbe {
-            settle_gap,
-            open: Vec::new(),
-            latencies: Vec::new(),
-        }
-    }
-
-    /// The configured settle gap.
-    pub fn settle_gap(&self) -> f64 {
-        self.settle_gap
-    }
-
     /// Close every open window whose last activity is at least
-    /// `settle_gap` before `now`.
+    /// [`SETTLE_GAP`] before `now`.
     fn sweep(&mut self, now: f64) {
-        let gap = self.settle_gap;
         let latencies = &mut self.latencies;
         self.open.retain(|w| {
-            if w.last.unwrap_or(w.start) + gap <= now {
+            if w.last.unwrap_or(w.start) + SETTLE_GAP <= now {
                 latencies.push(w.last.map_or(0.0, |l| l - w.start));
                 false
             } else {
@@ -151,7 +132,7 @@ impl RepairProbe {
             self.quantile(0.90),
             self.quantile(0.99),
             max,
-            self.settle_gap,
+            SETTLE_GAP,
         );
         out
     }
@@ -163,25 +144,25 @@ mod tests {
 
     #[test]
     fn window_closes_after_settle_gap() {
-        let mut p = RepairProbe::new(10.0);
+        let mut p = RepairProbe::default();
         p.on_topology(100.0);
         p.on_selection(101.0);
         p.on_selection(105.0);
-        // Activity at 105 keeps the window open through 114.9…
+        // Activity at 105 keeps the window open until 105 + SETTLE_GAP…
         p.on_topology(114.0);
         assert_eq!(p.open_windows(), 2);
-        // …but by 116 the first window (last activity 105) has settled.
-        p.on_selection(116.0);
+        // …but by then the first window (last activity 105) has settled.
+        p.on_selection(106.0 + SETTLE_GAP);
         assert_eq!(p.latencies(), &[5.0]);
-        p.finish(200.0);
+        p.finish(1000.0);
         assert_eq!(p.open_windows(), 0);
-        // Second window: opened at 114, last stamped at 116.
-        assert_eq!(p.latencies(), &[5.0, 2.0]);
+        // Second window: opened at 114, last stamped at 106 + SETTLE_GAP.
+        assert_eq!(p.latencies(), &[5.0, SETTLE_GAP - 8.0]);
     }
 
     #[test]
     fn invisible_event_scores_zero() {
-        let mut p = RepairProbe::new(10.0);
+        let mut p = RepairProbe::default();
         p.on_topology(1.0);
         p.finish(100.0);
         assert_eq!(p.latencies(), &[0.0]);
@@ -189,16 +170,18 @@ mod tests {
 
     #[test]
     fn quantiles_are_exact() {
-        let mut p = RepairProbe::new(200.0);
+        let mut p = RepairProbe::default();
+        // Window i sees its one selection change (i + 1) / 8 after it
+        // opens: at most 12.5, inside the settle gap.
         for i in 0..100 {
             p.on_topology(i as f64 * 1000.0);
-            p.on_selection(i as f64 * 1000.0 + (i + 1) as f64);
+            p.on_selection(i as f64 * 1000.0 + (i + 1) as f64 / 8.0);
         }
         p.finish(1e9);
         assert_eq!(p.latencies().len(), 100);
-        assert_eq!(p.quantile(0.5), 50.0);
-        assert_eq!(p.quantile(0.99), 99.0);
-        assert_eq!(p.quantile(1.0), 100.0);
+        assert_eq!(p.quantile(0.5), 6.25);
+        assert_eq!(p.quantile(0.99), 12.375);
+        assert_eq!(p.quantile(1.0), 12.5);
         let line = p.summary_line();
         assert!(line.contains("events=100"), "{line}");
     }
